@@ -3,7 +3,7 @@ GO ?= go
 # Baseline for bench-diff (write one with `make bench-baseline`).
 BENCH_BASE ?= BENCH_baseline.json
 
-.PHONY: build vet test race check bench bench-baseline bench-diff report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
+.PHONY: build vet test race check bench-build bench bench-baseline bench-diff report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,15 @@ race:
 	$(GO) test -race ./...
 
 # The standard verify loop: what CI (and every PR) should run.
-check: build vet lint-metrics race proptest fuzz-smoke crash-smoke report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
+check: build vet bench-build lint-metrics race proptest fuzz-smoke crash-smoke report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
+
+# benchmark/ is a nested module (its own go.mod, `replace probkb => ../`)
+# that imports internal/{ground,mpp,engine,...} by path, so `go build
+# ./...` above never compiles it: an internal API change can break the
+# driver's benchmark with everything else green. Vet it and run its own
+# tests.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
 # snake_case with the right unit suffix and a Help() string (see

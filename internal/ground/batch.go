@@ -38,8 +38,42 @@ func (g *BatchGrounder) Ground() (*Result, error) {
 	res.LoadTime = time.Since(loadStart)
 	res.BaseFacts = tpi.NumRows()
 
-	return g.groundFrom(tpi, ix, -1, res)
+	return g.groundFrom(singleNode{workers: g.opts.Workers}, tpi, ix, -1, res)
 }
+
+// backend is where groundFrom's plans execute: the single-node engine
+// or an MPP cluster holding distributed copies of TΠ and the MLN tables.
+type backend interface {
+	// run executes one grounding plan against the backend's copy of the
+	// tables and returns its rows on the master, with the journal profile
+	// (query name and executed operator tree) of what actually ran. phase
+	// is "atoms" or "factors".
+	run(phase string, plan engine.Node) (*engine.Table, journal.QueryProfile, error)
+	// factsChanged tells the backend an iteration grew TΠ by st.NewFacts
+	// rows and deleted st.Deleted; feeds reports whether any plan will
+	// read TΠ again.
+	factsChanged(st IterStats, feeds bool) error
+}
+
+// singleNode runs the plans as built, on the tables they scan.
+type singleNode struct{ workers int }
+
+func (b singleNode) run(phase string, plan engine.Node) (*engine.Table, journal.QueryProfile, error) {
+	if phase == "atoms" {
+		// Deduplicate in-plan, in parallel: it shrinks the serial merge.
+		plan = engine.NewDistinct(plan, candidateKeyCols)
+	}
+	engine.Configure(plan, engine.Opts{Workers: b.workers})
+	out, err := plan.Run()
+	if err != nil {
+		return nil, journal.QueryProfile{}, err
+	}
+	query := "ground-" + phase
+	engine.ObservePlan(query, plan)
+	return out, journal.QueryProfile{Query: query, Plan: journal.Capture[engine.Node](plan)}, nil
+}
+
+func (singleNode) factsChanged(IterStats, bool) error { return nil }
 
 // groundFrom runs the closure loop and factor phase over an existing
 // facts table. deltaMin >= 0 seeds the first iteration's semi-naive
@@ -53,7 +87,7 @@ func (g *BatchGrounder) Ground() (*Result, error) {
 // delta, and a re-derived one re-enters it under a fresh ID, so
 // semi-naive evaluation stays armed across removals instead of falling
 // back to naive joins for the rest of the run.
-func (g *BatchGrounder) groundFrom(tpi *engine.Table, ix *factIndex, deltaMin int32, res *Result) (*Result, error) {
+func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex, deltaMin int32, res *Result) (*Result, error) {
 	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
 	defer span.End()
 	active := g.parts.NonEmpty()
@@ -97,20 +131,16 @@ func (g *BatchGrounder) groundFrom(tpi *engine.Table, ix *factIndex, deltaMin in
 		candidates := make([]*engine.Table, 0, len(active))
 		for _, p := range active {
 			for _, plan := range g.atomsPlans(p, tpi, delta) {
-				engine.Configure(plan, engine.Opts{Workers: g.opts.Workers})
 				planStart := time.Now()
-				out, err := plan.Run()
+				out, prof, err := be.run("atoms", plan)
 				if err != nil {
 					iterSpan.End()
 					atomsSpan.End()
 					return partial(fmt.Errorf("ground: partition %d atoms query: %w", p, err))
 				}
 				observePartition("atoms", p, time.Since(planStart))
-				engine.ObservePlan("ground-atoms", plan)
-				g.opts.Journal.EmitProfile(journal.QueryProfile{
-					Query: "ground-atoms", Partition: p, Iteration: iter,
-					Plan: journal.Capture[engine.Node](plan),
-				})
+				prof.Partition, prof.Iteration = p, iter
+				g.opts.Journal.EmitProfile(prof)
 				st.Queries++
 				candidates = append(candidates, out)
 			}
@@ -130,6 +160,14 @@ func (g *BatchGrounder) groundFrom(tpi *engine.Table, ix *factIndex, deltaMin in
 		// vanishes from the table (and thus from the next delta), and any
 		// re-derivation re-enters under a fresh ID above nextMin.
 		deltaMin = nextMin
+		// TΠ is read again by the next iteration or the factor phase; a
+		// final iteration with no factor phase feeds nobody.
+		lastIter := st.NewFacts == 0 || (maxIters != 0 && iter == maxIters)
+		if err := be.factsChanged(st, !lastIter || !g.opts.SkipFactors); err != nil {
+			iterSpan.End()
+			atomsSpan.End()
+			return partial(fmt.Errorf("ground: maintaining the backend's facts: %w", err))
+		}
 
 		st.Elapsed = time.Since(iterStart)
 		res.PerIteration = append(res.PerIteration, st)
@@ -178,20 +216,15 @@ func (g *BatchGrounder) groundFrom(tpi *engine.Table, ix *factIndex, deltaMin in
 			factorsSpan.End()
 			return res, err
 		}
-		plan := g.factorsPlan(p, tpi)
-		engine.Configure(plan, engine.Opts{Workers: g.opts.Workers})
 		planStart := time.Now()
-		out, err := plan.Run()
+		out, prof, err := be.run("factors", g.factorsPlan(p, tpi))
 		if err != nil {
 			factorsSpan.End()
 			return res, fmt.Errorf("ground: partition %d factors query: %w", p, err)
 		}
 		observePartition("factors", p, time.Since(planStart))
-		engine.ObservePlan("ground-factors", plan)
-		g.opts.Journal.EmitProfile(journal.QueryProfile{
-			Query: "ground-factors", Partition: p,
-			Plan: journal.Capture[engine.Node](plan),
-		})
+		prof.Partition = p
+		g.opts.Journal.EmitProfile(prof)
 		res.FactorQueries++
 		factors.AppendTable(out) // bag union (Proposition 1)
 	}
@@ -243,7 +276,8 @@ func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table) []engine.Nod
 
 // atomsPlan builds Query 1-p: the join computing new ground atoms from
 // partition p, with the first body atom probing t2src and the second
-// t3src (both the full table under naive evaluation).
+// t3src (both the full table under naive evaluation). The result is a
+// bag: candidates deduplicate in the backend or the merge.
 func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node {
 	m := g.parts.Table(p)
 	lay := layoutOf(p)
@@ -262,9 +296,8 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 			engine.ProbeCol("y", tCol(b0, mln.Y)),
 			engine.BuildCol("C2", lay.class[mln.Y]),
 		}
-		j := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src), j1Keys, tKeys, outs,
+		return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src), j1Keys, tKeys, outs,
 			fmt.Sprintf("M%d.R2 = T.R AND classes", p))
-		return engine.NewDistinct(j, candidateKeyCols)
 	}
 
 	b1 := body[1]
@@ -293,9 +326,8 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 		engine.ProbeCol("y", tCol(b1, mln.Y)),
 		engine.BuildCol("C2", 3),
 	}
-	j2 := engine.NewHashJoin(j1, engine.NewScan(t3src), j2BuildKeys, j2ProbeKeys, j2Outs,
+	return engine.NewHashJoin(j1, engine.NewScan(t3src), j2BuildKeys, j2ProbeKeys, j2Outs,
 		fmt.Sprintf("M%d.R3 = T3.R AND classes AND T2.z = T3.z", p))
-	return engine.NewDistinct(j2, candidateKeyCols)
 }
 
 // factorsPlan builds Query 2-p: the join emitting ground factors
@@ -442,5 +474,5 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 	}
 	res.BaseFacts = tpi.NumRows()
 
-	return g.groundFrom(tpi, ix, deltaMin, res)
+	return g.groundFrom(singleNode{workers: g.opts.Workers}, tpi, ix, deltaMin, res)
 }

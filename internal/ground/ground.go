@@ -6,9 +6,11 @@
 //   - BatchGrounder (probkb mode, Algorithm 1): applies *all rules of a
 //     partition at once* by joining the MLN table Mi against the facts
 //     table TΠ — O(k) queries per iteration for k non-empty partitions,
-//     regardless of rule count. It runs on the single-node engine or,
-//     through the mpp planner, on a Greenplum-style cluster with
-//     redistributed materialized views.
+//     regardless of rule count. Queries 1-p and 2-p are stated once, as
+//     engine plans, and one closure loop runs them through a backend:
+//     as built on the single-node engine, or lowered by mpp.Lower onto
+//     a Greenplum-style cluster with redistributed materialized views
+//     (MPPGrounder, which owns the cluster copies of TΠ and Mi).
 //
 //   - TuffyGrounder (the Tuffy-T baseline of Section 6.1): one table per
 //     relation and one join query per rule — O(n) queries per iteration

@@ -236,7 +236,7 @@ func (lg *LocalGrounder) Ground(ctx context.Context, q LocalQuery) (*LocalResult
 	opts.Observer = nil
 	opts.Journal = nil
 	g := &BatchGrounder{parts: parts, opts: opts}
-	out, err := g.groundFrom(tpi, ix, -1, res)
+	out, err := g.groundFrom(singleNode{workers: opts.Workers}, tpi, ix, -1, res)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"probkb/internal/engine"
 	"probkb/internal/kb"
-	"probkb/internal/mln"
 	"probkb/internal/mpp"
 	"probkb/internal/obs"
 	"probkb/internal/obs/journal"
@@ -26,9 +25,9 @@ var (
 // when redistributed materialized views are enabled, ProbKB-pn when they
 // are not (the two MPP configurations of Figure 6(c)).
 type MPPGrounder struct {
-	kb       *kb.KB
-	parts    *mln.Partitions
-	opts     Options
+	// batch states the plans and runs the closure loop; this type is the
+	// backend that executes them on the cluster.
+	batch    *BatchGrounder
 	cluster  *mpp.Cluster
 	useViews bool
 
@@ -36,7 +35,7 @@ type MPPGrounder struct {
 	ix    *factIndex
 	dT    *mpp.DistTable
 	views *mpp.Views
-	repM  [mln.NumPartitions + 1]*mpp.DistTable
+	repM  map[*engine.Table]*mpp.DistTable // MLN partition table → replicated copy
 	// distributedLen is how many master rows the cluster copies already
 	// hold; rows beyond it are appended incrementally.
 	distributedLen int
@@ -45,11 +44,11 @@ type MPPGrounder struct {
 // NewMPP prepares an MPP grounder. useViews selects ProbKB-p (true) or
 // ProbKB-pn (false).
 func NewMPP(k *kb.KB, opts Options, cluster *mpp.Cluster, useViews bool) (*MPPGrounder, error) {
-	parts, err := k.MLNPartitions()
+	batch, err := NewBatch(k, opts)
 	if err != nil {
-		return nil, fmt.Errorf("ground: partitioning rules: %w", err)
+		return nil, err
 	}
-	return &MPPGrounder{kb: k, parts: parts, opts: opts, cluster: cluster, useViews: useViews}, nil
+	return &MPPGrounder{batch: batch, cluster: cluster, useViews: useViews}, nil
 }
 
 // load distributes the facts table and replicates the MLN tables across
@@ -59,13 +58,15 @@ func (g *MPPGrounder) load() error {
 	if err := g.cluster.Err(); err != nil {
 		return err
 	}
-	g.tpi = g.kb.FactsTable()
+	g.tpi = g.batch.kb.FactsTable()
 	g.ix = newFactIndex(g.tpi)
 	if err := g.redistribute(); err != nil {
 		return err
 	}
-	for _, p := range g.parts.NonEmpty() {
-		g.repM[p] = g.cluster.Replicate(g.parts.Table(p))
+	g.repM = make(map[*engine.Table]*mpp.DistTable)
+	for _, p := range g.batch.parts.NonEmpty() {
+		m := g.batch.parts.Table(p)
+		g.repM[m] = g.cluster.Replicate(m)
 	}
 	return nil
 }
@@ -129,16 +130,14 @@ func (g *MPPGrounder) appendDelta() error {
 	return nil
 }
 
-// Ground runs the distributed Algorithm 1.
+// Ground runs the distributed Algorithm 1: the batch grounder's closure
+// and factor loop, with every plan lowered onto the cluster.
 func (g *MPPGrounder) Ground() (*Result, error) {
-	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
-	defer span.End()
-	span.SetAttr("segments", g.cluster.NumSegments())
-	span.SetAttr("views", g.useViews)
 	res := &Result{}
-
 	loadStart := time.Now()
-	_, loadSpan := obs.StartSpan(ctx, "ground.load")
+	_, loadSpan := obs.StartSpan(g.batch.opts.ctxOf(), "ground.load")
+	loadSpan.SetAttr("segments", g.cluster.NumSegments())
+	loadSpan.SetAttr("views", g.useViews)
 	err := g.load()
 	loadSpan.End()
 	if err != nil {
@@ -146,160 +145,64 @@ func (g *MPPGrounder) Ground() (*Result, error) {
 	}
 	res.LoadTime = time.Since(loadStart)
 	res.BaseFacts = g.tpi.NumRows()
-
-	active := g.parts.NonEmpty()
-
-	atomStart := time.Now()
-	atomsCtx, atomsSpan := obs.StartSpan(ctx, "ground.atoms")
-	// partial packages what grounding completed so far so a cancelled run
-	// can hand back a usable PartialError instead of discarding work.
-	partial := func(err error) (*Result, error) {
-		res.Facts = g.tpi
-		res.AtomTime = time.Since(atomStart)
-		return res, err
-	}
-
-	maxIters := g.opts.MaxIterations
-	for iter := 1; maxIters == 0 || iter <= maxIters; iter++ {
-		// Cooperative cancellation: check at every fixpoint iteration.
-		if err := atomsCtx.Err(); err != nil {
-			atomsSpan.End()
-			return partial(err)
-		}
-		iterStart := time.Now()
-		_, iterSpan := obs.StartSpan(atomsCtx, "iteration")
-		st := IterStats{Iteration: iter}
-
-		candidates := make([]*engine.Table, 0, len(active))
-		candRows := 0
-		for _, p := range active {
-			plan := g.atomsPlanMPP(p)
-			planStart := time.Now()
-			out, err := plan.Run()
-			if err != nil {
-				iterSpan.End()
-				atomsSpan.End()
-				return partial(fmt.Errorf("ground: mpp partition %d atoms query: %w", p, err))
-			}
-			observePartition("atoms", p, time.Since(planStart))
-			mpp.ObservePlan("mpp-atoms", plan)
-			g.opts.Journal.EmitProfile(journal.QueryProfile{
-				Query: "mpp-atoms", Partition: p, Iteration: iter,
-				Plan: journal.Capture[mpp.Node](plan),
-			})
-			st.Queries++
-			candidates = append(candidates, mpp.Gather(out))
-		}
-		for _, c := range candidates {
-			candRows += c.NumRows()
-			st.NewFacts += g.ix.merge(c)
-		}
-		if g.opts.ConstraintHook != nil {
-			st.Deleted = g.opts.ConstraintHook(g.tpi)
-			if st.Deleted > 0 {
-				g.ix.rebuild()
-			}
-		}
-		// Maintain the cluster copies for whoever reads them next — the
-		// next iteration or the factor phase. When this is the final
-		// iteration and no factor phase follows, the maintenance would
-		// feed nobody; skip it.
-		lastIter := st.NewFacts == 0 || (maxIters != 0 && iter == maxIters)
-		needFresh := !lastIter || !g.opts.SkipFactors
-		if needFresh {
-			var err error
-			switch {
-			case st.Deleted > 0:
-				// Deletions invalidate the cluster copies; rebuild.
-				err = g.redistribute()
-			case st.NewFacts > 0:
-				// The common case: incrementally maintain the distributed
-				// table and its views with just the new rows.
-				err = g.appendDelta()
-			}
-			if err != nil {
-				iterSpan.End()
-				atomsSpan.End()
-				return partial(fmt.Errorf("ground: mpp view maintenance: %w", err))
-			}
-		}
-
-		st.Elapsed = time.Since(iterStart)
-		res.PerIteration = append(res.PerIteration, st)
-		res.Iterations = iter
-		res.AtomQueries += st.Queries
-		observeIteration(st, candRows-st.NewFacts)
-		iterSpan.SetAttr("iter", iter)
-		iterSpan.SetAttr("new_facts", st.NewFacts)
-		iterSpan.SetAttr("deleted", st.Deleted)
-		iterSpan.SetAttr("queries", st.Queries)
-		iterSpan.End()
-		emitIteration(g.opts.Journal, st)
-		if g.opts.OnIteration != nil {
-			g.opts.OnIteration(st)
-		}
-		if st.NewFacts == 0 {
-			res.Converged = true
-			break
-		}
-	}
-	res.AtomTime = time.Since(atomStart)
-	res.Facts = g.tpi
-	atomsSpan.SetAttr("iterations", res.Iterations)
-	atomsSpan.SetAttr("facts", g.tpi.NumRows())
-	atomsSpan.End()
-	span.SetAttr("base_facts", res.BaseFacts)
-	span.SetAttr("inferred_facts", res.InferredFacts())
-
-	if g.opts.SkipFactors {
-		return res, nil
-	}
-
-	factorStart := time.Now()
-	factorsCtx, factorsSpan := obs.StartSpan(ctx, "ground.factors")
-	if err := g.ensureHeadView(); err != nil {
-		factorsSpan.End()
-		return res, fmt.Errorf("ground: mpp head view: %w", err)
-	}
-	factors := engine.NewTable("TPhi", FactorSchema())
-	for _, p := range active {
-		// Cooperative cancellation: check between factor queries. The
-		// grounded facts survive in the partial result; only the factor
-		// table is incomplete.
-		if err := factorsCtx.Err(); err != nil {
-			factorsSpan.End()
-			return res, err
-		}
-		plan := g.factorsPlanMPP(p)
-		planStart := time.Now()
-		out, err := plan.Run()
-		if err != nil {
-			factorsSpan.End()
-			return res, fmt.Errorf("ground: mpp partition %d factors query: %w", p, err)
-		}
-		observePartition("factors", p, time.Since(planStart))
-		mpp.ObservePlan("mpp-factors", plan)
-		g.opts.Journal.EmitProfile(journal.QueryProfile{
-			Query: "mpp-factors", Partition: p,
-			Plan: journal.Capture[mpp.Node](plan),
-		})
-		res.FactorQueries++
-		factors.AppendTable(mpp.Gather(out))
-	}
-	appendSingletonFactors(factors, g.tpi)
-	res.FactorQueries++
-	obs.Default.Counter("probkb_ground_queries_total", obs.L("phase", "factors")).Add(int64(res.FactorQueries))
-	res.Factors = factors
-	res.FactorTime = time.Since(factorStart)
-	factorsSpan.SetAttr("factors", factors.NumRows())
-	factorsSpan.End()
-	return res, nil
+	return g.batch.groundFrom(g, g.tpi, g.ix, -1, res)
 }
 
-// probeT returns the scan the planner should use for a TΠ probe joined on
-// key: the matching view when views are on (no motion), the base table
-// otherwise (the planner will insert a motion).
-func (g *MPPGrounder) probeT() mpp.Node { return mpp.NewScan(g.dT) }
+// run lowers a grounding plan onto the cluster, runs it and gathers the
+// result. Candidate atoms are not deduplicated on the cluster — a
+// distributed DISTINCT would cost a motion — so the merge does it.
+func (g *MPPGrounder) run(phase string, plan engine.Node) (*engine.Table, journal.QueryProfile, error) {
+	if phase == "factors" {
+		if err := g.ensureHeadView(); err != nil {
+			return nil, journal.QueryProfile{}, fmt.Errorf("mpp head view: %w", err)
+		}
+	}
+	dplan := g.lower(plan)
+	out, err := dplan.Run()
+	if err != nil {
+		return nil, journal.QueryProfile{}, err
+	}
+	query := "mpp-" + phase
+	mpp.ObservePlan(query, dplan)
+	return mpp.Gather(out), journal.QueryProfile{Query: query, Plan: journal.Capture[mpp.Node](dplan)}, nil
+}
+
+// factsChanged brings the cluster copies of TΠ up to the master: new
+// rows are appended incrementally (the common case); deletions
+// invalidate the copies, which are rebuilt. When nothing will read them
+// again the maintenance is skipped.
+func (g *MPPGrounder) factsChanged(st IterStats, feeds bool) error {
+	switch {
+	case !feeds:
+		return nil
+	case st.Deleted > 0:
+		return g.redistribute()
+	case st.NewFacts > 0:
+		return g.appendDelta()
+	}
+	return nil
+}
+
+// lower places a grounding plan on the cluster: views on, TΠ probes scan
+// the view keyed like the join (no motion); views off, the planner
+// inserts the motion.
+func (g *MPPGrounder) lower(plan engine.Node) mpp.Node {
+	return mpp.Lower(plan, g.place, g.views, true)
+}
+
+// place maps a plan's base tables to their cluster copies: the master
+// TΠ to the distributed facts table, an MLN partition table to its
+// replicated copy. Anything else — a semi-naive Δ — is scattered by
+// fact ID on the fly.
+func (g *MPPGrounder) place(t *engine.Table) *mpp.DistTable {
+	if t == g.tpi {
+		return g.dT
+	}
+	if m, ok := g.repM[t]; ok {
+		return m
+	}
+	return g.cluster.Distribute(t, []int{kb.TPiI})
+}
 
 // Load distributes the facts and MLN tables without grounding; the
 // Figure 4 harness uses it to build standalone plans.
@@ -307,130 +210,6 @@ func (g *MPPGrounder) Load() error { return g.load() }
 
 // AtomsPlan exposes the distributed groundAtoms plan for partition p; the
 // Figure 4 harness uses it to print optimized vs unoptimized plans.
-func (g *MPPGrounder) AtomsPlan(p int) mpp.Node { return g.atomsPlanMPP(p) }
-
-// atomsPlanMPP mirrors BatchGrounder.atomsPlan on the cluster.
-func (g *MPPGrounder) atomsPlanMPP(p int) mpp.Node {
-	lay := layoutOf(p)
-	_, body := mln.Shape(p)
-	b0 := body[0]
-	scanM := mpp.NewScan(g.repM[p])
-
-	j1Keys := []int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}
-
-	if len(body) == 1 {
-		outs := []engine.JoinOut{
-			engine.BuildCol("R", lay.r1),
-			engine.ProbeCol("x", tCol(b0, mln.X)),
-			engine.BuildCol("C1", lay.class[mln.X]),
-			engine.ProbeCol("y", tCol(b0, mln.Y)),
-			engine.BuildCol("C2", lay.class[mln.Y]),
-		}
-		return mpp.PlanJoin(scanM, g.probeT(), j1Keys, keyRCC, outs,
-			fmt.Sprintf("M%d.R2 = T.R AND classes", p), g.views)
-	}
-
-	b1 := body[1]
-	j1Outs := []engine.JoinOut{
-		engine.BuildCol("R1", lay.r1),
-		engine.BuildCol("R3", lay.r3),
-		engine.BuildCol("CX", lay.class[mln.X]),
-		engine.BuildCol("CY", lay.class[mln.Y]),
-		engine.BuildCol("CZ", lay.class[mln.Z]),
-		engine.ProbeCol("xv", tCol(b0, mln.X)),
-		engine.ProbeCol("zv", tCol(b0, mln.Z)),
-	}
-	j1 := mpp.PlanJoin(scanM, g.probeT(), j1Keys, keyRCC, j1Outs,
-		fmt.Sprintf("M%d.R2 = T2.R AND classes", p), g.views)
-
-	varCol := map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
-	j2BuildKeys := []int{1, varCol[b1.Arg1], varCol[b1.Arg2], 6}
-	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
-	j2Outs := []engine.JoinOut{
-		engine.BuildCol("R", 0),
-		engine.BuildCol("x", 5),
-		engine.BuildCol("C1", 2),
-		engine.ProbeCol("y", tCol(b1, mln.Y)),
-		engine.BuildCol("C2", 3),
-	}
-	return mpp.PlanJoin(j1, g.probeT(), j2BuildKeys, j2ProbeKeys, j2Outs,
-		fmt.Sprintf("M%d.R3 = T3.R AND classes AND T2.z = T3.z", p), g.views)
-}
-
-// factorsPlanMPP mirrors BatchGrounder.factorsPlan on the cluster.
-func (g *MPPGrounder) factorsPlanMPP(p int) mpp.Node {
-	lay := layoutOf(p)
-	_, body := mln.Shape(p)
-	b0 := body[0]
-	scanM := mpp.NewScan(g.repM[p])
-
-	j1Keys := []int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}
-	headProbeKeys := keyRCxCy
-
-	if len(body) == 1 {
-		j1Outs := []engine.JoinOut{
-			engine.BuildCol("R1", lay.r1),
-			engine.BuildCol("CX", lay.class[mln.X]),
-			engine.BuildCol("CY", lay.class[mln.Y]),
-			engine.ProbeCol("xv", tCol(b0, mln.X)),
-			engine.ProbeCol("yv", tCol(b0, mln.Y)),
-			engine.ProbeCol("I2", kb.TPiI),
-			engine.BuildCol("w", lay.w),
-		}
-		j1 := mpp.PlanJoin(scanM, g.probeT(), j1Keys, keyRCC, j1Outs,
-			fmt.Sprintf("M%d.R2 = T2.R AND classes", p), g.views)
-		j2Outs := []engine.JoinOut{
-			engine.ProbeCol("I1", kb.TPiI),
-			engine.BuildCol("I2", 5),
-			engine.BuildCol("w", 6),
-		}
-		j2 := mpp.PlanJoin(j1, g.probeT(), []int{0, 1, 2, 3, 4}, headProbeKeys, j2Outs,
-			fmt.Sprintf("M%d.R1 = T1.R AND head", p), g.views)
-		return mpp.NewProject(j2,
-			engine.ColExpr("I1", 0),
-			engine.ColExpr("I2", 1),
-			engine.ConstI32Expr("I3", engine.NullInt32),
-			engine.ColExpr("w", 2),
-		)
-	}
-
-	b1 := body[1]
-	j1Outs := []engine.JoinOut{
-		engine.BuildCol("R1", lay.r1),
-		engine.BuildCol("R3", lay.r3),
-		engine.BuildCol("CX", lay.class[mln.X]),
-		engine.BuildCol("CY", lay.class[mln.Y]),
-		engine.BuildCol("CZ", lay.class[mln.Z]),
-		engine.ProbeCol("xv", tCol(b0, mln.X)),
-		engine.ProbeCol("zv", tCol(b0, mln.Z)),
-		engine.ProbeCol("I2", kb.TPiI),
-		engine.BuildCol("w", lay.w),
-	}
-	j1 := mpp.PlanJoin(scanM, g.probeT(), j1Keys, keyRCC, j1Outs,
-		fmt.Sprintf("M%d.R2 = T2.R AND classes", p), g.views)
-
-	varCol := map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
-	j2BuildKeys := []int{1, varCol[b1.Arg1], varCol[b1.Arg2], 6}
-	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
-	j2Outs := []engine.JoinOut{
-		engine.BuildCol("R1", 0),
-		engine.BuildCol("CX", 2),
-		engine.BuildCol("CY", 3),
-		engine.BuildCol("xv", 5),
-		engine.ProbeCol("yv", tCol(b1, mln.Y)),
-		engine.BuildCol("I2", 7),
-		engine.ProbeCol("I3", kb.TPiI),
-		engine.BuildCol("w", 8),
-	}
-	j2 := mpp.PlanJoin(j1, g.probeT(), j2BuildKeys, j2ProbeKeys, j2Outs,
-		fmt.Sprintf("M%d.R3 = T3.R AND classes AND T2.z = T3.z", p), g.views)
-
-	j3Outs := []engine.JoinOut{
-		engine.ProbeCol("I1", kb.TPiI),
-		engine.BuildCol("I2", 5),
-		engine.BuildCol("I3", 6),
-		engine.BuildCol("w", 7),
-	}
-	return mpp.PlanJoin(j2, g.probeT(), []int{0, 1, 2, 3, 4}, headProbeKeys, j3Outs,
-		fmt.Sprintf("M%d.R1 = T1.R AND head", p), g.views)
+func (g *MPPGrounder) AtomsPlan(p int) mpp.Node {
+	return g.lower(g.batch.atomsPlan(p, g.tpi, g.tpi))
 }

@@ -6,33 +6,33 @@ import (
 	"probkb/internal/engine"
 )
 
-// ---------------------------------------------------------------------------
-// Filter
-
-// FilterNode keeps rows matching a predicate; it runs segment-local and
-// preserves the input distribution.
-type FilterNode struct {
+// segLocal runs one engine operator — Filter, Project, HashJoin,
+// Distinct or GroupBy — independently on every segment: segment i
+// re-instantiates the operator over its slices of the inputs
+// (engine.Rebind) and keeps the output local. That is only correct when
+// the rows an operator must see together already share a segment; Lower
+// establishes that placement (or records the deferred error) before it
+// builds the node, and derives the output distribution.
+type segLocal struct {
 	dbase
-	child Node
-	pred  func(t *engine.Table, row int) bool
-	desc  string
+	op   engine.Node
+	kind string // names the output tables: "filter", "join", ...
+	kids []Node
 }
 
-// NewFilter returns a distributed filter.
-func NewFilter(child Node, desc string, pred func(t *engine.Table, row int) bool) *FilterNode {
-	return &FilterNode{
-		dbase: childBase(child, child.OutSchema(), child.OutDist()),
-		child: child, pred: pred, desc: desc,
-	}
+func newSegLocal(op engine.Node, kind string, dist Distribution, kids ...Node) *segLocal {
+	n := &segLocal{dbase: childBase(kids[0], op.OutSchema(), dist), op: op, kind: kind, kids: kids}
+	n.stats.EstRows = op.Stats().EstRows
+	return n
 }
 
-func (n *FilterNode) Children() []Node { return []Node{n.child} }
-func (n *FilterNode) Label() string    { return "Filter (" + n.desc + ")" }
+func (n *segLocal) Children() []Node { return n.kids }
+func (n *segLocal) Label() string    { return n.op.Label() }
 
-// Run filters every segment in parallel. The segment task builds a fresh
-// local table and assigns it last, so a retried attempt cannot leave
-// partial rows behind.
-func (n *FilterNode) Run() (*DistTable, error) {
+// Run executes the operator on every segment in parallel. Each segment
+// task builds a fresh local plan and assigns its output last, so a
+// retried attempt cannot leave partial rows (or stats) behind.
+func (n *segLocal) Run() (*DistTable, error) {
 	if n.err != nil {
 		return nil, n.err
 	}
@@ -40,66 +40,71 @@ func (n *FilterNode) Run() (*DistTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := ins[0]
 	return timeRunD(&n.stats, func() (*DistTable, error) {
-		out := n.cluster.newDistTable("filter", n.schema, n.dist)
+		out := n.cluster.newDistTable(n.kind, n.schema, n.dist)
 		opts := n.cluster.engineOpts()
 		segStats := make([]engine.NodeStats, n.cluster.nseg)
 		segSecs, retries, err := n.cluster.forEachSegment(func(i int) error {
-			// Fresh local stats per attempt so a retried task stays
-			// idempotent; the slot is overwritten wholesale.
-			var st engine.NodeStats
-			t := engine.FilterTableOpts(in.segs[i], n.pred, opts, &st)
-			t.SetName(fmt.Sprintf("filter.seg%d", i))
+			local := make([]*engine.Table, len(ins))
+			for j, in := range ins {
+				local[j] = in.segs[i]
+			}
+			op := engine.Rebind(n.op, local...)
+			engine.Configure(op, opts)
+			t, err := op.Run()
+			if err != nil {
+				return err
+			}
+			t.SetName(fmt.Sprintf("%s.seg%d", n.kind, i))
 			out.segs[i] = t
-			segStats[i] = st
+			segStats[i] = *op.Stats()
 			return nil
 		})
 		n.stats.SegSeconds = segSecs
 		n.stats.Retries = retries
 		mergeExecStats(&n.stats, segStats)
-		return out, err
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
 	})
 }
 
 // ---------------------------------------------------------------------------
-// Project
+// Output-distribution derivation
 
-// ProjectNode computes a new row layout, segment-local.
-type ProjectNode struct {
-	dbase
-	child Node
-	exprs []engine.OutExpr
-}
-
-// NewProject returns a distributed projection. The output distribution is
-// derived: if every distribution-key column of the input survives as a
-// plain column reference, the output stays hashed on the mapped columns;
-// otherwise it degrades to random (replicated stays replicated).
-func NewProject(child Node, exprs ...engine.OutExpr) *ProjectNode {
-	// engine.NewProject resolves types; reuse it on a dummy scan to get
-	// the schema without duplicating that logic.
-	probe := engine.NewProject(engine.NewScan(engine.NewTable("", child.OutSchema())), exprs...)
-	dist := remapDist(child.OutDist(), exprs)
-	return &ProjectNode{
-		dbase: childBase(child, probe.OutSchema(), dist),
-		child: child, exprs: exprs,
-	}
-}
-
-// remapDist maps a distribution through a projection list.
+// remapDist maps a distribution through a projection list: if every
+// distribution-key column of the input survives as a plain column
+// reference, the output stays hashed on the mapped columns; otherwise
+// it degrades to random (replicated stays replicated).
 func remapDist(d Distribution, exprs []engine.OutExpr) Distribution {
 	if d.Replicated {
 		return d
 	}
-	if d.Key == nil {
+	return mapKey(d.Key, len(exprs), func(j, k int) bool { return exprs[j].Col == k })
+}
+
+// groupDist maps the input's hash key onto the group-by output, whose
+// leading columns are the group keys in order.
+func groupDist(d Distribution, keys []int) Distribution {
+	if d.Replicated {
+		return d
+	}
+	return mapKey(d.Key, len(keys), func(j, k int) bool { return keys[j] == k })
+}
+
+// mapKey relocates every column of a hash key to the first of n output
+// positions that carries it; a key column with no such position (or a
+// nil key) leaves the output randomly distributed.
+func mapKey(key []int, n int, carries func(out, col int) bool) Distribution {
+	if key == nil {
 		return RandomDist()
 	}
-	mapped := make([]int, len(d.Key))
-	for i, k := range d.Key {
+	mapped := make([]int, len(key))
+	for i, k := range key {
 		found := -1
-		for j, e := range exprs {
-			if e.Col == k {
+		for j := 0; j < n; j++ {
+			if carries(j, k) {
 				found = j
 				break
 			}
@@ -112,209 +117,26 @@ func remapDist(d Distribution, exprs []engine.OutExpr) Distribution {
 	return HashedBy(mapped...)
 }
 
-func (n *ProjectNode) Children() []Node { return []Node{n.child} }
-func (n *ProjectNode) Label() string    { return fmt.Sprintf("Project (%d cols)", len(n.exprs)) }
-
-// Run projects every segment in parallel.
-func (n *ProjectNode) Run() (*DistTable, error) {
-	if n.err != nil {
-		return nil, n.err
-	}
-	ins, err := runChildrenD(n)
-	if err != nil {
-		return nil, err
-	}
-	in := ins[0]
-	return timeRunD(&n.stats, func() (*DistTable, error) {
-		out := n.cluster.newDistTable("project", n.schema, n.dist)
-		opts := n.cluster.engineOpts()
-		segStats := make([]engine.NodeStats, n.cluster.nseg)
-		segSecs, retries, err := n.cluster.forEachSegment(func(i int) error {
-			p := engine.NewProject(engine.NewScan(in.segs[i]), n.exprs...)
-			engine.Configure(p, opts)
-			t, err := p.Run()
-			if err != nil {
-				return err
-			}
-			t.SetName(fmt.Sprintf("project.seg%d", i))
-			out.segs[i] = t
-			segStats[i] = *p.Stats()
-			return nil
-		})
-		n.stats.SegSeconds = segSecs
-		n.stats.Retries = retries
-		mergeExecStats(&n.stats, segStats)
-		return out, err
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Hash Join
-
-// HashJoinNode joins two collocated inputs segment-locally in parallel.
-//
-// Collocation is a *precondition*: either at least one input is
-// replicated, or both inputs are hash-distributed on exactly the join key
-// tuples. The planner (PlanJoin) is responsible for inserting motions to
-// establish it; a join constructed over non-collocated inputs records a
-// deferred error and fails at Run, because silently joining them would
-// drop matches that live on different segments.
-type HashJoinNode struct {
-	dbase
-	build, probe         Node
-	buildKeys, probeKeys []int
-	residual             func(b *engine.Table, br int, p *engine.Table, pr int) bool
-	residualDesc         string
-	outs                 []engine.JoinOut
-	desc                 string
-}
-
-// NewHashJoin constructs a distributed hash join. See HashJoinNode for the
-// collocation precondition.
-func NewHashJoin(build, probe Node, buildKeys, probeKeys []int, outs []engine.JoinOut, desc string) *HashJoinNode {
-	bd, pd := build.OutDist(), probe.OutDist()
-	sch := engine.JoinSchema(build.OutSchema(), probe.OutSchema(), outs)
-	n := &HashJoinNode{
-		dbase:     childBase(build, sch, joinOutputDist(bd, pd, buildKeys, probeKeys, outs)),
-		build:     build,
-		probe:     probe,
-		buildKeys: buildKeys,
-		probeKeys: probeKeys,
-		outs:      outs,
-		desc:      desc,
-	}
-	if n.err == nil {
-		switch collocated := bd.Replicated || pd.Replicated ||
-			(keysEqual(bd.Key, buildKeys) && keysEqual(pd.Key, probeKeys)); {
-		case len(buildKeys) != len(probeKeys):
-			n.err = fmt.Errorf("mpp: HashJoin key lists differ in length: %v vs %v", buildKeys, probeKeys)
-		case !collocated:
-			n.err = fmt.Errorf("mpp: HashJoin inputs not collocated: build %s on %v, probe %s on %v",
-				bd, buildKeys, pd, probeKeys)
-		}
-	}
-	return n
-}
-
 // joinOutputDist derives the output distribution of a collocated join.
-func joinOutputDist(bd, pd Distribution, buildKeys, probeKeys []int, outs []engine.JoinOut) Distribution {
+func joinOutputDist(bd, pd Distribution, outs []engine.JoinOut) Distribution {
 	if bd.Replicated && pd.Replicated {
+		// Identical output on every segment: exactly the replicated
+		// invariant, keep it.
 		return ReplicatedDist()
 	}
 	// Rows land on the segment of the non-replicated side (or either, if
 	// both hashed on the join keys). Map that side's distribution key
 	// through the output spec.
-	trySide := func(side int, key []int) (Distribution, bool) {
-		if key == nil {
-			return Distribution{}, false
+	for side, d := range [2]Distribution{engine.BuildSide: bd, engine.ProbeSide: pd} {
+		if d.Replicated {
+			continue
 		}
-		mapped := make([]int, len(key))
-		for i, k := range key {
-			found := -1
-			for j, o := range outs {
-				if o.Side == side && o.Col == k {
-					found = j
-					break
-				}
-			}
-			if found < 0 {
-				return Distribution{}, false
-			}
-			mapped[i] = found
-		}
-		return HashedBy(mapped...), true
-	}
-	if !bd.Replicated {
-		if d, ok := trySide(engine.BuildSide, bd.Key); ok {
-			return d
-		}
-	}
-	if !pd.Replicated {
-		if d, ok := trySide(engine.ProbeSide, pd.Key); ok {
-			return d
+		out := mapKey(d.Key, len(outs), func(j, k int) bool { return outs[j].Side == side && outs[j].Col == k })
+		if !out.Random() {
+			return out
 		}
 	}
 	return RandomDist()
-}
-
-// WithResidual attaches a residual predicate (see engine.HashJoinNode).
-func (n *HashJoinNode) WithResidual(desc string, pred func(b *engine.Table, br int, p *engine.Table, pr int) bool) *HashJoinNode {
-	n.residual = pred
-	n.residualDesc = desc
-	return n
-}
-
-func (n *HashJoinNode) Children() []Node { return []Node{n.build, n.probe} }
-
-func (n *HashJoinNode) Label() string {
-	l := "Hash Join (" + n.desc + ")"
-	if n.residualDesc != "" {
-		l += " Residual (" + n.residualDesc + ")"
-	}
-	return l
-}
-
-// Run joins every segment pair in parallel.
-func (n *HashJoinNode) Run() (*DistTable, error) {
-	if n.err != nil {
-		return nil, n.err
-	}
-	ins, err := runChildrenD(n)
-	if err != nil {
-		return nil, err
-	}
-	bt, pt := ins[0], ins[1]
-	return timeRunD(&n.stats, func() (*DistTable, error) {
-		out := n.cluster.newDistTable("join", n.schema, n.dist)
-		opts := n.cluster.engineOpts()
-		segStats := make([]engine.NodeStats, n.cluster.nseg)
-		segSecs, retries, err := n.cluster.forEachSegment(func(i int) error {
-			var st engine.NodeStats
-			t, err := engine.HashJoinTablesOpts(bt.segs[i], pt.segs[i], n.buildKeys, n.probeKeys, n.residual, n.outs, opts, &st)
-			if err != nil {
-				return err
-			}
-			out.segs[i] = t
-			out.segs[i].SetName(fmt.Sprintf("join.seg%d", i))
-			segStats[i] = st
-			return nil
-		})
-		n.stats.SegSeconds = segSecs
-		n.stats.Retries = retries
-		mergeExecStats(&n.stats, segStats)
-		if err != nil {
-			return nil, err
-		}
-		// Joining two replicated inputs produces identical output on every
-		// segment; that is exactly the replicated invariant, keep it.
-		return out, nil
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Distinct
-
-// DistinctNode removes duplicate rows by key, segment-locally. The
-// precondition mirrors the join's: equal keys must be collocated, i.e. the
-// input is replicated or hashed on a tuple of columns that is a subset of
-// the distinct keys.
-type DistinctNode struct {
-	dbase
-	child Node
-	keys  []int
-}
-
-// NewDistinct constructs a distributed duplicate elimination.
-func NewDistinct(child Node, keys []int) *DistinctNode {
-	d := child.OutDist()
-	n := &DistinctNode{
-		dbase: childBase(child, child.OutSchema(), d),
-		child: child, keys: keys,
-	}
-	if n.err == nil && !d.Replicated && !subsetOf(d.Key, keys) {
-		n.err = fmt.Errorf("mpp: Distinct on %v over input distributed %s: equal keys not collocated", keys, d)
-	}
-	return n
 }
 
 // subsetOf reports whether every element of sub appears in super; a nil
@@ -336,132 +158,4 @@ func subsetOf(sub, super []int) bool {
 		}
 	}
 	return true
-}
-
-func (n *DistinctNode) Children() []Node { return []Node{n.child} }
-func (n *DistinctNode) Label() string {
-	return fmt.Sprintf("HashAggregate (distinct on %d cols)", len(n.keys))
-}
-
-// Run deduplicates every segment in parallel.
-func (n *DistinctNode) Run() (*DistTable, error) {
-	if n.err != nil {
-		return nil, n.err
-	}
-	ins, err := runChildrenD(n)
-	if err != nil {
-		return nil, err
-	}
-	in := ins[0]
-	return timeRunD(&n.stats, func() (*DistTable, error) {
-		out := n.cluster.newDistTable("distinct", n.schema, n.dist)
-		opts := n.cluster.engineOpts()
-		segStats := make([]engine.NodeStats, n.cluster.nseg)
-		segSecs, retries, err := n.cluster.forEachSegment(func(i int) error {
-			d := engine.NewDistinct(engine.NewScan(in.segs[i]), n.keys)
-			engine.Configure(d, opts)
-			t, err := d.Run()
-			if err != nil {
-				return err
-			}
-			t.SetName(fmt.Sprintf("distinct.seg%d", i))
-			out.segs[i] = t
-			segStats[i] = *d.Stats()
-			return nil
-		})
-		n.stats.SegSeconds = segSecs
-		n.stats.Retries = retries
-		mergeExecStats(&n.stats, segStats)
-		return out, err
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Group By
-
-// GroupByNode aggregates segment-locally; the same collocation
-// precondition as Distinct applies (group keys must be collocated).
-type GroupByNode struct {
-	dbase
-	child Node
-	keys  []int
-	aggs  []engine.AggSpec
-}
-
-// NewGroupBy constructs a distributed aggregation.
-func NewGroupBy(child Node, keys []int, aggs []engine.AggSpec) *GroupByNode {
-	d := child.OutDist()
-	sch := engine.GroupBySchema(child.OutSchema(), keys, aggs)
-	// Key columns come first in the output; remap the input's hash key.
-	var outDist Distribution
-	if d.Replicated {
-		outDist = ReplicatedDist()
-	} else {
-		mapped := make([]int, len(d.Key))
-		ok := true
-		for i, k := range d.Key {
-			pos := -1
-			for j, gk := range keys {
-				if gk == k {
-					pos = j
-					break
-				}
-			}
-			if pos < 0 {
-				ok = false
-				break
-			}
-			mapped[i] = pos
-		}
-		if ok {
-			outDist = HashedBy(mapped...)
-		} else {
-			outDist = RandomDist()
-		}
-	}
-	n := &GroupByNode{
-		dbase: childBase(child, sch, outDist),
-		child: child, keys: keys, aggs: aggs,
-	}
-	if n.err == nil && !d.Replicated && !subsetOf(d.Key, keys) {
-		n.err = fmt.Errorf("mpp: GroupBy on %v over input distributed %s: groups not collocated", keys, d)
-	}
-	return n
-}
-
-func (n *GroupByNode) Children() []Node { return []Node{n.child} }
-func (n *GroupByNode) Label() string {
-	return fmt.Sprintf("GroupAggregate (%d keys, %d aggs)", len(n.keys), len(n.aggs))
-}
-
-// Run aggregates every segment in parallel.
-func (n *GroupByNode) Run() (*DistTable, error) {
-	if n.err != nil {
-		return nil, n.err
-	}
-	ins, err := runChildrenD(n)
-	if err != nil {
-		return nil, err
-	}
-	in := ins[0]
-	return timeRunD(&n.stats, func() (*DistTable, error) {
-		out := n.cluster.newDistTable("groupby", n.schema, n.dist)
-		opts := n.cluster.engineOpts()
-		segStats := make([]engine.NodeStats, n.cluster.nseg)
-		segSecs, retries, err := n.cluster.forEachSegment(func(i int) error {
-			var st engine.NodeStats
-			t, err := engine.GroupByTableOpts(in.segs[i], n.keys, n.aggs, opts, &st)
-			if err != nil {
-				return err
-			}
-			t.SetName(fmt.Sprintf("groupby.seg%d", i))
-			out.segs[i] = t
-			segStats[i] = st
-			return nil
-		})
-		n.stats.SegSeconds = segSecs
-		n.stats.Retries = retries
-		mergeExecStats(&n.stats, segStats)
-		return out, err
-	})
 }

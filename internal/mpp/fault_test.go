@@ -37,6 +37,13 @@ func TestFaultDrawDeterminism(t *testing.T) {
 	}
 }
 
+// keepAll lowers a pass-everything filter over base onto its cluster
+// copy d: the smallest plan that runs a segment task.
+func keepAll(base *engine.Table, d *DistTable) Node {
+	f := engine.NewFilter(engine.NewScan(base), "true", func(*engine.Table, int) bool { return true })
+	return Lower(f, placing{base: d}.place, nil, true)
+}
+
 // TestRetryAbsorbsFaults: with injected failures and panics but a
 // generous retry budget, every distributed query still completes with
 // the correct result, and the injected faults land in the journal.
@@ -50,9 +57,8 @@ func TestRetryAbsorbsFaults(t *testing.T) {
 	c.SetRetry(RetryPolicy{MaxRetries: 10, Backoff: 0})
 	d := c.Distribute(base, []int{0})
 
-	keep := func(*engine.Table, int) bool { return true }
 	for i := 0; i < 20; i++ {
-		out, err := NewFilter(NewScan(d), "true", keep).Run()
+		out, err := keepAll(base, d).Run()
 		if err != nil {
 			t.Fatalf("query %d failed despite retries: %v", i, err)
 		}
@@ -82,7 +88,7 @@ func TestInjectedPanicBecomesError(t *testing.T) {
 	c := NewCluster(2)
 	c.SetFaults(&FaultPlan{Seed: 3, PanicRate: 1})
 	d := c.Distribute(base, []int{0})
-	_, err := NewFilter(NewScan(d), "true", func(*engine.Table, int) bool { return true }).Run()
+	_, err := keepAll(base, d).Run()
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want a recovered panic error", err)
 	}
@@ -99,7 +105,7 @@ func TestClusterContextCancel(t *testing.T) {
 	c.SetRetry(RetryPolicy{MaxRetries: 5, Backoff: time.Second})
 	d := c.Distribute(base, []int{0})
 	start := time.Now()
-	_, err := NewFilter(NewScan(d), "true", func(*engine.Table, int) bool { return true }).Run()
+	_, err := keepAll(base, d).Run()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -117,7 +123,7 @@ func TestStragglerDelaysButCompletes(t *testing.T) {
 	c := NewCluster(2)
 	c.SetFaults(&FaultPlan{Seed: 9, StraggleRate: 1, StraggleDelay: time.Millisecond})
 	d := c.Distribute(base, []int{0})
-	out, err := NewFilter(NewScan(d), "true", func(*engine.Table, int) bool { return true }).Run()
+	out, err := keepAll(base, d).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,9 @@ func goldenTables() (facts, mln *engine.Table) {
 // over 64-row morsels regardless of the host's CPU count.
 var goldenOpts = engine.Opts{Workers: 4, MorselSize: 64}
 
-// goldenPlans returns the three representative grounding plans, each as
-// a (single-node builder, distributed builder) pair over the fixture.
+// goldenPlans returns the three representative grounding plans over the
+// fixture. Each is stated once, as an engine plan; the distributed form
+// is that plan lowered by goldenLower.
 //
 //   - rule-join: MLN partition joined against the facts by body class,
 //     deduplicated — the batch rule application at the heart of the
@@ -60,7 +61,6 @@ var goldenOpts = engine.Opts{Workers: 4, MorselSize: 64}
 func goldenPlans() []struct {
 	name   string
 	engine func(facts, mln *engine.Table) engine.Node
-	mpp    func(cl *Cluster, facts, mln *engine.Table) Node
 } {
 	joinOuts := []engine.JoinOut{
 		engine.ProbeCol("i", 0), engine.BuildCol("h", 0), engine.BuildCol("wr", 2),
@@ -76,7 +76,6 @@ func goldenPlans() []struct {
 	return []struct {
 		name   string
 		engine func(facts, mln *engine.Table) engine.Node
-		mpp    func(cl *Cluster, facts, mln *engine.Table) Node
 	}{
 		{
 			name: "rule-join",
@@ -85,12 +84,6 @@ func goldenPlans() []struct {
 					[]int{1}, []int{1}, joinOuts, "M1.b = T.c1")
 				return engine.NewDistinct(j, []int{0, 1})
 			},
-			mpp: func(cl *Cluster, facts, mln *engine.Table) Node {
-				build := NewScan(cl.Distribute(mln, []int{0}))
-				probe := NewScan(cl.Distribute(facts, []int{1}))
-				j := PlanJoin(build, probe, []int{1}, []int{1}, joinOuts, "M1.b = T.c1", nil)
-				return NewDistinct(EnsureDistributedBy(j, []int{0}), []int{0, 1})
-			},
 		},
 		{
 			name: "delta-candidates",
@@ -98,21 +91,22 @@ func goldenPlans() []struct {
 				f := engine.NewFilter(engine.NewScan(facts), "c2 > 3", highClass)
 				return engine.NewDistinct(engine.NewProject(f, projExprs...), []int{0, 1})
 			},
-			mpp: func(cl *Cluster, facts, mln *engine.Table) Node {
-				f := NewFilter(NewScan(cl.Distribute(facts, []int{1})), "c2 > 3", highClass)
-				return NewDistinct(NewProject(f, projExprs...), []int{0, 1})
-			},
 		},
 		{
 			name: "qc-stats",
 			engine: func(facts, mln *engine.Table) engine.Node {
 				return engine.NewGroupBy(engine.NewScan(facts), []int{1}, qcAggs)
 			},
-			mpp: func(cl *Cluster, facts, mln *engine.Table) Node {
-				return NewGroupBy(NewScan(cl.Distribute(facts, []int{1})), []int{1}, qcAggs)
-			},
 		},
 	}
+}
+
+// goldenLower places the fixture on the cluster — the facts hashed by
+// their class column, the MLN partition by its head class — and lowers
+// the plan with motions on.
+func goldenLower(cl *Cluster, plan engine.Node, facts, mln *engine.Table) Node {
+	at := placing{facts: cl.Distribute(facts, []int{1}), mln: cl.Distribute(mln, []int{0})}
+	return Lower(plan, at.place, nil, true)
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -157,7 +151,7 @@ func TestGoldenExplain(t *testing.T) {
 			cl := NewCluster(2)
 			cl.SetWorkers(goldenOpts.Workers)
 			cl.SetMorselSize(goldenOpts.MorselSize)
-			plan := p.mpp(cl, facts, mln)
+			plan := goldenLower(cl, p.engine(facts, mln), facts, mln)
 			if _, err := plan.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -203,8 +197,9 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 				cl := NewCluster(2)
 				cl.SetWorkers(opts.Workers)
 				cl.SetMorselSize(opts.MorselSize)
-				plan := p.mpp(cl, facts, mln)
-				SetEstRows(plan, 100)
+				logical := p.engine(facts, mln)
+				engine.SetEstRows(logical, 100)
+				plan := goldenLower(cl, logical, facts, mln)
 				if _, err := plan.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +235,7 @@ func TestAnalyzeActualsWorkerInvariant(t *testing.T) {
 				cl := NewCluster(2)
 				cl.SetWorkers(workers)
 				cl.SetMorselSize(64)
-				dplan := p.mpp(cl, facts, mln)
+				dplan := goldenLower(cl, p.engine(facts, mln), facts, mln)
 				if _, err := dplan.Run(); err != nil {
 					t.Fatal(err)
 				}

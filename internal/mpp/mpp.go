@@ -5,9 +5,9 @@
 // A Cluster owns a fixed number of segments. A DistTable is a relation
 // whose rows are hash-partitioned across segments by a tuple of Int32
 // "distribution key" columns, or fully replicated on every segment.
-// Distributed operators execute the single-node engine kernels once per
-// segment, in parallel goroutines, and insert *motion* operators —
-// Redistribute, Broadcast, Gather — whenever the data placement an
+// Distributed operators execute the single-node engine operators once
+// per segment, in parallel goroutines, with *motion* operators —
+// Redistribute, Broadcast, Gather — wherever the data placement an
 // operator needs differs from the placement it has. Motions account for
 // the rows and bytes they ship, so Explain output reproduces the
 // plan-shape comparison of Figure 4 in the paper: a join against a table
@@ -17,9 +17,13 @@
 //
 // Section 4.4 of the paper keys its optimization on *redistributed
 // materialized views*: extra copies of TΠ distributed by the exact key
-// tuples the grounding joins use. Cluster.Materialize registers such a
-// view; the planner (planner.go) picks the collocated copy when one
-// exists.
+// tuples the grounding joins use. Views.Materialize registers such a
+// view.
+//
+// Distributed plans are not written by hand: a query is stated once as a
+// single-node engine plan, and Lower (lower.go) places it on the
+// cluster — rebinding scans to their cluster copies, picking the
+// collocated view when one exists, and inserting the motions.
 package mpp
 
 import (

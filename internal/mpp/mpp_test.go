@@ -217,8 +217,8 @@ func TestGatherNode(t *testing.T) {
 }
 
 // TestDistributedJoinAgreesWithSingleNode is the core MPP property: for
-// random tables under every collocation scenario the planner produces, the
-// distributed join result equals the single-node join result.
+// random tables under every collocation scenario, the join as Lower
+// places it equals the single-node join result.
 func TestDistributedJoinAgreesWithSingleNode(t *testing.T) {
 	outs := []engine.JoinOut{
 		engine.BuildCol("ba", 0), engine.BuildCol("bb", 1),
@@ -230,23 +230,19 @@ func TestDistributedJoinAgreesWithSingleNode(t *testing.T) {
 		right := randomTable(rng, "R", int(nr)%40, 8)
 		c := NewCluster(3)
 
-		var build, probe Node
+		var at placing
 		switch scenario % 4 {
 		case 0: // both collocated on join keys
-			build = NewScan(c.Distribute(left, []int{0}))
-			probe = NewScan(c.Distribute(right, []int{1}))
+			at = placing{left: c.Distribute(left, []int{0}), right: c.Distribute(right, []int{1})}
 		case 1: // build replicated
-			build = NewScan(c.Replicate(left))
-			probe = NewScan(c.Distribute(right, []int{0}))
-		case 2: // probe needs redistribution
-			build = NewScan(c.Distribute(left, []int{0}))
-			probe = NewScan(c.Distribute(right, []int{0})) // wrong key: join uses col 1
+			at = placing{left: c.Replicate(left), right: c.Distribute(right, []int{0})}
+		case 2: // probe needs redistribution (wrong key: join uses col 1)
+			at = placing{left: c.Distribute(left, []int{0}), right: c.Distribute(right, []int{0})}
 		case 3: // neither placed usefully: broadcast build
-			build = NewScan(c.Distribute(left, []int{1}))
-			probe = NewScan(c.Distribute(right, []int{0}))
+			at = placing{left: c.Distribute(left, []int{1}), right: c.Distribute(right, []int{0})}
 		}
-		plan := PlanJoin(build, probe, []int{0}, []int{1}, outs, "L.a = R.b", nil)
-		got, err := plan.Run()
+		join := engine.NewHashJoin(engine.NewScan(left), engine.NewScan(right), []int{0}, []int{1}, outs, "L.a = R.b")
+		got, err := Lower(join, at.place, nil, true).Run()
 		if err != nil {
 			return false
 		}
@@ -255,80 +251,6 @@ func TestDistributedJoinAgreesWithSingleNode(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPlanJoinMotionChoices(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	left := randomTable(rng, "L", 50, 5)
-	right := randomTable(rng, "R", 50, 5)
-	c := NewCluster(2)
-	outs := []engine.JoinOut{engine.BuildCol("a", 0)}
-
-	// Collocated: no motions.
-	p := PlanJoin(NewScan(c.Distribute(left, []int{0})), NewScan(c.Distribute(right, []int{0})),
-		[]int{0}, []int{0}, outs, "j", nil)
-	if r, b := CountMotions(p); r != 0 || b != 0 {
-		t.Fatalf("collocated plan has motions: %d redistribute, %d broadcast", r, b)
-	}
-
-	// Probe mis-keyed: one redistribute.
-	p = PlanJoin(NewScan(c.Distribute(left, []int{0})), NewScan(c.Distribute(right, []int{1})),
-		[]int{0}, []int{0}, outs, "j", nil)
-	if r, b := CountMotions(p); r != 1 || b != 0 {
-		t.Fatalf("mis-keyed probe: %d redistribute, %d broadcast; want 1, 0", r, b)
-	}
-
-	// Neither keyed: broadcast build.
-	p = PlanJoin(NewScan(c.Distribute(left, []int{1})), NewScan(c.Distribute(right, []int{1})),
-		[]int{0}, []int{0}, outs, "j", nil)
-	if r, b := CountMotions(p); r != 0 || b != 1 {
-		t.Fatalf("unkeyed join: %d redistribute, %d broadcast; want 0, 1", r, b)
-	}
-}
-
-func TestViewsEliminateMotions(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := randomTable(rng, "T", 200, 10)
-	small := randomTable(rng, "M", 20, 10)
-	c := NewCluster(3)
-	dT := c.Distribute(base, []int{0})
-	dM := c.Distribute(small, []int{1})
-
-	views := NewViews(c)
-	views.Materialize(dT, []int{1})
-	if views.Count() != 1 {
-		t.Fatalf("views count = %d, want 1", views.Count())
-	}
-	if _, ok := views.Lookup("T", []int{1}); !ok {
-		t.Fatal("registered view not found")
-	}
-	if _, ok := views.Lookup("T", []int{0, 1}); ok {
-		t.Fatal("lookup found view with wrong key")
-	}
-
-	outs := []engine.JoinOut{engine.BuildCol("ma", 0), engine.ProbeCol("tb", 1)}
-	// Join M (build, keyed fine on col 1) against T on T.b: without views
-	// this needs a motion on T; with the view it does not.
-	noViews := PlanJoin(NewScan(dM), NewScan(dT), []int{1}, []int{1}, outs, "M.b = T.b", nil)
-	if r, b := CountMotions(noViews); r+b == 0 {
-		t.Fatal("expected a motion without views")
-	}
-	withViews := PlanJoin(NewScan(dM), NewScan(dT), []int{1}, []int{1}, outs, "M.b = T.b", views)
-	if r, b := CountMotions(withViews); r+b != 0 {
-		t.Fatalf("view plan still has motions: %d redistribute, %d broadcast", r, b)
-	}
-	// Both must compute the same result.
-	g1, err := noViews.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := withViews.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flatEqual(sortedFlat(Gather(g1)), sortedFlat(Gather(g2))) {
-		t.Fatal("view-based plan computed a different join result")
 	}
 }
 
@@ -350,130 +272,22 @@ func TestMaterializeRefresh(t *testing.T) {
 	}
 }
 
-func TestHashJoinCollocationError(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	left := randomTable(rng, "L", 10, 4)
-	right := randomTable(rng, "R", 10, 4)
-	c := NewCluster(2)
-	j := NewHashJoin(NewScan(c.Distribute(left, []int{1})), NewScan(c.Distribute(right, []int{1})),
-		[]int{0}, []int{0}, []engine.JoinOut{engine.BuildCol("a", 0)}, "bad")
-	if _, err := j.Run(); err == nil {
-		t.Fatal("non-collocated join ran without error")
-	}
-}
-
-func TestDistributedFilterProject(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := randomTable(rng, "T", 200, 10)
-	c := NewCluster(4)
-	d := c.Distribute(base, []int{0})
-
-	f := NewFilter(NewScan(d), "a > 4", func(t *engine.Table, r int) bool {
-		return t.Int32Col(0)[r] > 4
-	})
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Dist().String() != "hashed[0]" {
-		t.Fatalf("filter changed distribution: %s", out.Dist())
-	}
-	gathered := Gather(out)
-	for r := 0; r < gathered.NumRows(); r++ {
-		if gathered.Int32Col(0)[r] <= 4 {
-			t.Fatal("filter kept a row it should drop")
-		}
-	}
-
-	// Projection keeping the key preserves hashing on the mapped column.
-	p := NewProject(NewScan(d), engine.ColExpr("b", 1), engine.ColExpr("a", 0))
-	if p.OutDist().String() != "hashed[1]" {
-		t.Fatalf("projected dist = %s, want hashed[1]", p.OutDist())
-	}
-	// Dropping the key degrades to random.
-	p2 := NewProject(NewScan(d), engine.ColExpr("b", 1))
-	if !p2.OutDist().Random() {
-		t.Fatalf("key-dropping projection dist = %s, want random", p2.OutDist())
-	}
-	pout, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pout.NumRows() != 200 {
-		t.Fatalf("project rows = %d, want 200", pout.NumRows())
-	}
-}
-
-func TestDistributedDistinctAndGroupBy(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	base := randomTable(rng, "T", 400, 6)
-	c := NewCluster(4)
-	d := c.Distribute(base, []int{0})
-
-	// Distinct on (a, b): collocated because dist key {0} ⊆ {0,1}.
-	dn := NewDistinct(NewScan(d), []int{0, 1})
-	got, err := dn.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := engine.NewDistinct(engine.NewScan(base), []int{0, 1}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flatEqual(sortedFlat(Gather(got)), sortedFlat(want)) {
-		t.Fatal("distributed distinct disagrees with single-node")
-	}
-
-	// GroupBy count on a.
-	gb := NewGroupBy(NewScan(d), []int{0}, []engine.AggSpec{{Kind: engine.AggCount, Name: "n"}})
-	gout, err := gb.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantG, err := engine.GroupByTable(base, []int{0}, []engine.AggSpec{{Kind: engine.AggCount, Name: "n"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flatEqual(sortedFlat(Gather(gout)), sortedFlat(wantG)) {
-		t.Fatal("distributed groupby disagrees with single-node")
-	}
-}
-
-func TestDistinctCollocationError(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	base := randomTable(rng, "T", 20, 4)
-	c := NewCluster(2)
-	d := c.Distribute(base, []int{0})
-	if _, err := NewDistinct(NewScan(d), []int{1}).Run(); err == nil {
-		t.Fatal("distinct on non-collocated keys ran without error")
-	}
-}
-
-func TestEnsureDistributedBy(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	base := randomTable(rng, "T", 50, 5)
-	c := NewCluster(2)
-	d := c.Distribute(base, []int{0})
-
-	same := EnsureDistributedBy(NewScan(d), []int{0})
-	if _, ok := same.(*ScanNode); !ok {
-		t.Fatal("EnsureDistributedBy inserted a motion it did not need")
-	}
-	moved := EnsureDistributedBy(NewScan(d), []int{1})
-	if _, ok := moved.(*RedistributeNode); !ok {
-		t.Fatal("EnsureDistributedBy did not insert a redistribute")
-	}
-}
-
 func TestExplainShowsMotions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	left := randomTable(rng, "L", 30, 4)
 	right := randomTable(rng, "R", 30, 4)
 	c := NewCluster(2)
-	p := PlanJoin(NewScan(c.Distribute(left, []int{1})), NewScan(c.Distribute(right, []int{1})),
-		[]int{0}, []int{0}, []engine.JoinOut{engine.BuildCol("a", 0)}, "L.a = R.a", nil)
+	at := placing{left: c.Distribute(left, []int{1}), right: c.Distribute(right, []int{1})}
+	p := Lower(engine.NewHashJoin(engine.NewScan(left), engine.NewScan(right),
+		[]int{0}, []int{0}, []engine.JoinOut{engine.BuildCol("a", 0)}, "L.a = R.a"), at.place, nil, true)
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if r, b := CountMotions(p); r != 0 || b != 1 {
+		t.Fatalf("unkeyed join: %d redistribute, %d broadcast; want 0, 1", r, b)
+	}
+	if MotionBytes(p) == 0 {
+		t.Fatal("broadcast shipped no bytes")
 	}
 	exp := Explain(p)
 	if !strings.Contains(exp, "Broadcast Motion") {
@@ -539,19 +353,20 @@ func TestLabelsAndSchema(t *testing.T) {
 		t.Fatal("DistTable schema wrong")
 	}
 	scan := NewScan(d)
-	f := NewFilter(scan, "x", func(*engine.Table, int) bool { return true })
-	p := NewProject(scan, engine.ColExpr("a", 0))
-	j := NewHashJoin(NewScan(c.Replicate(base)), scan, []int{0}, []int{0},
-		[]engine.JoinOut{engine.BuildCol("a", 0)}, "cond").
-		WithResidual("res", func(b *engine.Table, br int, pt *engine.Table, pr int) bool { return true })
-	dn := NewDistinct(scan, []int{0, 1})
-	gb := NewGroupBy(scan, []int{0}, []engine.AggSpec{{Kind: engine.AggCount, Name: "n"}})
-	re := NewRedistribute(scan, []int{1})
-	ga := NewGather(scan)
-	for _, n := range []Node{scan, f, p, j, dn, gb, re, ga} {
+	for _, n := range []Node{scan, NewRedistribute(scan, []int{1}), NewBroadcast(scan), NewGather(scan)} {
 		if n.Label() == "" {
 			t.Fatalf("%T has empty label", n)
 		}
+	}
+	// A lowered operator keeps the engine operator's label and schema,
+	// residual predicate included.
+	dims := randomTable(rng, "D", 20, 4)
+	join := engine.NewHashJoin(engine.NewScan(dims), engine.NewScan(base), []int{0}, []int{0},
+		[]engine.JoinOut{engine.BuildCol("a", 0)}, "cond").
+		WithResidual("res", func(b *engine.Table, br int, pt *engine.Table, pr int) bool { return true })
+	j := Lower(join, placing{dims: c.Replicate(dims), base: d}.place, nil, false)
+	if j.Label() != join.Label() || !j.OutSchema().Equal(join.OutSchema()) {
+		t.Fatalf("lowered join is %q %s, want %q %s", j.Label(), j.OutSchema(), join.Label(), join.OutSchema())
 	}
 	if out, err := j.Run(); err != nil || out.NumRows() == 0 {
 		t.Fatalf("residual join: %v", err)
@@ -612,23 +427,5 @@ func TestViewsAppendFrom(t *testing.T) {
 	v, _ := views.Lookup("T", []int{1})
 	if v.NumRows() != 3 {
 		t.Fatalf("view rows after append = %d, want 3", v.NumRows())
-	}
-}
-
-func TestJoinReplicatedBothSides(t *testing.T) {
-	left := twoColTable("L", []int32{1, 2}, []int32{1, 2})
-	right := twoColTable("R", []int32{1, 3}, []int32{1, 3})
-	c := NewCluster(3)
-	j := NewHashJoin(NewScan(c.Replicate(left)), NewScan(c.Replicate(right)),
-		[]int{0}, []int{0}, []engine.JoinOut{engine.BuildCol("a", 0)}, "L.a = R.a")
-	out, err := j.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Replicated() {
-		t.Fatal("join of two replicated inputs should stay replicated")
-	}
-	if out.NumRows() != 1 {
-		t.Fatalf("rows = %d, want 1", out.NumRows())
 	}
 }

@@ -43,23 +43,18 @@ func (b *dbase) OutSchema() engine.Schema { return b.schema }
 func (b *dbase) OutDist() Distribution    { return b.dist }
 func (b *dbase) Stats() *engine.NodeStats { return &b.stats }
 
-func (b *dbase) setEstRows(est float64) { b.stats.EstRows = est }
-
-// SetEstRows records the planner's cardinality estimate on a
-// distributed plan node, for ExplainAnalyze — the distributed twin of
-// engine.SetEstRows.
-func SetEstRows(n Node, est float64) {
-	if e, ok := n.(interface{ setEstRows(float64) }); ok {
-		e.setEstRows(est)
-	}
-}
+func (b *dbase) deferred() error { return b.err }
 
 // childBase builds a dbase for an operator over child, inheriting the
-// cluster (and any deferred error) from the plan's leaves.
+// cluster from the plan's leaves and any deferred error from child, so
+// a Run reports the most specific violation in the plan.
 func childBase(child Node, schema engine.Schema, dist Distribution) dbase {
 	b := dbase{schema: schema, dist: dist}
 	b.cluster = clusterOf(child)
+	d, _ := child.(interface{ deferred() error })
 	switch {
+	case d != nil && d.deferred() != nil:
+		b.err = d.deferred()
 	case b.cluster == nil:
 		b.err = fmt.Errorf("mpp: plan has a leaf that is not a scan")
 	case b.cluster.err != nil:

@@ -91,39 +91,6 @@ func BuildEngine(p *PlanSpec, tabs []*engine.Table) engine.Node {
 	panic(fmt.Sprintf("proptest: unknown op %d", p.Op))
 }
 
-// BuildMPP compiles the spec to a distributed plan on cl. Base tables are
-// hash-distributed by column 0 (or replicated, per the spec); PlanJoin and
-// EnsureDistributedBy insert whatever motions collocation requires, so the
-// harness also exercises Redistribute and Broadcast.
-func BuildMPP(p *PlanSpec, c *Case, cl *mpp.Cluster, tabs []*engine.Table) mpp.Node {
-	switch p.Op {
-	case OpScan:
-		if c.Tables[p.Table].Replicated {
-			return mpp.NewScan(cl.Replicate(tabs[p.Table]))
-		}
-		return mpp.NewScan(cl.Distribute(tabs[p.Table], []int{0}))
-	case OpFilter:
-		return mpp.NewFilter(BuildMPP(p.Left, c, cl, tabs),
-			fmt.Sprintf("c%d > %d", p.Col, p.Val), filterPred(p.Col, p.Val))
-	case OpProject:
-		exprs := make([]engine.OutExpr, len(p.Cols))
-		for i, col := range p.Cols {
-			exprs[i] = engine.ColExpr(fmt.Sprintf("x%d", i), col)
-		}
-		return mpp.NewProject(BuildMPP(p.Left, c, cl, tabs), exprs...)
-	case OpDistinct:
-		child := mpp.EnsureDistributedBy(BuildMPP(p.Left, c, cl, tabs), p.Keys[:1])
-		return mpp.NewDistinct(child, p.Keys)
-	case OpGroupBy:
-		child := mpp.EnsureDistributedBy(BuildMPP(p.Left, c, cl, tabs), p.Keys[:1])
-		return mpp.NewGroupBy(child, p.Keys, aggSpecs(p.Aggs))
-	case OpJoin:
-		return mpp.PlanJoin(BuildMPP(p.Left, c, cl, tabs), BuildMPP(p.Right, c, cl, tabs),
-			p.Keys, p.PKeys, joinOuts(p), "proptest join", nil)
-	}
-	panic(fmt.Sprintf("proptest: unknown op %d", p.Op))
-}
-
 // runEngine executes the spec on the single-node engine with the given
 // worker count.
 func runEngine(c *Case, tabs []*engine.Table, workers int) (*engine.Table, error) {
@@ -165,8 +132,20 @@ func Check(c *Case) error {
 	for _, ns := range segmentCounts {
 		cl := mpp.NewCluster(ns)
 		cl.SetWorkers(2)
-		root := BuildMPP(c.Plan, c, cl, tabs)
-		dt, err := root.Run()
+		// The same engine plan, lowered by the production planner: base
+		// tables hashed by column 0 (or replicated, per the spec), and
+		// mpp.Lower inserts whatever motions collocation requires, so the
+		// harness also exercises Redistribute and Broadcast.
+		placed := make(map[*engine.Table]*mpp.DistTable, len(tabs))
+		for i, t := range tabs {
+			if c.Tables[i].Replicated {
+				placed[t] = cl.Replicate(t)
+			} else {
+				placed[t] = cl.Distribute(t, []int{0})
+			}
+		}
+		place := func(t *engine.Table) *mpp.DistTable { return placed[t] }
+		dt, err := mpp.Lower(BuildEngine(c.Plan, tabs), place, nil, true).Run()
 		if err != nil {
 			return fmt.Errorf("segments=%d run: %w", ns, err)
 		}

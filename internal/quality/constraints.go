@@ -54,11 +54,14 @@ func (c *Checker) Violations(tpi *engine.Table) []Violation {
 	return out
 }
 
-// violationsOfType runs the grouped join for one functionality type.
+// Plan builds Query 3 for one functionality type over tpi: the grouped
+// join whose output rows (R, ent, entCls, otherCls, n, deg) are the
+// violating entities. It is the single statement of the constraint
+// query — run as is on one node, or lowered onto a cluster by mpp.Lower.
 //
 // Type I groups by (R, x, C1, C2) and counts distinct y; Type II groups
 // by (R, y, C2, C1) and counts distinct x.
-func (c *Checker) violationsOfType(tpi *engine.Table, typ int) []Violation {
+func (c *Checker) Plan(tpi *engine.Table, typ int) engine.Node {
 	fcFiltered := engine.NewFilter(engine.NewScan(c.fc),
 		fmt.Sprintf("FC.arg = %d", typ),
 		func(t *engine.Table, r int) bool {
@@ -90,18 +93,14 @@ func (c *Checker) violationsOfType(tpi *engine.Table, typ int) []Violation {
 		{Kind: engine.AggCountDistinct, Col: 4, Name: "n"},
 		{Kind: engine.AggMinF64, Col: 5, Name: "deg"},
 	})
-	having := engine.NewFilter(grouped, "count(distinct) > min(deg)",
+	return engine.NewFilter(grouped, "count(distinct) > min(deg)",
 		func(t *engine.Table, r int) bool {
 			return float64(t.Int32Col(4)[r]) > t.Float64Col(5)[r]
 		})
+}
 
-	res, err := having.Run()
-	if err != nil {
-		// The plan is static program data; failures are programming
-		// errors, not runtime conditions.
-		panic(fmt.Sprintf("quality: constraint query failed: %v", err))
-	}
-
+// violationsOf decodes the result rows of a type-typ Plan.
+func violationsOf(res *engine.Table, typ int) []Violation {
 	out := make([]Violation, 0, res.NumRows())
 	for r := 0; r < res.NumRows(); r++ {
 		out = append(out, Violation{
@@ -114,6 +113,18 @@ func (c *Checker) violationsOfType(tpi *engine.Table, typ int) []Violation {
 		})
 	}
 	return out
+}
+
+// violationsOfType runs the grouped join for one functionality type on
+// the single-node engine.
+func (c *Checker) violationsOfType(tpi *engine.Table, typ int) []Violation {
+	res, err := c.Plan(tpi, typ).Run()
+	if err != nil {
+		// The plan is static program data; failures are programming
+		// errors, not runtime conditions.
+		panic(fmt.Sprintf("quality: constraint query failed: %v", err))
+	}
+	return violationsOf(res, typ)
 }
 
 // Repair summarizes one constraint pass that found violations: how many

@@ -235,10 +235,12 @@ func TestCheckerAsGroundingHook(t *testing.T) {
 	}
 }
 
-func TestMPPCheckerAgreesWithSingleNode(t *testing.T) {
-	// On the ambiguity KB plus a Type II constraint, the distributed
-	// violations must equal the single-node ones, under several segment
-	// counts.
+func TestLoweredConstraintPlanAgreesWithSingleNode(t *testing.T) {
+	// On the ambiguity KB plus a Type II constraint, Query 3 lowered onto
+	// a cluster (facts hashed by ID, the constraint table replicated) must
+	// find the single-node violations, under several segment counts. The
+	// grouped join needs its groups collocated, so the lowering has to
+	// place exactly one redistribute motion per functionality type.
 	k := ambiguityKB(t)
 	k.InternFact("capital_of", "Delhi", "City", "India", "Country", 0.9)
 	k.InternFact("capital_of", "Calcutta", "City", "India", "Country", 0.9)
@@ -247,14 +249,32 @@ func TestMPPCheckerAgreesWithSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpi := k.FactsTable()
-	want := NewChecker(k).Violations(tpi)
+	checker := NewChecker(k)
+	want := checker.Violations(tpi)
+	if len(want) == 0 {
+		t.Fatal("fixture has no violations")
+	}
 
 	for _, segs := range []int{1, 2, 5} {
 		cluster := mpp.NewCluster(segs)
 		dT := cluster.Distribute(tpi, []int{kb.TPiI})
-		got, err := NewMPPChecker(k, cluster).Violations(dT)
-		if err != nil {
-			t.Fatal(err)
+		place := func(tab *engine.Table) *mpp.DistTable {
+			if tab == tpi {
+				return dT
+			}
+			return cluster.Replicate(tab)
+		}
+		var got []Violation
+		for _, typ := range []int{kb.TypeI, kb.TypeII} {
+			plan := mpp.Lower(checker.Plan(tpi, typ), place, nil, true)
+			if r, b := mpp.CountMotions(plan); r != 1 || b != 0 {
+				t.Fatalf("segs=%d type %d: %d redistribute, %d broadcast motions; want 1, 0", segs, typ, r, b)
+			}
+			out, err := plan.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, violationsOf(mpp.Gather(out), typ)...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("segs=%d: %d violations, want %d", segs, len(got), len(want))

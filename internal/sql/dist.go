@@ -2,37 +2,44 @@ package sql
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"probkb/internal/engine"
 	"probkb/internal/mpp"
 )
 
 // DistDB executes SELECTs as distributed plans over a simulated MPP
-// cluster. Planning is strictly *motion-free*: base tables stay where
-// the distribution spec placed them and the planner never inserts a
-// redistribution, so a join whose inputs are not collocated surfaces an
-// error at execution time — it does not crash, and it does not silently
-// ship rows. That makes DistDB the ad-hoc-query mirror of the paper's
-// collocation discipline: dimension tables are replicated, the big fact
-// table is hash-distributed, and every join must be local.
+// cluster. A statement is planned once, by the single-node planner, and
+// lowered onto the cluster by mpp.Lower in its *motion-free* mode: base
+// tables stay where the distribution spec placed them and no
+// redistribution is ever inserted, so a join or aggregation whose
+// inputs are not collocated — and any clause that cannot run
+// segment-local (ORDER BY, LIMIT) — surfaces an error at execution
+// time. It does not crash, and it does not silently ship rows. That
+// makes DistDB the ad-hoc-query mirror of the paper's collocation
+// discipline: dimension tables are replicated, the big fact table is
+// hash-distributed, and every join must be local.
 type DistDB struct {
 	cluster *mpp.Cluster
-	tables  map[string]*mpp.DistTable
+	planner *DB
+	tables  map[*engine.Table]*mpp.DistTable
 }
 
 // NewDistDB distributes every catalog table across the cluster. Tables
 // with an entry in hashed are hash-distributed by those column indexes;
 // all others are replicated (the dimension-table default).
 func NewDistDB(cat *engine.Catalog, cluster *mpp.Cluster, hashed map[string][]int) *DistDB {
-	db := &DistDB{cluster: cluster, tables: map[string]*mpp.DistTable{}}
+	// Joins run in the order written, so which of them are collocated
+	// follows from the statement alone, and planning never pays an
+	// ANALYZE pass over the tables: estimates are the planner's defaults.
+	planner := NewDB(cat)
+	planner.SetOptimize(false)
+	db := &DistDB{cluster: cluster, planner: planner, tables: map[*engine.Table]*mpp.DistTable{}}
 	for _, name := range cat.Names() {
 		t := cat.MustGet(name)
 		if key, ok := hashed[name]; ok {
-			db.tables[name] = cluster.Distribute(t, key)
+			db.tables[t] = cluster.Distribute(t, key)
 		} else {
-			db.tables[name] = cluster.Replicate(t)
+			db.tables[t] = cluster.Replicate(t)
 		}
 	}
 	return db
@@ -57,17 +64,13 @@ func (db *DistDB) QueryContext(ctx context.Context, text string) (*engine.Table,
 // distributed plan tree, for mpp.ExplainAnalyze rendering and plan
 // journaling. On execution error the plan is still returned.
 func (db *DistDB) QueryAnalyzeContext(ctx context.Context, text string) (*engine.Table, mpp.Node, error) {
-	stmt, err := Parse(text)
+	logical, err := db.planner.Plan(text)
 	if err != nil {
 		return nil, nil, err
 	}
-	if stmt.Select == nil {
-		return nil, nil, fmt.Errorf("sql: distributed Query requires a SELECT")
-	}
-	plan, err := db.planSelect(stmt.Select)
-	if err != nil {
-		return nil, nil, err
-	}
+	// A table put into the catalog after NewDistDB has no cluster copy;
+	// Lower turns the nil into a deferred error.
+	plan := mpp.Lower(logical, func(t *engine.Table) *mpp.DistTable { return db.tables[t] }, nil, false)
 	if ctx != nil {
 		db.cluster.SetContext(ctx)
 	}
@@ -89,195 +92,4 @@ func (db *DistDB) ExplainAnalyze(ctx context.Context, text string) (string, erro
 		return "", err
 	}
 	return mpp.ExplainAnalyze(plan), nil
-}
-
-// planSelect is the distributed reduction of DB.planSelect: joins in
-// syntactic order, filters pushed to the earliest resolvable step, and
-// a final projection. Aggregation, DISTINCT, ORDER BY and LIMIT are not
-// supported distributed — the single-node DB covers those.
-func (db *DistDB) planSelect(s *SelectStmt) (mpp.Node, error) {
-	if len(s.GroupBy) > 0 || len(s.Having) > 0 || s.Distinct || len(s.OrderBy) > 0 || s.Limit >= 0 {
-		return nil, fmt.Errorf("sql: distributed queries support joins, filters and projection only")
-	}
-	for _, it := range s.Items {
-		if it.Expr.Agg != aggNone {
-			return nil, fmt.Errorf("sql: distributed queries do not support aggregates")
-		}
-	}
-
-	var pool []Condition
-	for _, j := range s.Joins {
-		pool = append(pool, j.On...)
-	}
-	pool = append(pool, s.Where...)
-	used := make([]bool, len(pool))
-
-	refs := append([]TableRef{s.From}, make([]TableRef, 0, len(s.Joins))...)
-	for _, j := range s.Joins {
-		refs = append(refs, j.Table)
-	}
-	seen := map[string]bool{}
-	for _, ref := range refs {
-		b := ref.Binding()
-		if seen[b] {
-			return nil, fmt.Errorf("sql: duplicate table binding %q", b)
-		}
-		seen[b] = true
-	}
-
-	first, err := db.distTable(refs[0].Name)
-	if err != nil {
-		return nil, err
-	}
-	var plan mpp.Node = mpp.NewScan(first)
-	sc := scopeOfSchema(refs[0].Binding(), first.Schema())
-	// Distributed estimates are deliberately crude — no ANALYZE stats
-	// exist for distributed tables, so scans estimate their total rows,
-	// filters assume the textbook 1/3, and joins assume the smaller
-	// input's cardinality. ExplainAnalyze shows how far off that is.
-	est := stampD(plan, float64(first.NumRows()))
-
-	applyFilters := func(plan mpp.Node, sc *scope) (mpp.Node, error) {
-		for i, c := range pool {
-			if used[i] || !condResolves(c, sc) {
-				continue
-			}
-			pred, err := compileCondition(c, sc)
-			if err != nil {
-				return nil, err
-			}
-			plan = mpp.NewFilter(plan, c.String(), pred)
-			est = stampD(plan, est*defaultSel)
-			used[i] = true
-		}
-		return plan, nil
-	}
-
-	for _, ref := range refs[1:] {
-		b := ref.Binding()
-		t, err := db.distTable(ref.Name)
-		if err != nil {
-			return nil, err
-		}
-		tScope := scopeOfSchema(b, t.Schema())
-
-		// Equality conjuncts bridging the current scope and the new table
-		// become hash keys, exactly as in the single-node planner.
-		var buildKeys, probeKeys []int
-		for i, c := range pool {
-			if used[i] || c.Op != "=" || c.Left.isLiteral() || c.Right.isLiteral() ||
-				c.Left.Agg != aggNone || c.Right.Agg != aggNone || c.IsNull || c.NotNul {
-				continue
-			}
-			var cur, next ColRef
-			switch {
-			case sc.has(c.Left.Col) && tScope.has(c.Right.Col):
-				cur, next = c.Left.Col, c.Right.Col
-			case sc.has(c.Right.Col) && tScope.has(c.Left.Col):
-				cur, next = c.Right.Col, c.Left.Col
-			default:
-				continue
-			}
-			bi, err := sc.resolve(cur)
-			if err != nil {
-				return nil, err
-			}
-			pi, err := tScope.resolve(next)
-			if err != nil {
-				return nil, err
-			}
-			if sc.cols[bi].typ != engine.Int32 || tScope.cols[pi].typ != engine.Int32 {
-				continue
-			}
-			buildKeys = append(buildKeys, bi)
-			probeKeys = append(probeKeys, pi)
-			used[i] = true
-		}
-		if len(buildKeys) == 0 {
-			return nil, fmt.Errorf("sql: distributed join with %s needs an integer equality condition", b)
-		}
-
-		var outs []engine.JoinOut
-		newScope := &scope{}
-		for i, c := range sc.cols {
-			outs = append(outs, engine.BuildCol(c.binding+"."+c.name, i))
-			newScope.cols = append(newScope.cols, c)
-		}
-		for i, c := range tScope.cols {
-			outs = append(outs, engine.ProbeCol(c.binding+"."+c.name, i))
-			newScope.cols = append(newScope.cols, c)
-		}
-		// A non-collocated pair records a deferred error inside the node;
-		// it surfaces when the plan runs.
-		probe := mpp.NewScan(t)
-		rawRight := stampD(probe, float64(t.NumRows()))
-		plan = mpp.NewHashJoin(plan, probe, buildKeys, probeKeys, outs,
-			fmt.Sprintf("join %s", b))
-		est = stampD(plan, math.Min(est, rawRight))
-		sc = newScope
-
-		if plan, err = applyFilters(plan, sc); err != nil {
-			return nil, err
-		}
-	}
-	plan, err = applyFilters(plan, sc)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range pool {
-		if !used[i] {
-			return nil, fmt.Errorf("sql: condition %s does not resolve against the FROM tables", c)
-		}
-	}
-
-	var exprs []engine.OutExpr
-	for _, it := range s.Items {
-		name := it.OutName()
-		e := it.Expr
-		switch {
-		case e.IsNull:
-			exprs = append(exprs, engine.NullF64Expr(name))
-		case e.IsNumber:
-			exprs = append(exprs, engine.ConstF64Expr(name, e.Number))
-		case e.IsString:
-			exprs = append(exprs, engine.OutExpr{Name: name, Type: engine.String, Col: -1, Str: e.Str})
-		default:
-			idx, err := sc.resolve(e.Col)
-			if err != nil {
-				return nil, err
-			}
-			exprs = append(exprs, engine.ColExpr(name, idx))
-		}
-	}
-	proj := mpp.NewProject(plan, exprs...)
-	stampD(proj, est)
-	return proj, nil
-}
-
-// stampD floors an estimate at one row and records it on a distributed
-// plan node.
-func stampD(n mpp.Node, est float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	mpp.SetEstRows(n, est)
-	return est
-}
-
-func (db *DistDB) distTable(name string) (*mpp.DistTable, error) {
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("sql: unknown table %q", name)
-	}
-	return t, nil
-}
-
-// scopeOfSchema builds the scope of a distributed base table under a
-// binding; the schema stands in for the table scopeOf would take.
-func scopeOfSchema(binding string, sch engine.Schema) *scope {
-	sc := &scope{}
-	for _, c := range sch.Cols {
-		sc.cols = append(sc.cols, scopeCol{binding: binding, name: c.Name, typ: c.Type})
-	}
-	return sc
 }

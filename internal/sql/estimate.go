@@ -32,10 +32,10 @@ func newEstimator(infos []refInfo) *estimator {
 
 // colStats resolves one scope column to (base rows, distinct, nulls);
 // ok is false for columns that no longer map to a base table (aggregate
-// outputs, constants).
+// outputs, constants) and when the planner gathered no statistics.
 func (e *estimator) colStats(c scopeCol) (rows, distinct, nulls float64, ok bool) {
 	info, found := e.infos[c.binding]
-	if !found {
+	if !found || info.stats == nil {
 		return 0, 0, 0, false
 	}
 	idx := colIndexIn(info.table, c.name)

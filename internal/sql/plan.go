@@ -18,7 +18,8 @@ type DB struct {
 }
 
 // NewDB wraps a catalog. The cost-based join-order optimizer is on by
-// default; SetOptimize(false) forces syntactic join order.
+// default; SetOptimize(false) forces syntactic join order and skips the
+// table statistics the optimizer would gather.
 func NewDB(cat *engine.Catalog) *DB { return &DB{cat: cat, optimize: true} }
 
 // SetOptimize toggles the join-order optimizer (useful for plan
@@ -214,11 +215,16 @@ func (db *DB) planSelect(s *SelectStmt) (engine.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := db.statsOf(t)
-		infos = append(infos, refInfo{
-			ref: ref, table: t, stats: st,
-			card: filteredCard(t, st, b, pool),
-		})
+		info := refInfo{ref: ref, table: t}
+		if db.optimize {
+			// ANALYZE costs a pass over the table, which only the cost
+			// model justifies. Without statistics the estimator below
+			// falls back to its defaults: filters keep 1/3, a join the
+			// smaller input.
+			info.stats = db.statsOf(t)
+			info.card = filteredCard(t, info.stats, b, pool)
+		}
+		infos = append(infos, info)
 	}
 	var order []int
 	if db.optimize {

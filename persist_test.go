@@ -1,9 +1,13 @@
 package probkb
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -210,4 +214,63 @@ func TestRecoveredKBExtendsIdentically(t *testing.T) {
 	}
 	diff("expand", memExpand, recExpand)
 	diff("extend", memExtend, recExtend)
+}
+
+// TestCancelledMPPExpandLeavesResumableStore is the regression for the
+// observer the MPP closure loop never called: a persisted expansion must
+// make every completed grounding iteration durable as it goes on every
+// engine, so a run cancelled after iteration k — ExpandContext returns
+// the PartialError before its end-of-run sync — leaves iteration k's
+// facts in the store. The single-node run cancelled at the same
+// iteration is the oracle.
+func TestCancelledMPPExpandLeavesResumableStore(t *testing.T) {
+	const cancelAfter = 1
+	recovered := func(engine Engine) []string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "store")
+		st, err := CreateStore(dir, paperKB(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := persistConfig()
+		cfg.Engine = engine
+		cfg.Segments = 2
+		cfg.Persist = st
+		cfg.OnIteration = func(it IterationStats) {
+			if it.Iteration == cancelAfter {
+				cancel()
+			}
+		}
+		_, err = paperKB(t).ExpandContext(ctx, cfg)
+		var pe *PartialError
+		if !errors.As(err, &pe) || pe.Phase != "ground" {
+			t.Fatalf("%v: err = %v, want a PartialError in phase ground", engine, err)
+		}
+		if st.Err() != nil {
+			t.Fatalf("%v: persistence error latched: %v", engine, st.Err())
+		}
+		// No Close, no Checkpoint: the process died with the cancel.
+		re, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		k := re.KB().inner
+		var facts []string
+		for _, f := range k.Facts {
+			facts = append(facts, k.FactString(f))
+		}
+		sort.Strings(facts)
+		return facts
+	}
+
+	want := recovered(SingleNode)
+	if base := len(paperKB(t).inner.Facts); len(want) <= base {
+		t.Fatalf("single-node store holds %d facts, no more than the %d base facts: %v", len(want), base, want)
+	}
+	if got := recovered(MPP); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cancelled MPP run left\n%v\nin the store, single-node left\n%v", got, want)
+	}
 }
