@@ -54,7 +54,8 @@ fuzz-smoke:
 # Quick durability gate for the check loop: the store's own tests plus
 # the short crash matrix (every write truncated at frame boundaries,
 # torn tails, dropped fsyncs — recovered KB compared against the
-# prefix-durability oracle).
+# prefix-durability oracle), over random scripts and over the records a
+# real streamed ingest wrote (TestCrashStreamedIngest).
 crash-smoke:
 	$(GO) test ./internal/store ./internal/store/crashtest
 	@echo "crash-smoke: ok"

@@ -15,6 +15,7 @@
 //	BenchmarkFig7a_*      — quality-control configurations
 //	BenchmarkGibbs_*      — marginal inference (sequential vs chromatic)
 //	BenchmarkAblation_*   — design-choice ablations
+//	BenchmarkStoreSync    — one 64-row batch made durable: O(delta) sync vs full diff
 package probkb_test
 
 import (
@@ -22,6 +23,7 @@ import (
 	"sync"
 	"testing"
 
+	"probkb"
 	"probkb/internal/engine"
 	"probkb/internal/factor"
 	"probkb/internal/ground"
@@ -501,6 +503,59 @@ func BenchmarkAblation_GroundWithConstraints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ground.Ground(work, ground.Options{MaxIterations: 4, SkipFactors: true, ConstraintHook: hook}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreSync measures what making one streamed batch durable
+// costs the store: 64 rows appended to an already-synced facts table of
+// 10K and of 100K rows, then one Store.sync — on the in-step delta path
+// and, as the yardstick, with the store knocked out of step so it must
+// diff the whole table against its mirror. The delta path's time and
+// allocations must not depend on the table size; the full diff's grow
+// with it. Every op appends to a real WAL and fsyncs it, as in
+// production. The table keeps the rows it is given, so fix the
+// iteration count when comparing sizes: -benchtime=50x -benchmem.
+func BenchmarkStoreSync(b *testing.B) {
+	const batch = 64
+	for _, rows := range []int{10_000, 100_000} {
+		for _, path := range []string{"delta", "full"} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, path), func(b *testing.B) {
+				k := kb.New()
+				for i := 0; i < rows; i++ {
+					k.InternFact(fmt.Sprintf("rel%d", i%50), fmt.Sprintf("e%d", i), "Thing",
+						fmt.Sprintf("e%d", (i*7+1)%rows), "Thing", 0.5)
+				}
+				st, err := probkb.CreateStore(b.TempDir()+"/store", probkb.WrapKB(k))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer st.Close()
+				tpi := k.FactsTable()
+				if err := st.SyncTable(k, tpi, false); err != nil {
+					b.Fatal(err)
+				}
+				rel, class := k.RelDict.Intern("rel0"), k.Classes.Intern("Thing")
+				next := int32(tpi.NumRows())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for j := 0; j < batch; j++ {
+						x := k.Entities.Intern(fmt.Sprintf("new%d", next))
+						tpi.AppendRow(next, rel, x, class, x, class, engine.NullFloat64())
+						next++
+					}
+					b.StartTimer()
+					if err := st.SyncTable(k, tpi, path == "full"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if want := int64(b.N); st.WALRecords() != want {
+					b.Fatalf("%d WAL records after %d batches", st.WALRecords(), b.N)
+				}
+			})
 		}
 	}
 }

@@ -471,7 +471,9 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 	if p := e.cfg.Persist; p != nil {
 		p.inner.SetJournal(jr)
 		defer p.inner.SetJournal(nil)
-		attachPersist(&opts, p, work)
+		// ground.Extend grows a Clone of e.res.Facts: saying so lets a store
+		// still in step with this generation log the batch, not a full diff.
+		attachPersist(&opts, p, work, e.res.Facts)
 	}
 	if e.cfg.ApplyConstraints {
 		opts.ConstraintHook = journaledHook(jr, quality.NewChecker(work))
@@ -480,7 +482,7 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 	if err != nil {
 		return nil, err
 	}
-	if err := persistFinal(e.cfg.Persist, work, res.Facts); err != nil {
+	if err := persistFinal(e.cfg.Persist, work, res.Facts, e.res.Facts); err != nil {
 		return nil, err
 	}
 	next := newExpansion(work, res, e.cfg, jr)
@@ -488,7 +490,7 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 		if err := next.runInference(ctx); err != nil {
 			return nil, err
 		}
-		if err := persistFinal(e.cfg.Persist, work, res.Facts); err != nil {
+		if err := persistFinal(e.cfg.Persist, work, res.Facts, e.res.Facts); err != nil {
 			return nil, err
 		}
 	}
@@ -525,7 +527,7 @@ func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
 	if p := e.cfg.Persist; p != nil {
 		p.inner.SetJournal(jr)
 		defer p.inner.SetJournal(nil)
-		attachPersist(&opts, p, e.kb)
+		attachPersist(&opts, p, e.kb, e.res.Facts)
 	}
 	res, err := ground.Extend(e.kb, e.res, nil, opts)
 	if err != nil {
@@ -535,7 +537,7 @@ func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
 	if err := next.runInference(ctx); err != nil {
 		return nil, err
 	}
-	if err := persistFinal(e.cfg.Persist, e.kb, res.Facts); err != nil {
+	if err := persistFinal(e.cfg.Persist, e.kb, res.Facts, e.res.Facts); err != nil {
 		return nil, err
 	}
 	next.emitRunEnd()

@@ -159,6 +159,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		// Removals don't invalidate the watermark: a deleted fact's ID
 		// vanishes from the table (and thus from the next delta), and any
 		// re-derivation re-enters under a fresh ID above nextMin.
+		prevMin := deltaMin
 		deltaMin = nextMin
 		// TΠ is read again by the next iteration or the factor phase; a
 		// final iteration with no factor phase feeds nobody.
@@ -184,6 +185,9 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 			g.opts.OnIteration(st)
 		}
 		if g.opts.Observer != nil {
+			// prevMin reaches back over the rows this iteration joined as its
+			// delta — on an Extend's first iteration, the facts it was given.
+			assertAppendOnly(tpi, prevMin)
 			g.opts.Observer(iter, tpi)
 		}
 		if st.NewFacts == 0 {
@@ -237,6 +241,22 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 	factorsSpan.SetAttr("queries", res.FactorQueries)
 	factorsSpan.End()
 	return res, nil
+}
+
+// assertAppendOnly checks, over the rows with fact IDs at or above minID
+// (all of them when it is negative), the half of Options.Observer's
+// guarantee that is this package's to break: IDs grow strictly with the
+// row index. It walks back from the last row only as far as minID
+// reaches — the delta, or the whole table once on a naive run's first
+// iteration. A violation is a grounder bug, and an observer trusting the
+// guarantee would silently lose facts.
+func assertAppendOnly(tpi *engine.Table, minID int32) {
+	ids := tpi.Int32Col(kb.TPiI)
+	for r := len(ids) - 1; r > 0 && ids[r] >= minID; r-- {
+		if ids[r] <= ids[r-1] {
+			panic(fmt.Sprintf("ground: fact IDs out of order at row %d of TΠ (%d after %d)", r, ids[r], ids[r-1]))
+		}
+	}
 }
 
 // deltaRows copies the rows of t whose fact ID is >= minID into a fresh
@@ -461,9 +481,13 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 	// observation weights. The seed delta is everything at or above the
 	// pre-append ID watermark.
 	deltaMin := ix.next
+	// One probe row, overwritten per fact: the index is asked by key only.
+	probe := engine.NewTable("new", kb.FactsSchema())
+	probe.AppendRow(int32(0), int32(0), int32(0), int32(0), int32(0), int32(0), 0.0)
+	pr, px, pc1 := probe.Int32Col(kb.TPiR), probe.Int32Col(kb.TPiX), probe.Int32Col(kb.TPiC1)
+	py, pc2 := probe.Int32Col(kb.TPiY), probe.Int32Col(kb.TPiC2)
 	for _, f := range newFacts {
-		probe := engine.NewTable("new", kb.FactsSchema())
-		probe.AppendRow(int32(0), f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
+		pr[0], px[0], pc1[0], py[0], pc2[0] = f.Rel, f.X, f.XClass, f.Y, f.YClass
 		if ix.set.Contains(probe, 0, tpiKeyCols) {
 			continue
 		}

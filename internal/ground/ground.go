@@ -164,6 +164,17 @@ type Options struct {
 	// Observer, when non-nil, sees the facts table after each iteration's
 	// merge and constraint pass (read-only). The Figure 7(a) harness uses
 	// it to score precision per iteration.
+	//
+	// Every call of one run is handed the same table (for Extend, the
+	// Clone it made of prev.Facts), and between calls — and between that
+	// Clone and the first call — the table changes in two ways only: rows
+	// are appended, each with a fact ID above every ID the table ever
+	// held, and the constraint hook deletes rows in place, keeping the
+	// survivors' order. No surviving row's identity columns or weight are
+	// rewritten, so fact IDs increase strictly with the row index and an
+	// unchanged ID at row n-1 proves rows [0, n) untouched. The durable
+	// store's O(delta) sync rests on this; groundFrom asserts the ID order
+	// of each iteration's rows before calling the observer.
 	Observer func(iter int, tpi *engine.Table)
 	// Journal, when non-nil, receives this run's structured events:
 	// per-iteration stats and per-partition query profiles with full

@@ -170,3 +170,84 @@ func TestForkConcurrentReadsDuringWrite(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestForkStaysSharedOnKnownSymbols is the write barrier's fast path —
+// what a streamed batch over known relations and entities does to the
+// served generation's fork: re-adding existing signatures and
+// memberships is a pure read, so the fork keeps sharing every slice and
+// map with its parent (no copy), while readers scan the parent under
+// -race. The first genuinely new membership or signature still pays
+// for a private copy, and the parent never moves.
+func TestForkStaysSharedOnKnownSymbols(t *testing.T) {
+	parent := forkFixture(t)
+	before := snapshotOf(parent)
+	sigs := len(parent.Relations)
+	fork := parent.Fork()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, f := range parent.Facts {
+					if !parent.HasFact(f.Key()) {
+						t.Error("frozen parent lost a fact mid-write")
+						return
+					}
+				}
+				if len(parent.Members) != len(before.members) || len(parent.Relations) != sigs {
+					t.Error("frozen parent's catalog moved")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		for _, r := range parent.Relations {
+			if id := fork.AddRelation(r.Name, r.Domain, r.Range); id != r.ID {
+				t.Fatalf("re-added relation %s got id %d, want %d", r.Name, id, r.ID)
+			}
+		}
+		for _, m := range parent.Members {
+			fork.AddMember(m.Class, m.Entity)
+		}
+	}
+	sharing := func(k *KB) bool {
+		return k.shared && &k.Facts[0] == &parent.Facts[0] && &k.Members[0] == &parent.Members[0]
+	}
+	if !sharing(fork) {
+		t.Fatal("re-adding only known relations and members copied the fork")
+	}
+
+	writer, _ := fork.Classes.Lookup("Writer")
+	fork.AddMember(writer, fork.Entities.Intern("musil"))
+	if sharing(fork) {
+		t.Fatal("a new membership did not materialize the fork")
+	}
+	if len(fork.Members) != len(before.members)+1 {
+		t.Fatalf("fork has %d members, want %d", len(fork.Members), len(before.members)+1)
+	}
+
+	fork2 := parent.Fork()
+	country, _ := fork2.Classes.Lookup("Country")
+	fork2.AddRelation("born_in", writer, country)
+	if sharing(fork2) {
+		t.Fatal("a new relation signature did not materialize the fork")
+	}
+	if len(fork2.Relations) != sigs+1 {
+		t.Fatalf("fork has %d signatures, want %d", len(fork2.Relations), sigs+1)
+	}
+
+	close(stop)
+	wg.Wait()
+	if got := snapshotOf(parent); !reflect.DeepEqual(got, before) {
+		t.Fatalf("fork writes leaked into the frozen parent:\nbefore: %+v\nafter:  %+v", before, got)
+	}
+}

@@ -120,11 +120,15 @@ func New() *KB {
 // several signatures — the paper's Table 1 has both born_in(W, P) and
 // born_in(W, C) — so TR is a *set* of triples, not a function of the
 // name.
+//
+// Re-registering a known signature is a pure read: the write barrier is
+// paid only when the signature is new, so a fork that absorbs a batch
+// over known relations stays shared with its parent.
 func (k *KB) AddRelation(name string, domain, rng int32) int32 {
-	k.materialize()
 	id := k.RelDict.Intern(name)
 	sig := Relation{ID: id, Name: name, Domain: domain, Range: rng}
 	if _, ok := k.relSigs[sig]; !ok {
+		k.materialize()
 		k.relSigs[sig] = struct{}{}
 		k.Relations = append(k.Relations, sig)
 	}
@@ -132,13 +136,14 @@ func (k *KB) AddRelation(name string, domain, rng int32) int32 {
 }
 
 // AddMember records entity ∈ class and propagates the membership to every
-// (transitive) superclass; duplicates are ignored.
+// (transitive) superclass; duplicates are ignored — and, like a known
+// signature in AddRelation, cost no copy on a shared fork.
 func (k *KB) AddMember(class, entity int32) {
-	k.materialize()
 	m := ClassMember{Class: class, Entity: entity}
 	if _, ok := k.memberSet[m]; ok {
 		return
 	}
+	k.materialize()
 	k.memberSet[m] = struct{}{}
 	k.Members = append(k.Members, m)
 	for _, super := range k.superOf[class] {
@@ -276,6 +281,12 @@ func (k *KB) ReplaceFacts(facts []Fact) {
 func (k *KB) HasFact(key Key) bool {
 	_, ok := k.factSet[key]
 	return ok
+}
+
+// FactIndex returns the position in Facts of the fact with the given key.
+func (k *KB) FactIndex(key Key) (int, bool) {
+	i, ok := k.factSet[key]
+	return i, ok
 }
 
 // SetWeight assigns the weight of the fact with the given key and

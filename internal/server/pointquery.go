@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -150,8 +149,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request, snap *
 		Samples int      `json:"samples"`
 		NoCache bool     `json:"nocache"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Atoms) == 0 {

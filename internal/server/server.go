@@ -105,6 +105,11 @@
 // queueing without bound; rejections count in
 // probkb_http_rejected_total and show in `probkb top`.
 //
+// Request bodies are bounded: a JSON body over 4 MiB (POST /facts,
+// /sql, /query/batch, /admin/expand) answers 413, and a streamed chunk
+// over 4 MiB or 4,096 facts ends the stream with an error line; in both
+// cases nothing of the oversize request is published.
+//
 // Every endpoint runs behind middleware that records per-endpoint
 // request counts and latency histograms (the /sql series are split by
 // method: "GET /sql" vs "POST /sql"), an in-flight gauge, recovers
@@ -119,6 +124,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -380,6 +386,63 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// Request-size limits. Constants, not flags: nothing the server does
+// needs a bigger request, and a limit nobody can lift is one no
+// deployment forgets to set.
+const (
+	// maxBodyBytes bounds a non-streaming POST body (and, on the
+	// streaming ingest path, the bytes of one chunk).
+	maxBodyBytes = 4 << 20
+	// maxChunkFacts bounds the facts of one streamed chunk: a chunk is
+	// absorbed as one extend under the writer mutex, so its size is how
+	// long every other writer waits.
+	maxChunkFacts = 4096
+)
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. On failure it has answered — 413 for an oversize body, 400 for a
+// malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
+// chunkBudget meters a streamed body: it fails the read that would
+// hand the decoder more than maxBodyBytes since the last refill, so one
+// oversize chunk cannot be buffered whole before anything looks at it.
+// The decoder's read-ahead into the next chunk is charged to the
+// current one, which makes the limit lenient by up to one buffer, never
+// stricter.
+type chunkBudget struct {
+	r    io.Reader
+	left int64
+}
+
+var errChunkTooLarge = fmt.Errorf("chunk exceeds the %d-byte limit", maxBodyBytes)
+
+func (c *chunkBudget) refill() { c.left = maxBodyBytes }
+
+func (c *chunkBudget) Read(p []byte) (int, error) {
+	if c.left <= 0 {
+		return 0, errChunkTooLarge
+	}
+	if int64(len(p)) > c.left {
+		p = p[:c.left]
+	}
+	n, err := c.r.Read(p)
+	c.left -= int64(n)
+	return n, err
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -538,8 +601,7 @@ func (s *Server) handleFactsPost(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Facts []factIn `json:"facts"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	facts, err := parseFacts(req.Facts)
@@ -639,9 +701,10 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	dec := json.NewDecoder(r.Body)
+	body := &chunkBudget{r: r.Body}
+	dec := json.NewDecoder(body)
 	batch := 0
-	for dec.More() {
+	for body.refill(); dec.More(); body.refill() {
 		var req struct {
 			Facts []factIn `json:"facts"`
 		}
@@ -651,6 +714,10 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		batch++
+		if len(req.Facts) > maxChunkFacts {
+			line(map[string]string{"error": fmt.Sprintf("batch %d: chunk of %d facts exceeds the %d-fact limit", batch, len(req.Facts), maxChunkFacts)})
+			return
+		}
 		facts, err := parseFacts(req.Facts)
 		if err != nil {
 			line(map[string]string{"error": fmt.Sprintf("batch %d: %v", batch, err)})
@@ -665,6 +732,12 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 		ack.Facts = len(facts)
 		aq.AddRows(len(facts))
 		line(ack)
+	}
+	if body.left <= 0 {
+		// The budget ran out between chunks (nothing but whitespace for
+		// maxBodyBytes): say so instead of reporting a clean end.
+		line(map[string]string{"error": fmt.Sprintf("after batch %d: %v", batch, errChunkTooLarge)})
+		return
 	}
 	line(map[string]any{"done": true, "batches": batch})
 }
@@ -756,12 +829,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, snap *sna
 }
 
 // handleSnapshot checkpoints the attached store: the WAL folds into a
-// fresh columnar snapshot and the next recovery loads one file.
+// fresh columnar snapshot and the next recovery loads one file. The
+// store is single-writer, and every other writer of it — a streamed
+// batch appending to the WAL the checkpoint is about to retire — holds
+// wmu, so the checkpoint does too.
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.store == nil {
 		writeError(w, http.StatusConflict, fmt.Errorf("no durable store attached (start with -persist)"))
 		return
 	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.store.Checkpoint(); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -811,8 +889,7 @@ func (s *Server) handleDistSQL(w http.ResponseWriter, r *http.Request, snap *sna
 		Segments int    `json:"segments"`
 		Analyze  bool   `json:"analyze"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Q == "" {
@@ -964,8 +1041,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		Samples    int   `json:"samples"`
 		Seed       int64 `json:"seed"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	desc := fmt.Sprintf("expand iterations=%d inference=%v samples=%d", req.Iterations, req.Inference, req.Samples)

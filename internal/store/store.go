@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"probkb/internal/kb"
@@ -29,15 +30,18 @@ func init() {
 // holds one complete snapshot and (at most) the WAL it points to.
 //
 // A Store is not safe for concurrent use; callers serialize, as the
-// expansion pipeline already does for the KB itself.
+// expansion pipeline already does for the KB itself. The one exception
+// is the three counters Gen, WALRecords and SnapshotBytes: they are
+// atomics, because handlers and the WAL-growth watchdog poll them from
+// goroutines that do not hold the writer's lock.
 type Store struct {
 	fs        FS
 	dir       string
 	k         *kb.KB
-	gen       uint32
+	gen       atomic.Uint32
 	wal       File
-	nrec      int64 // records in the current WAL generation
-	snapBytes int64 // size of the last snapshot written
+	nrec      atomic.Int64 // records in the current WAL generation
+	snapBytes atomic.Int64 // size of the last snapshot written
 
 	jr *journal.Writer
 }
@@ -49,7 +53,8 @@ func Create(fs FS, dir string, k *kb.KB) (*Store, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	s := &Store{fs: fs, dir: dir, k: k.Clone(), gen: 1}
+	s := &Store{fs: fs, dir: dir, k: k.Clone()}
+	s.gen.Store(1)
 	if err := s.writeSnapshotAndRotate(nil); err != nil {
 		return nil, err
 	}
@@ -65,17 +70,17 @@ func (s *Store) SetJournal(jr *journal.Writer) { s.jr = jr }
 func (s *Store) KB() *kb.KB { return s.k }
 
 // Gen returns the current WAL generation.
-func (s *Store) Gen() uint32 { return s.gen }
+func (s *Store) Gen() uint32 { return s.gen.Load() }
 
 // WALRecords returns how many records the current generation holds.
-func (s *Store) WALRecords() int64 { return s.nrec }
+func (s *Store) WALRecords() int64 { return s.nrec.Load() }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
 // SnapshotBytes returns the size of the last snapshot this Store wrote
 // (zero for a store opened and not yet checkpointed).
-func (s *Store) SnapshotBytes() int64 { return s.snapBytes }
+func (s *Store) SnapshotBytes() int64 { return s.snapBytes.Load() }
 
 // Open recovers a Store from dir: load the snapshot, replay the
 // durable prefix of its WAL generation, truncate any torn tail, and
@@ -95,7 +100,8 @@ func OpenContext(ctx context.Context, fs FS, dir string, jr *journal.Writer) (*S
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	s := &Store{fs: fs, dir: dir, k: k, gen: gen, jr: jr}
+	s := &Store{fs: fs, dir: dir, k: k, jr: jr}
+	s.gen.Store(gen)
 
 	// A crash between "write tmp" and "rename" can leave the temp file
 	// behind; it is dead weight either way.
@@ -122,7 +128,7 @@ func OpenContext(ctx context.Context, fs FS, dir string, jr *journal.Writer) (*S
 				return nil, err
 			}
 		}
-		s.nrec = int64(len(recs))
+		s.nrec.Store(int64(len(recs)))
 		if validLen < len(data) {
 			truncated = int64(len(data) - validLen)
 			if err := fs.Truncate(walPath, int64(validLen)); err != nil {
@@ -140,10 +146,10 @@ func OpenContext(ctx context.Context, fs FS, dir string, jr *journal.Writer) (*S
 
 	elapsed := obs.Since(start)
 	span.SetAttr("gen", int(gen))
-	span.SetAttr("records", int(s.nrec))
+	span.SetAttr("records", int(s.nrec.Load()))
 	obs.Default.Gauge("probkb_store_recovery_seconds").Set(elapsed)
 	jr.Emit(journal.TypeWALReplayed, journal.WALReplayed{
-		Gen: gen, Records: s.nrec, TruncatedBytes: truncated,
+		Gen: gen, Records: s.nrec.Load(), TruncatedBytes: truncated,
 		Facts: len(s.k.Facts), Seconds: elapsed,
 	})
 	return s, nil
@@ -183,7 +189,7 @@ func (s *Store) append(rec Record) error {
 	if err := ApplyRecord(s.k, rec); err != nil {
 		return err
 	}
-	s.nrec++
+	s.nrec.Add(1)
 	obs.Default.Counter("probkb_store_wal_records_total").Inc()
 	return nil
 }
@@ -208,14 +214,14 @@ func (s *Store) CheckpointContext(ctx context.Context) error {
 	if err := s.writeSnapshotAndRotate(s.wal); err != nil {
 		return err
 	}
-	s.gen++
-	s.nrec = 0
+	gen := s.gen.Add(1)
+	s.nrec.Store(0)
 
 	elapsed := obs.Since(start)
-	span.SetAttr("gen", int(s.gen))
+	span.SetAttr("gen", int(gen))
 	span.SetAttr("facts", len(s.k.Facts))
 	s.jr.Emit(journal.TypeSnapshotWritten, journal.SnapshotWritten{
-		Gen: s.gen, Bytes: s.snapBytes, Facts: len(s.k.Facts), Seconds: elapsed,
+		Gen: gen, Bytes: s.snapBytes.Load(), Facts: len(s.k.Facts), Seconds: elapsed,
 	})
 	return nil
 }
@@ -224,16 +230,17 @@ func (s *Store) CheckpointContext(ctx context.Context) error {
 // Create (oldWAL nil) it writes generation s.gen; for Checkpoint it
 // writes s.gen+1, swaps WAL handles, and retires the old file.
 func (s *Store) writeSnapshotAndRotate(oldWAL File) error {
-	newGen := s.gen
+	gen := s.gen.Load()
+	newGen := gen
 	if oldWAL != nil {
-		newGen = s.gen + 1
+		newGen = gen + 1
 	}
 	n, err := WriteSnapshot(s.fs, s.dir, s.k, newGen)
 	if err != nil {
 		return err
 	}
 	obs.Default.Gauge("probkb_store_snapshot_bytes").Set(float64(n))
-	s.snapBytes = n
+	s.snapBytes.Store(n)
 
 	// The new snapshot is durable and names wal.<newGen>; create it
 	// empty. If we crash before this lands, recovery treats the
@@ -254,8 +261,8 @@ func (s *Store) writeSnapshotAndRotate(oldWAL File) error {
 	}
 	if oldWAL != nil {
 		oldWAL.Close()
-		if ok, _ := s.fs.Exists(join(s.dir, WALName(s.gen))); ok {
-			_ = s.fs.Remove(join(s.dir, WALName(s.gen)))
+		if ok, _ := s.fs.Exists(join(s.dir, WALName(gen))); ok {
+			_ = s.fs.Remove(join(s.dir, WALName(gen)))
 			_ = s.fs.SyncDir(s.dir)
 		}
 	}

@@ -121,14 +121,14 @@ func ApplyRecord(k *kb.KB, rec Record) error {
 	case RecDeletes:
 		keys := make(map[kb.Key]bool, len(rec.Facts))
 		for _, f := range rec.Facts {
-			if key, ok := lookupKey(k, f); ok {
+			if key, ok := KeyOf(k, f); ok {
 				keys[key] = true
 			}
 		}
 		k.DeleteFacts(keys)
 	case RecMarginals:
 		for _, f := range rec.Facts {
-			if key, ok := lookupKey(k, f); ok {
+			if key, ok := KeyOf(k, f); ok {
 				k.SetWeight(key, f.W)
 			}
 		}
@@ -138,9 +138,9 @@ func ApplyRecord(k *kb.KB, rec Record) error {
 	return nil
 }
 
-// lookupKey resolves a symbolic fact to its ID key; any unknown symbol
-// means the fact cannot be present.
-func lookupKey(k *kb.KB, f FactRec) (kb.Key, bool) {
+// KeyOf resolves a symbolic fact to its ID key in k's dictionaries; any
+// unknown symbol means the fact cannot be present.
+func KeyOf(k *kb.KB, f FactRec) (kb.Key, bool) {
 	rel, ok1 := k.RelDict.Lookup(f.Rel)
 	x, ok2 := k.Entities.Lookup(f.X)
 	xc, ok3 := k.Classes.Lookup(f.XClass)

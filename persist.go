@@ -23,12 +23,22 @@ import (
 // Expand on the recovered KB, and rule-cleaning (RuleCleanTheta) never
 // rewrites the durable rule set: the store always keeps the rules it
 // was created with.
+//
+// A Store is single-writer: expansion runs, Checkpoint, KB and Facts
+// must be serialized by the caller (the server does so under its writer
+// mutex). Gen, WALRecords and SnapshotBytes alone may be polled from
+// any goroutine.
 type Store struct {
 	inner *store.Store
 	// err latches the first persistence failure signalled from inside a
 	// grounding observer (which cannot return errors); ExpandContext
 	// checks it after every phase and fails the run loudly.
 	err error
+	// step keeps sync in step with the last table it made durable.
+	step inStep
+	// deltaSyncs and fullSyncs count which way each sync went; the tests
+	// read them to pin down when the store must fall back.
+	deltaSyncs, fullSyncs int
 }
 
 // CreateStore initializes dir as a durable copy of k: a generation-1
@@ -97,106 +107,176 @@ func (s *Store) Close() error { return s.inner.Close() }
 // expansion run, if any.
 func (s *Store) Err() error { return s.err }
 
-// sync diffs the grounding fact table against the store's mirror and
-// appends the delta: inserts for rows the mirror lacks, deletes for
-// mirror facts the table dropped (constraint repairs), and marginal
-// updates where only the weight bits changed (inference). Records
-// carry symbolic facts rendered through src's dictionaries, so replay
-// re-interns in live order and recovery stays bit-identical. Calling
-// it again with an unchanged table appends nothing — which is what
-// makes the per-iteration observer plus the final post-inference sync
-// safe to combine.
-func (s *Store) sync(src *kb.KB, tpi *engine.Table) error {
+// inStep is what the store remembers of the table it last made durable:
+// enough to tell, in O(1), that the next table it is handed still holds
+// that table's rows untouched as a prefix, and so to log only what was
+// appended or re-weighted instead of diffing every row against the
+// mirror. The zero value means "out of step": the next sync diffs in
+// full.
+type inStep struct {
+	// tpi is the synced table; the mirror held exactly its rows when
+	// sync returned.
+	tpi *engine.Table
+	// lastID is the fact ID of tpi's last row at that moment. Fact IDs
+	// grow strictly with the row index, and rows only ever leave a facts
+	// table by order-preserving deletion, so a later table (tpi itself,
+	// or a Clone of it that was then appended to) whose row len(w)-1
+	// still carries lastID has lost and reordered nothing below it.
+	lastID int32
+	// w is the weight column as logged, row for row: the mirror's
+	// weights, kept so re-weighted rows are found without the mirror.
+	// It costs 8 bytes a fact; its length is the synced row count.
+	w []float64
+}
+
+// covers reports whether tpi — the synced table itself, or a table
+// grown from a Clone of it when from names the synced table — still
+// holds the synced rows as its prefix.
+func (st *inStep) covers(tpi, from *engine.Table) bool {
+	if st.tpi == nil || (tpi != st.tpi && from != st.tpi) {
+		return false
+	}
+	n := len(st.w)
+	if tpi.NumRows() < n {
+		return false
+	}
+	return n == 0 || tpi.Int32Col(kb.TPiI)[n-1] == st.lastID
+}
+
+// sync makes the store hold exactly the facts of tpi, rendered through
+// src's dictionaries, by appending what differs: deletes for mirror
+// facts the table dropped (constraint repairs), inserts in row order
+// for rows the mirror lacks, and marginal updates in row order where
+// only the weight bits changed (inference). Calling it again with an
+// unchanged table appends nothing — which is what makes the
+// per-iteration observer plus the final post-inference sync safe to
+// combine.
+//
+// from, when non-nil, declares that tpi began as a Clone of that table
+// (ground.Extend's first step). When the store is in step with tpi or
+// with from and the synced prefix is provably untouched, the difference
+// is read off the table alone — the appended rows and the prefix rows
+// whose weight bits moved — at a cost proportional to the batch.
+// Anything else (a run's first table, a resumed store, an iteration
+// whose hook deleted synced rows) takes the full diff, which yields the
+// same records in the same order.
+func (s *Store) sync(src *kb.KB, tpi, from *engine.Table) error {
 	if s.err != nil {
 		return s.err
 	}
-	mirror := s.inner.KB()
-	have := make(map[kb.Key]float64, len(mirror.Facts))
-	for _, f := range mirror.Facts {
-		have[f.Key()] = f.W
+	var dels, adds, margs []store.FactRec
+	delta := s.step.covers(tpi, from)
+	if delta {
+		adds, margs = s.step.diff(src, tpi)
+		s.deltaSyncs++
+	} else {
+		dels, adds, margs = s.fullDiff(src, tpi)
+		s.fullSyncs++
 	}
-	seen := make(map[kb.Key]bool, tpi.NumRows())
-	var adds, margs []store.FactRec
-	for r := 0; r < tpi.NumRows(); r++ {
-		f := kb.FactAtRow(tpi, r)
-		// The mirror's dictionaries can assign different IDs than src's
-		// (src may have interned symbols the store never saw), so the
-		// membership check must go through symbols, not raw keys.
-		rec := store.FactRecOf(src, f)
-		key, ok := lookupMirrorKey(mirror, rec)
-		if !ok {
-			adds = append(adds, rec)
-			continue
-		}
-		seen[key] = true
-		if w, present := have[key]; !present {
-			adds = append(adds, rec)
-		} else if math.Float64bits(w) != math.Float64bits(f.W) {
-			margs = append(margs, rec)
-		}
-	}
-	var dels []store.FactRec
-	for _, f := range mirror.Facts {
-		if !seen[f.Key()] {
-			dels = append(dels, store.FactRecOf(mirror, f))
-		}
-	}
+	// A failed append leaves the mirror between two tables; only a
+	// completed sync puts the store back in step.
+	step := s.step
+	s.step = inStep{}
 	if err := s.inner.AppendDeletes(dels); err != nil {
 		return err
 	}
 	if err := s.inner.AppendFacts(adds); err != nil {
 		return err
 	}
-	return s.inner.AppendMarginals(margs)
-}
-
-// lookupMirrorKey resolves a symbolic fact to the mirror's ID space.
-func lookupMirrorKey(mirror *kb.KB, rec store.FactRec) (kb.Key, bool) {
-	rel, ok1 := mirror.RelDict.Lookup(rec.Rel)
-	x, ok2 := mirror.Entities.Lookup(rec.X)
-	xc, ok3 := mirror.Classes.Lookup(rec.XClass)
-	y, ok4 := mirror.Entities.Lookup(rec.Y)
-	yc, ok5 := mirror.Classes.Lookup(rec.YClass)
-	if !(ok1 && ok2 && ok3 && ok4 && ok5) {
-		return kb.Key{}, false
+	if err := s.inner.AppendMarginals(margs); err != nil {
+		return err
 	}
-	return kb.Key{Rel: rel, X: x, XClass: xc, Y: y, YClass: yc}, true
+	ws := tpi.Float64Col(kb.TPiW)
+	if delta {
+		// diff already folded the re-weighted rows into the shadow.
+		step.w = append(step.w, ws[len(step.w):]...)
+	} else {
+		step.w = append(step.w[:0], ws...)
+	}
+	step.tpi = tpi
+	if n := tpi.NumRows(); n > 0 {
+		step.lastID = tpi.Int32Col(kb.TPiI)[n-1]
+	}
+	s.step = step
+	return nil
 }
 
-// observe is the per-iteration grounding observer: it syncs the
-// iteration's fact table into the WAL, latching any failure for
-// ExpandContext to surface (ground.Options.Observer cannot error).
-func (s *Store) observe(src *kb.KB) func(iter int, tpi *engine.Table) {
-	return func(_ int, tpi *engine.Table) {
-		if s.err == nil {
-			s.err = s.sync(src, tpi)
+// diff is the in-step difference between tpi and the synced prefix it
+// extends: inserts for the rows past the prefix, marginal updates for
+// the prefix rows whose weight bits differ from the logged ones (which
+// it brings up to date as it goes).
+func (st *inStep) diff(src *kb.KB, tpi *engine.Table) (adds, margs []store.FactRec) {
+	// The one pass over the table the delta path makes: a sequential
+	// compare of two float columns, about a nanosecond a row.
+	ws := tpi.Float64Col(kb.TPiW)[:len(st.w)]
+	for r, w := range st.w {
+		if math.Float64bits(w) != math.Float64bits(ws[r]) {
+			margs = append(margs, store.FactRecOf(src, kb.FactAtRow(tpi, r)))
+			st.w[r] = ws[r]
 		}
 	}
+	for r := len(st.w); r < tpi.NumRows(); r++ {
+		adds = append(adds, store.FactRecOf(src, kb.FactAtRow(tpi, r)))
+	}
+	return adds, margs
+}
+
+// fullDiff compares every row of tpi with the store's mirror. The
+// mirror's dictionaries can assign different IDs than src's (src may
+// have interned symbols the store never saw), so membership goes
+// through symbols, not raw keys.
+func (s *Store) fullDiff(src *kb.KB, tpi *engine.Table) (dels, adds, margs []store.FactRec) {
+	mirror := s.inner.KB()
+	seen := make([]bool, len(mirror.Facts))
+	for r := 0; r < tpi.NumRows(); r++ {
+		f := kb.FactAtRow(tpi, r)
+		rec := store.FactRecOf(src, f)
+		key, known := store.KeyOf(mirror, rec)
+		i, ok := mirror.FactIndex(key)
+		if !known || !ok {
+			adds = append(adds, rec)
+			continue
+		}
+		seen[i] = true
+		if math.Float64bits(mirror.Facts[i].W) != math.Float64bits(f.W) {
+			margs = append(margs, rec)
+		}
+	}
+	for i, f := range mirror.Facts {
+		if !seen[i] {
+			dels = append(dels, store.FactRecOf(mirror, f))
+		}
+	}
+	return dels, adds, margs
 }
 
 // attachPersist wires a store into grounding options: each completed
-// iteration's delta becomes durable before the next one starts.
-func attachPersist(opts *ground.Options, p *Store, src *kb.KB) {
+// iteration's delta becomes durable before the next one starts. from is
+// the table the run's facts table is cloned from (nil for a run that
+// builds its own); a failure is latched for the caller to surface,
+// since ground.Options.Observer cannot return one.
+func attachPersist(opts *ground.Options, p *Store, src *kb.KB, from *engine.Table) {
 	if p == nil {
 		return
 	}
 	prev := opts.Observer
-	obs := p.observe(src)
 	opts.Observer = func(iter int, tpi *engine.Table) {
 		if prev != nil {
 			prev(iter, tpi)
 		}
-		obs(iter, tpi)
+		if p.err == nil {
+			p.err = p.sync(src, tpi, from)
+		}
 	}
 }
 
 // persistFinal runs the end-of-phase sync (grounding result or
 // inference marginals) and reports the first error the run hit.
-func persistFinal(p *Store, src *kb.KB, tpi *engine.Table) error {
+func persistFinal(p *Store, src *kb.KB, tpi, from *engine.Table) error {
 	if p == nil {
 		return nil
 	}
-	if err := p.sync(src, tpi); err != nil {
+	if err := p.sync(src, tpi, from); err != nil {
 		return fmt.Errorf("probkb: persisting expansion: %w", err)
 	}
 	return nil

@@ -484,7 +484,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 	if p := cfg.Persist; p != nil {
 		p.inner.SetJournal(jr)
 		defer p.inner.SetJournal(nil)
-		attachPersist(&opts, p, work)
+		attachPersist(&opts, p, work, nil)
 	}
 	if cfg.ApplyConstraints {
 		// Query 3 runs once before inference starts (Section 6.1.1), and
@@ -552,7 +552,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 	// The observer already made each iteration durable; this final sync
 	// catches engines that do not invoke it and surfaces any append
 	// error latched inside the observer.
-	if err := persistFinal(cfg.Persist, work, res.Facts); err != nil {
+	if err := persistFinal(cfg.Persist, work, res.Facts, nil); err != nil {
 		return nil, err
 	}
 
@@ -571,7 +571,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		}
 		// Inference rewrote inferred facts' weights in place; persist
 		// the marginals so recovery carries the probabilities too.
-		if err := persistFinal(cfg.Persist, work, res.Facts); err != nil {
+		if err := persistFinal(cfg.Persist, work, res.Facts, nil); err != nil {
 			return nil, err
 		}
 	}
