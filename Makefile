@@ -3,7 +3,7 @@ GO ?= go
 # Baseline for bench-diff (write one with `make bench-baseline`).
 BENCH_BASE ?= BENCH_baseline.json
 
-.PHONY: build vet test race check bench-build bench bench-baseline bench-diff report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
+.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench bench-baseline bench-diff report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ race:
 	$(GO) test -race ./...
 
 # The standard verify loop: what CI (and every PR) should run.
-check: build vet bench-build lint-metrics race proptest fuzz-smoke crash-smoke report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
+check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke crash-smoke report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
 
 # benchmark/ is a nested module (its own go.mod, `replace probkb => ../`)
 # that imports internal/{ground,mpp,engine,...} by path, so `go build
@@ -27,6 +27,17 @@ check: build vet bench-build lint-metrics race proptest fuzz-smoke crash-smoke r
 # tests.
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Kernel tier (ROADMAP item 1b): the engine's hash kernels and ground's
+# fact index at 100K and 300K synthetic TΠ rows, with allocations.
+# EXPERIMENTS.md records the numbers.
+bench-kernels:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground
+
+# Every kernel benchmark compiles and executes once per PR, so none can
+# rot between the runs somebody reads.
+kernels-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
 # snake_case with the right unit suffix and a Help() string (see

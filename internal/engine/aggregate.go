@@ -224,11 +224,26 @@ func mergeGroup(dst, src *groupState) {
 	}
 }
 
-// aggPartial is one morsel's partial aggregation.
+// aggPartial is a partial aggregation — one morsel's, or the merge of
+// them all: index row i is group order[i], in first-occurrence order.
 type aggPartial struct {
-	groups map[uint64][]*groupState
-	order  []*groupState
-	hashes []uint64 // parallel to order: each group's key hash
+	ix    *rowIndex
+	order []*groupState
+}
+
+// find returns the group whose key is that of input row r (hash h), or nil.
+func (p *aggPartial) find(h uint64, in *Table, keys []int, r int) *groupState {
+	for c := p.ix.first(h); c >= 0; c = p.ix.after(h, c) {
+		if g := p.order[c]; rowsEqualOn(in, g.firstRow, keys, in, r, keys) {
+			return g
+		}
+	}
+	return nil
+}
+
+func (p *aggPartial) add(h uint64, g *groupState) {
+	p.ix.add(h)
+	p.order = append(p.order, g)
 }
 
 // groupByTable is the aggregation kernel, shared with the MPP layer.
@@ -244,58 +259,43 @@ type aggPartial struct {
 func groupByTable(in *Table, keys []int, aggs []AggSpec, schema Schema, o Opts, st *NodeStats) (*Table, error) {
 	slots := countAggSlots(aggs)
 
-	nm := morselCount(in.NumRows(), o.morsel())
-	parts := make([]aggPartial, nm)
+	parts := make([]aggPartial, morselCount(in.NumRows(), o.morsel()))
 	runMorsels("groupby", in.NumRows(), o, st, func(m, lo, hi int) {
-		p := aggPartial{groups: make(map[uint64][]*groupState)}
-		for r := lo; r < hi; r++ {
-			h := HashRow(in, r, keys)
-			var g *groupState
-			for _, cand := range p.groups[h] {
-				if rowsEqualOn(in, cand.firstRow, keys, in, r, keys) {
-					g = cand
-					break
-				}
-			}
+		p := aggPartial{ix: newRowIndex(nil)}
+		hs := make([]uint64, hi-lo)
+		hashRange(hs, in, keys, lo)
+		for i, h := range hs {
+			r := lo + i
+			g := p.find(h, in, keys, r)
 			if g == nil {
 				g = newGroupState(r, slots)
-				p.groups[h] = append(p.groups[h], g)
-				p.order = append(p.order, g)
-				p.hashes = append(p.hashes, h)
+				p.add(h, g)
 			}
 			accumulateRow(g, in, aggs, r)
 		}
 		parts[m] = p
 	})
 
-	var order []*groupState
-	if nm == 1 {
-		order = parts[0].order
-	} else if nm > 1 {
-		groups := make(map[uint64][]*groupState)
+	var all aggPartial
+	if len(parts) == 1 {
+		all = parts[0]
+	} else {
+		all.ix = newRowIndex(nil)
 		for _, p := range parts {
 			for i, src := range p.order {
-				h := p.hashes[i]
-				var g *groupState
-				for _, cand := range groups[h] {
-					if rowsEqualOn(in, cand.firstRow, keys, in, src.firstRow, keys) {
-						g = cand
-						break
-					}
+				h := p.ix.hash[i]
+				if g := all.find(h, in, keys, src.firstRow); g != nil {
+					mergeGroup(g, src)
+				} else {
+					all.add(h, src)
 				}
-				if g == nil {
-					groups[h] = append(groups[h], src)
-					order = append(order, src)
-					continue
-				}
-				mergeGroup(g, src)
 			}
 		}
 	}
 
 	out := NewTable("groupby", schema)
-	out.Reserve(len(order))
-	for _, g := range order {
+	out.Reserve(len(all.order))
+	for _, g := range all.order {
 		col := 0
 		for _, k := range keys {
 			oc := out.cols[col]

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // JoinOut selects one output column of a hash join: column Col of the
@@ -129,125 +131,92 @@ func HashJoinTablesOpts(bt, pt *Table, buildKeys, probeKeys []int,
 		JoinSchema(bt.Schema(), pt.Schema(), outs), o, st)
 }
 
-// joinSrc precomputes one output column's source for the emit fast path.
-type joinSrc struct {
-	side int
-	col  int
-	typ  ColType
+// joinPair is one matched row pair, indexed by JoinOut.Side.
+type joinPair [2]int32
+
+// probeScratch is one probe morsel's working memory: the probe rows'
+// hashes and the pairs matched so far. Most grounding probes match
+// nothing, so the morsels recycle it and keep only an exact-size copy of
+// the pairs.
+type probeScratch struct {
+	hs    []uint64
+	pairs []joinPair
 }
 
-func joinSrcs(outs []JoinOut, schema Schema) []joinSrc {
-	srcs := make([]joinSrc, len(outs))
+var probeScratches = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// gatherJoin fills rows [off, off+len(pairs)) of out, a column at a time,
+// from the matched pairs.
+func gatherJoin(out *Table, off int, outs []JoinOut, bt, pt *Table, pairs []joinPair) {
+	srcs := [2]*Table{BuildSide: bt, ProbeSide: pt}
 	for i, o := range outs {
-		srcs[i] = joinSrc{side: o.Side, col: o.Col, typ: schema.Cols[i].Type}
-	}
-	return srcs
-}
-
-func emitJoinRow(out *Table, srcs []joinSrc, bt, pt *Table, br, pr int) {
-	for i, s := range srcs {
-		oc := out.cols[i]
-		src := bt
-		row := br
-		if s.side == ProbeSide {
-			src = pt
-			row = pr
-		}
-		ic := src.cols[s.col]
-		switch s.typ {
+		oc, ic := out.cols[i], srcs[o.Side].cols[o.Col]
+		switch oc.typ {
 		case Int32:
-			oc.i32 = append(oc.i32, ic.i32[row])
+			for k, p := range pairs {
+				oc.i32[off+k] = ic.i32[p[o.Side]]
+			}
 		case Float64:
-			oc.f64 = append(oc.f64, ic.f64[row])
+			for k, p := range pairs {
+				oc.f64[off+k] = ic.f64[p[o.Side]]
+			}
 		case String:
-			oc.str = append(oc.str, ic.str[row])
+			for k, p := range pairs {
+				oc.str[off+k] = ic.str[p[o.Side]]
+			}
 		}
 	}
-	out.nrows++
 }
 
 // hashJoinTables is the join kernel, shared with the MPP layer (which runs
 // it once per segment).
 //
-// The serial contract — bucket candidates stored in increasing build-row
-// order, probe rows visited in order — fixes the output row order. The
-// parallel path reproduces it exactly: the partitioned build assigns each
-// hash to one partition and scans build rows in increasing order, so every
-// bucket's candidate list matches the serial one; the probe splits into
-// morsels whose output chunks concatenate in morsel-index order.
+// One build, one probe: the build rows hash into a rowIndex whose chains
+// list candidates in increasing build-row order, and each morsel of probe
+// rows, visited in order, collects its matched pairs; the pairs of all
+// morsels, in morsel-index order, are the output rows, gathered into
+// columns allocated once at their final size. That order is the same
+// whether the morsels run in a plain loop (serial) or on the worker pool.
 func hashJoinTables(bt, pt *Table, buildKeys, probeKeys []int,
 	residual func(b *Table, br int, p *Table, pr int) bool,
 	outs []JoinOut, schema Schema, o Opts, st *NodeStats) (*Table, error) {
 
+	parallel := o.workers() > 1
+	ix := newRowIndex(hashRows(bt, buildKeys, parallel, "join-build", o, st))
+	chunks := make([][]joinPair, morselCount(pt.NumRows(), o.morsel()))
+	forMorsels(parallel, "join-probe", pt.NumRows(), o, st, func(m, lo, hi int) {
+		sc := probeScratches.Get().(*probeScratch)
+		defer probeScratches.Put(sc)
+		sc.hs = slices.Grow(sc.hs[:0], hi-lo)[:hi-lo]
+		hashRange(sc.hs, pt, probeKeys, lo)
+		pairs := sc.pairs[:0]
+		for i, h := range sc.hs {
+			pr := lo + i
+			for c := ix.first(h); c >= 0; c = ix.after(h, c) {
+				br := int(c)
+				if !rowsEqualOn(bt, br, buildKeys, pt, pr, probeKeys) {
+					continue
+				}
+				if residual != nil && !residual(bt, br, pt, pr) {
+					continue
+				}
+				pairs = append(pairs, joinPair{BuildSide: c, ProbeSide: int32(pr)})
+			}
+		}
+		sc.pairs = pairs
+		chunks[m] = slices.Clone(pairs)
+	})
+
+	offs := make([]int, len(chunks)+1)
+	for m, pairs := range chunks {
+		offs[m+1] = offs[m] + len(pairs)
+	}
 	out := NewTable("join", schema)
-	srcs := joinSrcs(outs, schema)
-	w := o.workers()
-
-	if w <= 1 {
-		ht := make(map[uint64][]int32, bt.NumRows()*2)
-		for r := 0; r < bt.NumRows(); r++ {
-			h := HashRow(bt, r, buildKeys)
-			ht[h] = append(ht[h], int32(r))
-		}
-		for pr := 0; pr < pt.NumRows(); pr++ {
-			h := HashRow(pt, pr, probeKeys)
-			for _, cand := range ht[h] {
-				br := int(cand)
-				if !rowsEqualOn(bt, br, buildKeys, pt, pr, probeKeys) {
-					continue
-				}
-				if residual != nil && !residual(bt, br, pt, pr) {
-					continue
-				}
-				emitJoinRow(out, srcs, bt, pt, br, pr)
-			}
-		}
-		return out, nil
-	}
-
-	// Parallel build: hash all build rows, then each worker owns the
-	// partition h % w and scans rows in increasing order.
-	bh := make([]uint64, bt.NumRows())
-	runMorsels("join-build", bt.NumRows(), o, st, func(m, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			bh[r] = HashRow(bt, r, buildKeys)
-		}
+	out.setLen(offs[len(chunks)])
+	// Not accounted to st: EXPLAIN's morsels= counts build and probe only.
+	forMorsels(parallel, "join-emit", pt.NumRows(), o, nil, func(m, _, _ int) {
+		gatherJoin(out, offs[m], outs, bt, pt, chunks[m])
 	})
-	parts := make([]map[uint64][]int32, w)
-	runParallel(w, func(p int) {
-		ht := make(map[uint64][]int32)
-		pp := uint64(p)
-		for r, h := range bh {
-			if h%uint64(w) == pp {
-				ht[h] = append(ht[h], int32(r))
-			}
-		}
-		parts[p] = ht
-	})
-
-	// Parallel probe: each morsel emits into its own chunk; chunks
-	// concatenate in morsel order.
-	chunks := make([]*Table, morselCount(pt.NumRows(), o.morsel()))
-	runMorsels("join-probe", pt.NumRows(), o, st, func(m, lo, hi int) {
-		chunk := NewTable("join", schema)
-		for pr := lo; pr < hi; pr++ {
-			h := HashRow(pt, pr, probeKeys)
-			for _, cand := range parts[h%uint64(w)][h] {
-				br := int(cand)
-				if !rowsEqualOn(bt, br, buildKeys, pt, pr, probeKeys) {
-					continue
-				}
-				if residual != nil && !residual(bt, br, pt, pr) {
-					continue
-				}
-				emitJoinRow(chunk, srcs, bt, pt, br, pr)
-			}
-		}
-		chunks[m] = chunk
-	})
-	for _, chunk := range chunks {
-		out.AppendTable(chunk)
-	}
 	return out, nil
 }
 

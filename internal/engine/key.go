@@ -10,20 +10,21 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// fnvInt32 folds the 4 bytes of v, low byte first, into the FNV-1a state h.
+func fnvInt32(h uint64, v int32) uint64 {
+	u := uint32(v)
+	h = (h ^ uint64(u&0xff)) * fnvPrime64
+	h = (h ^ uint64((u>>8)&0xff)) * fnvPrime64
+	h = (h ^ uint64((u>>16)&0xff)) * fnvPrime64
+	return (h ^ uint64(u>>24)) * fnvPrime64
+}
+
 // hashInt32s combines a tuple of int32 values into a 64-bit hash (FNV-1a
 // over the 4 bytes of each value).
 func hashInt32s(vals ...int32) uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range vals {
-		u := uint32(v)
-		h ^= uint64(u & 0xff)
-		h *= fnvPrime64
-		h ^= uint64((u >> 8) & 0xff)
-		h *= fnvPrime64
-		h ^= uint64((u >> 16) & 0xff)
-		h *= fnvPrime64
-		h ^= uint64(u >> 24)
-		h *= fnvPrime64
+		h = fnvInt32(h, v)
 	}
 	return h
 }
@@ -34,15 +35,7 @@ func hashInt32s(vals ...int32) uint64 {
 func HashRow(t *Table, r int, cols []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range cols {
-		u := uint32(t.cols[c].i32[r])
-		h ^= uint64(u & 0xff)
-		h *= fnvPrime64
-		h ^= uint64((u >> 8) & 0xff)
-		h *= fnvPrime64
-		h ^= uint64((u >> 16) & 0xff)
-		h *= fnvPrime64
-		h ^= uint64(u >> 24)
-		h *= fnvPrime64
+		h = fnvInt32(h, t.cols[c].i32[r])
 	}
 	return h
 }
@@ -58,54 +51,44 @@ func rowsEqualOn(a *Table, ra int, acols []int, b *Table, rb int, bcols []int) b
 	return true
 }
 
-// RowSet is a set of rows of one table keyed by a tuple of Int32 columns.
-// It backs set-union semantics (facts tables dedup on (R,x,C1,y,C2)) and
-// DISTINCT.
+// RowSet is a set of rows of one table keyed by a tuple of Int32 columns:
+// index row r is table row r. It backs set-union semantics (facts tables
+// dedup on (R,x,C1,y,C2)) and SQL's IN sub-selects.
 type RowSet struct {
 	t    *Table
 	cols []int
-	m    map[uint64][]int32
+	ix   *rowIndex
 }
 
 // NewRowSet builds a set over the existing rows of t keyed on cols.
 func NewRowSet(t *Table, cols []int) *RowSet {
-	s := &RowSet{t: t, cols: cols, m: make(map[uint64][]int32, t.NumRows()*2)}
-	for r := 0; r < t.NumRows(); r++ {
-		s.addRow(r)
-	}
-	return s
-}
-
-func (s *RowSet) addRow(r int) {
-	h := HashRow(s.t, r, s.cols)
-	s.m[h] = append(s.m[h], int32(r))
+	return &RowSet{t: t, cols: cols, ix: newRowIndex(hashRows(t, cols, false, "", Opts{}, nil))}
 }
 
 // Contains reports whether a row with the same key as row r of table o
 // (keyed on ocols) is already present.
 func (s *RowSet) Contains(o *Table, r int, ocols []int) bool {
 	h := HashRow(o, r, ocols)
-	for _, cand := range s.m[h] {
-		if rowsEqualOn(s.t, int(cand), s.cols, o, r, ocols) {
+	for c := s.ix.first(h); c >= 0; c = s.ix.after(h, c) {
+		if rowsEqualOn(s.t, int(c), s.cols, o, r, ocols) {
 			return true
 		}
 	}
 	return false
 }
 
-// NoteAppended registers that rows [from, t.NumRows()) were appended to the
-// underlying table and must join the set.
-func (s *RowSet) NoteAppended(from int) {
-	for r := from; r < s.t.NumRows(); r++ {
-		s.addRow(r)
+// NoteAppended indexes the rows appended to the underlying table since
+// the set last saw it, [Len(), t.NumRows()). The set counts what it has
+// indexed, so no caller can hand it a stale range; a table that shrank
+// under it (DeleteWhere) needs a new set, and panics here.
+func (s *RowSet) NoteAppended() {
+	if s.t.NumRows() < s.Len() {
+		panic("engine: RowSet's table shrank; build a new set after deleting rows")
+	}
+	for r := s.Len(); r < s.t.NumRows(); r++ {
+		s.ix.add(HashRow(s.t, r, s.cols))
 	}
 }
 
 // Len returns the number of indexed rows.
-func (s *RowSet) Len() int {
-	n := 0
-	for _, v := range s.m {
-		n += len(v)
-	}
-	return n
-}
+func (s *RowSet) Len() int { return len(s.ix.next) }

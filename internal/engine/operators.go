@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -174,17 +173,7 @@ func (n *ProjectNode) Run() (*Table, error) {
 func projectTable(in *Table, exprs []OutExpr, schema Schema, o Opts, st *NodeStats) *Table {
 	out := NewTable("project", schema)
 	nr := in.NumRows()
-	for c := range exprs {
-		oc := out.cols[c]
-		switch oc.typ {
-		case Int32:
-			oc.i32 = make([]int32, nr)
-		case Float64:
-			oc.f64 = make([]float64, nr)
-		case String:
-			oc.str = make([]string, nr)
-		}
-	}
+	out.setLen(nr)
 	runMorsels("project", nr, o, st, func(m, lo, hi int) {
 		for c, e := range exprs {
 			oc := out.cols[c]
@@ -224,7 +213,6 @@ func projectTable(in *Table, exprs []OutExpr, schema Schema, o Opts, st *NodeSta
 			}
 		}
 	})
-	out.nrows = nr
 	return out
 }
 
@@ -261,68 +249,27 @@ func (n *DistinctNode) Run() (*Table, error) {
 	})
 }
 
-// distinctTable is the duplicate-elimination kernel. The parallel path
-// partitions rows by key hash so each partition deduplicates
-// independently; the survivor of every key is its globally-first
-// occurrence in both paths, and survivors merge sorted by row index, so
-// the output is identical for every worker (and partition) count.
+// distinctTable is the duplicate-elimination kernel: rows hash (in
+// morsels when parallel), then one pass in row order keeps each key's
+// first occurrence, so the output is identical for every worker count.
 func distinctTable(in *Table, keys []int, schema Schema, o Opts, st *NodeStats) *Table {
+	parallel := o.workers() > 1 && morselCount(in.NumRows(), o.morsel()) > 1
+	hashes := hashRows(in, keys, parallel, "distinct", o, st)
+	ix := newRowIndex(nil)
+	var surv []int32 // index row i is input row surv[i]
+rows:
+	for r, h := range hashes {
+		for c := ix.first(h); c >= 0; c = ix.after(h, c) {
+			if rowsEqualOn(in, int(surv[c]), keys, in, r, keys) {
+				continue rows
+			}
+		}
+		ix.add(h)
+		surv = append(surv, int32(r))
+	}
 	out := NewTable("distinct", schema)
-	nr := in.NumRows()
-	w := o.workers()
-	if w <= 1 || morselCount(nr, o.morsel()) <= 1 {
-		seen := NewRowSet(out, keys)
-		for r := 0; r < nr; r++ {
-			if seen.Contains(in, r, keys) {
-				continue
-			}
-			before := out.NumRows()
-			out.appendFrom(in, r)
-			seen.NoteAppended(before)
-		}
-		return out
-	}
-	hashes := make([]uint64, nr)
-	runMorsels("distinct", nr, o, st, func(m, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			hashes[r] = HashRow(in, r, keys)
-		}
-	})
-	parts := make([][]int32, w)
-	runParallel(w, func(p int) {
-		seen := make(map[uint64][]int32)
-		var surv []int32
-		pp := uint64(p)
-		for r := 0; r < nr; r++ {
-			h := hashes[r]
-			if h%uint64(w) != pp {
-				continue
-			}
-			dup := false
-			for _, cand := range seen[h] {
-				if rowsEqualOn(in, int(cand), keys, in, r, keys) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen[h] = append(seen[h], int32(r))
-			surv = append(surv, int32(r))
-		}
-		parts[p] = surv
-	})
-	total := 0
-	for _, s := range parts {
-		total += len(s)
-	}
-	all := make([]int32, 0, total)
-	for _, s := range parts {
-		all = append(all, s...)
-	}
-	slices.Sort(all)
-	out.AppendRowsFrom(in, all)
+	out.Reserve(len(surv))
+	out.AppendRowsFrom(in, surv)
 	return out
 }
 

@@ -269,9 +269,8 @@ func TestRowSet(t *testing.T) {
 	if s.Contains(probe, 1, []int{0, 1}) {
 		t.Fatal("missing key reported present")
 	}
-	before := tab.NumRows()
 	tab.AppendRow(3, 30)
-	s.NoteAppended(before)
+	s.NoteAppended()
 	if !s.Contains(probe, 1, []int{0, 1}) {
 		t.Fatal("appended key not found")
 	}

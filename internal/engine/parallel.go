@@ -176,34 +176,16 @@ func runMorsels(op string, rows int, o Opts, st *NodeStats, f func(m, lo, hi int
 	}
 }
 
-// runParallel runs f(0), ..., f(n-1) concurrently on n goroutines,
-// re-raising the first panic on the caller like runMorsels does. It backs
-// the fixed-partition phases (hash-join build, distinct) where each task
-// owns one partition rather than pulling morsels.
-func runParallel(n int, f func(i int)) {
-	if n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+// forMorsels is runMorsels for a kernel that also has a serial path: with
+// parallel unset it visits the same morsels in a plain loop that reports
+// no workers, morsels or metrics — a serial kernel's EXPLAIN stays bare.
+func forMorsels(parallel bool, op string, rows int, o Opts, st *NodeStats, f func(m, lo, hi int)) {
+	if parallel {
+		runMorsels(op, rows, o, st, f)
 		return
 	}
-	var panicOnce sync.Once
-	var panicVal any
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+	sz := o.morsel()
+	for m := 0; m*sz < rows; m++ {
+		f(m, m*sz, min((m+1)*sz, rows))
 	}
 }

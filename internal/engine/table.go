@@ -134,6 +134,22 @@ func (t *Table) Reserve(n int) {
 	}
 }
 
+// setLen gives every column of an empty table n zero rows, for kernels
+// that fill disjoint row ranges concurrently.
+func (t *Table) setLen(n int) {
+	for _, c := range t.cols {
+		switch c.typ {
+		case Int32:
+			c.i32 = make([]int32, n)
+		case Float64:
+			c.f64 = make([]float64, n)
+		case String:
+			c.str = make([]string, n)
+		}
+	}
+	t.nrows = n
+}
+
 // Int32Col returns the backing slice of an Int32 column. The caller must
 // not resize it; reading and element assignment are fine.
 func (t *Table) Int32Col(i int) []int32 {
@@ -193,23 +209,6 @@ func (t *Table) AppendRow(vals ...any) {
 				panic(fmt.Sprintf("engine: AppendRow to %s col %d: got %T, want string", t.name, i, v))
 			}
 			c.str = append(c.str, x)
-		}
-	}
-	t.nrows++
-}
-
-// appendFrom copies row src of table o into t. Schemas must be
-// type-compatible (same column types in the same order).
-func (t *Table) appendFrom(o *Table, src int) {
-	for i, c := range t.cols {
-		oc := o.cols[i]
-		switch c.typ {
-		case Int32:
-			c.i32 = append(c.i32, oc.i32[src])
-		case Float64:
-			c.f64 = append(c.f64, oc.f64[src])
-		case String:
-			c.str = append(c.str, oc.str[src])
 		}
 	}
 	t.nrows++

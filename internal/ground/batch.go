@@ -491,10 +491,9 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 		if ix.set.Contains(probe, 0, tpiKeyCols) {
 			continue
 		}
-		before := tpi.NumRows()
 		tpi.AppendRow(ix.next, f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
 		ix.next++
-		ix.set.NoteAppended(before)
+		ix.set.NoteAppended()
 	}
 	res.BaseFacts = tpi.NumRows()
 

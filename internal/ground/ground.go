@@ -235,10 +235,9 @@ func (ix *factIndex) merge(candidates *engine.Table) int {
 		if ix.set.Contains(candidates, r, candidateKeyCols) {
 			continue
 		}
-		before := ix.tpi.NumRows()
 		ix.tpi.AppendRow(ix.next, r32[r], x32[r], c132[r], y32[r], c232[r], engine.NullFloat64())
 		ix.next++
-		ix.set.NoteAppended(before)
+		ix.set.NoteAppended()
 		added++
 	}
 	return added

@@ -162,6 +162,53 @@ func TestConstraintsInExpand(t *testing.T) {
 	}
 }
 
+// TestConstrainedGroundingOscillates pins the non-convergence of naive
+// grounding under constraints (DESIGN.md §5) on the smallest KB that
+// shows it. The rule derives two children for Ann from the two parent_of
+// facts about her; has_child is functional, so Query 3 deletes every fact
+// with Ann as subject — but not the parent_of facts, where she is the
+// object. The next iteration re-derives exactly what the hook removed,
+// forever: the iteration cap, not a fixpoint, ends the run. A semi-naive
+// default, or a hook that remembers what it deleted, would change these
+// numbers; that is a semantic change and has to be made on purpose.
+func TestConstrainedGroundingOscillates(t *testing.T) {
+	k := New()
+	k.AddFact("parent_of", "Bob", "Person", "Ann", "Person", 0.9)
+	k.AddFact("parent_of", "Cid", "Person", "Ann", "Person", 0.9)
+	k.AddFact("parent_of", "Dee", "Person", "Eve", "Person", 0.9)
+	k.MustAddRule("1.0 has_child(x:Person, y:Person) :- parent_of(y:Person, x:Person)")
+	if err := k.AddConstraint("has_child", TypeI, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []Engine{SingleNode, MPP} {
+		var iters []IterationStats
+		exp, err := k.Expand(Config{Engine: engine, Segments: 2, ApplyConstraints: true,
+			OnIteration: func(st IterationStats) { iters = append(iters, st) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := exp.Stats()
+		if st.Converged || st.Iterations != DefaultConstrainedIterations || len(iters) != st.Iterations {
+			t.Fatalf("engine %v: converged=%v after %d iterations (%d reported), want the %d-iteration cap",
+				engine, st.Converged, st.Iterations, len(iters), DefaultConstrainedIterations)
+		}
+		for i, it := range iters {
+			// Iteration 1 also derives has_child(Eve, Dee), which stays.
+			wantNew := 2
+			if i == 0 {
+				wantNew = 3
+			}
+			if it.NewFacts != wantNew || it.Deleted != 2 {
+				t.Fatalf("engine %v iteration %d: +%d -%d, want +%d -2", engine, it.Iteration, it.NewFacts, it.Deleted, wantNew)
+			}
+		}
+		if st.TotalFacts != 4 || len(exp.Find("has_child", "Eve", "Dee")) != 1 || len(exp.Find("has_child", "Ann", "")) != 0 {
+			t.Fatalf("engine %v: %d facts, has_child(Eve, Dee)=%d, has_child(Ann, _)=%d; want 4, 1, 0", engine,
+				st.TotalFacts, len(exp.Find("has_child", "Eve", "Dee")), len(exp.Find("has_child", "Ann", "")))
+		}
+	}
+}
+
 func TestConstraintInformedCleaningInExpand(t *testing.T) {
 	// A wrong rule floods the Type II functional capital_of; a benign
 	// rule has identical raw support. Constraint-informed cleaning keeps
