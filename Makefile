@@ -28,16 +28,20 @@ check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Kernel tier (ROADMAP item 1b): the engine's hash kernels and ground's
-# fact index at 100K and 300K synthetic TΠ rows, with allocations.
-# EXPERIMENTS.md records the numbers.
+# Kernel tier (ROADMAP item 1b): the engine's hash and filter kernels
+# and ground's fact index at 100K and 300K synthetic TΠ rows, with
+# allocations, plus the library-level SQL point select over the scale
+# 0.25 corpus (relational image hit vs. build). EXPERIMENTS.md records
+# the numbers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground
+	$(GO) test -run '^$$' -bench BenchmarkPointSelect -benchmem .
 
 # Every kernel benchmark compiles and executes once per PR, so none can
 # rot between the runs somebody reads.
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground
+	$(GO) test -run '^$$' -bench BenchmarkPointSelect -benchtime 1x .
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
 # snake_case with the right unit suffix and a Help() string (see
@@ -145,10 +149,15 @@ incident-smoke:
 # neighborhood Gibbs) → cached re-query → /admin/expand invalidates →
 # fresh re-query, plus concurrent readers racing the swap, all under
 # -race. The library-level differential (local marginals vs the
-# full-closure answer) rides along from the root package.
+# full-closure answer) rides along from the root package. So does the
+# SQL surface's per-generation relational image: /sql readers sharing it
+# beside a streamed ingest (every answer equal to the library's for the
+# generation it names), DELETE refused on both routes, no image built
+# without SQL traffic, and the invalidation differential against a
+# catalog built from scratch.
 query-smoke:
-	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests' ./internal/server
-	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom' .
+	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests|TestSQLReadersShareImageUnderIngest|TestSQLDeleteRefused|TestNoSQLTrafficBuildsNoImage' ./internal/server
+	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom|TestSQLImage' .
 	@echo "query-smoke: ok"
 
 # MVCC serving-tier smoke: the epoch manager's unit battery, the

@@ -129,3 +129,56 @@ func BenchmarkGroupBy(b *testing.B) {
 		b.ReportMetric(float64(benchSink.NumRows()), "rows_out")
 	})
 }
+
+// BenchmarkFilterInt32EqLiteral is the point select `T.x = <entity>`
+// over TΠ (~4 of n rows kept): "closure" is the predicate the SQL
+// planner compiles for a general comparison — a value closure per
+// operand, float64 on both sides, NULL tests, a switch on the operator,
+// all per row — and "typed" is NewFilterInt32's loop over the column.
+func BenchmarkFilterInt32EqLiteral(b *testing.B) {
+	value := func(col int) func(t *Table, row int) (float64, bool) {
+		return func(t *Table, row int) (float64, bool) {
+			v := t.Int32Col(col)[row]
+			return float64(v), v == NullInt32
+		}
+	}
+	literal := func(v float64) func(*Table, int) (float64, bool) {
+		return func(*Table, int) (float64, bool) { return v, false }
+	}
+	benchSizes(b, func(b *testing.B, t *Table) {
+		lit := t.Int32Col(kX)[t.NumRows()/2]
+		lv, rv, op := value(kX), literal(float64(lit)), "="
+		pred := func(t *Table, row int) bool {
+			a, an := lv(t, row)
+			b, bn := rv(t, row)
+			if an || bn {
+				return false
+			}
+			switch op {
+			case "=":
+				return a == b
+			case "<>":
+				return a != b
+			case "<":
+				return a < b
+			}
+			return false
+		}
+		for name, node := range map[string]*FilterNode{
+			"closure": NewFilter(NewScan(t), "x = lit", pred),
+			"typed":   NewFilterInt32(NewScan(t), "x = lit", kX, CmpEq, lit),
+		} {
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := node.Run()
+					if err != nil || out.NumRows() == 0 {
+						b.Fatalf("%d rows, %v", out.NumRows(), err)
+					}
+					benchSink = out
+				}
+				b.ReportMetric(float64(benchSink.NumRows()), "rows_out")
+			})
+		}
+	})
+}

@@ -31,17 +31,52 @@ func (n *ScanNode) Run() (*Table, error) {
 // ---------------------------------------------------------------------------
 // Filter
 
-// FilterNode keeps the rows for which Pred returns true.
+// FilterNode keeps the rows for which Pred returns true, or — built by
+// NewFilterInt32 — the rows whose column compares true to a literal.
 type FilterNode struct {
 	base
 	child Node
 	pred  func(t *Table, row int) bool
+	cmp   *int32Cmp // set instead of pred by NewFilterInt32
 	desc  string
 }
 
 // NewFilter returns a filter over child; desc is used in Explain output.
 func NewFilter(child Node, desc string, pred func(t *Table, row int) bool) *FilterNode {
 	return &FilterNode{base: base{schema: child.OutSchema()}, child: child, pred: pred, desc: desc}
+}
+
+// CmpOp is a comparison operator of the typed filter.
+type CmpOp uint8
+
+// Comparison operators; each is the set of orderings (column below,
+// equal to, above the literal) it accepts.
+const (
+	CmpLt CmpOp = 1 << iota
+	CmpEq
+	CmpGt
+	CmpLe = CmpLt | CmpEq
+	CmpGe = CmpGt | CmpEq
+	CmpNe = CmpLt | CmpGt
+)
+
+// int32Cmp is the predicate `column <op> literal` over an Int32 column.
+type int32Cmp struct {
+	col int
+	op  CmpOp
+	lit int32
+}
+
+// NewFilterInt32 returns the filter `col <op> lit` over an Int32 column
+// of child: the same rows, row order, morsels and label as NewFilter
+// with the equivalent predicate, evaluated as one typed loop per morsel
+// instead of a closure call per row. A NULL cell compares true to
+// nothing; lit itself must not be NullInt32.
+func NewFilterInt32(child Node, desc string, col int, op CmpOp, lit int32) *FilterNode {
+	if child.OutSchema().Cols[col].Type != Int32 || lit == NullInt32 {
+		panic(fmt.Sprintf("engine: NewFilterInt32 (%s): column %d must be INT and the literal non-NULL", desc, col))
+	}
+	return &FilterNode{base: base{schema: child.OutSchema()}, child: child, cmp: &int32Cmp{col: col, op: op, lit: lit}, desc: desc}
 }
 
 func (n *FilterNode) Children() []Node { return []Node{n.child} }
@@ -55,31 +90,69 @@ func (n *FilterNode) Run() (*Table, error) {
 	}
 	in := ins[0]
 	return timeRun(&n.stats, n.exec, func() (*Table, error) {
+		if n.cmp != nil {
+			return filterRows(in, n.exec, &n.stats, n.cmp.keep(in)), nil
+		}
 		return FilterTableOpts(in, n.pred, n.exec, &n.stats), nil
 	})
 }
 
 // FilterTableOpts runs the filter kernel directly on a materialized
-// table under the given execution options; the MPP layer calls it once
-// per segment. Each morsel evaluates the predicate into a keep-list, and
-// the lists append in morsel order, reproducing the serial row order.
+// table under the given execution options, outside any plan.
 func FilterTableOpts(in *Table, pred func(t *Table, row int) bool, o Opts, st *NodeStats) *Table {
-	out := NewTable("filter", in.Schema())
-	nr := in.NumRows()
-	keep := make([][]int32, morselCount(nr, o.morsel()))
-	runMorsels("filter", nr, o, st, func(m, lo, hi int) {
-		var rows []int32
+	return filterRows(in, o, st, func(lo, hi int, rows []int32) []int32 {
 		for r := lo; r < hi; r++ {
 			if pred(in, r) {
 				rows = append(rows, int32(r))
 			}
 		}
-		keep[m] = rows
+		return rows
 	})
-	for _, rows := range keep {
+}
+
+// filterRows is the filter kernel: each morsel appends the rows of
+// [lo, hi) it keeps to a keep-list, and the lists append in morsel
+// order, reproducing the serial row order.
+func filterRows(in *Table, o Opts, st *NodeStats, keep func(lo, hi int, rows []int32) []int32) *Table {
+	out := NewTable("filter", in.Schema())
+	nr := in.NumRows()
+	kept := make([][]int32, morselCount(nr, o.morsel()))
+	runMorsels("filter", nr, o, st, func(m, lo, hi int) {
+		kept[m] = keep(lo, hi, nil)
+	})
+	for _, rows := range kept {
 		out.AppendRowsFrom(in, rows)
 	}
 	return out
+}
+
+// keep returns the per-morsel loop of the comparison over in's column.
+// Equality, the point select, gets its own loop: one compare per row,
+// and a NULL cell can never equal a non-NULL literal.
+func (c *int32Cmp) keep(in *Table) func(lo, hi int, rows []int32) []int32 {
+	col, lit := in.Int32Col(c.col), c.lit
+	if c.op == CmpEq {
+		return func(lo, hi int, rows []int32) []int32 {
+			for i, v := range col[lo:hi] {
+				if v == lit {
+					rows = append(rows, int32(lo+i))
+				}
+			}
+			return rows
+		}
+	}
+	lt, eq, gt := c.op&CmpLt != 0, c.op&CmpEq != 0, c.op&CmpGt != 0
+	return func(lo, hi int, rows []int32) []int32 {
+		for i, v := range col[lo:hi] {
+			if v == NullInt32 {
+				continue
+			}
+			if (v < lit && lt) || (v == lit && eq) || (v > lit && gt) {
+				rows = append(rows, int32(lo+i))
+			}
+		}
+		return rows
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ func (n *GroupByNode) Keys() []int { return n.keys }
 func Rebind(op Node, inputs ...*Table) Node {
 	switch n := op.(type) {
 	case *FilterNode:
-		return NewFilter(NewScan(inputs[0]), n.desc, n.pred)
+		f := NewFilter(NewScan(inputs[0]), n.desc, n.pred)
+		f.cmp = n.cmp
+		return f
 	case *ProjectNode:
 		return NewProject(NewScan(inputs[0]), n.exprs...)
 	case *HashJoinNode:

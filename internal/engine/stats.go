@@ -20,7 +20,7 @@ type TableStats struct {
 }
 
 // Analyze computes exact per-column statistics. Cost is O(rows × cols);
-// callers cache the result keyed by (table, row count).
+// Catalog.Stats keeps the result beside the table it describes.
 func Analyze(t *Table) *TableStats {
 	st := &TableStats{Rows: t.NumRows(), Cols: make([]ColStats, len(t.cols))}
 	for ci, c := range t.cols {

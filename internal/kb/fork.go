@@ -29,7 +29,7 @@ import "probkb/internal/mln"
 // forking a *published, pinned* generation legal while readers scan it.
 func (k *KB) Fork() *KB {
 	k.shared = true
-	return &KB{
+	child := &KB{
 		Entities: k.Entities.Fork(),
 		Classes:  k.Classes.Fork(),
 		RelDict:  k.RelDict.Fork(),
@@ -42,11 +42,16 @@ func (k *KB) Fork() *KB {
 
 		superOf:   k.superOf,
 		memberSet: k.memberSet,
-		factSet:   k.factSet,
+		factIx:    k.factIx,
 		relSigs:   k.relSigs,
 
 		shared: true,
 	}
+	// The child starts in the parent's state, so the parent's relational
+	// image (if it has one) describes the child too, until the child's
+	// first mutation drops it.
+	child.img.Store(k.img.Load())
+	return child
 }
 
 // capped returns a full-slice view with capacity capped at length, so
@@ -61,7 +66,16 @@ func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 // DeleteFacts) would otherwise corrupt the frozen generation readers
 // are pinned to. After the copy the KB is private again and further
 // mutations are direct.
+//
+// Being the one place every mutation passes, it is also where what was
+// derived from the previous state — the relational image — stops
+// describing this KB, shared or not, and is let go. (Only this KB's
+// pointer: the other side of a fork keeps the image, which still
+// describes it.)
 func (k *KB) materialize() {
+	if k.img.Load() != nil {
+		k.img.Store(nil)
+	}
 	if !k.shared {
 		return
 	}
@@ -85,11 +99,7 @@ func (k *KB) materialize() {
 	}
 	k.memberSet = memberSet
 
-	factSet := make(map[Key]int, len(k.factSet))
-	for key, i := range k.factSet {
-		factSet[key] = i
-	}
-	k.factSet = factSet
+	k.factIx = append(factIndex(nil), k.factIx...)
 
 	relSigs := make(map[Relation]struct{}, len(k.relSigs))
 	for s := range k.relSigs {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"probkb/internal/mln"
 )
@@ -88,12 +89,17 @@ type KB struct {
 	superOf map[int32][]int32
 
 	memberSet map[ClassMember]struct{}
-	factSet   map[Key]int
+	factIx    factIndex // Key → position in Facts
 	relSigs   map[Relation]struct{}
 
 	// shared marks this KB's slices and maps as visible to a Fork; the
 	// next mutation copies them privately first (see materialize).
 	shared bool
+
+	// img is the relational image (see Catalog) built for this KB, or
+	// inherited from the KB it was forked from, since its last mutation;
+	// the write barrier drops it.
+	img atomic.Pointer[image]
 }
 
 // ClassMember is one (class, entity) typing pair.
@@ -110,7 +116,6 @@ func New() *KB {
 		RelDict:   NewDict(),
 		superOf:   make(map[int32][]int32),
 		memberSet: make(map[ClassMember]struct{}),
-		factSet:   make(map[Key]int),
 		relSigs:   make(map[Relation]struct{}),
 	}
 }
@@ -251,7 +256,8 @@ func (k *KB) MembersOf(c int32) []int32 {
 // confidence).
 func (k *KB) AddFact(f Fact) (int, bool) {
 	k.materialize()
-	if i, ok := k.factSet[f.Key()]; ok {
+	key := f.Key()
+	if i, ok := k.factIx.find(k.Facts, key); ok {
 		if f.W > k.Facts[i].W {
 			k.Facts[i].W = f.W
 		}
@@ -259,7 +265,11 @@ func (k *KB) AddFact(f Fact) (int, bool) {
 	}
 	i := len(k.Facts)
 	k.Facts = append(k.Facts, f)
-	k.factSet[f.Key()] = i
+	if 2*len(k.Facts) > len(k.factIx) {
+		k.factIx = newFactIndex(k.Facts, factIndexSlots(len(k.Facts)))
+	} else {
+		k.factIx.insert(key, i)
+	}
 	k.AddMember(f.XClass, f.X)
 	k.AddMember(f.YClass, f.Y)
 	return i, true
@@ -271,7 +281,7 @@ func (k *KB) AddFact(f Fact) (int, bool) {
 func (k *KB) ReplaceFacts(facts []Fact) {
 	k.materialize()
 	k.Facts = k.Facts[:0]
-	k.factSet = make(map[Key]int, len(facts))
+	k.factIx = make(factIndex, factIndexSlots(len(facts)))
 	for _, f := range facts {
 		k.AddFact(f)
 	}
@@ -279,14 +289,13 @@ func (k *KB) ReplaceFacts(facts []Fact) {
 
 // HasFact reports whether the key is present.
 func (k *KB) HasFact(key Key) bool {
-	_, ok := k.factSet[key]
+	_, ok := k.factIx.find(k.Facts, key)
 	return ok
 }
 
 // FactIndex returns the position in Facts of the fact with the given key.
 func (k *KB) FactIndex(key Key) (int, bool) {
-	i, ok := k.factSet[key]
-	return i, ok
+	return k.factIx.find(k.Facts, key)
 }
 
 // SetWeight assigns the weight of the fact with the given key and
@@ -295,7 +304,7 @@ func (k *KB) FactIndex(key Key) (int, bool) {
 // and a duplicated WAL tail must not change the outcome.
 func (k *KB) SetWeight(key Key, w float64) bool {
 	k.materialize()
-	i, ok := k.factSet[key]
+	i, ok := k.factIx.find(k.Facts, key)
 	if !ok {
 		return false
 	}
@@ -321,13 +330,8 @@ func (k *KB) DeleteFacts(keys map[Key]bool) int {
 	}
 	deleted := len(k.Facts) - len(kept)
 	if deleted > 0 {
-		k.Facts = k.Facts[:0:0]
-		k.factSet = make(map[Key]int, len(kept))
-		for _, f := range kept {
-			i := len(k.Facts)
-			k.Facts = append(k.Facts, f)
-			k.factSet[f.Key()] = i
-		}
+		k.Facts = kept
+		k.factIx = newFactIndex(kept, factIndexSlots(len(kept)))
 	}
 	return deleted
 }

@@ -1,10 +1,16 @@
 package kb
 
 import (
-	"probkb/internal/engine"
+	"sync"
 
+	"probkb/internal/engine"
 	"probkb/internal/mln"
+	"probkb/internal/obs"
 )
+
+func init() {
+	obs.Default.Help("probkb_kb_image_tables_built_total", "Tables of a KB generation's relational image materialized on first SQL reference, by table.")
+}
 
 // Column indices of the facts table TΠ (Definition 4 and Figure 3(a)).
 // Every module that touches TΠ uses these constants, so the layout is
@@ -115,21 +121,120 @@ func (k *KB) ConstraintsTable() *engine.Table {
 }
 
 // DictTable materializes a dictionary as an (id, name) table, e.g. the DE,
-// DC, DR tables of Section 4.2.
+// DC, DR tables of Section 4.2. The name column aliases the dictionary's
+// own storage (interned names are never rewritten, only appended past
+// this length), so the table is read-only.
 func DictTable(name string, d *Dict) *engine.Table {
-	t := engine.NewTable(name, engine.NewSchema(
+	return dictTable(name, d.Names())
+}
+
+func dictTable(name string, names []string) *engine.Table {
+	ids := make([]int32, len(names))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return engine.TableFromColumns(name, engine.NewSchema(
 		engine.C("id", engine.Int32),
 		engine.C("name", engine.String),
-	))
-	t.Reserve(d.Len())
-	for id, s := range d.Names() {
-		t.AppendRow(int32(id), s)
-	}
-	return t
+	), ids, capped(names))
 }
 
 // MLNPartitions builds the six MLN partition tables M1..M6 from the KB's
 // rule set.
 func (k *KB) MLNPartitions() (*mln.Partitions, error) {
 	return mln.Build(k.Rules)
+}
+
+// image is the relational image of one KB state: the Section 4.2
+// catalog — T, TC, TR, FC, M1..M6, DE, DC, DR — that the SQL surface
+// plans and runs against, with each table's ANALYZE statistics held
+// beside it (engine.Catalog.Stats).
+//
+// An image is immutable and safe for any number of concurrent readers.
+// It is created empty and each table materializes on first reference,
+// once: a point select on T never builds DE or the MLN partitions, and
+// a generation nobody sends SQL to builds nothing. The recipes read a
+// frozen view captured at creation — slice headers, never the KB — so a
+// fork that still holds the image after its parent moved on builds the
+// state the image was created for, not the parent's current one. The
+// captured arrays stay untouched for as long as a KB the image is
+// current for exists: such a KB either never mutated since (then nobody
+// wrote) or is one side of a Fork, and the other side's first write
+// copies away from them (materialize).
+type image struct {
+	// The dictionary lengths the image was created at. Everything else
+	// that changes a KB passes the write barrier, which drops the image;
+	// callers intern symbols on the dictionaries directly.
+	entities, classes, relations int
+
+	cat *engine.Catalog
+}
+
+func (im *image) currentFor(k *KB) bool {
+	return im.entities == k.Entities.Len() && im.classes == k.Classes.Len() && im.relations == k.RelDict.Len()
+}
+
+// Catalog returns the KB's relational image as a frozen catalog: the
+// tables the paper's Queries 1-i/2-i/3 name, lazily materialized and
+// shared by every caller until the KB next changes. A Fork inherits it,
+// so a generation that differs from its parent only in what lives
+// outside the KB (marginals), or a batch that turned out to add
+// nothing, rebuilds nothing. Callers must not mutate the tables.
+//
+// Like every read, it is safe concurrently with other reads of this KB
+// and with mutations of its forks, not with mutations of this KB — and
+// a catalog fetched before this KB mutates must not be read after: an
+// unshared KB mutates in place, under tables the catalog has yet to
+// build. Fetch it per query, as the SQL entry points do; it is a load
+// and three compares.
+func (k *KB) Catalog() *engine.Catalog {
+	for {
+		old := k.img.Load()
+		if old != nil && old.currentFor(k) {
+			return old.cat
+		}
+		im := newImage(k)
+		if k.img.CompareAndSwap(old, im) {
+			return im.cat
+		}
+	}
+}
+
+func newImage(k *KB) *image {
+	// The frozen view. Dictionary names are only ever appended past the
+	// captured length; the other slices are covered by the argument on
+	// the type.
+	view := &KB{Relations: k.Relations, Members: k.Members, Facts: k.Facts, Rules: k.Rules, Constraints: k.Constraints}
+	entities, classes, relations := k.Entities.Names(), k.Classes.Names(), k.RelDict.Names()
+
+	cat := engine.NewCatalog()
+	put := func(name string, build func() (*engine.Table, error)) {
+		cat.PutLazy(name, func() (*engine.Table, error) {
+			obs.Default.Counter("probkb_kb_image_tables_built_total", obs.L("table", name)).Inc()
+			return build()
+		})
+	}
+	ok := func(build func() *engine.Table) func() (*engine.Table, error) {
+		return func() (*engine.Table, error) { return build(), nil }
+	}
+	put("T", ok(view.FactsTable))
+	put("TC", ok(view.ClassTable))
+	put("TR", ok(view.RelationTable))
+	put("FC", ok(view.ConstraintsTable))
+	parts := sync.OnceValues(view.MLNPartitions) // one pass over the rules fills all six
+	for i := mln.P1; i <= mln.P6; i++ {
+		put(mln.TableName(i), func() (*engine.Table, error) {
+			p, err := parts()
+			if err != nil {
+				return nil, err
+			}
+			return p.Table(i), nil
+		})
+	}
+	put("DE", ok(func() *engine.Table { return dictTable("DE", entities) }))
+	put("DC", ok(func() *engine.Table { return dictTable("DC", classes) }))
+	put("DR", ok(func() *engine.Table { return dictTable("DR", relations) }))
+	cat.Freeze()
+
+	return &image{entities: len(entities), classes: len(classes), relations: len(relations), cat: cat}
 }

@@ -47,14 +47,17 @@ type Partitions struct {
 	total   int
 }
 
+// TableName is the name partition i's table carries: M1..M6.
+func TableName(i int) string { return fmt.Sprintf("M%d", i) }
+
 // NewPartitions returns six empty MLN tables.
 func NewPartitions() *Partitions {
 	p := &Partitions{}
 	for i := P1; i <= P2; i++ {
-		p.m[i] = engine.NewTable(fmt.Sprintf("M%d", i), Len2Schema())
+		p.m[i] = engine.NewTable(TableName(i), Len2Schema())
 	}
 	for i := P3; i <= P6; i++ {
-		p.m[i] = engine.NewTable(fmt.Sprintf("M%d", i), Len3Schema())
+		p.m[i] = engine.NewTable(TableName(i), Len3Schema())
 	}
 	return p
 }

@@ -60,7 +60,10 @@
 //	                                      depth/radius/markov/burnin/samples);
 //	                                      identical in-flight lookups coalesce
 //	                                      into a single grounding run
-//	GET    /sql?q=SELECT...&analyze=1     run a SQL query (see probkb.QuerySQL);
+//	GET    /sql?q=SELECT...&analyze=1     run a SQL query (see probkb.QuerySQL)
+//	                                      over the pinned generation's shared,
+//	                                      read-only relational image — SELECT
+//	                                      only; the answer names the generation;
 //	                                      analyze=1 adds the EXPLAIN ANALYZE
 //	                                      plan (estimates vs actuals) to the
 //	                                      response and journals it
@@ -853,7 +856,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, snap *snapshot, _ uint64) {
+func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, snap *snapshot, gen uint64) {
 	query := r.URL.Query().Get("q")
 	if query == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing q parameter"))
@@ -871,7 +874,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, snap *snapsho
 		return
 	}
 	s.noteQuery(r, aq, snap.exp, time.Since(start), planText, planNode)
-	payload := map[string]any{"columns": res.Columns, "rows": res.Rows}
+	payload := map[string]any{"columns": res.Columns, "rows": res.Rows, "generation": gen}
 	if analyze {
 		payload["plan"] = planText
 		journalAnalyzed(snap.exp, aq, query, time.Since(start), planNode)
@@ -883,7 +886,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, snap *snapsho
 // — including joins whose inputs are not collocated, which once
 // panicked deep inside the MPP layer — come back as a 400 with the
 // planner's error; the process stays up.
-func (s *Server) handleDistSQL(w http.ResponseWriter, r *http.Request, snap *snapshot, _ uint64) {
+func (s *Server) handleDistSQL(w http.ResponseWriter, r *http.Request, snap *snapshot, gen uint64) {
 	var req struct {
 		Q        string `json:"q"`
 		Segments int    `json:"segments"`
@@ -907,7 +910,7 @@ func (s *Server) handleDistSQL(w http.ResponseWriter, r *http.Request, snap *sna
 		return
 	}
 	s.noteQuery(r, aq, snap.exp, time.Since(start), planText, planNode)
-	payload := map[string]any{"columns": res.Columns, "rows": res.Rows}
+	payload := map[string]any{"columns": res.Columns, "rows": res.Rows, "generation": gen}
 	if req.Analyze {
 		payload["plan"] = planText
 		journalAnalyzed(snap.exp, aq, req.Q, time.Since(start), planNode)

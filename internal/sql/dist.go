@@ -21,28 +21,36 @@ import (
 type DistDB struct {
 	cluster *mpp.Cluster
 	planner *DB
+	hashed  map[string][]int
 	tables  map[*engine.Table]*mpp.DistTable
 }
 
-// NewDistDB distributes every catalog table across the cluster. Tables
+// NewDistDB plans over cat and places its tables on the cluster. Tables
 // with an entry in hashed are hash-distributed by those column indexes;
-// all others are replicated (the dimension-table default).
+// all others are replicated (the dimension-table default). A table is
+// placed when a statement first scans it, so a query pays to load only
+// the tables it names.
 func NewDistDB(cat *engine.Catalog, cluster *mpp.Cluster, hashed map[string][]int) *DistDB {
 	// Joins run in the order written, so which of them are collocated
 	// follows from the statement alone, and planning never pays an
 	// ANALYZE pass over the tables: estimates are the planner's defaults.
 	planner := NewDB(cat)
 	planner.SetOptimize(false)
-	db := &DistDB{cluster: cluster, planner: planner, tables: map[*engine.Table]*mpp.DistTable{}}
-	for _, name := range cat.Names() {
-		t := cat.MustGet(name)
-		if key, ok := hashed[name]; ok {
-			db.tables[t] = cluster.Distribute(t, key)
+	return &DistDB{cluster: cluster, planner: planner, hashed: hashed, tables: map[*engine.Table]*mpp.DistTable{}}
+}
+
+// place returns t's copy on the cluster, loading it on first use.
+func (db *DistDB) place(t *engine.Table) *mpp.DistTable {
+	d, ok := db.tables[t]
+	if !ok {
+		if key, hash := db.hashed[t.Name()]; hash {
+			d = db.cluster.Distribute(t, key)
 		} else {
-			db.tables[t] = cluster.Replicate(t)
+			d = db.cluster.Replicate(t)
 		}
+		db.tables[t] = d
 	}
-	return db
+	return d
 }
 
 // Query parses, plans, and runs a SELECT as a distributed plan, then
@@ -68,9 +76,7 @@ func (db *DistDB) QueryAnalyzeContext(ctx context.Context, text string) (*engine
 	if err != nil {
 		return nil, nil, err
 	}
-	// A table put into the catalog after NewDistDB has no cluster copy;
-	// Lower turns the nil into a deferred error.
-	plan := mpp.Lower(logical, func(t *engine.Table) *mpp.DistTable { return db.tables[t] }, nil, false)
+	plan := mpp.Lower(logical, db.place, nil, false)
 	if ctx != nil {
 		db.cluster.SetContext(ctx)
 	}

@@ -20,25 +20,7 @@ import (
 //     bridging equality predicates (the textbook distinct-value model);
 //   - fall back to a cross join only when no connected table remains.
 //
-// Statistics are cached per (table, row count) in the DB.
-
-type cachedStats struct {
-	rows int
-	st   *engine.TableStats
-}
-
-// statsOf returns (and caches) ANALYZE output for t.
-func (db *DB) statsOf(t *engine.Table) *engine.TableStats {
-	if db.stats == nil {
-		db.stats = make(map[*engine.Table]cachedStats)
-	}
-	if c, ok := db.stats[t]; ok && c.rows == t.NumRows() {
-		return c.st
-	}
-	st := engine.Analyze(t)
-	db.stats[t] = cachedStats{rows: t.NumRows(), st: st}
-	return st
-}
+// Statistics come from the catalog, which gathers them once per table.
 
 // refInfo is one FROM/JOIN source with its statistics.
 type refInfo struct {

@@ -216,19 +216,19 @@ func TestAnalyzeStats(t *testing.T) {
 
 func TestStatsCacheInvalidation(t *testing.T) {
 	cat := optimizerCatalog()
-	db := NewDB(cat)
-	tiny := cat.MustGet("Tiny")
-	st1 := db.statsOf(tiny)
-	if st1.Rows != 3 {
-		t.Fatalf("rows = %d", st1.Rows)
+	st1, err := cat.Stats("Tiny")
+	if err != nil || st1.Rows != 3 {
+		t.Fatalf("stats = %+v, %v", st1, err)
 	}
-	// Cache hit returns the same object.
-	if db.statsOf(tiny) != st1 {
-		t.Fatal("stats not cached")
+	// Gathered once: every later plan gets the same object.
+	if st, _ := cat.Stats("Tiny"); st != st1 {
+		t.Fatal("stats not kept with the table")
 	}
-	tiny.AppendRow(int32(9))
-	st2 := db.statsOf(tiny)
-	if st2 == st1 || st2.Rows != 4 {
-		t.Fatal("stats cache not invalidated on growth")
+	// A DELETE re-registers the table, so the next plan sees fresh ones.
+	if n, err := NewDB(cat).Exec("DELETE FROM Tiny WHERE Tiny.m = 2"); err != nil || n != 1 {
+		t.Fatalf("delete: %d, %v", n, err)
+	}
+	if st2, _ := cat.Stats("Tiny"); st2 == st1 || st2.Rows != 2 {
+		t.Fatalf("stats after DELETE = %+v, want a fresh pass over 2 rows", st2)
 	}
 }

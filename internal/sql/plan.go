@@ -9,17 +9,19 @@ import (
 	"probkb/internal/obs"
 )
 
-// DB executes SQL statements against an engine catalog.
+// DB executes SQL statements against an engine catalog. It holds
+// settings only — tables and their statistics belong to the catalog —
+// so any number of DBs, on any number of goroutines, may run SELECTs
+// over one catalog.
 type DB struct {
 	cat      *engine.Catalog
-	stats    map[*engine.Table]cachedStats
 	optimize bool
 	workers  int
 }
 
 // NewDB wraps a catalog. The cost-based join-order optimizer is on by
-// default; SetOptimize(false) forces syntactic join order and skips the
-// table statistics the optimizer would gather.
+// default; SetOptimize(false) forces syntactic join order and never asks
+// the catalog for the table statistics the optimizer plans with.
 func NewDB(cat *engine.Catalog) *DB { return &DB{cat: cat, optimize: true} }
 
 // SetOptimize toggles the join-order optimizer (useful for plan
@@ -122,8 +124,13 @@ func (db *DB) execOpts(ctx context.Context) engine.Opts {
 	return o
 }
 
-// Exec runs a DELETE and reports how many rows it removed.
+// Exec runs a DELETE and reports how many rows it removed. A frozen
+// catalog is shared with readers who were promised immutable tables, so
+// Exec refuses it.
 func (db *DB) Exec(text string) (int, error) {
+	if db.cat.Frozen() {
+		return 0, fmt.Errorf("sql: the catalog is read-only")
+	}
 	stmt, err := Parse(text)
 	if err != nil {
 		return 0, err
@@ -131,7 +138,11 @@ func (db *DB) Exec(text string) (int, error) {
 	if stmt.Delete == nil {
 		return 0, fmt.Errorf("sql: Exec requires a DELETE")
 	}
-	return db.execDelete(stmt.Delete)
+	t, n, err := db.execDelete(stmt.Delete)
+	if n > 0 {
+		db.cat.Put(t) // a fresh entry: the statistics described the rows just deleted
+	}
+	return n, err
 }
 
 // ---------------------------------------------------------------------------
@@ -217,11 +228,13 @@ func (db *DB) planSelect(s *SelectStmt) (engine.Node, error) {
 		}
 		info := refInfo{ref: ref, table: t}
 		if db.optimize {
-			// ANALYZE costs a pass over the table, which only the cost
-			// model justifies. Without statistics the estimator below
-			// falls back to its defaults: filters keep 1/3, a join the
-			// smaller input.
-			info.stats = db.statsOf(t)
+			// ANALYZE costs a pass over the table (the first time the
+			// catalog is asked), which only the cost model justifies.
+			// Without statistics the estimator below falls back to its
+			// defaults: filters keep 1/3, a join the smaller input.
+			if info.stats, err = db.cat.Stats(ref.Name); err != nil {
+				return nil, err
+			}
 			info.card = filteredCard(t, info.stats, b, pool)
 		}
 		infos = append(infos, info)
@@ -257,11 +270,11 @@ func (db *DB) planSelect(s *SelectStmt) (engine.Node, error) {
 			if !condResolves(c, sc) {
 				continue
 			}
-			pred, err := compileCondition(c, sc)
+			f, err := newFilter(plan, c.String(), c, sc)
 			if err != nil {
 				return nil, err
 			}
-			plan = engine.NewFilter(plan, c.String(), pred)
+			plan = f
 			est = stamp(plan, est*em.condSelectivity(c, sc))
 			used[i] = true
 		}
@@ -540,11 +553,10 @@ func (db *DB) planAggregate(plan engine.Node, sc *scope, s *SelectStmt, em *esti
 		if hh.Right.Agg != aggNone {
 			hh.Right = Expr{Col: ColRef{Col: aggColName(hh.Right)}}
 		}
-		pred, err := compileCondition(hh, sc)
-		if err != nil {
+		var err error
+		if plan, err = newFilter(plan, h.String(), hh, sc); err != nil {
 			return nil, nil, 0, err
 		}
-		plan = engine.NewFilter(plan, h.String(), pred)
 		est = stamp(plan, est*defaultSel)
 	}
 	return plan, sc, est, nil
@@ -563,6 +575,59 @@ func condResolves(c Condition, sc *scope) bool {
 		return check(c.Left)
 	}
 	return check(c.Left) && check(c.Right)
+}
+
+// newFilter plans condition c, which resolves in sc, over plan. An INT
+// column compared to an integer literal — every point select on a fact
+// or dictionary ID — becomes the engine's typed filter; anything else
+// goes through the general predicate. The label is the same either way.
+func newFilter(plan engine.Node, desc string, c Condition, sc *scope) (engine.Node, error) {
+	if col, op, lit, ok := int32Comparison(c, sc); ok {
+		return engine.NewFilterInt32(plan, desc, col, op, lit), nil
+	}
+	pred, err := compileCondition(c, sc)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewFilter(plan, desc, pred), nil
+}
+
+// cmpOps maps a comparison to the engine's operator and to the operator
+// with its operands swapped (literal on the left).
+var cmpOps = map[CmpOp][2]engine.CmpOp{
+	"=":  {engine.CmpEq, engine.CmpEq},
+	"<>": {engine.CmpNe, engine.CmpNe},
+	"<":  {engine.CmpLt, engine.CmpGt},
+	"<=": {engine.CmpLe, engine.CmpGe},
+	">":  {engine.CmpGt, engine.CmpLt},
+	">=": {engine.CmpGe, engine.CmpLe},
+}
+
+// int32Comparison recognizes `<INT column> <op> <integer literal>`, in
+// either operand order, as (column index, operator, literal). The
+// literal must be an integer an INT cell can hold and not the NULL
+// sentinel; 1.5, 1e12 and the rest compare as float64 like before.
+func int32Comparison(c Condition, sc *scope) (col int, op engine.CmpOp, lit int32, ok bool) {
+	ops, known := cmpOps[c.Op]
+	if !known || c.IsNull || c.NotNul {
+		return 0, 0, 0, false
+	}
+	colExpr, litExpr, swapped := c.Left, c.Right, 0
+	if colExpr.IsNumber {
+		colExpr, litExpr, swapped = c.Right, c.Left, 1
+	}
+	if !litExpr.IsNumber || colExpr.isLiteral() || colExpr.Agg != aggNone {
+		return 0, 0, 0, false
+	}
+	v := litExpr.Number
+	if v != math.Trunc(v) || v <= math.MinInt32 || v > math.MaxInt32 {
+		return 0, 0, 0, false
+	}
+	idx, err := sc.resolve(colExpr.Col)
+	if err != nil || sc.cols[idx].typ != engine.Int32 {
+		return 0, 0, 0, false
+	}
+	return idx, ops[swapped], int32(v), true
 }
 
 // compileCondition builds the filter predicate for a resolvable condition.
@@ -692,21 +757,21 @@ func compileString(e Expr, sc *scope) (func(t *engine.Table, row int) string, er
 // ---------------------------------------------------------------------------
 // DELETE
 
-func (db *DB) execDelete(d *DeleteStmt) (int, error) {
+func (db *DB) execDelete(d *DeleteStmt) (*engine.Table, int, error) {
 	t, err := db.cat.Get(d.Table.Name)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	sc := scopeOf(d.Table.Binding(), t)
 
 	if d.InSelect != nil {
 		sub, err := db.planSelect(d.InSelect)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		result, err := engine.Run(sub, "in_subquery")
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		// Match columns must all be Int32 on both sides.
 		outerCols := make([]int, len(d.InCols))
@@ -714,19 +779,19 @@ func (db *DB) execDelete(d *DeleteStmt) (int, error) {
 		for i, ref := range d.InCols {
 			idx, err := sc.resolve(ref)
 			if err != nil {
-				return 0, err
+				return nil, 0, err
 			}
 			if sc.cols[idx].typ != engine.Int32 {
-				return 0, fmt.Errorf("sql: IN requires integer columns (%s)", ref)
+				return nil, 0, fmt.Errorf("sql: IN requires integer columns (%s)", ref)
 			}
 			outerCols[i] = idx
 			if result.Schema().Cols[i].Type != engine.Int32 {
-				return 0, fmt.Errorf("sql: IN subquery column %d is not integer", i)
+				return nil, 0, fmt.Errorf("sql: IN subquery column %d is not integer", i)
 			}
 			subCols[i] = i
 		}
 		set := engine.NewRowSet(result, subCols)
-		return t.DeleteWhere(func(row int) bool {
+		return t, t.DeleteWhere(func(row int) bool {
 			return set.Contains(t, row, outerCols)
 		}), nil
 	}
@@ -735,11 +800,11 @@ func (db *DB) execDelete(d *DeleteStmt) (int, error) {
 	for _, c := range d.Where {
 		p, err := compileCondition(c, sc)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		preds = append(preds, p)
 	}
-	return t.DeleteWhere(func(row int) bool {
+	return t, t.DeleteWhere(func(row int) bool {
 		for _, p := range preds {
 			if !p(t, row) {
 				return false

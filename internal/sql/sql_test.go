@@ -544,3 +544,92 @@ func TestExplainOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestInt32ComparisonRecognition pins which conditions take the typed
+// filter: an INT column against an integer literal an INT cell can hold,
+// either way round; everything else keeps the float64 predicate.
+func TestInt32ComparisonRecognition(t *testing.T) {
+	cat, _ := paperCatalog(t)
+	sc := scopeOf("T", cat.MustGet("T"))
+	parse := func(where string) Condition {
+		stmt, err := Parse("SELECT T.I FROM T WHERE " + where)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		return stmt.Select.Where[0]
+	}
+	typed := []struct {
+		where string
+		col   int
+		op    engine.CmpOp
+		lit   int32
+	}{
+		{"T.x = 7", kb.TPiX, engine.CmpEq, 7},
+		{"7 = T.x", kb.TPiX, engine.CmpEq, 7},
+		{"T.I <> 0", kb.TPiI, engine.CmpNe, 0},
+		{"T.R < -3", kb.TPiR, engine.CmpLt, -3},
+		{"3 < T.R", kb.TPiR, engine.CmpGt, 3},
+		{"3 >= T.R", kb.TPiR, engine.CmpLe, 3},
+		{"T.y >= 2.0", kb.TPiY, engine.CmpGe, 2},
+		{"T.y <= 2147483647", kb.TPiY, engine.CmpLe, 2147483647},
+	}
+	for _, c := range typed {
+		col, op, lit, ok := int32Comparison(parse(c.where), sc)
+		if !ok || col != c.col || op != c.op || lit != c.lit {
+			t.Errorf("%s: got (col %d, op %03b, lit %d, %v)", c.where, col, op, lit, ok)
+		}
+	}
+	for _, where := range []string{
+		"T.x = 1.5",         // not an integer
+		"T.x < 2147483648",  // beyond INT
+		"T.x > -2147483648", // the NULL sentinel
+		"T.w = 1",           // a FLOAT column
+		"T.x = T.y",         // no literal
+		"T.x IS NULL",       // not a comparison
+		"T.x IS NOT NULL",   //
+		"1 = 1",             // no column
+		"T.x = NULL",        // NULL literal
+		"T.nosuch = 1",      // unresolvable: the general path reports it
+	} {
+		if _, _, _, ok := int32Comparison(parse(where), sc); ok {
+			t.Errorf("%s: took the typed path", where)
+		}
+	}
+}
+
+// TestTypedAndGeneralFiltersAgree: each statement pair differs only in
+// whether its literal is spelled so that the typed filter applies; rows
+// and EXPLAIN shape must not care.
+func TestTypedAndGeneralFiltersAgree(t *testing.T) {
+	tab := engine.NewTable("N", engine.NewSchema(engine.C("v", engine.Int32), engine.C("w", engine.Float64)))
+	for i := -20; i < 20; i++ {
+		tab.AppendRow(int32(i), float64(i)/2)
+	}
+	tab.AppendRow(engine.NullInt32, 0.0)
+	cat := engine.NewCatalog()
+	cat.Put(tab)
+	db := NewDB(cat)
+	for _, pair := range [][2]string{
+		{"N.v > 3", "N.v > 3.5"}, // over integers, the same rows
+		{"N.v <= 3", "N.v < 3.5"},
+		{"4 <= N.v", "N.v > 3.5"},
+		{"N.v <> -5", "N.v <> -5 AND N.v > -2147483648"},
+		{"N.v = 12", "N.v > 11.5 AND N.v < 12.5"},
+	} {
+		a, err := db.Query("SELECT N.v FROM N WHERE " + pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := db.Query("SELECT N.v FROM N WHERE " + pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() || a.NumRows() == 0 {
+			t.Errorf("%q kept\n%s\n%q kept\n%s", pair[0], a, pair[1], b)
+		}
+	}
+	plan, err := db.Explain("SELECT N.v FROM N WHERE N.v = 12")
+	if err != nil || !strings.Contains(plan, "Filter (N.v = 12)  (rows=1 ") {
+		t.Fatalf("typed filter's EXPLAIN line: %v\n%s", err, plan)
+	}
+}

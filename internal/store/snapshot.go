@@ -54,13 +54,6 @@ var (
 	taxonomySchema   = engine.NewSchema(engine.C("sub", engine.Int32), engine.C("super", engine.Int32))
 )
 
-func dictTable(name string, d *kb.Dict) *engine.Table {
-	names := d.Names()
-	vals := make([]string, len(names))
-	copy(vals, names)
-	return engine.TableFromColumns(name, nameSchema, vals)
-}
-
 // KBTables renders the KB as the snapshot's named tables. The result is
 // a pure function of the KB — same KB, same tables, same bytes.
 func KBTables(k *kb.KB, walGen uint32) ([]*engine.Table, error) {
@@ -107,9 +100,9 @@ func KBTables(k *kb.KB, walGen uint32) ([]*engine.Table, error) {
 	}
 	return []*engine.Table{
 		meta,
-		dictTable("entities", k.Entities),
-		dictTable("classes", k.Classes),
-		dictTable("relnames", k.RelDict),
+		engine.TableFromColumns("entities", nameSchema, k.Entities.Names()),
+		engine.TableFromColumns("classes", nameSchema, k.Classes.Names()),
+		engine.TableFromColumns("relnames", nameSchema, k.RelDict.Names()),
 		rels, members, facts, rules, constraints, taxonomy,
 	}, nil
 }

@@ -7,6 +7,7 @@ package probkb_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -94,4 +95,41 @@ func BenchmarkQueryLocalCached(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPointSelect is the benchmark's point-serve-sql operation in
+// the library: `SELECT ... FROM T WHERE T.x = <entity>` over the scale
+// 0.25 corpus. "hit" is what a served generation pays per request — the
+// relational image exists, so parse + plan + one typed scan of T;
+// "build" is the first request after a mutation, which materializes T
+// again and re-ANALYZEs it (what every request paid before the image).
+func BenchmarkPointSelect(b *testing.B) {
+	k, _, err := probkb.Synthesize(0.25, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entities := k.Stats().Entities
+	query := func(i int) {
+		q := fmt.Sprintf("SELECT T.R, T.y, T.w FROM T WHERE T.x = %d", i*7919%entities)
+		if _, err := k.QuerySQL(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bump := func() { k.AddFact("bench_rel", "bench_x", "BenchClass", "bench_y", "BenchClass", 0.5) }
+	bump() // the first call interns; every later one only passes the write barrier
+	b.Run("hit", func(b *testing.B) {
+		query(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			query(i)
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bump()
+			query(i)
+		}
+	})
 }

@@ -6,54 +6,18 @@ import (
 
 	"probkb/internal/engine"
 	"probkb/internal/kb"
-	"probkb/internal/mln"
 	"probkb/internal/mpp"
 	"probkb/internal/obs/journal"
 	"probkb/internal/sql"
 )
 
-// sqlCatalog builds the relational catalog of Section 4.2 — T (facts),
-// TC (class membership), TR (relation signatures), FC (functional
-// constraints), the MLN partition tables M1..M6, and the dictionary
-// tables DE/DC/DR.
-func (k *KB) sqlCatalog() (*engine.Catalog, error) {
-	parts, err := k.inner.MLNPartitions()
-	if err != nil {
-		return nil, err
-	}
-	cat := engine.NewCatalog()
-	cat.Put(k.inner.FactsTable())
-	cat.Put(k.inner.ClassTable())
-	cat.Put(k.inner.RelationTable())
-	cat.Put(k.inner.ConstraintsTable())
-	for i := mln.P1; i <= mln.P6; i++ {
-		cat.Put(parts.Table(i))
-	}
-	cat.Put(dictTable("DE", k.inner.Entities.Names()))
-	cat.Put(dictTable("DC", k.inner.Classes.Names()))
-	cat.Put(dictTable("DR", k.inner.RelDict.Names()))
-	return cat, nil
-}
-
-// sqlDB wraps the catalog in the single-node SQL executor.
-func (k *KB) sqlDB() (*sql.DB, error) {
-	cat, err := k.sqlCatalog()
-	if err != nil {
-		return nil, err
-	}
-	return sql.NewDB(cat), nil
-}
-
-func dictTable(name string, names []string) *engine.Table {
-	t := engine.NewTable(name, engine.NewSchema(
-		engine.C("id", engine.Int32),
-		engine.C("name", engine.String),
-	))
-	for id, s := range names {
-		t.AppendRow(int32(id), s)
-	}
-	return t
-}
+// sqlDB is the single-node SQL executor over the KB's relational image
+// (kb.Catalog): the Section 4.2 tables T (facts), TC (class membership),
+// TR (relation signatures), FC (functional constraints), M1..M6 (MLN
+// partitions) and DE/DC/DR (dictionaries), each materialized — and
+// ANALYZEd — on first reference and then shared by every query until
+// the KB next changes. The DB itself is three words of settings.
+func (k *KB) sqlDB() *sql.DB { return sql.NewDB(k.inner.Catalog()) }
 
 // QueryResult is a SQL result rendered for display.
 type QueryResult struct {
@@ -62,9 +26,13 @@ type QueryResult struct {
 }
 
 // QuerySQL runs a SELECT against the KB's relational representation
-// (Section 4.2 of the paper): tables T, TC, TR, FC, M1..M6, DE. The
-// paper's grounding queries run verbatim. Results render as strings;
-// this entry point exists for exploration and tooling, not hot paths.
+// (Section 4.2 of the paper): tables T, TC, TR, FC, M1..M6, DE, DC, DR.
+// The paper's grounding queries run verbatim. The tables are built once
+// per KB state, on first reference, and kept until the KB is next
+// mutated, so a stream of queries over a served generation pays for
+// planning and execution only — for a point select on T, one scan of
+// its rows. Results render as strings. The relational image is
+// read-only: anything but a SELECT is an error.
 func (k *KB) QuerySQL(query string) (*QueryResult, error) {
 	return k.QuerySQLContext(context.Background(), query)
 }
@@ -82,11 +50,7 @@ func (k *KB) QuerySQLContext(ctx context.Context, query string) (*QueryResult, e
 // rendering (estimates next to actuals) and the captured plan tree in
 // journal form, for /sql?analyze=1 responses and slow-query records.
 func (k *KB) QuerySQLAnalyze(ctx context.Context, query string) (*QueryResult, string, *journal.PlanNode, error) {
-	db, err := k.sqlDB()
-	if err != nil {
-		return nil, "", nil, err
-	}
-	out, plan, err := db.QueryAnalyzeContext(ctx, query)
+	out, plan, err := k.sqlDB().QueryAnalyzeContext(ctx, query)
 	if err != nil {
 		return nil, "", nil, wrapSQLErr(err)
 	}
@@ -144,15 +108,11 @@ func (k *KB) QueryDistSQLContext(ctx context.Context, query string, segments int
 // rendering includes per-segment row counts, motion volumes, and
 // segment-task retries.
 func (k *KB) QueryDistSQLAnalyze(ctx context.Context, query string, segments int) (*QueryResult, string, *journal.PlanNode, error) {
-	cat, err := k.sqlCatalog()
-	if err != nil {
-		return nil, "", nil, err
-	}
 	if segments <= 0 {
 		segments = 4
 	}
 	cluster := mpp.NewCluster(segments)
-	db := sql.NewDistDB(cat, cluster, map[string][]int{"T": {kb.TPiI}})
+	db := sql.NewDistDB(k.inner.Catalog(), cluster, map[string][]int{"T": {kb.TPiI}})
 	out, plan, err := db.QueryAnalyzeContext(ctx, query)
 	if err != nil {
 		return nil, "", nil, wrapSQLErr(err)
@@ -162,14 +122,12 @@ func (k *KB) QueryDistSQLAnalyze(ctx context.Context, query string, segments int
 	return renderResult(out), text, &pn, nil
 }
 
-// ExplainSQL plans and runs a SELECT, returning the annotated physical
-// plan (operator tree with per-node rows and self time).
+// ExplainSQL plans and runs a SELECT against the same relational image
+// QuerySQL reads, returning the annotated physical plan (operator tree
+// with per-node rows and self time). It costs what the query costs: the
+// annotations are actuals.
 func (k *KB) ExplainSQL(query string) (string, error) {
-	db, err := k.sqlDB()
-	if err != nil {
-		return "", err
-	}
-	return db.Explain(query)
+	return k.sqlDB().Explain(query)
 }
 
 // ExplainAnalyzeSQL runs a SELECT and returns its EXPLAIN ANALYZE
