@@ -181,12 +181,18 @@ mvcc-smoke:
 # differential battery (every batch split of the firehose vs the t=0
 # oracle, marginals included), the chaos leg (cancelled absorb
 # publishes nothing, WAL recovery + idempotent re-streaming converges),
-# and the server's streaming POST /facts contract — all under -race.
+# the server's streaming POST /facts contract — including the property
+# cases over HTTP (TestFactsStreamSplitInvariance: same acks and closure
+# as the library leg) and every kind of writer racing on the one writer
+# lock — and the two binaries' own legs: `probkb ingest` transcripts,
+# one validator for CLI and HTTP, and probkb-server's shutdown
+# checkpoint mid-stream — all under -race.
 ingest-smoke:
 	$(GO) test -race -count=1 ./internal/ingest
 	$(GO) test -race -count=1 -run 'TestIngestSplitInvariance|TestReplayIngestDeterministic|TestShrinkIngestReduces' ./internal/proptest
 	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential' .
-	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission' ./internal/server
+	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission|TestWritersRaceOneLock' ./internal/server
+	$(GO) test -race -count=1 ./cmd/probkb ./cmd/probkb-server
 	@echo "ingest-smoke: ok"
 
 fmt:

@@ -8,7 +8,8 @@
 //   - counters end in _total,
 //   - histograms end in a unit suffix (_seconds, _bytes, or _ratio),
 //   - every metric registered via Counter/Gauge/Histogram has a Help()
-//     string somewhere in the tree,
+//     string somewhere in the tree — at one site only: a second Help()
+//     for a name means a second package thinks it owns the metric,
 //   - no name is used as two different metric kinds,
 //   - every label key built with L("key", ...) / obs.L("key", ...) is
 //     lower snake_case starting with a letter.
@@ -163,7 +164,7 @@ func check(uses []use) []string {
 		problems = append(problems, fmt.Sprintf("%s: %s", pos, fmt.Sprintf(format, args...)))
 	}
 
-	helped := map[string]bool{}
+	helped := map[string]token.Position{}
 	kinds := map[string]string{} // name -> first metric kind seen
 	firstUse := map[string]use{} // name -> first Counter/Gauge/Histogram use
 	for _, u := range uses {
@@ -174,7 +175,11 @@ func check(uses []use) []string {
 			continue
 		}
 		if u.kind == "help" {
-			helped[u.name] = true
+			if first, dup := helped[u.name]; dup {
+				addf(u.pos, "%s: Help() already registered at %s", u.name, first)
+			} else {
+				helped[u.name] = u.pos
+			}
 			continue
 		}
 		if prev, ok := kinds[u.name]; ok && prev != u.kind {
@@ -209,7 +214,7 @@ func check(uses []use) []string {
 				addf(u.pos, "%s: histogram must end in a unit suffix (_seconds, _bytes, _ratio)", name)
 			}
 		}
-		if !helped[name] {
+		if _, ok := helped[name]; !ok {
 			addf(u.pos, "%s: no Help() registered anywhere", name)
 		}
 	}

@@ -65,3 +65,20 @@ func f() {
 		t.Fatalf("expected suffix and help problems, got: %v", problems)
 	}
 }
+
+func TestHelpRegisteredOnce(t *testing.T) {
+	src := `package p
+
+func f() {
+	obs.Default.Counter("probkb_twice_total").Inc()
+	obs.Default.Help("probkb_twice_total", "h")
+	obs.Default.Help("probkb_twice_total", "h, again, from a second owner")
+	obs.Default.Gauge("probkb_once").Set(1)
+	obs.Default.Help("probkb_once", "h")
+}
+`
+	problems := check(collectSrc(t, src))
+	if len(problems) != 1 || !strings.Contains(problems[0], "probkb_twice_total: Help() already registered at") {
+		t.Fatalf("want exactly the duplicate-Help problem, got: %v", problems)
+	}
+}

@@ -30,11 +30,20 @@
 // whole time. On panic or SIGQUIT the flight recorder, incidents, and
 // a goroutine dump are written under -incident-dir before the process
 // dies.
+//
+// SIGINT/SIGTERM shut the server down in order: stop accepting, give
+// in-flight requests shutdownGrace to finish (a stream still open past
+// it is cut — every batch it was acked for is published and durable
+// already), then, under the one writer lock, checkpoint the store and
+// close it, so the next start recovers from a snapshot, not a WAL.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -45,6 +54,53 @@ import (
 	"probkb/internal/obs"
 	"probkb/internal/server"
 )
+
+// Transport limits. Constants, not flags (the maxBodyBytes precedent in
+// internal/server). There is deliberately no WriteTimeout: streamed
+// POST /facts and POST /admin/expand are long-lived by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 5 * time.Second
+)
+
+// serve runs srv on ln until ctx ends (SIGINT/SIGTERM in main), with
+// startup — recovery, the initial expansion, Attach — running beside
+// the listener so /healthz answers while /readyz is still 503. startup
+// returns the store it opened, if any. On the way out: Shutdown with
+// grace, cut what is still open, then checkpoint and close the store
+// under the writer lock (srv.Close).
+func serve(ctx context.Context, ln net.Listener, srv *server.Server, grace time.Duration,
+	logger *slog.Logger, startup func(context.Context) (*probkb.Store, error)) error {
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	pst, err := startup(ctx)
+	if err == nil {
+		select {
+		case err = <-served:
+		case <-ctx.Done():
+			logger.Info("shutting down", "grace", grace)
+		}
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if hs.Shutdown(sctx) != nil {
+		hs.Close()
+	}
+	if pst == nil {
+		return err
+	}
+	if cerr := srv.Close(); cerr != nil {
+		logger.Error("shutdown checkpoint failed; the WAL stays recoverable", "err", cerr)
+	} else {
+		logger.Info("store checkpointed", "gen", pst.Gen())
+	}
+	// A no-op after srv.Close; what closes the store of a startup that
+	// never attached one.
+	return errors.Join(err, pst.Close())
+}
 
 func main() {
 	dir := flag.String("kb", "", "KB directory (required)")
@@ -131,83 +187,89 @@ func main() {
 	// Bind the port before the (possibly long) recovery and expansion:
 	// /healthz and /metrics serve immediately, /readyz stays 503 until
 	// the expansion below attaches.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listen failed", "err", err)
+		os.Exit(1)
+	}
+	logger.Info("listening", "addr", *addr)
 	srv := server.NewPending()
 	srv.SetMaxInFlight(*maxInFlight)
-	go func() {
-		logger.Info("listening", "addr", *addr)
-		if err := http.ListenAndServe(*addr, srv); err != nil {
-			logger.Error("server exited", "err", err)
-			os.Exit(1)
-		}
-	}()
+	// The first SIGINT/SIGTERM starts the orderly shutdown; it also stops
+	// the catching, so a second one kills the process the default way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
 
-	k, err := probkb.Load(*dir)
-	if err != nil {
-		logger.Error("load failed", "err", err)
-		os.Exit(1)
-	}
-	var pst *probkb.Store
-	if *persistDir != "" {
-		ok, err := probkb.StoreExists(*persistDir)
+	startup := func(ctx context.Context) (pst *probkb.Store, err error) {
+		fail := func(msg string, err error) (*probkb.Store, error) {
+			logger.Error(msg, "err", err)
+			return pst, err
+		}
+		k, err := probkb.Load(*dir)
 		if err != nil {
-			logger.Error("store check failed", "err", err)
-			os.Exit(1)
+			return fail("load failed", err)
 		}
-		if ok {
-			if pst, err = probkb.OpenStore(*persistDir); err != nil {
-				logger.Error("store recovery failed", "err", err)
-				os.Exit(1)
+		if *persistDir != "" {
+			ok, err := probkb.StoreExists(*persistDir)
+			if err != nil {
+				return fail("store check failed", err)
 			}
-			k = pst.KB()
-			logger.Info("recovered store", "dir", *persistDir,
-				"gen", pst.Gen(), "wal_records", pst.WALRecords(), "facts", pst.Facts())
-		} else {
-			if pst, err = probkb.CreateStore(*persistDir, k); err != nil {
-				logger.Error("store create failed", "err", err)
-				os.Exit(1)
+			if ok {
+				if pst, err = probkb.OpenStore(*persistDir); err != nil {
+					return fail("store recovery failed", err)
+				}
+				k = pst.KB()
+				logger.Info("recovered store", "dir", *persistDir,
+					"gen", pst.Gen(), "wal_records", pst.WALRecords(), "facts", pst.Facts())
+			} else {
+				if pst, err = probkb.CreateStore(*persistDir, k); err != nil {
+					return fail("store create failed", err)
+				}
+				logger.Info("initialized store", "dir", *persistDir)
 			}
-			logger.Info("initialized store", "dir", *persistDir)
 		}
-		defer pst.Close()
-	}
-	if watchdog != nil && pst != nil {
-		watchdog.Add(&obs.WALGrowthDetector{Records: pst.WALRecords, MaxRecords: *maxWALRecords},
-			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
-	}
-	st := k.Stats()
-	logger.Info("loaded KB", "facts", st.Facts, "rules", st.Rules,
-		"entities", st.Entities, "constraints", st.Constraints)
+		if watchdog != nil && pst != nil {
+			watchdog.Add(&obs.WALGrowthDetector{Records: pst.WALRecords, MaxRecords: *maxWALRecords},
+				obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
+		}
+		st := k.Stats()
+		logger.Info("loaded KB", "facts", st.Facts, "rules", st.Rules,
+			"entities", st.Entities, "constraints", st.Constraints)
 
-	exp, err := k.Expand(probkb.Config{
-		Engine:           probkb.SingleNode,
-		MaxIterations:    *iters,
-		ApplyConstraints: !*noConstraints,
-		RuleCleanTheta:   *theta,
-		RunInference:     !*noInference,
-		GibbsParallel:    true,
-		Seed:             *seed,
-		Persist:          pst,
-		OnIteration: func(it probkb.IterationStats) {
-			logger.Debug("grounding iteration", "iter", it.Iteration,
-				"new_facts", it.NewFacts, "deleted", it.Deleted, "queries", it.Queries)
-		},
-	})
-	if err != nil {
-		logger.Error("expansion failed", "err", err)
+		exp, err := k.ExpandContext(ctx, probkb.Config{
+			Engine:           probkb.SingleNode,
+			MaxIterations:    *iters,
+			ApplyConstraints: !*noConstraints,
+			RuleCleanTheta:   *theta,
+			RunInference:     !*noInference,
+			GibbsParallel:    true,
+			Seed:             *seed,
+			Persist:          pst,
+			OnIteration: func(it probkb.IterationStats) {
+				logger.Debug("grounding iteration", "iter", it.Iteration,
+					"new_facts", it.NewFacts, "deleted", it.Deleted, "queries", it.Queries)
+			},
+		})
+		if err != nil {
+			return fail("expansion failed", err)
+		}
+		est := exp.Stats()
+		logger.Info("expanded",
+			"base_facts", est.BaseFacts, "inferred_facts", est.InferredFacts,
+			"factors", est.Factors, "grounding", est.GroundingTime, "inference", est.InferenceTime)
+
+		var opts []server.Option
+		if pst != nil {
+			opts = append(opts, server.WithStore(pst))
+			logger.Info("store durable", "gen", pst.Gen(), "wal_records", pst.WALRecords())
+		}
+		srv.Attach(k, exp, opts...)
+		srv.SetReady(true)
+		logger.Info("ready", "addr", *addr)
+		return pst, nil
+	}
+	if err := serve(ctx, ln, srv, shutdownGrace, logger, startup); err != nil {
+		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
-	est := exp.Stats()
-	logger.Info("expanded",
-		"base_facts", est.BaseFacts, "inferred_facts", est.InferredFacts,
-		"factors", est.Factors, "grounding", est.GroundingTime, "inference", est.InferenceTime)
-
-	var opts []server.Option
-	if pst != nil {
-		opts = append(opts, server.WithStore(pst))
-		logger.Info("store durable", "gen", pst.Gen(), "wal_records", pst.WALRecords())
-	}
-	srv.Attach(k, exp, opts...)
-	srv.SetReady(true)
-	logger.Info("ready", "addr", *addr)
-	select {}
 }

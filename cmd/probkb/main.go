@@ -126,7 +126,7 @@ func main() {
 	case "expand":
 		cmdExpand(os.Args[2:])
 	case "ingest":
-		cmdIngest(os.Args[2:])
+		os.Exit(cmdIngest(os.Args[2:], os.Stdin, os.Stdout, os.Stderr))
 	case "save":
 		cmdSave(os.Args[2:])
 	case "load":
@@ -372,7 +372,10 @@ func cmdExpand(args []string) {
 // ingest pipeline: batches land with semi-naive delta grounding (facts
 // and closure visible immediately, WAL-durable with -persist) while
 // Gibbs marginals refresh lazily on the configured staleness policy.
-func cmdIngest(args []string) {
+// It returns the exit code: non-zero when the input or the pipeline
+// stopped early (an invalid fact, an interrupt), with everything landed
+// before that still published and durable.
+func cmdIngest(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	dir := fs.String("kb", "", "KB directory (rules + seed facts); not consulted when -persist already holds a store")
 	persistDir := fs.String("persist", "", "durable store directory: created from -kb if empty, recovered and resumed if it already holds a store")
@@ -404,14 +407,14 @@ func cmdIngest(args []string) {
 				die(err)
 			}
 			k = pst.KB()
-			fmt.Printf("resumed store %s: gen %d, %d WAL records replayed, %d facts\n",
+			fmt.Fprintf(stdout, "resumed store %s: gen %d, %d WAL records replayed, %d facts\n",
 				*persistDir, pst.Gen(), pst.WALRecords(), pst.Facts())
 		} else {
 			k = loadKB(*dir)
 			if pst, err = probkb.CreateStore(*persistDir, k); err != nil {
 				die(err)
 			}
-			fmt.Printf("initialized store %s\n", *persistDir)
+			fmt.Fprintf(stdout, "initialized store %s\n", *persistDir)
 		}
 		defer pst.Close()
 	} else {
@@ -429,9 +432,9 @@ func cmdIngest(args []string) {
 		die(err)
 	}
 	base := exp.Stats()
-	fmt.Printf("baseline       %d base + %d inferred facts\n", base.BaseFacts, base.InferredFacts)
+	fmt.Fprintf(stdout, "baseline       %d base + %d inferred facts\n", base.BaseFacts, base.InferredFacts)
 
-	var src io.Reader = os.Stdin
+	src := stdin
 	if *inPath != "-" {
 		f, err := os.Open(*inPath)
 		if err != nil {
@@ -459,10 +462,10 @@ func cmdIngest(args []string) {
 	defer stopPipe()
 	go func() {
 		<-sigCh
-		fmt.Fprintln(os.Stderr, "probkb: interrupt — draining and refreshing (interrupt again to abort)")
+		fmt.Fprintln(stderr, "probkb: interrupt — draining and refreshing (interrupt again to abort)")
 		stopRead()
 		<-sigCh
-		fmt.Fprintln(os.Stderr, "probkb: aborting in-flight batch")
+		fmt.Fprintln(stderr, "probkb: aborting in-flight batch")
 		stopPipe()
 	}()
 
@@ -486,7 +489,7 @@ func cmdIngest(args []string) {
 			if a.Refreshed {
 				extra = " [refreshed]"
 			}
-			fmt.Printf("  batch %d: %d facts (+%d new, %d derived) gen %d seq %d stale %d%s\n",
+			fmt.Fprintf(stdout, "  batch %d: %d facts (+%d new, %d derived) gen %d seq %d stale %d%s\n",
 				a.Batch, a.Facts, a.Added, a.Derived, a.Generation, a.DurableSeq, a.StaleBatches, extra)
 		}
 	}
@@ -498,64 +501,56 @@ func cmdIngest(args []string) {
 	})
 	interrupted := errors.Is(readErr, context.Canceled)
 	if readErr != nil && !interrupted {
-		fmt.Fprintf(os.Stderr, "probkb: input stopped after %d facts: %v\n", read, readErr)
+		fmt.Fprintf(stderr, "probkb: input stopped after %d facts: %v\n", read, readErr)
 	}
 	closeErr := p.Close(pipeCtx)
 	elapsed := time.Since(start)
 
 	st := p.Stats()
 	rate := float64(st.Facts) / elapsed.Seconds()
-	fmt.Printf("ingested       %d facts in %d batches, %s (%.0f facts/sec)\n",
+	fmt.Fprintf(stdout, "ingested       %d facts in %d batches, %s (%.0f facts/sec)\n",
 		st.Facts, st.Batches, elapsed.Round(time.Millisecond), rate)
-	fmt.Printf("refreshes      %d (staleness at exit: %d batches)\n", st.Refreshes, st.StaleBatches)
+	fmt.Fprintf(stdout, "refreshes      %d (staleness at exit: %d batches)\n", st.Refreshes, st.StaleBatches)
 	pin := ing.Current()
 	final := pin.Value().Stats()
-	fmt.Printf("closure        %d base + %d inferred facts, generation %d\n",
+	fmt.Fprintf(stdout, "closure        %d base + %d inferred facts, generation %d\n",
 		final.BaseFacts, final.InferredFacts, ing.Generation())
 	pin.Unpin()
 	if pst != nil {
-		fmt.Printf("store          %s: gen %d, %d WAL records, %d facts durable\n",
+		fmt.Fprintf(stdout, "store          %s: gen %d, %d WAL records, %d facts durable\n",
 			pst.Dir(), pst.Gen(), pst.WALRecords(), pst.Facts())
 	}
 	if closeErr != nil {
-		fmt.Fprintf(os.Stderr, "probkb: pipeline stopped early: %v\n", closeErr)
+		fmt.Fprintf(stderr, "probkb: pipeline stopped early: %v\n", closeErr)
 		if pst != nil {
-			fmt.Fprintf(os.Stderr, "probkb: durable state through the last absorbed batch is in %s; re-run with -persist to resume\n", pst.Dir())
+			fmt.Fprintf(stderr, "probkb: durable state through the last absorbed batch is in %s; re-run with -persist to resume\n", pst.Dir())
 		}
-		os.Exit(1)
 	}
-	if (readErr != nil && !interrupted) || interrupted {
-		os.Exit(1)
+	if closeErr != nil || readErr != nil {
+		return 1
 	}
+	return 0
 }
 
 // streamFacts decodes the fact firehose and hands each fact to submit,
 // stopping at EOF or the first submit error (a cancelled reader context
-// surfaces here as context.Canceled).
+// surfaces here as context.Canceled). It checks syntax only: whether a
+// fact is acceptable is ingest.Validate's call, made where the batch
+// lands, exactly as for a fact that arrived over HTTP.
 func streamFacts(r io.Reader, format string, submit func(ingest.Fact) error) (int, error) {
 	n := 0
 	switch format {
 	case "jsonl":
 		dec := json.NewDecoder(r)
 		for {
-			var f struct {
-				Rel         string  `json:"rel"`
-				X           string  `json:"x"`
-				XClass      string  `json:"xClass"`
-				Y           string  `json:"y"`
-				YClass      string  `json:"yClass"`
-				Probability float64 `json:"probability"`
-			}
+			var f ingest.Fact
 			if err := dec.Decode(&f); err == io.EOF {
 				return n, nil
 			} else if err != nil {
 				return n, fmt.Errorf("fact %d: %w", n+1, err)
 			}
 			n++
-			if err := submit(ingest.Fact{
-				Rel: f.Rel, X: f.X, XClass: f.XClass, Y: f.Y, YClass: f.YClass,
-				Probability: f.Probability,
-			}); err != nil {
+			if err := submit(f); err != nil {
 				return n, err
 			}
 		}

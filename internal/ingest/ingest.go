@@ -19,6 +19,11 @@
 // last refresh, or at Close when RefreshOnClose is set. The current
 // staleness (batches absorbed since the last refresh) is exported as
 // the probkb_ingest_staleness_batches gauge.
+//
+// What happens when one sealed batch lands is the Lander, the only
+// place that policy lives: the Pipeline's writer lands through it, and
+// so does the server's chunked POST /facts, which skips the queue and
+// batcher (the client seals the batches) and nothing else.
 package ingest
 
 import (
@@ -26,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"probkb/internal/obs"
@@ -41,39 +47,66 @@ func init() {
 	obs.Default.Help("probkb_ingest_absorb_seconds", "Wall time absorbing one ingest batch (delta grounding + publication).")
 }
 
-// Fact is one symbolic observed fact in the ingest stream.
+// Fact is one symbolic observed fact in the ingest stream, in its one
+// wire shape: a JSONL line of `probkb ingest` and an element of a POST
+// /facts body decode straight into it.
 type Fact struct {
-	Rel         string
-	X, XClass   string
-	Y, YClass   string
-	Probability float64
+	Rel         string  `json:"rel"`
+	X           string  `json:"x"`
+	XClass      string  `json:"xClass"`
+	Y           string  `json:"y"`
+	YClass      string  `json:"yClass"`
+	Probability float64 `json:"probability"`
 }
 
-// Ack describes one absorbed batch. The Absorber fills the absorption
-// fields; the pipeline fills the bookkeeping ones.
+// Validate is the one input check every driver's batch passes before it
+// lands: every fact names its relation, arguments and classes, and its
+// probability is a finite number in [0, 1] (NaN in particular is the
+// closure's "marginal pending" marker, never an observation).
+func Validate(facts []Fact) error {
+	if len(facts) == 0 {
+		return errors.New(`no facts: body must be {"facts": [{"rel": ..., "x": ..., "xClass": ..., "y": ..., "yClass": ..., "probability": ...}]}`)
+	}
+	for i, f := range facts {
+		if f.Rel == "" || f.X == "" || f.XClass == "" || f.Y == "" || f.YClass == "" {
+			return fmt.Errorf("facts[%d]: rel, x, xClass, y, yClass are all required", i)
+		}
+		if !(f.Probability >= 0 && f.Probability <= 1) {
+			return fmt.Errorf("facts[%d]: probability %v outside [0, 1]", i, f.Probability)
+		}
+	}
+	return nil
+}
+
+// Ack describes one landed batch, and is the NDJSON ack line of a
+// streamed POST /facts. The Absorber fills the absorption fields; the
+// Lander fills the bookkeeping ones.
 type Ack struct {
-	// Batch is the 1-based index of the batch within this pipeline run.
-	Batch int
+	// Batch is the 1-based index of the batch within its Lander (a
+	// pipeline run); the HTTP stream renumbers it within the request.
+	Batch int `json:"batch"`
 	// Facts is how many facts the batch carried.
-	Facts int
+	Facts int `json:"facts"`
 	// Added is how many were genuinely new (not already in the closure).
-	Added int
+	Added int `json:"added"`
 	// Derived is how many new facts delta grounding inferred from them.
-	Derived int
-	// Generation identifies the published expansion the batch landed in.
-	Generation uint64
-	// DurableSeq is the durable WAL record count after the batch (0
-	// when no store is attached).
-	DurableSeq int64
+	Derived int `json:"derived"`
+	// Generation is the newest published generation holding the batch:
+	// readers that pin it (or any later one) see the batch's whole
+	// closure — and, on a Refreshed ack, its refreshed marginals.
+	Generation uint64 `json:"generation"`
+	// DurableSeq is the durable WAL record count as of Generation (0
+	// when no store is attached): replay up to here recovers the batch.
+	DurableSeq int64 `json:"durableSeq"`
 	// StaleBatches is the marginal staleness after this batch: batches
 	// absorbed since the last refresh.
-	StaleBatches int
+	StaleBatches int `json:"staleBatches"`
 	// Refreshed reports whether a marginal refresh ran right after this
 	// batch.
-	Refreshed bool
+	Refreshed bool `json:"refreshed,omitempty"`
 }
 
-// Absorber lands batches. Calls are serialized by the pipeline.
+// Absorber lands batches. Calls are serialized by the Lander.
 type Absorber interface {
 	// Absorb makes one batch's facts and their closure visible (and
 	// durable, if the implementation persists). It fills Added, Derived,
@@ -83,6 +116,11 @@ type Absorber interface {
 	// generation the refreshed state was published as.
 	Refresh(ctx context.Context) (uint64, error)
 }
+
+// durable is the Absorber that persists: a refresh logs the marginals it
+// rewrote, so a Refreshed ack re-reads the sequence its Generation
+// stands at.
+type durable interface{ DurableSeq() int64 }
 
 // Config tunes the pipeline. Zero values mean the documented defaults.
 type Config struct {
@@ -136,11 +174,132 @@ type Stats struct {
 // ErrClosed reports a Submit after Close.
 var ErrClosed = errors.New("ingest: pipeline closed")
 
-// Pipeline is the firehose: Submit feeds it, a single writer goroutine
-// drains it through the Absorber. Create with New, start with Start.
-type Pipeline struct {
-	cfg Config
+// Lander is the landing step, the one statement of what happens when a
+// sealed batch lands: validate → absorb (deferred extend, publish,
+// durable sequence) → staleness++ → span, metrics, journal event, query
+// phase → refresh when due → ack. It owns the staleness counter; a
+// serving process has one Lander and every driver lands through it.
+type Lander struct {
 	abs Absorber
+	jr  *journal.Writer
+
+	// mu makes one landing one step — a batch's count, policy decision
+	// and refresh finish before the next batch's begin — so concurrent
+	// drivers (two HTTP streams) share the counter coherently. It orders
+	// before the absorber's own writer lock. The counters are atomics so
+	// that Stats never waits for a landing.
+	mu          sync.Mutex
+	lastRefresh time.Time
+
+	facts, batches, refreshes, stale atomic.Int64
+}
+
+// NewLander lands batches through a. jr, when non-nil, receives the
+// ingest_batch and ingest_refresh events.
+func NewLander(a Absorber, jr *journal.Writer) *Lander {
+	return &Lander{abs: a, jr: jr, lastRefresh: time.Now()}
+}
+
+// Land lands one sealed batch under the refresh threshold in force:
+// refresh once every batches are stale (0 = no count trigger) or
+// interval has passed since the last refresh (0 = no time trigger).
+//
+// A non-zero ack.Batch means the batch landed — published and, with a
+// store, durable — whatever err says: the only error a landed batch can
+// carry is its refresh failing, and the ack (unrefreshed, staleness as
+// counted) is still the caller's to deliver before that error. An
+// invalid, failed or cancelled batch lands nothing.
+func (l *Lander) Land(ctx context.Context, batch []Fact, every int, interval time.Duration) (Ack, error) {
+	if err := Validate(batch); err != nil {
+		return Ack{}, err
+	}
+	q := obs.QueryFrom(ctx)
+	q.SetPhase("queue")
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ctx, span := obs.StartSpan(ctx, "ingest.batch")
+	defer span.End()
+	start := time.Now()
+	ack, err := l.abs.Absorb(ctx, batch)
+	if err != nil {
+		return Ack{}, err
+	}
+	elapsed := time.Since(start)
+
+	l.facts.Add(int64(len(batch)))
+	ack.Batch = int(l.batches.Add(1))
+	ack.Facts = len(batch)
+	ack.StaleBatches = int(l.stale.Add(1))
+	obs.Default.Counter("probkb_ingest_facts_total").Add(int64(len(batch)))
+	obs.Default.Counter("probkb_ingest_batches_total").Inc()
+	obs.Default.Histogram("probkb_ingest_absorb_seconds", nil).Observe(elapsed.Seconds())
+	obs.Default.Gauge("probkb_ingest_staleness_batches").Set(float64(ack.StaleBatches))
+	span.SetAttr("facts", len(batch))
+	span.SetAttr("added", ack.Added)
+	span.SetAttr("derived", ack.Derived)
+
+	if (every > 0 && ack.StaleBatches >= every) || (interval > 0 && time.Since(l.lastRefresh) >= interval) {
+		q.SetPhase("infer")
+		if gen, rerr := l.refresh(ctx, ack.Batch); rerr != nil {
+			err = fmt.Errorf("refresh after batch: %w", rerr)
+		} else {
+			ack.Generation, ack.StaleBatches, ack.Refreshed = gen, 0, true
+			if d, ok := l.abs.(durable); ok {
+				ack.DurableSeq = d.DurableSeq()
+			}
+		}
+	}
+	l.jr.Emit(journal.TypeIngestBatch, journal.IngestBatch{
+		Batch:        ack.Batch,
+		Facts:        ack.Facts,
+		Added:        ack.Added,
+		Derived:      ack.Derived,
+		StaleBatches: ack.StaleBatches,
+		Seconds:      elapsed.Seconds(),
+	})
+	return ack, err
+}
+
+// Refresh pays down whatever staleness is left (the pipeline's closing
+// pass); with none it does nothing.
+func (l *Lander) Refresh(ctx context.Context) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stale.Load() == 0 {
+		return nil
+	}
+	_, err := l.refresh(ctx, int(l.batches.Load()))
+	return err
+}
+
+// refresh runs one marginal refresh pass and resets staleness. Callers
+// hold mu.
+func (l *Lander) refresh(ctx context.Context, afterBatch int) (uint64, error) {
+	ctx, span := obs.StartSpan(ctx, "ingest.refresh")
+	defer span.End()
+	start := time.Now()
+	gen, err := l.abs.Refresh(ctx)
+	if err != nil {
+		return 0, err
+	}
+	l.refreshes.Add(1)
+	l.stale.Store(0)
+	l.lastRefresh = time.Now()
+	obs.Default.Counter("probkb_ingest_refreshes_total").Inc()
+	obs.Default.Gauge("probkb_ingest_staleness_batches").Set(0)
+	span.SetAttr("generation", int(gen))
+	l.jr.Emit(journal.TypeIngestRefresh, journal.IngestRefresh{
+		Batch:   afterBatch,
+		Seconds: time.Since(start).Seconds(),
+	})
+	return gen, nil
+}
+
+// Pipeline is the firehose: Submit feeds it, a single writer goroutine
+// drains it through the Lander. Create with New, start with Start.
+type Pipeline struct {
+	cfg  Config
+	land *Lander
 
 	ch   chan Fact
 	done chan struct{} // closed when the writer exits
@@ -150,29 +309,22 @@ type Pipeline struct {
 	// be in flight when the channel closes.
 	sendMu sync.RWMutex
 
-	mu          sync.Mutex
-	closed      bool
-	err         error
-	facts       int64
-	batches     int64
-	refreshes   int64
-	stale       int
-	lastRefresh time.Time
+	mu     sync.Mutex
+	closed bool
+	err    error
 
-	qdepth    *obs.Gauge
-	staleness *obs.Gauge
+	qdepth *obs.Gauge
 }
 
 // New builds a pipeline over the absorber; Start launches its writer.
 func New(a Absorber, cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	return &Pipeline{
-		cfg:       cfg,
-		abs:       a,
-		ch:        make(chan Fact, cfg.QueueDepth),
-		done:      make(chan struct{}),
-		qdepth:    obs.Default.Gauge("probkb_ingest_queue_depth"),
-		staleness: obs.Default.Gauge("probkb_ingest_staleness_batches"),
+		cfg:    cfg,
+		land:   NewLander(a, cfg.Journal),
+		ch:     make(chan Fact, cfg.QueueDepth),
+		done:   make(chan struct{}),
+		qdepth: obs.Default.Gauge("probkb_ingest_queue_depth"),
 	}
 }
 
@@ -251,14 +403,12 @@ func (p *Pipeline) Err() error {
 
 // Stats snapshots the pipeline counters.
 func (p *Pipeline) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return Stats{
-		Facts:        p.facts,
-		Batches:      p.batches,
-		Refreshes:    p.refreshes,
+		Facts:        p.land.facts.Load(),
+		Batches:      p.land.batches.Load(),
+		Refreshes:    p.land.refreshes.Load(),
 		QueueDepth:   len(p.ch),
-		StaleBatches: p.stale,
+		StaleBatches: int(p.land.stale.Load()),
 	}
 }
 
@@ -274,9 +424,6 @@ func (p *Pipeline) fail(err error) {
 // run is the writer: batch formation and serial absorption.
 func (p *Pipeline) run(ctx context.Context) {
 	defer close(p.done)
-	p.mu.Lock()
-	p.lastRefresh = time.Now()
-	p.mu.Unlock()
 	for {
 		// Block for the batch's first fact.
 		var batch []Fact
@@ -314,8 +461,7 @@ func (p *Pipeline) run(ctx context.Context) {
 		deadline.Stop()
 		p.qdepth.Set(float64(len(p.ch)))
 
-		if err := p.absorb(ctx, batch); err != nil {
-			p.fail(err)
+		if !p.absorb(ctx, batch) {
 			return
 		}
 	}
@@ -325,115 +471,36 @@ func (p *Pipeline) run(ctx context.Context) {
 // refresh.
 func (p *Pipeline) finish(ctx context.Context) {
 	var batch []Fact
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		if err := p.absorb(ctx, batch); err != nil {
-			p.fail(err)
-			return false
-		}
-		batch = batch[:0]
-		return true
-	}
 	for f := range p.ch {
 		batch = append(batch, f)
-		if len(batch) >= p.cfg.MaxBatch && !flush() {
-			return
+		if len(batch) >= p.cfg.MaxBatch {
+			if !p.absorb(ctx, batch) {
+				return
+			}
+			batch = nil
 		}
 	}
-	if !flush() {
+	if len(batch) > 0 && !p.absorb(ctx, batch) {
 		return
 	}
-	p.mu.Lock()
-	stale := p.stale
-	p.mu.Unlock()
-	if p.cfg.RefreshOnClose && stale > 0 {
-		if err := p.refresh(ctx, int(p.batchCount())); err != nil {
-			p.fail(err)
+	if p.cfg.RefreshOnClose {
+		if err := p.land.Refresh(ctx); err != nil {
+			p.fail(fmt.Errorf("ingest: refreshing marginals: %w", err))
 		}
 	}
 }
 
-func (p *Pipeline) batchCount() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.batches
-}
-
-// absorb lands one batch and applies the refresh policy.
-func (p *Pipeline) absorb(ctx context.Context, batch []Fact) error {
-	ctx, span := obs.StartSpan(ctx, "ingest.batch")
-	defer span.End()
-	start := time.Now()
-	ack, err := p.abs.Absorb(ctx, batch)
-	if err != nil {
-		return fmt.Errorf("ingest: absorbing batch of %d: %w", len(batch), err)
-	}
-	elapsed := time.Since(start)
-
-	p.mu.Lock()
-	p.facts += int64(len(batch))
-	p.batches++
-	p.stale++
-	ack.Batch = int(p.batches)
-	ack.Facts = len(batch)
-	ack.StaleBatches = p.stale
-	stale, last := p.stale, p.lastRefresh
-	p.mu.Unlock()
-
-	obs.Default.Counter("probkb_ingest_facts_total").Add(int64(len(batch)))
-	obs.Default.Counter("probkb_ingest_batches_total").Inc()
-	obs.Default.Histogram("probkb_ingest_absorb_seconds", nil).Observe(elapsed.Seconds())
-	p.staleness.Set(float64(stale))
-	span.SetAttr("facts", len(batch))
-	span.SetAttr("added", ack.Added)
-	span.SetAttr("derived", ack.Derived)
-
-	due := (p.cfg.RefreshEvery > 0 && stale >= p.cfg.RefreshEvery) ||
-		(p.cfg.RefreshInterval > 0 && time.Since(last) >= p.cfg.RefreshInterval)
-	if due {
-		if err := p.refresh(ctx, ack.Batch); err != nil {
-			return err
-		}
-		ack.Refreshed = true
-		ack.StaleBatches = 0
-	}
-
-	p.cfg.Journal.Emit(journal.TypeIngestBatch, journal.IngestBatch{
-		Batch:        ack.Batch,
-		Facts:        ack.Facts,
-		Added:        ack.Added,
-		Derived:      ack.Derived,
-		StaleBatches: ack.StaleBatches,
-		Seconds:      elapsed.Seconds(),
-	})
-	if p.cfg.OnBatch != nil {
+// absorb lands one batch under the configured refresh policy, hands its
+// ack to OnBatch, and latches the error that stops the writer — a
+// batch that did not land, or one that did and whose refresh failed.
+func (p *Pipeline) absorb(ctx context.Context, batch []Fact) bool {
+	n := p.land.batches.Load() + 1
+	ack, err := p.land.Land(ctx, batch, p.cfg.RefreshEvery, p.cfg.RefreshInterval)
+	if ack.Batch != 0 && p.cfg.OnBatch != nil {
 		p.cfg.OnBatch(ack)
 	}
-	return nil
-}
-
-// refresh runs one marginal refresh pass and resets staleness.
-func (p *Pipeline) refresh(ctx context.Context, afterBatch int) error {
-	ctx, span := obs.StartSpan(ctx, "ingest.refresh")
-	defer span.End()
-	start := time.Now()
-	gen, err := p.abs.Refresh(ctx)
 	if err != nil {
-		return fmt.Errorf("ingest: refreshing marginals: %w", err)
+		p.fail(fmt.Errorf("ingest: batch %d: %w", n, err))
 	}
-	p.mu.Lock()
-	p.refreshes++
-	p.stale = 0
-	p.lastRefresh = time.Now()
-	p.mu.Unlock()
-	obs.Default.Counter("probkb_ingest_refreshes_total").Inc()
-	p.staleness.Set(0)
-	span.SetAttr("generation", int(gen))
-	p.cfg.Journal.Emit(journal.TypeIngestRefresh, journal.IngestRefresh{
-		Batch:   afterBatch,
-		Seconds: time.Since(start).Seconds(),
-	})
-	return nil
+	return err == nil
 }

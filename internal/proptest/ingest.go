@@ -13,13 +13,16 @@ import (
 )
 
 // This file is the streaming-ingest property battery: it generates
-// random fact streams and random batch partitions of them, absorbs the
-// stream through the Ingester's deferred-extend path (semi-naive delta
-// grounding, one published generation per batch), and checks the split
-// invariant — the final closure is identical to a t=0 expansion of the
-// whole stream, no matter how the firehose was chopped into batches or
-// where a batch was cancelled mid-flight. Failing cases shrink to a
-// minimal stream/partition.
+// random fact streams and random batch partitions of them, lands the
+// stream through the one write path — the landing step over the
+// Ingester's deferred extend (semi-naive delta grounding, one published
+// generation per batch) — and checks the split invariant: the final
+// closure is identical to a t=0 expansion of the whole stream, no
+// matter how the firehose was chopped into batches or where a batch was
+// cancelled mid-flight. Failing cases shrink to a minimal
+// stream/partition. internal/server drives the same cases over POST
+// /facts?stream=1 (TestFactsStreamSplitInvariance) and requires the
+// same acks and closure as RunIngest.
 
 // IngestFact is one streamed fact in a generated case. Streams use a
 // single observed relation so generated facts never collide with
@@ -87,10 +90,10 @@ func NewIngestCase(seed int64) *IngestCase {
 	return c
 }
 
-// ingestPropBase is the fixed starting KB: one seed fact and two rules
+// IngestBase is the fixed starting KB: one seed fact and two rules
 // (a copy rule and a self-join), so every streamed fact derives and
 // pairs of streamed facts join.
-func ingestPropBase() *probkb.KB {
+func IngestBase() *probkb.KB {
 	k := probkb.New()
 	k.AddFact("r0", "e0", "C", "e1", "C", 0.9)
 	k.MustAddRule("1.10 r1(x:C, y:C) :- r0(x:C, y:C)")
@@ -98,7 +101,8 @@ func ingestPropBase() *probkb.KB {
 	return k
 }
 
-func ingestCaseFacts(c *IngestCase) []ingest.Fact {
+// Stream renders the case's facts in wire form, in stream order.
+func (c *IngestCase) Stream() []ingest.Fact {
 	out := make([]ingest.Fact, len(c.Facts))
 	for i, f := range c.Facts {
 		out[i] = ingest.Fact{Rel: "r0", X: f.X, XClass: "C", Y: f.Y, YClass: "C", Probability: f.W}
@@ -106,10 +110,10 @@ func ingestCaseFacts(c *IngestCase) []ingest.Fact {
 	return out
 }
 
-// closureFingerprint canonicalizes an expansion's closure — every fact
+// ClosureFingerprint canonicalizes an expansion's closure — every fact
 // tuple with its weight (NaN prints stably for not-yet-refreshed
 // marginals) — into one FNV-64a value, order-independent.
-func closureFingerprint(e *probkb.Expansion) uint64 {
+func ClosureFingerprint(e *probkb.Expansion) uint64 {
 	facts := e.Facts()
 	lines := make([]string, len(facts))
 	for i, f := range facts {
@@ -128,7 +132,7 @@ func closureFingerprint(e *probkb.Expansion) uint64 {
 // before a single from-scratch expansion. Its closure fingerprint is
 // what every batched absorption must converge to.
 func ReplayIngest(c *IngestCase) (uint64, error) {
-	k := ingestPropBase()
+	k := IngestBase()
 	for _, f := range c.Facts {
 		k.AddFact("r0", f.X, "C", f.Y, "C", f.W)
 	}
@@ -136,27 +140,45 @@ func ReplayIngest(c *IngestCase) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return closureFingerprint(exp), nil
+	return ClosureFingerprint(exp), nil
 }
 
-// CheckIngest absorbs the case's stream batch-by-batch through an
-// Ingester and returns an error describing the first violated
-// property: a cancelled batch that published, a non-monotone
-// generation, or a final closure differing from the serial t=0 oracle.
+// CheckIngest lands the case through RunIngest and returns an error
+// describing the first violated property: a cancelled batch that
+// published, a non-monotone generation, or a final closure differing
+// from the serial t=0 oracle.
 func CheckIngest(c *IngestCase) error {
 	want, err := ReplayIngest(c)
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-
-	exp, err := ingestPropBase().Expand(probkb.Config{Engine: probkb.SingleNode})
+	_, got, err := RunIngest(c)
 	if err != nil {
-		return fmt.Errorf("base expand: %w", err)
+		return err
+	}
+	if got != want {
+		return fmt.Errorf("final closure fingerprint %x != t=0 oracle %x (splits %v, cancelAt %d)",
+			got, want, c.Splits, c.CancelAt)
+	}
+	return nil
+}
+
+// RunIngest lands the case's stream batch-by-batch through a Lander
+// over a fresh Ingester — no refresh threshold: the t=0 oracle has no
+// marginals to compare refreshed ones with — and returns the acks of
+// the batches that landed, in order, and the final closure's
+// fingerprint.
+func RunIngest(c *IngestCase) ([]ingest.Ack, uint64, error) {
+	exp, err := IngestBase().Expand(probkb.Config{Engine: probkb.SingleNode})
+	if err != nil {
+		return nil, 0, fmt.Errorf("base expand: %w", err)
 	}
 	ing := probkb.NewIngester(exp)
+	land := ingest.NewLander(ing, nil)
 	ctx := context.Background()
-	stream := ingestCaseFacts(c)
+	stream := c.Stream()
 	gen := ing.Generation()
+	var acks []ingest.Ack
 	idx := 0
 	for bi, sz := range c.Splits {
 		batch := stream[idx : idx+sz]
@@ -166,39 +188,38 @@ func CheckIngest(c *IngestCase) error {
 			// the deterministic stand-in for a kill at the worst moment.
 			cctx, cancel := context.WithCancel(ctx)
 			cancel()
-			if _, err := ing.Absorb(cctx, batch); err == nil {
-				return fmt.Errorf("batch %d: cancelled absorb reported success", bi+1)
+			if _, err := land.Land(cctx, batch, 0, 0); err == nil {
+				return nil, 0, fmt.Errorf("batch %d: cancelled landing reported success", bi+1)
 			}
 			if g := ing.Generation(); g != gen {
-				return fmt.Errorf("batch %d: cancelled absorb published generation %d (was %d) — torn", bi+1, g, gen)
+				return nil, 0, fmt.Errorf("batch %d: cancelled landing published generation %d (was %d) — torn", bi+1, g, gen)
 			}
 			continue
 		}
-		ack, err := ing.Absorb(ctx, batch)
+		ack, err := land.Land(ctx, batch, 0, 0)
 		if err != nil {
-			return fmt.Errorf("batch %d: %w", bi+1, err)
+			return nil, 0, fmt.Errorf("batch %d: %w", bi+1, err)
 		}
 		if ack.Generation <= gen {
-			return fmt.Errorf("batch %d: generation %d not after %d", bi+1, ack.Generation, gen)
+			return nil, 0, fmt.Errorf("batch %d: generation %d not after %d", bi+1, ack.Generation, gen)
 		}
 		gen = ack.Generation
+		acks = append(acks, ack)
 	}
 	if c.CancelAt > 0 {
 		// Recovery: re-stream the whole firehose in one batch. Absorption
 		// is idempotent (the closure dedups), so this must land exactly
 		// the facts the cancelled batch lost.
-		if _, err := ing.Absorb(ctx, stream); err != nil {
-			return fmt.Errorf("resume: %w", err)
+		ack, err := land.Land(ctx, stream, 0, 0)
+		if err != nil {
+			return nil, 0, fmt.Errorf("resume: %w", err)
 		}
+		acks = append(acks, ack)
 	}
 
 	pin := ing.Current()
 	defer pin.Unpin()
-	if got := closureFingerprint(pin.Value()); got != want {
-		return fmt.Errorf("final closure fingerprint %x != t=0 oracle %x (splits %v, cancelAt %d)",
-			got, want, c.Splits, c.CancelAt)
-	}
-	return nil
+	return acks, ClosureFingerprint(pin.Value()), nil
 }
 
 // ShrinkIngest reduces a failing case greedily: drop a fact (shrinking

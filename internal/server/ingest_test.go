@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"probkb"
+	"probkb/internal/ingest"
 )
 
 // These tests pin the streaming POST /facts contract: per-batch NDJSON
@@ -59,10 +60,10 @@ func (c *streamClient) send(chunk string) {
 
 // ack reads the next NDJSON line. The first call waits for the response
 // headers (the server sends them with the first flushed line).
-func (c *streamClient) ack() ingestAck {
+func (c *streamClient) ack() ingest.Ack {
 	c.t.Helper()
 	c.waitResp()
-	var a ingestAck
+	var a ingest.Ack
 	if err := c.dec.Decode(&a); err != nil {
 		c.t.Fatalf("decoding ack: %v", err)
 	}
@@ -140,7 +141,7 @@ func TestFactsStreamAcks(t *testing.T) {
 	c := openStream(t, srv.URL+"/facts?stream=1")
 	defer c.close()
 
-	var acks []ingestAck
+	var acks []ingest.Ack
 	for i, names := range [][]string{{"Freud"}, {"Mahler", "Zweig"}, {"Kafka"}} {
 		c.send(chunk(names...))
 		a := c.ack()

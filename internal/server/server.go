@@ -14,8 +14,11 @@
 // with one atomic swap; in-flight readers keep serving generation N
 // and are never blocked, torn, or retried. A failed or cancelled build
 // publishes nothing. Old generations are reclaimed by refcount when
-// their last reader unpins. Competing writers serialize on a writer
-// mutex that readers never touch.
+// their last reader unpins. Competing writers serialize on the one
+// writer lock of the process — probkb.Ingester's, which readers never
+// touch — and a streamed chunk lands through the same landing step
+// (ingest.Lander) as a batch of the library's ingest pipeline: the
+// server owns the wire format and the epoch manager, not a write path.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -123,7 +126,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -131,26 +133,15 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"probkb"
 	"probkb/internal/epoch"
+	"probkb/internal/ingest"
 	"probkb/internal/obs"
 	"probkb/internal/obs/journal"
 )
-
-// The streaming ingest path shares internal/ingest's metric names; the
-// Help strings are registered here too so a server binary that never
-// links the pipeline package still exposes them documented.
-func init() {
-	obs.Default.Help("probkb_ingest_facts_total", "Facts absorbed by the streaming-ingest pipeline.")
-	obs.Default.Help("probkb_ingest_batches_total", "Fact batches absorbed by the streaming-ingest pipeline.")
-	obs.Default.Help("probkb_ingest_refreshes_total", "Marginal refresh passes run by the streaming-ingest pipeline.")
-	obs.Default.Help("probkb_ingest_staleness_batches", "Batches absorbed since the last marginal refresh.")
-	obs.Default.Help("probkb_ingest_absorb_seconds", "Wall time absorbing one ingest batch (delta grounding + publication).")
-}
 
 // statusClientClosedRequest reports a request whose query was cancelled
 // (via DELETE /debug/queries/{id} or a client disconnect) — the nginx
@@ -172,10 +163,13 @@ type Server struct {
 	// pending server publishes a nil snapshot as generation 1; Attach
 	// publishes the first real one.
 	snaps *epoch.Manager[*snapshot]
-	// wmu serializes generation builders (Attach, POST /admin/expand,
-	// POST /facts). Readers never take it: a build runs off to the side
-	// and publication is a single atomic swap inside the manager.
-	wmu   sync.Mutex
+	// ing is the process's one writer, built at Attach: POST /facts,
+	// POST /admin/expand and POST /admin/snapshot all run under its
+	// lock, and it publishes through s.publish, into snaps. Readers
+	// never take the lock. land is the landing step streamed chunks go
+	// through; it owns the process's staleness counter.
+	ing   *probkb.Ingester
+	land  *ingest.Lander
 	store *probkb.Store
 	mux   *http.ServeMux
 	ready atomic.Bool
@@ -185,11 +179,6 @@ type Server struct {
 	// load sheds as 429 + Retry-After instead of queueing unboundedly.
 	maxInFlight atomic.Int64
 	admitted    atomic.Int64
-
-	// staleBatches counts deferred-ingest batches published since the
-	// last marginal refresh — the server side of the bounded-staleness
-	// knob, exported as probkb_ingest_staleness_batches.
-	staleBatches atomic.Int64
 }
 
 // Option configures optional server wiring.
@@ -252,7 +241,9 @@ func NewPending() *Server {
 }
 
 // Attach installs the KB and expansion a pending server will serve as
-// the first real generation, and points the incident store's journal
+// the first real generation — with kb exactly as handed in; every later
+// generation serves its expansion's own KB — builds the writer on top
+// of it, and points the incident store's journal
 // and plan-capture hooks at the serving tier: incidents opened from
 // here on are journaled into the *current* generation's run journal,
 // and a finding that names a SQL query gets its EXPLAIN plan captured
@@ -261,9 +252,11 @@ func (s *Server) Attach(kb *probkb.KB, exp *probkb.Expansion, opts ...Option) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.wmu.Lock()
+	s.ing = probkb.NewIngester(exp, probkb.WithPublish(func(next *probkb.Expansion) uint64 {
+		return s.publish(next.KB(), next)
+	}))
+	s.land = ingest.NewLander(s.ing, nil)
 	s.publish(kb, exp)
-	s.wmu.Unlock()
 	obs.DefaultIncidents.SetPlanner(func(kind, text string) string {
 		if kind != "sql" && kind != "dist-sql" {
 			return ""
@@ -283,7 +276,8 @@ func (s *Server) Attach(kb *probkb.KB, exp *probkb.Expansion, opts ...Option) {
 }
 
 // publish swaps in (kb, exp) as the next generation and re-points the
-// incident journal at the new expansion's run record. Callers hold wmu.
+// incident journal at the new expansion's run record. Past Attach only
+// the Ingester calls it, under the writer lock.
 func (s *Server) publish(kb *probkb.KB, exp *probkb.Expansion) uint64 {
 	gen := s.snaps.Publish(&snapshot{kb: kb, exp: exp})
 	obs.DefaultIncidents.SetJournal(exp.Journal())
@@ -397,7 +391,7 @@ const (
 	// streaming ingest path, the bytes of one chunk).
 	maxBodyBytes = 4 << 20
 	// maxChunkFacts bounds the facts of one streamed chunk: a chunk is
-	// absorbed as one extend under the writer mutex, so its size is how
+	// absorbed as one extend under the writer lock, so its size is how
 	// long every other writer waits.
 	maxChunkFacts = 4096
 )
@@ -552,37 +546,6 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, snap *snaps
 	writeJSON(w, http.StatusOK, map[string]any{"total": total, "facts": out})
 }
 
-// factIn is one observed fact in a POST /facts body.
-type factIn struct {
-	Rel         string  `json:"rel"`
-	X           string  `json:"x"`
-	XClass      string  `json:"xClass"`
-	Y           string  `json:"y"`
-	YClass      string  `json:"yClass"`
-	Probability float64 `json:"probability"`
-}
-
-// parseFacts validates a request's fact list into the API type.
-func parseFacts(in []factIn) ([]probkb.Fact, error) {
-	if len(in) == 0 {
-		return nil, fmt.Errorf(`no facts: body must be {"facts": [{"rel": ..., "x": ..., "xClass": ..., "y": ..., "yClass": ..., "probability": ...}]}`)
-	}
-	facts := make([]probkb.Fact, 0, len(in))
-	for i, f := range in {
-		if f.Rel == "" || f.X == "" || f.XClass == "" || f.Y == "" || f.YClass == "" {
-			return nil, fmt.Errorf("facts[%d]: rel, x, xClass, y, yClass are all required", i)
-		}
-		if f.Probability < 0 || f.Probability > 1 {
-			return nil, fmt.Errorf("facts[%d]: probability %v outside [0, 1]", i, f.Probability)
-		}
-		facts = append(facts, probkb.Fact{
-			Rel: f.Rel, X: f.X, XClass: f.XClass, Y: f.Y, YClass: f.YClass,
-			Probability: f.Probability,
-		})
-	}
-	return facts, nil
-}
-
 // handleFactsPost streams newly observed facts into the KB: ExtendWith
 // builds the next generation on a copy-on-write fork (semi-naive, cost
 // scales with the delta) and on success the server publishes it.
@@ -602,71 +565,33 @@ func (s *Server) handleFactsPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req struct {
-		Facts []factIn `json:"facts"`
+		Facts []ingest.Fact `json:"facts"`
 	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	facts, err := parseFacts(req.Facts)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, aq := obs.Queries.Begin(r.Context(), "extend", fmt.Sprintf("extend +%d facts", len(facts)))
+	ctx, aq := obs.Queries.Begin(r.Context(), "extend", fmt.Sprintf("extend +%d facts", len(req.Facts)))
 	defer obs.Queries.Finish(aq)
 	aq.SetPhase("queue")
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	aq.SetPhase("ground")
-
-	// Pin the newest generation *after* winning the writer mutex: a
-	// competing writer may have published while we queued, and the new
-	// round must extend that, not a stale base.
-	pin := s.snaps.Pin()
-	defer pin.Unpin()
-	base := pin.Value()
-	if base == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is not ready (no expansion attached)"))
-		return
-	}
-	next, err := base.exp.ExtendWithContext(ctx, facts)
+	next, gen, err := s.ing.Extend(ctx, req.Facts)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	gen := s.publish(next.KB(), next)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"added":      len(facts),
+		"added":      len(req.Facts),
 		"generation": gen,
 		"stats":      next.Stats(),
 	})
 }
 
-// ingestAck is one streamed batch's NDJSON ack line.
-type ingestAck struct {
-	Batch int `json:"batch"`
-	Facts int `json:"facts"`
-	// Added/Derived are the batch's genuinely new observed facts and
-	// the facts delta grounding derived from them.
-	Added   int `json:"added"`
-	Derived int `json:"derived"`
-	// Generation is the epoch the batch was published as: readers that
-	// pin it (or any later one) see the batch's whole closure.
-	Generation uint64 `json:"generation"`
-	// DurableSeq is the WAL record count after the batch landed (0
-	// without -persist): replay up to here recovers the batch.
-	DurableSeq int64 `json:"durableSeq"`
-	// StaleBatches is the marginal staleness after this batch;
-	// Refreshed marks an ack whose batch triggered a refresh.
-	StaleBatches int64 `json:"staleBatches"`
-	Refreshed    bool  `json:"refreshed,omitempty"`
-}
-
 // handleFactsStream is the chunked ingest path: each decoded
-// {"facts": [...]} chunk becomes one deferred extend — the batch's
-// facts and semi-naive closure publish immediately; marginals refresh
-// every refreshEvery batches — and one flushed ack line. The loop is
+// {"facts": [...]} chunk is one sealed batch for the landing step
+// (ingest.Lander.Land, the call the library pipeline's writer makes) —
+// the batch's facts and semi-naive closure publish immediately;
+// marginals refresh every refreshEvery batches — and one flushed ack
+// line. Only the queue and batcher are skipped: the client sealed the
+// batches, and it waits for each ack. The loop is
 // strictly decode → absorb → ack, so by the time a client reads ack N,
 // batches 1..N are published and (with a store) durable; a disconnect
 // between chunks loses nothing, and a disconnect mid-absorb cancels
@@ -709,7 +634,7 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 	batch := 0
 	for body.refill(); dec.More(); body.refill() {
 		var req struct {
-			Facts []factIn `json:"facts"`
+			Facts []ingest.Fact `json:"facts"`
 		}
 		aq.SetPhase("decode")
 		if err := dec.Decode(&req); err != nil {
@@ -721,20 +646,18 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 			line(map[string]string{"error": fmt.Sprintf("batch %d: chunk of %d facts exceeds the %d-fact limit", batch, len(req.Facts), maxChunkFacts)})
 			return
 		}
-		facts, err := parseFacts(req.Facts)
+		// A landed batch is published and durable, so it is acked even
+		// when its refresh then failed; the error line follows the ack.
+		ack, err := s.land.Land(ctx, req.Facts, refreshEvery, 0)
+		if ack.Batch != 0 {
+			ack.Batch = batch
+			aq.AddRows(ack.Facts)
+			line(ack)
+		}
 		if err != nil {
 			line(map[string]string{"error": fmt.Sprintf("batch %d: %v", batch, err)})
 			return
 		}
-		ack, err := s.absorbBatch(ctx, aq, facts, refreshEvery)
-		if err != nil {
-			line(map[string]string{"error": fmt.Sprintf("batch %d: %v", batch, err)})
-			return
-		}
-		ack.Batch = batch
-		ack.Facts = len(facts)
-		aq.AddRows(len(facts))
-		line(ack)
 	}
 	if body.left <= 0 {
 		// The budget ran out between chunks (nothing but whitespace for
@@ -743,64 +666,6 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	line(map[string]any{"done": true, "batches": batch})
-}
-
-// absorbBatch lands one streamed batch under the writer mutex: deferred
-// extend, publish, refresh policy. The returned ack carries the
-// published generation and durable sequence.
-func (s *Server) absorbBatch(ctx context.Context, aq *obs.ActiveQuery, facts []probkb.Fact, refreshEvery int) (ingestAck, error) {
-	start := time.Now()
-	aq.SetPhase("queue")
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	aq.SetPhase("ground")
-
-	pin := s.snaps.Pin()
-	defer pin.Unpin()
-	base := pin.Value()
-	if base == nil {
-		return ingestAck{}, fmt.Errorf("server is not ready (no expansion attached)")
-	}
-	prevFacts := base.exp.Stats().TotalFacts
-	next, err := base.exp.ExtendWithDeferred(ctx, facts)
-	if err != nil {
-		return ingestAck{}, err
-	}
-	st := next.Stats()
-	ack := ingestAck{
-		Added:   st.BaseFacts - prevFacts,
-		Derived: st.InferredFacts,
-	}
-	ack.Generation = s.publish(next.KB(), next)
-	if s.store != nil {
-		ack.DurableSeq = s.store.WALRecords()
-	}
-	ack.StaleBatches = s.staleBatches.Add(1)
-
-	obs.Default.Counter("probkb_ingest_facts_total").Add(int64(len(facts)))
-	obs.Default.Counter("probkb_ingest_batches_total").Inc()
-	obs.Default.Histogram("probkb_ingest_absorb_seconds", nil).Observe(time.Since(start).Seconds())
-
-	if refreshEvery > 0 && ack.StaleBatches >= int64(refreshEvery) {
-		aq.SetPhase("infer")
-		ref, err := next.RefreshMarginals(ctx)
-		if err != nil {
-			// The batch itself is published and durable; only the refresh
-			// failed. Report the error — staleness stays, nothing tears.
-			obs.Default.Gauge("probkb_ingest_staleness_batches").Set(float64(ack.StaleBatches))
-			return ingestAck{}, fmt.Errorf("refresh after batch: %w", err)
-		}
-		ack.Generation = s.publish(ref.KB(), ref)
-		if s.store != nil {
-			ack.DurableSeq = s.store.WALRecords()
-		}
-		s.staleBatches.Store(0)
-		ack.StaleBatches = 0
-		ack.Refreshed = true
-		obs.Default.Counter("probkb_ingest_refreshes_total").Inc()
-	}
-	obs.Default.Gauge("probkb_ingest_staleness_batches").Set(float64(s.staleBatches.Load()))
-	return ack, nil
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, snap *snapshot, _ uint64) {
@@ -831,29 +696,55 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, snap *sna
 	fmt.Fprint(w, text)
 }
 
-// handleSnapshot checkpoints the attached store: the WAL folds into a
-// fresh columnar snapshot and the next recovery loads one file. The
+// checkpoint folds the attached store's WAL into a fresh columnar
+// snapshot, so the next recovery loads one file, then runs after. The
 // store is single-writer, and every other writer of it — a streamed
 // batch appending to the WAL the checkpoint is about to retire — holds
-// wmu, so the checkpoint does too.
+// the writer lock, so this does too (and publishes nothing); after runs
+// under it because even reading the store's mirror (Facts) needs it.
+func (s *Server) checkpoint(after func(st *probkb.Store) error) error {
+	_, _, err := s.ing.Update(func(*probkb.Expansion) (*probkb.Expansion, error) {
+		if err := s.store.Checkpoint(); err != nil {
+			return nil, err
+		}
+		return nil, after(s.store)
+	})
+	return err
+}
+
+// Close is the exit path of a serving process with a store: a final
+// checkpoint, then the store closes — still under the writer lock, so a
+// request cut off mid-batch that unwinds late finds a closed store (an
+// error, nothing torn), never a store closing under it. Without a
+// store, or before Attach, there is nothing to do.
+func (s *Server) Close() error {
+	if !s.serving() || s.store == nil {
+		return nil
+	}
+	return s.checkpoint((*probkb.Store).Close)
+}
+
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	if s.store == nil {
+	if !s.serving() || s.store == nil {
 		writeError(w, http.StatusConflict, fmt.Errorf("no durable store attached (start with -persist)"))
 		return
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := s.store.Checkpoint(); err != nil {
+	var resp map[string]any
+	err := s.checkpoint(func(st *probkb.Store) error {
+		resp = map[string]any{
+			"gen":           st.Gen(),
+			"walRecords":    st.WALRecords(),
+			"snapshotBytes": st.SnapshotBytes(),
+			"facts":         st.Facts(),
+			"dir":           st.Dir(),
+		}
+		return nil
+	})
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"gen":           s.store.Gen(),
-		"walRecords":    s.store.WALRecords(),
-		"snapshotBytes": s.store.SnapshotBytes(),
-		"facts":         s.store.Facts(),
-		"dir":           s.store.Dir(),
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, snap *snapshot, gen uint64) {
@@ -1050,21 +941,6 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	desc := fmt.Sprintf("expand iterations=%d inference=%v samples=%d", req.Iterations, req.Inference, req.Samples)
 	ctx, aq := obs.Queries.Begin(r.Context(), "expand", desc)
 	defer obs.Queries.Finish(aq)
-	aq.SetPhase("queue")
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	aq.SetPhase("ground")
-
-	// Pin the newest generation after winning the writer mutex (see
-	// handleFactsPost) — the re-expansion grounds that generation's KB.
-	pin := s.snaps.Pin()
-	defer pin.Unpin()
-	base := pin.Value()
-	if base == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is not ready (no expansion attached)"))
-		return
-	}
-
 	cfg := probkb.Config{
 		Engine:        probkb.SingleNode,
 		MaxIterations: req.Iterations,
@@ -1078,11 +954,18 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		},
 		OnGibbsSweep: func(probkb.GibbsSweep) { aq.SetPhase("infer") },
 	}
-	exp, err := base.kb.ExpandContext(ctx, cfg)
+	aq.SetPhase("queue")
+	exp, gen, err := s.ing.Update(func(*probkb.Expansion) (*probkb.Expansion, error) {
+		aq.SetPhase("ground")
+		// The served KB, pinned under the writer lock so the newest; for
+		// generation 1 the one Attach was handed, not the pre-cleaned fork.
+		pin := s.snaps.Pin()
+		defer pin.Unpin()
+		return pin.Value().kb.ExpandContext(ctx, cfg)
+	})
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	gen := s.publish(base.kb, exp)
 	writeJSON(w, http.StatusOK, map[string]any{"stats": exp.Stats(), "generation": gen})
 }
