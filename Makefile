@@ -30,17 +30,18 @@ bench-build:
 
 # Kernel tier (ROADMAP item 1b): the engine's hash and filter kernels
 # and ground's fact index at 100K and 300K synthetic TΠ rows, with
-# allocations, plus the library-level SQL point select over the scale
-# 0.25 corpus (relational image hit vs. build). EXPERIMENTS.md records
-# the numbers.
+# allocations; building the factor graph of the scale 0.25 constrained
+# grounding and one Gibbs sweep of each sampler over it; plus the
+# library-level SQL point select over the scale 0.25 corpus (relational
+# image hit vs. build). EXPERIMENTS.md records the numbers.
 bench-kernels:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench BenchmarkPointSelect -benchmem .
 
 # Every kernel benchmark compiles and executes once per PR, so none can
 # rot between the runs somebody reads.
 kernels-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench BenchmarkPointSelect -benchtime 1x .
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed

@@ -17,6 +17,7 @@ package factor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"probkb/internal/engine"
@@ -24,8 +25,10 @@ import (
 	"probkb/internal/kb"
 )
 
-// Factor is one ground factor. Head is the consequent variable; Body has
-// 0 (singleton), 1, or 2 antecedent variables.
+// Factor is one ground factor, materialized from the graph's columns
+// for the explaining and reporting paths (the samplers read the columns
+// through Clause). Head is the consequent variable; Body has 0
+// (singleton), 1, or 2 antecedent variables.
 type Factor struct {
 	Head int32
 	Body []int32
@@ -42,83 +45,197 @@ func (f Factor) Vars() []int32 {
 	return append(out, f.Body...)
 }
 
-// Graph is a materialized ground factor graph. Variables are graph-local
-// indices 0..NumVars-1; VarOf and FactID translate between them and the
-// (possibly sparse, after constraint deletions) fact IDs of TΠ.
+// Satisfied evaluates a factor's clause under an assignment: false only
+// when the body is fully true and the head false (clause semantics);
+// singleton factors are satisfied when the fact itself is true.
+func (f Factor) Satisfied(assign []bool) bool {
+	for _, b := range f.Body {
+		if !assign[b] {
+			return true
+		}
+	}
+	return assign[f.Head]
+}
+
+// Graph is a materialized ground factor graph, stored as flat
+// pointer-free columns. Variables are graph-local indices 0..NumVars-1
+// in TΠ row order; VarOf and FactID translate between them and the
+// (possibly sparse, after constraint deletions) fact IDs of TΠ. Factors
+// are indices 0..NumFactors-1 in TΦ row order.
 type Graph struct {
-	nvars   int
-	factors []Factor
-	// adj[v] lists the indices of the factors touching variable v.
-	adj [][]int32
-	// ids[v] is variable v's fact ID; byID is the inverse.
+	// ids[v] is variable v's fact ID. byID lists the variables in
+	// increasing fact-ID order; it stays nil in the common case of ids
+	// already ascending (the grounder's append-only guarantee), where
+	// VarOf searches ids itself.
 	ids  []int32
-	byID map[int32]int32
+	byID []int32
+	// bias[v] is the sum of v's unit-clause weights: its whole
+	// conditional log-odds when no clause touches it.
+	bias []float64
+
+	// One entry per factor: head ← b1[, b2] with weight w, -1 marking an
+	// absent body position (b1 < 0 is a unit clause; b2 >= 0 implies
+	// b1 >= 0).
+	head, b1, b2 []int32
+	w            []float64
+
+	// adj[off[v]:off[v+1]] lists the clause factors touching variable v,
+	// each once even when v occupies two positions of it. Unit clauses
+	// are not listed; bias carries them.
+	off, adj []int32
+	// sampled lists, ascending, the variables touching at least one
+	// clause factor — the only ones whose value depends on another's.
+	sampled []int32
 }
 
 // FromTables builds a Graph from a grounding result's TΠ and TΦ tables.
 // Fact IDs may be sparse (quality control deletes rows without
 // renumbering); every factor must reference a present fact.
 func FromTables(facts, factors *engine.Table) (*Graph, error) {
-	n := facts.NumRows()
-	ids := facts.Int32Col(kb.TPiI)
-	g := &Graph{
-		nvars: n,
-		adj:   make([][]int32, n),
-		ids:   make([]int32, n),
-		byID:  make(map[int32]int32, n),
-	}
-	for r := 0; r < n; r++ {
-		if _, dup := g.byID[ids[r]]; dup {
-			return nil, fmt.Errorf("factor: duplicate fact ID %d", ids[r])
-		}
-		g.ids[r] = ids[r]
-		g.byID[ids[r]] = int32(r)
+	n, nf := facts.NumRows(), factors.NumRows()
+	g := newGraph(slices.Clone(facts.Int32Col(kb.TPiI)[:n]), nf)
+	if err := g.indexIDs(); err != nil {
+		return nil, err
 	}
 
 	i1s := factors.Int32Col(ground.TPhiI1)
 	i2s := factors.Int32Col(ground.TPhiI2)
 	i3s := factors.Int32Col(ground.TPhiI3)
 	ws := factors.Float64Col(ground.TPhiW)
-	for r := 0; r < factors.NumRows(); r++ {
-		mapID := func(id int32) (int32, error) {
-			v, ok := g.byID[id]
+	for r := 0; r < nf; r++ {
+		row := [3]int32{i1s[r], i2s[r], i3s[r]}
+		for i, id := range row {
+			if id == engine.NullInt32 {
+				row[i] = -1
+				continue
+			}
+			v, ok := g.VarOf(id)
 			if !ok {
-				return 0, fmt.Errorf("factor: factor row %d references unknown fact %d", r, id)
+				return nil, fmt.Errorf("factor: factor row %d references unknown fact %d", r, id)
 			}
-			return v, nil
+			row[i] = v
 		}
-		head, err := mapID(i1s[r])
-		if err != nil {
-			return nil, err
+		if row[1] < 0 {
+			row[1], row[2] = row[2], -1
 		}
-		f := Factor{Head: head, W: ws[r]}
-		if i2s[r] != engine.NullInt32 {
-			v, err := mapID(i2s[r])
-			if err != nil {
-				return nil, err
-			}
-			f.Body = append(f.Body, v)
-		}
-		if i3s[r] != engine.NullInt32 {
-			v, err := mapID(i3s[r])
-			if err != nil {
-				return nil, err
-			}
-			f.Body = append(f.Body, v)
-		}
-		idx := int32(len(g.factors))
-		g.factors = append(g.factors, f)
-		for _, v := range f.Vars() {
-			g.adj[v] = append(g.adj[v], idx)
+		g.addFactor(row[0], row[1], row[2], ws[r])
+	}
+	g.buildAdjacency()
+	return g, nil
+}
+
+// newGraph returns a graph over the given fact IDs with room for nf
+// factors; the caller adds them with addFactor and then calls
+// buildAdjacency.
+func newGraph(ids []int32, nf int) *Graph {
+	return &Graph{
+		ids:  ids,
+		bias: make([]float64, len(ids)),
+		head: make([]int32, 0, nf),
+		b1:   make([]int32, 0, nf),
+		b2:   make([]int32, 0, nf),
+		w:    make([]float64, 0, nf),
+		off:  make([]int32, len(ids)+1),
+	}
+}
+
+// addFactor appends one factor over graph variables (-1 for an absent
+// body position, b1 filled before b2). A unit clause folds into its
+// variable's bias; a clause is counted, in off[v+1], against each
+// distinct variable it touches.
+func (g *Graph) addFactor(head, b1, b2 int32, w float64) {
+	f := int32(len(g.head))
+	g.head, g.b1, g.b2, g.w = append(g.head, head), append(g.b1, b1), append(g.b2, b2), append(g.w, w)
+	if b1 < 0 {
+		g.bias[head] += w
+		return
+	}
+	vars, k := g.clauseVars(f)
+	for _, v := range vars[:k] {
+		g.off[v+1]++
+	}
+}
+
+// indexIDs checks the fact IDs for duplicates and, when they are not
+// already ascending, builds the sorted view VarOf searches.
+func (g *Graph) indexIDs() error {
+	ascending := true
+	for v := 1; v < len(g.ids); v++ {
+		if g.ids[v] <= g.ids[v-1] {
+			ascending = false
+			break
 		}
 	}
-	return g, nil
+	if ascending {
+		return nil
+	}
+	g.byID = make([]int32, len(g.ids))
+	for v := range g.byID {
+		g.byID[v] = int32(v)
+	}
+	slices.SortFunc(g.byID, func(a, b int32) int { return int(g.ids[a]) - int(g.ids[b]) })
+	for i := 1; i < len(g.byID); i++ {
+		if id := g.ids[g.byID[i]]; id == g.ids[g.byID[i-1]] {
+			return fmt.Errorf("factor: duplicate fact ID %d", id)
+		}
+	}
+	return nil
+}
+
+// clauseVars returns the distinct variables of factor f (head first)
+// and how many there are.
+func (g *Graph) clauseVars(f int32) ([3]int32, int) {
+	vars := [3]int32{g.head[f]}
+	k := 1
+	if b := g.b1[f]; b >= 0 && b != vars[0] {
+		vars[k] = b
+		k++
+	}
+	if b := g.b2[f]; b >= 0 && b != vars[0] && b != g.b1[f] {
+		vars[k] = b
+		k++
+	}
+	return vars, k
+}
+
+// buildAdjacency turns the per-variable clause counts left in off[v+1]
+// into the CSR offsets, fills adj, and derives the sampled list.
+func (g *Graph) buildAdjacency() {
+	n := len(g.ids)
+	for v := 0; v < n; v++ {
+		if g.off[v+1] > 0 {
+			g.sampled = append(g.sampled, int32(v))
+		}
+		g.off[v+1] += g.off[v]
+	}
+	g.adj = make([]int32, g.off[n])
+	// Fill through a moving cursor per variable: off[v] is advanced to
+	// the end of v's list, then shifted back one slot.
+	for f := range g.head {
+		if g.b1[f] < 0 {
+			continue
+		}
+		vars, k := g.clauseVars(int32(f))
+		for _, v := range vars[:k] {
+			g.adj[g.off[v]] = int32(f)
+			g.off[v]++
+		}
+	}
+	copy(g.off[1:], g.off[:n])
+	g.off[0] = 0
 }
 
 // VarOf translates a fact ID to its graph variable index.
 func (g *Graph) VarOf(factID int32) (int32, bool) {
-	v, ok := g.byID[factID]
-	return v, ok
+	if g.byID == nil {
+		v, ok := slices.BinarySearch(g.ids, factID)
+		return int32(v), ok
+	}
+	i, ok := slices.BinarySearchFunc(g.byID, factID, func(v, id int32) int { return int(g.ids[v]) - int(id) })
+	if !ok {
+		return 0, false
+	}
+	return g.byID[i], true
 }
 
 // FactID translates a graph variable index back to its fact ID.
@@ -132,59 +249,82 @@ func FromResult(res *ground.Result) (*Graph, error) {
 	return FromTables(res.Facts, res.Factors)
 }
 
-// NumVars returns the number of variables (facts).
-func (g *Graph) NumVars() int { return g.nvars }
+// NumVars returns the number of variables (rows of TΠ).
+func (g *Graph) NumVars() int { return len(g.ids) }
 
-// NumFactors returns the number of factors.
-func (g *Graph) NumFactors() int { return len(g.factors) }
+// NumFactors returns the number of factors (rows of TΦ).
+func (g *Graph) NumFactors() int { return len(g.head) }
 
-// Factor returns factor i.
-func (g *Graph) Factor(i int) Factor { return g.factors[i] }
+// Clause returns factor f's columns: head ← b1[, b2] with weight w, -1
+// for an absent body position (b1 < 0: a unit clause).
+func (g *Graph) Clause(f int32) (head, b1, b2 int32, w float64) {
+	return g.head[f], g.b1[f], g.b2[f], g.w[f]
+}
 
-// FactorsOf returns the indices of the factors touching variable v.
-func (g *Graph) FactorsOf(v int32) []int32 { return g.adj[v] }
-
-// Satisfied evaluates a factor's clause under an assignment: false only
-// when the body is fully true and the head false (clause semantics);
-// singleton factors are satisfied when the fact itself is true.
-func (f Factor) Satisfied(assign []bool) bool {
-	if f.Singleton() {
-		return assign[f.Head]
+// Factor materializes factor i.
+func (g *Graph) Factor(i int) Factor {
+	f := Factor{Head: g.head[i], W: g.w[i]}
+	if g.b1[i] >= 0 {
+		f.Body = append(f.Body, g.b1[i])
 	}
-	for _, b := range f.Body {
-		if !assign[b] {
-			return true
-		}
+	if g.b2[i] >= 0 {
+		f.Body = append(f.Body, g.b2[i])
 	}
-	return assign[f.Head]
+	return f
+}
+
+// FactorsOf returns the indices of the clause factors touching variable
+// v, each listed once. The slice aliases the graph; do not modify it.
+func (g *Graph) FactorsOf(v int32) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
+
+// Bias returns the summed weight of v's unit clauses: with FactorsOf(v)
+// empty, v is independent of every other variable and P(v=1) is exactly
+// σ(Bias(v)).
+func (g *Graph) Bias(v int32) float64 { return g.bias[v] }
+
+// Sampled returns, ascending, the variables touching at least one clause
+// factor. Every other variable's marginal is closed-form (see Bias).
+// The slice aliases the graph; do not modify it.
+func (g *Graph) Sampled() []int32 { return g.sampled }
+
+// Satisfied evaluates factor i under an assignment, with Factor.Satisfied's
+// semantics, straight from the columns.
+func (g *Graph) Satisfied(i int, assign []bool) bool {
+	if b := g.b1[i]; b >= 0 && !assign[b] {
+		return true
+	}
+	if b := g.b2[i]; b >= 0 && !assign[b] {
+		return true
+	}
+	return assign[g.head[i]]
 }
 
 // LogScore returns the assignment's unnormalized log probability
 // Σ w_i · n_i(x) over all factors (equation (4) of the paper).
 func (g *Graph) LogScore(assign []bool) float64 {
 	var s float64
-	for _, f := range g.factors {
-		if f.Satisfied(assign) {
-			s += f.W
+	for i, w := range g.w {
+		if g.Satisfied(i, assign) {
+			s += w
 		}
 	}
 	return s
 }
 
-// Neighbors returns the distinct variables sharing a factor with v (its
-// Markov blanket), excluding v itself.
+// Neighbors returns, ascending, the distinct variables sharing a factor
+// with v (its Markov blanket), excluding v itself.
 func (g *Graph) Neighbors(v int32) []int32 {
-	seen := map[int32]bool{v: true}
 	var out []int32
-	for _, fi := range g.adj[v] {
-		for _, u := range g.factors[fi].Vars() {
-			if !seen[u] {
-				seen[u] = true
+	for _, f := range g.FactorsOf(v) {
+		vars, k := g.clauseVars(f)
+		for _, u := range vars[:k] {
+			if u != v {
 				out = append(out, u)
 			}
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Lineage returns the derivation factors of variable v: the non-singleton
@@ -192,10 +332,9 @@ func (g *Graph) Neighbors(v int32) []int32 {
 // fact.
 func (g *Graph) Lineage(v int32) []Factor {
 	var out []Factor
-	for _, fi := range g.adj[v] {
-		f := g.factors[fi]
-		if f.Head == v && !f.Singleton() {
-			out = append(out, f)
+	for _, f := range g.FactorsOf(v) {
+		if g.head[f] == v {
+			out = append(out, g.Factor(int(f)))
 		}
 	}
 	return out
@@ -231,27 +370,32 @@ type Stats struct {
 	Vars       int
 	Factors    int
 	Singletons int
-	MaxDegree  int
-	AvgDegree  float64
+	// MaxDegree and AvgDegree count every factor on a variable, unit
+	// clauses included.
+	MaxDegree int
+	AvgDegree float64
 }
 
 // Stats computes summary statistics.
 func (g *Graph) Stats() Stats {
-	st := Stats{Vars: g.nvars, Factors: len(g.factors)}
-	for _, f := range g.factors {
-		if f.Singleton() {
+	st := Stats{Vars: g.NumVars(), Factors: g.NumFactors()}
+	deg := make([]int32, g.NumVars())
+	for v := range deg {
+		deg[v] = g.off[v+1] - g.off[v]
+	}
+	for f, b := range g.b1 {
+		if b < 0 {
 			st.Singletons++
+			deg[g.head[f]]++
 		}
 	}
 	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-		if len(a) > st.MaxDegree {
-			st.MaxDegree = len(a)
-		}
+	for _, d := range deg {
+		total += int(d)
+		st.MaxDegree = max(st.MaxDegree, int(d))
 	}
-	if g.nvars > 0 {
-		st.AvgDegree = float64(total) / float64(g.nvars)
+	if st.Vars > 0 {
+		st.AvgDegree = float64(total) / float64(st.Vars)
 	}
 	return st
 }

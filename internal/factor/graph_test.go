@@ -1,6 +1,8 @@
 package factor
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,5 +283,103 @@ func TestFromTablesErrors(t *testing.T) {
 
 	if _, err := FromResult(&ground.Result{Facts: facts2}); err == nil {
 		t.Fatal("FromResult without factors accepted")
+	}
+}
+
+// TestFlatLayout pins what the columns promise the samplers: factors in
+// TΦ order, unit clauses folded into Bias and kept out of the adjacency,
+// a clause listed once per distinct variable, Sampled = the variables
+// some clause touches, and fact IDs resolved in any row order.
+func TestFlatLayout(t *testing.T) {
+	facts := engine.NewTable("T", kb.FactsSchema())
+	for _, id := range []int{40, 10, 30, 20, 50} { // not ascending
+		facts.AppendRow(id, 0, id, 0, id, 0, engine.NullFloat64())
+	}
+	null := engine.NullInt32
+	factors := engine.NewTable("TPhi", ground.FactorSchema())
+	factors.AppendRow(10, null, null, 0.5)
+	factors.AppendRow(30, 10, 10, 1.0) // body variable twice
+	factors.AppendRow(10, null, null, 0.25)
+	factors.AppendRow(30, 30, 20, 2.0) // head in its own body
+	factors.AppendRow(20, null, 30, 3.0)
+	factors.AppendRow(50, null, null, -1.0)
+	g, err := FromTables(facts, factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := func(id int32) int32 {
+		t.Helper()
+		u, ok := g.VarOf(id)
+		if !ok || g.FactID(u) != id {
+			t.Fatalf("VarOf(%d) = %d, %v", id, u, ok)
+		}
+		return u
+	}
+	if _, ok := g.VarOf(25); ok {
+		t.Fatal("VarOf invented a variable")
+	}
+
+	want := []Factor{
+		{Head: v(10), W: 0.5},
+		{Head: v(30), Body: []int32{v(10), v(10)}, W: 1.0},
+		{Head: v(10), W: 0.25},
+		{Head: v(30), Body: []int32{v(30), v(20)}, W: 2.0},
+		{Head: v(20), Body: []int32{v(30)}, W: 3.0}, // a lone I3 is the one body atom
+		{Head: v(50), W: -1.0},
+	}
+	if g.NumFactors() != len(want) {
+		t.Fatalf("NumFactors = %d, want %d", g.NumFactors(), len(want))
+	}
+	for i, w := range want {
+		if got := g.Factor(i); !reflect.DeepEqual(got, w) {
+			t.Errorf("Factor(%d) = %+v, want %+v", i, got, w)
+		}
+	}
+
+	if got := g.Bias(v(10)); got != 0.75 {
+		t.Errorf("Bias(10) = %v, want the two unit weights summed", got)
+	}
+	if got := g.Bias(v(50)); got != -1.0 {
+		t.Errorf("Bias(50) = %v", got)
+	}
+	for id, want := range map[int32][]int32{10: {1}, 20: {3, 4}, 30: {1, 3, 4}, 40: {}, 50: {}} {
+		if got := g.FactorsOf(v(id)); !slices.Equal(got, want) {
+			t.Errorf("FactorsOf(%d) = %v, want %v", id, got, want)
+		}
+	}
+	if got, want := g.Sampled(), []int32{v(10), v(30), v(20)}; !slices.Equal(got, want) {
+		t.Errorf("Sampled = %v, want %v (ascending variable index)", got, want)
+	}
+	if got, want := g.Neighbors(v(30)), []int32{v(10), v(20)}; !slices.Equal(got, want) {
+		t.Errorf("Neighbors(30) = %v, want %v", got, want)
+	}
+
+	st := g.Stats()
+	if st.Vars != 5 || st.Factors != 6 || st.Singletons != 3 || st.MaxDegree != 3 {
+		t.Errorf("Stats = %+v", st)
+	}
+	// Degrees count unit clauses: 10 has 2+1, 20 has 2, 30 has 3, 50 has 1.
+	if want := float64(3+2+3+0+1) / 5; mathAbs(st.AvgDegree-want) > 1e-12 {
+		t.Errorf("AvgDegree = %v, want %v", st.AvgDegree, want)
+	}
+
+	// The flat evaluation agrees with the materialized factors'.
+	assign := make([]bool, g.NumVars())
+	for mask := 0; mask < 1<<g.NumVars(); mask++ {
+		var score float64
+		for u := range assign {
+			assign[u] = mask&(1<<u) != 0
+		}
+		for i := range want {
+			if g.Satisfied(i, assign) != g.Factor(i).Satisfied(assign) {
+				t.Fatalf("factor %d under %v: flat and materialized Satisfied disagree", i, assign)
+			}
+			if g.Factor(i).Satisfied(assign) {
+				score += want[i].W
+			}
+		}
+		if got := g.LogScore(assign); mathAbs(got-score) > 1e-12 {
+			t.Fatalf("LogScore(%v) = %v, want %v", assign, got, score)
+		}
 	}
 }

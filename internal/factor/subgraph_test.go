@@ -1,6 +1,7 @@
 package factor
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -82,7 +83,92 @@ func TestSubgraphDropsCrossBoundaryFactors(t *testing.T) {
 func TestSubgraphDeterministic(t *testing.T) {
 	g, _, _ := paperGraph(t)
 	a, b := g.Subgraph(0, 2), g.Subgraph(0, 2)
-	if !reflect.DeepEqual(a.ids, b.ids) || !reflect.DeepEqual(a.factors, b.factors) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical Subgraph calls disagree")
+	}
+}
+
+// TestSubgraphOfLocalGrounding: a local grounding keeps the evidence
+// table's (sparse) fact IDs; the graph built from it and every
+// component extracted from that graph must keep translating them both
+// ways, and a component's factors must be exactly the parent's factors
+// over its variables.
+func TestSubgraphOfLocalGrounding(t *testing.T) {
+	k := kb.New()
+	// Unrelated evidence first, so the facts the query reaches have IDs
+	// that are neither dense nor zero-based.
+	k.InternFact("capital_of", "Paris", "City", "France", "Country", 0.9)
+	k.InternFact("capital_of", "Rome", "City", "Italy", "Country", 0.8)
+	k.InternFact("born_in", "Ruth_Gruber", "Writer", "New_York_City", "City", 0.96)
+	k.InternFact("capital_of", "Oslo", "City", "Norway", "Country", 0.7)
+	k.InternFact("born_in", "Ruth_Gruber", "Writer", "Brooklyn", "Place", 0.93)
+	for _, line := range []string{
+		"1.40 live_in(x:Writer, y:Place) :- born_in(x:Writer, y:Place)",
+		"1.53 live_in(x:Writer, y:City) :- born_in(x:Writer, y:City)",
+		"0.52 located_in(x:Place, y:City) :- born_in(z:Writer, x:Place), born_in(z, y:City)",
+	} {
+		c, err := k.ParseRule(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.AddRule(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, _ := k.RelDict.Lookup("located_in")
+	x, _ := k.Entities.Lookup("Brooklyn")
+	y, _ := k.Entities.Lookup("New_York_City")
+	lres, err := ground.NewLocal(k.Rules, k.FactsTable(), ground.Options{}).
+		Ground(context.Background(), ground.LocalQuery{Rel: rel, X: x, Y: y, Depth: 4, Radius: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := FromResult(lres.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := lres.Facts.Int32Col(kb.TPiI)
+	if len(lres.TargetRows) == 0 || ids[0] == 0 {
+		t.Fatalf("fixture lost its point: target rows %v, first local fact ID %d", lres.TargetRows, ids[0])
+	}
+	for r, id := range ids {
+		if v, ok := g.VarOf(id); !ok || int(v) != r || g.FactID(v) != id {
+			t.Fatalf("row %d (fact %d): VarOf = %d, %v", r, id, v, ok)
+		}
+	}
+
+	seen := 0
+	for v := int32(0); int(v) < g.NumVars(); v++ {
+		sub := g.Subgraph(v, 0)
+		for u := int32(0); int(u) < sub.NumVars(); u++ {
+			id := sub.FactID(u)
+			if back, ok := sub.VarOf(id); !ok || back != u {
+				t.Fatalf("seed %d: subgraph VarOf(FactID(%d)) = %d, %v", v, u, back, ok)
+			}
+			if _, ok := g.VarOf(id); !ok {
+				t.Fatalf("seed %d: subgraph fact %d unknown to the parent", v, id)
+			}
+		}
+		if _, ok := sub.VarOf(g.FactID(v)); !ok {
+			t.Fatalf("seed %d missing from its own component", v)
+		}
+		// Every parent factor lies wholly inside or wholly outside a
+		// component, so the component's factor count is the number of
+		// parent factors headed inside it.
+		want := 0
+		for i := 0; i < g.NumFactors(); i++ {
+			if _, ok := sub.VarOf(g.FactID(g.Factor(i).Head)); ok {
+				want++
+			}
+		}
+		if sub.NumFactors() != want {
+			t.Fatalf("seed %d: component has %d factors, parent has %d headed in it", v, sub.NumFactors(), want)
+		}
+		if sub.NumVars() > 1 {
+			seen++
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no variable had a neighbor: the local grounding derived nothing")
 	}
 }

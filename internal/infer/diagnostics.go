@@ -34,7 +34,9 @@ func (d Diagnostics) Converged(threshold float64) bool {
 
 // MarginalsWithDiagnostics runs `chains` independent Gibbs chains with
 // different seeds and computes pooled marginals plus split-chain R̂ per
-// variable.
+// variable. A variable no clause touches is not sampled — every chain
+// reports the same closed-form marginal — so its R̂ is 1 by definition
+// and MaxRHat ranges over the sampled variables only.
 //
 // R̂ for binary-variable marginals uses the chain means: B/n is the
 // between-chain variance of the per-chain marginal estimates, W the
@@ -63,7 +65,11 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 	samples := float64(opts.Samples)
 	d.Marginals = make([]float64, n)
 	d.RHat = make([]float64, n)
-	for v := 0; v < n; v++ {
+	for v := range d.RHat {
+		d.Marginals[v] = est[0][v]
+		d.RHat[v] = 1
+	}
+	for _, v := range g.Sampled() {
 		// Pooled mean.
 		var mean float64
 		for c := 0; c < chains; c++ {

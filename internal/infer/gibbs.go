@@ -11,6 +11,10 @@
 //     al. [14] the paper cites, which preserves Gibbs correctness because
 //     a variable's conditional depends only on other colors.
 //
+// Both sweep only the variables some clause factor touches
+// (factor.Graph.Sampled): any other variable is independent of the rest
+// of the MLN, and its marginal is the closed form σ(Σ unit weights).
+//
 // An exact enumeration oracle (exact.go) validates both on small graphs.
 package infer
 
@@ -20,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -31,11 +36,37 @@ import (
 	"probkb/internal/obs"
 )
 
+// chainFeed is the process-wide view of a whole-graph chain: its
+// cumulative sweep and flip counters and the live throughput gauge.
+// Together with obs.Gibbs (the watchdogs' chain-health singleton) it is
+// what MarginalsContext installs and query-time local sampling does not:
+// a point query's few-variable chain is neither "the chain" an operator
+// watches nor worth a mutex round-trip per sweep.
+type chainFeed struct {
+	sweeps *obs.Counter
+	flips  *obs.Counter
+	sps    *obs.Gauge
+}
+
+func newChainFeed(chain int) *chainFeed {
+	label := obs.L("chain", strconv.Itoa(chain))
+	return &chainFeed{
+		sweeps: obs.Default.Counter("probkb_infer_sweeps_total", label),
+		flips:  obs.Default.Counter("probkb_infer_flips_total", label),
+		sps:    obs.Default.Gauge("probkb_infer_samples_per_second"),
+	}
+}
+
+// chain0 is the feed of every single-chain run, resolved once;
+// MarginalsWithDiagnostics' numbered chains resolve theirs per run.
+var chain0 *chainFeed
+
 func init() {
 	obs.Default.Help("probkb_infer_sweeps_total", "Gibbs sweeps executed, by chain.")
 	obs.Default.Help("probkb_infer_flips_total", "Variable value flips across Gibbs sweeps, by chain.")
 	obs.Default.Help("probkb_infer_samples_per_second", "Live variable-resample throughput of the running Gibbs chain.")
 	obs.Default.Help("probkb_infer_rhat_max", "Worst split-chain Gelman-Rubin R-hat of the latest diagnostics run.")
+	chain0 = newChainFeed(0)
 }
 
 // SweepStats reports one Gibbs sweep's progress — the live view of a
@@ -46,7 +77,9 @@ type SweepStats struct {
 	Sweep int
 	// Burnin reports whether the sweep was discarded.
 	Burnin bool
-	// Vars is the number of variables resampled per sweep.
+	// Vars is the number of variables resampled per sweep: those touching
+	// a clause factor (factor.Graph.Sampled). The rest are independent of
+	// everything else and get their marginals in closed form.
 	Vars int
 	// Flips is how many variables changed value in this sweep; the flip
 	// rate falling toward its stationary level is the cheapest mixing
@@ -104,7 +137,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Marginals estimates P(X_v = 1) for every variable by Gibbs sampling.
+// Marginals estimates P(X_v = 1) for every variable: by Gibbs sampling
+// for the variables some clause factor touches, in closed form for the
+// rest.
 func Marginals(g *factor.Graph, opts Options) []float64 {
 	probs, _, _ := MarginalsContext(context.Background(), g, opts)
 	return probs
@@ -118,26 +153,54 @@ func Marginals(g *factor.Graph, opts Options) []float64 {
 // error (nil on a full run). On cancellation before any sample was
 // collected the estimates are nil.
 func MarginalsContext(ctx context.Context, g *factor.Graph, opts Options) ([]float64, int, error) {
-	opts = opts.withDefaults()
+	feed := chain0
+	if opts.Chain != 0 {
+		feed = newChainFeed(opts.Chain)
+	}
+	return sample(ctx, g, opts.withDefaults(), feed)
+}
+
+// sample runs one chain over g's sampled variables — the only ones whose
+// value is random given the rest. A variable no clause touches is
+// independent of every other: its marginal is exactly σ(Σ of its unit
+// weights), no conditional ever reads it, so it costs neither a draw
+// nor a slot in the sweep. feed is nil for query-time local sampling.
+func sample(ctx context.Context, g *factor.Graph, opts Options, feed *chainFeed) ([]float64, int, error) {
 	n := g.NumVars()
 	if n == 0 {
 		return nil, 0, ctx.Err()
 	}
+	sampled := g.Sampled()
 	rng := rand.New(rand.NewSource(opts.Seed))
-
 	assign := make([]bool, n)
-	for v := range assign {
+	for _, v := range sampled {
 		assign[v] = rng.Intn(2) == 0
 	}
-
-	counts := make([]int64, n)
-	ob := newSweepObserver(assign, opts)
-	var collected int
-	var err error
+	ob := newSweepObserver(sampled, assign, opts, feed)
+	var sweep func() error
 	if opts.Parallel {
-		collected, err = runChromatic(ctx, g, assign, counts, opts, ob)
+		sweep = chromaticSweep(ctx, g, assign, opts)
 	} else {
-		collected, err = runSequential(ctx, g, assign, counts, opts, rng, ob)
+		sweep = sequentialSweep(ctx, g, assign, rng)
+	}
+
+	// counts[k] is how many collected sweeps left sampled[k] true.
+	counts := make([]int64, len(sampled))
+	collected := 0
+	var err error
+	for s := 1; s <= opts.Burnin+opts.Samples; s++ {
+		if err = sweep(); err != nil {
+			break
+		}
+		if s > opts.Burnin {
+			for k, v := range sampled {
+				if assign[v] {
+					counts[k]++
+				}
+			}
+			collected++
+		}
+		ob.observe(s, assign)
 	}
 	ob.finish()
 
@@ -146,36 +209,54 @@ func MarginalsContext(ctx context.Context, g *factor.Graph, opts Options) ([]flo
 	}
 	probs := make([]float64, n)
 	for v := range probs {
-		probs[v] = float64(counts[v]) / float64(collected)
+		probs[v] = sigmoid(g.Bias(int32(v)))
+	}
+	for k, v := range sampled {
+		probs[v] = float64(counts[k]) / float64(collected)
 	}
 	return probs, collected, err
 }
 
-// condLogOdds computes log P(v=1 | blanket) - log P(v=0 | blanket): the
-// sum over v's factors of w·[satisfied with v=1] - w·[satisfied with
-// v=0].
-func condLogOdds(g *factor.Graph, assign []bool, v int32) float64 {
-	var lo float64
-	old := assign[v]
-	for _, fi := range g.FactorsOf(v) {
-		f := g.Factor(int(fi))
-		assign[v] = true
-		if f.Satisfied(assign) {
-			lo += f.W
+// sequentialSweep returns the function that resamples every sampled
+// variable once, in index order, from the run's one rng stream.
+func sequentialSweep(ctx context.Context, g *factor.Graph, assign []bool, rng *rand.Rand) func() error {
+	sampled := g.Sampled()
+	return func() error {
+		// Cooperative cancellation: check once per sweep.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		assign[v] = false
-		if f.Satisfied(assign) {
-			lo -= f.W
+		for _, v := range sampled {
+			assign[v] = rng.Float64() < sigmoid(logOdds(g, assign, v))
 		}
+		return nil
 	}
-	assign[v] = old
-	return lo
 }
 
-// sampleVar resamples one variable from its conditional.
-func sampleVar(g *factor.Graph, assign []bool, v int32, u float64) {
-	p1 := sigmoid(condLogOdds(g, assign, v))
-	assign[v] = u < p1
+// logOdds computes log P(v=1 | blanket) - log P(v=0 | blanket): v's
+// unit weights plus, over the clause factors touching v, w·[satisfied
+// with v=1] - w·[satisfied with v=0]. It is the one conditional kernel:
+// both samplers, local sampling and MAP's flip score run on it.
+func logOdds(g *factor.Graph, assign []bool, v int32) float64 {
+	lo := g.Bias(v)
+	for _, f := range g.FactorsOf(v) {
+		head, b1, b2, w := g.Clause(f)
+		if (b1 != v && !assign[b1]) || (b2 >= 0 && b2 != v && !assign[b2]) {
+			continue // the rest of the body is false: satisfied either way
+		}
+		switch {
+		case head != v:
+			// v is in the body: setting it completes the body, which
+			// violates the clause unless the head holds.
+			if !assign[head] {
+				lo -= w
+			}
+		case b1 != v && b2 != v:
+			lo += w // v is the head of a true body
+		}
+		// v as both head and body: satisfied either way.
+	}
+	return lo
 }
 
 func sigmoid(x float64) float64 {
@@ -186,84 +267,70 @@ func sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-func runSequential(ctx context.Context, g *factor.Graph, assign []bool, counts []int64, opts Options, rng *rand.Rand, ob *sweepObserver) (int, error) {
-	n := g.NumVars()
-	collected := 0
-	for sweep := 0; sweep < opts.Burnin+opts.Samples; sweep++ {
-		// Cooperative cancellation: check once per sweep.
-		if err := ctx.Err(); err != nil {
-			return collected, err
-		}
-		for v := 0; v < n; v++ {
-			sampleVar(g, assign, int32(v), rng.Float64())
-		}
-		if sweep >= opts.Burnin {
-			for v := 0; v < n; v++ {
-				if assign[v] {
-					counts[v]++
-				}
-			}
-			collected++
-		}
-		ob.observe(sweep+1, assign)
-	}
-	return collected, nil
-}
-
 // sweepObserver tracks per-sweep progress: flip counts (by diffing the
-// previous sweep's assignment), cumulative sweep/flip counters, a live
-// samples-per-second gauge, the caller's OnIteration callback, and —
-// when OnCheckpoint is set — the convergence timeline tracker.
+// previous sweep's values of the sampled variables), the caller's
+// OnIteration callback, the process-wide chain feed when one is
+// installed, and — when OnCheckpoint is set — the convergence timeline
+// tracker. A run with none of the three has a nil observer and pays
+// nothing per sweep.
 type sweepObserver struct {
-	prev    []bool
+	sampled []int32
+	prev    []bool // prev[k] is sampled[k]'s value after the previous sweep
 	start   time.Time
 	opts    Options
-	sweeps  *obs.Counter
-	flips   *obs.Counter
-	sps     *obs.Gauge
+	feed    *chainFeed
 	tracker *tracker
 }
 
-func newSweepObserver(assign []bool, opts Options) *sweepObserver {
-	chain := strconv.Itoa(opts.Chain)
+func newSweepObserver(sampled []int32, assign []bool, opts Options, feed *chainFeed) *sweepObserver {
+	if feed == nil && opts.OnIteration == nil && opts.OnCheckpoint == nil {
+		return nil
+	}
 	o := &sweepObserver{
-		prev:   append([]bool(nil), assign...),
-		start:  time.Now(),
-		opts:   opts,
-		sweeps: obs.Default.Counter("probkb_infer_sweeps_total", obs.L("chain", chain)),
-		flips:  obs.Default.Counter("probkb_infer_flips_total", obs.L("chain", chain)),
-		sps:    obs.Default.Gauge("probkb_infer_samples_per_second"),
+		sampled: sampled,
+		prev:    make([]bool, len(sampled)),
+		start:   time.Now(),
+		opts:    opts,
+		feed:    feed,
+	}
+	for k, v := range sampled {
+		o.prev[k] = assign[v]
 	}
 	if opts.OnCheckpoint != nil {
-		o.tracker = newTracker(len(assign), opts.TrackVars)
+		o.tracker = newTracker(sampled, opts.TrackVars)
 	}
 	return o
 }
 
 // observe runs after each sweep (1-based), on the sampling goroutine.
 func (o *sweepObserver) observe(sweep int, assign []bool) {
-	flips := 0
-	for v := range assign {
-		if assign[v] != o.prev[v] {
-			flips++
-		}
-		o.prev[v] = assign[v]
+	if o == nil {
+		return
 	}
-	o.sweeps.Inc()
-	o.flips.Add(int64(flips))
-	obs.Gibbs.ObserveSweep(sweep)
+	flips := 0
+	for k, v := range o.sampled {
+		if assign[v] != o.prev[k] {
+			flips++
+			o.prev[k] = assign[v]
+		}
+	}
 	elapsed := time.Since(o.start)
 	sps := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
-		sps = float64(sweep*len(assign)) / secs
-		o.sps.Set(sps)
+		sps = float64(sweep*len(o.sampled)) / secs
+	}
+	if o.feed != nil {
+		o.feed.sweeps.Inc()
+		o.feed.flips.Add(int64(flips))
+		o.feed.sps.Set(sps)
+		obs.Gibbs.ObserveSweep(sweep)
 	}
 	burnin := sweep <= o.opts.Burnin
 	if o.opts.OnIteration != nil {
 		o.opts.OnIteration(SweepStats{
 			Sweep:   sweep,
 			Burnin:  burnin,
-			Vars:    len(assign),
+			Vars:    len(o.sampled),
 			Flips:   flips,
 			Elapsed: elapsed,
 		})
@@ -277,14 +344,16 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 			cp := Checkpoint{
 				Sweep:         sweep,
 				Burnin:        burnin,
-				Vars:          len(assign),
+				Vars:          len(o.sampled),
 				Flips:         flips,
 				Elapsed:       elapsed,
 				SamplesPerSec: sps,
 				Tracked:       o.tracker.diagnostics(),
 			}
 			cp.RHatMax, cp.ESSMin = summarize(cp.Tracked)
-			obs.Gibbs.ObserveRHat(cp.RHatMax)
+			if o.feed != nil {
+				obs.Gibbs.ObserveRHat(cp.RHatMax)
+			}
 			o.opts.OnCheckpoint(cp)
 		}
 	}
@@ -294,51 +363,57 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 // or cancellation). It zeroes the samples-per-second gauge so a
 // finished run does not advertise its last in-flight rate forever.
 func (o *sweepObserver) finish() {
-	o.sps.Set(0)
+	if o == nil || o.feed == nil {
+		return
+	}
+	o.feed.sps.Set(0)
 	obs.Gibbs.Done()
 }
 
-// Coloring holds a chromatic schedule: color[v] per variable, classes
-// listing the variables of each color.
+// Coloring holds a chromatic schedule over a graph's sampled variables:
+// Colors[v] per variable (-1 for a variable no clause touches, which is
+// never scheduled), Classes listing the variables of each color.
 type Coloring struct {
 	Colors  []int
 	Classes [][]int32
 }
 
-// ColorGraph greedily colors the Markov-blanket graph: neighbors never
-// share a color. Variables are visited in decreasing degree order
-// (Welsh–Powell), which keeps the color count low on the hub-heavy
-// graphs grounding produces.
+// ColorGraph greedily colors the Markov-blanket graph of the sampled
+// variables: neighbors never share a color. Variables are visited in
+// decreasing degree order (Welsh–Powell), which keeps the color count
+// low on the hub-heavy graphs grounding produces.
 func ColorGraph(g *factor.Graph) Coloring {
-	n := g.NumVars()
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
+	order := slices.Clone(g.Sampled())
 	sort.SliceStable(order, func(a, b int) bool {
 		return len(g.FactorsOf(order[a])) > len(g.FactorsOf(order[b]))
 	})
 
-	colors := make([]int, n)
+	colors := make([]int, g.NumVars())
 	for i := range colors {
 		colors[i] = -1
 	}
 	var classes [][]int32
+	// taken[c] == v+1 while coloring v means a neighbor of v holds color
+	// c; stamping with the variable saves clearing between variables.
+	var taken []int32
 	for _, v := range order {
-		used := make(map[int]bool)
-		for _, u := range g.Neighbors(v) {
-			if colors[u] >= 0 {
-				used[colors[u]] = true
+		for _, f := range g.FactorsOf(v) {
+			head, b1, b2, _ := g.Clause(f)
+			for _, u := range [3]int32{head, b1, b2} {
+				if u >= 0 && colors[u] >= 0 {
+					taken[colors[u]] = v + 1
+				}
 			}
 		}
 		c := 0
-		for used[c] {
+		for c < len(taken) && taken[c] == v+1 {
 			c++
 		}
-		colors[v] = c
-		for c >= len(classes) {
+		if c == len(classes) {
 			classes = append(classes, nil)
+			taken = append(taken, 0)
 		}
+		colors[v] = c
 		classes[c] = append(classes[c], v)
 	}
 	return Coloring{Colors: colors, Classes: classes}
@@ -370,29 +445,30 @@ func splitmix64(state *uint64) float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
-func runChromatic(ctx context.Context, g *factor.Graph, assign []bool, counts []int64, opts Options, ob *sweepObserver) (int, error) {
+// chromaticSweep colors g and returns the function that resamples every
+// color class once.
+func chromaticSweep(ctx context.Context, g *factor.Graph, assign []bool, opts Options) func() error {
 	coloring := ColorGraph(g)
-	n := g.NumVars()
 
 	// Sort each color class for memory locality, and seed one splitmix64
-	// stream per variable for worker-count-independent determinism.
+	// stream per sampled variable, in sampled order, for determinism
+	// independent of the worker count and of any variables never sampled.
 	for _, class := range coloring.Classes {
-		sort.Slice(class, func(a, b int) bool { return class[a] < class[b] })
+		slices.Sort(class)
 	}
 	seeder := rand.New(rand.NewSource(opts.Seed))
-	states := make([]uint64, n)
-	for v := range states {
+	states := make([]uint64, g.NumVars())
+	for _, v := range g.Sampled() {
 		states[v] = uint64(seeder.Int63())
 	}
 
-	collected := 0
-	for sweep := 0; sweep < opts.Burnin+opts.Samples; sweep++ {
+	return func() error {
 		for _, class := range coloring.Classes {
 			// Cooperative cancellation: color classes are the natural
 			// synchronization points of the chromatic schedule, so check
 			// before each one.
 			if err := ctx.Err(); err != nil {
-				return collected, err
+				return err
 			}
 			// All variables in one class are mutually non-adjacent, so
 			// sampling them concurrently equals sampling them in any
@@ -406,20 +482,11 @@ func runChromatic(ctx context.Context, g *factor.Graph, assign []bool, counts []
 			}
 			parallelFor(len(class), workers, func(i int) {
 				v := class[i]
-				sampleVar(g, assign, v, splitmix64(&states[v]))
+				assign[v] = splitmix64(&states[v]) < sigmoid(logOdds(g, assign, v))
 			})
 		}
-		if sweep >= opts.Burnin {
-			for v := 0; v < n; v++ {
-				if assign[v] {
-					counts[v]++
-				}
-			}
-			collected++
-		}
-		ob.observe(sweep+1, assign)
+		return nil
 	}
-	return collected, nil
 }
 
 // parallelFor runs f(0..n-1) across at most workers goroutines.

@@ -164,12 +164,18 @@ func TestColoringValid(t *testing.T) {
 		if !c.Valid(g) {
 			return false
 		}
-		// Classes partition the variables.
+		// Classes partition the sampled variables; the rest stay
+		// uncolored.
 		seen := 0
 		for _, cl := range c.Classes {
 			seen += len(cl)
 		}
-		return seen == n
+		for v, col := range c.Colors {
+			if (col < 0) != (len(g.FactorsOf(int32(v))) == 0) {
+				return false
+			}
+		}
+		return seen == len(g.Sampled())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,9 @@ func LocalMarginalContext(ctx context.Context, g *factor.Graph, target int32, ra
 	if !ok {
 		return res, fmt.Errorf("infer: target fact %d missing from its own neighborhood", g.FactID(target))
 	}
-	probs, collected, err := MarginalsContext(ctx, sub, opts)
+	// No chain feed: a point query's chain must not pose as the
+	// process-wide one the watchdogs and the throughput gauge follow.
+	probs, collected, err := sample(ctx, sub, opts.withDefaults(), nil)
 	res.Collected = collected
 	if collected > 0 {
 		res.Probability = probs[v]

@@ -119,9 +119,9 @@ func pickUnsatisfied(g *factor.Graph, assign []bool, rng *rand.Rand) (int, bool)
 	chosen := -1
 	seen := 0
 	for i := 0; i < g.NumFactors(); i++ {
-		f := g.Factor(i)
-		sat := f.Satisfied(assign)
-		losing := (f.W > 0 && !sat) || (f.W < 0 && sat)
+		_, _, _, w := g.Clause(int32(i))
+		sat := g.Satisfied(i, assign)
+		losing := (w > 0 && !sat) || (w < 0 && sat)
 		if !losing {
 			continue
 		}
@@ -133,26 +133,13 @@ func pickUnsatisfied(g *factor.Graph, assign []bool, rng *rand.Rand) (int, bool)
 	return chosen, chosen >= 0
 }
 
-// flipDelta computes the change in Σ w·[satisfied] from flipping v.
+// flipDelta computes the change in Σ w·[satisfied] from flipping v: the
+// conditional log-odds, signed by the direction of the flip.
 func flipDelta(g *factor.Graph, assign []bool, v int32) float64 {
-	var delta float64
-	old := assign[v]
-	for _, fi := range g.FactorsOf(v) {
-		f := g.Factor(int(fi))
-		assign[v] = old
-		before := 0.0
-		if f.Satisfied(assign) {
-			before = f.W
-		}
-		assign[v] = !old
-		after := 0.0
-		if f.Satisfied(assign) {
-			after = f.W
-		}
-		delta += after - before
+	if assign[v] {
+		return -logOdds(g, assign, v)
 	}
-	assign[v] = old
-	return delta
+	return logOdds(g, assign, v)
 }
 
 // ExactMAP enumerates every assignment and returns the true optimum —

@@ -140,3 +140,24 @@ func TestDiagnosticsMinimumChains(t *testing.T) {
 		t.Fatal("empty graph diagnostics should be empty")
 	}
 }
+
+// TestDiagnosticsUnsampledVariables: a variable no clause touches has
+// the same closed-form marginal in every chain, so there is nothing to
+// converge — R̂ is 1 by definition and MaxRHat ignores it.
+func TestDiagnosticsUnsampledVariables(t *testing.T) {
+	g := graphFromFactors(t, 4, [][4]any{
+		{0, 1, null, 6.0}, {1, 0, null, 6.0},
+		{2, null, null, 0.7}, // evidence only
+		// 3: no factor
+	})
+	d := MarginalsWithDiagnostics(g, Options{Burnin: 1, Samples: 4, Seed: 6}, 4)
+	if d.RHat[2] != 1 || d.RHat[3] != 1 {
+		t.Fatalf("unsampled R̂ = %v, %v, want exactly 1", d.RHat[2], d.RHat[3])
+	}
+	if d.Marginals[2] != sigmoid(0.7) || d.Marginals[3] != 0.5 {
+		t.Fatalf("unsampled marginals = %v, %v, want σ(0.7) and 0.5", d.Marginals[2], d.Marginals[3])
+	}
+	if want := math.Max(d.RHat[0], d.RHat[1]); d.MaxRHat != want {
+		t.Fatalf("MaxRHat = %v, want the sampled variables' worst %v (R̂ = %v)", d.MaxRHat, want, d.RHat)
+	}
+}

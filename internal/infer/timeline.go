@@ -64,18 +64,20 @@ const defaultTrackVars = 32
 const minDiagSamples = 8
 
 // tracker records the post-burn-in 0/1 history of a strided subset of
-// variables and computes checkpoint diagnostics on demand.
+// the sampled variables and computes checkpoint diagnostics on demand.
 type tracker struct {
 	vars    []int32   // tracked variable indices, ascending
 	history [][]uint8 // per tracked var, one byte per collected sweep
 }
 
-// newTracker picks up to cap variables with a uniform stride so hubs
-// and leaves both get sampled.
-func newTracker(n, cap int) *tracker {
+// newTracker picks up to cap of the sampled variables with a uniform
+// stride so hubs and leaves both get tracked. Variables outside the
+// sampled list have closed-form marginals and nothing to converge.
+func newTracker(sampled []int32, cap int) *tracker {
 	if cap <= 0 {
 		cap = defaultTrackVars
 	}
+	n := len(sampled)
 	if cap > n {
 		cap = n
 	}
@@ -84,11 +86,8 @@ func newTracker(n, cap int) *tracker {
 		return t
 	}
 	stride := n / cap
-	if stride < 1 {
-		stride = 1
-	}
-	for v := 0; v < n && len(t.vars) < cap; v += stride {
-		t.vars = append(t.vars, int32(v))
+	for k := 0; k < n && len(t.vars) < cap; k += stride {
+		t.vars = append(t.vars, sampled[k])
 	}
 	t.history = make([][]uint8, len(t.vars))
 	return t

@@ -84,23 +84,38 @@ func TestESSBinary(t *testing.T) {
 }
 
 func TestTrackerStride(t *testing.T) {
-	tr := newTracker(1000, 32)
+	// The tracker strides over the sampled list, not the variable index
+	// space: with every third variable sampled, every tracked variable is
+	// one of them.
+	sampled := make([]int32, 1000)
+	for k := range sampled {
+		sampled[k] = int32(3 * k)
+	}
+	tr := newTracker(sampled, 32)
 	if len(tr.vars) != 32 {
 		t.Fatalf("tracked %d vars, want 32", len(tr.vars))
 	}
+	for _, v := range tr.vars {
+		if v%3 != 0 {
+			t.Fatalf("tracked variable %d is not sampled: %v", v, tr.vars)
+		}
+	}
 	// Strided, not the first 32: the last tracked var sits deep in the
-	// index space.
-	if tr.vars[len(tr.vars)-1] < 500 {
+	// list.
+	if tr.vars[len(tr.vars)-1] < 3*500 {
 		t.Fatalf("tracked vars not strided: %v", tr.vars)
 	}
 
 	// Fewer vars than the cap: track all of them.
-	if tr := newTracker(5, 32); len(tr.vars) != 5 {
+	if tr := newTracker(sampled[:5], 32); len(tr.vars) != 5 {
 		t.Fatalf("small graph tracked %d vars, want 5", len(tr.vars))
+	}
+	if tr := newTracker(nil, 32); len(tr.vars) != 0 || tr.diagnostics() != nil {
+		t.Fatalf("nothing sampled, yet tracked %v", tr.vars)
 	}
 
 	// Diagnostics stay nil until minDiagSamples sweeps are recorded.
-	tr = newTracker(4, 4)
+	tr = newTracker([]int32{0, 1, 2, 3}, 4)
 	assign := []bool{true, false, true, false}
 	for i := 0; i < minDiagSamples-1; i++ {
 		tr.record(assign)
@@ -148,9 +163,16 @@ func TestCheckpointObserver(t *testing.T) {
 	if last.RHatMax <= 0 || last.ESSMin <= 0 || len(last.Tracked) == 0 {
 		t.Fatalf("final checkpoint has no diagnostics: %+v", last)
 	}
+	// Checkpoints count, and the timeline tracks, sampled variables only.
+	if last.Vars != len(g.Sampled()) {
+		t.Fatalf("checkpoint Vars = %d, want the %d sampled variables", last.Vars, len(g.Sampled()))
+	}
 	for _, d := range last.Tracked {
 		if d.Mean < 0 || d.Mean > 1 {
 			t.Fatalf("tracked mean out of range: %+v", d)
+		}
+		if len(g.FactorsOf(int32(d.Var))) == 0 {
+			t.Fatalf("timeline tracks variable %d, which no clause touches", d.Var)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"probkb/internal/obs"
 )
 
 func TestParseAtom(t *testing.T) {
@@ -226,5 +228,62 @@ func TestKBPointQuery(t *testing.T) {
 	}
 	if math.IsNaN(m.Probability) || m.Probability <= 0 || m.Probability >= 1 {
 		t.Fatalf("probability = %v, want (0,1)", m.Probability)
+	}
+}
+
+// TestQueryLocalLeavesChainHealthAlone: a cold point query samples a
+// few variables for a few hundred sweeps of its own. That chain is not
+// "the chain" the watchdogs follow: run beside a whole-graph chain held
+// mid-run, it must leave obs.Gibbs showing the global chain's sweep and
+// R-hat — not mark it finished, and not move its sweep counter.
+func TestQueryLocalLeavesChainHealthAlone(t *testing.T) {
+	k := paperKB(t)
+	served, err := k.Expand(Config{Engine: SingleNode, RunInference: false, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const holdAt = 110
+	reached, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := k.Expand(Config{
+			Engine: SingleNode, RunInference: true,
+			GibbsBurnin: 10, GibbsSamples: 200, Seed: 5,
+			OnGibbsSweep: func(s GibbsSweep) {
+				if s.Sweep == holdAt {
+					close(reached)
+					<-release
+				}
+			},
+		})
+		done <- err
+	}()
+	<-reached
+	defer func() {
+		close(release)
+		if err := <-done; err != nil {
+			t.Errorf("global chain: %v", err)
+		}
+	}()
+
+	active, sweep, rhat := obs.Gibbs.State()
+	if !active || sweep != holdAt || rhat <= 0 {
+		t.Fatalf("held global chain reads active=%v sweep=%d rhat=%v, want active at sweep %d with a checkpointed R-hat",
+			active, sweep, rhat, holdAt)
+	}
+	m, err := served.QueryLocal(context.Background(), PointQuery{
+		Rel: "located_in", X: "Brooklyn", Y: "New_York_City",
+		Burnin: 50, Samples: 200, NoCache: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Collected != 200 || m.Cached {
+		t.Fatalf("point query did not sample: %+v", m)
+	}
+	if a, s, r := obs.Gibbs.State(); a != active || s != sweep || r != rhat {
+		t.Fatalf("after a cold point query the chain feed reads active=%v sweep=%d rhat=%v, want the global chain's %v/%d/%v",
+			a, s, r, active, sweep, rhat)
 	}
 }
