@@ -3,7 +3,7 @@ GO ?= go
 # Baseline for bench-diff (write one with `make bench-baseline`).
 BENCH_BASE ?= BENCH_baseline.json
 
-.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench bench-baseline bench-diff report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
+.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench bench-baseline bench-diff report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ race:
 	$(GO) test -race ./...
 
 # The standard verify loop: what CI (and every PR) should run.
-check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke crash-smoke report-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
+check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke crash-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
 
 # benchmark/ is a nested module (its own go.mod, `replace probkb => ../`)
 # that imports internal/{ground,mpp,engine,...} by path, so `go build
@@ -117,6 +117,20 @@ report-smoke:
 	grep -q "Gibbs convergence timeline" "$$tmp/report.txt" && \
 	grep -q "Top operators" "$$tmp/report.txt" && \
 	echo "report-smoke: ok"
+
+# Convergence smoke test: constrained grounding of a generated corpus
+# ends at its own fixpoint, inside the default 15-iteration bound, and a
+# larger bound changes nothing — the expanded KB written for -iters 15
+# and for -iters 30 is the same, byte for byte.
+converge-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/kbgen -out "$$tmp/kb" -scale 0.05 >/dev/null && \
+	$(GO) run ./cmd/probkb expand -kb "$$tmp/kb" -no-inference -iters 15 -out "$$tmp/o15" > "$$tmp/15.txt" && \
+	$(GO) run ./cmd/probkb expand -kb "$$tmp/kb" -no-inference -iters 30 -out "$$tmp/o30" > "$$tmp/30.txt" && \
+	grep -Eq '^iterations +([1-9]|1[0-4]) \(converged=true\)' "$$tmp/15.txt" && \
+	grep -Eq '^iterations +([1-9]|1[0-4]) \(converged=true\)' "$$tmp/30.txt" && \
+	diff -r "$$tmp/o15" "$$tmp/o30" >/dev/null && \
+	echo "converge-smoke: ok"
 
 # Chaos smoke test: the same tiny journaled MPP expand, under -race
 # with a seeded fault plan injecting segment failures, worker panics,

@@ -66,6 +66,12 @@ type Expansion struct {
 	graph         *factor.Graph
 	inferenceTime time.Duration
 
+	// checker is the constraint checker this expansion's grounding ran
+	// under (nil without ApplyConstraints), holding the violators it
+	// removed. Frozen with the expansion: an ExtendWith round continues
+	// from a copy.
+	checker *quality.Checker
+
 	// Point-query state (query.go): the generation the marginal cache
 	// is keyed by, the cache itself, the in-flight coalescing table
 	// (concurrent identical lookups share one grounding run), and the
@@ -404,7 +410,10 @@ func (e *Expansion) ToKB() *KB {
 // Facts derived in earlier rounds count as *base* facts of the new
 // expansion (their inferred probabilities, when inference ran, carry
 // over as evidence weights); Stats().InferredFacts and Fact.Inferred
-// describe only the new round.
+// describe only the new round. Under Config.ApplyConstraints the round
+// continues from what the receiver's constraint passes removed: a new
+// fact, or one derived from it, that puts a removed entity back in the
+// position it violated is left out.
 func (e *Expansion) ExtendWith(newFacts []Fact) (*Expansion, error) {
 	return e.ExtendWithContext(context.Background(), newFacts)
 }
@@ -465,7 +474,6 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 	})
 
 	opts := groundOptions(ctx, e.cfg)
-	opts.SemiNaive = true
 	opts.SkipFactors = deferred
 	opts.Journal = jr
 	if p := e.cfg.Persist; p != nil {
@@ -475,8 +483,12 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 		// still in step with this generation log the batch, not a full diff.
 		attachPersist(&opts, p, work, e.res.Facts)
 	}
+	var checker *quality.Checker
 	if e.cfg.ApplyConstraints {
-		opts.ConstraintHook = journaledHook(jr, quality.NewChecker(work))
+		// The round inherits what the lineage has removed, so a streamed
+		// batch cannot bring a removed entity's facts back.
+		checker = e.checker.Clone()
+		opts.ConstraintHook = journaledHook(jr, checker)
 	}
 	res, err := ground.Extend(work, e.res, interned, opts)
 	if err != nil {
@@ -485,7 +497,7 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 	if err := persistFinal(e.cfg.Persist, work, res.Facts, e.res.Facts); err != nil {
 		return nil, err
 	}
-	next := newExpansion(work, res, e.cfg, jr)
+	next := newExpansion(work, res, e.cfg, jr, checker)
 	if !deferred && e.cfg.RunInference {
 		if err := next.runInference(ctx); err != nil {
 			return nil, err
@@ -522,7 +534,6 @@ func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
 	})
 
 	opts := groundOptions(ctx, e.cfg)
-	opts.SemiNaive = true
 	opts.Journal = jr
 	if p := e.cfg.Persist; p != nil {
 		p.inner.SetJournal(jr)
@@ -533,7 +544,7 @@ func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := newExpansion(e.kb, res, e.cfg, jr)
+	next := newExpansion(e.kb, res, e.cfg, jr, e.checker)
 	if err := next.runInference(ctx); err != nil {
 		return nil, err
 	}
@@ -593,7 +604,10 @@ func (e *Expansion) PerIteration() []IterationStats {
 	return out
 }
 
-// IterationStats is one grounding iteration's summary.
+// IterationStats is one grounding iteration's summary. NewFacts counts
+// the facts the iteration added before its constraint pass, Deleted the
+// facts the pass removed, old or new; a fact derived again after the
+// constraints removed it counts in both.
 type IterationStats struct {
 	Iteration int
 	NewFacts  int

@@ -243,6 +243,9 @@ func TestRowSetAgainstOracle(t *testing.T) {
 				if got := s.Contains(probe, r, key); got != oracle[k] {
 					t.Fatalf("%s: Contains(%v) = %v, oracle says %v", step, k, got, oracle[k])
 				}
+				if got := s.ContainsKey(k[:]...); got != oracle[k] {
+					t.Fatalf("%s: ContainsKey(%v) = %v, oracle says %v", step, k, got, oracle[k])
+				}
 			}
 		}
 		add := func(n int) {

@@ -77,6 +77,22 @@ func (s *RowSet) Contains(o *Table, r int, ocols []int) bool {
 	return false
 }
 
+// ContainsKey is Contains for a key given by value, one value per key
+// column, for callers whose key is not a row of any table.
+func (s *RowSet) ContainsKey(key ...int32) bool {
+	h := hashInt32s(key...)
+candidates:
+	for c := s.ix.first(h); c >= 0; c = s.ix.after(h, c) {
+		for i, col := range s.cols {
+			if s.t.cols[col].i32[c] != key[i] {
+				continue candidates
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // NoteAppended indexes the rows appended to the underlying table since
 // the set last saw it, [Len(), t.NumRows()). The set counts what it has
 // indexed, so no caller can hand it a stale range; a table that shrank

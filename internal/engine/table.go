@@ -312,17 +312,50 @@ func (t *Table) KeepRows(keep []int32) {
 // DeleteWhere removes rows for which pred returns true and reports how
 // many were deleted. This is the engine primitive behind Query 3
 // (applyConstraints) in the paper.
+//
+// The survivors close up in place, in order, from the first deleted row
+// on: rows before it are not touched, nothing is allocated when nothing
+// is deleted, and the columns keep their capacity — a deletion costs what
+// it moves, not a copy of the table.
 func (t *Table) DeleteWhere(pred func(row int) bool) int {
-	keep := make([]int32, 0, t.nrows)
+	first := -1
+	var keep []int32 // survivors after row first
 	for r := 0; r < t.nrows; r++ {
-		if !pred(r) {
+		switch {
+		case pred(r):
+			if first < 0 {
+				first = r
+			}
+		case first >= 0:
 			keep = append(keep, int32(r))
 		}
 	}
-	deleted := t.nrows - len(keep)
-	if deleted > 0 {
-		t.KeepRows(keep)
+	if first < 0 {
+		return 0
 	}
+	n := first + len(keep)
+	for _, c := range t.cols {
+		switch c.typ {
+		case Int32:
+			for i, r := range keep {
+				c.i32[first+i] = c.i32[r]
+			}
+			c.i32 = c.i32[:n]
+		case Float64:
+			for i, r := range keep {
+				c.f64[first+i] = c.f64[r]
+			}
+			c.f64 = c.f64[:n]
+		case String:
+			for i, r := range keep {
+				c.str[first+i] = c.str[r]
+			}
+			clear(c.str[n:]) // let the dropped strings go
+			c.str = c.str[:n]
+		}
+	}
+	deleted := t.nrows - n
+	t.nrows = n
 	return deleted
 }
 

@@ -154,6 +154,25 @@ func TestDeleteWhere(t *testing.T) {
 	if n := tab.DeleteWhere(func(int) bool { return false }); n != 0 {
 		t.Fatalf("no-op delete removed %d rows", n)
 	}
+	// The survivors keep their order and every column moves with them,
+	// in the arrays the table already had: a deletion in the tail leaves
+	// the rows before it where they were.
+	for r, want := range []int32{1, 3, 5, 7, 9} {
+		if tab.Int32Col(0)[r] != want || tab.Int32Col(1)[r] != want*10 || tab.Float64Col(3)[r] != float64(want) {
+			t.Fatalf("row %d = %s, want fact %d", r, tab.ValueString(r, 0), want)
+		}
+	}
+	col := tab.Int32Col(0)
+	if n := tab.DeleteWhere(func(r int) bool { return r == 3 }); n != 1 || tab.NumRows() != 4 {
+		t.Fatalf("tail delete removed %d rows, left %d", n, tab.NumRows())
+	}
+	if got := tab.Int32Col(0); &got[0] != &col[0] || got[2] != 5 || got[3] != 9 {
+		t.Fatalf("tail delete left %v; want 1 3 5 9 in place", got)
+	}
+	tab.AppendRow(11, 110, 1100, 11.0)
+	if tab.NumRows() != 5 || tab.Int32Col(1)[4] != 110 {
+		t.Fatal("append after an in-place delete landed wrong")
+	}
 }
 
 func TestSortByInt32Cols(t *testing.T) {

@@ -84,9 +84,9 @@ func (singleNode) factsChanged(IterStats, bool) error { return nil }
 // monotonically by the fact index and never reused, so constraint-hook
 // deletions — which shift rows but leave surviving IDs intact — cannot
 // corrupt the watermark. A deleted fact simply drops out of the next
-// delta, and a re-derived one re-enters it under a fresh ID, so
-// semi-naive evaluation stays armed across removals instead of falling
-// back to naive joins for the rest of the run.
+// delta, and a re-derived one re-enters it under a fresh ID. The same
+// ordering gives the fixpoint test: the loop ends with the first
+// iteration after which TΠ's last row predates the iteration.
 func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex, deltaMin int32, res *Result) (*Result, error) {
 	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
 	defer span.End()
@@ -161,9 +161,12 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		// re-derivation re-enters under a fresh ID above nextMin.
 		prevMin := deltaMin
 		deltaMin = nextMin
-		// TΠ is read again by the next iteration or the factor phase; a
-		// final iteration with no factor phase feeds nobody.
-		lastIter := st.NewFacts == 0 || (maxIters != 0 && iter == maxIters)
+		// The closure is complete when nothing this iteration appended is
+		// still in TΠ: nothing was new, or the constraint pass took all of
+		// it back. TΠ is read again by the next iteration or the factor
+		// phase; a final iteration with no factor phase feeds nobody.
+		fixpoint := !grewSince(tpi, nextMin)
+		lastIter := fixpoint || (maxIters != 0 && iter == maxIters)
 		if err := be.factsChanged(st, !lastIter || !g.opts.SkipFactors); err != nil {
 			iterSpan.End()
 			atomsSpan.End()
@@ -190,7 +193,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 			assertAppendOnly(tpi, prevMin)
 			g.opts.Observer(iter, tpi)
 		}
-		if st.NewFacts == 0 {
+		if fixpoint {
 			res.Converged = true
 			break
 		}
@@ -257,6 +260,13 @@ func assertAppendOnly(tpi *engine.Table, minID int32) {
 			panic(fmt.Sprintf("ground: fact IDs out of order at row %d of TΠ (%d after %d)", r, ids[r], ids[r-1]))
 		}
 	}
+}
+
+// grewSince reports whether tpi holds a row with a fact ID at or above
+// minID. IDs grow with the row index, so the last row tells.
+func grewSince(tpi *engine.Table, minID int32) bool {
+	ids := tpi.Int32Col(kb.TPiI)
+	return len(ids) > 0 && ids[len(ids)-1] >= minID
 }
 
 // deltaRows copies the rows of t whose fact ID is >= minID into a fresh
@@ -481,14 +491,8 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 	// observation weights. The seed delta is everything at or above the
 	// pre-append ID watermark.
 	deltaMin := ix.next
-	// One probe row, overwritten per fact: the index is asked by key only.
-	probe := engine.NewTable("new", kb.FactsSchema())
-	probe.AppendRow(int32(0), int32(0), int32(0), int32(0), int32(0), int32(0), 0.0)
-	pr, px, pc1 := probe.Int32Col(kb.TPiR), probe.Int32Col(kb.TPiX), probe.Int32Col(kb.TPiC1)
-	py, pc2 := probe.Int32Col(kb.TPiY), probe.Int32Col(kb.TPiC2)
 	for _, f := range newFacts {
-		pr[0], px[0], pc1[0], py[0], pc2[0] = f.Rel, f.X, f.XClass, f.Y, f.YClass
-		if ix.set.Contains(probe, 0, tpiKeyCols) {
+		if ix.set.ContainsKey(f.Rel, f.X, f.XClass, f.Y, f.YClass) {
 			continue
 		}
 		tpi.AppendRow(ix.next, f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)

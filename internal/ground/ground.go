@@ -92,10 +92,17 @@ func FactorSchema() engine.Schema {
 // IterStats records what one grounding iteration did.
 type IterStats struct {
 	Iteration int
-	NewFacts  int
-	Deleted   int // facts removed by the constraint hook
-	Queries   int
-	Elapsed   time.Duration
+	// NewFacts counts the rows the merge appended to TΠ, before the
+	// constraint hook ran; Deleted counts the rows the hook removed, old
+	// and new alike. A fact derived again after a checker removed it
+	// (naive evaluation repeats such derivations every iteration) is
+	// counted in both, so NewFacts can stay positive in the iteration
+	// that reaches the fixpoint: what ends the loop is that none of the
+	// appended rows is left.
+	NewFacts int
+	Deleted  int
+	Queries  int
+	Elapsed  time.Duration
 }
 
 // Result is the output of a grounding run.
@@ -109,8 +116,9 @@ type Result struct {
 	BaseFacts int
 	// Iterations actually executed.
 	Iterations int
-	// Converged reports whether a fixpoint was reached (no new facts in
-	// the final iteration) rather than the iteration cap.
+	// Converged reports whether a fixpoint was reached (nothing the final
+	// iteration appended survived its constraint pass) rather than the
+	// iteration cap.
 	Converged bool
 	// PerIteration has one entry per executed iteration.
 	PerIteration []IterStats
@@ -139,7 +147,13 @@ type Options struct {
 	MaxIterations int
 	// ConstraintHook, when non-nil, is invoked on TΠ after each
 	// iteration's merge (Algorithm 1 line 6, applyConstraints). It must
-	// delete offending rows in place and return how many it removed.
+	// delete offending rows in place, keeping the survivors' order, and
+	// return how many it removed. The closure ends with the first
+	// iteration none of whose appended rows survives the hook, so a hook
+	// whose deletions are final (quality.Checker) gives the run a
+	// fixpoint; one that forgets what it deleted ends it the same way
+	// under naive evaluation, which derives the deleted rows again and
+	// has them deleted again.
 	ConstraintHook func(tpi *engine.Table) int
 	// SkipFactors skips the groundFactors phase (Query 2); the scaling
 	// experiments of Figure 6(a)/(b) time only the first phase.
@@ -147,12 +161,15 @@ type Options struct {
 	// SemiNaive switches the closure loop to semi-naive evaluation:
 	// iteration i joins each partition against the *delta* of facts new
 	// in iteration i-1 (for two-atom bodies, Δ⋈T ∪ T⋈Δ), instead of
-	// re-joining the full table. Same fixpoint, less rework on deep
-	// closures. The paper uses naive evaluation; this is the ablation
-	// DESIGN.md calls out. The delta is tracked by fact-ID watermark, so
-	// constraint deletions leave semi-naive armed: a removed fact drops
-	// out of the next delta and a re-derived one re-enters it under a
-	// fresh ID — no naive fallback.
+	// re-joining the full table. Same fixpoint, less rework. This is the
+	// order the library grounds in (probkb's Expand, ExtendWith,
+	// RefreshMarginals and the local grounder all set it); the zero
+	// value is the paper's Algorithm 1, kept as the oracle the tests
+	// compare against and what probkb-bench's Table 3 times. The delta
+	// is tracked by fact-ID watermark: a removed fact drops out of the
+	// next delta and one derived again enters it under a fresh ID. Under
+	// a constraint hook the two orders agree when the hook deletes again
+	// whatever it deleted once, as quality.Checker does (DESIGN.md §5).
 	SemiNaive bool
 	// Workers is the engine worker-pool size grounding query plans run
 	// with (engine.Opts.Workers): 0 means the engine default

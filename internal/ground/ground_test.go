@@ -409,8 +409,8 @@ func TestSemiNaiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestSemiNaiveWithConstraintHook: deletions force a naive fallback but
-// the final closure still matches.
+// TestSemiNaiveWithConstraintHook: under a hook that deletes, the
+// semi-naive closure still matches the naive one.
 func TestSemiNaiveWithConstraintHook(t *testing.T) {
 	k := paperKB(t)
 	locatedIn, _ := k.RelDict.Lookup("located_in")
@@ -499,9 +499,9 @@ func TestSemiNaiveRearmsAfterRemoval(t *testing.T) {
 		t.Fatalf("total deletions = %d, want 1 (re-derivation churn means the delta went naive)", deleted)
 	}
 
-	// The closure still matches the naive oracle (which churns: it
-	// re-derives and re-deletes the violation every iteration until the
-	// cap, ending on the same fact set).
+	// The closure still matches the naive oracle (which re-derives and
+	// re-deletes the violation every iteration, ending on the same fact
+	// set).
 	kn := build()
 	naive, err := Ground(kn, Options{MaxIterations: 20, ConstraintHook: hookFor(kn)})
 	if err != nil {
@@ -692,9 +692,11 @@ func TestConstraintHookRuns(t *testing.T) {
 	k := paperKB(t)
 	calls := 0
 	locatedIn, _ := k.RelDict.Lookup("located_in")
-	// Deleting only the derived head lets grounding re-derive it forever
-	// (the paper's applyConstraints removes the *entity's* facts, body
-	// included, so real runs terminate); cap the iterations here.
+	// A hook that deletes only the derived head (the paper's
+	// applyConstraints removes the *entity's* facts, body included) sees
+	// naive evaluation derive it again next iteration. That iteration
+	// ends the run all the same: the fixpoint is "nothing appended this
+	// iteration survived the hook", not "nothing was appended".
 	res, err := Ground(k, Options{
 		MaxIterations: 5,
 		ConstraintHook: func(tpi *engine.Table) int {
@@ -708,16 +710,17 @@ func TestConstraintHookRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 5 {
-		t.Fatalf("constraint hook ran %d times, want 5", calls)
+	if calls != 2 || res.Iterations != 2 || !res.Converged {
+		t.Fatalf("hook ran %d times over %d iterations, converged=%v; want 2, 2, true", calls, res.Iterations, res.Converged)
 	}
 	for key := range factSet(res.Facts) {
 		if key.Rel == locatedIn {
 			t.Fatal("deleted fact survived in final closure")
 		}
 	}
-	if res.PerIteration[1].Deleted == 0 {
-		t.Fatal("re-derived fact should be deleted again in iteration 2")
+	last := res.PerIteration[1]
+	if last.NewFacts == 0 || last.Deleted != last.NewFacts {
+		t.Fatalf("iteration 2: +%d -%d; the re-derived facts should be counted as new and as deleted", last.NewFacts, last.Deleted)
 	}
 }
 

@@ -95,6 +95,7 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 		// One query per rule against this iteration's snapshot; results
 		// collected and merged per rule, as Tuffy inserts per rule.
 		snapshotLen := g.tpi.NumRows()
+		nextMin := g.ix.next
 		type ruleOut struct{ out *engine.Table }
 		outs := make([]ruleOut, 0, len(g.kb.Rules))
 		for i := range g.kb.Rules {
@@ -138,7 +139,8 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 		if g.opts.OnIteration != nil {
 			g.opts.OnIteration(st)
 		}
-		if st.NewFacts == 0 {
+		// Same fixpoint rule as groundFrom: nothing appended survived.
+		if !grewSince(g.tpi, nextMin) {
 			res.Converged = true
 			break
 		}

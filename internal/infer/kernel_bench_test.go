@@ -13,8 +13,9 @@ import (
 
 // Kernel benchmark for the sampler (ROADMAP item 2's kernel tier): one
 // Gibbs sweep over the ground factor graph of the scale-0.25 corpus,
-// grounded the way KB.Expand does with constraints on (pre-clean, then
-// Query 3 after each of 15 iterations). internal/factor's
+// grounded under constraints (pre-clean, then Query 3 after each
+// iteration to the fixpoint; naive order, which reaches the facts and
+// factors KB.Expand's semi-naive order does). internal/factor's
 // BenchmarkFromResult times building that graph.
 
 func constrainedGraph(b *testing.B) *factor.Graph {

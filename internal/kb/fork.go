@@ -67,15 +67,14 @@ func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 // are pinned to. After the copy the KB is private again and further
 // mutations are direct.
 //
-// Being the one place every mutation passes, it is also where what was
+// Being the place every mutation but KeepFacts passes (which copies
+// less and drops the image itself), it is also where what was
 // derived from the previous state — the relational image — stops
 // describing this KB, shared or not, and is let go. (Only this KB's
 // pointer: the other side of a fork keeps the image, which still
 // describes it.)
 func (k *KB) materialize() {
-	if k.img.Load() != nil {
-		k.img.Store(nil)
-	}
+	k.dropImage()
 	if !k.shared {
 		return
 	}
@@ -108,4 +107,12 @@ func (k *KB) materialize() {
 	k.relSigs = relSigs
 
 	k.shared = false
+}
+
+// dropImage lets go of the relational image once it stops describing
+// this KB.
+func (k *KB) dropImage() {
+	if k.img.Load() != nil {
+		k.img.Store(nil)
+	}
 }

@@ -251,3 +251,44 @@ func TestForkStaysSharedOnKnownSymbols(t *testing.T) {
 		t.Fatalf("fork writes leaked into the frozen parent:\nbefore: %+v\nafter:  %+v", before, got)
 	}
 }
+
+// TestKeepFactsOnFork: the pre-clean's narrowing write on a shared fork
+// moves neither side's facts under the other, on the first write to the
+// fork and after later ones, and leaves the index answering for exactly
+// the survivors. On a private KB it filters the slice it has.
+func TestKeepFactsOnFork(t *testing.T) {
+	parent := forkFixture(t)
+	parent.InternFact("died_in", "kafka", "Writer", "vienna", "Place", 0.7)
+	before := snapshotOf(parent)
+	gone := parent.Facts[1].Key()
+
+	fork := parent.Fork()
+	fork.KeepFacts([]int32{0, 2})
+	if got := snapshotOf(parent); !reflect.DeepEqual(got, before) {
+		t.Fatalf("KeepFacts on the fork leaked into the parent:\nbefore: %+v\nafter:  %+v", before, got)
+	}
+	if len(fork.Facts) != 2 || fork.Facts[0] != before.facts[0] || fork.Facts[1] != before.facts[2] {
+		t.Fatalf("fork facts = %+v, want positions 0 and 2 of %+v", fork.Facts, before.facts)
+	}
+	if fork.HasFact(gone) || !fork.HasFact(before.facts[2].Key()) || !parent.HasFact(gone) {
+		t.Fatal("fact index out of step with the kept facts")
+	}
+	// The fork is still a fork: later writes on either side stay apart.
+	forkBefore := snapshotOf(fork)
+	parent.KeepFacts([]int32{1})
+	parent.SetWeight(gone, 0.25)
+	if got := snapshotOf(fork); !reflect.DeepEqual(got, forkBefore) {
+		t.Fatalf("parent writes leaked into the fork:\nbefore: %+v\nafter:  %+v", forkBefore, got)
+	}
+	fork.InternFact("wrote", "kafka", "Writer", "the_trial", "Book", 0.95)
+	if len(parent.Facts) != 1 || parent.Facts[0].Key() != gone || parent.Facts[0].W != 0.25 {
+		t.Fatalf("parent facts = %+v, want the one fact it kept", parent.Facts)
+	}
+
+	private := forkFixture(t)
+	arr := &private.Facts[0]
+	private.KeepFacts([]int32{1})
+	if len(private.Facts) != 1 || &private.Facts[0] != arr || private.Facts[0].Key() != before.facts[1].Key() {
+		t.Fatalf("private KeepFacts should filter in place; facts = %+v", private.Facts)
+	}
+}

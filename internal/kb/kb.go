@@ -287,6 +287,26 @@ func (k *KB) ReplaceFacts(facts []Fact) {
 	}
 }
 
+// KeepFacts narrows Π to the facts at the given positions of Facts, in
+// ascending order, and rebuilds the deduplication index once. It is the
+// quality pre-clean's write: nothing but Facts and their index changes,
+// so on a shared fork only those two leave the parent — the survivors go
+// to a fresh array, the parent's stays as its readers see it — and the
+// other slices and maps stay shared until a mutation that needs them
+// passes the write barrier. Private facts are filtered in place.
+func (k *KB) KeepFacts(positions []int32) {
+	k.dropImage()
+	kept := k.Facts[:0]
+	if k.shared {
+		kept = make([]Fact, 0, len(positions))
+	}
+	for _, p := range positions {
+		kept = append(kept, k.Facts[p])
+	}
+	k.Facts = kept
+	k.factIx = newFactIndex(kept, factIndexSlots(len(kept)))
+}
+
 // HasFact reports whether the key is present.
 func (k *KB) HasFact(key Key) bool {
 	_, ok := k.factIx.find(k.Facts, key)

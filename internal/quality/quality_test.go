@@ -136,6 +136,133 @@ func TestApplyDeletesByViolatedPosition(t *testing.T) {
 	}
 }
 
+// appendFact appends rel(x, y) to tpi under the next fact ID, as a
+// grounder's merge does.
+func appendFact(t *testing.T, k *kb.KB, tpi *engine.Table, rel, x, xc, y, yc string) {
+	t.Helper()
+	r, ok := k.RelDict.Lookup(rel)
+	if !ok {
+		t.Fatalf("no relation %s", rel)
+	}
+	id := int32(0)
+	if n := tpi.NumRows(); n > 0 {
+		id = tpi.Int32Col(kb.TPiI)[n-1] + 1
+	}
+	tpi.AppendRow(id, r, k.Entities.Intern(x), k.Classes.Intern(xc), k.Entities.Intern(y), k.Classes.Intern(yc), engine.NullFloat64())
+}
+
+func TestCheckerRemembersWhatItRemoved(t *testing.T) {
+	// Mandel violates born_in as a subject and is removed. One more
+	// subject-position fact about Mandel violates nothing on its own —
+	// a stateless Query 3 lets it stand — but the entity stays removed
+	// in that position; as an object Mandel was never removed.
+	k := ambiguityKB(t)
+	k.InternFact("visited", "Freud", "Person", "Vienna", "City", 0.8)
+	c := NewChecker(k)
+	tpi := k.FactsTable()
+	if deleted := c.Apply(tpi); deleted != 3 {
+		t.Fatalf("first pass deleted %d, want the 3 Mandel facts", deleted)
+	}
+	appendFact(t, k, tpi, "born_in", "Mandel", "Person", "Berlin", "City")
+	appendFact(t, k, tpi, "visited", "Mandel", "Person", "Vienna", "City")
+	appendFact(t, k, tpi, "visited", "Freud", "Person", "Mandel", "Person")
+	if viol := NewChecker(k).Violations(tpi); len(viol) != 0 {
+		t.Fatalf("fixture: the re-derived facts should violate nothing by themselves, got %+v", viol)
+	}
+	if deleted := c.Apply(tpi); deleted != 2 {
+		t.Fatalf("second pass deleted %d, want the 2 facts with Mandel as subject", deleted)
+	}
+	mandel, _ := k.Entities.Lookup("Mandel")
+	n := tpi.NumRows()
+	if tpi.Int32Col(kb.TPiY)[n-1] != mandel {
+		t.Fatal("the object-position fact should survive as the last row")
+	}
+	for r := 0; r < n; r++ {
+		if tpi.Int32Col(kb.TPiX)[r] == mandel {
+			t.Fatal("a subject-position fact of a removed entity survived")
+		}
+	}
+	if again := c.Apply(tpi); again != 0 {
+		t.Fatalf("idle pass deleted %d", again)
+	}
+}
+
+func TestDeltaPassJudgesGroupsWhole(t *testing.T) {
+	// Freud has one birthplace when the first pass runs. A second one
+	// appended later makes a violation out of one old row and one new
+	// row: the pass over the appended rows has to count the group's old
+	// members, and then reach back and delete them.
+	k := ambiguityKB(t)
+	c := NewChecker(k)
+	tpi := k.FactsTable()
+	c.Apply(tpi)
+	appendFact(t, k, tpi, "live_in", "Freud", "Person", "London", "City")
+	if deleted := c.Apply(tpi); deleted != 0 {
+		t.Fatalf("an unconstrained relation's row cost %d deletions", deleted)
+	}
+	appendFact(t, k, tpi, "born_in", "Freud", "Person", "Pribor", "City")
+	if deleted := c.Apply(tpi); deleted != 3 {
+		t.Fatalf("deleted %d, want Freud's two born_in facts and his live_in fact", deleted)
+	}
+	if tpi.NumRows() != 1 {
+		t.Fatalf("%d rows left, want Rothman's alone", tpi.NumRows())
+	}
+}
+
+func TestCheckerOnAnUnrelatedTable(t *testing.T) {
+	// A table that does not continue the one the last pass left is new
+	// from its first row: checked in full, against everything the
+	// checker remembers.
+	k := ambiguityKB(t)
+	c := NewChecker(k)
+	c.Apply(k.FactsTable())
+	fresh := k.FactsTable()
+	if deleted := c.Apply(fresh); deleted != 3 || fresh.NumRows() != 2 {
+		t.Fatalf("fresh table: deleted %d, %d rows left; want 3, 2", deleted, fresh.NumRows())
+	}
+}
+
+func TestCheckerCloneIsolation(t *testing.T) {
+	k := ambiguityKB(t)
+	c := NewChecker(k)
+	tpi := k.FactsTable()
+	c.Apply(tpi)
+	clone, tpi2 := c.Clone(), tpi.Clone()
+	// The clone continues the cloned table and goes on to remove Freud…
+	appendFact(t, k, tpi2, "born_in", "Freud", "Person", "Pribor", "City")
+	if deleted := clone.Apply(tpi2); deleted != 2 {
+		t.Fatalf("clone deleted %d, want Freud's 2 facts", deleted)
+	}
+	// …which the original neither did nor remembers.
+	appendFact(t, k, tpi, "live_in", "Freud", "Person", "London", "City")
+	appendFact(t, k, tpi, "live_in", "Mandel", "Person", "London", "City")
+	if deleted := c.Apply(tpi); deleted != 1 {
+		t.Fatalf("original deleted %d, want only Mandel's fact", deleted)
+	}
+}
+
+func TestPreCleanKeepsSurvivorsInPlace(t *testing.T) {
+	k := ambiguityKB(t)
+	fork := k.Fork()
+	if n := PreClean(fork); n != 3 {
+		t.Fatalf("PreClean removed %d, want 3", n)
+	}
+	if len(k.Facts) != 5 || len(fork.Facts) != 2 {
+		t.Fatalf("parent has %d facts, fork %d; want 5 and 2", len(k.Facts), len(fork.Facts))
+	}
+	for i, f := range fork.Facts {
+		if j, ok := fork.FactIndex(f.Key()); !ok || j != i {
+			t.Fatalf("fork's fact index lost fact %d", i)
+		}
+	}
+	if fork.HasFact(k.Facts[0].Key()) || !k.HasFact(k.Facts[0].Key()) {
+		t.Fatal("the removed fact should be gone from the fork only")
+	}
+	if viol := NewChecker(fork).Violations(fork.FactsTable()); len(viol) != 0 {
+		t.Fatalf("pre-cleaned KB still violates: %+v", viol)
+	}
+}
+
 func TestApplyNoConstraints(t *testing.T) {
 	k := kb.New()
 	k.InternFact("r", "a", "A", "b", "B", 0.5)

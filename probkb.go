@@ -109,14 +109,20 @@ type Config struct {
 	EngineWorkers int
 
 	// MaxIterations caps the grounding fixpoint loop; 0 runs to
-	// convergence. Machine-built KBs without constraints can blow up
-	// (Section 6.1.1), so runs with ApplyConstraints=false should set a
-	// cap.
+	// convergence (under ApplyConstraints, to convergence or
+	// DefaultConstrainedIterations). The loop ends at its fixpoint either
+	// way and every cap at or above the convergence iteration gives the
+	// same expansion, fact IDs included; a cap is a bound on the work, and
+	// a run it cuts short reports Converged=false. Machine-built KBs
+	// without constraints can blow up (Section 6.1.1), so runs with
+	// ApplyConstraints=false should set one.
 	MaxIterations int
 
 	// ApplyConstraints enables semantic constraints: Query 3 runs once
 	// up front and again after every grounding iteration, greedily
-	// removing entities that violate functional constraints.
+	// removing entities that violate functional constraints. An entity
+	// removed during grounding stays removed in the position it violated,
+	// for this expansion and every ExtendWith round that continues it.
 	ApplyConstraints bool
 
 	// RuleCleanTheta keeps the top-θ fraction of rules by statistical
@@ -248,10 +254,13 @@ type GibbsSweep struct {
 	Elapsed time.Duration
 }
 
-// DefaultConstrainedIterations caps grounding when semantic constraints
+// DefaultConstrainedIterations bounds grounding when semantic constraints
 // are active and no explicit MaxIterations is set (the paper grounds its
-// constrained runs in 15 iterations). Without constraints the closure is
-// monotone and always terminates, so no implicit cap applies.
+// constrained runs in 15 iterations). It is a safety bound, not what ends
+// the run: constrained grounding reaches a fixpoint of its own (8
+// iterations on the paper-scale synthetic corpus). Without constraints
+// the closure is monotone and always terminates, so no implicit bound
+// applies.
 const DefaultConstrainedIterations = 15
 
 // DefaultConfig enables the full pipeline on the single-node engine:
@@ -486,16 +495,14 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		defer p.inner.SetJournal(nil)
 		attachPersist(&opts, p, work, nil)
 	}
+	var checker *quality.Checker
 	if cfg.ApplyConstraints {
 		// Query 3 runs once before inference starts (Section 6.1.1), and
 		// again after every grounding iteration (Algorithm 1).
 		precleaned := quality.PreClean(work)
 		qualitySpan.SetAttr("precleaned", precleaned)
-		opts.ConstraintHook = journaledHook(jr, quality.NewChecker(work))
-		// Greedy constraint deletion can oscillate (delete a violating
-		// fact, re-derive it, delete it again...), so a constrained run
-		// without an explicit cap gets the paper's 15 iterations instead
-		// of running to a fixpoint that may not exist.
+		checker = quality.NewChecker(work)
+		opts.ConstraintHook = journaledHook(jr, checker)
 		if opts.MaxIterations == 0 {
 			opts.MaxIterations = DefaultConstrainedIterations
 		}
@@ -542,7 +549,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		// completed iterations.
 		if res != nil && isCtxErr(err) {
 			observeStage("ground", groundStart)
-			exp := newExpansion(work, res, cfg, jr)
+			exp := newExpansion(work, res, cfg, jr, checker)
 			exp.emitRunEnd()
 			return nil, &PartialError{Phase: "ground", Partial: exp, Err: err}
 		}
@@ -556,7 +563,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		return nil, err
 	}
 
-	exp := newExpansion(work, res, cfg, jr)
+	exp := newExpansion(work, res, cfg, jr, checker)
 	if cfg.RunInference {
 		if err := exp.runInference(ctx); err != nil {
 			if isCtxErr(err) {
@@ -582,8 +589,8 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 }
 
 // journaledHook builds the grounders' constraint hook with a journal
-// feed: each pass that found violations records a constraint_repair
-// event tagged with the iteration the hook ran in.
+// feed: each pass that found violations or deleted rows records a
+// constraint_repair event tagged with the iteration the hook ran in.
 func journaledHook(jr *journal.Writer, checker *quality.Checker) func(*engine.Table) int {
 	iter := 0
 	inner := checker.HookWithObserver(func(r quality.Repair) {
@@ -597,10 +604,14 @@ func journaledHook(jr *journal.Writer, checker *quality.Checker) func(*engine.Ta
 	}
 }
 
-// groundOptions builds the grounding options shared by ExpandContext and
-// ExtendWith: the tracing context plus the progress-callback bridge.
+// groundOptions builds the grounding options shared by ExpandContext,
+// ExtendWith and RefreshMarginals: the tracing context, the
+// progress-callback bridge, and semi-naive evaluation — the one order
+// this package grounds in, on every engine. The constraint hook deletes
+// only what it will delete again (quality.Checker), which is what keeps a
+// Δ-only iteration sound under it (DESIGN.md §5).
 func groundOptions(ctx context.Context, cfg Config) ground.Options {
-	opts := ground.Options{MaxIterations: cfg.MaxIterations, Ctx: ctx, Workers: cfg.EngineWorkers}
+	opts := ground.Options{MaxIterations: cfg.MaxIterations, Ctx: ctx, Workers: cfg.EngineWorkers, SemiNaive: true}
 	if cfg.OnIteration != nil {
 		cb := cfg.OnIteration
 		opts.OnIteration = func(st ground.IterStats) {

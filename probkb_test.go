@@ -1,6 +1,7 @@
 package probkb
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -162,16 +163,14 @@ func TestConstraintsInExpand(t *testing.T) {
 	}
 }
 
-// TestConstrainedGroundingOscillates pins the non-convergence of naive
-// grounding under constraints (DESIGN.md §5) on the smallest KB that
-// shows it. The rule derives two children for Ann from the two parent_of
-// facts about her; has_child is functional, so Query 3 deletes every fact
-// with Ann as subject — but not the parent_of facts, where she is the
-// object. The next iteration re-derives exactly what the hook removed,
-// forever: the iteration cap, not a fixpoint, ends the run. A semi-naive
-// default, or a hook that remembers what it deleted, would change these
-// numbers; that is a semantic change and has to be made on purpose.
-func TestConstrainedGroundingOscillates(t *testing.T) {
+// annKB is the smallest KB on which greedy constraint deletion alone
+// never reaches a fixpoint (DESIGN.md §5). The rule derives two children
+// for Ann from the two parent_of facts about her; has_child is
+// functional, so Query 3 deletes every fact with Ann as subject — but not
+// the parent_of facts, where she is the object, and from those the next
+// naive iteration derives again exactly what was removed.
+func annKB(t *testing.T) *KB {
+	t.Helper()
 	k := New()
 	k.AddFact("parent_of", "Bob", "Person", "Ann", "Person", 0.9)
 	k.AddFact("parent_of", "Cid", "Person", "Ann", "Person", 0.9)
@@ -180,31 +179,137 @@ func TestConstrainedGroundingOscillates(t *testing.T) {
 	if err := k.AddConstraint("has_child", TypeI, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{SingleNode, MPP} {
+	return k
+}
+
+// TestConstrainedGroundingConverges pins the fixpoint of grounding under
+// constraints on annKB. The checker remembers that it removed Ann as a
+// subject, so what the second iteration derives about her again does not
+// survive its constraint pass, and an iteration nothing survives ends the
+// run: two iterations on every engine — Tuffy-T, which evaluates naively
+// and does derive the pair again, and the batch grounders, whose
+// semi-naive second iteration has only has_child(Eve, Dee) to join and
+// derives nothing.
+func TestConstrainedGroundingConverges(t *testing.T) {
+	for _, engine := range []Engine{SingleNode, MPP, MPPNoViews, Baseline} {
 		var iters []IterationStats
-		exp, err := k.Expand(Config{Engine: engine, Segments: 2, ApplyConstraints: true,
+		exp, err := annKB(t).Expand(Config{Engine: engine, Segments: 2, ApplyConstraints: true,
 			OnIteration: func(st IterationStats) { iters = append(iters, st) }})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := exp.Stats()
-		if st.Converged || st.Iterations != DefaultConstrainedIterations || len(iters) != st.Iterations {
-			t.Fatalf("engine %v: converged=%v after %d iterations (%d reported), want the %d-iteration cap",
-				engine, st.Converged, st.Iterations, len(iters), DefaultConstrainedIterations)
+		if !st.Converged || st.Iterations != 2 || len(iters) != 2 {
+			t.Fatalf("engine %v: converged=%v after %d iterations (%d reported), want the fixpoint at 2",
+				engine, st.Converged, st.Iterations, len(iters))
 		}
-		for i, it := range iters {
-			// Iteration 1 also derives has_child(Eve, Dee), which stays.
-			wantNew := 2
-			if i == 0 {
-				wantNew = 3
-			}
-			if it.NewFacts != wantNew || it.Deleted != 2 {
-				t.Fatalf("engine %v iteration %d: +%d -%d, want +%d -2", engine, it.Iteration, it.NewFacts, it.Deleted, wantNew)
-			}
+		// Iteration 1 also derives has_child(Eve, Dee), which stays.
+		if iters[0].NewFacts != 3 || iters[0].Deleted != 2 {
+			t.Fatalf("engine %v iteration 1: +%d -%d, want +3 -2", engine, iters[0].NewFacts, iters[0].Deleted)
+		}
+		again := 0
+		if engine == Baseline {
+			again = 2
+		}
+		if iters[1].NewFacts != again || iters[1].Deleted != again {
+			t.Fatalf("engine %v iteration 2: +%d -%d, want +%d -%d", engine, iters[1].NewFacts, iters[1].Deleted, again, again)
 		}
 		if st.TotalFacts != 4 || len(exp.Find("has_child", "Eve", "Dee")) != 1 || len(exp.Find("has_child", "Ann", "")) != 0 {
 			t.Fatalf("engine %v: %d facts, has_child(Eve, Dee)=%d, has_child(Ann, _)=%d; want 4, 1, 0", engine,
 				st.TotalFacts, len(exp.Find("has_child", "Eve", "Dee")), len(exp.Find("has_child", "Ann", "")))
+		}
+	}
+}
+
+// TestExtendWithKeepsRemovedEntitiesRemoved: a converged constrained
+// expansion can be streamed into, and the round inherits what the
+// expansion removed. One more parent for Ann derives one more
+// has_child(Ann, _) — alone in its group, so no violation a fresh
+// checker could find — and it stays out; Eve's second parent makes a new
+// violation out of an old fact and a new one, and both go.
+func TestExtendWithKeepsRemovedEntitiesRemoved(t *testing.T) {
+	exp, err := annKB(t).Expand(Config{Engine: SingleNode, ApplyConstraints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	same, err := exp.ExtendWith(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rendered, not field by field: which facts a round calls Inferred is
+	// a watermark over fact IDs that deletions leave gaps in (ROADMAP
+	// item 7), and not this test's subject.
+	if st := same.Stats(); !st.Converged || st.Iterations != 1 || fmt.Sprint(same.Facts()) != fmt.Sprint(exp.Facts()) {
+		t.Fatalf("ExtendWith(nil): converged=%v after %d iterations\n got %v\nwant %v", st.Converged, st.Iterations, same.Facts(), exp.Facts())
+	}
+
+	next, err := same.ExtendWith([]Fact{{Rel: "parent_of", X: "Zed", XClass: "Person", Y: "Ann", YClass: "Person", Probability: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !next.Stats().Converged || len(next.Find("parent_of", "Zed", "Ann")) != 1 || len(next.Find("has_child", "Ann", "")) != 0 {
+		t.Fatalf("converged=%v, parent_of(Zed, Ann)=%d, has_child(Ann, _)=%d; want true, 1, 0",
+			next.Stats().Converged, len(next.Find("parent_of", "Zed", "Ann")), len(next.Find("has_child", "Ann", "")))
+	}
+	// The frozen receiver's memory did not move: the same batch lands the
+	// same way a second time.
+	twice, err := same.ExtendWith([]Fact{{Rel: "parent_of", X: "Zed", XClass: "Person", Y: "Ann", YClass: "Person", Probability: 0.9}})
+	if err != nil || !sameFacts(twice.Facts(), next.Facts()) {
+		t.Fatalf("second extend of the same generation: %v\n got %v\nwant %v", err, twice.Facts(), next.Facts())
+	}
+
+	last, err := next.ExtendWith([]Fact{{Rel: "parent_of", X: "Fay", XClass: "Person", Y: "Eve", YClass: "Person", Probability: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !last.Stats().Converged || len(last.Find("has_child", "Eve", "")) != 0 || len(last.Find("parent_of", "", "Eve")) != 2 {
+		t.Fatalf("converged=%v, has_child(Eve, _)=%d, parent_of(_, Eve)=%d; want true, 0, 2",
+			last.Stats().Converged, len(last.Find("has_child", "Eve", "")), len(last.Find("parent_of", "", "Eve")))
+	}
+}
+
+// sameFacts compares two fact lists position by position, every field,
+// with a pending (NaN) probability equal to itself.
+func sameFacts(a, b []Fact) bool {
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
+// TestExpandCapInvariance: on the synthetic corpus the constrained
+// expansion converges well inside the default bound, and a larger bound
+// or a second run changes nothing — not a fact, not a fact's place.
+func TestExpandCapInvariance(t *testing.T) {
+	k, _, err := Synthesize(0.02, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Engine: SingleNode, ApplyConstraints: true, RunInference: false}
+	want, err := k.Expand(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := want.Stats()
+	if !st.Converged || st.Iterations >= DefaultConstrainedIterations || st.InferredFacts == 0 {
+		t.Fatalf("converged=%v after %d iterations with %d inferred facts", st.Converged, st.Iterations, st.InferredFacts)
+	}
+	deleted := 0
+	for _, it := range want.PerIteration() {
+		deleted += it.Deleted
+	}
+	if deleted == 0 {
+		t.Fatal("fixture: no constraint pass deleted anything")
+	}
+	for _, maxIters := range []int{DefaultConstrainedIterations, 2 * DefaultConstrainedIterations, st.Iterations} {
+		cfg.MaxIterations = maxIters
+		got, err := k.Expand(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs := got.Stats(); !gs.Converged || gs.Iterations != st.Iterations || gs.Factors != st.Factors {
+			t.Fatalf("cap %d: converged=%v, %d iterations, %d factors; want true, %d, %d", maxIters, gs.Converged, gs.Iterations, gs.Factors, st.Iterations, st.Factors)
+		}
+		if !sameFacts(got.Facts(), want.Facts()) {
+			t.Fatalf("cap %d changed the expansion", maxIters)
 		}
 	}
 }

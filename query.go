@@ -21,6 +21,7 @@ import (
 	"probkb/internal/kb"
 	"probkb/internal/obs"
 	"probkb/internal/obs/journal"
+	"probkb/internal/quality"
 )
 
 func init() {
@@ -142,14 +143,15 @@ var expansionGen atomic.Uint64
 
 // newExpansion is the one constructor every expansion path uses: it
 // assigns the generation the point-query cache is keyed by.
-func newExpansion(k *kb.KB, res *ground.Result, cfg Config, jr *journal.Writer) *Expansion {
+func newExpansion(k *kb.KB, res *ground.Result, cfg Config, jr *journal.Writer, checker *quality.Checker) *Expansion {
 	return &Expansion{
-		kb:     k,
-		res:    res,
-		cfg:    cfg,
-		jr:     jr,
-		gen:    expansionGen.Add(1),
-		qcache: make(map[queryKey]Marginal),
+		kb:      k,
+		res:     res,
+		cfg:     cfg,
+		jr:      jr,
+		checker: checker,
+		gen:     expansionGen.Add(1),
+		qcache:  make(map[queryKey]Marginal),
 	}
 }
 
@@ -418,5 +420,5 @@ func (k *KB) PointQuery(ctx context.Context, q PointQuery, cfg Config) (Marginal
 		BaseFacts: len(k.inner.Facts),
 		Converged: true,
 	}
-	return newExpansion(k.inner, res, cfg, journal.New()).QueryLocal(ctx, q)
+	return newExpansion(k.inner, res, cfg, journal.New(), nil).QueryLocal(ctx, q)
 }
