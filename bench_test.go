@@ -13,7 +13,7 @@
 //	BenchmarkFig6b_*      — fact-count sweep (S2)
 //	BenchmarkFig6c_*      — MPP variants (S2, Queries 1+2)
 //	BenchmarkFig7a_*      — quality-control configurations
-//	BenchmarkGibbs_*      — marginal inference (sequential vs chromatic)
+//	BenchmarkInference    — marginal inference over a constrained grounding
 //	BenchmarkAblation_*   — design-choice ablations
 //	BenchmarkStoreSync    — one 64-row batch made durable: O(delta) sync vs full diff
 package probkb_test
@@ -315,7 +315,12 @@ func BenchmarkFig7b_Categorize(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Marginal inference
 
-func benchGibbs(b *testing.B, parallel bool) {
+// BenchmarkInference is the inference step of a constrained expansion at
+// the bench scale: every component of this graph is enumerated, so it
+// times the exact pass. The two samplers are compared where one is
+// needed — internal/infer's BenchmarkGiantComponent and
+// BenchmarkGibbsSweep.
+func BenchmarkInference(b *testing.B) {
 	k := preCleaned(b)
 	res, err := ground.Ground(k, ground.Options{MaxIterations: 4})
 	if err != nil {
@@ -328,12 +333,9 @@ func benchGibbs(b *testing.B, parallel bool) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		infer.Marginals(g, infer.Options{Burnin: 20, Samples: 100, Seed: 1, Parallel: parallel})
+		infer.Marginals(g, infer.Options{Seed: 1})
 	}
 }
-
-func BenchmarkGibbs_Sequential(b *testing.B) { benchGibbs(b, false) }
-func BenchmarkGibbs_Chromatic(b *testing.B)  { benchGibbs(b, true) }
 
 // ---------------------------------------------------------------------------
 // Ablations

@@ -109,9 +109,9 @@ func TestChaosEquivalence(t *testing.T) {
 }
 
 // TestExactOracleUnderFaults checks that a faulted-but-retried MPP run
-// still agrees with exact inference: the Gibbs marginals written into
-// the expanded facts stay close to the brute-force marginals of the
-// same factor graph.
+// still agrees with exact inference: the marginals written into the
+// expanded facts are the enumerated marginals of the same factor graph
+// (the paper KB's one component is five atoms).
 func TestExactOracleUnderFaults(t *testing.T) {
 	cfg := journalConfig()
 	cfg.GibbsBurnin = 300
@@ -146,8 +146,8 @@ func TestExactOracleUnderFaults(t *testing.T) {
 		if math.IsNaN(ws[r]) {
 			t.Fatalf("fact %d has NaN probability after inference", ids[r])
 		}
-		if diff := math.Abs(ws[r] - exact[v]); diff > 0.06 {
-			t.Errorf("fact %d: Gibbs %.4f vs exact %.4f (diff %.4f)", ids[r], ws[r], exact[v], diff)
+		if ws[r] != exact[v] {
+			t.Errorf("fact %d: marginal %v vs exact %v", ids[r], ws[r], exact[v])
 		}
 		checked++
 	}
@@ -227,7 +227,7 @@ func TestCancelMidGibbs(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, err := paperKB(t).ExpandContext(ctx, cfg)
+	_, err := giantKB(t).ExpandContext(ctx, cfg)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("cancellation took %v, want < 1s", elapsed)
 	}
@@ -273,7 +273,7 @@ func TestDeadlineMidGibbs(t *testing.T) {
 	cfg.GibbsBurnin = 20
 	cfg.GibbsSamples = 50_000_000
 	start := time.Now()
-	_, err := paperKB(t).ExpandContext(ctx, cfg)
+	_, err := giantKB(t).ExpandContext(ctx, cfg)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline enforcement took %v", elapsed)
 	}

@@ -724,7 +724,7 @@ func cmdQuery(args []string) {
 	default:
 		fmt.Printf("%s(%s, %s) = %.4f (inferred)\n", rel, x, y, m.Probability)
 	}
-	fmt.Printf("local: %d seed facts, %d facts after %d iterations, %d rules in scope, %d vars / %d factors sampled, %d sweeps, %s\n",
+	fmt.Printf("local: %d seed facts, %d facts after %d iterations, %d rules in scope, %d vars / %d factors inferred over, %d sweeps, %s\n",
 		m.SeedFacts, m.LocalFacts, m.Iterations, m.RulesReachable, m.LocalVars, m.LocalFactors, m.Collected, m.Elapsed.Round(time.Millisecond))
 }
 

@@ -119,10 +119,13 @@ func (e *Expansion) emitRunEnd() {
 }
 
 // runInference builds the factor graph and fills inferred facts'
-// probabilities with Gibbs marginals. On context cancellation it
-// applies the marginals estimated from the samples collected so far (if
-// any) and returns the context error; ExpandContext wraps that into a
-// PartialError.
+// probabilities with their marginals: exact for every connected
+// component small enough to enumerate, Gibbs estimates for the rest. On
+// context cancellation it applies what a partial run returned — the
+// exact marginals plus the estimates from the sweeps collected so far,
+// or nothing when the enumeration or the first collected sweep had not
+// finished — and returns the context error; ExpandContext wraps that
+// into a PartialError.
 func (e *Expansion) runInference(ctx context.Context) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "infer")
@@ -138,10 +141,29 @@ func (e *Expansion) runInference(ctx context.Context) error {
 	fgSpan.SetAttr("vars", g.NumVars())
 	fgSpan.End()
 
+	// How the pass will split the graph's components, on every sink: the
+	// span, the journal (probkb report) and /metrics (probkb top).
+	plan := journal.Inference(infer.PlanOf(g))
+	e.jr.Emit(journal.TypeInference, plan)
+	for _, a := range []struct {
+		attr string
+		n    int
+		g    *obs.Gauge
+	}{
+		{"components", plan.Components, obs.Default.Gauge("probkb_infer_components")},
+		{"exact", plan.Exact, obs.Default.Gauge("probkb_infer_exact_components")},
+		{"sampled_vars", plan.SampledVars, obs.Default.Gauge("probkb_infer_sampled_vars")},
+		{"max_component", plan.MaxComponent, obs.Default.Gauge("probkb_infer_max_component")},
+	} {
+		span.SetAttr(a.attr, a.n)
+		a.g.Set(float64(a.n))
+	}
+
 	iopts := inferOptions(e.cfg)
 	if e.jr != nil {
-		// Journal the convergence timeline: periodic checkpoints with
-		// split-half R-hat and ESS over tracked atoms, labeled by fact ID.
+		// Journal the convergence timeline of whatever the chain sweeps:
+		// periodic checkpoints with split-half R-hat and ESS over tracked
+		// atoms, labeled by fact ID.
 		iopts.OnCheckpoint = func(cp infer.Checkpoint) {
 			jcp := journal.GibbsCheckpoint{
 				Sweep:         cp.Sweep,

@@ -86,6 +86,14 @@ type Graph struct {
 	// sampled lists, ascending, the variables touching at least one
 	// clause factor — the only ones whose value depends on another's.
 	sampled []int32
+	// comp[v] labels v's connected component in the Markov graph (two
+	// variables are adjacent when a clause touches both), -1 when no
+	// clause touches v. The ncomp components are numbered by their
+	// smallest variable, so the labelling depends on nothing but which
+	// variables share clauses: distinct components share no factor, and
+	// the MLN's distribution is the product of theirs.
+	comp  []int32
+	ncomp int
 }
 
 // FromTables builds a Graph from a grounding result's TΠ and TΦ tables.
@@ -199,7 +207,8 @@ func (g *Graph) clauseVars(f int32) ([3]int32, int) {
 }
 
 // buildAdjacency turns the per-variable clause counts left in off[v+1]
-// into the CSR offsets, fills adj, and derives the sampled list.
+// into the CSR offsets, fills adj, and derives the sampled list and the
+// component labels.
 func (g *Graph) buildAdjacency() {
 	n := len(g.ids)
 	for v := 0; v < n; v++ {
@@ -223,6 +232,52 @@ func (g *Graph) buildAdjacency() {
 	}
 	copy(g.off[1:], g.off[:n])
 	g.off[0] = 0
+	g.labelComponents()
+}
+
+// labelComponents fills comp and ncomp by union-find over the clause
+// columns. comp first holds the forest — a parent is always the smaller
+// index, so a tree's root is its smallest variable — and is then turned
+// into labels in place: ascending, every entry below v already holds its
+// final label while v's own still holds its parent.
+func (g *Graph) labelComponents() {
+	p := make([]int32, len(g.ids))
+	for v := range p {
+		p[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for p[v] != v {
+			p[v] = p[p[v]] // path halving
+			v = p[v]
+		}
+		return v
+	}
+	for f, b := range g.b1 {
+		if b < 0 {
+			continue
+		}
+		vars, k := g.clauseVars(int32(f))
+		for _, v := range vars[1:k] {
+			if a, b := find(vars[0]), find(v); a < b {
+				p[b] = a
+			} else {
+				p[a] = b
+			}
+		}
+	}
+	g.ncomp = 0
+	for v, parent := range p {
+		switch {
+		case g.off[v] == g.off[v+1]:
+			p[v] = -1
+		case parent == int32(v):
+			p[v] = int32(g.ncomp)
+			g.ncomp++
+		default:
+			p[v] = p[parent]
+		}
+	}
+	g.comp = p
 }
 
 // VarOf translates a fact ID to its graph variable index.
@@ -286,6 +341,36 @@ func (g *Graph) Bias(v int32) float64 { return g.bias[v] }
 // factor. Every other variable's marginal is closed-form (see Bias).
 // The slice aliases the graph; do not modify it.
 func (g *Graph) Sampled() []int32 { return g.sampled }
+
+// Component returns the label of v's connected component, in
+// [0, NumComponents()), or -1 when no clause touches v. Components are
+// numbered by their smallest variable.
+func (g *Graph) Component(v int32) int32 { return g.comp[v] }
+
+// NumComponents returns the number of connected components among the
+// sampled variables.
+func (g *Graph) NumComponents() int { return g.ncomp }
+
+// Components groups Sampled() by component: component c's variables,
+// ascending, are vars[off[c]:off[c+1]]. Both slices are freshly
+// allocated; the graph keeps only the per-variable labels.
+func (g *Graph) Components() (off, vars []int32) {
+	off = make([]int32, g.ncomp+1)
+	for _, v := range g.sampled {
+		off[g.comp[v]+1]++
+	}
+	for c := 0; c < g.ncomp; c++ {
+		off[c+1] += off[c]
+	}
+	vars = make([]int32, len(g.sampled))
+	next := slices.Clone(off[:g.ncomp])
+	for _, v := range g.sampled {
+		c := g.comp[v]
+		vars[next[c]] = v
+		next[c]++
+	}
+	return off, vars
+}
 
 // Satisfied evaluates factor i under an assignment, with Factor.Satisfied's
 // semantics, straight from the columns.

@@ -12,15 +12,17 @@ import (
 // TestMarginalsContextCancel cancels the sampler mid-run (from the
 // per-sweep callback) and checks the partial contract: a context error,
 // a positive collected count, and marginals normalized over the sweeps
-// actually collected — all well inside a second.
+// actually collected — all well inside a second. The graph has one
+// component for the chain and one for the enumeration, whose marginals
+// a partial run returns whole.
 func TestMarginalsContextCancel(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		g := graphFromFactors(t, 4, [][4]any{
-			{0, null, null, 1.0},
-			{1, 0, null, 1.5},
-			{2, 1, null, 0.5},
-			{3, null, null, -0.5},
-		})
+		g := ringGraph(t, exactMaxVars+2, 0.5,
+			[4]any{20, null, null, 1.0},
+			[4]any{21, 20, null, 1.5},
+			[4]any{22, 21, null, 0.5},
+			[4]any{23, null, null, -0.5},
+		)
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := Options{Burnin: 10, Samples: 1_000_000, Seed: 1, Parallel: parallel}
 		opts.OnIteration = func(st SweepStats) {
@@ -47,6 +49,15 @@ func TestMarginalsContextCancel(t *testing.T) {
 				t.Fatalf("parallel=%v: marginal[%d] = %v not normalized over collected sweeps", parallel, v, p)
 			}
 		}
+		exact, err := Exact(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 20; v < 24; v++ {
+			if probs[v] != exact[v] {
+				t.Fatalf("parallel=%v: enumerated marginal[%d] = %v after a cancelled chain, want %v", parallel, v, probs[v], exact[v])
+			}
+		}
 	}
 }
 
@@ -70,10 +81,7 @@ func TestMarginalsContextCancelledBeforeStart(t *testing.T) {
 // on completion nor on cancellation.
 func TestSamplesPerSecondGaugeResets(t *testing.T) {
 	gauge := obs.Default.Gauge("probkb_infer_samples_per_second")
-	g := graphFromFactors(t, 2, [][4]any{
-		{0, null, null, 1.0},
-		{1, 0, null, 0.5},
-	})
+	g := ringGraph(t, exactMaxVars+1, 0.5)
 	Marginals(g, Options{Burnin: 10, Samples: 200, Seed: 1})
 	if v := gauge.Value(); v != 0 {
 		t.Fatalf("gauge = %v after a completed run, want 0", v)

@@ -34,9 +34,10 @@ func (d Diagnostics) Converged(threshold float64) bool {
 
 // MarginalsWithDiagnostics runs `chains` independent Gibbs chains with
 // different seeds and computes pooled marginals plus split-chain R̂ per
-// variable. A variable no clause touches is not sampled — every chain
-// reports the same closed-form marginal — so its R̂ is 1 by definition
-// and MaxRHat ranges over the sampled variables only.
+// variable. A variable outside the components the chain sweeps is not
+// sampled — every run computes the same exact marginal — so its R̂ is 1
+// by definition and MaxRHat ranges over the swept variables only; with
+// none, one run suffices and MaxRHat stays 0.
 //
 // R̂ for binary-variable marginals uses the chain means: B/n is the
 // between-chain variance of the per-chain marginal estimates, W the
@@ -53,8 +54,9 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 	}
 
 	// Per-chain marginal estimates.
+	_, _, swept, _ := split(g, exactMaxVars)
 	est := make([][]float64, chains)
-	for c := 0; c < chains; c++ {
+	for c := 0; c < chains && (c == 0 || len(swept) > 0); c++ {
 		chainOpts := opts
 		chainOpts.Seed = opts.Seed + int64(c)*1_000_003
 		chainOpts.Chain = c + 1 // label each chain's metrics series
@@ -69,7 +71,7 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 		d.Marginals[v] = est[0][v]
 		d.RHat[v] = 1
 	}
-	for _, v := range g.Sampled() {
+	for _, v := range swept {
 		// Pooled mean.
 		var mean float64
 		for c := 0; c < chains; c++ {

@@ -33,14 +33,14 @@ func TestGibbsDifferentialOracle(t *testing.T) {
 		}
 		opts := Options{Burnin: 500, Samples: 8000, Seed: seed}
 
-		seq := Marginals(g, opts)
+		seq := chainMarginals(g, opts)
 
 		chromaticOpts := opts
 		chromaticOpts.Parallel = true
 		chromaticOpts.Workers = 1
-		chrom1 := Marginals(g, chromaticOpts)
+		chrom1 := chainMarginals(g, chromaticOpts)
 		chromaticOpts.Workers = 4
-		chrom4 := Marginals(g, chromaticOpts)
+		chrom4 := chainMarginals(g, chromaticOpts)
 
 		for v := range exact {
 			if d := math.Abs(seq[v] - exact[v]); d > oracleTol {
@@ -102,7 +102,7 @@ func TestChromaticDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		o := opts
 		o.Workers = w
-		probs := Marginals(g, o)
+		probs := chainMarginals(g, o)
 		if ref == nil {
 			ref = probs
 			continue

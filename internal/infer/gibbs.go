@@ -1,21 +1,21 @@
 // Package infer implements marginal inference over ground factor graphs.
 //
 // The paper delegates this phase to an external engine (a parallel Gibbs
-// sampler on GraphLab [14, 29]); this package plays that role with two
-// samplers sharing one conditional kernel:
+// sampler on GraphLab [14, 29]) because its ground graph is one giant
+// component. Ours factorises, and inference follows the factorisation:
 //
-//   - a sequential Gibbs sweep, and
-//   - a *chromatic* parallel Gibbs sampler: variables are greedily
-//     colored so no two neighbors share a color, then each color class is
-//     sampled synchronously in parallel — the construction of Gonzalez et
-//     al. [14] the paper cites, which preserves Gibbs correctness because
-//     a variable's conditional depends only on other colors.
+//   - a variable no clause factor touches is independent of the rest of
+//     the MLN: its marginal is the closed form σ(Σ unit weights);
+//   - a connected component of at most exactMaxVars variables is solved
+//     by exact enumeration (exact.go);
+//   - what is left is sampled, by a sequential Gibbs sweep or a
+//     *chromatic* parallel one: variables are greedily colored so no two
+//     neighbors share a color, then each color class is sampled
+//     synchronously in parallel — the construction of Gonzalez et al.
+//     [14] the paper cites, which preserves Gibbs correctness because a
+//     variable's conditional depends only on other colors.
 //
-// Both sweep only the variables some clause factor touches
-// (factor.Graph.Sampled): any other variable is independent of the rest
-// of the MLN, and its marginal is the closed form σ(Σ unit weights).
-//
-// An exact enumeration oracle (exact.go) validates both on small graphs.
+// One conditional kernel (logOdds) serves all of it.
 package infer
 
 import (
@@ -77,9 +77,9 @@ type SweepStats struct {
 	Sweep int
 	// Burnin reports whether the sweep was discarded.
 	Burnin bool
-	// Vars is the number of variables resampled per sweep: those touching
-	// a clause factor (factor.Graph.Sampled). The rest are independent of
-	// everything else and get their marginals in closed form.
+	// Vars is the number of variables resampled per sweep: those in
+	// components above the enumeration bound. The rest get their marginals
+	// exactly, by enumeration or in closed form.
 	Vars int
 	// Flips is how many variables changed value in this sweep; the flip
 	// rate falling toward its stationary level is the cheapest mixing
@@ -89,17 +89,20 @@ type SweepStats struct {
 	Elapsed time.Duration
 }
 
-// Options configures a sampling run.
+// Options configures an inference run. Burnin, Samples, Seed, Parallel
+// and the observers concern the chain only: they change nothing about a
+// graph whose every component is enumerated.
 type Options struct {
 	// Burnin sweeps are discarded before collecting.
 	Burnin int
 	// Samples sweeps are collected for the marginal estimates.
 	Samples int
-	// Seed makes runs reproducible.
+	// Seed makes the chain reproducible.
 	Seed int64
 	// Parallel enables the chromatic sampler.
 	Parallel bool
-	// Workers bounds the goroutines per color; 0 means NumCPU.
+	// Workers bounds the goroutines enumerating components and, per
+	// color, sampling; 0 means NumCPU. No result depends on it.
 	Workers int
 	// OnIteration, when non-nil, observes every sweep as it completes —
 	// progress without polling after the fact. It runs on the sampling
@@ -137,51 +140,70 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Marginals estimates P(X_v = 1) for every variable: by Gibbs sampling
-// for the variables some clause factor touches, in closed form for the
-// rest.
+// Marginals computes P(X_v = 1) for every variable: exactly for the
+// variables no clause factor touches and for every connected component
+// small enough to enumerate, by Gibbs sampling for the rest.
 func Marginals(g *factor.Graph, opts Options) []float64 {
 	probs, _, _ := MarginalsContext(context.Background(), g, opts)
 	return probs
 }
 
 // MarginalsContext is Marginals with cooperative cancellation: the
-// sampler checks ctx once per sweep (sequential) or per color class
-// (chromatic) and stops early when it is cancelled or past its
-// deadline. It returns the marginal estimates normalized over the
-// post-burn-in sweeps actually collected, that count, and the context's
-// error (nil on a full run). On cancellation before any sample was
-// collected the estimates are nil.
+// enumeration checks ctx once per component, the sampler once per sweep
+// (sequential) or per color class (chromatic). It returns the marginals,
+// the number of post-burn-in sweeps behind the sampled ones — the
+// requested Samples when there was nothing to sample — and the context's
+// error (nil on a full run). Cancelled before the enumeration finished
+// or any sweep was collected, it returns nil and 0; after that, the
+// sampled marginals normalized over the sweeps actually collected.
 func MarginalsContext(ctx context.Context, g *factor.Graph, opts Options) ([]float64, int, error) {
 	feed := chain0
 	if opts.Chain != 0 {
 		feed = newChainFeed(opts.Chain)
 	}
-	return sample(ctx, g, opts.withDefaults(), feed)
+	return marginals(ctx, g, opts.withDefaults(), feed)
 }
 
-// sample runs one chain over g's sampled variables — the only ones whose
-// value is random given the rest. A variable no clause touches is
-// independent of every other: its marginal is exactly σ(Σ of its unit
-// weights), no conditional ever reads it, so it costs neither a draw
-// nor a slot in the sweep. feed is nil for query-time local sampling.
-func sample(ctx context.Context, g *factor.Graph, opts Options, feed *chainFeed) ([]float64, int, error) {
-	n := g.NumVars()
-	if n == 0 {
+// marginals is the one inference routine, applied to a whole ground
+// graph by MarginalsContext and to one neighborhood by
+// LocalMarginalContext (feed nil): closed form, enumeration, then one
+// chain over whatever components exceed exactMaxVars. The enumeration
+// runs before the chain exists, so the watchdogs never see an active
+// chain whose sweep does not advance, and a run with nothing to sample
+// never touches the feed.
+func marginals(ctx context.Context, g *factor.Graph, opts Options, feed *chainFeed) ([]float64, int, error) {
+	if g.NumVars() == 0 {
 		return nil, 0, ctx.Err()
 	}
-	sampled := g.Sampled()
+	probs, swept, err := exactMarginals(ctx, g, exactMaxVars, opts.Workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(swept) == 0 {
+		return probs, opts.Samples, nil
+	}
+	collected, err := sample(ctx, g, swept, probs, opts, feed)
+	if collected == 0 {
+		return nil, 0, err
+	}
+	return probs, collected, err
+}
+
+// sample runs one chain over sampled — whole components of g, ascending
+// — and overwrites their entries of probs with the estimates from the
+// sweeps it collected, whose number it returns.
+func sample(ctx context.Context, g *factor.Graph, sampled []int32, probs []float64, opts Options, feed *chainFeed) (int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	assign := make([]bool, n)
+	assign := make([]bool, g.NumVars())
 	for _, v := range sampled {
 		assign[v] = rng.Intn(2) == 0
 	}
 	ob := newSweepObserver(sampled, assign, opts, feed)
 	var sweep func() error
 	if opts.Parallel {
-		sweep = chromaticSweep(ctx, g, assign, opts)
+		sweep = chromaticSweep(ctx, g, sampled, assign, opts)
 	} else {
-		sweep = sequentialSweep(ctx, g, assign, rng)
+		sweep = sequentialSweep(ctx, g, sampled, assign, rng)
 	}
 
 	// counts[k] is how many collected sweeps left sampled[k] true.
@@ -204,23 +226,17 @@ func sample(ctx context.Context, g *factor.Graph, opts Options, feed *chainFeed)
 	}
 	ob.finish()
 
-	if collected == 0 {
-		return nil, 0, err
+	if collected > 0 {
+		for k, v := range sampled {
+			probs[v] = float64(counts[k]) / float64(collected)
+		}
 	}
-	probs := make([]float64, n)
-	for v := range probs {
-		probs[v] = sigmoid(g.Bias(int32(v)))
-	}
-	for k, v := range sampled {
-		probs[v] = float64(counts[k]) / float64(collected)
-	}
-	return probs, collected, err
+	return collected, err
 }
 
-// sequentialSweep returns the function that resamples every sampled
-// variable once, in index order, from the run's one rng stream.
-func sequentialSweep(ctx context.Context, g *factor.Graph, assign []bool, rng *rand.Rand) func() error {
-	sampled := g.Sampled()
+// sequentialSweep returns the function that resamples each of sampled
+// once, in index order, from the run's one rng stream.
+func sequentialSweep(ctx context.Context, g *factor.Graph, sampled []int32, assign []bool, rng *rand.Rand) func() error {
 	return func() error {
 		// Cooperative cancellation: check once per sweep.
 		if err := ctx.Err(); err != nil {
@@ -370,20 +386,20 @@ func (o *sweepObserver) finish() {
 	obs.Gibbs.Done()
 }
 
-// Coloring holds a chromatic schedule over a graph's sampled variables:
-// Colors[v] per variable (-1 for a variable no clause touches, which is
-// never scheduled), Classes listing the variables of each color.
+// Coloring holds a chromatic schedule over the variables a chain sweeps:
+// Colors[v] per variable (-1 for one never scheduled), Classes listing
+// the variables of each color.
 type Coloring struct {
 	Colors  []int
 	Classes [][]int32
 }
 
-// ColorGraph greedily colors the Markov-blanket graph of the sampled
-// variables: neighbors never share a color. Variables are visited in
-// decreasing degree order (Welsh–Powell), which keeps the color count
-// low on the hub-heavy graphs grounding produces.
-func ColorGraph(g *factor.Graph) Coloring {
-	order := slices.Clone(g.Sampled())
+// ColorGraph greedily colors the Markov-blanket graph of vars, which
+// must be whole components of g: neighbors never share a color.
+// Variables are visited in decreasing degree order (Welsh–Powell), which
+// keeps the color count low on the hub-heavy graphs grounding produces.
+func ColorGraph(g *factor.Graph, vars []int32) Coloring {
+	order := slices.Clone(vars)
 	sort.SliceStable(order, func(a, b int) bool {
 		return len(g.FactorsOf(order[a])) > len(g.FactorsOf(order[b]))
 	})
@@ -419,19 +435,6 @@ func ColorGraph(g *factor.Graph) Coloring {
 	return Coloring{Colors: colors, Classes: classes}
 }
 
-// Valid reports whether the coloring assigns distinct colors to every
-// pair of neighboring variables (used by tests).
-func (c Coloring) Valid(g *factor.Graph) bool {
-	for v := int32(0); int(v) < g.NumVars(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if c.Colors[v] == c.Colors[u] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // splitmix64 advances a per-variable RNG state and returns a uniform
 // float64 in [0, 1). It is the cheap deterministic stream the chromatic
 // sampler gives each variable, so results do not depend on the worker
@@ -445,10 +448,10 @@ func splitmix64(state *uint64) float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
-// chromaticSweep colors g and returns the function that resamples every
-// color class once.
-func chromaticSweep(ctx context.Context, g *factor.Graph, assign []bool, opts Options) func() error {
-	coloring := ColorGraph(g)
+// chromaticSweep colors sampled and returns the function that resamples
+// every color class once.
+func chromaticSweep(ctx context.Context, g *factor.Graph, sampled []int32, assign []bool, opts Options) func() error {
+	coloring := ColorGraph(g, sampled)
 
 	// Sort each color class for memory locality, and seed one splitmix64
 	// stream per sampled variable, in sampled order, for determinism
@@ -458,7 +461,7 @@ func chromaticSweep(ctx context.Context, g *factor.Graph, assign []bool, opts Op
 	}
 	seeder := rand.New(rand.NewSource(opts.Seed))
 	states := make([]uint64, g.NumVars())
-	for _, v := range g.Sampled() {
+	for _, v := range sampled {
 		states[v] = uint64(seeder.Int63())
 	}
 
@@ -489,15 +492,10 @@ func chromaticSweep(ctx context.Context, g *factor.Graph, assign []bool, opts Op
 	}
 }
 
-// parallelFor runs f(0..n-1) across at most workers goroutines.
+// parallelFor runs f(0..n-1) across at most workers goroutines, inline
+// when that is one.
 func parallelFor(n, workers int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
@@ -505,22 +503,14 @@ func parallelFor(n, workers int, f func(i int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				f(i)
 			}
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }

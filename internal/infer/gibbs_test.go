@@ -14,7 +14,7 @@ import (
 
 // graphFromFactors builds a Graph over n variables with the given factor
 // rows, going through the public table constructors.
-func graphFromFactors(t *testing.T, n int, rows [][4]any) *factor.Graph {
+func graphFromFactors(t testing.TB, n int, rows [][4]any) *factor.Graph {
 	t.Helper()
 	facts := engine.NewTable("T", kb.FactsSchema())
 	for i := 0; i < n; i++ {
@@ -110,7 +110,7 @@ func TestGibbsMatchesExactSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs := Marginals(g, Options{Burnin: 500, Samples: 8000, Seed: seed})
+		probs := chainMarginals(g, Options{Burnin: 500, Samples: 8000, Seed: seed})
 		for v := range exact {
 			if math.Abs(probs[v]-exact[v]) > 0.05 {
 				t.Fatalf("seed %d var %d: gibbs %v vs exact %v", seed, v, probs[v], exact[v])
@@ -127,7 +127,7 @@ func TestGibbsMatchesExactChromatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs := Marginals(g, Options{Burnin: 500, Samples: 8000, Seed: seed, Parallel: true, Workers: 4})
+		probs := chainMarginals(g, Options{Burnin: 500, Samples: 8000, Seed: seed, Parallel: true, Workers: 4})
 		for v := range exact {
 			if math.Abs(probs[v]-exact[v]) > 0.05 {
 				t.Fatalf("seed %d var %d: chromatic %v vs exact %v", seed, v, probs[v], exact[v])
@@ -160,7 +160,7 @@ func TestColoringValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c := ColorGraph(g)
+		c := ColorGraph(g, g.Sampled())
 		if !c.Valid(g) {
 			return false
 		}
@@ -185,8 +185,8 @@ func TestColoringValid(t *testing.T) {
 func TestMarginalsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(t, rng, 6)
-	a := Marginals(g, Options{Burnin: 50, Samples: 200, Seed: 7})
-	b := Marginals(g, Options{Burnin: 50, Samples: 200, Seed: 7})
+	a := chainMarginals(g, Options{Burnin: 50, Samples: 200, Seed: 7})
+	b := chainMarginals(g, Options{Burnin: 50, Samples: 200, Seed: 7})
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("same seed produced different marginals")
@@ -194,8 +194,8 @@ func TestMarginalsDeterministic(t *testing.T) {
 	}
 	// Chromatic with the same seed is deterministic under any worker
 	// count (per-variable RNG streams).
-	c1 := Marginals(g, Options{Burnin: 50, Samples: 200, Seed: 7, Parallel: true, Workers: 1})
-	c4 := Marginals(g, Options{Burnin: 50, Samples: 200, Seed: 7, Parallel: true, Workers: 4})
+	c1 := chainMarginals(g, Options{Burnin: 50, Samples: 200, Seed: 7, Parallel: true, Workers: 1})
+	c4 := chainMarginals(g, Options{Burnin: 50, Samples: 200, Seed: 7, Parallel: true, Workers: 4})
 	for v := range c1 {
 		if c1[v] != c4[v] {
 			t.Fatal("chromatic sampler not worker-count deterministic")
@@ -203,18 +203,18 @@ func TestMarginalsDeterministic(t *testing.T) {
 	}
 }
 
+// TestExactBounds: the bound is per component. Any number of variables
+// is fine while every component stays within MaxExactVars.
 func TestExactBounds(t *testing.T) {
-	facts := engine.NewTable("T", kb.FactsSchema())
-	for i := 0; i < MaxExactVars+1; i++ {
-		facts.AppendRow(i, 0, i, 0, i, 0, engine.NullFloat64())
+	if _, err := Exact(ringGraph(t, MaxExactVars+1, 1)); err == nil {
+		t.Fatal("Exact accepted an oversized component")
 	}
-	factors := engine.NewTable("TPhi", ground.FactorSchema())
-	g, err := factor.FromTables(facts, factors)
-	if err != nil {
-		t.Fatal(err)
+	var rows [][4]any
+	for v := 0; v < 4*MaxExactVars; v += 2 {
+		rows = append(rows, [4]any{v, v + 1, null, 1.0})
 	}
-	if _, err := Exact(g); err == nil {
-		t.Fatal("Exact accepted an oversized graph")
+	if _, err := Exact(graphFromFactors(t, 4*MaxExactVars+3, rows)); err != nil {
+		t.Fatalf("Exact refused a large graph of two-variable components: %v", err)
 	}
 }
 
@@ -315,14 +315,11 @@ func TestEndToEndPipelineMarginals(t *testing.T) {
 			t.Fatalf("weight out of range: %v", ws[r])
 		}
 	}
-	// Exact check: inferred marginals should agree with enumeration.
-	exact, err := Exact(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range exact {
-		if math.Abs(probs[v]-exact[v]) > 0.06 {
-			t.Fatalf("var %d: gibbs %v vs exact %v", v, probs[v], exact[v])
+	// Every component here is enumerated: the marginals are the
+	// brute-force ones, not an estimate of them.
+	for v, want := range bruteForce(t, g) {
+		if math.Abs(probs[v]-want) > 1e-12 {
+			t.Fatalf("var %d: marginal %v vs brute force %v", v, probs[v], want)
 		}
 	}
 }

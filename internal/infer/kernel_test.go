@@ -44,6 +44,11 @@ func condLogOdds(g *factor.Graph, assign []bool, v int32) float64 {
 // weights, and (with n large enough against the factor count) variables
 // with no factor at all.
 func awkwardGraph(t *testing.T, rng *rand.Rand, n int) *factor.Graph {
+	return graphFromFactors(t, n, awkwardRows(rng, n))
+}
+
+// awkwardRows is awkwardGraph's TΦ.
+func awkwardRows(rng *rand.Rand, n int) [][4]any {
 	var rows [][4]any
 	for i := rng.Intn(2 * n); i > 0; i-- {
 		rows = append(rows, [4]any{rng.Intn(n), null, null, rng.Float64()*4 - 2})
@@ -64,7 +69,7 @@ func awkwardGraph(t *testing.T, rng *rand.Rand, n int) *factor.Graph {
 			rows = append(rows, [4]any{head, b1, b2, w})
 		}
 	}
-	return graphFromFactors(t, n, rows)
+	return rows
 }
 
 // TestLogOddsMatchesSatisfiedReference is the kernel differential: for
@@ -111,7 +116,7 @@ func TestAwkwardGraphsMatchExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, parallel := range []bool{false, true} {
-			probs := Marginals(g, Options{Burnin: 500, Samples: 8000, Seed: seed, Parallel: parallel})
+			probs := chainMarginals(g, Options{Burnin: 500, Samples: 8000, Seed: seed, Parallel: parallel})
 			for v := range exact {
 				if d := math.Abs(probs[v] - exact[v]); d > oracleTol {
 					t.Errorf("seed %d parallel=%v var %d: gibbs %v vs exact %v", seed, parallel, v, probs[v], exact[v])
@@ -123,7 +128,7 @@ func TestAwkwardGraphsMatchExact(t *testing.T) {
 
 // TestEvidenceOnlyMarginalsAreExact: a variable no clause touches is not
 // sampled; its marginal is σ(Σ unit weights) to the last digit, and 0.5
-// when it has no factor at all.
+// when it has no factor at all — from the chain and from Marginals.
 func TestEvidenceOnlyMarginalsAreExact(t *testing.T) {
 	g := graphFromFactors(t, 8, [][4]any{
 		{0, null, null, 1.3},
@@ -143,8 +148,12 @@ func TestEvidenceOnlyMarginalsAreExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		probs := Marginals(g, Options{Burnin: 10, Samples: 50, Seed: 1, Parallel: parallel})
+	for i, parallel := range []bool{false, true, false} {
+		run := chainMarginals
+		if i == 2 {
+			run = Marginals
+		}
+		probs := run(g, Options{Burnin: 10, Samples: 50, Seed: 1, Parallel: parallel})
 		for v := 3; v < 8; v++ {
 			if math.Abs(probs[v]-exact[v]) > 1e-12 {
 				t.Errorf("parallel=%v var %d: %v, exact %v", parallel, v, probs[v], exact[v])
@@ -220,7 +229,7 @@ func TestEvidenceOnlyVariablesMoveNothing(t *testing.T) {
 		g, big := graphFromFactors(t, n, base), graphFromFactors(t, next, padded)
 		for _, parallel := range []bool{false, true} {
 			opts := Options{Burnin: 20, Samples: 100, Seed: seed, Parallel: parallel}
-			want, got := Marginals(g, opts), Marginals(big, opts)
+			want, got := chainMarginals(g, opts), chainMarginals(big, opts)
 			for v := range want {
 				if math.Float64bits(got[at[v]]) != math.Float64bits(want[v]) {
 					t.Fatalf("seed %d parallel=%v var %d: %v with the extra variables, %v without",

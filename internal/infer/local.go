@@ -1,8 +1,9 @@
-// Query-time marginal inference: Gibbs over one variable's Markov
-// neighborhood instead of the whole ground graph. This is the
-// Wick-et-al. style query-driven MCMC counterpart to the global
-// Marginals pass: the target's marginal depends only on its connected
-// component, and a bounded radius approximates even that.
+// Query-time marginal inference: the one inference routine over one
+// variable's Markov neighborhood instead of the whole ground graph. The
+// target's marginal depends only on its connected component — which is
+// why a neighborhood of at most exactMaxVars variables gives the very
+// number the global pass computes — and a bounded radius approximates
+// even that (Wick et al.'s query-driven inference, PAPERS.md).
 package infer
 
 import (
@@ -17,20 +18,22 @@ import (
 type LocalResult struct {
 	// Probability is the estimated P(target = 1).
 	Probability float64
-	// Collected is the number of post-burn-in sweeps actually used.
+	// Collected is the number of post-burn-in sweeps behind the estimate,
+	// as MarginalsContext counts them: the requested Samples when the
+	// neighborhood was enumerated.
 	Collected int
 	// Vars and Factors describe the extracted neighborhood subgraph.
 	Vars    int
 	Factors int
 }
 
-// LocalMarginalContext estimates the marginal of one variable by Gibbs
-// sampling over only its radius-hop Markov neighborhood (radius <= 0:
-// its whole connected component, which yields the same distribution as
-// sampling the full graph restricted to that component). target is a
-// variable index of g. Cancellation mirrors MarginalsContext: on a
-// context error after at least one collected sweep the estimate from
-// the collected samples is returned along with the error.
+// LocalMarginalContext computes the marginal of one variable over only
+// its radius-hop Markov neighborhood (radius <= 0: its whole connected
+// component, which yields the same distribution as the full graph
+// restricted to that component). target is a variable index of g.
+// Cancellation mirrors MarginalsContext: on a context error after at
+// least one collected sweep the estimate from the collected samples is
+// returned along with the error.
 func LocalMarginalContext(ctx context.Context, g *factor.Graph, target int32, radius int, opts Options) (LocalResult, error) {
 	if int(target) < 0 || int(target) >= g.NumVars() {
 		return LocalResult{}, fmt.Errorf("infer: local target variable %d out of range [0, %d)", target, g.NumVars())
@@ -43,7 +46,7 @@ func LocalMarginalContext(ctx context.Context, g *factor.Graph, target int32, ra
 	}
 	// No chain feed: a point query's chain must not pose as the
 	// process-wide one the watchdogs and the throughput gauge follow.
-	probs, collected, err := sample(ctx, sub, opts.withDefaults(), nil)
+	probs, collected, err := marginals(ctx, sub, opts.withDefaults(), nil)
 	res.Collected = collected
 	if collected > 0 {
 		res.Probability = probs[v]

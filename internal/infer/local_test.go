@@ -7,34 +7,46 @@ import (
 	"testing"
 )
 
-// TestLocalMarginalOracle: the neighborhood Gibbs estimate of every
-// variable must match the exact enumeration oracle — with an unbounded
-// radius the subgraph is the variable's whole connected component,
-// whose marginal equals the full graph's.
+// TestLocalMarginalOracle: with an unbounded radius the subgraph is the
+// variable's whole connected component, whose marginal equals the full
+// graph's. A component within the enumeration bound gives the very
+// number the global pass computes (and the brute-force one); a larger
+// one is sampled and must sit within Monte Carlo tolerance of Exact.
 func TestLocalMarginalOracle(t *testing.T) {
 	for seed := int64(300); seed < 304; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(t, rng, 3+rng.Intn(8))
-		exact, err := Exact(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Burnin: 500, Samples: 8000, Seed: seed}
-		for v := range exact {
-			res, err := LocalMarginalContext(context.Background(), g, int32(v), 0, opts)
+		brute, global := bruteForce(t, g), Marginals(g, Options{Seed: seed + 1})
+		for v := range brute {
+			res, err := LocalMarginalContext(context.Background(), g, int32(v), 0, Options{Samples: 77, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := math.Abs(res.Probability - exact[v]); d > oracleTol {
-				t.Errorf("seed %d var %d: local %v vs exact %v (|Δ|=%v, %d vars sampled)",
-					seed, v, res.Probability, exact[v], d, res.Vars)
+			if res.Probability != global[v] || math.Abs(res.Probability-brute[v]) > 1e-12 {
+				t.Errorf("seed %d var %d: local %v, global %v, brute force %v (%d vars)",
+					seed, v, res.Probability, global[v], brute[v], res.Vars)
 			}
-			if res.Collected == 0 || res.Vars == 0 {
-				t.Errorf("seed %d var %d: empty local run %+v", seed, v, res)
+			if res.Collected != 77 || res.Vars == 0 {
+				t.Errorf("seed %d var %d: local run %+v, want the requested 77 samples reported", seed, v, res)
 			}
 		}
 		if t.Failed() {
 			t.FailNow()
+		}
+	}
+
+	g := ringGraph(t, exactMaxVars+3, 0.7, [4]any{3, null, null, 1.0}, [4]any{11, null, null, -0.8})
+	exact, err := Exact(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range exact {
+		res, err := LocalMarginalContext(context.Background(), g, int32(v), 0, Options{Burnin: 500, Samples: 8000, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(res.Probability - exact[v]); d > oracleTol || res.Collected != 8000 {
+			t.Errorf("ring var %d: local %v vs exact %v (|Δ|=%v, collected %d)", v, res.Probability, exact[v], d, res.Collected)
 		}
 	}
 }

@@ -90,17 +90,15 @@ func TestMAPDeterministic(t *testing.T) {
 }
 
 func TestDiagnosticsConvergedChain(t *testing.T) {
-	// A well-mixing single-variable chain converges: R̂ ≈ 1.
-	g := graphFromFactors(t, 2, [][4]any{
-		{0, null, null, 0.8},
-		{1, 0, null, 1.0},
-	})
+	// A well-mixing chain (weak couplings, a component too large to
+	// enumerate) converges: R̂ ≈ 1.
+	g := ringGraph(t, exactMaxVars+2, 0.4, [4]any{0, null, null, 0.8})
 	d := MarginalsWithDiagnostics(g, Options{Burnin: 200, Samples: 2000, Seed: 5}, 4)
 	if d.Chains != 4 {
 		t.Fatalf("chains = %d", d.Chains)
 	}
-	if !d.Converged(1.1) {
-		t.Fatalf("well-mixing chain reported unconverged: R̂ = %v", d.RHat)
+	if !d.Converged(1.1) || d.MaxRHat < 0.9 {
+		t.Fatalf("well-mixing chain reported unconverged or unsampled: max %v, R̂ = %v", d.MaxRHat, d.RHat)
 	}
 	// Pooled marginals agree with the exact answer.
 	exact, err := Exact(g)
@@ -117,11 +115,7 @@ func TestDiagnosticsConvergedChain(t *testing.T) {
 func TestDiagnosticsDetectsTooFewSamples(t *testing.T) {
 	// With a near-deterministic bimodal structure and almost no samples,
 	// chains disagree and R̂ should be clearly above 1.
-	g := graphFromFactors(t, 6, [][4]any{
-		{0, 1, null, 6.0}, {1, 0, null, 6.0},
-		{2, 3, null, 6.0}, {3, 2, null, 6.0},
-		{4, 5, null, 6.0}, {5, 4, null, 6.0},
-	})
+	g := ringGraph(t, exactMaxVars+2, 2.0)
 	short := MarginalsWithDiagnostics(g, Options{Burnin: 1, Samples: 4, Seed: 6}, 4)
 	long := MarginalsWithDiagnostics(g, Options{Burnin: 200, Samples: 4000, Seed: 6}, 4)
 	if short.MaxRHat <= long.MaxRHat {
@@ -141,23 +135,44 @@ func TestDiagnosticsMinimumChains(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsUnsampledVariables: a variable no clause touches has
-// the same closed-form marginal in every chain, so there is nothing to
-// converge — R̂ is 1 by definition and MaxRHat ignores it.
+// TestDiagnosticsUnsampledVariables: a variable outside the components
+// the chain sweeps has the same exact marginal in every run, so there is
+// nothing to converge — R̂ is 1 by definition and MaxRHat ignores it.
+// With no such component at all, no chain runs and the graph reports
+// converged.
 func TestDiagnosticsUnsampledVariables(t *testing.T) {
-	g := graphFromFactors(t, 4, [][4]any{
-		{0, 1, null, 6.0}, {1, 0, null, 6.0},
-		{2, null, null, 0.7}, // evidence only
-		// 3: no factor
-	})
+	const n = exactMaxVars + 2
+	small := [][4]any{
+		{n, null, null, 0.7}, // evidence only
+		// n+1: no factor
+		{n + 2, n + 3, null, 6.0}, {n + 3, n + 2, null, 6.0}, // enumerated
+	}
+	g := ringGraph(t, n, 6.0, small...)
+	exact, err := Exact(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := MarginalsWithDiagnostics(g, Options{Burnin: 1, Samples: 4, Seed: 6}, 4)
-	if d.RHat[2] != 1 || d.RHat[3] != 1 {
-		t.Fatalf("unsampled R̂ = %v, %v, want exactly 1", d.RHat[2], d.RHat[3])
+	for v := n; v < n+4; v++ {
+		if d.RHat[v] != 1 || d.Marginals[v] != exact[v] {
+			t.Fatalf("unsampled var %d: R̂ %v marginal %v, want exactly 1 and %v", v, d.RHat[v], d.Marginals[v], exact[v])
+		}
 	}
-	if d.Marginals[2] != sigmoid(0.7) || d.Marginals[3] != 0.5 {
-		t.Fatalf("unsampled marginals = %v, %v, want σ(0.7) and 0.5", d.Marginals[2], d.Marginals[3])
+	if d.Marginals[n] != sigmoid(0.7) || d.Marginals[n+1] != 0.5 {
+		t.Fatalf("closed-form marginals = %v, %v, want σ(0.7) and 0.5", d.Marginals[n], d.Marginals[n+1])
 	}
-	if want := math.Max(d.RHat[0], d.RHat[1]); d.MaxRHat != want {
-		t.Fatalf("MaxRHat = %v, want the sampled variables' worst %v (R̂ = %v)", d.MaxRHat, want, d.RHat)
+	want := 0.0
+	for _, r := range d.RHat[:n] {
+		want = math.Max(want, r)
+	}
+	if d.MaxRHat != want || want <= 1 {
+		t.Fatalf("MaxRHat = %v, want the swept variables' worst %v, above 1 (R̂ = %v)", d.MaxRHat, want, d.RHat)
+	}
+
+	sweeps := 0
+	opts := Options{Burnin: 1, Samples: 4, Seed: 6, OnIteration: func(SweepStats) { sweeps++ }}
+	d = MarginalsWithDiagnostics(graphFromFactors(t, n+4, small), opts, 4)
+	if sweeps != 0 || d.MaxRHat > 1 || !d.Converged(1.1) {
+		t.Fatalf("nothing to sample: %d sweeps ran, MaxRHat %v", sweeps, d.MaxRHat)
 	}
 }

@@ -145,7 +145,7 @@ func TestCheckpointObserver(t *testing.T) {
 		CheckpointEvery: 25,
 		OnCheckpoint:    func(cp Checkpoint) { cps = append(cps, cp) },
 	}
-	if probs := Marginals(g, opts); len(probs) != 20 {
+	if probs := chainMarginals(g, opts); len(probs) != 20 {
 		t.Fatalf("marginals = %d vars, want 20", len(probs))
 	}
 	// Sweeps 25,50,...,250: 10 checkpoints (250 is both on-cadence and

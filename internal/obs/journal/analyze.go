@@ -192,6 +192,7 @@ type Profile struct {
 	// FaultInjection is non-nil when the run recorded injected faults or
 	// retries (a chaos run).
 	FaultInjection *FaultSummary `json:"fault_injection,omitempty"`
+	Inference      *Inference    `json:"inference,omitempty"`
 	Convergence    *Convergence  `json:"convergence,omitempty"`
 	End            *RunEnd       `json:"end,omitempty"`
 	// DroppedEvents surfaces the journal bound: nonzero means the
@@ -251,6 +252,7 @@ func Analyze(run *Run) *Profile {
 		p.FaultInjection = fs
 	}
 
+	p.Inference = run.Inference
 	if len(run.Checkpoints) > 0 {
 		p.Convergence = analyzeConvergence(run.Checkpoints)
 	}

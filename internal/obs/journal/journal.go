@@ -34,6 +34,7 @@ const (
 	TypeQueryProfile     = "query_profile"
 	TypeMotion           = "motion"
 	TypeConstraintRepair = "constraint_repair"
+	TypeInference        = "inference"
 	TypeGibbsCheckpoint  = "gibbs_checkpoint"
 	TypeSegmentFault     = "segment_fault"
 	TypeSegmentRetry     = "segment_retry"
@@ -193,6 +194,17 @@ type VarDiagnostic struct {
 	Mean   float64 `json:"mean"`
 	RHat   float64 `json:"rhat"`
 	ESS    float64 `json:"ess"`
+}
+
+// Inference is how one whole-graph inference pass split the ground
+// graph's connected components: Exact of them solved by enumeration, the
+// SampledVars variables of the rest swept by one Gibbs chain. Only a
+// pass with SampledVars > 0 is followed by gibbs_checkpoint events.
+type Inference struct {
+	Components   int `json:"components"`
+	Exact        int `json:"exact"`
+	SampledVars  int `json:"sampled_vars"`
+	MaxComponent int `json:"max_component"`
 }
 
 // GibbsCheckpoint is a periodic snapshot of the sampling run: mixing

@@ -28,6 +28,7 @@ func emitSampleRun(w *Writer) {
 		},
 	})
 	w.Emit(TypeConstraintRepair, Repair{Iteration: 1, Violations: 2, Deleted: 3})
+	w.Emit(TypeInference, Inference{Components: 12, Exact: 11, SampledVars: 100, MaxComponent: 100})
 	w.Emit(TypeGibbsCheckpoint, GibbsCheckpoint{Sweep: 50, Burnin: true, Vars: 100, Flips: 31, Seconds: 0.002, SamplesPerSec: 2.5e6})
 	w.Emit(TypeGibbsCheckpoint, GibbsCheckpoint{
 		Sweep: 100, Vars: 100, Flips: 29, Seconds: 0.004, SamplesPerSec: 2.5e6,
@@ -204,12 +205,20 @@ func TestAnalyzeAndRender(t *testing.T) {
 	for _, section := range []string{
 		"Phase breakdown", "Grounding iterations", "Top operators",
 		"Per-segment skew", "Motion volumes", "Constraint repairs",
+		"11 components exact, 1 sampled (largest 100)",
 		"Gibbs convergence timeline", "Summary",
 		"deadbeef00000000", // config hash in the header line
 	} {
 		if !strings.Contains(text, section) {
 			t.Fatalf("report missing %q:\n%s", section, text)
 		}
+	}
+
+	// A pass with nothing to sample renders its split and no timeline.
+	prof.Inference, prof.Convergence = &Inference{Components: 12, Exact: 12, MaxComponent: 9}, nil
+	text = Render(prof, ReportOptions{})
+	if !strings.Contains(text, "12 components exact, 0 sampled (largest 9)") || strings.Contains(text, "Gibbs convergence timeline") {
+		t.Fatalf("report of an all-exact pass:\n%s", text)
 	}
 }
 

@@ -16,6 +16,7 @@ type Run struct {
 	Profiles    []QueryProfile
 	Motions     []Motion
 	Repairs     []Repair
+	Inference   *Inference // the last inference pass's component split
 	Checkpoints []GibbsCheckpoint
 	Faults      []SegmentFault
 	Retries     []SegmentRetry
@@ -68,6 +69,12 @@ func (run *Run) decode(ev Event) error {
 			return err
 		}
 		run.Repairs = append(run.Repairs, r)
+	case TypeInference:
+		var in Inference
+		if err := json.Unmarshal(ev.Data, &in); err != nil {
+			return err
+		}
+		run.Inference = &in
 	case TypeGibbsCheckpoint:
 		var c GibbsCheckpoint
 		if err := json.Unmarshal(ev.Data, &c); err != nil {

@@ -27,7 +27,8 @@ func (o ReportOptions) withDefaults() ReportOptions {
 // Render formats a run profile as the human-readable report `probkb
 // report` prints: run header, per-phase time breakdown, grounding
 // iterations, top-k slowest operators, per-segment skew table, motion
-// volumes, constraint repairs, and the Gibbs convergence timeline.
+// volumes, constraint repairs, the inference pass's component split and
+// — when some component was sampled — the Gibbs convergence timeline.
 func Render(p *Profile, opts ReportOptions) string {
 	opts = opts.withDefaults()
 	var b strings.Builder
@@ -156,10 +157,14 @@ func Render(p *Profile, opts ReportOptions) string {
 		}
 	}
 
-	fmt.Fprintf(&b, "\nGibbs convergence timeline\n--------------------------\n")
-	if c := p.Convergence; c == nil {
-		b.WriteString("(no Gibbs checkpoints; run with inference enabled)\n")
+	fmt.Fprintf(&b, "\nInference\n---------\n")
+	if in := p.Inference; in == nil {
+		b.WriteString("(no inference pass; run with inference enabled)\n")
 	} else {
+		fmt.Fprintf(&b, "%d components exact, %d sampled (largest %d)\n", in.Exact, in.Components-in.Exact, in.MaxComponent)
+	}
+	if c := p.Convergence; c != nil {
+		fmt.Fprintf(&b, "\nGibbs convergence timeline\n--------------------------\n")
 		fmt.Fprintf(&b, "%6s %7s %8s %10s %12s %8s %10s\n",
 			"sweep", "burnin", "flips", "seconds", "samples/s", "rhat", "ess_min")
 		for _, cp := range c.Timeline {

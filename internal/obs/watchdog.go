@@ -280,7 +280,11 @@ func (d *HeapGrowthDetector) Check(time.Time) (Finding, bool) {
 
 // ChainHealth is the live Gibbs feed: the sampler reports each sweep
 // and each checkpoint's max split R-hat; detectors read the latest
-// state. Gibbs is the process-wide instance internal/infer updates.
+// state. Gibbs is the process-wide instance internal/infer updates. A
+// chain is active from its first sweep to Done; an inference pass that
+// enumerates every component runs no chain and never activates the
+// feed, so "nothing to sample" reads as idle — healthy — to both
+// detectors below.
 type ChainHealth struct {
 	mu     sync.Mutex
 	active bool

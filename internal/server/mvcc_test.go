@@ -24,10 +24,7 @@ import (
 // tests can reach the admission internals and epoch manager directly.
 func mvccServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	k := probkb.New()
-	k.AddFact("born_in", "Ruth_Gruber", "Writer", "Brooklyn", "Place", 0.93)
-	k.AddFact("born_in", "Freud", "Writer", "Vienna", "Place", 0.9)
-	k.MustAddRule("1.40 live_in(x:Writer, y:Place) :- born_in(x:Writer, y:Place)")
+	k := testKB()
 	exp, err := k.Expand(probkb.Config{Engine: probkb.SingleNode, RunInference: false, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +399,7 @@ func TestQueryCancelPinnedReader(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		var out map[string]string
-		code := getJSON(t, srv.URL+"/query?atom=live_in(Freud,+Vienna)&burnin=0&samples=50000000&nocache=1", &out)
+		code := getJSON(t, srv.URL+"/query?atom="+giantAtom+"&burnin=0&samples=50000000&nocache=1", &out)
 		done <- result{code, out}
 	}()
 

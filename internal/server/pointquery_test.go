@@ -53,6 +53,12 @@ func TestQuerySmoke(t *testing.T) {
 	if *m.Marginal <= 0 || *m.Marginal >= 1 {
 		t.Fatalf("marginal = %v", *m.Marginal)
 	}
+	// The atom's neighborhood is small enough to enumerate: no sweep ran,
+	// and "collected" reports the requested samples (clients and the
+	// query_local journal event gate on collected > 0).
+	if m.LocalVars == 0 || m.LocalVars > 16 || m.Collected != 100 {
+		t.Fatalf("cold query over %d variables collected %d, want the requested 100", m.LocalVars, m.Collected)
+	}
 	gen := m.Generation
 
 	var cached marginalJSON

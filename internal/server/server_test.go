@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,12 +14,31 @@ import (
 	"probkb/internal/obs"
 )
 
-func testServer(t *testing.T) *httptest.Server {
-	t.Helper()
+// testKB is the KB the test servers serve: two writers whose atoms form
+// two-variable components, which inference enumerates, and a third born
+// in four places and four cities, whose born_in, live_in and located_in
+// atoms form one component of 28 — above the enumeration bound, so an
+// expansion with inference, and a cold /query on giantAtom, run a Gibbs
+// chain (what the cancellation, watchdog and journal tests hold on to).
+func testKB() *probkb.KB {
 	k := probkb.New()
 	k.AddFact("born_in", "Ruth_Gruber", "Writer", "Brooklyn", "Place", 0.93)
 	k.AddFact("born_in", "Freud", "Writer", "Vienna", "Place", 0.9)
 	k.MustAddRule("1.40 live_in(x:Writer, y:Place) :- born_in(x:Writer, y:Place)")
+	for i := 0; i < 4; i++ {
+		k.AddFact("born_in", "Grace_Paley", "Writer", fmt.Sprintf("Borough_%d", i), "Place", 0.6+0.05*float64(i))
+		k.AddFact("born_in", "Grace_Paley", "Writer", fmt.Sprintf("Town_%d", i), "City", 0.9-0.05*float64(i))
+	}
+	k.MustAddRule("0.52 located_in(x:Place, y:City) :- born_in(z:Writer, x:Place), born_in(z, y:City)")
+	return k
+}
+
+// giantAtom is an atom of testKB's 28-variable component, URL-encoded.
+const giantAtom = "located_in(Borough_1,+Town_2)"
+
+func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	k := testKB()
 	exp, err := k.Expand(probkb.Config{Engine: probkb.SingleNode, RunInference: true, GibbsBurnin: 20, GibbsSamples: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +82,7 @@ func TestStats(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/stats", &out); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
-	if out.KB.Facts != 2 || out.Expansion.InferredFacts != 2 {
+	if out.KB.Facts != 10 || out.Expansion.InferredFacts != 22 {
 		t.Fatalf("stats payload: %+v", out)
 	}
 }
@@ -76,13 +96,13 @@ func TestFactsFilters(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/facts?rel=live_in", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if out.Total != 2 {
+	if out.Total != 6 {
 		t.Fatalf("live_in total = %d", out.Total)
 	}
 	if code := getJSON(t, srv.URL+"/facts?inferred=true&x=Freud", &out); code != 200 || out.Total != 1 {
 		t.Fatalf("filtered total = %d", out.Total)
 	}
-	if code := getJSON(t, srv.URL+"/facts?limit=1", &out); code != 200 || len(out.Facts) != 1 || out.Total != 4 {
+	if code := getJSON(t, srv.URL+"/facts?limit=1", &out); code != 200 || len(out.Facts) != 1 || out.Total != 32 {
 		t.Fatalf("limit: total=%d len=%d", out.Total, len(out.Facts))
 	}
 	// Bad parameters.

@@ -175,7 +175,7 @@ func TestSQLDeleteRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before.Rows) != 2 || !reflect.DeepEqual(after, before) {
+	if len(before.Rows) != 10 || !reflect.DeepEqual(after, before) {
 		t.Fatalf("T after the DELETEs:\n%v\nbefore:\n%v", after, before)
 	}
 }

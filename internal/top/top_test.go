@@ -194,4 +194,27 @@ probkb_ingest_staleness_batches 3
 			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
 	}
+	// No inference pass yet: no infer row either.
+	if strings.Contains(frame, "components exact") {
+		t.Errorf("infer row rendered without a pass:\n%s", frame)
+	}
+}
+
+// TestRenderInferRow: the latest whole-graph inference pass shows as its
+// component split, so an idle samples/s gauge reads as "nothing to
+// sample", not as a stalled chain.
+func TestRenderInferRow(t *testing.T) {
+	const inferMetrics = `# TYPE probkb_infer_components gauge
+probkb_infer_components 10778
+# TYPE probkb_infer_exact_components gauge
+probkb_infer_exact_components 10774
+# TYPE probkb_infer_sampled_vars gauge
+probkb_infer_sampled_vars 88
+# TYPE probkb_infer_max_component gauge
+probkb_infer_max_component 28
+`
+	frame := Render(nil, parseFixture(t, exposition+inferMetrics, time.Unix(100, 0)), nil, nil)
+	if want := "infer 10774 components exact, 4 sampled (largest 28)"; !strings.Contains(frame, want) {
+		t.Errorf("frame missing %q:\n%s", want, frame)
+	}
 }

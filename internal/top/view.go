@@ -155,6 +155,14 @@ func Render(prev, cur *Scrape, queries []QueryRow, incidents []IncidentRow) stri
 	}
 	fmt.Fprintf(&b, "  gibbs %s samples/s   goroutines %d   heap %s\n",
 		gs, int(goroutines), fmtBytes(heap))
+	// The latest whole-graph inference pass: an idle gibbs gauge beside
+	// "0 sampled" means there was nothing to sample, not a stalled chain.
+	if comps, ok := cur.Value("probkb_infer_components"); ok && comps > 0 {
+		exact, _ := cur.Value("probkb_infer_exact_components")
+		largest, _ := cur.Value("probkb_infer_max_component")
+		fmt.Fprintf(&b, "  infer %d components exact, %d sampled (largest %d)\n",
+			int(exact), int(comps-exact), int(largest))
+	}
 	// Streaming-ingest row, shown once the server has absorbed a batch:
 	// absorption rate over the poll interval, lifetime totals, current
 	// firehose queue depth, and marginal staleness in batches.

@@ -6,12 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"probkb/internal/obs"
 	"probkb/internal/obs/journal"
 )
 
-// journalConfig is an MPP run with inference: exercises every journal
-// event type (profiles with per-segment stats, motions, repairs,
-// checkpoints).
+// journalConfig is an MPP run with inference: over giantKB it exercises
+// every journal event type (profiles with per-segment stats, motions,
+// repairs, the inference split, checkpoints).
 func journalConfig() Config {
 	return Config{
 		Engine:           MPP,
@@ -30,7 +31,7 @@ func journalConfig() Config {
 func TestJournalFileMatchesInMemory(t *testing.T) {
 	cfg := journalConfig()
 	cfg.JournalPath = filepath.Join(t.TempDir(), "run.jsonl")
-	exp, err := paperKB(t).Expand(cfg)
+	exp, err := giantKB(t).Expand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +54,33 @@ func TestJournalFileMatchesInMemory(t *testing.T) {
 		t.Fatalf("journal missing profiles (%d) or checkpoints (%d)",
 			len(fromFile.Profiles), len(fromFile.Checkpoints))
 	}
+	// Two components: the paper's five atoms, enumerated, and the 32-atom
+	// one the checkpoints above come from.
+	if in := fromFile.Inference; in == nil || *in != (journal.Inference{Components: 2, Exact: 1, SampledVars: 32, MaxComponent: 32}) {
+		t.Fatalf("inference event = %+v", in)
+	}
+	// probkb top reads the same split from /metrics.
+	for name, want := range map[string]float64{
+		"probkb_infer_components": 2, "probkb_infer_exact_components": 1,
+		"probkb_infer_sampled_vars": 32, "probkb_infer_max_component": 32,
+	} {
+		if got := obs.Default.Gauge(name).Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+
+	// A run with nothing to sample journals its split and no checkpoint.
+	small, err := paperKB(t).Expand(journalConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := journal.FromEvents(small.Journal().Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := run.Inference; in == nil || in.Exact != in.Components || in.SampledVars != 0 || len(run.Checkpoints) != 0 {
+		t.Fatalf("paper KB: inference event %+v with %d checkpoints, want all exact and none", in, len(run.Checkpoints))
+	}
 
 	// An MPP run's profiles carry per-segment breakdowns the skew
 	// analyzer can use.
@@ -70,7 +98,7 @@ func TestJournalFileMatchesInMemory(t *testing.T) {
 // contract the header's seed and config hash promise.
 func TestJournalDeterministic(t *testing.T) {
 	canon := func() []journal.Event {
-		exp, err := paperKB(t).Expand(journalConfig())
+		exp, err := giantKB(t).Expand(journalConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,10 @@ import (
 func init() {
 	obs.Default.Help("probkb_expand_total", "Knowledge-expansion runs completed, by engine.")
 	obs.Default.Help("probkb_expand_stage_seconds", "Per-stage wall time of expansion runs.")
+	obs.Default.Help("probkb_infer_components", "Connected components of the latest whole-graph inference pass.")
+	obs.Default.Help("probkb_infer_exact_components", "Components the latest whole-graph inference pass solved by enumeration.")
+	obs.Default.Help("probkb_infer_sampled_vars", "Variables the latest whole-graph inference pass left to the Gibbs chain.")
+	obs.Default.Help("probkb_infer_max_component", "Variables in the largest component of the latest whole-graph inference pass.")
 }
 
 // Engine selects the execution substrate for grounding.
@@ -136,16 +140,23 @@ type Config struct {
 	// rule learner). Only meaningful with RuleCleanTheta < 1.
 	ConstraintInformedCleaning bool
 
-	// RunInference runs Gibbs marginal inference after grounding and
-	// writes each inferred fact's probability into the result. Without
-	// it, inferred facts carry probability NaN.
+	// RunInference runs marginal inference after grounding and writes
+	// each inferred fact's probability into the result. Without it,
+	// inferred facts carry probability NaN. The ground graph's connected
+	// components are independent: one of at most 16 variables is solved
+	// by exact enumeration, only larger ones are Gibbs-sampled (DESIGN.md
+	// §5).
 	RunInference bool
 	// GibbsBurnin and GibbsSamples size the sampling run (defaults 100
-	// and 500); GibbsParallel uses the chromatic parallel sampler.
+	// and 500); GibbsParallel uses the chromatic parallel sampler. They
+	// matter only for components too large to enumerate: every other
+	// marginal is exact whatever they say.
 	GibbsBurnin   int
 	GibbsSamples  int
 	GibbsParallel bool
-	// Seed makes inference reproducible.
+	// Seed makes the sampled marginals reproducible. An enumerated
+	// component's marginals do not depend on it — on a KB whose every
+	// component is small, no output does.
 	Seed int64
 
 	// JournalPath, when non-empty, streams the run journal to this file:
@@ -161,8 +172,8 @@ type Config struct {
 	// the fact.
 	OnIteration func(IterationStats)
 	// OnGibbsSweep, when non-nil, observes every Gibbs sweep of marginal
-	// inference as it completes. It runs on the sampling goroutine; keep
-	// it cheap.
+	// inference as it completes — none when no component is large enough
+	// to be sampled. It runs on the sampling goroutine; keep it cheap.
 	OnGibbsSweep func(GibbsSweep)
 
 	// Persist, when non-nil, makes the run durable: each completed

@@ -22,6 +22,21 @@ func paperKB(t *testing.T) *KB {
 	return k
 }
 
+// giantKB is paperKB plus a second writer born in four places and four
+// cities: her 8 born_in, 8 live_in and 16 located_in atoms ground into
+// one connected component of 32 variables — above the enumeration bound,
+// so expanding it runs the Gibbs chain, which paperKB's five-variable
+// component never does.
+func giantKB(t *testing.T) *KB {
+	t.Helper()
+	k := paperKB(t)
+	for i := 0; i < 4; i++ {
+		k.AddFact("born_in", "Grace_Paley", "Writer", fmt.Sprintf("Borough_%d", i), "Place", 0.6+0.05*float64(i))
+		k.AddFact("born_in", "Grace_Paley", "Writer", fmt.Sprintf("Town_%d", i), "City", 0.9-0.05*float64(i))
+	}
+	return k
+}
+
 func TestQuickstartPipeline(t *testing.T) {
 	k := New()
 	if !k.AddFact("rich_in", "kale", "Food", "calcium", "Nutrient", 0.9) {

@@ -28,7 +28,7 @@ func init() {
 	obs.Default.Help("probkb_query_local_total",
 		"Point queries answered by the local grounding path, by cache outcome.")
 	obs.Default.Help("probkb_query_local_seconds",
-		"Wall time of cache-miss local point queries (grounding + neighborhood Gibbs).")
+		"Wall time of cache-miss local point queries (grounding + neighborhood inference).")
 }
 
 // ParseAtom parses a query atom of the form "Rel(x, y)".
@@ -62,13 +62,14 @@ type PointQuery struct {
 	// bounds the evidence ball around {X, Y}; 0 means Depth+1.
 	Depth  int
 	Radius int
-	// MarkovRadius bounds the Gibbs neighborhood around the target in
-	// the local factor graph; 0 means the whole connected component.
+	// MarkovRadius bounds the inference neighborhood around the target
+	// in the local factor graph; 0 means the whole connected component.
 	MarkovRadius int
-	// Burnin and Samples size the sampling run; 0 falls back to the
-	// expansion Config, then to the infer defaults (100 / 500).
-	// Samples < 0 skips inference: the query reports whether the atom
-	// is derivable, with a NaN marginal.
+	// Burnin and Samples size the sampling run a neighborhood too large
+	// to enumerate gets (a smaller one's marginal is exact and depends
+	// on neither); 0 falls back to the expansion Config, then to the
+	// infer defaults (100 / 500). Samples < 0 skips inference: the query
+	// reports whether the atom is derivable, with a NaN marginal.
 	Burnin  int
 	Samples int
 	// NoCache bypasses the marginal cache (no read, no store).
@@ -80,9 +81,10 @@ type Marginal struct {
 	Rel  string
 	X, Y string
 	// Probability is P(atom): the stored weight for an observed fact,
-	// the neighborhood-Gibbs estimate for a derived one, NaN when the
-	// atom is unknown/undervable within the bounds or inference was
-	// skipped.
+	// the neighborhood's marginal for a derived one (exact when the
+	// neighborhood is small enough to enumerate, a Gibbs estimate
+	// otherwise), NaN when the atom is unknown/undervable within the
+	// bounds or inference was skipped.
 	Probability float64
 	// Found reports that the atom is observed or derivable within the
 	// bounds; Observed that it is a base (evidence) fact.
@@ -101,7 +103,8 @@ type Marginal struct {
 	Radius int
 	// Shape of the local computation: evidence ball size, local closure
 	// size, neighborhood factor graph, rules in scope, closure
-	// iterations, and post-burn-in Gibbs sweeps collected.
+	// iterations, and post-burn-in Gibbs sweeps collected (the requested
+	// Samples when the neighborhood was enumerated instead).
 	SeedFacts      int
 	LocalFacts     int
 	LocalVars      int
@@ -303,7 +306,7 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 }
 
 // queryLocalMiss is the cache-miss path: local grounding, target
-// resolution, and neighborhood Gibbs. m arrives pre-filled with the
+// resolution, and neighborhood inference. m arrives pre-filled with the
 // atom, generation, and resolved bounds; the caller owns caching and
 // coalescing.
 func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal, depth, radius, burnin, samples int, start time.Time) (Marginal, error) {
