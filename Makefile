@@ -1,9 +1,6 @@
 GO ?= go
 
-# Baseline for bench-diff (write one with `make bench-baseline`).
-BENCH_BASE ?= BENCH_baseline.json
-
-.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench bench-baseline bench-diff report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
+.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench paper-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics fmt
 
 build:
 	$(GO) build ./...
@@ -18,7 +15,7 @@ race:
 	$(GO) test -race ./...
 
 # The standard verify loop: what CI (and every PR) should run.
-check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke crash-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
+check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke crash-smoke paper-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
 
 # benchmark/ is a nested module (its own go.mod, `replace probkb => ../`)
 # that imports internal/{ground,mpp,engine,...} by path, so `go build
@@ -99,15 +96,20 @@ cover-store:
 bench:
 	$(GO) run ./cmd/probkb-bench -exp all
 
-# Record the current commit's bench times as the regression baseline.
-bench-baseline:
-	$(GO) run ./cmd/probkb-bench -exp all -json $(BENCH_BASE)
-
-# Re-run the bench and fail (exit nonzero) if any experiment regressed
-# >20% (and >5ms absolute) against $(BENCH_BASE).
-bench-diff:
-	@test -f $(BENCH_BASE) || { echo "bench-diff: no baseline $(BENCH_BASE); run 'make bench-baseline' first" >&2; exit 2; }
-	$(GO) run ./cmd/probkb-bench -exp all -json "" -compare $(BENCH_BASE)
+# Paper-experiment smoke: every probkb-bench experiment runs at a tiny
+# scale, so none can rot between the runs EXPERIMENTS.md records. Each
+# experiment's banner must appear, and an unknown experiment must still
+# exit 2.
+paper-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/probkb-bench" ./cmd/probkb-bench && \
+	"$$tmp/probkb-bench" -exp all -scale 0.002 -json "" > "$$tmp/out.txt" && \
+	for e in table2 table3 table4 fig4 fig6a fig6b fig6c fig7a fig7b growth feedback workers; do \
+		grep -q "^==================== $$e ====================$$" "$$tmp/out.txt" || \
+			{ echo "paper-smoke: no $$e banner" >&2; exit 1; }; \
+	done && \
+	{ "$$tmp/probkb-bench" -exp no-such-experiment -json "" 2>/dev/null; test $$? -eq 2; } && \
+	echo "paper-smoke: ok"
 
 # End-to-end smoke test of the run journal: expand a tiny KB with
 # journaling on a 2-segment MPP cluster, then assert the report renders

@@ -20,6 +20,7 @@ package probkb_test
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -32,6 +33,7 @@ import (
 	"probkb/internal/mln"
 	"probkb/internal/mpp"
 	"probkb/internal/quality"
+	"probkb/internal/store"
 	"probkb/internal/synth"
 )
 
@@ -429,7 +431,8 @@ func BenchmarkAblation_PerRelationLoad(b *testing.B) {
 }
 
 // BenchmarkAblation_TextKBLoad / _BinaryKBLoad contrast the on-disk
-// formats' bulkload cost.
+// forms' bulkload cost: the text directory against the snapshot file
+// probkb.Load reads (the durable store's columnar format).
 func BenchmarkAblation_TextKBLoad(b *testing.B) {
 	c := benchCorpus(b)
 	dir := b.TempDir() + "/kb"
@@ -447,14 +450,18 @@ func BenchmarkAblation_TextKBLoad(b *testing.B) {
 
 func BenchmarkAblation_BinaryKBLoad(b *testing.B) {
 	c := benchCorpus(b)
-	path := b.TempDir() + "/kb.pkb"
-	if err := c.KB.SaveBinary(path); err != nil {
+	tables, err := store.KBTables(c.KB, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir() + "/kb.pks"
+	if err := os.WriteFile(path, store.EncodeTables(tables), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := kb.LoadBinary(path); err != nil {
+		if _, err := probkb.Load(path); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,38 +3,22 @@
 //
 // Usage:
 //
-//	probkb-bench -exp table2|table3|table4|fig4|fig6a|fig6b|fig6c|fig7a|fig7b|growth|ingest|serve|serve-mixed|point-query|all
+//	probkb-bench -exp table2|table3|table4|fig4|fig6a|fig6b|fig6c|fig7a|fig7b|growth|feedback|workers|all
 //	             [-scale 0.02] [-seed 42] [-segments 4] [-json PATH]
-//	             [-clients 8] [-serve-duration 2s] [-point-query] [-mixed]
-//	             [-compare BENCH_old.json]
 //
-// A bare first argument is shorthand for -exp, so `probkb-bench serve`
-// runs the serving-load harness: N concurrent clients issue point SQL
-// queries and marginal fact lookups against an in-process
-// probkb-server, reporting p50/p95/p99 latency and qps.
-// `probkb-bench serve -point-query` drives GET /query instead — cold
-// (cache-bypassing local grounding + neighborhood Gibbs) vs cached
-// lookups — and records the full-closure wall time of the same corpus
-// as the reference those latencies replace.
-// `probkb-bench serve -mixed` measures the MVCC serving tier: the same
-// read workload first against an idle server, then while a writer
-// streams POST /facts extends that publish a new generation each round
-// — the idle and under-write percentiles land in BENCH_<date>.json as
-// one serve-mixed experiment, so bench-diff gates regressions in the
-// read-while-expand path.
+// A bare first argument is shorthand for -exp, so `probkb-bench table3`
+// runs Table 3 alone. With -exp all each experiment's output follows a
+// "==================== <id> ====================" banner.
 //
 // Besides the human-readable tables on stdout, the run's structured
 // results and per-experiment wall times are written to BENCH_<date>.json
-// (override the path with -json, disable with -json "") so the perf
-// trajectory across commits stays machine-readable.
-//
-// -compare diffs this run's per-experiment wall times against an older
-// BENCH_<date>.json and exits nonzero when any experiment regressed by
-// more than 20% (and more than 5ms absolute, so noise-level experiments
-// can't trip the gate). `make bench-diff` wraps this mode.
+// (override the path with -json, disable with -json ""). An unknown
+// experiment exits 2.
 //
 // Absolute times depend on the machine and scale; EXPERIMENTS.md records
-// a reference run and compares shapes against the paper.
+// a reference run and compares shapes against the paper. The end-to-end
+// serving, point-query and ingest workloads are measured by the
+// benchmark/ module, not here.
 package main
 
 import (
@@ -49,33 +33,19 @@ import (
 )
 
 func main() {
-	// `probkb-bench serve` reads as -exp serve: a bare first argument
+	// `probkb-bench table3` reads as -exp table3: a bare first argument
 	// names the experiment.
 	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
 		os.Args = append([]string{os.Args[0], "-exp", os.Args[1]}, os.Args[2:]...)
 	}
-	exp := flag.String("exp", "all", "experiment id (table2, table3, table4, fig4, fig6a, fig6b, fig6c, fig7a, fig7b, growth, workers, ingest, serve, serve-mixed, point-query, all)")
+	exp := flag.String("exp", "all", "experiment id (table2, table3, table4, fig4, fig6a, fig6b, fig6c, fig7a, fig7b, growth, feedback, workers, all)")
 	scale := flag.Float64("scale", 0.02, "corpus scale relative to the paper (1.0 = 407K facts)")
 	seed := flag.Int64("seed", 42, "generation seed")
 	segments := flag.Int("segments", 4, "MPP cluster segments")
-	clients := flag.Int("clients", 8, "concurrent clients for the serve experiment")
-	serveDur := flag.Duration("serve-duration", 2*time.Second, "measurement window for the serve experiment")
 	now := time.Now()
 	jsonPath := flag.String("json", fmt.Sprintf("BENCH_%s.json", now.Format("2006-01-02")),
 		`also write results as JSON to this path ("" disables)`)
-	comparePath := flag.String("compare", "",
-		"diff this run against an older BENCH_<date>.json; exit nonzero on >20% regression")
-	pointQuery := flag.Bool("point-query", false,
-		"with -exp serve: drive GET /query (cold vs cached local grounding) instead of the read endpoints")
-	mixed := flag.Bool("mixed", false,
-		"with -exp serve: mixed read-while-expand workload — idle vs under-write read percentiles")
 	flag.Parse()
-	if *pointQuery && *exp == "serve" {
-		*exp = "point-query"
-	}
-	if *mixed && *exp == "serve" {
-		*exp = "serve-mixed"
-	}
 
 	cfg := bench.Config{Scale: *scale, Seed: *seed, Segments: *segments}
 	w := os.Stdout
@@ -97,10 +67,6 @@ func main() {
 		{"growth", func() (any, error) { return bench.Growth(cfg, w) }},
 		{"feedback", func() (any, error) { return nil, bench.Feedback(cfg, w) }},
 		{"workers", func() (any, error) { return bench.Workers(cfg, w) }},
-		{"ingest", func() (any, error) { return bench.Ingest(cfg, w) }},
-		{"serve", func() (any, error) { return bench.ServeN(cfg, *clients, *serveDur, w) }},
-		{"serve-mixed", func() (any, error) { return bench.ServeMixed(cfg, *clients, *serveDur, w) }},
-		{"point-query", func() (any, error) { return bench.PointQuery(cfg, *clients, *serveDur, w) }},
 	}
 
 	rep := bench.Report{
@@ -142,25 +108,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(w, "results written to %s\n", *jsonPath)
-	}
-
-	if *comparePath != "" {
-		base, err := bench.LoadReport(*comparePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "probkb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		cmp, err := bench.CompareReports(base, rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "probkb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "comparison vs %s:\n", *comparePath)
-		if n := bench.WriteComparison(w, cmp); n > 0 {
-			fmt.Fprintf(os.Stderr, "probkb-bench: %d experiment(s) regressed >%.0f%% vs %s\n",
-				n, (bench.RegressionRatio-1)*100, *comparePath)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w, "no regressions")
 	}
 }

@@ -49,6 +49,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Report is the BENCH_<date>.json document probkb-bench writes: one
+// entry per experiment with its wall time and typed result rows.
+type Report struct {
+	Date        string             `json:"date"`
+	Scale       float64            `json:"scale"`
+	Seed        int64              `json:"seed"`
+	Segments    int                `json:"segments"`
+	Experiments []ExperimentResult `json:"experiments"`
+}
+
+// ExperimentResult is one experiment's record in a Report.
+type ExperimentResult struct {
+	ID      string  `json:"id"`
+	Seconds float64 `json:"seconds"`
+	// Result carries the experiment's typed rows when it returns them
+	// (table3, fig6*, fig7*, growth, workers); table-only experiments
+	// leave it null.
+	Result any `json:"result,omitempty"`
+}
+
 // corpus generates the ReVerb-Sherlock-like dataset for the config.
 func (c Config) corpus() (*synth.Corpus, error) {
 	return synth.ReVerbSherlock(c.Scale, c.Seed)

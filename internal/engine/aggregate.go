@@ -104,13 +104,6 @@ func GroupBySchema(in Schema, keys []int, aggs []AggSpec) Schema {
 	return sch
 }
 
-// GroupByTable runs the aggregation kernel directly on a materialized
-// table, serially. Prefer GroupByTableOpts when a worker pool is
-// available.
-func GroupByTable(in *Table, keys []int, aggs []AggSpec) (*Table, error) {
-	return GroupByTableOpts(in, keys, aggs, Opts{Workers: 1}, nil)
-}
-
 // GroupByTableOpts runs the aggregation kernel under the given execution
 // options, recording worker/morsel counts into st when non-nil. The MPP
 // layer calls it once per segment.

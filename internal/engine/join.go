@@ -112,15 +112,6 @@ func JoinSchema(buildSchema, probeSchema Schema, outs []JoinOut) Schema {
 	return sch
 }
 
-// HashJoinTables runs the hash-join kernel directly on materialized
-// tables, serially. The MPP layer's historical entry point; prefer
-// HashJoinTablesOpts when a worker pool is available.
-func HashJoinTables(bt, pt *Table, buildKeys, probeKeys []int,
-	residual func(b *Table, br int, p *Table, pr int) bool,
-	outs []JoinOut) (*Table, error) {
-	return HashJoinTablesOpts(bt, pt, buildKeys, probeKeys, residual, outs, Opts{Workers: 1}, nil)
-}
-
 // HashJoinTablesOpts runs the hash-join kernel under the given execution
 // options, recording worker/morsel counts into st when non-nil. The MPP
 // layer calls it once per segment.

@@ -347,43 +347,6 @@ rows:
 }
 
 // ---------------------------------------------------------------------------
-// Union All
-
-// UnionAllNode concatenates the outputs of its children (bag union, the
-// ∪B of Algorithm 1 lines 9–10).
-type UnionAllNode struct {
-	base
-	children []Node
-}
-
-// NewUnionAll returns the bag union of the children, whose schemas must be
-// type-compatible.
-func NewUnionAll(children ...Node) *UnionAllNode {
-	if len(children) == 0 {
-		panic("engine: UnionAll needs at least one input")
-	}
-	return &UnionAllNode{base: base{schema: children[0].OutSchema()}, children: children}
-}
-
-func (n *UnionAllNode) Children() []Node { return n.children }
-func (n *UnionAllNode) Label() string    { return fmt.Sprintf("Append (%d inputs)", len(n.children)) }
-
-// Run materializes the concatenation.
-func (n *UnionAllNode) Run() (*Table, error) {
-	ins, err := runChildren(n)
-	if err != nil {
-		return nil, err
-	}
-	return timeRun(&n.stats, n.exec, func() (*Table, error) {
-		out := NewTable("union_all", n.schema)
-		for _, in := range ins {
-			out.AppendTable(in)
-		}
-		return out, nil
-	})
-}
-
-// ---------------------------------------------------------------------------
 // Sort and Limit
 
 // SortKey orders by one column; Desc flips the direction. Int32 and

@@ -109,34 +109,6 @@ func TestDistinctIdempotent(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	a := buildTwoCol("A", []int32{1}, []int32{2})
-	b := buildTwoCol("B", []int32{3, 4}, []int32{5, 6})
-	u := NewUnionAll(NewScan(a), NewScan(b))
-	out, err := u.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 3 {
-		t.Fatalf("union rows = %d, want 3", out.NumRows())
-	}
-	// Bag semantics: duplicates survive.
-	u2 := NewUnionAll(NewScan(a), NewScan(a))
-	out2, _ := u2.Run()
-	if out2.NumRows() != 2 {
-		t.Fatalf("bag union rows = %d, want 2", out2.NumRows())
-	}
-}
-
-func TestUnionAllEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UnionAll() did not panic")
-		}
-	}()
-	NewUnionAll()
-}
-
 func TestRunHelperAndTotalTime(t *testing.T) {
 	tab := buildTwoCol("T", []int32{1}, []int32{2})
 	f := NewFilter(NewScan(tab), "all", func(*Table, int) bool { return true })
@@ -284,7 +256,6 @@ func TestNodeLabels(t *testing.T) {
 		NewFilter(scan, "p", func(*Table, int) bool { return true }),
 		NewProject(scan, ColExpr("a", 0)),
 		NewDistinct(scan, []int{0}),
-		NewUnionAll(scan),
 		NewGroupBy(scan, []int{0}, []AggSpec{{Kind: AggCount, Name: "n"}}),
 		NewSort(scan, SortKey{Col: 0}),
 		NewLimit(scan, 1),
@@ -300,14 +271,14 @@ func TestNodeLabels(t *testing.T) {
 func TestKernelWrappers(t *testing.T) {
 	left := buildTwoCol("L", []int32{1, 2}, []int32{5, 6})
 	right := buildTwoCol("R", []int32{1, 1}, []int32{7, 8})
-	out, err := HashJoinTables(left, right, []int{0}, []int{0}, nil,
-		[]JoinOut{BuildCol("a", 0), ProbeCol("rb", 1)})
+	out, err := HashJoinTablesOpts(left, right, []int{0}, []int{0}, nil,
+		[]JoinOut{BuildCol("a", 0), ProbeCol("rb", 1)}, Opts{Workers: 1}, nil)
 	if err != nil || out.NumRows() != 2 {
-		t.Fatalf("HashJoinTables: rows=%d err=%v", out.NumRows(), err)
+		t.Fatalf("HashJoinTablesOpts: rows=%d err=%v", out.NumRows(), err)
 	}
-	g, err := GroupByTable(left, []int{0}, []AggSpec{{Kind: AggCount, Name: "n"}})
+	g, err := GroupByTableOpts(left, []int{0}, []AggSpec{{Kind: AggCount, Name: "n"}}, Opts{Workers: 1}, nil)
 	if err != nil || g.NumRows() != 2 {
-		t.Fatalf("GroupByTable: rows=%d err=%v", g.NumRows(), err)
+		t.Fatalf("GroupByTableOpts: rows=%d err=%v", g.NumRows(), err)
 	}
 }
 

@@ -23,25 +23,11 @@ import (
 // identical across worker counts.
 const DefaultMorselSize = 4096
 
-// defaultWorkers overrides the package-wide worker default; 0 means
-// runtime.NumCPU().
-var defaultWorkers atomic.Int32
-
-// SetDefaultWorkers sets the worker count unconfigured plans run with
-// (the -engine-workers CLI flag lands here); n <= 0 restores the
-// runtime.NumCPU() default.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
-}
-
 // Opts configures parallel plan execution.
 type Opts struct {
 	// Workers is the number of worker goroutines an operator's parallel
-	// regions may use. 0 means the package default (runtime.NumCPU(),
-	// unless SetDefaultWorkers changed it); 1 preserves serial execution.
+	// regions may use. 0 means runtime.NumCPU(); 1 preserves serial
+	// execution.
 	Workers int
 	// MorselSize overrides DefaultMorselSize; 0 keeps the default. Runs
 	// that must produce identical float aggregates must use the same
@@ -61,14 +47,10 @@ type Opts struct {
 }
 
 func (o Opts) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = int(defaultWorkers.Load())
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	return w
+	return runtime.NumCPU()
 }
 
 func (o Opts) morsel() int {

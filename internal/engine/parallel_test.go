@@ -121,7 +121,8 @@ func TestGroupBySingleMorselMatchesLegacySerial(t *testing.T) {
 	if st.Morsels != 1 {
 		t.Fatalf("500 rows at default morsel size should be 1 morsel, got %d", st.Morsels)
 	}
-	legacy, err := GroupByTable(in, []int{0}, []AggSpec{{Kind: AggSumF64, Col: 2, Name: "s"}})
+	legacy, err := GroupByTableOpts(in, []int{0}, []AggSpec{{Kind: AggSumF64, Col: 2, Name: "s"}},
+		Opts{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,6 @@ type Factor struct {
 	W    float64
 }
 
-// Singleton reports whether the factor is an observed fact's unit clause.
-func (f Factor) Singleton() bool { return len(f.Body) == 0 }
-
 // Vars returns all variables the factor touches (head first).
 func (f Factor) Vars() []int32 {
 	out := make([]int32, 0, 1+len(f.Body))

@@ -156,9 +156,6 @@ func TestSatisfiedSemantics(t *testing.T) {
 	if s.Satisfied([]bool{false}) || !s.Satisfied([]bool{true}) {
 		t.Fatal("singleton satisfaction wrong")
 	}
-	if !s.Singleton() || f.Singleton() {
-		t.Fatal("Singleton() wrong")
-	}
 }
 
 func TestLogScore(t *testing.T) {

@@ -194,28 +194,6 @@ func (k *KB) IsSubclass(sub, super int32) bool {
 	return false
 }
 
-// Superclasses returns the transitive superclasses of c (excluding c),
-// in breadth-first order without duplicates.
-func (k *KB) Superclasses(c int32) []int32 {
-	seen := map[int32]bool{c: true}
-	var out []int32
-	frontier := []int32{c}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, f := range frontier {
-			for _, s := range k.superOf[f] {
-				if !seen[s] {
-					seen[s] = true
-					out = append(out, s)
-					next = append(next, s)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
 // SubclassEdge is one declared Sub ⊆ Super relationship.
 type SubclassEdge struct {
 	Sub, Super int32
@@ -439,30 +417,6 @@ func (k *KB) FactString(f Fact) string {
 		k.RelDict.Name(f.Rel),
 		k.Entities.Name(f.X), k.Classes.Name(f.XClass),
 		k.Entities.Name(f.Y), k.Classes.Name(f.YClass))
-}
-
-// RuleString renders a clause with symbolic names.
-func (k *KB) RuleString(c mln.Clause) string {
-	var b strings.Builder
-	if c.Hard() {
-		b.WriteString("inf ")
-	} else {
-		fmt.Fprintf(&b, "%.2f ", c.Weight)
-	}
-	atom := func(a mln.Atom) {
-		fmt.Fprintf(&b, "%s(%s:%s, %s:%s)", k.RelDict.Name(a.Rel),
-			a.Arg1, k.Classes.Name(c.Class[a.Arg1]),
-			a.Arg2, k.Classes.Name(c.Class[a.Arg2]))
-	}
-	atom(c.Head)
-	b.WriteString(" :- ")
-	for i, a := range c.Body {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		atom(a)
-	}
-	return b.String()
 }
 
 // Clone returns a deep copy of the KB. Quality-control experiments mutate

@@ -150,9 +150,9 @@ func TestStatsAndStrings(t *testing.T) {
 	if !strings.Contains(fs, "born_in(Ruth_Gruber:Writer, New_York_City:City)") {
 		t.Fatalf("FactString = %q", fs)
 	}
-	rs := k.RuleString(k.Rules[0])
+	rs := k.FormatRule(k.Rules[0])
 	if !strings.Contains(rs, "live_in") || !strings.Contains(rs, ":-") {
-		t.Fatalf("RuleString = %q", rs)
+		t.Fatalf("FormatRule = %q", rs)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 //   - Distinct and GroupBy need equal keys collocated: the input
 //     replicated, or hashed on a subset of the keys. Otherwise it is
 //     redistributed by the full key tuple.
-//   - Sort, Limit, UnionAll and anything else cannot run segment-local
+//   - Sort, Limit and anything else cannot run segment-local
 //     and lower to a node that fails at Run.
 //
 // With motions false no motion is ever inserted: tables stay where they

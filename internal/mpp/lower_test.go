@@ -340,7 +340,6 @@ func TestLowerUnsupportedOperators(t *testing.T) {
 		}{
 			{engine.NewSort(scan(), engine.SortKey{Col: 0}), "mpp: Sort (1 keys) cannot run distributed"},
 			{engine.NewLimit(scan(), 3), "mpp: Limit 3 cannot run distributed"},
-			{engine.NewUnionAll(scan(), scan()), "mpp: Append (2 inputs) cannot run distributed"},
 			{engine.NewProject(engine.NewLimit(scan(), 3), engine.ColExpr("a", 0)), "mpp: Limit 3 cannot run distributed"},
 		} {
 			plan := Lower(tc.plan, at.place, nil, motions)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -297,15 +296,4 @@ func sanitizeReason(r string) string {
 func (inc *Incident) SummaryLine(now time.Time) string {
 	age := now.Sub(inc.Time).Round(time.Second)
 	return fmt.Sprintf("%-5s %8s ago  %-16s %s", inc.ID, age, inc.Detector, inc.Summary)
-}
-
-// MetricsKeys returns the incident's metric names sorted (rendering
-// helper for the CLI).
-func (inc *Incident) MetricsKeys() []string {
-	keys := make([]string, 0, len(inc.Metrics))
-	for k := range inc.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -363,23 +363,3 @@ func PreClean(k *kb.KB) int {
 	}
 	return n
 }
-
-// AmbiguousEntities implements the ambiguity detection of Section 5.2:
-// entities flagged by functional-constraint violations, the dominant
-// symptom of one surface name covering several real-world entities. It
-// returns the distinct (entity, class) pairs.
-func (c *Checker) AmbiguousEntities(tpi *engine.Table) []Violation {
-	viol := c.Violations(tpi)
-	type entCls struct{ e, c int32 }
-	seen := make(map[entCls]bool)
-	out := make([]Violation, 0, len(viol))
-	for _, v := range viol {
-		k := entCls{v.Entity, v.Class}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, v)
-	}
-	return out
-}

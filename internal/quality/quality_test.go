@@ -271,21 +271,6 @@ func TestApplyNoConstraints(t *testing.T) {
 	}
 }
 
-func TestAmbiguousEntitiesDedup(t *testing.T) {
-	// An entity violating two different relations is reported once.
-	k := ambiguityKB(t)
-	k.InternFact("grew_up_in", "Mandel", "Person", "Berlin", "City", 0.9)
-	k.InternFact("grew_up_in", "Mandel", "Person", "Paris", "City", 0.9)
-	grewUp, _ := k.RelDict.Lookup("grew_up_in")
-	if err := k.AddConstraint(kb.Constraint{Rel: grewUp, Type: kb.TypeI, Degree: 1}); err != nil {
-		t.Fatal(err)
-	}
-	amb := NewChecker(k).AmbiguousEntities(k.FactsTable())
-	if len(amb) != 1 {
-		t.Fatalf("ambiguous = %+v, want 1 distinct entity", amb)
-	}
-}
-
 func TestCheckerAsGroundingHook(t *testing.T) {
 	// Reconstructs the Figure 5(a) scenario: the ambiguous "Mandel"
 	// would produce located_in(Baltimore, Berlin)-style nonsense through

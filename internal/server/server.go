@@ -105,11 +105,10 @@
 //	                                      columnar snapshot (409 when the
 //	                                      server runs without a store)
 //
-// Read endpoints sit behind admission control: WithMaxInFlight (or
-// SetMaxInFlight at runtime) caps concurrently admitted data-plane
-// requests, and overload answers 429 with Retry-After instead of
-// queueing without bound; rejections count in
-// probkb_http_rejected_total and show in `probkb top`.
+// Read endpoints sit behind admission control: SetMaxInFlight caps
+// concurrently admitted data-plane requests, and overload answers 429
+// with Retry-After instead of queueing without bound; rejections count
+// in probkb_http_rejected_total and show in `probkb top`.
 //
 // Request bodies are bounded: a JSON body over 4 MiB (POST /facts,
 // /sql, /query/batch, /admin/expand) answers 413, and a streamed chunk
@@ -188,12 +187,6 @@ type Option func(*Server)
 // into, enabling POST /admin/snapshot.
 func WithStore(st *probkb.Store) Option {
 	return func(s *Server) { s.store = st }
-}
-
-// WithMaxInFlight caps concurrently admitted data-plane requests;
-// n <= 0 means unlimited. See Server.SetMaxInFlight.
-func WithMaxInFlight(n int) Option {
-	return func(s *Server) { s.SetMaxInFlight(n) }
 }
 
 // New builds the handler for an expanded KB, ready to serve.

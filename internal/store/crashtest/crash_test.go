@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"probkb/internal/kb"
 	"probkb/internal/store"
 )
 
@@ -86,72 +85,22 @@ func TestMemFSModel(t *testing.T) {
 	})
 }
 
-// Symbol pools for random KBs: small enough that deletes and marginal
-// updates frequently hit existing facts, and that duplicate inserts
-// (exercising max-weight dedup and idempotence) occur.
-var (
-	poolRels     = []string{"born_in", "live_in", "located_in", "works_at"}
-	poolEntities = []string{"ada", "grace", "nyc", "paris", "mit", "inria"}
-	poolClasses  = []string{"Person", "Place", "Org"}
-)
-
-func randFact(rng *rand.Rand) store.FactRec {
-	return store.FactRec{
-		Rel: poolRels[rng.Intn(len(poolRels))],
-		X:   poolEntities[rng.Intn(len(poolEntities))], XClass: poolClasses[rng.Intn(len(poolClasses))],
-		Y: poolEntities[rng.Intn(len(poolEntities))], YClass: poolClasses[rng.Intn(len(poolClasses))],
-		W: float64(rng.Intn(100)) / 100,
-	}
-}
-
-func randKB(t *testing.T, rng *rand.Rand) *kb.KB {
-	t.Helper()
-	k := kb.New()
-	// A taxonomy edge so member propagation is in play.
-	sub := k.Classes.Intern(poolClasses[0])
-	super := k.Classes.Intern(poolClasses[1])
-	if err := k.DeclareSubclass(sub, super); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
-		f := randFact(rng)
-		k.InternFact(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
-	}
-	if rng.Intn(2) == 0 {
-		c, err := k.ParseRule("1.10 live_in(x:Person, y:Place) :- born_in(x:Person, y:Place)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := k.AddRule(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rng.Intn(2) == 0 {
-		if rel, ok := k.RelDict.Lookup("born_in"); ok {
-			if err := k.AddConstraint(kb.Constraint{Rel: rel, Type: kb.TypeI, Degree: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return k
-}
-
 func randScript(t *testing.T, rng *rand.Rand) Script {
 	t.Helper()
-	s := Script{Base: randKB(t, rng)}
+	s := Script{Base: RandKB(rng)}
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 		var op Op
 		switch rng.Intn(7) {
 		case 0:
 			op = Op{Kind: OpCheckpoint}
 		case 1:
-			op = Op{Kind: store.RecDeletes, Facts: []store.FactRec{randFact(rng)}}
+			op = Op{Kind: store.RecDeletes, Facts: []store.FactRec{RandFact(rng)}}
 		case 2:
-			op = Op{Kind: store.RecMarginals, Facts: []store.FactRec{randFact(rng), randFact(rng)}}
+			op = Op{Kind: store.RecMarginals, Facts: []store.FactRec{RandFact(rng), RandFact(rng)}}
 		default:
 			facts := make([]store.FactRec, 1+rng.Intn(3))
 			for j := range facts {
-				facts[j] = randFact(rng)
+				facts[j] = RandFact(rng)
 			}
 			op = Op{Kind: store.RecFacts, Facts: facts}
 		}
@@ -209,7 +158,7 @@ func TestCrashPointExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	script := randScript(t, rng)
 	// Ensure at least one checkpoint between appends.
-	script.Ops = append(script.Ops, Op{Kind: OpCheckpoint}, Op{Kind: store.RecFacts, Facts: []store.FactRec{randFact(rng)}})
+	script.Ops = append(script.Ops, Op{Kind: OpCheckpoint}, Op{Kind: store.RecFacts, Facts: []store.FactRec{RandFact(rng)}})
 	_, totalOps, err := Boundaries(script)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +178,7 @@ func TestCrashPointExplicit(t *testing.T) {
 func TestShrinkReduces(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	script := randScript(t, rng)
-	script.Ops = append(script.Ops, Op{Kind: store.RecDeletes, Facts: []store.FactRec{randFact(rng)}})
+	script.Ops = append(script.Ops, Op{Kind: store.RecDeletes, Facts: []store.FactRec{RandFact(rng)}})
 	// Shrink against the real matrix must return nil error (healthy
 	// scripts don't fail) and the script untouched.
 	same, err := Shrink(script, 1, 7)
@@ -247,9 +196,9 @@ func TestShrinkReduces(t *testing.T) {
 // against a hand-built FS whose Sync is a no-op.
 func TestOracleDetectsLostDurability(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	script := Script{Base: randKB(t, rng), Ops: []Op{
-		{Kind: store.RecFacts, Facts: []store.FactRec{randFact(rng)}},
-		{Kind: store.RecFacts, Facts: []store.FactRec{randFact(rng)}},
+	script := Script{Base: RandKB(rng), Ops: []Op{
+		{Kind: store.RecFacts, Facts: []store.FactRec{RandFact(rng)}},
+		{Kind: store.RecFacts, Facts: []store.FactRec{RandFact(rng)}},
 	}}
 	boundaries, _, err := Boundaries(script)
 	if err != nil {

@@ -116,13 +116,6 @@ func (m *MemFS) Ops() int64 {
 	return m.ops
 }
 
-// Crashed reports whether the armed crash has fired.
-func (m *MemFS) Crashed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crashed
-}
-
 // DurableView returns a fresh, un-armed MemFS holding exactly what
 // survived the crash: the durable namespace, and per CrashMode either
 // all physically written bytes or only the synced prefix. Recovery

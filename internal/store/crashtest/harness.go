@@ -155,16 +155,6 @@ func Boundaries(script Script) (boundaries []int64, totalOps int64, err error) {
 	return boundaries, fs.Ops(), nil
 }
 
-// dumpKB is the canonical byte dump recovered-vs-oracle equality is
-// judged by.
-func dumpKB(k *kb.KB) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := k.WriteBinary(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // RunPoint executes the script with the crash point armed, recovers
 // from the durable view, and differentially checks the result against
 // the oracle. A nil return means the invariants held at this point.
@@ -242,10 +232,7 @@ func RunPoint(script Script, p Point) error {
 		}
 		n++
 	}
-	wantDump, err := dumpKB(expected)
-	if err != nil {
-		return fmt.Errorf("%s: oracle dump: %v", p, err)
-	}
+	wantDump := expected.Dump()
 
 	// Recover and compare bit-wise.
 	rec, err := store.Open(view, storeDir)
@@ -253,11 +240,7 @@ func RunPoint(script Script, p Point) error {
 		return fmt.Errorf("%s: recovery failed: %v (files: %s)", p, err, fs.DurableFiles())
 	}
 	defer rec.Close()
-	gotDump, err := dumpKB(rec.KB())
-	if err != nil {
-		return fmt.Errorf("%s: recovered dump: %v", p, err)
-	}
-	if !bytes.Equal(wantDump, gotDump) {
+	if !bytes.Equal(wantDump, rec.KB().Dump()) {
 		return fmt.Errorf("%s: recovered KB differs from oracle (gen=%d j=%d wal=%dB, files: %s)",
 			p, gen, j, walBytes, fs.DurableFiles())
 	}
@@ -271,21 +254,14 @@ func RunPoint(script Script, p Point) error {
 	if err := rec.AppendFacts([]store.FactRec{{Rel: "resumed", X: "after", XClass: "Crash", Y: "point", YClass: "Crash", W: 0.5}}); err != nil {
 		return fmt.Errorf("%s: resume append: %v", p, err)
 	}
-	resumedDump, err := dumpKB(rec.KB())
-	if err != nil {
-		return err
-	}
+	resumedDump := rec.KB().Dump()
 	rec.Close()
 	again, err := store.Open(view, storeDir)
 	if err != nil {
 		return fmt.Errorf("%s: second recovery: %v", p, err)
 	}
 	defer again.Close()
-	againDump, err := dumpKB(again.KB())
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(resumedDump, againDump) {
+	if !bytes.Equal(resumedDump, again.KB().Dump()) {
 		return fmt.Errorf("%s: resumed state lost on second recovery", p)
 	}
 	return nil

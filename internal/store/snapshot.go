@@ -6,6 +6,7 @@ import (
 
 	"probkb/internal/engine"
 	"probkb/internal/kb"
+	"probkb/internal/mln"
 )
 
 // A KB snapshot is one columnar file holding the whole KB as named
@@ -22,15 +23,15 @@ import (
 //	constraints(rel, ctype, degree:int)
 //	taxonomy   (sub:int, super:int)
 //
-// Decode replays them in the same order the KB binary format does —
-// members before taxonomy — so every slice, dictionary ID, and map
-// entry of the reconstructed KB matches the source exactly; the
-// round-trip is bit-identical under kb.WriteBinary.
+// Decode replays them in this order — members before taxonomy — so
+// every slice, dictionary ID, and map entry of the reconstructed KB
+// matches the source exactly; the round trip is bit-identical under
+// kb.KB.Dump.
 
 // Snapshot file names inside a store directory.
 const (
 	snapFile    = "snapshot.pks"
-	snapTmpFile = "snapshot.pks.tmp"
+	snapTmpFile = snapFile + ".tmp" // WriteAtomic's temp name
 )
 
 // metaFormatVersion is the logical KB-snapshot layout version carried
@@ -237,7 +238,7 @@ func KBFromTables(tables []*engine.Table) (*kb.KB, uint32, error) {
 			!inRange(c1, nc) || !inRange(c2, nc) || !inRange(c3, nc) {
 			return nil, 0, fmt.Errorf("store: rule row %d references unknown symbols", r)
 		}
-		clause, err := kb.ClauseFromShape(int(rules.Int32Col(0)[r]), head, b0, b1, c1, c2, c3,
+		clause, err := clauseFromShape(int(rules.Int32Col(0)[r]), head, b0, b1, c1, c2, c3,
 			rules.Float64Col(7)[r])
 		if err != nil {
 			return nil, 0, err
@@ -273,26 +274,25 @@ func KBFromTables(tables []*engine.Table) (*kb.KB, uint32, error) {
 }
 
 // WriteSnapshot atomically replaces dir's snapshot file with the given
-// KB at the given WAL generation and returns the encoded size. The
-// write order — temp file, fsync, rename, fsync(dir) — guarantees the
-// directory always holds either the complete old snapshot or the
-// complete new one, never a torn hybrid.
+// KB at the given WAL generation and returns the encoded size.
 func WriteSnapshot(fs FS, dir string, k *kb.KB, walGen uint32) (int64, error) {
 	tables, err := KBTables(k, walGen)
 	if err != nil {
 		return 0, err
 	}
 	data := EncodeTables(tables)
-	if err := writeFileAtomic(fs, dir, snapTmpFile, snapFile, data); err != nil {
+	if err := WriteAtomic(fs, dir, snapFile, data); err != nil {
 		return 0, err
 	}
 	return int64(len(data)), nil
 }
 
-// writeFileAtomic writes data to dir/tmpName, fsyncs it, renames it
-// over dir/name, and fsyncs the directory.
-func writeFileAtomic(fs FS, dir, tmpName, name string, data []byte) error {
-	tmp := join(dir, tmpName)
+// WriteAtomic atomically replaces dir/name with data. The write order —
+// dir/name.tmp, fsync, rename over dir/name, fsync(dir) — guarantees the
+// directory always holds either the complete old file or the complete
+// new one, never a torn hybrid.
+func WriteAtomic(fs FS, dir, name string, data []byte) error {
+	tmp := join(dir, name+".tmp")
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
@@ -332,6 +332,31 @@ func ReadSnapshot(fs FS, dir string) (*kb.KB, uint32, error) {
 		return nil, 0, err
 	}
 	return KBFromTables(tables)
+}
+
+// clauseFromShape reconstructs a canonical clause from its partition
+// shape and identifier tuple, rejecting (never panicking on) an
+// out-of-range shape: the decoder feeds it untrusted bytes.
+func clauseFromShape(part int, head, b0, b1, c1, c2, c3 int32, w float64) (mln.Clause, error) {
+	if part < mln.P1 || part > mln.P6 {
+		return mln.Clause{}, fmt.Errorf("store: rule shape %d out of range", part)
+	}
+	h, body := mln.Shape(part)
+	c := mln.Clause{Head: h, Weight: w}
+	c.Head.Rel = head
+	c.Body = append(c.Body, body[0])
+	c.Body[0].Rel = b0
+	if len(body) == 2 {
+		c.Body = append(c.Body, body[1])
+		c.Body[1].Rel = b1
+	}
+	c.Class[mln.X] = c1
+	c.Class[mln.Y] = c2
+	c.Class[mln.Z] = c3
+	if _, err := c.Partition(); err != nil {
+		return mln.Clause{}, fmt.Errorf("store: snapshot rule invalid: %w", err)
+	}
+	return c, nil
 }
 
 // join is filepath.Join for store paths; the FS abstraction always

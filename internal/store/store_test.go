@@ -43,16 +43,6 @@ func testKB(t *testing.T) *kb.KB {
 	return k
 }
 
-// dump renders the canonical byte dump recovery equality is judged by.
-func dump(t *testing.T, k *kb.KB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := k.WriteBinary(&buf); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	return buf.Bytes()
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	k := testKB(t)
 	tables, err := KBTables(k, 7)
@@ -71,7 +61,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if gen != 7 {
 		t.Fatalf("wal gen = %d, want 7", gen)
 	}
-	if !bytes.Equal(dump(t, k), dump(t, k2)) {
+	if !bytes.Equal(k.Dump(), k2.Dump()) {
 		t.Fatal("snapshot round trip is not bit-identical")
 	}
 	// Determinism: encoding the same KB twice yields the same bytes.
@@ -131,7 +121,7 @@ func TestStoreRecoveryEqualsMirror(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := dump(t, s.KB())
+	want := s.KB().Dump()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +131,7 @@ func TestStoreRecoveryEqualsMirror(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	if !bytes.Equal(want, dump(t, r.KB())) {
+	if !bytes.Equal(want, r.KB().Dump()) {
 		t.Fatal("recovered KB differs from the mirror")
 	}
 	if r.Gen() != 1 || r.WALRecords() != 3 {
@@ -176,7 +166,7 @@ func TestStoreCheckpointRotatesWAL(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := dump(t, s.KB())
+	want := s.KB().Dump()
 	s.Close()
 
 	r, err := Open(fs, dir)
@@ -184,7 +174,7 @@ func TestStoreCheckpointRotatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !bytes.Equal(want, dump(t, r.KB())) {
+	if !bytes.Equal(want, r.KB().Dump()) {
 		t.Fatal("recovered KB differs after checkpoint")
 	}
 	if r.Gen() != 2 || r.WALRecords() != 1 {
@@ -238,7 +228,86 @@ func TestWALTornTailAndDuplicateTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(dump(t, k1), dump(t, k2)) {
+	if !bytes.Equal(k1.Dump(), k2.Dump()) {
 		t.Fatal("duplicated WAL tail changed the replayed state")
+	}
+}
+
+// TestWriteAtomicReplaces drives the exported atomic-replace helper on
+// the real filesystem: the target holds the new bytes, the temp file is
+// gone.
+func TestWriteAtomicReplaces(t *testing.T) {
+	dir := t.TempDir()
+	fs := OSFS{}
+	if err := WriteAtomic(fs, dir, "data.bin", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(fs, dir, "data.bin", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "data.bin"))
+	if err != nil || string(got) != "new" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "data.bin.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+}
+
+// TestStoreAccessors covers the small read-only surface end to end on
+// the real filesystem: Exists before/after Create, Dir, SnapshotBytes,
+// SetJournal tolerance of nil, and FactRecOf's symbolic rendering.
+func TestStoreAccessors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "kb")
+	fs := OSFS{}
+	if ok, err := Exists(fs, dir); err != nil || ok {
+		t.Fatalf("Exists on missing dir: %v %v", ok, err)
+	}
+	k := fuzzSeedKB()
+	s, err := Create(fs, dir, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if ok, err := Exists(fs, dir); err != nil || !ok {
+		t.Fatalf("Exists after Create: %v %v", ok, err)
+	}
+	if s.Dir() != dir {
+		t.Fatalf("Dir() = %q", s.Dir())
+	}
+	if s.SnapshotBytes() <= 8 {
+		t.Fatalf("SnapshotBytes() = %d", s.SnapshotBytes())
+	}
+	s.SetJournal(nil)
+	if err := s.AppendFacts([]FactRec{{Rel: "born_in", X: "eve", XClass: "Person", Y: "oslo", YClass: "Place", W: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := FactRecOf(s.KB(), s.KB().Facts[len(s.KB().Facts)-1])
+	if rec.Rel != "born_in" || rec.X != "eve" || rec.YClass != "Place" || rec.W != 0.5 {
+		t.Fatalf("FactRecOf = %+v", rec)
+	}
+
+	// Open exercises the OSFS read/truncate path with a torn tail: chop
+	// the WAL mid-record and recovery must truncate it back.
+	walPath := filepath.Join(dir, WALName(s.Gen()))
+	s.Close()
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.WALRecords() != 0 {
+		t.Fatalf("torn-only WAL replayed %d records", re.WALRecords())
+	}
+	if got, _ := os.ReadFile(walPath); len(got) != 0 {
+		t.Fatalf("torn tail not truncated: %d bytes", len(got))
 	}
 }

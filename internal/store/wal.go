@@ -17,7 +17,7 @@ import (
 // Records carry strings, not dictionary IDs, on purpose: replaying
 // them in order interns symbols in exactly the order the live KB did,
 // so recovered dictionaries assign identical IDs — which is what makes
-// recovered KBs bit-identical under kb.WriteBinary and keeps MPP hash
+// recovered KBs bit-identical under kb.KB.Dump and keeps MPP hash
 // placement stable across restarts.
 //
 // Replay is idempotent record-by-record: inserts dedup on the fact

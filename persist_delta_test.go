@@ -78,7 +78,7 @@ func TestSyncDeltaMatchesFullDiff(t *testing.T) {
 				if !bytes.Equal(walBytes(t, a), walBytes(t, b)) {
 					t.Fatalf("after %s: delta-path WAL differs from the full diff's", step)
 				}
-				if got, want := snapshotBytes(t, a.KB()), snapshotBytes(t, b.KB()); !bytes.Equal(got, want) {
+				if got, want := a.KB().inner.Dump(), b.KB().inner.Dump(); !bytes.Equal(got, want) {
 					t.Fatalf("after %s: mirrors differ", step)
 				}
 				if a.Facts() != tpi.NumRows() {
@@ -442,13 +442,13 @@ func TestCheckpointKeepsStoreInStep(t *testing.T) {
 	if st.WALRecords() == 0 {
 		t.Fatal("the batch after the checkpoint logged nothing")
 	}
-	live := snapshotBytes(t, st.KB())
+	live := st.KB().inner.Dump()
 	re, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !bytes.Equal(snapshotBytes(t, re.KB()), live) {
+	if !bytes.Equal(re.KB().inner.Dump(), live) {
 		t.Fatal("recovery after checkpoint + delta batch differs from the live mirror")
 	}
 	if re.Facts() != exp.Stats().TotalFacts {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -25,21 +24,6 @@ func persistConfig() Config {
 		GibbsSamples:     100,
 		Seed:             7,
 	}
-}
-
-// snapshotBytes renders a KB as its binary snapshot — the bitwise
-// yardstick the recovery tests compare with.
-func snapshotBytes(t *testing.T, k *KB) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "kb.bin")
-	if err := k.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestPersistedExpandRecovers runs a persisted expansion, drops the
@@ -64,7 +48,7 @@ func TestPersistedExpandRecovers(t *testing.T) {
 	if st.WALRecords() == 0 {
 		t.Fatal("persisted expansion appended no WAL records")
 	}
-	live := snapshotBytes(t, st.KB())
+	live := st.KB().inner.Dump()
 	// No Close, no Checkpoint: recovery gets whatever the WAL holds.
 
 	re, err := OpenStore(dir)
@@ -72,7 +56,7 @@ func TestPersistedExpandRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := snapshotBytes(t, re.KB()); string(got) != string(live) {
+	if got := re.KB().inner.Dump(); string(got) != string(live) {
 		t.Fatal("recovered KB differs from the live mirror")
 	}
 	if re.Facts() != exp.Stats().TotalFacts {
@@ -113,7 +97,7 @@ func TestPersistCheckpointFoldsWAL(t *testing.T) {
 	if _, err := paperKB(t).Expand(cfg); err != nil {
 		t.Fatal(err)
 	}
-	live := snapshotBytes(t, st.KB())
+	live := st.KB().inner.Dump()
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +112,7 @@ func TestPersistCheckpointFoldsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := snapshotBytes(t, re.KB()); string(got) != string(live) {
+	if got := re.KB().inner.Dump(); string(got) != string(live) {
 		t.Fatal("post-checkpoint recovery differs from the live mirror")
 	}
 }

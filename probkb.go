@@ -30,6 +30,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"probkb/internal/engine"
@@ -40,6 +41,7 @@ import (
 	"probkb/internal/obs"
 	"probkb/internal/obs/journal"
 	"probkb/internal/quality"
+	"probkb/internal/store"
 )
 
 func init() {
@@ -311,7 +313,7 @@ type KB struct {
 func New() *KB { return &KB{inner: kb.New()} }
 
 // Load reads a KB from disk: a directory of text files (see Save), or a
-// binary snapshot file written by SaveSnapshot.
+// snapshot file written by SaveSnapshot.
 func Load(path string) (*KB, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -321,7 +323,7 @@ func Load(path string) (*KB, error) {
 	if info.IsDir() {
 		inner, err = kb.LoadDir(path)
 	} else {
-		inner, err = kb.LoadBinary(path)
+		inner, err = loadSnapshot(path)
 	}
 	if err != nil {
 		return nil, err
@@ -329,15 +331,38 @@ func Load(path string) (*KB, error) {
 	return &KB{inner: inner}, nil
 }
 
+func loadSnapshot(path string) (*kb.KB, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	tables, err := store.DecodeTables(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	inner, _, err := store.KBFromTables(tables)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return inner, nil
+}
+
 // Save writes the KB as a directory of text files: relations.tsv,
 // facts.tsv, rules.txt, constraints.tsv, members.tsv, taxonomy.tsv.
 func (k *KB) Save(dir string) error { return k.inner.SaveDir(dir) }
 
-// SaveSnapshot writes the KB as a single binary snapshot file — the
-// fast bulkload path: loads are ID-stable (unlike the text directory,
-// which re-interns symbols) and roughly twice as fast. Load() accepts
-// either format.
-func (k *KB) SaveSnapshot(path string) error { return k.inner.SaveBinary(path) }
+// SaveSnapshot writes the KB as a single snapshot file in the durable
+// store's columnar format — the fast bulkload path: loads are ID-stable
+// (unlike the text directory, which re-interns symbols) and faster.
+// Load() accepts either form. The file is replaced atomically: a crash
+// mid-write leaves the previous snapshot intact.
+func (k *KB) SaveSnapshot(path string) error {
+	tables, err := store.KBTables(k.inner, 0)
+	if err != nil {
+		return err
+	}
+	return store.WriteAtomic(store.OSFS{}, filepath.Dir(path), filepath.Base(path), store.EncodeTables(tables))
+}
 
 // AddFact records the weighted fact rel(x, y) with the arguments' classes.
 // Re-adding an existing fact keeps the maximum weight. It reports whether
