@@ -36,16 +36,18 @@ bench-build:
 # variables), ingest-serve's refresh (BenchmarkUnconstrainedRefresh) and
 # both samplers on a giant component (BenchmarkGiantComponent); plus the
 # library-level SQL point select over the scale 0.25 corpus (relational
-# image hit vs. build). EXPERIMENTS.md records the numbers.
+# image hit vs. build) and the cache-bypassing point query over the same
+# corpus (BenchmarkQueryLocalCold: local grounding plus its metrics).
+# EXPERIMENTS.md records the numbers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground ./internal/factor ./internal/infer
-	$(GO) test -run '^$$' -bench BenchmarkPointSelect -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold' -benchmem .
 
 # Every kernel benchmark compiles and executes once per PR, so none can
 # rot between the runs somebody reads.
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
-	$(GO) test -run '^$$' -bench BenchmarkPointSelect -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold' -benchtime 1x .
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
 # snake_case with the right unit suffix and a Help() string (see

@@ -64,6 +64,8 @@ func (n *GroupByNode) Label() string {
 	return fmt.Sprintf("GroupAggregate (%d keys, %d aggs)", len(n.keys), len(n.aggs))
 }
 
+func (n *GroupByNode) OpKind() string { return "GroupAggregate" }
+
 // groupState accumulates one group's aggregates.
 type groupState struct {
 	firstRow int

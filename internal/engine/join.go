@@ -86,6 +86,8 @@ func (n *HashJoinNode) Label() string {
 	return l
 }
 
+func (n *HashJoinNode) OpKind() string { return "Hash Join" }
+
 // Run executes the join.
 func (n *HashJoinNode) Run() (*Table, error) {
 	ins, err := runChildren(n)

@@ -17,6 +17,9 @@ type Node interface {
 	Children() []Node
 	// Label returns a one-line description, e.g. "Hash Join (T.R = M1.R2)".
 	Label() string
+	// OpKind returns the operator's bounded-cardinality kind ("Hash
+	// Join", "Seq Scan"): the op label of its metric series.
+	OpKind() string
 	// Run executes the subtree rooted at the node and returns its output.
 	Run() (*Table, error)
 	// Stats returns the row count and wall time of the most recent Run.

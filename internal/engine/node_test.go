@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -21,6 +22,7 @@ func newStub(label string, elapsed time.Duration, rows int, kids ...Node) *stubN
 
 func (n *stubNode) Children() []Node     { return n.kids }
 func (n *stubNode) Label() string        { return n.label }
+func (n *stubNode) OpKind() string       { return opKind(n.label) }
 func (n *stubNode) Run() (*Table, error) { return nil, nil }
 
 // TestTotalTimeFullTree pins TotalTime to summing *every* level of the
@@ -53,6 +55,19 @@ func TestTotalTimeFullTree(t *testing.T) {
 	if got := TotalTime(chain); got != 4*time.Millisecond {
 		t.Fatalf("TotalTime(chain) = %v, want 4ms", got)
 	}
+}
+
+// opKind reduces an operator label like "Hash Join (T.R = M1.R2)" to its
+// kind ("Hash Join"): the by-label derivation metric labels used before
+// every node reported its OpKind, kept as the oracle OpKind must match.
+func opKind(label string) string {
+	if i := strings.IndexAny(label, "(["); i > 0 {
+		label = label[:i]
+	}
+	if i := strings.Index(label, " on "); i > 0 {
+		label = label[:i]
+	}
+	return strings.TrimSpace(label)
 }
 
 func TestOpKind(t *testing.T) {

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"strings"
+	"sync"
 
 	"probkb/internal/obs"
 )
@@ -20,15 +20,65 @@ func init() {
 	obs.Default.Help("probkb_engine_worker_utilization_ratio", "Fraction of worker-pool time spent busy per parallel region (0-1).")
 }
 
+// kindTable holds one metric handle per bounded kind (an operator kind,
+// a morsel region), resolved from the default registry the first time
+// the kind is observed: a plan walk or morsel loop makes no by-name
+// lookup, and a kind never observed exposes no series.
+type kindTable[H any] struct {
+	mu      sync.RWMutex
+	m       map[string]*H
+	resolve func(kind string) *H
+}
+
+func (t *kindTable[H]) get(kind string) *H {
+	t.mu.RLock()
+	h := t.m[kind]
+	t.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h = t.m[kind]; h == nil {
+		if t.m == nil {
+			t.m = make(map[string]*H)
+		}
+		h = t.resolve(kind)
+		t.m[kind] = h
+	}
+	return h
+}
+
+// opHandles are one operator kind's probkb_engine_operator_* series.
+type opHandles struct {
+	seconds *obs.Histogram
+	rows    *obs.Counter
+}
+
+var (
+	opMetrics = kindTable[opHandles]{resolve: func(op string) *opHandles {
+		return &opHandles{
+			seconds: obs.Default.Histogram("probkb_engine_operator_seconds", nil, obs.L("op", op)),
+			rows:    obs.Default.Counter("probkb_engine_operator_rows_total", obs.L("op", op)),
+		}
+	}}
+	morselMetrics = kindTable[obs.Counter]{resolve: func(op string) *obs.Counter {
+		return obs.Default.Counter("probkb_engine_morsels_total", obs.L("op", op))
+	}}
+	utilizationMetrics = kindTable[obs.Histogram]{resolve: func(op string) *obs.Histogram {
+		return obs.Default.Histogram("probkb_engine_worker_utilization_ratio", nil, obs.L("op", op))
+	}}
+)
+
 // observeMorsels and observeUtilization feed the morsel-execution metrics
 // from runMorsels; op is the bounded region kind ("filter", "join-probe",
 // ...), not a free-form label.
 func observeMorsels(op string, nm int) {
-	obs.Default.Counter("probkb_engine_morsels_total", obs.L("op", op)).Add(int64(nm))
+	morselMetrics.get(op).Add(int64(nm))
 }
 
 func observeUtilization(op string, u float64) {
-	obs.Default.Histogram("probkb_engine_worker_utilization_ratio", nil, obs.L("op", op)).Observe(u)
+	utilizationMetrics.get(op).Observe(u)
 }
 
 // PlanLike is the shape ObserveTree needs from a plan node; both
@@ -36,6 +86,7 @@ func observeUtilization(op string, u float64) {
 type PlanLike[N any] interface {
 	Stats() *NodeStats
 	Label() string
+	OpKind() string
 	Children() []N
 }
 
@@ -48,26 +99,14 @@ func ObservePlan(query string, root Node) {
 }
 
 // ObserveTree walks any plan tree (single-node or distributed) and
-// accumulates per-operator self times and row counts.
+// accumulates per-operator self times and row counts under each node's
+// OpKind.
 func ObserveTree[N PlanLike[N]](root N) {
 	st := root.Stats()
-	op := opKind(root.Label())
-	obs.Default.Histogram("probkb_engine_operator_seconds", nil, obs.L("op", op)).
-		Observe(st.Elapsed.Seconds())
-	obs.Default.Counter("probkb_engine_operator_rows_total", obs.L("op", op)).Add(int64(st.Rows))
+	h := opMetrics.get(root.OpKind())
+	h.seconds.Observe(st.Elapsed.Seconds())
+	h.rows.Add(int64(st.Rows))
 	for _, k := range root.Children() {
 		ObserveTree(k)
 	}
-}
-
-// opKind reduces an operator label like "Hash Join (T.R = M1.R2)" to its
-// bounded-cardinality kind ("Hash Join") for metric labels.
-func opKind(label string) string {
-	if i := strings.IndexAny(label, "(["); i > 0 {
-		label = label[:i]
-	}
-	if i := strings.Index(label, " on "); i > 0 {
-		label = label[:i]
-	}
-	return strings.TrimSpace(label)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -22,6 +23,7 @@ func NewScan(t *Table) *ScanNode {
 
 func (n *ScanNode) Children() []Node { return nil }
 func (n *ScanNode) Label() string    { return "Seq Scan on " + n.t.Name() }
+func (n *ScanNode) OpKind() string   { return "Seq Scan" }
 
 // Run returns the scanned table.
 func (n *ScanNode) Run() (*Table, error) {
@@ -81,6 +83,7 @@ func NewFilterInt32(child Node, desc string, col int, op CmpOp, lit int32) *Filt
 
 func (n *FilterNode) Children() []Node { return []Node{n.child} }
 func (n *FilterNode) Label() string    { return "Filter (" + n.desc + ")" }
+func (n *FilterNode) OpKind() string   { return "Filter" }
 
 // Run materializes the filtered rows.
 func (n *FilterNode) Run() (*Table, error) {
@@ -227,6 +230,8 @@ func (n *ProjectNode) Label() string {
 	return "Project (" + strings.Join(names, ", ") + ")"
 }
 
+func (n *ProjectNode) OpKind() string { return "Project" }
+
 // Run materializes the projection.
 func (n *ProjectNode) Run() (*Table, error) {
 	ins, err := runChildren(n)
@@ -310,6 +315,8 @@ func (n *DistinctNode) Label() string {
 	return fmt.Sprintf("HashAggregate (distinct on %d cols)", len(n.keys))
 }
 
+func (n *DistinctNode) OpKind() string { return "HashAggregate" }
+
 // Run materializes the distinct rows.
 func (n *DistinctNode) Run() (*Table, error) {
 	ins, err := runChildren(n)
@@ -371,6 +378,7 @@ func NewSort(child Node, keys ...SortKey) *SortNode {
 
 func (n *SortNode) Children() []Node { return []Node{n.child} }
 func (n *SortNode) Label() string    { return fmt.Sprintf("Sort (%d keys)", len(n.keys)) }
+func (n *SortNode) OpKind() string   { return "Sort" }
 
 // Run materializes the sorted rows.
 func (n *SortNode) Run() (*Table, error) {
@@ -400,6 +408,9 @@ func NewLimit(child Node, limit int) *LimitNode {
 
 func (n *LimitNode) Children() []Node { return []Node{n.child} }
 func (n *LimitNode) Label() string    { return fmt.Sprintf("Limit %d", n.n) }
+
+// OpKind keeps the limit: the whole label has always been the kind.
+func (n *LimitNode) OpKind() string { return "Limit " + strconv.Itoa(n.n) }
 
 // Run materializes the first N rows.
 func (n *LimitNode) Run() (*Table, error) {

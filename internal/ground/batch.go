@@ -46,9 +46,9 @@ func (g *BatchGrounder) Ground() (*Result, error) {
 type backend interface {
 	// run executes one grounding plan against the backend's copy of the
 	// tables and returns its rows on the master, with the journal profile
-	// (query name and executed operator tree) of what actually ran. phase
-	// is "atoms" or "factors".
-	run(phase string, plan engine.Node) (*engine.Table, journal.QueryProfile, error)
+	// of what actually ran: its query name and, when capture is set, its
+	// executed operator tree. phase is "atoms" or "factors".
+	run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error)
 	// factsChanged tells the backend an iteration grew TΠ by st.NewFacts
 	// rows and deleted st.Deleted; feeds reports whether any plan will
 	// read TΠ again.
@@ -58,7 +58,7 @@ type backend interface {
 // singleNode runs the plans as built, on the tables they scan.
 type singleNode struct{ workers int }
 
-func (b singleNode) run(phase string, plan engine.Node) (*engine.Table, journal.QueryProfile, error) {
+func (b singleNode) run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error) {
 	if phase == "atoms" {
 		// Deduplicate in-plan, in parallel: it shrinks the serial merge.
 		plan = engine.NewDistinct(plan, candidateKeyCols)
@@ -68,9 +68,16 @@ func (b singleNode) run(phase string, plan engine.Node) (*engine.Table, journal.
 	if err != nil {
 		return nil, journal.QueryProfile{}, err
 	}
-	query := "ground-" + phase
+	query := "ground-atoms"
+	if phase == "factors" {
+		query = "ground-factors"
+	}
 	engine.ObservePlan(query, plan)
-	return out, journal.QueryProfile{Query: query, Plan: journal.Capture[engine.Node](plan)}, nil
+	prof := journal.QueryProfile{Query: query}
+	if capture {
+		prof.Plan = journal.Capture[engine.Node](plan)
+	}
+	return out, prof, nil
 }
 
 func (singleNode) factsChanged(IterStats, bool) error { return nil }
@@ -132,7 +139,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		for _, p := range active {
 			for _, plan := range g.atomsPlans(p, tpi, delta) {
 				planStart := time.Now()
-				out, prof, err := be.run("atoms", plan)
+				out, prof, err := be.run("atoms", plan, g.opts.Journal != nil)
 				if err != nil {
 					iterSpan.End()
 					atomsSpan.End()
@@ -224,7 +231,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 			return res, err
 		}
 		planStart := time.Now()
-		out, prof, err := be.run("factors", g.factorsPlan(p, tpi))
+		out, prof, err := be.run("factors", g.factorsPlan(p, tpi), g.opts.Journal != nil)
 		if err != nil {
 			factorsSpan.End()
 			return res, fmt.Errorf("ground: partition %d factors query: %w", p, err)
@@ -327,7 +334,7 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 			engine.BuildCol("C2", lay.class[mln.Y]),
 		}
 		return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src), j1Keys, tKeys, outs,
-			fmt.Sprintf("M%d.R2 = T.R AND classes", p))
+			m.Name()+".R2 = T.R AND classes")
 	}
 
 	b1 := body[1]
@@ -343,7 +350,7 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 		engine.ProbeCol("zv", tCol(b0, mln.Z)),
 	}
 	j1 := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src), j1Keys, tKeys, j1Outs,
-		fmt.Sprintf("M%d.R2 = T2.R AND classes", p))
+		m.Name()+".R2 = T2.R AND classes")
 
 	// J2: join the second body atom, matching z.
 	varCol := map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
@@ -357,7 +364,7 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 		engine.BuildCol("C2", 3),
 	}
 	return engine.NewHashJoin(j1, engine.NewScan(t3src), j2BuildKeys, j2ProbeKeys, j2Outs,
-		fmt.Sprintf("M%d.R3 = T3.R AND classes AND T2.z = T3.z", p))
+		m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
 }
 
 // factorsPlan builds Query 2-p: the join emitting ground factors
@@ -387,7 +394,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 			engine.BuildCol("w", lay.w),
 		}
 		j1 := engine.NewHashJoin(engine.NewScan(m), scanT(), j1Keys, tKeys, j1Outs,
-			fmt.Sprintf("M%d.R2 = T2.R AND classes", p))
+			m.Name()+".R2 = T2.R AND classes")
 		// Head join resolves I1.
 		j2Outs := []engine.JoinOut{
 			engine.ProbeCol("I1", kb.TPiI),
@@ -395,7 +402,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 			engine.BuildCol("w", 6),
 		}
 		j2 := engine.NewHashJoin(j1, scanT(), []int{0, 1, 2, 3, 4}, headKeys, j2Outs,
-			fmt.Sprintf("M%d.R1 = T1.R AND head classes AND head args", p))
+			m.Name()+".R1 = T1.R AND head classes AND head args")
 		return engine.NewProject(j2,
 			engine.ColExpr("I1", 0),
 			engine.ColExpr("I2", 1),
@@ -418,7 +425,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 		engine.BuildCol("w", lay.w),
 	}
 	j1 := engine.NewHashJoin(engine.NewScan(m), scanT(), j1Keys, tKeys, j1Outs,
-		fmt.Sprintf("M%d.R2 = T2.R AND classes", p))
+		m.Name()+".R2 = T2.R AND classes")
 
 	varCol := map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
 	j2BuildKeys := []int{1, varCol[b1.Arg1], varCol[b1.Arg2], 6}
@@ -435,7 +442,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 		engine.BuildCol("w", 8),
 	}
 	j2 := engine.NewHashJoin(j1, scanT(), j2BuildKeys, j2ProbeKeys, j2Outs,
-		fmt.Sprintf("M%d.R3 = T3.R AND classes AND T2.z = T3.z", p))
+		m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
 
 	j3Outs := []engine.JoinOut{
 		engine.ProbeCol("I1", kb.TPiI),
@@ -444,7 +451,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 		engine.BuildCol("w", 7),
 	}
 	return engine.NewHashJoin(j2, scanT(), []int{0, 1, 2, 3, 4}, headKeys, j3Outs,
-		fmt.Sprintf("M%d.R1 = T1.R AND head classes AND head args", p))
+		m.Name()+".R1 = T1.R AND head classes AND head args")
 }
 
 // appendSingletonFactors emits one size-1 factor per observed (non-NULL

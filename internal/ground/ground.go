@@ -25,6 +25,7 @@ package ground
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"probkb/internal/engine"
@@ -62,10 +63,19 @@ func observeIteration(st IterStats, deduped int) {
 	obs.Default.Counter("probkb_ground_queries_total", obs.L("phase", "atoms")).Add(int64(st.Queries))
 }
 
+// partitionLabels are the partition label values P0..P<NumPartitions>,
+// rendered once rather than per query.
+var partitionLabels = func() (ls [mln.NumPartitions + 1]string) {
+	for p := range ls {
+		ls[p] = "P" + strconv.Itoa(p)
+	}
+	return ls
+}()
+
 // observePartition records one partition batch query's wall time.
 func observePartition(phase string, partition int, elapsed time.Duration) {
 	obs.Default.Histogram("probkb_ground_partition_seconds", nil,
-		obs.L("phase", phase), obs.L("partition", fmt.Sprintf("P%d", partition))).
+		obs.L("phase", phase), obs.L("partition", partitionLabels[partition])).
 		Observe(elapsed.Seconds())
 }
 

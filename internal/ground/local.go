@@ -3,7 +3,7 @@ package ground
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"probkb/internal/engine"
@@ -63,10 +63,11 @@ type LocalResult struct {
 // concurrent Ground calls: every query grounds into its own tables.
 type LocalGrounder struct {
 	clauses []mln.Clause
-	// byRel maps a relation to the indices of every clause mentioning
+	// byRel maps a relation ID to the indices of every clause mentioning
 	// it (head or body) — the clause-incidence graph rule selection
-	// walks.
-	byRel map[int32][]int
+	// walks. It spans every relation ID the rules or the evidence use,
+	// so per-query relation sets are dense slices of its length.
+	byRel [][]int
 	// base holds the evidence rows (TΠ-shaped, weights included);
 	// byEntity maps an entity to the base rows mentioning it.
 	base     *engine.Table
@@ -81,18 +82,30 @@ type LocalGrounder struct {
 func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGrounder {
 	lg := &LocalGrounder{
 		clauses:  rules,
-		byRel:    make(map[int32][]int),
 		base:     base,
 		byEntity: make(map[int32][]int32),
 		opts:     opts,
 	}
-	for i, c := range rules {
-		rels := map[int32]bool{c.Head.Rel: true}
+	nrels := int32(0)
+	for _, r := range base.Int32Col(kb.TPiR) {
+		nrels = max(nrels, r+1)
+	}
+	for _, c := range rules {
+		nrels = max(nrels, c.Head.Rel+1)
 		for _, b := range c.Body {
-			rels[b.Rel] = true
+			nrels = max(nrels, b.Rel+1)
 		}
-		for r := range rels {
-			lg.byRel[r] = append(lg.byRel[r], i)
+	}
+	lg.byRel = make([][]int, nrels)
+	for i, c := range rules {
+		add := func(r int32) {
+			if l := lg.byRel[r]; len(l) == 0 || l[len(l)-1] != i {
+				lg.byRel[r] = append(l, i)
+			}
+		}
+		add(c.Head.Rel)
+		for _, b := range c.Body {
+			add(b.Rel)
 		}
 	}
 	xs := base.Int32Col(kb.TPiX)
@@ -114,52 +127,63 @@ func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGround
 // edges (rel in a body) supply the downstream factors the atom's
 // marginal depends on — an MLN's factors are undirected, so both
 // directions shape P(atom).
-func (lg *LocalGrounder) reachable(rel int32, depth int) ([]mln.Clause, map[int32]bool) {
-	rels := map[int32]bool{rel: true}
-	selected := map[int]bool{}
+//
+// The relation set comes back dense, indexed by relation ID.
+func (lg *LocalGrounder) reachable(rel int32, depth int) ([]mln.Clause, []bool) {
+	rels := make([]bool, max(len(lg.byRel), int(rel)+1))
+	rels[rel] = true
+	selected := make([]bool, len(lg.clauses))
+	nselected := 0
 	frontier := []int32{rel}
 	for d := 0; d < depth && len(frontier) > 0; d++ {
 		var next []int32
+		visit := func(r int32) {
+			if !rels[r] {
+				rels[r] = true
+				next = append(next, r)
+			}
+		}
 		for _, r := range frontier {
+			if int(r) >= len(lg.byRel) {
+				continue // a relation no rule or fact mentions
+			}
 			for _, ci := range lg.byRel[r] {
 				if selected[ci] {
 					continue
 				}
 				selected[ci] = true
+				nselected++
 				c := lg.clauses[ci]
-				for _, a := range append([]mln.Atom{c.Head}, c.Body...) {
-					if !rels[a.Rel] {
-						rels[a.Rel] = true
-						next = append(next, a.Rel)
-					}
+				visit(c.Head.Rel)
+				for _, b := range c.Body {
+					visit(b.Rel)
 				}
 			}
 		}
 		frontier = next
 	}
-	idx := make([]int, 0, len(selected))
-	for ci := range selected {
-		idx = append(idx, ci)
-	}
-	sort.Ints(idx)
-	out := make([]mln.Clause, len(idx))
-	for i, ci := range idx {
-		out[i] = lg.clauses[ci]
+	out := make([]mln.Clause, 0, nselected)
+	for ci, ok := range selected {
+		if ok {
+			out = append(out, lg.clauses[ci])
+		}
 	}
 	return out, rels
 }
 
 // entityBall collects the base rows reachable from the query entities
 // within radius hops of the fact graph, restricted to relations that
-// can appear in a local proof. Rows come back sorted (deterministic
-// seed tables).
-func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels map[int32]bool) []int32 {
+// can appear in a local proof (rels, indexed by relation ID). Rows come
+// back sorted (deterministic seed tables).
+func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels []bool) []int32 {
 	relCol := lg.base.Int32Col(kb.TPiR)
 	xs := lg.base.Int32Col(kb.TPiX)
 	ys := lg.base.Int32Col(kb.TPiY)
 
 	visited := map[int32]bool{x: true, y: true}
-	rows := map[int32]bool{}
+	// A row is met once from each of its entities inside the ball; the
+	// duplicates go after sorting.
+	var rows []int32
 	frontier := []int32{x, y}
 	if y == x {
 		frontier = frontier[:1]
@@ -168,10 +192,10 @@ func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels map[int32]bool)
 		var next []int32
 		for _, e := range frontier {
 			for _, r := range lg.byEntity[e] {
-				if !rels[relCol[r]] || rows[r] {
+				if !rels[relCol[r]] {
 					continue
 				}
-				rows[r] = true
+				rows = append(rows, r)
 				other := xs[r]
 				if other == e {
 					other = ys[r]
@@ -184,12 +208,8 @@ func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels map[int32]bool)
 		}
 		frontier = next
 	}
-	out := make([]int32, 0, len(rows))
-	for r := range rows {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
 // Ground grounds the query atom's local proof graph: restricted rule

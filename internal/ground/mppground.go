@@ -151,7 +151,7 @@ func (g *MPPGrounder) Ground() (*Result, error) {
 // run lowers a grounding plan onto the cluster, runs it and gathers the
 // result. Candidate atoms are not deduplicated on the cluster — a
 // distributed DISTINCT would cost a motion — so the merge does it.
-func (g *MPPGrounder) run(phase string, plan engine.Node) (*engine.Table, journal.QueryProfile, error) {
+func (g *MPPGrounder) run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error) {
 	if phase == "factors" {
 		if err := g.ensureHeadView(); err != nil {
 			return nil, journal.QueryProfile{}, fmt.Errorf("mpp head view: %w", err)
@@ -162,9 +162,16 @@ func (g *MPPGrounder) run(phase string, plan engine.Node) (*engine.Table, journa
 	if err != nil {
 		return nil, journal.QueryProfile{}, err
 	}
-	query := "mpp-" + phase
+	query := "mpp-atoms"
+	if phase == "factors" {
+		query = "mpp-factors"
+	}
 	mpp.ObservePlan(query, dplan)
-	return mpp.Gather(out), journal.QueryProfile{Query: query, Plan: journal.Capture[mpp.Node](dplan)}, nil
+	prof := journal.QueryProfile{Query: query}
+	if capture {
+		prof.Plan = journal.Capture[mpp.Node](dplan)
+	}
+	return mpp.Gather(out), prof, nil
 }
 
 // factsChanged brings the cluster copies of TΠ up to the master: new

@@ -28,6 +28,7 @@ func newSegLocal(op engine.Node, kind string, dist Distribution, kids ...Node) *
 
 func (n *segLocal) Children() []Node { return n.kids }
 func (n *segLocal) Label() string    { return n.op.Label() }
+func (n *segLocal) OpKind() string   { return n.op.OpKind() }
 
 // Run executes the operator on every segment in parallel. Each segment
 // task builds a fresh local plan and assigns its output last, so a

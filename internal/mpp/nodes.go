@@ -21,6 +21,9 @@ type Node interface {
 	Children() []Node
 	// Label describes the operator for Explain.
 	Label() string
+	// OpKind returns the operator's bounded-cardinality kind ("Gather
+	// Motion"; a segment-local operator's engine kind).
+	OpKind() string
 	// Run executes the subtree and returns the distributed output.
 	Run() (*DistTable, error)
 	// Stats returns row count, self time, and motion annotations from the
@@ -183,6 +186,8 @@ func (n *ScanNode) Label() string {
 	return fmt.Sprintf("Seq Scan on %s [%s]", n.d.name, n.d.dist)
 }
 
+func (n *ScanNode) OpKind() string { return "Seq Scan" }
+
 // Run returns the scanned table.
 func (n *ScanNode) Run() (*DistTable, error) {
 	if n.err != nil {
@@ -215,6 +220,7 @@ func NewRedistribute(child Node, key []int) *RedistributeNode {
 
 func (n *RedistributeNode) Children() []Node { return []Node{n.child} }
 func (n *RedistributeNode) Label() string    { return fmt.Sprintf("Redistribute Motion [by %v]", n.key) }
+func (n *RedistributeNode) OpKind() string   { return "Redistribute Motion" }
 
 // Run reshuffles the child output.
 func (n *RedistributeNode) Run() (*DistTable, error) {
@@ -292,6 +298,7 @@ func NewBroadcast(child Node) *BroadcastNode {
 
 func (n *BroadcastNode) Children() []Node { return []Node{n.child} }
 func (n *BroadcastNode) Label() string    { return "Broadcast Motion" }
+func (n *BroadcastNode) OpKind() string   { return n.Label() }
 
 // Run replicates the child output.
 func (n *BroadcastNode) Run() (*DistTable, error) {
@@ -352,6 +359,7 @@ func NewGather(child Node) *GatherNode {
 
 func (n *GatherNode) Children() []Node { return []Node{n.child} }
 func (n *GatherNode) Label() string    { return "Gather Motion" }
+func (n *GatherNode) OpKind() string   { return n.Label() }
 
 // Run gathers the child output onto segment 0.
 func (n *GatherNode) Run() (*DistTable, error) {

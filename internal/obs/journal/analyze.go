@@ -305,8 +305,9 @@ func analyzeConvergence(cps []GibbsCheckpoint) *Convergence {
 	return c
 }
 
-// opKind reduces an operator label to its bounded-cardinality kind, the
-// same reduction engine.ObserveTree applies for metric labels.
+// opKind reduces an operator label to its bounded-cardinality kind; for
+// every plan node it agrees with the node's OpKind, which labels the
+// operator metrics.
 func opKind(label string) string {
 	if i := strings.IndexAny(label, "(["); i > 0 {
 		label = label[:i]

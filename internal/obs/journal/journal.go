@@ -355,8 +355,15 @@ func (w *Writer) SinkTo(path string) error {
 
 // Emit appends one event. The payload marshals into the event's Data;
 // a payload that fails to marshal is a programming error and panics.
+// An event the bound drops is counted without being marshaled.
 func (w *Writer) Emit(typ string, payload any) {
 	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	full := w.dropLocked(typ)
+	w.mu.Unlock()
+	if full {
 		return
 	}
 	data, err := json.Marshal(payload)
@@ -365,8 +372,7 @@ func (w *Writer) Emit(typ string, payload any) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.events) >= w.max && typ != TypeRunEnd {
-		w.dropped++
+	if w.dropLocked(typ) { // filled by other emitters while this one marshaled
 		return
 	}
 	// Events the bound keeps also land on the flight-recorder timeline.
@@ -382,6 +388,16 @@ func (w *Writer) Emit(typ string, payload any) {
 			w.bw = nil
 		}
 	}
+}
+
+// dropLocked counts a drop and reports true when the bound leaves no
+// room for an event of type typ (run_end is always kept). w.mu is held.
+func (w *Writer) dropLocked(typ string) bool {
+	if len(w.events) >= w.max && typ != TypeRunEnd {
+		w.dropped++
+		return true
+	}
+	return false
 }
 
 // Events returns a copy of the in-memory event ring.

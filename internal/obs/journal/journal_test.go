@@ -127,6 +127,26 @@ func TestBound(t *testing.T) {
 	}
 }
 
+// TestEmitOnFullWriterOnlyCounts: once the bound is reached, an event
+// is dropped before its payload is marshaled — the drop counter moves
+// and nothing is allocated.
+func TestEmitOnFullWriterOnlyCounts(t *testing.T) {
+	w := New()
+	w.max = 1
+	w.Emit(TypeIteration, Iteration{Iteration: 1})
+	var payload any = &QueryLocal{Rel: "born_in", X: "x", Y: "y", Found: true}
+	before := w.Dropped()
+	if n := testing.AllocsPerRun(100, func() { w.Emit(TypeQueryLocal, payload) }); n != 0 {
+		t.Errorf("Emit on a full writer: %v allocs, want 0", n)
+	}
+	if got := w.Dropped() - before; got != 101 { // AllocsPerRun's warm-up call + 100 runs
+		t.Errorf("dropped %d events, want 101", got)
+	}
+	if n := len(w.Events()); n != 1 {
+		t.Errorf("full writer kept %d events, want 1", n)
+	}
+}
+
 // TestSkewDetector feeds a synthetic skewed hash distribution and checks
 // the imbalance is computed and flagged, with the straggler identified.
 func TestSkewDetector(t *testing.T) {

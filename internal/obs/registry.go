@@ -131,17 +131,20 @@ var SizeBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
 }
 
-// family is every series of one metric name. mu guards everything but
-// name; help/kind/bounds are settled by the first registrations but may
-// race with concurrent lookups otherwise.
+// family is every series of one metric name. mu guards help, bounds
+// and series; kind is settled by the first registrations but may race
+// with concurrent lookups otherwise. settled holds kind+1 once the
+// family has a series, after which the kind can no longer change: a
+// lookup whose kind matches it skips the lock-taking check.
 type family struct {
 	name string
 
-	mu     sync.Mutex
-	help   string
-	kind   metricKind
-	bounds []float64 // histograms only
-	series map[string]*series
+	mu      sync.RWMutex
+	help    string
+	kind    metricKind
+	settled atomic.Int32
+	bounds  []float64 // histograms only
+	series  map[string]*series
 }
 
 type series struct {
@@ -196,7 +199,7 @@ func (r *Registry) family(name string, kind metricKind, bounds []float64, create
 		}
 		r.mu.Unlock()
 	}
-	if create {
+	if create && f.settled.Load() != int32(kind)+1 {
 		f.mu.Lock()
 		if len(f.series) > 0 && f.kind != kind {
 			k := f.kind
@@ -212,12 +215,41 @@ func (r *Registry) family(name string, kind metricKind, bounds []float64, create
 	return f
 }
 
-// signature renders a label set as a canonical (sorted) key.
-func signature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// maxFastLabels bounds the label sets a lookup can sign on the stack;
+// larger ones (none in this repository) take the allocating path.
+const maxFastLabels = 8
+
+// appendSignature appends the canonical key of a label set — pairs in
+// key order, k=v joined by commas — to dst, without reordering or
+// copying labels. It reports false for sets too large to order on the
+// stack.
+func appendSignature(dst []byte, labels []Label) ([]byte, bool) {
+	if len(labels) > maxFastLabels {
+		return dst, false
 	}
-	sort.Slice(labels, func(a, b int) bool { return labels[a].Key < labels[b].Key })
+	var order [maxFastLabels]uint8
+	for i := range labels {
+		j := i
+		for ; j > 0 && labels[order[j-1]].Key > labels[i].Key; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = uint8(i)
+	}
+	for i, o := range order[:len(labels)] {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[o].Key...)
+		dst = append(dst, '=')
+		dst = append(dst, labels[o].Value...)
+	}
+	return dst, true
+}
+
+// signature renders a label set as a canonical key, sorting labels in
+// place; only get's miss path calls it, on its own copy.
+func signature(labels []Label) string {
+	sort.SliceStable(labels, func(a, b int) bool { return labels[a].Key < labels[b].Key })
 	var b strings.Builder
 	for i, l := range labels {
 		if i > 0 {
@@ -230,27 +262,39 @@ func signature(labels []Label) string {
 	return b.String()
 }
 
+// get returns the series for labels. A hit signs the label set into a
+// stack buffer and looks it up under the read lock, allocating nothing;
+// only a miss copies and sorts the labels and inserts the series.
 func (f *family) get(labels []Label) *series {
-	labels = append([]Label(nil), labels...)
-	sig := signature(labels)
+	var buf [128]byte
+	if sig, ok := appendSignature(buf[:0], labels); ok {
+		f.mu.RLock()
+		s := f.series[string(sig)]
+		f.mu.RUnlock()
+		if s != nil {
+			return s
+		}
+	}
+	owned := append([]Label(nil), labels...)
+	sig := signature(owned)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.series[sig]
 	if s == nil {
-		s = &series{labels: labels}
+		s = &series{labels: owned}
 		switch f.kind {
 		case kindCounter:
 			s.c = &Counter{}
 		case kindGauge:
 			s.g = &Gauge{}
 		case kindHistogram:
-			b := f.bounds
-			if b == nil {
-				b = DurationBuckets
+			if f.bounds == nil {
+				f.bounds = DurationBuckets
 			}
-			s.h = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+			s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
 		}
 		f.series[sig] = s
+		f.settled.Store(int32(f.kind) + 1)
 	}
 	return s
 }

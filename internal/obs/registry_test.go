@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -112,5 +113,103 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	c.Add(-3)
 	if c.Value() != 5 {
 		t.Fatalf("counter went backwards: %d", c.Value())
+	}
+}
+
+// TestLookupOfExistingSeriesAllocatesNothing: once a series exists, a
+// by-name lookup with 0, 1 or 2 labels is a signature on the stack and
+// a map read — no label copy, no sort, no string built.
+func TestLookupOfExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_alloc_total")
+	r.Histogram("test_alloc_seconds", nil, L("op", "scan"))
+	r.Gauge("test_alloc_gauge", L("phase", "atoms"), L("partition", "P3"))
+	for name, lookup := range map[string]func(){
+		"0 labels": func() { r.Counter("test_alloc_total").Inc() },
+		"1 label":  func() { r.Histogram("test_alloc_seconds", nil, L("op", "scan")).Observe(1e-3) },
+		"2 labels": func() { r.Gauge("test_alloc_gauge", L("partition", "P3"), L("phase", "atoms")).Set(1) },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s: %v allocs per lookup, want 0", name, n)
+		}
+	}
+}
+
+// TestUnsortedLabelsShareTheSortedSeries: the stack-signed lookup and
+// the sorting miss path key a label set identically, whatever the order
+// the caller passes it in.
+func TestUnsortedLabelsShareTheSortedSeries(t *testing.T) {
+	r := NewRegistry()
+	sorted := r.Histogram("test_order_seconds", nil, L("a", "1"), L("b", "2"), L("c", "3"))
+	for _, labels := range [][]Label{
+		{L("c", "3"), L("b", "2"), L("a", "1")},
+		{L("b", "2"), L("a", "1"), L("c", "3")},
+		{L("a", "1"), L("c", "3"), L("b", "2")},
+	} {
+		if got := r.Histogram("test_order_seconds", nil, labels...); got != sorted {
+			t.Errorf("labels %v: distinct series from the sorted set", labels)
+		}
+	}
+	// The caller's slice is not reordered.
+	labels := []Label{L("z", "1"), L("a", "2")}
+	r.Counter("test_order_total", labels...)
+	r.Counter("test_order_total", labels...)
+	if labels[0].Key != "z" {
+		t.Errorf("lookup reordered the caller's labels: %v", labels)
+	}
+	if n := len(r.Snapshot()); n != 3 { // the histogram's _sum and _count, the counter
+		t.Errorf("snapshot has %d keys, want 3: %v", n, r.Snapshot())
+	}
+}
+
+// TestKindMismatchPanicsAfterFastPath: a family whose kind is settled
+// still refuses a lookup as another kind.
+func TestKindMismatchPanicsAfterFastPath(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_kind_total", L("op", "x")).Inc()
+	r.Counter("test_kind_total", L("op", "x")).Inc() // settled: fast path
+	for kind, lookup := range map[string]func(){
+		"gauge":     func() { r.Gauge("test_kind_total", L("op", "x")) },
+		"histogram": func() { r.Histogram("test_kind_total", nil, L("op", "y")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("counter looked up as %s did not panic", kind)
+				}
+			}()
+			lookup()
+		}()
+	}
+}
+
+// TestConcurrentLookupsOfOneFamily: lookups racing the first creation
+// of a family's series, and each other, land on one series per label
+// set and lose no update (run under -race).
+func TestConcurrentLookupsOfOneFamily(t *testing.T) {
+	r := NewRegistry()
+	const workers, iters = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				op := L("op", []string{"scan", "join", "filter"}[i%3])
+				r.Counter("test_conc_total", op).Inc()
+				r.Histogram("test_conc_seconds", nil, op, L("worker", "w")).Observe(1e-4)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total int64
+	for _, op := range []string{"scan", "join", "filter"} {
+		total += r.Counter("test_conc_total", L("op", op)).Value()
+	}
+	if total != workers*iters {
+		t.Errorf("counter total %d, want %d", total, workers*iters)
+	}
+	if got := r.Histogram("test_conc_seconds", nil, L("worker", "w"), L("op", "join")).Count(); got == 0 {
+		t.Error("histogram series lost its observations")
 	}
 }

@@ -72,12 +72,33 @@ func BenchmarkFindWildcardRel(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryLocalCold is the benchmark's point-serve-cold operation
+// in the library: a cache-bypassing QueryLocal over the constrained
+// scale 0.25 corpus, cycling through 256 of its inferred atoms, so each
+// iteration pays local grounding, the neighborhood graph and its
+// enumeration, and every metric and span the path records.
 func BenchmarkQueryLocalCold(b *testing.B) {
-	exp, f := lookupExpansion(b)
-	q := probkb.PointQuery{Rel: f.Rel, X: f.X, Y: f.Y, Burnin: 20, Samples: 100, NoCache: true}
+	k, _, err := probkb.Synthesize(0.25, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exp, err := k.Expand(probkb.Config{Engine: probkb.SingleNode, ApplyConstraints: true, MaxIterations: 15, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inferred := exp.InferredFacts()
+	if len(inferred) == 0 {
+		b.Fatal("corpus derived nothing")
+	}
+	qs := make([]probkb.PointQuery, 256)
+	for i := range qs {
+		f := inferred[i*len(inferred)/len(qs)]
+		qs[i] = probkb.PointQuery{Rel: f.Rel, X: f.X, Y: f.Y, NoCache: true}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.QueryLocal(context.Background(), q); err != nil {
+		if _, err := exp.QueryLocal(context.Background(), qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,6 +31,24 @@ func init() {
 	obs.Default.Help("probkb_query_local_seconds",
 		"Wall time of cache-miss local point queries (grounding + neighborhood inference).")
 }
+
+// The probkb_query_local_* series, each resolved on its first use, so a
+// point query makes no by-name registry lookup and a process that never
+// answers one exposes none.
+var (
+	queryLocalMisses = sync.OnceValue(func() *obs.Counter {
+		return obs.Default.Counter("probkb_query_local_total", obs.L("cache", "miss"))
+	})
+	queryLocalHits = sync.OnceValue(func() *obs.Counter {
+		return obs.Default.Counter("probkb_query_local_total", obs.L("cache", "hit"))
+	})
+	queryLocalCoalesced = sync.OnceValue(func() *obs.Counter {
+		return obs.Default.Counter("probkb_query_local_total", obs.L("cache", "coalesced"))
+	})
+	queryLocalSeconds = sync.OnceValue(func() *obs.Histogram {
+		return obs.Default.Histogram("probkb_query_local_seconds", nil)
+	})
+)
 
 // ParseAtom parses a query atom of the form "Rel(x, y)".
 func ParseAtom(s string) (rel, x, y string, err error) {
@@ -236,7 +255,7 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 	y, okY := e.kb.Entities.Lookup(q.Y)
 	if !okR || !okX || !okY {
 		m.Elapsed = time.Since(start)
-		obs.Default.Counter("probkb_query_local_total", obs.L("cache", "miss")).Inc()
+		queryLocalMisses().Inc()
 		return m, nil
 	}
 
@@ -251,7 +270,7 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 			e.qmu.Unlock()
 			hit.Cached = true
 			hit.Elapsed = time.Since(start)
-			obs.Default.Counter("probkb_query_local_total", obs.L("cache", "hit")).Inc()
+			queryLocalHits().Inc()
 			return hit, nil
 		}
 		c, inflight := e.qflight[key]
@@ -300,7 +319,7 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 		hit := c.m
 		hit.Cached, hit.Coalesced = true, true
 		hit.Elapsed = time.Since(start)
-		obs.Default.Counter("probkb_query_local_total", obs.L("cache", "coalesced")).Inc()
+		queryLocalCoalesced().Inc()
 		return hit, nil
 	}
 }
@@ -392,8 +411,8 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal
 	}
 
 	m.Elapsed = time.Since(start)
-	obs.Default.Counter("probkb_query_local_total", obs.L("cache", "miss")).Inc()
-	obs.Default.Histogram("probkb_query_local_seconds", nil).Observe(m.Elapsed.Seconds())
+	queryLocalMisses().Inc()
+	queryLocalSeconds().Observe(m.Elapsed.Seconds())
 	var p *float64
 	if !math.IsNaN(m.Probability) {
 		p = &m.Probability
