@@ -14,8 +14,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The standard verify loop: what CI (and every PR) should run.
-check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke crash-smoke paper-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke
+# The standard verify loop: what CI (and every PR) should run. The race
+# leg runs every package's tests once; crash-smoke, incident-smoke,
+# query-smoke, mvcc-smoke and ingest-smoke below are subsets of it, kept
+# as focused re-runs and left out of check.
+check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke paper-smoke report-smoke converge-smoke chaos-smoke
 
 # benchmark/ is a nested module (its own go.mod, `replace probkb => ../`)
 # that imports internal/{ground,mpp,engine,...} by path, so `go build
@@ -72,7 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzIngestBatching -fuzztime 30s ./internal/ingest
 
-# Quick durability gate for the check loop: the store's own tests plus
+# Focused durability run: the store's own tests plus
 # the short crash matrix (every write truncated at frame boundaries,
 # torn tails, dropped fsyncs — recovered KB compared against the
 # prefix-durability oracle), over random scripts and over the records a
@@ -148,7 +151,7 @@ converge-smoke:
 # with a seeded fault plan injecting segment failures, worker panics,
 # and stragglers. Segment retries must absorb every fault: the run has
 # to complete cleanly and the rendered report must show the fault-
-# injection section.
+# injection section. (The in-process chaos tests run in the race leg.)
 chaos-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/kbgen -out "$$tmp/kb" -scale 0.002 >/dev/null && \

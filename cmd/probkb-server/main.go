@@ -2,19 +2,17 @@
 // materialized result over HTTP (see internal/server for the endpoint
 // list) — the paper's rationale for marginal (rather than query-time)
 // inference: "avoiding query-time computation and improving system
-// responsivity".
+// responsivity". The startup expansion is the full pipeline: semantic
+// constraints, grounding to convergence, marginal inference.
 //
-//	probkb-server -kb DIR [-addr :8080] [-engine probkb] [-iters N]
-//	              [-no-constraints] [-theta F] [-no-inference]
-//	              [-persist DIR] [-slow DUR] [-max-in-flight N]
-//	              [-watchdog-interval DUR] [-stuck-query DUR]
-//	              [-max-goroutines N] [-max-rhat F] [-max-wal-records N]
-//	              [-max-retries-per-tick N] [-incident-dir DIR]
+//	probkb-server -kb DIR [-addr :8080] [-persist DIR] [-slow DUR]
+//	              [-max-in-flight N] [-watchdog-interval DUR]
+//	              [-stuck-query DUR] [-incident-dir DIR] [-v]
 //
 // -persist makes the startup expansion durable (created from -kb when
-// the directory is empty, recovered and resumed when it already holds a
-// store) and enables POST /admin/snapshot to checkpoint it while
-// serving.
+// the directory holds no store; recovered and resumed, without reading
+// -kb, when it does) and enables POST /admin/snapshot to checkpoint it
+// while serving.
 //
 // The server binds its port immediately: /healthz answers 200 and
 // /readyz answers 503 while the store recovers and the startup
@@ -64,6 +62,15 @@ const (
 	shutdownGrace     = 5 * time.Second
 )
 
+// Watchdog thresholds besides -stuck-query; constants, not flags, since
+// nothing has needed other values.
+const (
+	maxGoroutines     = 10000     // goroutine count
+	maxRHat           = 2.0       // an active Gibbs chain's checkpoint R-hat
+	maxWALRecords     = 1_000_000 // WAL records without a checkpoint
+	maxRetriesPerTick = 50        // MPP segment retries per watchdog tick
+)
+
 // serve runs srv on ln until ctx ends (SIGINT/SIGTERM in main), with
 // startup — recovery, the initial expansion, Attach — running beside
 // the listener so /healthz answers while /readyz is still 503. startup
@@ -102,23 +109,35 @@ func serve(ctx context.Context, ln net.Listener, srv *server.Server, grace time.
 	return errors.Join(err, pst.Close())
 }
 
+// openKB returns the KB the server starts from and, with a persistDir,
+// the store that makes it durable: recovered when persistDir holds one
+// (kbDir is not read), created from kbDir otherwise.
+func openKB(kbDir, persistDir string, logger *slog.Logger) (*probkb.KB, *probkb.Store, error) {
+	if persistDir == "" {
+		k, err := probkb.Load(kbDir)
+		return k, nil, err
+	}
+	st, k, created, err := probkb.OpenOrCreateStore(persistDir, func() (*probkb.KB, error) { return probkb.Load(kbDir) })
+	if err != nil {
+		return nil, nil, err
+	}
+	if created {
+		logger.Info("initialized store", "dir", persistDir)
+	} else {
+		logger.Info("recovered store", "dir", persistDir,
+			"gen", st.Gen(), "wal_records", st.WALRecords(), "facts", st.Facts())
+	}
+	return k, st, nil
+}
+
 func main() {
-	dir := flag.String("kb", "", "KB directory (required)")
+	dir := flag.String("kb", "", "KB directory; not read when -persist already holds a store")
 	addr := flag.String("addr", ":8080", "listen address")
-	iters := flag.Int("iters", 0, "max grounding iterations (0 = to convergence)")
-	noConstraints := flag.Bool("no-constraints", false, "disable semantic constraints")
-	theta := flag.Float64("theta", 1, "rule cleaning: keep top θ of rules (1 = off)")
-	noInference := flag.Bool("no-inference", false, "skip Gibbs marginal inference")
-	seed := flag.Int64("seed", 0, "inference seed")
-	persistDir := flag.String("persist", "", "durable store directory: created from -kb if empty, recovered if it already holds a store")
+	persistDir := flag.String("persist", "", "durable store directory: created from -kb if it holds no store, recovered if it does")
 	slowThreshold := flag.Duration("slow", 0, "slow-query threshold for /debug/slow (0 = off), e.g. 250ms")
 	maxInFlight := flag.Int("max-in-flight", 0, "admission control: max concurrently served data requests, excess answers 429 (0 = unlimited)")
 	watchInterval := flag.Duration("watchdog-interval", 5*time.Second, "watchdog detector evaluation interval (0 = watchdogs off)")
 	stuckQuery := flag.Duration("stuck-query", 5*time.Minute, "flag a query running longer than this")
-	maxGoroutines := flag.Int("max-goroutines", 10000, "flag a goroutine count above this")
-	maxRHat := flag.Float64("max-rhat", 2.0, "flag an active Gibbs chain whose checkpoint R-hat exceeds this")
-	maxWALRecords := flag.Int64("max-wal-records", 1_000_000, "flag a WAL holding more records than this without a checkpoint (needs -persist)")
-	maxRetriesPerTick := flag.Int64("max-retries-per-tick", 50, "flag more MPP segment retries than this per watchdog tick")
 	incidentDir := flag.String("incident-dir", "", "directory for crash dumps on panic/SIGQUIT (empty = no dumps)")
 	verbose := flag.Bool("v", false, "debug-level logging")
 	flag.Parse()
@@ -129,7 +148,7 @@ func main() {
 	}
 	logger := obs.NewTextLogger(os.Stderr, level)
 
-	if *dir == "" {
+	if *dir == "" && *persistDir == "" {
 		logger.Error("missing -kb DIR")
 		os.Exit(1)
 	}
@@ -169,15 +188,15 @@ func main() {
 		watchdog.OnFire = func(f obs.Finding) { obs.DefaultIncidents.Open(f) }
 		watchdog.Add(&obs.StuckQueryDetector{Registry: obs.Queries, MaxElapsed: *stuckQuery},
 			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
-		watchdog.Add(&obs.GoroutineLeakDetector{Max: *maxGoroutines},
+		watchdog.Add(&obs.GoroutineLeakDetector{Max: maxGoroutines},
 			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
 		watchdog.Add(&obs.HeapGrowthDetector{},
 			obs.Hysteresis{FireAfter: 1, ClearAfter: 2})
-		watchdog.Add(&obs.GibbsDivergenceDetector{Health: obs.Gibbs, MaxRHat: *maxRHat},
+		watchdog.Add(&obs.GibbsDivergenceDetector{Health: obs.Gibbs, MaxRHat: maxRHat},
 			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
 		watchdog.Add(&obs.GibbsStallDetector{Health: obs.Gibbs},
 			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
-		watchdog.Add(&obs.RetryStormDetector{Registry: obs.Default, MaxPerTick: *maxRetriesPerTick},
+		watchdog.Add(&obs.RetryStormDetector{Registry: obs.Default, MaxPerTick: maxRetriesPerTick},
 			obs.Hysteresis{FireAfter: 1, ClearAfter: 2})
 		watchdog.Start()
 		defer watchdog.Stop()
@@ -205,31 +224,12 @@ func main() {
 			logger.Error(msg, "err", err)
 			return pst, err
 		}
-		k, err := probkb.Load(*dir)
-		if err != nil {
-			return fail("load failed", err)
-		}
-		if *persistDir != "" {
-			ok, err := probkb.StoreExists(*persistDir)
-			if err != nil {
-				return fail("store check failed", err)
-			}
-			if ok {
-				if pst, err = probkb.OpenStore(*persistDir); err != nil {
-					return fail("store recovery failed", err)
-				}
-				k = pst.KB()
-				logger.Info("recovered store", "dir", *persistDir,
-					"gen", pst.Gen(), "wal_records", pst.WALRecords(), "facts", pst.Facts())
-			} else {
-				if pst, err = probkb.CreateStore(*persistDir, k); err != nil {
-					return fail("store create failed", err)
-				}
-				logger.Info("initialized store", "dir", *persistDir)
-			}
+		var k *probkb.KB
+		if k, pst, err = openKB(*dir, *persistDir, logger); err != nil {
+			return fail("open failed", err)
 		}
 		if watchdog != nil && pst != nil {
-			watchdog.Add(&obs.WALGrowthDetector{Records: pst.WALRecords, MaxRecords: *maxWALRecords},
+			watchdog.Add(&obs.WALGrowthDetector{Records: pst.WALRecords, MaxRecords: maxWALRecords},
 				obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
 		}
 		st := k.Stats()
@@ -238,12 +238,8 @@ func main() {
 
 		exp, err := k.ExpandContext(ctx, probkb.Config{
 			Engine:           probkb.SingleNode,
-			MaxIterations:    *iters,
-			ApplyConstraints: !*noConstraints,
-			RuleCleanTheta:   *theta,
-			RunInference:     !*noInference,
-			GibbsParallel:    true,
-			Seed:             *seed,
+			ApplyConstraints: true,
+			RunInference:     true,
 			Persist:          pst,
 			OnIteration: func(it probkb.IterationStats) {
 				logger.Debug("grounding iteration", "iter", it.Iteration,

@@ -18,6 +18,30 @@ import (
 	"probkb/internal/server"
 )
 
+// TestOpenResumesWithoutKB: a -persist directory that already holds a
+// store is recovered without reading -kb, which may name nothing.
+func TestOpenResumesWithoutKB(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	k := probkb.New()
+	k.AddFact("born_in", "Ruth_Gruber", "Writer", "Brooklyn", "Place", 0.93)
+	st, err := probkb.CreateStore(dir, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	got, pst, err := openKB(filepath.Join(t.TempDir(), "missing"), dir, logger)
+	if err != nil {
+		t.Fatalf("resuming with a missing -kb: %v", err)
+	}
+	defer pst.Close()
+	if n := got.Stats().Facts; n != 1 {
+		t.Fatalf("recovered KB holds %d facts, want 1", n)
+	}
+}
+
 // TestServeShutdownMidStream drives the process-level exit path: the
 // "signal" (ctx) arrives while a client holds a POST /facts stream open
 // between chunks. serve must give up on the stream after the grace,

@@ -42,7 +42,7 @@ func runIngest(t *testing.T, input string) (int, string) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	code := cmdIngest([]string{"-kb", kbDir, "-persist", storeDir, "-batch", "2", "-delay", "1h",
+	code := cmdIngest(context.Background(), []string{"-kb", kbDir, "-persist", storeDir, "-batch", "2", "-delay", "1h",
 		"-refresh-every", "2", "-burnin", "20", "-samples", "50", "-seed", "1", "-v"},
 		strings.NewReader(input), &stdout, &stderr)
 	out := stdout.String() + "--- stderr\n" + stderr.String()

@@ -15,8 +15,7 @@
 // Staleness model: every absorbed batch makes its facts (and their
 // closure) visible immediately, but marginal refresh — the expensive
 // factor + Gibbs pass — runs only when the policy fires: every
-// RefreshEvery batches, or when RefreshInterval has passed since the
-// last refresh, or at Close when RefreshOnClose is set. The current
+// RefreshEvery batches, or at Close when RefreshOnClose is set. The current
 // staleness (batches absorbed since the last refresh) is exported as
 // the probkb_ingest_staleness_batches gauge.
 //
@@ -135,9 +134,6 @@ type Config struct {
 	// RefreshEvery runs a marginal refresh every K absorbed batches
 	// (0 = no batch-count trigger).
 	RefreshEvery int
-	// RefreshInterval runs a marginal refresh when this much time has
-	// passed since the last one (0 = no time trigger).
-	RefreshInterval time.Duration
 	// RefreshOnClose runs a final refresh at Close when any batch was
 	// absorbed since the last refresh.
 	RefreshOnClose bool
@@ -188,8 +184,7 @@ type Lander struct {
 	// drivers (two HTTP streams) share the counter coherently. It orders
 	// before the absorber's own writer lock. The counters are atomics so
 	// that Stats never waits for a landing.
-	mu          sync.Mutex
-	lastRefresh time.Time
+	mu sync.Mutex
 
 	facts, batches, refreshes, stale atomic.Int64
 }
@@ -197,19 +192,19 @@ type Lander struct {
 // NewLander lands batches through a. jr, when non-nil, receives the
 // ingest_batch and ingest_refresh events.
 func NewLander(a Absorber, jr *journal.Writer) *Lander {
-	return &Lander{abs: a, jr: jr, lastRefresh: time.Now()}
+	return &Lander{abs: a, jr: jr}
 }
 
 // Land lands one sealed batch under the refresh threshold in force:
-// refresh once every batches are stale (0 = no count trigger) or
-// interval has passed since the last refresh (0 = no time trigger).
+// refresh once every batches are stale (0 = only when asked, by
+// Refresh).
 //
 // A non-zero ack.Batch means the batch landed — published and, with a
 // store, durable — whatever err says: the only error a landed batch can
 // carry is its refresh failing, and the ack (unrefreshed, staleness as
 // counted) is still the caller's to deliver before that error. An
 // invalid, failed or cancelled batch lands nothing.
-func (l *Lander) Land(ctx context.Context, batch []Fact, every int, interval time.Duration) (Ack, error) {
+func (l *Lander) Land(ctx context.Context, batch []Fact, every int) (Ack, error) {
 	if err := Validate(batch); err != nil {
 		return Ack{}, err
 	}
@@ -238,7 +233,7 @@ func (l *Lander) Land(ctx context.Context, batch []Fact, every int, interval tim
 	span.SetAttr("added", ack.Added)
 	span.SetAttr("derived", ack.Derived)
 
-	if (every > 0 && ack.StaleBatches >= every) || (interval > 0 && time.Since(l.lastRefresh) >= interval) {
+	if every > 0 && ack.StaleBatches >= every {
 		q.SetPhase("infer")
 		if gen, rerr := l.refresh(ctx, ack.Batch); rerr != nil {
 			err = fmt.Errorf("refresh after batch: %w", rerr)
@@ -284,7 +279,6 @@ func (l *Lander) refresh(ctx context.Context, afterBatch int) (uint64, error) {
 	}
 	l.refreshes.Add(1)
 	l.stale.Store(0)
-	l.lastRefresh = time.Now()
 	obs.Default.Counter("probkb_ingest_refreshes_total").Inc()
 	obs.Default.Gauge("probkb_ingest_staleness_batches").Set(0)
 	span.SetAttr("generation", int(gen))
@@ -495,7 +489,7 @@ func (p *Pipeline) finish(ctx context.Context) {
 // batch that did not land, or one that did and whose refresh failed.
 func (p *Pipeline) absorb(ctx context.Context, batch []Fact) bool {
 	n := p.land.batches.Load() + 1
-	ack, err := p.land.Land(ctx, batch, p.cfg.RefreshEvery, p.cfg.RefreshInterval)
+	ack, err := p.land.Land(ctx, batch, p.cfg.RefreshEvery)
 	if ack.Batch != 0 && p.cfg.OnBatch != nil {
 		p.cfg.OnBatch(ack)
 	}

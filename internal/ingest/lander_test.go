@@ -27,11 +27,11 @@ func TestLandAcksBeforeRefreshError(t *testing.T) {
 	jr := journal.New()
 	l := NewLander(failingRefresh{&fakeAbsorber{}}, jr)
 	ctx := context.Background()
-	a1, err := l.Land(ctx, []Fact{fact(0)}, 2, 0)
+	a1, err := l.Land(ctx, []Fact{fact(0)}, 2)
 	if err != nil || a1.Batch != 1 || a1.StaleBatches != 1 {
 		t.Fatalf("batch 1 = %+v, %v", a1, err)
 	}
-	a2, err := l.Land(ctx, []Fact{fact(1), fact(2)}, 2, 0)
+	a2, err := l.Land(ctx, []Fact{fact(1), fact(2)}, 2)
 	if err == nil || !strings.Contains(err.Error(), "refresh after batch: gibbs diverged") {
 		t.Fatalf("err = %v, want the refresh failure", err)
 	}
@@ -90,12 +90,12 @@ func TestLandRejectsInvalidBatch(t *testing.T) {
 	} {
 		f := bad
 		mutate(&f)
-		ack, err := l.Land(context.Background(), []Fact{fact(0), f}, 1, 0)
+		ack, err := l.Land(context.Background(), []Fact{fact(0), f}, 1)
 		if err == nil || !strings.HasPrefix(err.Error(), "facts[1]: ") || ack != (Ack{}) {
 			t.Errorf("%s: Land = %+v, %v; want a facts[1] rejection and no ack", name, ack, err)
 		}
 	}
-	if _, err := l.Land(context.Background(), nil, 0, 0); err == nil {
+	if _, err := l.Land(context.Background(), nil, 0); err == nil {
 		t.Error("empty batch landed")
 	}
 	if n, _, _ := abs.snapshot(); n != 0 || l.stale.Load() != 0 {
@@ -110,13 +110,13 @@ func TestLandSetsQueryPhases(t *testing.T) {
 	ctx, q := obs.Queries.Begin(context.Background(), "extend", "extend stream")
 	defer obs.Queries.Finish(q)
 	l := NewLander(&fakeAbsorber{}, nil)
-	if _, err := l.Land(ctx, []Fact{fact(0)}, 0, 0); err != nil {
+	if _, err := l.Land(ctx, []Fact{fact(0)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if p := q.Phase(); p != "queue" {
 		t.Fatalf("phase after an unrefreshed landing = %q, want queue", p)
 	}
-	if a, err := l.Land(ctx, []Fact{fact(1)}, 2, 0); err != nil || !a.Refreshed {
+	if a, err := l.Land(ctx, []Fact{fact(1)}, 2); err != nil || !a.Refreshed {
 		t.Fatalf("second landing = %+v, %v", a, err)
 	}
 	if p := q.Phase(); p != "infer" {

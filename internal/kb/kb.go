@@ -401,9 +401,9 @@ func (k *KB) Stats() Stats {
 // String renders the stats as the two-column layout of Table 2.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# relations %8d    # entities %8d\n", s.Relations, s.Entities)
-	fmt.Fprintf(&b, "# rules     %8d    # facts    %8d\n", s.Rules, s.Facts)
-	fmt.Fprintf(&b, "# classes   %8d    # constraints %5d\n", s.Classes, s.Constraints)
+	fmt.Fprintf(&b, "# relations  %8d    # entities %8d\n", s.Relations, s.Entities)
+	fmt.Fprintf(&b, "# rules      %8d    # facts    %8d\n", s.Rules, s.Facts)
+	fmt.Fprintf(&b, "# classes    %8d    # constraints %5d\n", s.Classes, s.Constraints)
 	return b.String()
 }
 

@@ -221,7 +221,7 @@ func TestAnalyzeAndRender(t *testing.T) {
 		t.Fatalf("final ESS = %g", prof.Convergence.FinalESSMin)
 	}
 
-	text := Render(prof, ReportOptions{})
+	text := Render(prof)
 	for _, section := range []string{
 		"Phase breakdown", "Grounding iterations", "Top operators",
 		"Per-segment skew", "Motion volumes", "Constraint repairs",
@@ -236,7 +236,7 @@ func TestAnalyzeAndRender(t *testing.T) {
 
 	// A pass with nothing to sample renders its split and no timeline.
 	prof.Inference, prof.Convergence = &Inference{Components: 12, Exact: 12, MaxComponent: 9}, nil
-	text = Render(prof, ReportOptions{})
+	text = Render(prof)
 	if !strings.Contains(text, "12 components exact, 0 sampled (largest 9)") || strings.Contains(text, "Gibbs convergence timeline") {
 		t.Fatalf("report of an all-exact pass:\n%s", text)
 	}

@@ -6,31 +6,16 @@ import (
 	"strings"
 )
 
-// ReportOptions controls Render.
-type ReportOptions struct {
-	// TopOperators bounds the slowest-operators table; 0 means 10.
-	TopOperators int
-	// TopSkew bounds the skew table; 0 means 10.
-	TopSkew int
-}
-
-func (o ReportOptions) withDefaults() ReportOptions {
-	if o.TopOperators == 0 {
-		o.TopOperators = 10
-	}
-	if o.TopSkew == 0 {
-		o.TopSkew = 10
-	}
-	return o
-}
+// reportRows bounds each of the report's ranked tables: operators,
+// skew rows and motions.
+const reportRows = 10
 
 // Render formats a run profile as the human-readable report `probkb
 // report` prints: run header, per-phase time breakdown, grounding
 // iterations, top-k slowest operators, per-segment skew table, motion
 // volumes, constraint repairs, the inference pass's component split and
 // — when some component was sampled — the Gibbs convergence timeline.
-func Render(p *Profile, opts ReportOptions) string {
-	opts = opts.withDefaults()
+func Render(p *Profile) string {
 	var b strings.Builder
 
 	fmt.Fprintf(&b, "Run report\n==========\n")
@@ -83,7 +68,7 @@ func Render(p *Profile, opts ReportOptions) string {
 	} else {
 		fmt.Fprintf(&b, "%-22s %6s %12s %12s\n", "operator", "count", "rows", "seconds")
 		for i, oc := range p.Operators {
-			if i >= opts.TopOperators {
+			if i >= reportRows {
 				fmt.Fprintf(&b, "... %d more\n", len(p.Operators)-i)
 				break
 			}
@@ -105,7 +90,7 @@ func Render(p *Profile, opts ReportOptions) string {
 		fmt.Fprintf(&b, "%-14s %4s %4s %8s %8s %9s %5s  %s\n",
 			"operator", "part", "iter", "row_imb", "time_imb", "straggler", "flag", "seg_rows")
 		for i, r := range p.Skew {
-			if i >= opts.TopSkew {
+			if i >= reportRows {
 				fmt.Fprintf(&b, "... %d more\n", len(p.Skew)-i)
 				break
 			}
@@ -122,7 +107,7 @@ func Render(p *Profile, opts ReportOptions) string {
 		fmt.Fprintf(&b, "\nMotion volumes\n--------------\n")
 		fmt.Fprintf(&b, "%-14s %-14s %4s %4s %10s %12s\n", "motion", "query", "part", "iter", "rows", "bytes")
 		for i, m := range p.Motions {
-			if i >= opts.TopOperators {
+			if i >= reportRows {
 				fmt.Fprintf(&b, "... %d more\n", len(p.Motions)-i)
 				break
 			}

@@ -188,7 +188,7 @@ func RunIngest(c *IngestCase) ([]ingest.Ack, uint64, error) {
 			// the deterministic stand-in for a kill at the worst moment.
 			cctx, cancel := context.WithCancel(ctx)
 			cancel()
-			if _, err := land.Land(cctx, batch, 0, 0); err == nil {
+			if _, err := land.Land(cctx, batch, 0); err == nil {
 				return nil, 0, fmt.Errorf("batch %d: cancelled landing reported success", bi+1)
 			}
 			if g := ing.Generation(); g != gen {
@@ -196,7 +196,7 @@ func RunIngest(c *IngestCase) ([]ingest.Ack, uint64, error) {
 			}
 			continue
 		}
-		ack, err := land.Land(ctx, batch, 0, 0)
+		ack, err := land.Land(ctx, batch, 0)
 		if err != nil {
 			return nil, 0, fmt.Errorf("batch %d: %w", bi+1, err)
 		}
@@ -210,7 +210,7 @@ func RunIngest(c *IngestCase) ([]ingest.Ack, uint64, error) {
 		// Recovery: re-stream the whole firehose in one batch. Absorption
 		// is idempotent (the closure dedups), so this must land exactly
 		// the facts the cancelled batch lost.
-		ack, err := land.Land(ctx, stream, 0, 0)
+		ack, err := land.Land(ctx, stream, 0)
 		if err != nil {
 			return nil, 0, fmt.Errorf("resume: %w", err)
 		}

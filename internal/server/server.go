@@ -641,7 +641,7 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 		}
 		// A landed batch is published and durable, so it is acked even
 		// when its refresh then failed; the error line follows the ack.
-		ack, err := s.land.Land(ctx, req.Facts, refreshEvery, 0)
+		ack, err := s.land.Land(ctx, req.Facts, refreshEvery)
 		if ack.Batch != 0 {
 			ack.Batch = batch
 			aq.AddRows(ack.Facts)

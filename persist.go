@@ -59,10 +59,26 @@ func CreateStore(dir string, k *KB) (*Store, error) {
 	return &Store{inner: inner}, nil
 }
 
-// StoreExists reports whether dir already holds a durable store — the
-// check behind "create or resume" flows like `probkb expand -persist`.
-func StoreExists(dir string) (bool, error) {
-	return store.Exists(store.OSFS{}, dir)
+// OpenOrCreateStore recovers the store at dir when dir already holds
+// one, and otherwise creates one from the KB load returns; load runs
+// only then. k is the KB a run continues from — the recovered one, or
+// load's — and created reports which of the two happened.
+func OpenOrCreateStore(dir string, load func() (*KB, error)) (st *Store, k *KB, created bool, err error) {
+	if ok, err := store.Exists(store.OSFS{}, dir); err != nil {
+		return nil, nil, false, err
+	} else if ok {
+		if st, err = OpenStore(dir); err != nil {
+			return nil, nil, false, err
+		}
+		return st, st.KB(), false, nil
+	}
+	if k, err = load(); err != nil {
+		return nil, nil, false, err
+	}
+	if st, err = CreateStore(dir, k); err != nil {
+		return nil, nil, false, err
+	}
+	return st, k, true, nil
 }
 
 // OpenStore recovers the store at dir: snapshot load, WAL replay,

@@ -131,6 +131,31 @@ func TestCreateStoreRefusesExisting(t *testing.T) {
 	}
 }
 
+// TestOpenOrCreateStore: an empty directory gets a store created from
+// load's KB, which the run continues from; a directory holding a store
+// is recovered and load is not called.
+func TestOpenOrCreateStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	want := paperKB(t)
+	st, k, created, err := OpenOrCreateStore(dir, func() (*KB, error) { return want, nil })
+	if err != nil || !created || k != want {
+		t.Fatalf("first open: created=%v, same KB=%v, %v", created, k == want, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, k, created, err = OpenOrCreateStore(dir, func() (*KB, error) {
+		return nil, errors.New("load called for an existing store")
+	})
+	if err != nil || created {
+		t.Fatalf("reopen: created=%v, %v", created, err)
+	}
+	defer st.Close()
+	if string(k.inner.Dump()) != string(st.KB().inner.Dump()) {
+		t.Fatal("reopen continues from a KB other than the recovered one")
+	}
+}
+
 // TestRecoveredKBExtendsIdentically is the differential determinism
 // test: expanding and then extending a *recovered* KB must produce
 // byte-identical canonical journals to the same pipeline on a KB that

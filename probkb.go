@@ -135,12 +135,6 @@ type Config struct {
 	// significance before grounding; 1 (or 0, the zero value) disables
 	// cleaning.
 	RuleCleanTheta float64
-	// ConstraintInformedCleaning ranks rules by constraint-adjusted
-	// significance instead: rules whose conclusions concentrate on
-	// functional-constraint violators sink in the ranking (the paper's
-	// §6.2.3 suggestion of feeding constraint violations back into the
-	// rule learner). Only meaningful with RuleCleanTheta < 1.
-	ConstraintInformedCleaning bool
 
 	// RunInference runs marginal inference after grounding and writes
 	// each inferred fact's probability into the result. Without it,
@@ -149,13 +143,11 @@ type Config struct {
 	// by exact enumeration, only larger ones are Gibbs-sampled (DESIGN.md
 	// §5).
 	RunInference bool
-	// GibbsBurnin and GibbsSamples size the sampling run (defaults 100
-	// and 500); GibbsParallel uses the chromatic parallel sampler. They
-	// matter only for components too large to enumerate: every other
-	// marginal is exact whatever they say.
-	GibbsBurnin   int
-	GibbsSamples  int
-	GibbsParallel bool
+	// GibbsBurnin and GibbsSamples size the sequential sampling run
+	// (defaults 100 and 500). They matter only for components too large
+	// to enumerate: every other marginal is exact whatever they say.
+	GibbsBurnin  int
+	GibbsSamples int
 	// Seed makes the sampled marginals reproducible. An enumerated
 	// component's marginals do not depend on it — on a KB whose every
 	// component is small, no output does.
@@ -297,10 +289,9 @@ func (c Config) Hash() string {
 	// EngineWorkers is deliberately absent: worker counts never change
 	// results (engine.Opts), so runs differing only in parallelism
 	// remain journal-comparable.
-	fmt.Fprintf(h, "engine=%d segments=%d maxiter=%d constraints=%t theta=%g cic=%t infer=%t burnin=%d samples=%d parallel=%t seed=%d",
+	fmt.Fprintf(h, "engine=%d segments=%d maxiter=%d constraints=%t theta=%g infer=%t burnin=%d samples=%d seed=%d",
 		int(c.Engine), c.Segments, c.MaxIterations, c.ApplyConstraints,
-		c.RuleCleanTheta, c.ConstraintInformedCleaning, c.RunInference,
-		c.GibbsBurnin, c.GibbsSamples, c.GibbsParallel, c.Seed)
+		c.RuleCleanTheta, c.RunInference, c.GibbsBurnin, c.GibbsSamples, c.Seed)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -405,24 +396,13 @@ func (k *KB) AddConstraint(rel string, typ ConstraintType, degree int) error {
 	return k.inner.AddConstraint(kb.Constraint{Rel: id, Type: int(typ), Degree: degree})
 }
 
-// Stats summarizes the KB (Table 2 of the paper).
-type Stats struct {
-	Relations   int
-	Rules       int
-	Entities    int
-	Facts       int
-	Classes     int
-	Constraints int
-}
+// Stats summarizes the KB (Table 2 of the paper): counts of relations,
+// rules, entities, facts, classes and constraints. Its String method
+// renders the table's three lines.
+type Stats = kb.Stats
 
 // Stats returns the KB's summary statistics.
-func (k *KB) Stats() Stats {
-	s := k.inner.Stats()
-	return Stats{
-		Relations: s.Relations, Rules: s.Rules, Entities: s.Entities,
-		Facts: s.Facts, Classes: s.Classes, Constraints: s.Constraints,
-	}
-}
+func (k *KB) Stats() Stats { return k.inner.Stats() }
 
 // DeclareSubclass records sub ⊆ super in the class hierarchy (Remark 1
 // of the paper's Definition 1): members of sub automatically become
@@ -506,22 +486,14 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 	// Quality control: rule cleaning, then the up-front Query 3 pass.
 	qualityStart := time.Now()
 	_, qualitySpan := obs.StartSpan(ctx, "quality")
-	work := k.inner
-	switch {
-	case cfg.RuleCleanTheta > 0 && cfg.RuleCleanTheta < 1 && cfg.ConstraintInformedCleaning:
-		cleaned, err := quality.CleanRulesWithConstraints(work, cfg.RuleCleanTheta, 4)
-		if err != nil {
-			qualitySpan.End()
-			return nil, err
-		}
-		work = cleaned
-	case cfg.RuleCleanTheta > 0 && cfg.RuleCleanTheta < 1:
-		work = quality.CleanRules(work, cfg.RuleCleanTheta)
-	default:
+	var work *kb.KB
+	if cfg.RuleCleanTheta > 0 && cfg.RuleCleanTheta < 1 {
+		work = quality.CleanRules(k.inner, cfg.RuleCleanTheta)
+	} else {
 		// A copy-on-write fork, not a deep clone: the run only pays for
 		// a copy if quality repair actually deletes facts, and the
 		// receiver stays frozen for concurrent readers either way.
-		work = work.Fork()
+		work = k.inner.Fork()
 	}
 
 	opts := groundOptions(ctx, cfg)
@@ -667,10 +639,9 @@ func groundOptions(ctx context.Context, cfg Config) ground.Options {
 // OnGibbsSweep callback.
 func inferOptions(cfg Config) infer.Options {
 	opts := infer.Options{
-		Burnin:   cfg.GibbsBurnin,
-		Samples:  cfg.GibbsSamples,
-		Seed:     cfg.Seed,
-		Parallel: cfg.GibbsParallel,
+		Burnin:  cfg.GibbsBurnin,
+		Samples: cfg.GibbsSamples,
+		Seed:    cfg.Seed,
 	}
 	if cfg.OnGibbsSweep != nil {
 		cb := cfg.OnGibbsSweep

@@ -329,38 +329,6 @@ func TestExpandCapInvariance(t *testing.T) {
 	}
 }
 
-func TestConstraintInformedCleaningInExpand(t *testing.T) {
-	// A wrong rule floods the Type II functional capital_of; a benign
-	// rule has identical raw support. Constraint-informed cleaning keeps
-	// the benign one.
-	k := New()
-	k.AddFact("located_in", "Lyon", "City", "France", "Country", 0.9)
-	k.AddFact("located_in", "Nice", "City", "France", "Country", 0.9)
-	k.AddFact("capital_of", "Paris", "City", "France", "Country", 0.9)
-	k.AddFact("visited", "A", "Person", "X", "City", 0.9)
-	k.MustAddRule("0.9 capital_of(x:City, y:Country) :- located_in(x:City, y:Country)")
-	k.MustAddRule("0.9 liked(x:Person, y:City) :- visited(x:Person, y:City)")
-	if err := k.AddConstraint("capital_of", TypeII, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	exp, err := k.Expand(Config{
-		Engine:                     SingleNode,
-		RuleCleanTheta:             0.5,
-		ConstraintInformedCleaning: true,
-		RunInference:               false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Find("capital_of", "Lyon", "France")) != 0 {
-		t.Fatal("constraint-implicated rule survived cleaning")
-	}
-	if len(exp.Find("liked", "A", "X")) != 1 {
-		t.Fatal("benign rule was cleaned away")
-	}
-}
-
 func TestRuleCleaningInExpand(t *testing.T) {
 	k := New()
 	k.AddFact("r1", "a", "A", "b", "B", 0.9)

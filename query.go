@@ -433,7 +433,7 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal
 // PointQuery answers a point query directly against a KB, with no
 // prior Expand: the KB's facts are the evidence, the local grounding
 // does all derivation. cfg supplies sampling defaults (Seed,
-// GibbsBurnin, GibbsSamples, GibbsParallel, EngineWorkers); engine
+// GibbsBurnin, GibbsSamples, EngineWorkers); engine
 // choice and iteration caps are ignored — locality comes from the
 // query bounds.
 func (k *KB) PointQuery(ctx context.Context, q PointQuery, cfg Config) (Marginal, error) {
