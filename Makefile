@@ -28,8 +28,10 @@ check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Kernel tier (ROADMAP item 1b): the engine's hash and filter kernels
-# and ground's fact index at 100K and 300K synthetic TΠ rows, with
+# Kernel tier (ROADMAP item 1b): the engine's hash and filter kernels,
+# ground's fact index and one semi-naive iteration's two-atom Δ legs
+# (BenchmarkDeltaLegs: Δ of 1, 64 and 4,096 rows, read through the entity
+# index vs. the hash-join form) at 100K and 300K synthetic TΠ rows, with
 # allocations; building the factor graph of the scale 0.25 constrained
 # grounding and one Gibbs sweep of each sampler over it; inference by
 # connected component on the scale 0.5 graph (BenchmarkComponents: the

@@ -41,6 +41,7 @@ func corpusKB() *probkb.KB {
 var (
 	durations = regexp.MustCompile(`\b(\d+h)?(\d+m)?\d+(\.\d+)?(ns|µs|ms|s)\b`)
 	floats    = regexp.MustCompile(`\d+\.\d+`)
+	padFloats = regexp.MustCompile(` +<f>`)
 	numbers   = regexp.MustCompile(`\d+(\.\d+)?([KMG]i)?B?`)
 	quantiles = regexp.MustCompile(`\b(p\d+) \S+`)
 	spaces    = regexp.MustCompile(` {2,}`)
@@ -54,10 +55,12 @@ var (
 	plain = func(s string) string {
 		return durations.ReplaceAllString(timings.ReplaceAllString(s, ", <elapsed> (<rate> facts/sec)"), "<dur>")
 	}
-	// A report's time columns become <f>, which leaves the top-operators
-	// table ordered by nothing: sort its rows.
+	// A report's time columns become <f>, padding included (a share's
+	// width depends on its digits), which leaves the top-operators table
+	// ordered by nothing: sort its rows.
 	report = func(s string) string {
 		s = floats.ReplaceAllString(startTime.ReplaceAllString(s, "start=<time>"), "<f>")
+		s = padFloats.ReplaceAllString(s, " <f>")
 		return operators.ReplaceAllStringFunc(s, func(m string) string {
 			p := operators.FindStringSubmatch(m)
 			rows := strings.Split(p[2], "\n")

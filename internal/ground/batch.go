@@ -2,6 +2,7 @@ package ground
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"probkb/internal/engine"
@@ -53,6 +54,10 @@ type backend interface {
 	// rows and deleted st.Deleted; feeds reports whether any plan will
 	// read TΠ again.
 	factsChanged(st IterStats, feeds bool) error
+	// indexed reports whether the backend runs semi-naive legs that read
+	// TΠ through its entity index (the single-node engine) rather than
+	// the hash-join plans it lowers onto a cluster (MPP).
+	indexed() bool
 }
 
 // singleNode runs the plans as built, on the tables they scan.
@@ -82,6 +87,8 @@ func (b singleNode) run(phase string, plan engine.Node, capture bool) (*engine.T
 
 func (singleNode) factsChanged(IterStats, bool) error { return nil }
 
+func (singleNode) indexed() bool { return true }
+
 // groundFrom runs the closure loop and factor phase over an existing
 // facts table. deltaMin >= 0 seeds the first iteration's semi-naive
 // delta at that fact-ID watermark (the incremental-expansion path); -1
@@ -110,6 +117,14 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		res.AtomTime = time.Since(atomStart)
 		return res, err
 	}
+	// tix is TΠ's entity index, when the backend's semi-naive legs read
+	// it: built at the first iteration with a delta, kept up with TΠ
+	// after, dropped on return.
+	var tix *tpiIndex
+	useIndex := be.indexed() && slices.ContainsFunc(active, func(p int) bool {
+		_, body := mln.Shape(p)
+		return len(body) == 2
+	})
 	// Semi-naive bookkeeping: deltaMin is the fact-ID watermark below
 	// which every derivation has already been attempted; -1 forces a
 	// full (naive) join.
@@ -128,6 +143,9 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 			// Semi-naive delta; an explicit seed (incremental expansion)
 			// applies on the first iteration even under naive evaluation.
 			delta = deltaRows(tpi, deltaMin)
+			if useIndex {
+				tix = tix.sync(tpi)
+			}
 		}
 		// IDs handed out from here on belong to this iteration's merge:
 		// they form the next iteration's delta.
@@ -137,7 +155,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		// of TΠ, then merge (Algorithm 1 lines 3-5).
 		candidates := make([]*engine.Table, 0, len(active))
 		for _, p := range active {
-			for _, plan := range g.atomsPlans(p, tpi, delta) {
+			for _, plan := range g.atomsPlans(p, tpi, delta, tix) {
 				planStart := time.Now()
 				out, prof, err := be.run("atoms", plan, g.opts.Journal != nil)
 				if err != nil {
@@ -297,13 +315,26 @@ func deltaRows(t *engine.Table, minID int32) *engine.Table {
 // (Δ for one-atom bodies; Δ⋈T and T⋈Δ for two-atom bodies, whose union
 // covers every derivation using at least one new fact — Δ⋈Δ pairs appear
 // in both and dedup in the merge).
-func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table) []engine.Node {
+//
+// The two-atom legs have two physical forms. As hash joins (atomsPlan)
+// each hashes or scans all of TΠ, which is what the MPP backend lowers.
+// Given TΠ's entity index (tix), both start from Δ and read TΠ rows
+// through the index by z, costing in proportion to the delta; each emits
+// its candidates in exactly the hash-join form's order, so the merge
+// assigns the same fact IDs either way.
+func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table, tix *tpiIndex) []engine.Node {
 	_, body := mln.Shape(p)
 	if delta == nil {
 		return []engine.Node{g.atomsPlan(p, tpi, tpi)}
 	}
 	if len(body) == 1 {
 		return []engine.Node{g.atomsPlan(p, delta, delta)}
+	}
+	if tix != nil {
+		return []engine.Node{
+			g.deltaFirstPlan(p, delta, tix),
+			g.deltaSecondPlan(p, delta, tix),
+		}
 	}
 	return []engine.Node{
 		g.atomsPlan(p, delta, tpi),
@@ -337,9 +368,26 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 			m.Name()+".R2 = T.R AND classes")
 	}
 
+	// J2: join the second body atom, matching z.
 	b1 := body[1]
-	// J1 output: R1, R3, CX, CY, CZ, xv (value of x from the first body
-	// fact), zv (value of z).
+	j2BuildKeys := []int{1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2], 6}
+	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
+	return engine.NewHashJoin(g.firstAtomJoin(p, t2src), engine.NewScan(t3src), j2BuildKeys, j2ProbeKeys,
+		secondAtomOuts(b1), m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
+}
+
+// j1VarCol is the column holding each variable's class in J1's output
+// — firstAtomJoin's, factorsPlan's — and in deltaSecondPlan's Mi ⋈ Δ.
+var j1VarCol = map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
+
+// firstAtomJoin is J1 of a two-atom partition p: Mi ⋈ T on the first
+// body atom's relation and classes, T being t2src. Output: R1, R3, CX,
+// CY, CZ, xv (value of x from the first body fact), zv (value of z).
+func (g *BatchGrounder) firstAtomJoin(p int, t2src *engine.Table) engine.Node {
+	m := g.parts.Table(p)
+	lay := layoutOf(p)
+	_, body := mln.Shape(p)
+	b0 := body[0]
 	j1Outs := []engine.JoinOut{
 		engine.BuildCol("R1", lay.r1),
 		engine.BuildCol("R3", lay.r3),
@@ -349,22 +397,73 @@ func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node
 		engine.ProbeCol("xv", tCol(b0, mln.X)),
 		engine.ProbeCol("zv", tCol(b0, mln.Z)),
 	}
-	j1 := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src), j1Keys, tKeys, j1Outs,
+	return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src),
+		[]int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, j1Outs,
 		m.Name()+".R2 = T2.R AND classes")
+}
 
-	// J2: join the second body atom, matching z.
-	varCol := map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
-	j2BuildKeys := []int{1, varCol[b1.Arg1], varCol[b1.Arg2], 6}
-	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
-	j2Outs := []engine.JoinOut{
+// secondAtomOuts is the candidate (R, x, C1, y, C2) of J1 ⋈ T on the
+// second body atom b1, with J1 the build (outer) side.
+func secondAtomOuts(b1 mln.Atom) []engine.JoinOut {
+	return []engine.JoinOut{
 		engine.BuildCol("R", 0),
 		engine.BuildCol("x", 5),
 		engine.BuildCol("C1", 2),
 		engine.ProbeCol("y", tCol(b1, mln.Y)),
 		engine.BuildCol("C2", 3),
 	}
-	return engine.NewHashJoin(j1, engine.NewScan(t3src), j2BuildKeys, j2ProbeKeys, j2Outs,
-		m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
+}
+
+// deltaFirstPlan is the Δ⋈T leg read through the entity index: J1 over Δ
+// stays a small hash join, and each J1 row reads the TΠ rows holding its
+// z in the second atom's z column. The index join emits the hash join
+// J1 ⋈ Scan(TΠ)'s pairs in its order — (TΠ row, J1 row).
+func (g *BatchGrounder) deltaFirstPlan(p int, delta *engine.Table, tix *tpiIndex) engine.Node {
+	m := g.parts.Table(p)
+	_, body := mln.Shape(p)
+	b1 := body[1]
+	z := tCol(b1, mln.Z)
+	return engine.NewIndexJoin(g.firstAtomJoin(p, delta), tix.on(z),
+		[]int{6, 1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2]}, []int{z, kb.TPiR, kb.TPiC1, kb.TPiC2}, -1,
+		secondAtomOuts(b1), m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
+}
+
+// deltaSecondPlan is the T⋈Δ leg started from the delta: K1 = Mi ⋈ Δ on
+// the second body atom, then each K1 row reads the TΠ rows holding its z
+// in the first atom's z column. The hash-join form emits, per Δ row, its
+// matches in (TΠ row, Mi row) order; the index join groups its output by
+// the Δ row's fact ID to do the same — (Δ row, TΠ row, Mi row).
+func (g *BatchGrounder) deltaSecondPlan(p int, delta *engine.Table, tix *tpiIndex) engine.Node {
+	m := g.parts.Table(p)
+	lay := layoutOf(p)
+	_, body := mln.Shape(p)
+	b0, b1 := body[0], body[1]
+	// K1 output: R1, R2, CX, CY, CZ, zv, yv (values of z and y from the
+	// Δ row), I3 (its fact ID).
+	k1Outs := []engine.JoinOut{
+		engine.BuildCol("R1", lay.r1),
+		engine.BuildCol("R2", lay.r2),
+		engine.BuildCol("CX", lay.class[mln.X]),
+		engine.BuildCol("CY", lay.class[mln.Y]),
+		engine.BuildCol("CZ", lay.class[mln.Z]),
+		engine.ProbeCol("zv", tCol(b1, mln.Z)),
+		engine.ProbeCol("yv", tCol(b1, mln.Y)),
+		engine.ProbeCol("I3", kb.TPiI),
+	}
+	k1 := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(delta),
+		[]int{lay.r3, lay.class[b1.Arg1], lay.class[b1.Arg2]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, k1Outs,
+		m.Name()+".R3 = T3.R AND classes")
+	z := tCol(b0, mln.Z)
+	outs := []engine.JoinOut{
+		engine.BuildCol("R", 0),
+		engine.ProbeCol("x", tCol(b0, mln.X)),
+		engine.BuildCol("C1", 2),
+		engine.BuildCol("y", 6),
+		engine.BuildCol("C2", 3),
+	}
+	return engine.NewIndexJoin(k1, tix.on(z),
+		[]int{5, 1, j1VarCol[b0.Arg1], j1VarCol[b0.Arg2]}, []int{z, kb.TPiR, kb.TPiC1, kb.TPiC2}, 7,
+		outs, m.Name()+".R2 = T2.R AND classes AND T2.z = T3.z")
 }
 
 // factorsPlan builds Query 2-p: the join emitting ground factors
@@ -427,8 +526,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 	j1 := engine.NewHashJoin(engine.NewScan(m), scanT(), j1Keys, tKeys, j1Outs,
 		m.Name()+".R2 = T2.R AND classes")
 
-	varCol := map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
-	j2BuildKeys := []int{1, varCol[b1.Arg1], varCol[b1.Arg2], 6}
+	j2BuildKeys := []int{1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2], 6}
 	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
 	// J2 output: R1, CX, CY, xv, yv, I2, I3, w.
 	j2Outs := []engine.JoinOut{

@@ -275,6 +275,57 @@ func (ix *factIndex) rebuild() {
 	ix.set = engine.NewRowSet(ix.tpi, tpiKeyCols)
 }
 
+// tpiIndex is TΠ's entity index for one grounding run: per entity, the
+// rows holding it in the subject column and in the object column. The
+// single-node backend's semi-naive legs read a delta row's TΠ partners
+// through it (DESIGN.md §5). groundFrom builds it at the first iteration
+// that has a delta and drops it when it returns; nothing else holds it.
+type tpiIndex struct {
+	byX, byY *engine.EntityIndex
+	// lastID is the fact ID of the last indexed row.
+	lastID int32
+}
+
+func newTPiIndex(tpi *engine.Table) *tpiIndex {
+	ix := &tpiIndex{byX: engine.NewEntityIndex(tpi, kb.TPiX), byY: engine.NewEntityIndex(tpi, kb.TPiY)}
+	ix.noteLast(tpi)
+	return ix
+}
+
+func (ix *tpiIndex) noteLast(tpi *engine.Table) {
+	if ids := tpi.Int32Col(kb.TPiI); len(ids) > 0 {
+		ix.lastID = ids[len(ids)-1]
+	}
+}
+
+// sync brings ix up to tpi and returns it; a nil ix builds the index.
+// Appended rows extend it. A deletion among the indexed rows — the
+// constraint hook's, which shifts every row after it — rebuilds it: fact
+// IDs grow strictly with the row index and are never reused (see
+// Options.Observer), so an unchanged ID at the last indexed row proves
+// every indexed row still in place.
+func (ix *tpiIndex) sync(tpi *engine.Table) *tpiIndex {
+	if ix == nil {
+		return newTPiIndex(tpi)
+	}
+	n, ids := ix.byX.Len(), tpi.Int32Col(kb.TPiI)
+	if n > len(ids) || (n > 0 && ids[n-1] != ix.lastID) {
+		return newTPiIndex(tpi)
+	}
+	ix.byX.Extend()
+	ix.byY.Extend()
+	ix.noteLast(tpi)
+	return ix
+}
+
+// on returns the index over TΠ value column col (kb.TPiX or kb.TPiY).
+func (ix *tpiIndex) on(col int) *engine.EntityIndex {
+	if col == kb.TPiX {
+		return ix.byX
+	}
+	return ix.byY
+}
+
 // ---------------------------------------------------------------------------
 // Join-shape derivation
 //

@@ -861,7 +861,7 @@ func TestLoweredGroundingPlansMatchSingleNode(t *testing.T) {
 					"atoms":   func() engine.Node { return g.batch.atomsPlan(p, g.tpi, g.tpi) },
 					"factors": func() engine.Node { return g.batch.factorsPlan(p, g.tpi) },
 				}
-				for i, plan := range g.batch.atomsPlans(p, g.tpi, delta) {
+				for i, plan := range g.batch.atomsPlans(p, g.tpi, delta, nil) {
 					plan := plan
 					plans[fmt.Sprintf("atoms-delta-%d", i)] = func() engine.Node { return plan }
 				}

@@ -7,12 +7,14 @@ import (
 
 	"probkb/internal/engine"
 	"probkb/internal/kb"
+	"probkb/internal/mln"
 )
 
 // Kernel benchmarks for the fact index (ROADMAP item 1b), beside the
 // engine's own in internal/engine/kernel_bench_test.go: merge is what
 // every grounding iteration does with its candidate facts, rebuild what it
-// does after every constraint pass that deleted something.
+// does after every constraint pass that deleted something. DeltaLegs is
+// one semi-naive iteration's two-atom legs.
 
 // syntheticCandidates builds n (R, x, C1, y, C2) rows over n/4 entities;
 // seed picks the rows, so two seeds overlap in almost nothing.
@@ -67,4 +69,75 @@ func BenchmarkFactIndexRebuild(b *testing.B) {
 			ix.rebuild()
 		}
 	})
+}
+
+// deltaLegsFixture is the n-candidate synthetic TΠ and a P4 partition of
+// 2,000 rules drawn from chains its facts form — a q(x, z) fact and an
+// r(z, y) one sharing z — so a delta row meets a rule about as often as
+// it does in a real corpus.
+func deltaLegsFixture(b *testing.B, n int) (*BatchGrounder, *engine.Table) {
+	ix := newFactIndex(engine.NewTable("T", kb.FactsSchema()))
+	ix.merge(syntheticCandidates(n, 1))
+	tpi := ix.tpi
+	rels, xs, ys := tpi.Int32Col(kb.TPiR), tpi.Int32Col(kb.TPiX), tpi.Int32Col(kb.TPiY)
+	c1s, c2s := tpi.Int32Col(kb.TPiC1), tpi.Int32Col(kb.TPiC2)
+	bySubject := make(map[int32][]int, len(xs))
+	for r, x := range xs {
+		bySubject[x] = append(bySubject[x], r)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var clauses []mln.Clause
+	for len(clauses) < 2000 {
+		q := rng.Intn(len(xs))
+		next := bySubject[ys[q]]
+		if len(next) == 0 {
+			continue
+		}
+		r := next[rng.Intn(len(next))]
+		clauses = append(clauses, mln.Clause{
+			Head:   mln.Atom{Rel: rng.Int31n(200), Arg1: mln.X, Arg2: mln.Y},
+			Body:   []mln.Atom{{Rel: rels[q], Arg1: mln.X, Arg2: mln.Z}, {Rel: rels[r], Arg1: mln.Z, Arg2: mln.Y}},
+			Weight: 1,
+			Class:  [3]int32{mln.X: c1s[q], mln.Y: c2s[r], mln.Z: c2s[q]},
+		})
+	}
+	parts, err := mln.Build(clauses)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &BatchGrounder{parts: parts}, tpi
+}
+
+// BenchmarkDeltaLegs runs one semi-naive iteration of a two-atom
+// partition — its Δ⋈T and T⋈Δ legs, deduplicated as the single-node
+// backend runs them — with Δ the last 1, 64 or 4,096 rows of a 100K- or
+// 300K-row TΠ. legs=index reads TΠ through the run's entity index, built
+// once outside the loop as groundFrom builds it once per run; legs=hash
+// is the hash-join form the MPP backend lowers, which hashes or scans all
+// of TΠ. The index legs' time follows Δ; the hash legs' follows TΠ.
+func BenchmarkDeltaLegs(b *testing.B) {
+	for _, n := range []int{100_000, 300_000} {
+		g, tpi := deltaLegsFixture(b, n)
+		tix := newTPiIndex(tpi)
+		ids := tpi.Int32Col(kb.TPiI)
+		for _, d := range []int{1, 64, 4096} {
+			delta := deltaRows(tpi, ids[len(ids)-d])
+			for _, legs := range []string{"index", "hash"} {
+				ix := tix
+				if legs == "hash" {
+					ix = nil
+				}
+				b.Run(fmt.Sprintf("%dK/delta=%d/legs=%s", n/1000, d, legs), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for _, plan := range g.atomsPlans(mln.P4, tpi, delta, ix) {
+							if _, _, err := (singleNode{}).run("atoms", plan, false); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }

@@ -69,9 +69,10 @@ type LocalGrounder struct {
 	// so per-query relation sets are dense slices of its length.
 	byRel [][]int
 	// base holds the evidence rows (TΠ-shaped, weights included);
-	// byEntity maps an entity to the base rows mentioning it.
+	// byEntity lists, per entity, the base rows mentioning it as subject
+	// or object, ascending, each once.
 	base     *engine.Table
-	byEntity map[int32][]int32
+	byEntity *engine.EntityIndex
 	opts     Options
 }
 
@@ -83,7 +84,7 @@ func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGround
 	lg := &LocalGrounder{
 		clauses:  rules,
 		base:     base,
-		byEntity: make(map[int32][]int32),
+		byEntity: engine.NewEntityIndex(base, kb.TPiX, kb.TPiY),
 		opts:     opts,
 	}
 	nrels := int32(0)
@@ -106,14 +107,6 @@ func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGround
 		add(c.Head.Rel)
 		for _, b := range c.Body {
 			add(b.Rel)
-		}
-	}
-	xs := base.Int32Col(kb.TPiX)
-	ys := base.Int32Col(kb.TPiY)
-	for r := 0; r < base.NumRows(); r++ {
-		lg.byEntity[xs[r]] = append(lg.byEntity[xs[r]], int32(r))
-		if ys[r] != xs[r] {
-			lg.byEntity[ys[r]] = append(lg.byEntity[ys[r]], int32(r))
 		}
 	}
 	return lg
@@ -183,7 +176,7 @@ func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels []bool) []int32
 	visited := map[int32]bool{x: true, y: true}
 	// A row is met once from each of its entities inside the ball; the
 	// duplicates go after sorting.
-	var rows []int32
+	var rows, partners []int32
 	frontier := []int32{x, y}
 	if y == x {
 		frontier = frontier[:1]
@@ -191,7 +184,8 @@ func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels []bool) []int32
 	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
 		var next []int32
 		for _, e := range frontier {
-			for _, r := range lg.byEntity[e] {
+			partners = lg.byEntity.Lookup(e, partners[:0])
+			for _, r := range partners {
 				if !rels[relCol[r]] {
 					continue
 				}

@@ -190,6 +190,9 @@ func (g *MPPGrounder) factsChanged(st IterStats, feeds bool) error {
 	return nil
 }
 
+// indexed is false: the cluster runs the hash-join plans as lowered.
+func (g *MPPGrounder) indexed() bool { return false }
+
 // lower places a grounding plan on the cluster: views on, TΠ probes scan
 // the view keyed like the join (no motion); views off, the planner
 // inserts the motion.

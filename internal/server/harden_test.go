@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"probkb"
 )
@@ -42,7 +44,7 @@ func TestFactsStreamCheckpointRace(t *testing.T) {
 			_ = s.store.WALRecords() + s.store.SnapshotBytes()
 		}
 	}()
-	checkpoints := 0
+	var checkpoints atomic.Int32
 	go func() { // an operator checkpointing mid-stream
 		defer wg.Done()
 		for {
@@ -62,7 +64,7 @@ func TestFactsStreamCheckpointRace(t *testing.T) {
 				t.Errorf("POST /admin/snapshot = %d", resp.StatusCode)
 				return
 			}
-			checkpoints++
+			checkpoints.Add(1)
 		}
 	}()
 
@@ -73,13 +75,23 @@ func TestFactsStreamCheckpointRace(t *testing.T) {
 		if a := c.ack(); a.Batch != i+1 {
 			t.Fatalf("ack %d has batch %d", i+1, a.Batch)
 		}
+		if i+1 == batches/2 {
+			// Hold the stream open until a checkpoint has landed beside it:
+			// a stream that outruns every snapshot would race nothing.
+			deadline := time.Now().Add(30 * time.Second)
+			for checkpoints.Load() == 0 {
+				if time.Now().After(deadline) {
+					close(stop)
+					wg.Wait()
+					t.Fatal("no checkpoint completed beside the stream")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 	c.close()
 	close(stop)
 	wg.Wait()
-	if checkpoints == 0 {
-		t.Fatal("no checkpoint completed beside the stream")
-	}
 
 	// 1 base + 24 streamed born_in facts, each with its live_in.
 	if got := s.store.Facts(); got != 2*(1+2*batches) {
