@@ -1,6 +1,7 @@
 package probkb
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -14,17 +15,23 @@ import (
 // included, in row order) and TΦ (in row order) after Expand on the
 // scale-0.05 corpus (seed 42, what kbgen writes by default), constrained
 // and not, and after a 4-batch ExtendWith stream on top of each. The
+// deferred keys pin the streaming-ingest path under inference: Expand,
+// four ExtendWithDeferred batches, then RefreshMarginals, so the weight
+// column carries marginals and TΦ's singleton weights carry them too. The
 // unconstrained run's candidate order decides its fact IDs: a semi-naive
 // leg emitting its rows in another order fails it. The fingerprints were recorded before the
-// semi-naive Δ legs moved onto the entity index; a change to grounding's
+// semi-naive Δ legs moved onto the entity index, the deferred ones before
+// the factor phase was maintained from the Δ; a change to grounding's
 // physical plans must leave every one of them as it is. A change that
 // means to alter the output (a new rule semantics, a different merge
 // order) updates them and says why.
 var groundingFingerprints = map[string]string{
-	"constrained/expand":   "81079efd584fed88/972eff8b94e310f4",
-	"constrained/extend":   "20e813984f096753/e3bf261839d04908",
-	"unconstrained/expand": "5b462643e67fc6e8/8eab2436df18d0f6",
-	"unconstrained/extend": "cee3d08bace5a9c5/0ce2c416d2b8c520",
+	"constrained/expand":     "81079efd584fed88/972eff8b94e310f4",
+	"constrained/extend":     "20e813984f096753/e3bf261839d04908",
+	"unconstrained/expand":   "5b462643e67fc6e8/8eab2436df18d0f6",
+	"unconstrained/extend":   "cee3d08bace5a9c5/0ce2c416d2b8c520",
+	"constrained/deferred":   "fae92abd27442e09/076fa5b6737975a4",
+	"unconstrained/deferred": "583d5a1fc86294a5/a0faaeadd34b5afa",
 }
 
 // tableFingerprint hashes every column of t in row order: Int32 values
@@ -136,6 +143,21 @@ func TestGroundingFingerprints(t *testing.T) {
 				}
 			}
 			got[name+"/extend"] = expansionFingerprint(e)
+
+			cfg.RunInference = true
+			e, err = k.Expand(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				if e, err = e.ExtendWithDeferred(context.Background(), b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e, err = e.RefreshMarginals(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			got[name+"/deferred"] = expansionFingerprint(e)
 			for key, fp := range got {
 				if want := groundingFingerprints[key]; fp != want {
 					t.Errorf("%s: fingerprint %s, want %s", key, fp, want)

@@ -67,14 +67,18 @@ func NewRowSet(t *Table, cols []int) *RowSet {
 
 // Contains reports whether a row with the same key as row r of table o
 // (keyed on ocols) is already present.
-func (s *RowSet) Contains(o *Table, r int, ocols []int) bool {
+func (s *RowSet) Contains(o *Table, r int, ocols []int) bool { return s.Find(o, r, ocols) >= 0 }
+
+// Find returns the set's row with the same key as row r of table o
+// (keyed on ocols), or -1 when there is none.
+func (s *RowSet) Find(o *Table, r int, ocols []int) int {
 	h := HashRow(o, r, ocols)
 	for c := s.ix.first(h); c >= 0; c = s.ix.after(h, c) {
 		if rowsEqualOn(s.t, int(c), s.cols, o, r, ocols) {
-			return true
+			return int(c)
 		}
 	}
-	return false
+	return -1
 }
 
 // ContainsKey is Contains for a key given by value, one value per key

@@ -140,6 +140,12 @@ type Result struct {
 	LoadTime   time.Duration
 	AtomTime   time.Duration
 	FactorTime time.Duration
+
+	// tphi is the last TΦ computed along this result's lineage on the
+	// single-node backend — Factors itself, or, after SkipFactors, the one
+	// the run continued from — which Extend maintains rather than
+	// recomputes (deltafactors.go).
+	tphi *factorState
 }
 
 // InferredFacts returns how many facts grounding added.
