@@ -60,12 +60,18 @@ func (f Factor) Satisfied(assign []bool) bool {
 // (possibly sparse, after constraint deletions) fact IDs of TΠ. Factors
 // are indices 0..NumFactors-1 in TΦ row order.
 type Graph struct {
-	// ids[v] is variable v's fact ID. byID lists the variables in
-	// increasing fact-ID order; it stays nil in the common case of ids
-	// already ascending (the grounder's append-only guarantee), where
-	// VarOf searches ids itself.
-	ids  []int32
-	byID []int32
+	// ids[v] is variable v's fact ID. VarOf reads one of two indexes
+	// over them. When the IDs span at most twice as many values as there
+	// are variables — a whole TΠ, whose gaps are the facts constraint
+	// passes deleted — dense[id-base] is the variable with that ID, -1
+	// for none. Otherwise — a local graph over a few sparse global IDs —
+	// VarOf binary-searches: byID lists the variables in increasing
+	// fact-ID order, and stays nil when ids are already ascending (the
+	// grounder's append-only guarantee), ids being searched themselves.
+	ids   []int32
+	dense []int32
+	base  int32
+	byID  []int32
 	// bias[v] is the sum of v's unit-clause weights: its whole
 	// conditional log-odds when no clause touches it.
 	bias []float64
@@ -161,9 +167,26 @@ func (g *Graph) addFactor(head, b1, b2 int32, w float64) {
 	}
 }
 
-// indexIDs checks the fact IDs for duplicates and, when they are not
-// already ascending, builds the sorted view VarOf searches.
+// indexIDs checks the fact IDs for duplicates and builds the index VarOf
+// reads (see Graph.ids).
 func (g *Graph) indexIDs() error {
+	if len(g.ids) == 0 {
+		return nil
+	}
+	lo, hi := slices.Min(g.ids), slices.Max(g.ids)
+	if span := int64(hi) - int64(lo) + 1; span <= 2*int64(len(g.ids)) {
+		g.base, g.dense = lo, make([]int32, span)
+		for i := range g.dense {
+			g.dense[i] = -1
+		}
+		for v, id := range g.ids {
+			if g.dense[id-lo] >= 0 {
+				return fmt.Errorf("factor: duplicate fact ID %d", id)
+			}
+			g.dense[id-lo] = int32(v)
+		}
+		return nil
+	}
 	ascending := true
 	for v := 1; v < len(g.ids); v++ {
 		if g.ids[v] <= g.ids[v-1] {
@@ -279,6 +302,13 @@ func (g *Graph) labelComponents() {
 
 // VarOf translates a fact ID to its graph variable index.
 func (g *Graph) VarOf(factID int32) (int32, bool) {
+	if g.dense != nil {
+		i := int64(factID) - int64(g.base)
+		if i < 0 || i >= int64(len(g.dense)) || g.dense[i] < 0 {
+			return 0, false
+		}
+		return g.dense[i], true
+	}
 	if g.byID == nil {
 		v, ok := slices.BinarySearch(g.ids, factID)
 		return int32(v), ok
