@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // engine's own in internal/engine/kernel_bench_test.go: merge is what
 // every grounding iteration does with its candidate facts, rebuild what it
 // does after every constraint pass that deleted something. DeltaLegs is
-// one semi-naive iteration's two-atom legs.
+// one semi-naive iteration's two-atom legs, FactorsDelta one factor phase
+// maintained from the Δ beside Query 2 over all of TΠ.
 
 // syntheticCandidates builds n (R, x, C1, y, C2) rows over n/4 entities;
 // seed picks the rows, so two seeds overlap in almost nothing.
@@ -138,6 +140,45 @@ func BenchmarkDeltaLegs(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkFactorsDelta is one factor phase of deltaLegsFixture's
+// partition over a 100K- or 300K-row TΠ. phase=full is Query 2 over all
+// of TΠ, what a run with no prior TΦ states. delta=64 and delta=4096
+// maintain the TΦ computed before the last 64 or 4,096 rows arrived
+// (deltafactors.go), reading TΠ through its entity index, built outside
+// the loop as groundFrom keeps it up across a run. The maintained phase's
+// joins follow Δ; what is left of TΠ's size is the merge's copy of the
+// prior rows.
+func BenchmarkFactorsDelta(b *testing.B) {
+	ctx := context.Background()
+	active := []int{mln.P4}
+	for _, n := range []int{100_000, 300_000} {
+		g, tpi := deltaLegsFixture(b, n)
+		ix, tix := newFactIndex(tpi), newTPiIndex(tpi)
+		phase := func(b *testing.B, prior *factorState) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := g.factorPhase(ctx, singleNode{}, active, tpi, ix, tix, &Result{tphi: prior}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("%dK/phase=full", n/1000), func(b *testing.B) { phase(b, nil) })
+		for _, d := range []int{64, 4096} {
+			rows := make([]int32, tpi.NumRows()-d)
+			for r := range rows {
+				rows[r] = int32(r)
+			}
+			old := engine.NewTable("T", kb.FactsSchema())
+			old.AppendRowsFrom(tpi, rows)
+			prior := &Result{}
+			if err := g.factorPhase(ctx, singleNode{}, active, old, newFactIndex(old), nil, prior); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%dK/delta=%d", n/1000, d), func(b *testing.B) { phase(b, prior.tphi) })
 		}
 	}
 }
