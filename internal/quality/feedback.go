@@ -15,7 +15,10 @@ import (
 // (§6.2.3). This file implements that future-work idea: run a bounded
 // expansion, attribute every constraint violation to the rules that
 // could have derived the violating facts in one step, and penalize those
-// rules' statistical-significance scores before thresholding.
+// rules' statistical-significance scores before thresholding. It is a
+// recorded experiment (probkb-bench -exp feedback, EXPERIMENTS.md), not a
+// pipeline stage: KB.Expand cleans rules with CleanRules and never calls
+// CleanRulesWithConstraints.
 
 // RuleFeedback is one rule's violation attribution.
 type RuleFeedback struct {
