@@ -96,9 +96,11 @@ func (singleNode) indexed() bool { return true }
 // starts naive.
 //
 // The delta is tracked by fact ID, not row offset: IDs are assigned
-// monotonically by the fact index and never reused, so constraint-hook
-// deletions — which shift rows but leave surviving IDs intact — cannot
-// corrupt the watermark. A deleted fact simply drops out of the next
+// monotonically by the fact index and never reused within a run, so
+// constraint-hook deletions — which shift rows but leave surviving IDs
+// intact — cannot corrupt the watermark. (Across runs they can be: an
+// Extend hands out again the top IDs a constraint pass freed, see
+// factorState.continueAt.) A deleted fact simply drops out of the next
 // delta, and a re-derived one re-enters it under a fresh ID. The same
 // ordering gives the fixpoint test: the loop ends with the first
 // iteration after which TΠ's last row predates the iteration.
@@ -118,14 +120,12 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		res.AtomTime = time.Since(atomStart)
 		return res, err
 	}
-	// tix is TΠ's entity index, when the backend's semi-naive legs read
-	// it: built at the first iteration with a delta, kept up with TΠ
-	// after, dropped on return.
-	var tix *tpiIndex
-	useIndex := be.indexed() && slices.ContainsFunc(active, func(p int) bool {
-		_, body := mln.Shape(p)
-		return len(body) == 2
-	})
+	// tix is the run's index when the backend's semi-naive legs read TΠ
+	// through it.
+	var tix *factIndex
+	if be.indexed() {
+		tix = ix
+	}
 	// Semi-naive bookkeeping: deltaMin is the fact-ID watermark below
 	// which every derivation has already been attempted; -1 forces a
 	// full (naive) join.
@@ -144,9 +144,6 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 			// Semi-naive delta; an explicit seed (incremental expansion)
 			// applies on the first iteration even under naive evaluation.
 			delta = deltaRows(tpi, deltaMin)
-			if useIndex {
-				tix = tix.sync(tpi)
-			}
 		}
 		// IDs handed out from here on belong to this iteration's merge:
 		// they form the next iteration's delta.
@@ -238,10 +235,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		// that grounds factors to maintain.
 		return res, nil
 	}
-	if useIndex && res.tphi != nil {
-		tix = tix.sync(tpi)
-	}
-	return res, g.factorPhase(ctx, be, active, tpi, ix, tix, res)
+	return res, g.factorPhase(ctx, be, active, tpi, ix, res)
 }
 
 // factorPhase is Algorithm 1's groundFactors (lines 8-10): it sets
@@ -249,10 +243,10 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 // in turn, then one unit clause per observed fact — and res.tphi to what
 // a later run continues from. A run continuing from a TΦ the single-node
 // backend computed (res.tphi on entry) maintains it from the facts added
-// since (deltafactors.go), reading TΠ through tix; a run with none states
+// since (deltafactors.go), reading TΠ through ix; a run with none states
 // Query 2 over all of TΠ.
 func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, active []int, tpi *engine.Table,
-	ix *factIndex, tix *tpiIndex, res *Result) error {
+	ix *factIndex, res *Result) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "ground.factors")
 	defer span.End()
@@ -262,7 +256,7 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, active []in
 		err  error
 	)
 	if prior := res.tphi; prior != nil {
-		err = g.maintainFactors(ctx, be, active, prior, tpi, ix, tix, &cols, &end, res)
+		err = g.maintainFactors(ctx, be, active, prior, tpi, ix, &cols, &end, res)
 	} else {
 		err = g.groundFactors(ctx, be, active, tpi, &cols, &end, res)
 	}
@@ -376,15 +370,16 @@ func deltaRows(t *engine.Table, minID int32) *engine.Table {
 // one full join under naive evaluation; under semi-naive, the Δ-joins
 // (Δ for one-atom bodies; Δ⋈T and T⋈Δ for two-atom bodies, whose union
 // covers every derivation using at least one new fact — Δ⋈Δ pairs appear
-// in both and dedup in the merge).
+// in both and dedup in the merge). The maintained factor phase runs the
+// same Δ legs as its body legs (deltafactors.go).
 //
 // The two-atom legs have two physical forms. As hash joins (atomsPlan)
 // each hashes or scans all of TΠ, which is what the MPP backend lowers.
-// Given TΠ's entity index (tix), both start from Δ and read TΠ rows
-// through the index by z, costing in proportion to the delta; each emits
-// its candidates in exactly the hash-join form's order, so the merge
-// assigns the same fact IDs either way.
-func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table, tix *tpiIndex) []engine.Node {
+// Given the run's index (tix), both start from Δ and read TΠ rows through
+// its entity index by z, costing in proportion to the delta; each emits
+// its rows in exactly the hash-join form's order, so the merge assigns
+// the same fact IDs either way.
+func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table, tix *factIndex) []engine.Node {
 	_, body := mln.Shape(p)
 	if delta == nil {
 		return []engine.Node{g.atomsPlan(p, tpi, tpi)}
@@ -404,68 +399,69 @@ func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table, tix *tpiInde
 	}
 }
 
-// atomsPlan builds Query 1-p: the join computing new ground atoms from
-// partition p, with the first body atom probing t2src and the second
-// t3src (both the full table under naive evaluation). The result is a
-// bag: candidates deduplicate in the backend or the merge.
+// atomsPlan builds Query 1-p: the body join of partition p, with the
+// first body atom probing t2src and the second t3src (both the full table
+// under naive evaluation), emitting (R, x, C1, y, C2, I2[, I3], w) per
+// grounding of a clause body. The result is a bag: candidates
+// deduplicate in the backend or the merge.
 func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node {
+	_, body := mln.Shape(p)
+	j1 := g.firstAtomJoin(p, t2src)
+	if len(body) == 1 {
+		return j1
+	}
+	// J2: join the second body atom, matching z.
+	b1 := body[1]
+	return engine.NewHashJoin(j1, engine.NewScan(t3src),
+		[]int{1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2], 6}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)},
+		secondAtomOuts(b1), g.parts.Table(p).Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
+}
+
+// j1VarCol is the column holding each variable's class in a two-atom
+// J1's output and in the Mi ⋈ Δ joins of deltaSecondPlan and headLeg.
+var j1VarCol = map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
+
+// firstAtomJoin is J1: Mi ⋈ T on partition p's first body atom's
+// relation and classes, T being src. For a one-atom body it is the whole
+// body join: R, x, C1, y, C2, I2, w. For a two-atom body it emits R1, R3,
+// CX, CY, CZ, xv (value of x from the first body fact), zv (value of z),
+// I2 (its fact ID), w.
+func (g *BatchGrounder) firstAtomJoin(p int, src *engine.Table) engine.Node {
 	m := g.parts.Table(p)
 	lay := layoutOf(p)
 	_, body := mln.Shape(p)
 	b0 := body[0]
-
-	// J1: Mi ⋈ T on the first body atom's relation and classes.
-	j1Keys := []int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}
-	tKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2}
-
+	var outs []engine.JoinOut
 	if len(body) == 1 {
-		outs := []engine.JoinOut{
+		outs = []engine.JoinOut{
 			engine.BuildCol("R", lay.r1),
 			engine.ProbeCol("x", tCol(b0, mln.X)),
 			engine.BuildCol("C1", lay.class[mln.X]),
 			engine.ProbeCol("y", tCol(b0, mln.Y)),
 			engine.BuildCol("C2", lay.class[mln.Y]),
+			engine.ProbeCol("I2", kb.TPiI),
+			engine.BuildCol("w", lay.w),
 		}
-		return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src), j1Keys, tKeys, outs,
-			m.Name()+".R2 = T.R AND classes")
+	} else {
+		outs = []engine.JoinOut{
+			engine.BuildCol("R1", lay.r1),
+			engine.BuildCol("R3", lay.r3),
+			engine.BuildCol("CX", lay.class[mln.X]),
+			engine.BuildCol("CY", lay.class[mln.Y]),
+			engine.BuildCol("CZ", lay.class[mln.Z]),
+			engine.ProbeCol("xv", tCol(b0, mln.X)),
+			engine.ProbeCol("zv", tCol(b0, mln.Z)),
+			engine.ProbeCol("I2", kb.TPiI),
+			engine.BuildCol("w", lay.w),
+		}
 	}
-
-	// J2: join the second body atom, matching z.
-	b1 := body[1]
-	j2BuildKeys := []int{1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2], 6}
-	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
-	return engine.NewHashJoin(g.firstAtomJoin(p, t2src), engine.NewScan(t3src), j2BuildKeys, j2ProbeKeys,
-		secondAtomOuts(b1), m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
-}
-
-// j1VarCol is the column holding each variable's class in J1's output
-// — firstAtomJoin's, factorsPlan's — and in deltaSecondPlan's Mi ⋈ Δ.
-var j1VarCol = map[mln.Var]int{mln.X: 2, mln.Y: 3, mln.Z: 4}
-
-// firstAtomJoin is J1 of a two-atom partition p: Mi ⋈ T on the first
-// body atom's relation and classes, T being t2src. Output: R1, R3, CX,
-// CY, CZ, xv (value of x from the first body fact), zv (value of z).
-func (g *BatchGrounder) firstAtomJoin(p int, t2src *engine.Table) engine.Node {
-	m := g.parts.Table(p)
-	lay := layoutOf(p)
-	_, body := mln.Shape(p)
-	b0 := body[0]
-	j1Outs := []engine.JoinOut{
-		engine.BuildCol("R1", lay.r1),
-		engine.BuildCol("R3", lay.r3),
-		engine.BuildCol("CX", lay.class[mln.X]),
-		engine.BuildCol("CY", lay.class[mln.Y]),
-		engine.BuildCol("CZ", lay.class[mln.Z]),
-		engine.ProbeCol("xv", tCol(b0, mln.X)),
-		engine.ProbeCol("zv", tCol(b0, mln.Z)),
-	}
-	return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(t2src),
-		[]int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, j1Outs,
+	return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(src),
+		[]int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, outs,
 		m.Name()+".R2 = T2.R AND classes")
 }
 
-// secondAtomOuts is the candidate (R, x, C1, y, C2) of J1 ⋈ T on the
-// second body atom b1, with J1 the build (outer) side.
+// secondAtomOuts is the output (R, x, C1, y, C2, I2, I3, w) of J1 ⋈ T on
+// the second body atom b1, with J1 the build (outer) side.
 func secondAtomOuts(b1 mln.Atom) []engine.JoinOut {
 	return []engine.JoinOut{
 		engine.BuildCol("R", 0),
@@ -473,6 +469,9 @@ func secondAtomOuts(b1 mln.Atom) []engine.JoinOut {
 		engine.BuildCol("C1", 2),
 		engine.ProbeCol("y", tCol(b1, mln.Y)),
 		engine.BuildCol("C2", 3),
+		engine.BuildCol("I2", 7),
+		engine.ProbeCol("I3", kb.TPiI),
+		engine.BuildCol("w", 8),
 	}
 }
 
@@ -480,7 +479,7 @@ func secondAtomOuts(b1 mln.Atom) []engine.JoinOut {
 // stays a small hash join, and each J1 row reads the TΠ rows holding its
 // z in the second atom's z column. The index join emits the hash join
 // J1 ⋈ Scan(TΠ)'s pairs in its order — (TΠ row, J1 row).
-func (g *BatchGrounder) deltaFirstPlan(p int, delta *engine.Table, tix *tpiIndex) engine.Node {
+func (g *BatchGrounder) deltaFirstPlan(p int, delta *engine.Table, tix *factIndex) engine.Node {
 	m := g.parts.Table(p)
 	_, body := mln.Shape(p)
 	b1 := body[1]
@@ -495,13 +494,13 @@ func (g *BatchGrounder) deltaFirstPlan(p int, delta *engine.Table, tix *tpiIndex
 // in the first atom's z column. The hash-join form emits, per Δ row, its
 // matches in (TΠ row, Mi row) order; the index join groups its output by
 // the Δ row's fact ID to do the same — (Δ row, TΠ row, Mi row).
-func (g *BatchGrounder) deltaSecondPlan(p int, delta *engine.Table, tix *tpiIndex) engine.Node {
+func (g *BatchGrounder) deltaSecondPlan(p int, delta *engine.Table, tix *factIndex) engine.Node {
 	m := g.parts.Table(p)
 	lay := layoutOf(p)
 	_, body := mln.Shape(p)
 	b0, b1 := body[0], body[1]
 	// K1 output: R1, R2, CX, CY, CZ, zv, yv (values of z and y from the
-	// Δ row), I3 (its fact ID).
+	// Δ row), I3 (its fact ID), w.
 	k1Outs := []engine.JoinOut{
 		engine.BuildCol("R1", lay.r1),
 		engine.BuildCol("R2", lay.r2),
@@ -511,6 +510,7 @@ func (g *BatchGrounder) deltaSecondPlan(p int, delta *engine.Table, tix *tpiInde
 		engine.ProbeCol("zv", tCol(b1, mln.Z)),
 		engine.ProbeCol("yv", tCol(b1, mln.Y)),
 		engine.ProbeCol("I3", kb.TPiI),
+		engine.BuildCol("w", lay.w),
 	}
 	k1 := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(delta),
 		[]int{lay.r3, lay.class[b1.Arg1], lay.class[b1.Arg2]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, k1Outs,
@@ -522,106 +522,38 @@ func (g *BatchGrounder) deltaSecondPlan(p int, delta *engine.Table, tix *tpiInde
 		engine.BuildCol("C1", 2),
 		engine.BuildCol("y", 6),
 		engine.BuildCol("C2", 3),
+		engine.ProbeCol("I2", kb.TPiI),
+		engine.BuildCol("I3", 7),
+		engine.BuildCol("w", 8),
 	}
 	return engine.NewIndexJoin(k1, tix.on(z),
 		[]int{5, 1, j1VarCol[b0.Arg1], j1VarCol[b0.Arg2]}, []int{z, kb.TPiR, kb.TPiC1, kb.TPiC2}, 7,
 		outs, m.Name()+".R2 = T2.R AND classes AND T2.z = T3.z")
 }
 
-// factorsPlan builds Query 2-p: the join emitting ground factors
-// (I1, I2, I3, w) for partition p. It mirrors atomsPlan but carries fact
-// IDs and the rule weight, and additionally joins the rule head to
-// resolve I1.
+// factorsPlan builds Query 2-p: Query 1-p's body join over all of TΠ,
+// joined to the head to resolve each clause's I1. The head join is keyed
+// in TΠ's order (R, C1, C2, x, y), the key of the MPP backend's head
+// view. It emits (I1, I2, I3, w), I3 NULL for a one-atom body.
 func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
-	m := g.parts.Table(p)
-	lay := layoutOf(p)
 	_, body := mln.Shape(p)
-	b0 := body[0]
-
-	scanT := func() engine.Node { return engine.NewScan(tpi) }
-	j1Keys := []int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}
-	tKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2}
-	headKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX, kb.TPiY}
-
-	if len(body) == 1 {
-		// J1 output: R1, CX, CY, xv, yv, I2, w.
-		j1Outs := []engine.JoinOut{
-			engine.BuildCol("R1", lay.r1),
-			engine.BuildCol("CX", lay.class[mln.X]),
-			engine.BuildCol("CY", lay.class[mln.Y]),
-			engine.ProbeCol("xv", tCol(b0, mln.X)),
-			engine.ProbeCol("yv", tCol(b0, mln.Y)),
-			engine.ProbeCol("I2", kb.TPiI),
-			engine.BuildCol("w", lay.w),
-		}
-		j1 := engine.NewHashJoin(engine.NewScan(m), scanT(), j1Keys, tKeys, j1Outs,
-			m.Name()+".R2 = T2.R AND classes")
-		// Head join resolves I1.
-		j2Outs := []engine.JoinOut{
-			engine.ProbeCol("I1", kb.TPiI),
-			engine.BuildCol("I2", 5),
-			engine.BuildCol("w", 6),
-		}
-		j2 := engine.NewHashJoin(j1, scanT(), []int{0, 1, 2, 3, 4}, headKeys, j2Outs,
-			m.Name()+".R1 = T1.R AND head classes AND head args")
-		return engine.NewProject(j2,
-			engine.ColExpr("I1", 0),
-			engine.ColExpr("I2", 1),
-			engine.ConstI32Expr("I3", engine.NullInt32),
-			engine.ColExpr("w", 2),
-		)
+	outs := []engine.JoinOut{engine.ProbeCol("I1", kb.TPiI), engine.BuildCol("I2", 5)}
+	if len(body) == 2 {
+		outs = append(outs, engine.BuildCol("I3", 6))
 	}
-
-	b1 := body[1]
-	j1 := g.factorsFirstJoin(p, tpi)
-	j2BuildKeys := []int{1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2], 6}
-	j2ProbeKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2, tCol(b1, mln.Z)}
-	// J2 output: R1, CX, CY, xv, yv, I2, I3, w.
-	j2Outs := []engine.JoinOut{
-		engine.BuildCol("R1", 0),
-		engine.BuildCol("CX", 2),
-		engine.BuildCol("CY", 3),
-		engine.BuildCol("xv", 5),
-		engine.ProbeCol("yv", tCol(b1, mln.Y)),
-		engine.BuildCol("I2", 7),
-		engine.ProbeCol("I3", kb.TPiI),
-		engine.BuildCol("w", 8),
+	outs = append(outs, engine.BuildCol("w", 5+len(body)))
+	head := engine.NewHashJoin(g.atomsPlan(p, tpi, tpi), engine.NewScan(tpi),
+		[]int{0, 2, 4, 1, 3}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX, kb.TPiY}, outs,
+		g.parts.Table(p).Name()+".R1 = T1.R AND head classes AND head args")
+	if len(body) == 2 {
+		return head
 	}
-	j2 := engine.NewHashJoin(j1, scanT(), j2BuildKeys, j2ProbeKeys, j2Outs,
-		m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
-
-	j3Outs := []engine.JoinOut{
-		engine.ProbeCol("I1", kb.TPiI),
-		engine.BuildCol("I2", 5),
-		engine.BuildCol("I3", 6),
-		engine.BuildCol("w", 7),
-	}
-	return engine.NewHashJoin(j2, scanT(), []int{0, 1, 2, 3, 4}, headKeys, j3Outs,
-		m.Name()+".R1 = T1.R AND head classes AND head args")
-}
-
-// factorsFirstJoin is J1 of Query 2-p for a two-atom partition p: Mi ⋈
-// T on the first body atom's relation and classes, T being src. Output:
-// R1, R3, CX, CY, CZ, xv, zv, I2, w.
-func (g *BatchGrounder) factorsFirstJoin(p int, src *engine.Table) engine.Node {
-	m := g.parts.Table(p)
-	lay := layoutOf(p)
-	_, body := mln.Shape(p)
-	b0 := body[0]
-	j1Outs := []engine.JoinOut{
-		engine.BuildCol("R1", lay.r1),
-		engine.BuildCol("R3", lay.r3),
-		engine.BuildCol("CX", lay.class[mln.X]),
-		engine.BuildCol("CY", lay.class[mln.Y]),
-		engine.BuildCol("CZ", lay.class[mln.Z]),
-		engine.ProbeCol("xv", tCol(b0, mln.X)),
-		engine.ProbeCol("zv", tCol(b0, mln.Z)),
-		engine.ProbeCol("I2", kb.TPiI),
-		engine.BuildCol("w", lay.w),
-	}
-	return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(src),
-		[]int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, j1Outs,
-		m.Name()+".R2 = T2.R AND classes")
+	return engine.NewProject(head,
+		engine.ColExpr("I1", 0),
+		engine.ColExpr("I2", 1),
+		engine.ConstI32Expr("I3", engine.NullInt32),
+		engine.ColExpr("w", 2),
+	)
 }
 
 // factorCols accumulates TΦ column by column: the factor phase copies
@@ -718,12 +650,9 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 	deltaMin := ix.next
 	res.tphi = prev.tphi.continueAt(deltaMin)
 	for _, f := range newFacts {
-		if ix.set.ContainsKey(f.Rel, f.X, f.XClass, f.Y, f.YClass) {
-			continue
+		if !ix.set.ContainsKey(f.Rel, f.X, f.XClass, f.Y, f.YClass) {
+			ix.add(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
 		}
-		tpi.AppendRow(ix.next, f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
-		ix.next++
-		ix.set.NoteAppended()
 	}
 	res.BaseFacts = tpi.NumRows()
 

@@ -14,10 +14,11 @@ import (
 // Query 2 maintained from the delta (DESIGN.md §5). A run that continues
 // from a prior TΦ does not recompute it: a ground clause whose facts all
 // predate the prior TΦ's watermark is already in it, so only the clauses
-// naming a newer fact are grounded, through the same entity index the
-// semi-naive legs read, and merged into the prior rows in the order
-// Query 2's hash joins would have emitted them. TΦ comes out row for row
-// what factorsPlan computes over the final TΠ.
+// naming a newer fact are grounded — by the closure's own semi-naive legs,
+// whose rows carry the body fact IDs and weight, and one factor-only leg
+// for heads — and merged into the prior rows in the order Query 2's hash
+// joins would have emitted them. TΦ comes out row for row what
+// factorsPlan computes over the final TΠ.
 
 // factorState is a computed TΦ as a later run continues from it.
 type factorState struct {
@@ -89,12 +90,14 @@ type factorLeg struct {
 // naming a fact with an ID at or above the prior watermark W — Δ, the
 // rows of tpi that arrived since — in one of three disjoint ways:
 //
-//   - Δ⋈T_all: the first body fact is in Δ;
+//   - Δ⋈T_all: the first body fact is in Δ (the first Δ leg of
+//     atomsPlans);
 //   - T_old⋈Δ: the first body fact predates W and the second is in Δ, so
-//     a pair within Δ is grounded once;
+//     a pair within Δ is grounded once (its second Δ leg);
 //   - the head is in Δ and every body fact predates W: a fact derivable
 //     from old facts that TΠ did not hold at W (a constraint pass had
-//     removed it, or the prior closure was cut short) arriving again.
+//     removed it, or the prior closure was cut short) arriving again
+//     (headLeg).
 //
 // Every other clause has all of its facts below W and was in the prior
 // TΦ. A prior clause stays unless it names a fact TΠ has lost since, or
@@ -105,7 +108,7 @@ type factorLeg struct {
 // one of its facts is at or above W and none of theirs is, so merging
 // the sorted new clauses into the prior rows reproduces that order.
 func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, active []int, prior *factorState,
-	tpi *engine.Table, ix *factIndex, tix *tpiIndex, cols *factorCols, end *[mln.NumPartitions + 1]int, res *Result) error {
+	tpi *engine.Table, ix *factIndex, cols *factorCols, end *[mln.NumPartitions + 1]int, res *Result) error {
 	w := prior.watermark
 	delta := deltaRows(tpi, w)
 	var fresh [mln.NumPartitions + 1][]clause
@@ -117,7 +120,12 @@ func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, active 
 				return err
 			}
 			_, body := mln.Shape(p)
-			for _, leg := range g.deltaFactorLegs(p, delta, tix) {
+			var legs []factorLeg
+			for old, plan := range g.atomsPlans(p, tpi, delta, ix) {
+				legs = append(legs, factorLeg{plan: plan, head: true, old: old})
+			}
+			legs = append(legs, factorLeg{plan: g.headLeg(p, delta, ix), old: 2})
+			for _, leg := range legs {
 				out, err := g.runFactors(be, p, leg.plan, res)
 				if err != nil {
 					return err
@@ -233,35 +241,24 @@ func (c *factorCols) merge(prev *engine.Table, lo, hi int, live func(int32) bool
 	}
 }
 
-// deltaFactorLegs returns partition p's factor legs over delta (see
-// maintainFactors), the two-atom ones reading TΠ through tix.
-func (g *BatchGrounder) deltaFactorLegs(p int, delta *engine.Table, tix *tpiIndex) []factorLeg {
+// headLeg is partition p's factor-only leg: its clauses whose head is in
+// delta while every body fact predates the watermark. Its rows name the
+// last body fact by identity and carry I1[, I2] and w (see factorLeg).
+func (g *BatchGrounder) headLeg(p int, delta *engine.Table, ix *factIndex) engine.Node {
 	m := g.parts.Table(p)
 	lay := layoutOf(p)
 	head, body := mln.Shape(p)
 	b0 := body[0]
-	tKeys := []int{kb.TPiR, kb.TPiC1, kb.TPiC2}
-	headKeys := []int{lay.r1, lay.class[mln.X], lay.class[mln.Y]}
 	// byHead is Mi ⋈ Δ on the head: Δ rows as the heads of clauses.
 	byHead := func(outs ...engine.JoinOut) engine.Node {
-		return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(delta), headKeys, tKeys, outs,
+		return engine.NewHashJoin(engine.NewScan(m), engine.NewScan(delta),
+			[]int{lay.r1, lay.class[mln.X], lay.class[mln.Y]}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2}, outs,
 			m.Name()+".R1 = Δ.R AND head classes")
 	}
 
 	if len(body) == 1 {
-		first := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(delta),
-			[]int{lay.r2, lay.class[b0.Arg1], lay.class[b0.Arg2]}, tKeys,
-			[]engine.JoinOut{
-				engine.BuildCol("R", lay.r1),
-				engine.ProbeCol("x", tCol(b0, mln.X)),
-				engine.BuildCol("C1", lay.class[mln.X]),
-				engine.ProbeCol("y", tCol(b0, mln.Y)),
-				engine.BuildCol("C2", lay.class[mln.Y]),
-				engine.ProbeCol("I2", kb.TPiI),
-				engine.BuildCol("w", lay.w),
-			}, m.Name()+".R2 = Δ.R AND classes")
 		// The body fact of a Δ head is the head's own arguments.
-		headSide := byHead(
+		return byHead(
 			engine.BuildCol("R", lay.r2),
 			engine.ProbeCol("x", tCol(head, b0.Arg1)),
 			engine.BuildCol("C1", lay.class[b0.Arg1]),
@@ -270,67 +267,20 @@ func (g *BatchGrounder) deltaFactorLegs(p int, delta *engine.Table, tix *tpiInde
 			engine.ProbeCol("I1", kb.TPiI),
 			engine.BuildCol("w", lay.w),
 		)
-		return []factorLeg{{plan: first, head: true}, {plan: headSide, old: 2}}
 	}
 
+	// H1 = Mi ⋈ Δ on the head (R2, R3, CX, CY, CZ, xv, yv, I1, w), each row
+	// reading the TΠ rows holding its x in the first atom's x column. That
+	// fixes z, and with it the second body fact.
 	b1 := body[1]
-	// Δ⋈T_all: J1 over Δ, each row reading the TΠ rows holding its z in
-	// the second atom's z column.
-	z1 := tCol(b1, mln.Z)
-	first := engine.NewIndexJoin(g.factorsFirstJoin(p, delta), tix.on(z1),
-		[]int{6, 1, j1VarCol[b1.Arg1], j1VarCol[b1.Arg2]}, []int{z1, kb.TPiR, kb.TPiC1, kb.TPiC2}, -1,
-		[]engine.JoinOut{
-			engine.BuildCol("R", 0),
-			engine.BuildCol("x", 5),
-			engine.BuildCol("C1", 2),
-			engine.ProbeCol("y", tCol(b1, mln.Y)),
-			engine.BuildCol("C2", 3),
-			engine.BuildCol("I2", 7),
-			engine.ProbeCol("I3", kb.TPiI),
-			engine.BuildCol("w", 8),
-		}, m.Name()+".R3 = T3.R AND classes AND T2.z = T3.z")
-
-	// T⋈Δ: K1 = Mi ⋈ Δ on the second atom (R1, R2, CX, CY, CZ, zv, yv,
-	// I3, w), each row reading the TΠ rows holding its z in the first
-	// atom's z column.
-	k1 := engine.NewHashJoin(engine.NewScan(m), engine.NewScan(delta),
-		[]int{lay.r3, lay.class[b1.Arg1], lay.class[b1.Arg2]}, tKeys,
-		[]engine.JoinOut{
-			engine.BuildCol("R1", lay.r1),
-			engine.BuildCol("R2", lay.r2),
-			engine.BuildCol("CX", lay.class[mln.X]),
-			engine.BuildCol("CY", lay.class[mln.Y]),
-			engine.BuildCol("CZ", lay.class[mln.Z]),
-			engine.ProbeCol("zv", z1),
-			engine.ProbeCol("yv", tCol(b1, mln.Y)),
-			engine.ProbeCol("I3", kb.TPiI),
-			engine.BuildCol("w", lay.w),
-		}, m.Name()+".R3 = Δ.R AND classes")
-	z0 := tCol(b0, mln.Z)
-	second := engine.NewIndexJoin(k1, tix.on(z0),
-		[]int{5, 1, j1VarCol[b0.Arg1], j1VarCol[b0.Arg2]}, []int{z0, kb.TPiR, kb.TPiC1, kb.TPiC2}, 7,
-		[]engine.JoinOut{
-			engine.BuildCol("R", 0),
-			engine.ProbeCol("x", tCol(b0, mln.X)),
-			engine.BuildCol("C1", 2),
-			engine.BuildCol("y", 6),
-			engine.BuildCol("C2", 3),
-			engine.ProbeCol("I2", kb.TPiI),
-			engine.BuildCol("I3", 7),
-			engine.BuildCol("w", 8),
-		}, m.Name()+".R2 = T2.R AND classes AND T2.z = T3.z")
-
-	// Δ heads: H1 = Mi ⋈ Δ on the head (R2, R3, CX, CY, CZ, xv, yv, I1,
-	// w), each row reading the TΠ rows holding its x in the first atom's
-	// x column. That fixes z, and with it the second body fact.
-	x0 := tCol(b0, mln.X)
+	x0, z0 := tCol(b0, mln.X), tCol(b0, mln.Z)
 	arg := func(name string, v mln.Var) engine.JoinOut {
 		if v == mln.Z {
 			return engine.ProbeCol(name, z0)
 		}
 		return engine.BuildCol(name, 6)
 	}
-	headSide := engine.NewIndexJoin(byHead(
+	return engine.NewIndexJoin(byHead(
 		engine.BuildCol("R2", lay.r2),
 		engine.BuildCol("R3", lay.r3),
 		engine.BuildCol("CX", lay.class[mln.X]),
@@ -340,7 +290,7 @@ func (g *BatchGrounder) deltaFactorLegs(p int, delta *engine.Table, tix *tpiInde
 		engine.ProbeCol("yv", kb.TPiY),
 		engine.ProbeCol("I1", kb.TPiI),
 		engine.BuildCol("w", lay.w),
-	), tix.on(x0),
+	), ix.on(x0),
 		[]int{5, 0, j1VarCol[b0.Arg1], j1VarCol[b0.Arg2]}, []int{x0, kb.TPiR, kb.TPiC1, kb.TPiC2}, -1,
 		[]engine.JoinOut{
 			engine.BuildCol("R", 1),
@@ -352,5 +302,4 @@ func (g *BatchGrounder) deltaFactorLegs(p int, delta *engine.Table, tix *tpiInde
 			engine.ProbeCol("I2", kb.TPiI),
 			engine.BuildCol("w", 8),
 		}, m.Name()+".R2 = T2.R AND classes AND T1.x = T2.x")
-	return []factorLeg{{plan: first, head: true}, {plan: second, head: true, old: 1}, {plan: headSide, old: 2}}
 }

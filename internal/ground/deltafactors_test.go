@@ -19,12 +19,15 @@ import (
 // builds must be the table Query 2 states over the run's whole TΠ — row
 // for row, not merely as a multiset: the factor graph's adjacency, and
 // with it every floating-point sum inference makes, follows TΦ's order.
+// Query 2 shares its body joins with the maintained legs, so a fault in
+// them would show in both; TΦ is also held, as a multiset, to Tuffy-T's
+// per-rule factor queries, which share none of that code.
 
 // factorStream continues one grounding through ground.Extend rounds the
 // way ExtendWith, ExtendWithDeferred and RefreshMarginals do — each round
 // from the last one's result and, under constraints, a copy of its
 // checker — and holds the TΦ of every round that grounds factors to
-// Query 2 recomputed over that round's TΠ.
+// Query 2 recomputed over that round's TΠ, and to Tuffy-T's TΦ over it.
 type factorStream struct {
 	t       *testing.T
 	name    string
@@ -121,6 +124,12 @@ func (s *factorStream) round(batch []kb.Fact, opts ground.Options) {
 		s.t.Fatalf("%s, round %d: maintained TΦ (%d rows) differs from Query 2 over its TΠ (%d rows) from row %d",
 			s.name, s.checked, res.Factors.NumRows(), want.NumRows(), r)
 	}
+	// Query 2 and the maintained legs share their body joins; Tuffy-T's
+	// per-rule queries do not.
+	if n := multisetDiff(res.Factors, ground.TuffyFactors(s.t, s.k, res.Facts)); n > 0 {
+		s.t.Fatalf("%s, round %d: maintained TΦ and Tuffy-T's per-rule TΦ over its TΠ differ in %d rows",
+			s.name, s.checked, n)
+	}
 	i1s, i2s, i3s := res.Factors.Int32Col(ground.TPhiI1), res.Factors.Int32Col(ground.TPhiI2), res.Factors.Int32Col(ground.TPhiI3)
 	for r := range i1s {
 		if i2s[r] != engine.NullInt32 && i1s[r] >= w && i2s[r] < w && i3s[r] < w {
@@ -151,6 +160,31 @@ func firstDiff(a, b *engine.Table) int {
 		}
 	}
 	return first
+}
+
+// multisetDiff counts the rows of a and b (schema ground.FactorSchema)
+// that the other lacks, each row counted as often as it occurs, weights
+// compared by their bits.
+func multisetDiff(a, b *engine.Table) int {
+	type row struct {
+		i1, i2, i3 int32
+		w          uint64
+	}
+	count := map[row]int{}
+	tally := func(t *engine.Table, d int) {
+		i1s, i2s, i3s := t.Int32Col(ground.TPhiI1), t.Int32Col(ground.TPhiI2), t.Int32Col(ground.TPhiI3)
+		ws := t.Float64Col(ground.TPhiW)
+		for r := range i1s {
+			count[row{i1s[r], i2s[r], i3s[r], math.Float64bits(ws[r])}] += d
+		}
+	}
+	tally(a, 1)
+	tally(b, -1)
+	n := 0
+	for _, c := range count {
+		n += max(c, -c)
+	}
+	return n
 }
 
 // rows lists t's facts.

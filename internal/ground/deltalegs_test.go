@@ -13,7 +13,7 @@ import (
 
 // legsOutput runs partition p's semi-naive plans and renders their raw
 // candidate bags, in order.
-func legsOutput(t *testing.T, g *BatchGrounder, p int, tpi, delta *engine.Table, tix *tpiIndex) []string {
+func legsOutput(t *testing.T, g *BatchGrounder, p int, tpi, delta *engine.Table, tix *factIndex) []string {
 	t.Helper()
 	var out []string
 	for _, plan := range g.atomsPlans(p, tpi, delta, tix) {
@@ -27,10 +27,11 @@ func legsOutput(t *testing.T, g *BatchGrounder, p int, tpi, delta *engine.Table,
 }
 
 // TestIndexedDeltaLegsMatchHashJoins: on random KBs, both two-atom Δ legs
-// read through TΠ's entity index emit the hash-join legs' candidates row
-// for row — the order the merge hands out fact IDs in. The index is
-// checked freshly built, extended over appended rows, and rebuilt after
-// a deletion shifted them.
+// read through TΠ's entity index emit the hash-join legs' rows row for
+// row — candidates in the order the merge hands out fact IDs in, with the
+// body fact IDs and weight the maintained factor phase reads. The index
+// is checked freshly built, extended over rows appended as Extend
+// appends them, and rebuilt after a deletion shifted them.
 func TestIndexedDeltaLegsMatchHashJoins(t *testing.T) {
 	compared := 0
 	for seed := int64(0); seed < 20; seed++ {
@@ -47,7 +48,7 @@ func TestIndexedDeltaLegsMatchHashJoins(t *testing.T) {
 		half := int32(all.NumRows() / 2)
 		tpi := engine.NewTable("T", kb.FactsSchema())
 		tpi.AppendRowsFrom(all, rowRange(0, int(half)))
-		tix := newTPiIndex(tpi)
+		tix := newFactIndex(tpi)
 
 		check := func(stage string, delta *engine.Table) {
 			for _, p := range g.parts.NonEmpty() {
@@ -66,8 +67,12 @@ func TestIndexedDeltaLegsMatchHashJoins(t *testing.T) {
 		}
 		check("built", deltaRows(tpi, half/2))
 
-		tpi.AppendRowsFrom(all, rowRange(int(half), all.NumRows()))
-		if next := tix.sync(tpi); next != tix {
+		built := tix.on(kb.TPiX)
+		for r := int(half); r < all.NumRows(); r++ {
+			f := kb.FactAtRow(all, r)
+			tix.add(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
+		}
+		if tix.on(kb.TPiX) != built {
 			t.Fatalf("seed %d: appending rebuilt the index", seed)
 		}
 		check("extended", deltaRows(tpi, half))
@@ -76,10 +81,9 @@ func TestIndexedDeltaLegsMatchHashJoins(t *testing.T) {
 		if tpi.DeleteWhere(func(r int) bool { return ids[r]%3 == 1 }) == 0 {
 			continue
 		}
-		if next := tix.sync(tpi); next == tix {
+		tix.rebuild()
+		if tix.on(kb.TPiX) == built {
 			t.Fatalf("seed %d: a deletion left the index in place", seed)
-		} else {
-			tix = next
 		}
 		check("rebuilt", deltaRows(tpi, half/2))
 	}

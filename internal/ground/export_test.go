@@ -53,3 +53,21 @@ func RecomputeFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
 	}
 	return factors
 }
+
+// TuffyFactors is the oracle a maintained TΦ is held to that shares no
+// plan builder with it: Tuffy-T's per-rule factor queries
+// (ruleFactorsPlan) over tpi, then the unit clauses. Its rows come in
+// rule order, so it agrees with TΦ as a multiset only.
+func TuffyFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
+	t.Helper()
+	g, err := NewTuffy(k, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.load(tpi)
+	factors, err := g.groundFactors(&Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return factors
+}

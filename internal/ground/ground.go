@@ -228,12 +228,23 @@ func emitIteration(w *journal.Writer, st IterStats) {
 	})
 }
 
-// factIndex tracks the distinct facts of a TΠ table by their identity key
-// (R, x, C1, y, C2) and hands out the next fact ID.
+// factIndex is a grounding run's index over its TΠ table: the distinct
+// facts by their identity key (R, x, C1, y, C2), the next fact ID to hand
+// out, and — on the single-node backend, whose semi-naive legs and
+// maintained factor legs read TΠ through it (DESIGN.md §5) — per entity,
+// the rows holding it in the subject column and in the object column.
+// The index lives as long as the run; nothing else holds it.
 type factIndex struct {
 	set  *engine.RowSet
 	tpi  *engine.Table
 	next int32
+	// byX and byY are the entity index, built by the first read (on) and
+	// nil until then: MPP and Tuffy-T never read it. TΠ changes in two
+	// ways (see Options.Observer), and the index follows both: a read
+	// extends it over the rows appended since the last one — the merge's
+	// and Extend's — and a deletion (rebuild) drops it for the next read
+	// to build again.
+	byX, byY *engine.EntityIndex
 }
 
 // tpiKeyCols are the identity columns of TΠ.
@@ -250,13 +261,13 @@ func newFactIndex(tpi *engine.Table) *factIndex {
 	return &factIndex{set: engine.NewRowSet(tpi, tpiKeyCols), tpi: tpi, next: next}
 }
 
-// candidateKeyCols are the identity columns of a groundAtoms result
-// (schema R, x, C1, y, C2).
+// candidateKeyCols are the identity columns of a groundAtoms result, the
+// first five of every body join's output (R, x, C1, y, C2, ...).
 var candidateKeyCols = []int{0, 1, 2, 3, 4}
 
-// merge appends the rows of candidates (schema (R, x, C1, y, C2)) that
-// are not yet in TΠ, assigning fresh IDs and NULL weights; it returns the
-// number of new facts.
+// merge appends the facts of candidates (a body join's output; only its
+// identity columns are read) that are not yet in TΠ, assigning fresh IDs
+// and NULL weights; it returns the number of new facts.
 func (ix *factIndex) merge(candidates *engine.Table) int {
 	added := 0
 	r32 := candidates.Int32Col(0)
@@ -268,64 +279,33 @@ func (ix *factIndex) merge(candidates *engine.Table) int {
 		if ix.set.Contains(candidates, r, candidateKeyCols) {
 			continue
 		}
-		ix.tpi.AppendRow(ix.next, r32[r], x32[r], c132[r], y32[r], c232[r], engine.NullFloat64())
-		ix.next++
-		ix.set.NoteAppended()
+		ix.add(r32[r], x32[r], c132[r], y32[r], c232[r], engine.NullFloat64())
 		added++
 	}
 	return added
 }
 
+// add appends a fact TΠ does not hold under the next fact ID.
+func (ix *factIndex) add(r, x, c1, y, c2 int32, w float64) {
+	ix.tpi.AppendRow(ix.next, r, x, c1, y, c2, w)
+	ix.next++
+	ix.set.NoteAppended()
+}
+
 // rebuild re-indexes TΠ after in-place deletions.
 func (ix *factIndex) rebuild() {
 	ix.set = engine.NewRowSet(ix.tpi, tpiKeyCols)
+	ix.byX, ix.byY = nil, nil
 }
 
-// tpiIndex is TΠ's entity index for one grounding run: per entity, the
-// rows holding it in the subject column and in the object column. The
-// single-node backend's semi-naive legs read a delta row's TΠ partners
-// through it (DESIGN.md §5). groundFrom builds it at the first iteration
-// that has a delta and drops it when it returns; nothing else holds it.
-type tpiIndex struct {
-	byX, byY *engine.EntityIndex
-	// lastID is the fact ID of the last indexed row.
-	lastID int32
-}
-
-func newTPiIndex(tpi *engine.Table) *tpiIndex {
-	ix := &tpiIndex{byX: engine.NewEntityIndex(tpi, kb.TPiX), byY: engine.NewEntityIndex(tpi, kb.TPiY)}
-	ix.noteLast(tpi)
-	return ix
-}
-
-func (ix *tpiIndex) noteLast(tpi *engine.Table) {
-	if ids := tpi.Int32Col(kb.TPiI); len(ids) > 0 {
-		ix.lastID = ids[len(ids)-1]
-	}
-}
-
-// sync brings ix up to tpi and returns it; a nil ix builds the index.
-// Appended rows extend it. A deletion among the indexed rows — the
-// constraint hook's, which shifts every row after it — rebuilds it: fact
-// IDs grow strictly with the row index and are never reused (see
-// Options.Observer), so an unchanged ID at the last indexed row proves
-// every indexed row still in place.
-func (ix *tpiIndex) sync(tpi *engine.Table) *tpiIndex {
-	if ix == nil {
-		return newTPiIndex(tpi)
-	}
-	n, ids := ix.byX.Len(), tpi.Int32Col(kb.TPiI)
-	if n > len(ids) || (n > 0 && ids[n-1] != ix.lastID) {
-		return newTPiIndex(tpi)
+// on returns the entity index over TΠ value column col (kb.TPiX or
+// kb.TPiY), covering every row TΠ holds.
+func (ix *factIndex) on(col int) *engine.EntityIndex {
+	if ix.byX == nil {
+		ix.byX, ix.byY = engine.NewEntityIndex(ix.tpi, kb.TPiX), engine.NewEntityIndex(ix.tpi, kb.TPiY)
 	}
 	ix.byX.Extend()
 	ix.byY.Extend()
-	ix.noteLast(tpi)
-	return ix
-}
-
-// on returns the index over TΠ value column col (kb.TPiX or kb.TPiY).
-func (ix *tpiIndex) on(col int) *engine.EntityIndex {
 	if col == kb.TPiX {
 		return ix.byX
 	}
@@ -335,9 +315,13 @@ func (ix *tpiIndex) on(col int) *engine.EntityIndex {
 // ---------------------------------------------------------------------------
 // Join-shape derivation
 //
-// Everything below derives the grounding joins from the canonical shape
-// of each partition, so Queries 1-i and 2-i for all six partitions come
-// out of one generator.
+// The grounding joins derive from the canonical shape of each partition
+// — the layout below, the plan builders in batch.go — so Queries 1-i and
+// 2-i for all six partitions come out of one generator. Every body join
+// emits a clause's candidate head (R, x, C1, y, C2) with its body fact
+// IDs and rule weight (I2[, I3], w): the closure merges the candidates by
+// identity and reads nothing else, and Query 2 joins them to the head to
+// resolve I1.
 
 // mCols describes the column layout of an MLN partition table.
 type mCols struct {
@@ -354,10 +338,6 @@ func layoutOf(p int) mCols {
 	return mCols{r1: 0, r2: 1, r3: 2, w: 6, class: [3]int{3, 4, 5}}
 }
 
-// atomSide tells where an atom's variables sit in a TΠ row: the variable
-// in the subject position (T.x) and in the object position (T.y).
-func atomSide(a mln.Atom) (subj, obj mln.Var) { return a.Arg1, a.Arg2 }
-
 // tCol returns the TΠ value column holding variable v of atom a, given
 // that the row matched atom a.
 func tCol(a mln.Atom, v mln.Var) int {
@@ -369,6 +349,3 @@ func tCol(a mln.Atom, v mln.Var) int {
 	}
 	panic(fmt.Sprintf("ground: atom %v does not mention %v", a, v))
 }
-
-// hasVar reports whether atom a mentions v.
-func hasVar(a mln.Atom, v mln.Var) bool { return a.Arg1 == v || a.Arg2 == v }

@@ -120,7 +120,8 @@ func deltaLegsFixture(b *testing.B, n int) (*BatchGrounder, *engine.Table) {
 func BenchmarkDeltaLegs(b *testing.B) {
 	for _, n := range []int{100_000, 300_000} {
 		g, tpi := deltaLegsFixture(b, n)
-		tix := newTPiIndex(tpi)
+		tix := newFactIndex(tpi)
+		tix.on(kb.TPiX)
 		ids := tpi.Int32Col(kb.TPiI)
 		for _, d := range []int{1, 64, 4096} {
 			delta := deltaRows(tpi, ids[len(ids)-d])
@@ -157,11 +158,12 @@ func BenchmarkFactorsDelta(b *testing.B) {
 	active := []int{mln.P4}
 	for _, n := range []int{100_000, 300_000} {
 		g, tpi := deltaLegsFixture(b, n)
-		ix, tix := newFactIndex(tpi), newTPiIndex(tpi)
+		ix := newFactIndex(tpi)
+		ix.on(kb.TPiX)
 		phase := func(b *testing.B, prior *factorState) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := g.factorPhase(ctx, singleNode{}, active, tpi, ix, tix, &Result{tphi: prior}); err != nil {
+				if err := g.factorPhase(ctx, singleNode{}, active, tpi, ix, &Result{tphi: prior}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -175,7 +177,7 @@ func BenchmarkFactorsDelta(b *testing.B) {
 			old := engine.NewTable("T", kb.FactsSchema())
 			old.AppendRowsFrom(tpi, rows)
 			prior := &Result{}
-			if err := g.factorPhase(ctx, singleNode{}, active, old, newFactIndex(old), nil, prior); err != nil {
+			if err := g.factorPhase(ctx, singleNode{}, active, old, newFactIndex(old), prior); err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%dK/delta=%d", n/1000, d), func(b *testing.B) { phase(b, prior.tphi) })

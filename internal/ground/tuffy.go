@@ -34,12 +34,12 @@ func NewTuffy(k *kb.KB, opts Options) (*TuffyGrounder, error) {
 	return &TuffyGrounder{kb: k, opts: opts}, nil
 }
 
-// load bulkloads the facts: the master table plus one predicate table per
-// relation name. The per-relation copies are what make Tuffy's bulkload
-// two to three orders of magnitude slower on KBs with many relations
-// (Table 3, "Load" row).
-func (g *TuffyGrounder) load() {
-	g.tpi = g.kb.FactsTable()
+// load bulkloads the facts tpi: the master table plus one predicate table
+// per relation name. The per-relation copies are what make Tuffy's
+// bulkload two to three orders of magnitude slower on KBs with many
+// relations (Table 3, "Load" row).
+func (g *TuffyGrounder) load(tpi *engine.Table) {
+	g.tpi = tpi
 	g.ix = newFactIndex(g.tpi)
 	g.relTables = make(map[int32]*engine.Table, g.kb.RelDict.Len())
 	// Every relation gets its own (initially empty) table, mirroring
@@ -80,7 +80,7 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 	res := &Result{}
 
 	loadStart := time.Now()
-	g.load()
+	g.load(g.kb.FactsTable())
 	res.LoadTime = time.Since(loadStart)
 	res.BaseFacts = g.tpi.NumRows()
 
@@ -156,12 +156,25 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 
 	factorStart := time.Now()
 	_, factorsSpan := obs.StartSpan(ctx, "ground.factors")
+	defer factorsSpan.End()
+	factors, err := g.groundFactors(res)
+	if err != nil {
+		return nil, err
+	}
+	res.Factors = factors
+	res.FactorTime = time.Since(factorStart)
+	factorsSpan.SetAttr("factors", res.Factors.NumRows())
+	return res, nil
+}
+
+// groundFactors returns TΦ over the loaded facts: one factor query per
+// rule, then the unit clauses, counted in res.FactorQueries.
+func (g *TuffyGrounder) groundFactors(res *Result) (*engine.Table, error) {
 	var factors factorCols
 	for i := range g.kb.Rules {
 		plan := g.ruleFactorsPlan(&g.kb.Rules[i])
 		out, err := plan.Run()
 		if err != nil {
-			factorsSpan.End()
 			return nil, fmt.Errorf("ground: tuffy rule %d factors: %w", i, err)
 		}
 		engine.ObservePlan("tuffy-factors", plan)
@@ -170,11 +183,7 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 	}
 	factors.appendUnits(g.tpi)
 	res.FactorQueries++
-	res.Factors = factors.table()
-	res.FactorTime = time.Since(factorStart)
-	factorsSpan.SetAttr("factors", res.Factors.NumRows())
-	factorsSpan.End()
-	return res, nil
+	return factors.table(), nil
 }
 
 // classFilter returns a scan of the relation table for atom a, filtered
