@@ -209,13 +209,14 @@ query-smoke:
 # differential oracle (pinned-generation answers byte-identical to a
 # serial replay while ExtendWith races), and the server's
 # read-while-write surface (POST /facts publish, batch point queries,
-# admission control, cancelled rebuilds never publishing) — all under
+# admission control, cancelled rebuilds and extends answering 499 and
+# never publishing) — all under
 # -race, where a torn read is also a reported data race.
 mvcc-smoke:
 	$(GO) test -race -count=1 ./internal/epoch
 	$(GO) test -race -count=1 -run 'TestSnapshotIsolation|TestReplayMVCCDeterministic|TestShrinkMVCCReduces' ./internal/proptest
 	$(GO) test -race -count=1 -run 'TestMVCC' .
-	$(GO) test -race -count=1 -run 'TestAdmissionControl|TestFactsPost|TestQueryBatch|TestCancelledExpandDoesNotPublish|TestQueryCancelPinnedReader' ./internal/server
+	$(GO) test -race -count=1 -run 'TestAdmissionControl|TestFactsPost|TestQueryBatch|TestCancelledExpandDoesNotPublish|TestCancelledExtendAnswers499|TestQueryCancelPinnedReader' ./internal/server
 	@echo "mvcc-smoke: ok"
 
 # Streaming-ingest smoke: the pipeline's unit battery (batching
@@ -224,6 +225,8 @@ mvcc-smoke:
 # differential battery (every batch split of the firehose vs the t=0
 # oracle, marginals included), the chaos leg (cancelled absorb
 # publishes nothing, WAL recovery + idempotent re-streaming converges),
+# every round's PartialError under cancellation, a streamed fact staying
+# observed after a constraint pass left holes in the fact IDs,
 # the server's streaming POST /facts contract — including the property
 # cases over HTTP (TestFactsStreamSplitInvariance: same acks and closure
 # as the library leg) and every kind of writer racing on the one writer
@@ -233,7 +236,7 @@ mvcc-smoke:
 ingest-smoke:
 	$(GO) test -race -count=1 ./internal/ingest
 	$(GO) test -race -count=1 -run 'TestIngestSplitInvariance|TestReplayIngestDeterministic|TestShrinkIngestReduces' ./internal/proptest
-	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential' .
+	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles' .
 	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission|TestWritersRaceOneLock' ./internal/server
 	$(GO) test -race -count=1 ./cmd/probkb ./cmd/probkb-server
 	@echo "ingest-smoke: ok"

@@ -310,7 +310,7 @@ func BenchmarkFig7b_Categorize(b *testing.B) {
 	viol := checker.Violations(res.Facts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Oracle.CategorizeAll(viol, res.Facts, res.BaseFacts)
+		_ = c.Oracle.CategorizeAll(viol, res.Facts, int(res.FirstDerived))
 	}
 }
 

@@ -263,6 +263,55 @@ func TestCancelMidGibbs(t *testing.T) {
 	}
 }
 
+// TestCancelledRoundsReturnPartialError: every round, not only Expand,
+// answers a cancellation with a *PartialError naming the phase it cut,
+// and leaves the receiver generation as it was.
+func TestCancelledRoundsReturnPartialError(t *testing.T) {
+	// onSweep lets the last leg cancel mid-chain; Expand runs no inference.
+	var onSweep func()
+	cfg := Config{Engine: SingleNode, GibbsBurnin: 20, GibbsSamples: 50_000_000, Seed: 7,
+		OnGibbsSweep: func(GibbsSweep) {
+			if onSweep != nil {
+				onSweep()
+			}
+		}}
+	exp, err := giantKB(t).Expand(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string { return fmt.Sprintf("%#v %+v", exp.Facts(), exp.Stats()) }
+	before := render()
+	batch := []Fact{{Rel: "born_in", X: "Grace_Paley", XClass: "Writer", Y: "Borough_9", YClass: "Place", Probability: 0.7}}
+
+	check := func(name, phase string, err error) {
+		t.Helper()
+		var pe *PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v (%T), want a *PartialError unwrapping to context.Canceled", name, err, err)
+		}
+		if pe.Phase != phase || pe.Partial == nil || pe.Partial.Stats().Converged {
+			t.Fatalf("%s: phase %q, partial %v; want phase %q and an unconverged partial expansion", name, pe.Phase, pe.Partial, phase)
+		}
+		if got := render(); got != before {
+			t.Fatalf("%s: the receiver changed:\n got %s\nwant %s", name, got, before)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = exp.ExtendWithContext(ctx, batch)
+	check("ExtendWithContext", "ground", err)
+	_, err = exp.ExtendWithDeferred(ctx, batch)
+	check("ExtendWithDeferred", "ground", err)
+	_, err = exp.RefreshMarginals(ctx)
+	check("RefreshMarginals", "ground", err)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	onSweep = cancel
+	_, err = exp.RefreshMarginals(ctx)
+	check("RefreshMarginals mid-chain", "infer", err)
+}
+
 // TestDeadlineMidGibbs drives the same path with a deadline instead of
 // an explicit cancel: the error must unwrap to DeadlineExceeded.
 func TestDeadlineMidGibbs(t *testing.T) {

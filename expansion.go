@@ -124,8 +124,8 @@ func (e *Expansion) emitRunEnd() {
 // context cancellation it applies what a partial run returned — the
 // exact marginals plus the estimates from the sweeps collected so far,
 // or nothing when the enumeration or the first collected sweep had not
-// finished — and returns the context error; ExpandContext wraps that
-// into a PartialError.
+// finished — and returns the context error; the round wraps that into a
+// PartialError.
 func (e *Expansion) runInference(ctx context.Context) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "infer")
@@ -219,18 +219,10 @@ func (e *Expansion) Stats() ExpandStats {
 
 // Facts returns every fact of the expanded KB, observed and inferred.
 func (e *Expansion) Facts() []Fact {
-	t := e.res.Facts
-	out := make([]Fact, 0, t.NumRows())
-	ids := t.Int32Col(kb.TPiI)
-	for r := 0; r < t.NumRows(); r++ {
-		f := kb.FactAtRow(t, r)
-		out = append(out, Fact{
-			Rel: e.kb.RelDict.Name(f.Rel),
-			X:   e.kb.Entities.Name(f.X), XClass: e.kb.Classes.Name(f.XClass),
-			Y: e.kb.Entities.Name(f.Y), YClass: e.kb.Classes.Name(f.YClass),
-			Probability: probability(f.W),
-			Inferred:    int(ids[r]) >= e.res.BaseFacts,
-		})
+	n := e.res.Facts.NumRows()
+	out := make([]Fact, n)
+	for r := range n {
+		out[r] = e.fact(r)
 	}
 	return out
 }
@@ -238,94 +230,90 @@ func (e *Expansion) Facts() []Fact {
 // InferredFacts returns only the newly derived facts.
 func (e *Expansion) InferredFacts() []Fact {
 	var out []Fact
-	for _, f := range e.Facts() {
-		if f.Inferred {
-			out = append(out, f)
+	for r, id := range e.res.Facts.Int32Col(kb.TPiI) {
+		if e.derived(id) {
+			out = append(out, e.fact(r))
 		}
 	}
 	return out
 }
+
+// fact renders row r of the expansion's TΠ.
+func (e *Expansion) fact(r int) Fact {
+	t := e.res.Facts
+	f := kb.FactAtRow(t, r)
+	return Fact{
+		Rel: e.kb.RelDict.Name(f.Rel),
+		X:   e.kb.Entities.Name(f.X), XClass: e.kb.Classes.Name(f.XClass),
+		Y: e.kb.Entities.Name(f.Y), YClass: e.kb.Classes.Name(f.YClass),
+		Probability: probability(f.W),
+		Inferred:    e.derived(t.Int32Col(kb.TPiI)[r]),
+	}
+}
+
+// derived reports whether this round's grounding derived the fact with
+// ID id. IDs are compared with the first one grounding handed out, not
+// with a row count: constraint passes leave holes in them.
+func (e *Expansion) derived(id int32) bool { return id >= e.res.FirstDerived }
 
 // Find returns the expanded facts matching the relation and entity names
 // (empty strings match anything).
-//
-// Each non-wildcard name is resolved against the dictionaries once and
-// rows are filtered on int32 IDs, so no Fact is rendered (five dict
-// lookups per row) unless it matches; a name absent from its dictionary
-// matches nothing.
 func (e *Expansion) Find(rel, x, y string) []Fact {
-	relID, x1, y1 := int32(-1), int32(-1), int32(-1)
-	if rel != "" {
-		id, ok := e.kb.RelDict.Lookup(rel)
-		if !ok {
-			return nil
-		}
-		relID = id
-	}
-	if x != "" {
-		id, ok := e.kb.Entities.Lookup(x)
-		if !ok {
-			return nil
-		}
-		x1 = id
-	}
-	if y != "" {
-		id, ok := e.kb.Entities.Lookup(y)
-		if !ok {
-			return nil
-		}
-		y1 = id
-	}
-
-	t := e.res.Facts
-	ids := t.Int32Col(kb.TPiI)
-	rels := t.Int32Col(kb.TPiR)
-	xs := t.Int32Col(kb.TPiX)
-	ys := t.Int32Col(kb.TPiY)
 	var out []Fact
-	for r := 0; r < t.NumRows(); r++ {
-		if (relID < 0 || rels[r] == relID) && (x1 < 0 || xs[r] == x1) && (y1 < 0 || ys[r] == y1) {
-			f := kb.FactAtRow(t, r)
-			out = append(out, Fact{
-				Rel: e.kb.RelDict.Name(f.Rel),
-				X:   e.kb.Entities.Name(f.X), XClass: e.kb.Classes.Name(f.XClass),
-				Y: e.kb.Entities.Name(f.Y), YClass: e.kb.Classes.Name(f.YClass),
-				Probability: probability(f.W),
-				Inferred:    int(ids[r]) >= e.res.BaseFacts,
-			})
-		}
-	}
+	e.matchRows(rel, x, y, func(r int) bool {
+		out = append(out, e.fact(r))
+		return true
+	})
 	return out
 }
 
+// matchRows calls visit with each TΠ row matching the relation and
+// entity names (empty strings match anything), in row order, until visit
+// returns false. Each non-wildcard name is resolved against the
+// dictionaries once and rows are filtered on int32 IDs, so no row is
+// rendered unless it matches; a name absent from its dictionary matches
+// nothing.
+func (e *Expansion) matchRows(rel, x, y string, visit func(r int) bool) {
+	lookup := func(d *kb.Dict, name string) (int32, bool) {
+		if name == "" {
+			return -1, true
+		}
+		return d.Lookup(name)
+	}
+	relID, okR := lookup(e.kb.RelDict, rel)
+	x1, okX := lookup(e.kb.Entities, x)
+	y1, okY := lookup(e.kb.Entities, y)
+	if !okR || !okX || !okY {
+		return
+	}
+	t := e.res.Facts
+	rels, xs, ys := t.Int32Col(kb.TPiR), t.Int32Col(kb.TPiX), t.Int32Col(kb.TPiY)
+	for r := range rels {
+		if (relID < 0 || rels[r] == relID) && (x1 < 0 || xs[r] == x1) && (y1 < 0 || ys[r] == y1) && !visit(r) {
+			return
+		}
+	}
+}
+
 // Explain renders the derivation tree of the first fact matching
-// (rel, x, y), using the factor graph's lineage (Definition 7 notes that
-// TΦ carries the entire lineage). It requires RunInference or at least a
-// factor table; depth bounds the recursion. As in Find, the names are
-// resolved to IDs once and rows matched on those; a graph variable is
-// its TΠ row (factor.FromTables), so the tree's nodes render straight
-// from the table.
+// (rel, x, y) as Find matches them, using the factor graph's lineage
+// (Definition 7 notes that TΦ carries the entire lineage). It requires
+// RunInference or at least a factor table; depth bounds the recursion. A
+// graph variable is its TΠ row (factor.FromTables), so the tree's nodes
+// render straight from the table.
 func (e *Expansion) Explain(rel, x, y string, depth int) (string, error) {
 	if err := e.ensureGraph(); err != nil {
 		return "", err
 	}
-	t := e.res.Facts
 	target := -1
-	relID, okR := e.kb.RelDict.Lookup(rel)
-	x1, okX := e.kb.Entities.Lookup(x)
-	y1, okY := e.kb.Entities.Lookup(y)
-	if okR && okX && okY {
-		rels, xs, ys := t.Int32Col(kb.TPiR), t.Int32Col(kb.TPiX), t.Int32Col(kb.TPiY)
-		for r := range rels {
-			if rels[r] == relID && xs[r] == x1 && ys[r] == y1 {
-				target = r
-				break
-			}
-		}
-	}
+	e.matchRows(rel, x, y, func(r int) bool {
+		target = r
+		return false
+	})
 	if target < 0 {
 		return "", fmt.Errorf("probkb: no fact %s(%s, %s) in the expansion", rel, x, y)
 	}
+	t := e.res.Facts
 	name := func(v int32) string { return e.kb.FactString(kb.FactAtRow(t, int(v))) }
 	return e.graph.Explain(int32(target), depth, name), nil
 }
@@ -362,22 +350,11 @@ func (e *Expansion) MAPWorld(seed int64) ([]Fact, float64, error) {
 		return nil, 0, err
 	}
 	res := infer.MAP(e.graph, infer.MAPOptions{Seed: seed})
-	t := e.res.Facts
-	ids := t.Int32Col(kb.TPiI)
 	var out []Fact
-	for r := 0; r < t.NumRows(); r++ {
-		v, ok := e.graph.VarOf(ids[r])
-		if !ok || !res.Assignment[v] {
-			continue
+	for r, id := range e.res.Facts.Int32Col(kb.TPiI) {
+		if v, ok := e.graph.VarOf(id); ok && res.Assignment[v] {
+			out = append(out, e.fact(r))
 		}
-		f := kb.FactAtRow(t, r)
-		out = append(out, Fact{
-			Rel: e.kb.RelDict.Name(f.Rel),
-			X:   e.kb.Entities.Name(f.X), XClass: e.kb.Classes.Name(f.XClass),
-			Y: e.kb.Entities.Name(f.Y), YClass: e.kb.Classes.Name(f.YClass),
-			Probability: probability(f.W),
-			Inferred:    int(ids[r]) >= e.res.BaseFacts,
-		})
 	}
 	return out, res.LogScore, nil
 }
@@ -432,11 +409,11 @@ func (e *Expansion) ExtendWith(newFacts []Fact) (*Expansion, error) {
 }
 
 // ExtendWithContext is ExtendWith under the caller's context: grounding
-// and inference observe cancellation cooperatively (a cancelled round
-// returns an error and publishes nothing — the receiver generation is
-// untouched), and the round's span tree hangs off ctx's trace.
+// and inference observe cancellation cooperatively, and the round's span
+// tree hangs off ctx's trace. A cancelled round returns a *PartialError
+// and publishes nothing — the receiver generation is untouched.
 func (e *Expansion) ExtendWithContext(ctx context.Context, newFacts []Fact) (*Expansion, error) {
-	return e.extendWith(ctx, newFacts, false)
+	return e.extendWith(ctx, "extend", newFacts, false, e.cfg.RunInference)
 }
 
 // ExtendWithDeferred is ExtendWithContext minus the factor phase and
@@ -449,14 +426,32 @@ func (e *Expansion) ExtendWithContext(ctx context.Context, newFacts []Fact) (*Ex
 // carries the last factor table its lineage computed forward, so the
 // refresh grounds factors only for what the deferred rounds added.
 func (e *Expansion) ExtendWithDeferred(ctx context.Context, newFacts []Fact) (*Expansion, error) {
-	return e.extendWith(ctx, newFacts, true)
+	return e.extendWith(ctx, "extend", newFacts, true, false)
 }
 
-// extendWith is the shared extend round. deferred skips the factor
-// phase and inference (see ExtendWithDeferred).
-func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bool) (*Expansion, error) {
+// RefreshMarginals pays down the staleness a run of ExtendWithDeferred
+// rounds accumulated: it is the extend round with no new facts and
+// marginal inference regardless of Config.RunInference. The closure is
+// already a fixpoint, so grounding degenerates to one empty-delta
+// iteration; the factor phase maintains the last table computed along
+// the lineage, grounding only the clauses that name a fact the deferred
+// rounds added — the table a recomputation over the whole closure
+// builds, row for row — and a fresh inference pass refreshes every
+// marginal. Like ExtendWith it returns a new Expansion on a fork of the
+// receiver's KB and a clone of its fact table, persists the refreshed
+// marginals when a store is attached, and answers a cancellation with a
+// *PartialError.
+func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
+	return e.extendWith(ctx, "refresh-marginals", nil, false, true)
+}
+
+// extendWith is the extend round under the span of that name: it forks
+// the receiver's KB with newFacts interned and grounds them with
+// ground.Extend, under a clone of the receiver's checker. deferred skips
+// the factor phase; infer runs marginal inference.
+func (e *Expansion) extendWith(ctx context.Context, span string, newFacts []Fact, deferred, infer bool) (*Expansion, error) {
 	if !e.res.Converged {
-		return nil, fmt.Errorf("probkb: ExtendWith requires a converged prior expansion")
+		return nil, fmt.Errorf("probkb: %s: the prior expansion has not converged", span)
 	}
 	work := e.kb.Fork()
 	interned := make([]kb.Fact, 0, len(newFacts))
@@ -474,103 +469,25 @@ func (e *Expansion) extendWith(ctx context.Context, newFacts []Fact, deferred bo
 		})
 	}
 
-	ctx, root := obs.StartSpan(ctx, "extend")
+	ctx, root := obs.StartSpan(ctx, span)
 	defer root.End()
 	root.SetAttr("new_facts", len(newFacts))
 
 	// Each incremental round keeps its own in-memory journal (no file
 	// sink: the original JournalPath belongs to the prior run's record).
-	jr := journal.New()
-	jr.Emit(journal.TypeRunStart, journal.Header{
-		Engine:     e.cfg.Engine.String(),
-		Seed:       e.cfg.Seed,
-		ConfigHash: e.cfg.Hash(),
-		Start:      time.Now().UTC().Format(time.RFC3339),
-	})
-
-	opts := groundOptions(ctx, e.cfg)
-	opts.SkipFactors = deferred
-	opts.Journal = jr
-	if p := e.cfg.Persist; p != nil {
-		p.inner.SetJournal(jr)
-		defer p.inner.SetJournal(nil)
-		// ground.Extend grows a Clone of e.res.Facts: saying so lets a store
-		// still in step with this generation log the batch, not a full diff.
-		attachPersist(&opts, p, work, e.res.Facts)
-	}
-	var checker *quality.Checker
-	if e.cfg.ApplyConstraints {
+	// ground.Extend grows a Clone of e.res.Facts: saying so lets a store
+	// still in step with this generation log the batch, not a full diff.
+	r := round{cfg: e.cfg, jr: journal.New(), work: work, from: e.res.Facts, infer: infer}
+	if e.checker != nil {
 		// The round inherits what the lineage has removed, so a streamed
 		// batch cannot bring a removed entity's facts back.
-		checker = e.checker.Clone()
-		opts.ConstraintHook = journaledHook(jr, checker)
+		r.checker = e.checker.Clone()
 	}
-	res, err := ground.Extend(work, e.res, interned, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := persistFinal(e.cfg.Persist, work, res.Facts, e.res.Facts); err != nil {
-		return nil, err
-	}
-	next := newExpansion(work, res, e.cfg, jr, checker)
-	if !deferred && e.cfg.RunInference {
-		if err := next.runInference(ctx); err != nil {
-			return nil, err
-		}
-		if err := persistFinal(e.cfg.Persist, work, res.Facts, e.res.Facts); err != nil {
-			return nil, err
-		}
-	}
-	next.emitRunEnd()
-	return next, nil
-}
-
-// RefreshMarginals pays down the staleness a run of ExtendWithDeferred
-// rounds accumulated: it brings the factor table up to the (unchanged)
-// closure and refreshes every marginal with a fresh inference pass,
-// regardless of Config.RunInference. The factor phase maintains the last
-// table computed along the lineage, grounding only the clauses that name
-// a fact the deferred rounds added; the result is the table a
-// recomputation over the whole closure builds, row for row. Like
-// ExtendWith it returns a new Expansion built on a cloned fact table — the receiver stays frozen
-// for pinned readers — and persists the refreshed marginals when a
-// store is attached. The closure itself is already a fixpoint, so the
-// grounding step degenerates to one empty-delta iteration.
-func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
-	if !e.res.Converged {
-		return nil, fmt.Errorf("probkb: RefreshMarginals requires a converged prior expansion")
-	}
-	ctx, root := obs.StartSpan(ctx, "refresh-marginals")
-	defer root.End()
-
-	jr := journal.New()
-	jr.Emit(journal.TypeRunStart, journal.Header{
-		Engine:     e.cfg.Engine.String(),
-		Seed:       e.cfg.Seed,
-		ConfigHash: e.cfg.Hash(),
-		Start:      time.Now().UTC().Format(time.RFC3339),
-	})
-
 	opts := groundOptions(ctx, e.cfg)
-	opts.Journal = jr
-	if p := e.cfg.Persist; p != nil {
-		p.inner.SetJournal(jr)
-		defer p.inner.SetJournal(nil)
-		attachPersist(&opts, p, e.kb, e.res.Facts)
-	}
-	res, err := ground.Extend(e.kb, e.res, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	next := newExpansion(e.kb, res, e.cfg, jr, e.checker)
-	if err := next.runInference(ctx); err != nil {
-		return nil, err
-	}
-	if err := persistFinal(e.cfg.Persist, e.kb, res.Facts, e.res.Facts); err != nil {
-		return nil, err
-	}
-	next.emitRunEnd()
-	return next, nil
+	opts.SkipFactors = deferred
+	return r.run(ctx, opts, func(opts ground.Options) (*ground.Result, error) {
+		return ground.Extend(work, e.res, interned, opts)
+	})
 }
 
 // SaveFactorGraph writes the ground factor graph as two TSV files in

@@ -142,7 +142,7 @@ func Fig7b(cfg Config, w io.Writer) (quality.Breakdown, error) {
 	}
 	checker := quality.NewChecker(c.KB)
 	viol := checker.Violations(res.Facts)
-	b := c.Oracle.CategorizeAll(viol, res.Facts, res.BaseFacts)
+	b := c.Oracle.CategorizeAll(viol, res.Facts, int(res.FirstDerived))
 
 	fmt.Fprintf(w, "Figure 7(b): error sources behind %d constraint violations (scale=%.3g)\n\n",
 		len(viol), cfg.Scale)
@@ -168,7 +168,7 @@ func Feedback(cfg Config, w io.Writer) error {
 		if err != nil {
 			return 0, 0, err
 		}
-		cc, tt := c.Oracle.EvalInferred(res.Facts, res.BaseFacts)
+		cc, tt := c.Oracle.EvalInferred(res.Facts, int(res.FirstDerived))
 		return tt, cc, nil
 	}
 

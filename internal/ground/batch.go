@@ -108,6 +108,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
 	defer span.End()
 	active := g.parts.NonEmpty()
+	res.FirstDerived = ix.next
 
 	// Phase 1: transitive closure (groundAtoms until fixpoint or cap).
 	atomStart := time.Now()

@@ -124,6 +124,11 @@ type Result struct {
 	Factors *engine.Table
 	// BaseFacts is the number of facts present before inference.
 	BaseFacts int
+	// FirstDerived is the ID grounding gave the first fact it derived:
+	// the facts the run started from hold lower IDs, the facts it derived
+	// this one and above. A constraint pass leaves holes in the IDs, so
+	// a fact ID is compared with this, never with BaseFacts.
+	FirstDerived int32
 	// Iterations actually executed.
 	Iterations int
 	// Converged reports whether a fixpoint was reached (nothing the final

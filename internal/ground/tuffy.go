@@ -83,6 +83,7 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 	g.load(g.kb.FactsTable())
 	res.LoadTime = time.Since(loadStart)
 	res.BaseFacts = g.tpi.NumRows()
+	res.FirstDerived = g.ix.next
 
 	atomStart := time.Now()
 	atomsCtx, atomsSpan := obs.StartSpan(ctx, "ground.atoms")

@@ -385,6 +385,53 @@ func TestCancelledExpandDoesNotPublish(t *testing.T) {
 	}
 }
 
+// TestCancelledExtendAnswers499 is the same contract for a non-streamed
+// POST /facts: an extend killed via DELETE /debug/queries/{id} — here
+// while it queues behind the writer lock — unwinds with 499 and the
+// interrupted phase, and the generation never advances.
+func TestCancelledExtendAnswers499(t *testing.T) {
+	s, srv := mvccServer(t)
+	g0, f0 := statsEpoch(t, srv)
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unlock := func() { once.Do(func() { close(release) }) }
+	defer unlock() // a failed wait must not leave the writer lock held
+	go s.ing.Update(func(*probkb.Expansion) (*probkb.Expansion, error) {
+		close(held)
+		<-release
+		return nil, nil
+	})
+	<-held
+
+	type answer struct {
+		code int
+		out  map[string]string
+	}
+	done := make(chan answer, 1)
+	go func() {
+		var out map[string]string
+		code := postJSON(t, srv.URL+"/facts", `{"facts": [{"rel": "born_in", "x": "Mahler", "xClass": "Writer",
+			"y": "Vienna", "yClass": "Place", "probability": 0.9}]}`, &out)
+		done <- answer{code, out}
+	}()
+	id := waitForActive(t, srv, "extend")
+	cancelActive(t, srv, id)
+	unlock()
+
+	select {
+	case a := <-done:
+		if a.code != statusClientClosedRequest || a.out["phase"] == "" {
+			t.Fatalf("cancelled extend: status %d %v, want 499 with a phase", a.code, a.out)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled extend did not unwind")
+	}
+	if g1, f1 := statsEpoch(t, srv); g1 != g0 || f1 != f0 {
+		t.Fatalf("cancelled extend published: gen %d->%d facts %d->%d", g0, g1, f0, f1)
+	}
+}
+
 // TestQueryCancelPinnedReader: DELETE /debug/queries/{id} on a pinned
 // point-query reader unwinds it with 499 and the query-local
 // PartialError phase, and the pin is released (a following write can

@@ -61,12 +61,12 @@ func (o *Oracle) Judge(key kb.Key) bool {
 	return false
 }
 
-// EvalInferred judges every inferred fact (ID at or above baseFacts) in a
+// EvalInferred judges every inferred fact (ID at or above firstDerived) in a
 // grounding result table and returns (correct, total).
-func (o *Oracle) EvalInferred(facts *engine.Table, baseFacts int) (correct, total int) {
+func (o *Oracle) EvalInferred(facts *engine.Table, firstDerived int) (correct, total int) {
 	ids := facts.Int32Col(kb.TPiI)
 	for r := 0; r < facts.NumRows(); r++ {
-		if int(ids[r]) < baseFacts {
+		if int(ids[r]) < firstDerived {
 			continue
 		}
 		total++
@@ -79,8 +79,8 @@ func (o *Oracle) EvalInferred(facts *engine.Table, baseFacts int) (correct, tota
 
 // Precision returns correct/total for the inferred facts, or 0 when none
 // exist.
-func (o *Oracle) Precision(facts *engine.Table, baseFacts int) float64 {
-	c, t := o.EvalInferred(facts, baseFacts)
+func (o *Oracle) Precision(facts *engine.Table, firstDerived int) float64 {
+	c, t := o.EvalInferred(facts, firstDerived)
 	if t == 0 {
 		return 0
 	}
@@ -92,8 +92,8 @@ func (o *Oracle) Ambiguous(sym int32) bool { return o.ambiguous[sym] }
 
 // Categorize assigns a constraint violation to its Figure 7(b) error
 // source by inspecting the violating facts in tpi against the planted
-// truth. baseFacts separates observed from inferred fact IDs.
-func (o *Oracle) Categorize(v quality.Violation, tpi *engine.Table, baseFacts int) quality.ErrorSource {
+// truth. firstDerived separates observed from inferred fact IDs.
+func (o *Oracle) Categorize(v quality.Violation, tpi *engine.Table, firstDerived int) quality.ErrorSource {
 	// 1. The violating symbol itself covers several true entities.
 	if o.ambiguous[v.Entity] {
 		return quality.SrcAmbiguousEntity
@@ -119,7 +119,7 @@ func (o *Oracle) Categorize(v quality.Violation, tpi *engine.Table, baseFacts in
 		group = append(group, vf{
 			key:      kb.FactAtRow(tpi, r).Key(),
 			other:    tpi.Int32Col(otherCol)[r],
-			inferred: int(ids[r]) >= baseFacts,
+			inferred: int(ids[r]) >= firstDerived,
 		})
 	}
 
@@ -186,10 +186,10 @@ func (o *Oracle) Categorize(v quality.Violation, tpi *engine.Table, baseFacts in
 }
 
 // CategorizeAll tallies a violation list into a Breakdown (Figure 7(b)).
-func (o *Oracle) CategorizeAll(viol []quality.Violation, tpi *engine.Table, baseFacts int) quality.Breakdown {
+func (o *Oracle) CategorizeAll(viol []quality.Violation, tpi *engine.Table, firstDerived int) quality.Breakdown {
 	var b quality.Breakdown
 	for _, v := range viol {
-		b[o.Categorize(v, tpi, baseFacts)]++
+		b[o.Categorize(v, tpi, firstDerived)]++
 	}
 	return b
 }

@@ -130,7 +130,7 @@ func TestExpansionPrecisionImprovesWithQC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawPrec := c.Oracle.Precision(raw.Facts, raw.BaseFacts)
+	rawPrec := c.Oracle.Precision(raw.Facts, int(raw.FirstDerived))
 
 	// QC: rule cleaning to the top half + semantic constraints in the
 	// loop.
@@ -140,7 +140,7 @@ func TestExpansionPrecisionImprovesWithQC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcPrec := c.Oracle.Precision(qc.Facts, qc.BaseFacts)
+	qcPrec := c.Oracle.Precision(qc.Facts, int(qc.FirstDerived))
 
 	if raw.InferredFacts() == 0 {
 		t.Fatal("raw expansion inferred nothing; corpus too sparse for the test")
@@ -163,7 +163,7 @@ func TestCategorizeViolations(t *testing.T) {
 	if len(viol) == 0 {
 		t.Fatal("no violations found; error planting failed")
 	}
-	b := c.Oracle.CategorizeAll(viol, res.Facts, res.BaseFacts)
+	b := c.Oracle.CategorizeAll(viol, res.Facts, int(res.FirstDerived))
 	if b.Total() != len(viol) {
 		t.Fatalf("breakdown total %d != violations %d", b.Total(), len(viol))
 	}

@@ -31,8 +31,8 @@ import (
 type Store struct {
 	inner *store.Store
 	// err latches the first persistence failure signalled from inside a
-	// grounding observer (which cannot return errors); ExpandContext
-	// checks it after every phase and fails the run loudly.
+	// grounding observer (which cannot return errors); every round
+	// checks it after each phase and fails loudly.
 	err error
 	// step keeps sync in step with the last table it made durable.
 	step inStep
@@ -272,14 +272,7 @@ func (s *Store) fullDiff(src *kb.KB, tpi *engine.Table) (dels, adds, margs []sto
 // builds its own); a failure is latched for the caller to surface,
 // since ground.Options.Observer cannot return one.
 func attachPersist(opts *ground.Options, p *Store, src *kb.KB, from *engine.Table) {
-	if p == nil {
-		return
-	}
-	prev := opts.Observer
-	opts.Observer = func(iter int, tpi *engine.Table) {
-		if prev != nil {
-			prev(iter, tpi)
-		}
+	opts.Observer = func(_ int, tpi *engine.Table) {
 		if p.err == nil {
 			p.err = p.sync(src, tpi, from)
 		}

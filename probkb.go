@@ -453,7 +453,8 @@ func (k *KB) Expand(cfg Config) (*Expansion, error) {
 // records an "expand" span tree — quality control, grounding (with
 // per-iteration children), factor-graph construction, and inference —
 // into the obs tracer, visible via `probkb --trace` on the CLI and
-// GET /debug/traces on a running server.
+// GET /debug/traces on a running server. A run cut short by ctx returns
+// a *PartialError carrying what it completed.
 func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) {
 	ctx, root := obs.StartSpan(ctx, "expand")
 	defer root.End()
@@ -462,117 +463,151 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 	// Every run records a bounded in-memory journal; a JournalPath adds
 	// the JSONL file sink. The file closes on every return path; the
 	// in-memory events outlive it via Expansion.Journal().
-	jr := journal.New()
+	r := round{cfg: cfg, jr: journal.New(), infer: cfg.RunInference}
 	if cfg.JournalPath != "" {
-		if err := jr.SinkTo(cfg.JournalPath); err != nil {
+		if err := r.jr.SinkTo(cfg.JournalPath); err != nil {
 			return nil, fmt.Errorf("probkb: journal: %w", err)
 		}
 	}
-	defer jr.Close()
-	segs := 0
+	defer r.jr.Close()
 	if cfg.Engine == MPP || cfg.Engine == MPPNoViews {
-		if segs = cfg.Segments; segs <= 0 {
-			segs = 4
+		if r.segs = cfg.Segments; r.segs <= 0 {
+			r.segs = 4
 		}
 	}
-	jr.Emit(journal.TypeRunStart, journal.Header{
-		Engine:     cfg.Engine.String(),
-		Segments:   segs,
-		Seed:       cfg.Seed,
-		ConfigHash: cfg.Hash(),
-		Start:      time.Now().UTC().Format(time.RFC3339),
-	})
 
 	// Quality control: rule cleaning, then the up-front Query 3 pass.
 	qualityStart := time.Now()
 	_, qualitySpan := obs.StartSpan(ctx, "quality")
-	var work *kb.KB
 	if cfg.RuleCleanTheta > 0 && cfg.RuleCleanTheta < 1 {
-		work = quality.CleanRules(k.inner, cfg.RuleCleanTheta)
+		r.work = quality.CleanRules(k.inner, cfg.RuleCleanTheta)
 	} else {
 		// A copy-on-write fork, not a deep clone: the run only pays for
 		// a copy if quality repair actually deletes facts, and the
 		// receiver stays frozen for concurrent readers either way.
-		work = k.inner.Fork()
+		r.work = k.inner.Fork()
 	}
-
 	opts := groundOptions(ctx, cfg)
-	opts.Journal = jr
-	if p := cfg.Persist; p != nil {
-		p.inner.SetJournal(jr)
-		defer p.inner.SetJournal(nil)
-		attachPersist(&opts, p, work, nil)
-	}
-	var checker *quality.Checker
 	if cfg.ApplyConstraints {
 		// Query 3 runs once before inference starts (Section 6.1.1), and
 		// again after every grounding iteration (Algorithm 1).
-		precleaned := quality.PreClean(work)
+		precleaned := quality.PreClean(r.work)
 		qualitySpan.SetAttr("precleaned", precleaned)
-		checker = quality.NewChecker(work)
-		opts.ConstraintHook = journaledHook(jr, checker)
+		r.checker = quality.NewChecker(r.work)
 		if opts.MaxIterations == 0 {
 			opts.MaxIterations = DefaultConstrainedIterations
 		}
 	}
-	qualitySpan.SetAttr("rules", len(work.Rules))
+	qualitySpan.SetAttr("rules", len(r.work.Rules))
 	qualitySpan.End()
 	observeStage("quality", qualityStart)
 
-	groundStart := time.Now()
-	var (
-		res *ground.Result
-		err error
-	)
-	switch cfg.Engine {
-	case SingleNode:
-		res, err = ground.Ground(work, opts)
-	case Baseline:
-		var g *ground.TuffyGrounder
-		if g, err = ground.NewTuffy(work, opts); err == nil {
-			res, err = g.Ground()
+	exp, err := r.run(ctx, opts, func(opts ground.Options) (*ground.Result, error) {
+		switch cfg.Engine {
+		case SingleNode:
+			return ground.Ground(r.work, opts)
+		case Baseline:
+			g, err := ground.NewTuffy(r.work, opts)
+			if err != nil {
+				return nil, err
+			}
+			return g.Ground()
+		case MPP, MPPNoViews:
+			cl := mpp.NewCluster(r.segs)
+			cl.SetContext(ctx)
+			cl.SetJournal(r.jr)
+			cl.SetWorkers(cfg.EngineWorkers)
+			if f := cfg.Faults; f != nil {
+				cl.SetFaults(&mpp.FaultPlan{
+					Seed: f.Seed, FailRate: f.FailRate, PanicRate: f.PanicRate,
+					StraggleRate: f.StraggleRate, StraggleDelay: f.StraggleDelay,
+				})
+			}
+			cl.SetRetry(mpp.RetryPolicy{MaxRetries: cfg.SegmentRetries, Backoff: cfg.RetryBackoff})
+			g, err := ground.NewMPP(r.work, opts, cl, cfg.Engine == MPP)
+			if err != nil {
+				return nil, err
+			}
+			return g.Ground()
+		default:
+			return nil, fmt.Errorf("probkb: unknown engine %v", cfg.Engine)
 		}
-	case MPP, MPPNoViews:
-		cl := mpp.NewCluster(segs)
-		cl.SetContext(ctx)
-		cl.SetJournal(jr)
-		cl.SetWorkers(cfg.EngineWorkers)
-		if f := cfg.Faults; f != nil {
-			cl.SetFaults(&mpp.FaultPlan{
-				Seed: f.Seed, FailRate: f.FailRate, PanicRate: f.PanicRate,
-				StraggleRate: f.StraggleRate, StraggleDelay: f.StraggleDelay,
-			})
-		}
-		cl.SetRetry(mpp.RetryPolicy{MaxRetries: cfg.SegmentRetries, Backoff: cfg.RetryBackoff})
-		var g *ground.MPPGrounder
-		if g, err = ground.NewMPP(work, opts, cl, cfg.Engine == MPP); err == nil {
-			res, err = g.Ground()
-		}
-	default:
-		return nil, fmt.Errorf("probkb: unknown engine %v", cfg.Engine)
+	})
+	if err != nil {
+		return nil, err
 	}
+	root.SetAttr("facts", exp.res.Facts.NumRows())
+	obs.Default.Counter("probkb_expand_total", obs.L("engine", cfg.Engine.String())).Inc()
+	return exp, nil
+}
+
+// round is one pass of the pipeline of Figure 1 after quality control:
+// Algorithm 1's grounding, then the factor graph and marginal inference,
+// journaled and made durable as it goes. Expand, ExtendWith and
+// RefreshMarginals each run one; they differ in the KB and checker they
+// hand it and in the grounding function it calls.
+type round struct {
+	cfg Config
+	jr  *journal.Writer
+	// segs is the MPP cluster size the run_start header reports.
+	segs int
+	// work is the KB the round grounds and renders its facts through.
+	work *kb.KB
+	// from is the table the round's TΠ starts as a Clone of, nil when
+	// grounding builds its own: the store then logs only what changed.
+	from *engine.Table
+	// checker, when non-nil, runs as the constraint hook.
+	checker *quality.Checker
+	// infer runs marginal inference after grounding.
+	infer bool
+}
+
+// run emits the round's run_start header, wires the journal, the store
+// and the constraint hook into opts, grounds through grnd, and builds
+// the round's expansion — running inference when asked — persisting
+// after each phase and closing the journal with run_end. A grounding or
+// inference phase cut short by its context returns a *PartialError
+// carrying the work completed.
+func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Options) (*ground.Result, error)) (*Expansion, error) {
+	r.jr.Emit(journal.TypeRunStart, journal.Header{
+		Engine:     r.cfg.Engine.String(),
+		Segments:   r.segs,
+		Seed:       r.cfg.Seed,
+		ConfigHash: r.cfg.Hash(),
+		Start:      time.Now().UTC().Format(time.RFC3339),
+	})
+	opts.Journal = r.jr
+	p := r.cfg.Persist
+	if p != nil {
+		p.inner.SetJournal(r.jr)
+		defer p.inner.SetJournal(nil)
+		attachPersist(&opts, p, r.work, r.from)
+	}
+	if r.checker != nil {
+		opts.ConstraintHook = journaledHook(r.jr, r.checker)
+	}
+
+	groundStart := time.Now()
+	res, err := grnd(opts)
+	if err != nil && (res == nil || !isCtxErr(err)) {
+		return nil, err
+	}
+	observeStage("ground", groundStart)
+	exp := newExpansion(r.work, res, r.cfg, r.jr, r.checker)
 	if err != nil {
 		// A cancelled or deadline-exceeded grounder still returns the
 		// facts derived so far; surface them instead of dropping the
 		// completed iterations.
-		if res != nil && isCtxErr(err) {
-			observeStage("ground", groundStart)
-			exp := newExpansion(work, res, cfg, jr, checker)
-			exp.emitRunEnd()
-			return nil, &PartialError{Phase: "ground", Partial: exp, Err: err}
-		}
-		return nil, err
+		exp.emitRunEnd()
+		return nil, &PartialError{Phase: "ground", Partial: exp, Err: err}
 	}
-	observeStage("ground", groundStart)
 	// The observer already made each iteration durable; this final sync
 	// catches engines that do not invoke it and surfaces any append
 	// error latched inside the observer.
-	if err := persistFinal(cfg.Persist, work, res.Facts, nil); err != nil {
+	if err := persistFinal(p, r.work, res.Facts, r.from); err != nil {
 		return nil, err
 	}
-
-	exp := newExpansion(work, res, cfg, jr, checker)
-	if cfg.RunInference {
+	if r.infer {
 		if err := exp.runInference(ctx); err != nil {
 			if isCtxErr(err) {
 				// The run as a whole did not complete: a partial
@@ -586,13 +621,11 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		}
 		// Inference rewrote inferred facts' weights in place; persist
 		// the marginals so recovery carries the probabilities too.
-		if err := persistFinal(cfg.Persist, work, res.Facts, nil); err != nil {
+		if err := persistFinal(p, r.work, res.Facts, r.from); err != nil {
 			return nil, err
 		}
 	}
 	exp.emitRunEnd()
-	root.SetAttr("facts", res.Facts.NumRows())
-	obs.Default.Counter("probkb_expand_total", obs.L("engine", cfg.Engine.String())).Inc()
 	return exp, nil
 }
 
@@ -612,12 +645,12 @@ func journaledHook(jr *journal.Writer, checker *quality.Checker) func(*engine.Ta
 	}
 }
 
-// groundOptions builds the grounding options shared by ExpandContext,
-// ExtendWith and RefreshMarginals: the tracing context, the
-// progress-callback bridge, and semi-naive evaluation — the one order
-// this package grounds in, on every engine. The constraint hook deletes
-// only what it will delete again (quality.Checker), which is what keeps a
-// Δ-only iteration sound under it (DESIGN.md §5).
+// groundOptions builds the grounding options every round starts from:
+// the tracing context, the progress-callback bridge, and semi-naive
+// evaluation — the one order this package grounds in, on every engine.
+// The constraint hook deletes only what it will delete again
+// (quality.Checker), which is what keeps a Δ-only iteration sound under
+// it (DESIGN.md §5).
 func groundOptions(ctx context.Context, cfg Config) ground.Options {
 	opts := ground.Options{MaxIterations: cfg.MaxIterations, Ctx: ctx, Workers: cfg.EngineWorkers, SemiNaive: true}
 	if cfg.OnIteration != nil {

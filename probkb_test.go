@@ -1,12 +1,15 @@
 package probkb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"probkb/internal/kb"
 )
 
 // paperKB builds the Table 1 running example through the public API.
@@ -281,6 +284,39 @@ func TestExtendWithKeepsRemovedEntitiesRemoved(t *testing.T) {
 	if !last.Stats().Converged || len(last.Find("has_child", "Eve", "")) != 0 || len(last.Find("parent_of", "", "Eve")) != 2 {
 		t.Fatalf("converged=%v, has_child(Eve, _)=%d, parent_of(_, Eve)=%d; want true, 0, 2",
 			last.Stats().Converged, len(last.Find("has_child", "Eve", "")), len(last.Find("parent_of", "", "Eve")))
+	}
+}
+
+// TestExtendWithAfterConstraintHoles: the constraint pass deletes two of
+// annKB's derived facts below the top fact ID, so the round's row count
+// falls below the next ID it hands out. A fact streamed in afterwards is
+// observed all the same: Find does not call it Inferred, and a point
+// query reads it as evidence.
+func TestExtendWithAfterConstraintHoles(t *testing.T) {
+	exp, err := annKB(t).Expand(Config{Engine: SingleNode, ApplyConstraints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := exp.res.Facts.Int32Col(kb.TPiI); int(ids[len(ids)-1]) < len(ids) {
+		t.Fatalf("fact IDs %v have no hole below the top one", ids)
+	}
+	next, err := exp.ExtendWith([]Fact{{Rel: "parent_of", X: "Gus", XClass: "Person", Y: "Hal", YClass: "Person", Probability: 0.7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Fact{{Rel: "parent_of", X: "Gus", XClass: "Person", Y: "Hal", YClass: "Person", Probability: 0.7}}
+	if got := next.Find("parent_of", "Gus", "Hal"); !sameFacts(got, want) {
+		t.Fatalf("Find(parent_of, Gus, Hal) = %#v, want %#v", got, want)
+	}
+	if got := next.Find("has_child", "Hal", "Gus"); len(got) != 1 || !got[0].Inferred {
+		t.Fatalf("Find(has_child, Hal, Gus) = %#v, want the one derived fact", got)
+	}
+	m, err := next.QueryLocal(context.Background(), PointQuery{Rel: "parent_of", X: "Gus", Y: "Hal", Samples: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Found || !m.Observed || m.Probability != 0.7 {
+		t.Fatalf("QueryLocal(parent_of(Gus, Hal)): found=%v observed=%v p=%v, want true, true, 0.7", m.Found, m.Observed, m.Probability)
 	}
 }
 

@@ -192,8 +192,8 @@ func (e *Expansion) localGrounder() *ground.LocalGrounder {
 		t := e.res.Facts
 		ids := t.Int32Col(kb.TPiI)
 		rows := make([]int32, 0, e.res.BaseFacts)
-		for r := 0; r < t.NumRows(); r++ {
-			if int(ids[r]) < e.res.BaseFacts {
+		for r, id := range ids {
+			if !e.derived(id) {
 				rows = append(rows, int32(r))
 			}
 		}
@@ -438,9 +438,10 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal
 // query bounds.
 func (k *KB) PointQuery(ctx context.Context, q PointQuery, cfg Config) (Marginal, error) {
 	res := &ground.Result{
-		Facts:     k.inner.FactsTable(),
-		BaseFacts: len(k.inner.Facts),
-		Converged: true,
+		Facts:        k.inner.FactsTable(),
+		BaseFacts:    len(k.inner.Facts),
+		FirstDerived: int32(len(k.inner.Facts)),
+		Converged:    true,
 	}
 	return newExpansion(k.inner, res, cfg, journal.New(), nil).QueryLocal(ctx, q)
 }
