@@ -164,7 +164,11 @@ converge-smoke:
 # with a seeded fault plan injecting segment failures, worker panics,
 # and stragglers. Segment retries must absorb every fault: the run has
 # to complete cleanly and the rendered report must show the fault-
-# injection section. (The in-process chaos tests run in the race leg.)
+# injection section. Then, under -race, the in-process chaos tests and
+# the cancellation regressions for the Tuffy-T and MPP engines: a
+# cancelled baseline grounding stops with a PartialError, and a
+# cancelled persisted run on MPP or Tuffy-T leaves its completed
+# iteration in the store.
 chaos-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/kbgen -out "$$tmp/kb" -scale 0.002 >/dev/null && \
@@ -176,7 +180,7 @@ chaos-smoke:
 	grep -q "Fault injection" "$$tmp/report.txt" && \
 	grep -q "injected faults:" "$$tmp/report.txt" && \
 	grep -q "segment retries:" "$$tmp/report.txt" && \
-	$(GO) test -race -count=1 -run 'TestChaosFaultedExpandNeverSwaps|TestChaosCancelledExpandKeepsReaders' . >/dev/null && \
+	$(GO) test -race -count=1 -run 'TestChaosFaultedExpandNeverSwaps|TestChaosCancelledExpandKeepsReaders|TestCancelMidGroundingBaseline|TestCancelledMPPExpandLeavesResumableStore' . >/dev/null && \
 	echo "chaos-smoke: ok"
 
 # Watchdog/incident smoke test: the end-to-end stuck-query path — a

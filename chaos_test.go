@@ -210,6 +210,13 @@ func TestCancelMidGroundingMPP(t *testing.T) {
 	cancelDuringGrounding(t, cfg)
 }
 
+func TestCancelMidGroundingBaseline(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine = Baseline
+	cfg.RunInference = false
+	cancelDuringGrounding(t, cfg)
+}
+
 // TestCancelMidGibbs cancels during sampling and checks the "infer"
 // phase contract: the partial expansion carries marginals estimated
 // from the sweeps collected before the cut, and the cut is prompt even

@@ -18,6 +18,7 @@ import (
 // deferred keys pin the streaming-ingest path under inference: Expand,
 // four ExtendWithDeferred batches, then RefreshMarginals, so the weight
 // column carries marginals and TΦ's singleton weights carry them too. The
+// baseline keys pin Expand on Tuffy-T's per-rule plans. The
 // unconstrained run's candidate order decides its fact IDs: a semi-naive
 // leg emitting its rows in another order fails it. The fingerprints were recorded before the
 // semi-naive Δ legs moved onto the entity index, the deferred ones before
@@ -32,6 +33,8 @@ var groundingFingerprints = map[string]string{
 	"unconstrained/extend":   "cee3d08bace5a9c5/0ce2c416d2b8c520",
 	"constrained/deferred":   "fae92abd27442e09/076fa5b6737975a4",
 	"unconstrained/deferred": "583d5a1fc86294a5/a0faaeadd34b5afa",
+	"constrained/baseline":   "4bf827fda037e8ab/a7f0b85cbc6876ee",
+	"unconstrained/baseline": "2b02b4c230dcf35a/7adf65f7a3c37bd6",
 }
 
 // tableFingerprint hashes every column of t in row order: Int32 values
@@ -115,7 +118,7 @@ func streamBatches(e *Expansion, n, size int) [][]Fact {
 
 func TestGroundingFingerprints(t *testing.T) {
 	if testing.Short() {
-		t.Skip("grounds the scale-0.05 corpus four times")
+		t.Skip("grounds the scale-0.05 corpus five times")
 	}
 	for _, constrained := range []bool{true, false} {
 		name := "unconstrained"
@@ -158,6 +161,11 @@ func TestGroundingFingerprints(t *testing.T) {
 				t.Fatal(err)
 			}
 			got[name+"/deferred"] = expansionFingerprint(e)
+
+			if e, err = k.Expand(Config{Engine: Baseline, ApplyConstraints: constrained, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			got[name+"/baseline"] = expansionFingerprint(e)
 			for key, fp := range got {
 				if want := groundingFingerprints[key]; fp != want {
 					t.Errorf("%s: fingerprint %s, want %s", key, fp, want)

@@ -14,7 +14,8 @@ import (
 )
 
 // BatchGrounder is the ProbKB grounder: Algorithm 1 over the relational
-// model, applying all rules of a partition with one multi-way join.
+// model, applying all rules of a partition with one multi-way join. It is
+// also the backend that runs its plans on the single-node engine.
 type BatchGrounder struct {
 	kb    *kb.KB
 	parts *mln.Partitions
@@ -32,44 +33,80 @@ func NewBatch(k *kb.KB, opts Options) (*BatchGrounder, error) {
 
 // Ground runs Algorithm 1 and returns the grounding result.
 func (g *BatchGrounder) Ground() (*Result, error) {
-	res := &Result{}
-
 	loadStart := time.Now()
 	tpi := g.kb.FactsTable()
 	ix := newFactIndex(tpi)
-	res.LoadTime = time.Since(loadStart)
-	res.BaseFacts = tpi.NumRows()
-
-	return g.groundFrom(singleNode{workers: g.opts.Workers}, tpi, ix, -1, res)
+	return g.groundFrom(g, tpi, ix, -1, &Result{LoadTime: time.Since(loadStart)})
 }
 
-// backend is where groundFrom's plans execute: the single-node engine
-// or an MPP cluster holding distributed copies of TΠ and the MLN tables.
+// backend is what groundFrom's one closure loop and factor phase run
+// through: it states the plans and executes them. The batch grounder is
+// its own backend on the single-node engine; MPPGrounder lowers the
+// batch plans onto a cluster holding distributed copies of TΠ and the
+// MLN tables; TuffyGrounder states one plan per rule over its
+// per-relation tables.
 type backend interface {
+	// atomsQueries returns one closure iteration's Query 1 plans: over all
+	// of tpi, or, given the semi-naive delta, over the derivations using
+	// a fact of delta. ix is the run's index over tpi.
+	atomsQueries(tpi, delta *engine.Table, ix *factIndex) []partPlan
+	// factorsQueries returns Query 2's plans over tpi, in the order TΦ
+	// concatenates their rows.
+	factorsQueries(tpi *engine.Table) []partPlan
 	// run executes one grounding plan against the backend's copy of the
 	// tables and returns its rows on the master, with the journal profile
 	// of what actually ran: its query name and, when capture is set, its
-	// executed operator tree. phase is "atoms" or "factors".
+	// executed operator tree. A profile with no query name is not
+	// journaled. phase is "atoms" or "factors".
 	run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error)
 	// factsChanged tells the backend an iteration grew TΠ by st.NewFacts
 	// rows and deleted st.Deleted; feeds reports whether any plan will
 	// read TΠ again.
 	factsChanged(st IterStats, feeds bool) error
-	// indexed reports whether the backend runs semi-naive legs that read
-	// TΠ through its entity index (the single-node engine) rather than
-	// the hash-join plans it lowers onto a cluster (MPP).
-	indexed() bool
+	// keepsFactors reports whether a later run may maintain this
+	// backend's TΦ (deltafactors.go): the maintained legs reproduce the
+	// row order of the batch plans' Query 2 on the single-node engine.
+	keepsFactors() bool
 }
 
-// singleNode runs the plans as built, on the tables they scan.
-type singleNode struct{ workers int }
+// partPlan is one grounding plan and the rule partition it grounds.
+type partPlan struct {
+	p    int
+	plan engine.Node
+}
 
-func (b singleNode) run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error) {
+// atomsQueries returns Query 1-p for every non-empty partition in turn:
+// atomsPlans' legs, the two-atom ones read through tix when it is
+// non-nil.
+func (g *BatchGrounder) atomsQueries(tpi, delta *engine.Table, tix *factIndex) []partPlan {
+	active := g.parts.NonEmpty()
+	qs := make([]partPlan, 0, 2*len(active))
+	for _, p := range active {
+		for _, plan := range g.atomsPlans(p, tpi, delta, tix) {
+			qs = append(qs, partPlan{p, plan})
+		}
+	}
+	return qs
+}
+
+// factorsQueries returns Query 2-p over tpi for every non-empty
+// partition in turn.
+func (g *BatchGrounder) factorsQueries(tpi *engine.Table) []partPlan {
+	active := g.parts.NonEmpty()
+	qs := make([]partPlan, len(active))
+	for i, p := range active {
+		qs[i] = partPlan{p, g.factorsPlan(p, tpi)}
+	}
+	return qs
+}
+
+// run executes a plan as built, on the tables it scans.
+func (g *BatchGrounder) run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error) {
 	if phase == "atoms" {
 		// Deduplicate in-plan, in parallel: it shrinks the serial merge.
 		plan = engine.NewDistinct(plan, candidateKeyCols)
 	}
-	engine.Configure(plan, engine.Opts{Workers: b.workers})
+	engine.Configure(plan, engine.Opts{Workers: g.opts.Workers})
 	out, err := plan.Run()
 	if err != nil {
 		return nil, journal.QueryProfile{}, err
@@ -86,14 +123,15 @@ func (b singleNode) run(phase string, plan engine.Node, capture bool) (*engine.T
 	return out, prof, nil
 }
 
-func (singleNode) factsChanged(IterStats, bool) error { return nil }
+func (*BatchGrounder) factsChanged(IterStats, bool) error { return nil }
 
-func (singleNode) indexed() bool { return true }
+func (*BatchGrounder) keepsFactors() bool { return true }
 
 // groundFrom runs the closure loop and factor phase over an existing
-// facts table. deltaMin >= 0 seeds the first iteration's semi-naive
-// delta at that fact-ID watermark (the incremental-expansion path); -1
-// starts naive.
+// facts table — the run's base facts — with the plans be states and
+// executes. deltaMin >= 0 seeds the first iteration's semi-naive delta at
+// that fact-ID watermark (the incremental-expansion path); -1 starts
+// naive.
 //
 // The delta is tracked by fact ID, not row offset: IDs are assigned
 // monotonically by the fact index and never reused within a run, so
@@ -107,37 +145,28 @@ func (singleNode) indexed() bool { return true }
 func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex, deltaMin int32, res *Result) (*Result, error) {
 	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
 	defer span.End()
-	active := g.parts.NonEmpty()
-	res.FirstDerived = ix.next
+	res.BaseFacts, res.FirstDerived = tpi.NumRows(), ix.next
 
 	// Phase 1: transitive closure (groundAtoms until fixpoint or cap).
 	atomStart := time.Now()
 	atomsCtx, atomsSpan := obs.StartSpan(ctx, "ground.atoms")
 	maxIters := g.opts.MaxIterations
-	// partial packages what grounding completed so far so a cancelled run
-	// can hand back a usable PartialError instead of discarding work.
-	partial := func(err error) (*Result, error) {
-		res.Facts = tpi
-		res.AtomTime = time.Since(atomStart)
-		return res, err
-	}
-	// tix is the run's index when the backend's semi-naive legs read TΠ
-	// through it.
-	var tix *factIndex
-	if be.indexed() {
-		tix = ix
-	}
 	// Semi-naive bookkeeping: deltaMin is the fact-ID watermark below
 	// which every derivation has already been attempted; -1 forces a
 	// full (naive) join.
 	for iter := 1; maxIters == 0 || iter <= maxIters; iter++ {
-		// Cooperative cancellation: check at every fixpoint iteration.
-		if err := atomsCtx.Err(); err != nil {
-			atomsSpan.End()
-			return partial(err)
-		}
 		iterStart := time.Now()
 		_, iterSpan := obs.StartSpan(atomsCtx, "iteration")
+		// abort packages what grounding completed so far, so that a
+		// cancelled run can hand back a usable PartialError instead of
+		// discarding work.
+		abort := func(err error) (*Result, error) {
+			iterSpan.End()
+			atomsSpan.End()
+			res.Facts = tpi
+			res.AtomTime = time.Since(atomStart)
+			return res, err
+		}
 		st := IterStats{Iteration: iter}
 
 		var delta *engine.Table
@@ -150,24 +179,25 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		// they form the next iteration's delta.
 		nextMin := ix.next
 
-		// Run every partition's query against this iteration's snapshot
-		// of TΠ, then merge (Algorithm 1 lines 3-5).
-		candidates := make([]*engine.Table, 0, len(active))
-		for _, p := range active {
-			for _, plan := range g.atomsPlans(p, tpi, delta, tix) {
-				planStart := time.Now()
-				out, prof, err := be.run("atoms", plan, g.opts.Journal != nil)
-				if err != nil {
-					iterSpan.End()
-					atomsSpan.End()
-					return partial(fmt.Errorf("ground: partition %d atoms query: %w", p, err))
-				}
-				observePartition("atoms", p, time.Since(planStart))
-				prof.Partition, prof.Iteration = p, iter
-				g.opts.Journal.EmitProfile(prof)
-				st.Queries++
-				candidates = append(candidates, out)
+		// Run every query against this iteration's snapshot of TΠ, then
+		// merge (Algorithm 1 lines 3-5).
+		qs := be.atomsQueries(tpi, delta, ix)
+		candidates := make([]*engine.Table, 0, len(qs))
+		for _, q := range qs {
+			// Cooperative cancellation: check before every query.
+			if err := atomsCtx.Err(); err != nil {
+				return abort(err)
 			}
+			planStart := time.Now()
+			out, prof, err := be.run("atoms", q.plan, g.opts.Journal != nil)
+			if err != nil {
+				return abort(fmt.Errorf("ground: partition %d atoms query: %w", q.p, err))
+			}
+			observePartition("atoms", q.p, time.Since(planStart))
+			prof.Partition, prof.Iteration = q.p, iter
+			g.opts.Journal.EmitProfile(prof)
+			st.Queries++
+			candidates = append(candidates, out)
 		}
 		candRows := 0
 		for _, c := range candidates {
@@ -192,9 +222,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		fixpoint := !grewSince(tpi, nextMin)
 		lastIter := fixpoint || (maxIters != 0 && iter == maxIters)
 		if err := be.factsChanged(st, !lastIter || !g.opts.SkipFactors); err != nil {
-			iterSpan.End()
-			atomsSpan.End()
-			return partial(fmt.Errorf("ground: maintaining the backend's facts: %w", err))
+			return abort(fmt.Errorf("ground: maintaining the backend's facts: %w", err))
 		}
 
 		st.Elapsed = time.Since(iterStart)
@@ -236,18 +264,17 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		// that grounds factors to maintain.
 		return res, nil
 	}
-	return res, g.factorPhase(ctx, be, active, tpi, ix, res)
+	return res, g.factorPhase(ctx, be, tpi, ix, res)
 }
 
 // factorPhase is Algorithm 1's groundFactors (lines 8-10): it sets
-// res.Factors to TΦ over tpi — the active partitions' Query 2-p clauses
-// in turn, then one unit clause per observed fact — and res.tphi to what
-// a later run continues from. A run continuing from a TΦ the single-node
-// backend computed (res.tphi on entry) maintains it from the facts added
-// since (deltafactors.go), reading TΠ through ix; a run with none states
-// Query 2 over all of TΠ.
-func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, active []int, tpi *engine.Table,
-	ix *factIndex, res *Result) error {
+// res.Factors to TΦ over tpi — the clauses of the backend's Query 2
+// plans in turn, then one unit clause per observed fact — and res.tphi
+// to what a later run continues from. A run continuing from a TΦ the
+// single-node backend computed (res.tphi on entry) maintains it from the
+// facts added since (deltafactors.go), reading TΠ through ix; a run with
+// none runs Query 2 over all of TΠ.
+func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine.Table, ix *factIndex, res *Result) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "ground.factors")
 	defer span.End()
@@ -257,9 +284,9 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, active []in
 		err  error
 	)
 	if prior := res.tphi; prior != nil {
-		err = g.maintainFactors(ctx, be, active, prior, tpi, ix, &cols, &end, res)
+		err = g.maintainFactors(ctx, be, prior, tpi, ix, &cols, &end, res)
 	} else {
-		err = g.groundFactors(ctx, be, active, tpi, &cols, &end, res)
+		err = g.groundFactors(ctx, be, tpi, &cols, &end, res)
 	}
 	if err != nil {
 		return err
@@ -272,9 +299,7 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, active []in
 	obs.Default.Counter("probkb_ground_queries_total", obs.L("phase", "factors")).Add(int64(res.FactorQueries))
 	res.Factors = cols.table()
 	res.tphi = nil
-	if be.indexed() {
-		// An MPP run's TΦ is not kept: Extend continues on the single-node
-		// backend, whose Query 2 emits its rows in another order.
+	if be.keepsFactors() {
 		res.tphi = &factorState{tphi: res.Factors, end: end, watermark: ix.next, facts: tpi.NumRows()}
 	}
 	res.FactorTime = time.Since(start)
@@ -283,22 +308,24 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, active []in
 	return nil
 }
 
-// groundFactors runs Query 2-p for every active partition over all of
-// TΠ and appends each partition's clauses to cols (bag union,
-// Proposition 1), recording where they end. cols is sized once, for the
+// groundFactors runs the backend's Query 2 plans over all of TΠ and
+// appends their clauses to cols (bag union, Proposition 1), recording
+// where each partition's clauses end (a backend that keepsFactors
+// states its plans in partition order). cols is sized once, for the
 // clauses and the unit clauses that follow them.
-func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, active []int, tpi *engine.Table,
+func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, tpi *engine.Table,
 	cols *factorCols, end *[mln.NumPartitions + 1]int, res *Result) error {
-	outs := make([]*engine.Table, len(active))
+	qs := be.factorsQueries(tpi)
+	outs := make([]*engine.Table, len(qs))
 	n := observed(tpi)
-	for i, p := range active {
+	for i, q := range qs {
 		// Cooperative cancellation: check between factor queries. The
 		// grounded facts survive in the partial result; only the factor
 		// table is incomplete.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		out, err := g.runFactors(be, p, g.factorsPlan(p, tpi), res)
+		out, err := g.runFactors(be, q.p, q.plan, res)
 		if err != nil {
 			return err
 		}
@@ -306,9 +333,9 @@ func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, active []
 		n += out.NumRows()
 	}
 	cols.grow(n)
-	for i, p := range active {
+	for i, q := range qs {
 		cols.appendTable(outs[i])
-		end[p] = cols.len()
+		end[q.p] = cols.len()
 	}
 	return nil
 }
@@ -655,7 +682,5 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 			ix.add(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
 		}
 	}
-	res.BaseFacts = tpi.NumRows()
-
-	return g.groundFrom(singleNode{workers: g.opts.Workers}, tpi, ix, deltaMin, res)
+	return g.groundFrom(g, tpi, ix, deltaMin, res)
 }

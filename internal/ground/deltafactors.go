@@ -107,8 +107,9 @@ type factorLeg struct {
 // dropped. No new clause ties with a prior one on Query 2's order, since
 // one of its facts is at or above W and none of theirs is, so merging
 // the sorted new clauses into the prior rows reproduces that order.
-func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, active []int, prior *factorState,
+func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, prior *factorState,
 	tpi *engine.Table, ix *factIndex, cols *factorCols, end *[mln.NumPartitions + 1]int, res *Result) error {
+	active := g.parts.NonEmpty()
 	w := prior.watermark
 	delta := deltaRows(tpi, w)
 	var fresh [mln.NumPartitions + 1][]clause

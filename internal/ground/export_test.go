@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"context"
 	"testing"
 
 	"probkb/internal/engine"
@@ -65,9 +66,9 @@ func TuffyFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
 		t.Fatal(err)
 	}
 	g.load(tpi)
-	factors, err := g.groundFactors(&Result{})
-	if err != nil {
+	res := &Result{}
+	if err := g.batch.factorPhase(context.Background(), g, tpi, g.ix, res); err != nil {
 		t.Fatal(err)
 	}
-	return factors
+	return res.Factors
 }

@@ -1,20 +1,23 @@
 // Package ground implements MLN grounding over the relational model of
 // Section 4 of the paper — the system's core contribution.
 //
-// Two grounders share identical semantics:
+// One closure loop, with its factor phase (BatchGrounder.groundFrom),
+// runs every grounder's plans through a backend that states and executes
+// them. The grounders share identical semantics and differ in their
+// plans only:
 //
 //   - BatchGrounder (probkb mode, Algorithm 1): applies *all rules of a
 //     partition at once* by joining the MLN table Mi against the facts
 //     table TΠ — O(k) queries per iteration for k non-empty partitions,
 //     regardless of rule count. Queries 1-p and 2-p are stated once, as
-//     engine plans, and one closure loop runs them through a backend:
-//     as built on the single-node engine, or lowered by mpp.Lower onto
-//     a Greenplum-style cluster with redistributed materialized views
-//     (MPPGrounder, which owns the cluster copies of TΠ and Mi).
+//     engine plans, and run as built on the single-node engine, or
+//     lowered by mpp.Lower onto a Greenplum-style cluster with
+//     redistributed materialized views (MPPGrounder, which owns the
+//     cluster copies of TΠ and Mi).
 //
 //   - TuffyGrounder (the Tuffy-T baseline of Section 6.1): one table per
 //     relation and one join query per rule — O(n) queries per iteration
-//     for n rules.
+//     for n rules, always naive.
 //
 // Grounding is two phases (Algorithm 1): groundAtoms computes the
 // transitive closure of the facts under the rules, then groundFactors

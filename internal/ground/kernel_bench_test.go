@@ -134,7 +134,7 @@ func BenchmarkDeltaLegs(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						for _, plan := range g.atomsPlans(mln.P4, tpi, delta, ix) {
-							if _, _, err := (singleNode{}).run("atoms", plan, false); err != nil {
+							if _, _, err := g.run("atoms", plan, false); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -155,7 +155,6 @@ func BenchmarkDeltaLegs(b *testing.B) {
 // prior rows.
 func BenchmarkFactorsDelta(b *testing.B) {
 	ctx := context.Background()
-	active := []int{mln.P4}
 	for _, n := range []int{100_000, 300_000} {
 		g, tpi := deltaLegsFixture(b, n)
 		ix := newFactIndex(tpi)
@@ -163,7 +162,7 @@ func BenchmarkFactorsDelta(b *testing.B) {
 		phase := func(b *testing.B, prior *factorState) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := g.factorPhase(ctx, singleNode{}, active, tpi, ix, &Result{tphi: prior}); err != nil {
+				if err := g.factorPhase(ctx, g, tpi, ix, &Result{tphi: prior}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -177,7 +176,7 @@ func BenchmarkFactorsDelta(b *testing.B) {
 			old := engine.NewTable("T", kb.FactsSchema())
 			old.AppendRowsFrom(tpi, rows)
 			prior := &Result{}
-			if err := g.factorPhase(ctx, singleNode{}, active, old, newFactIndex(old), prior); err != nil {
+			if err := g.factorPhase(ctx, g, old, newFactIndex(old), prior); err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%dK/delta=%d", n/1000, d), func(b *testing.B) { phase(b, prior.tphi) })

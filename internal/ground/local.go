@@ -238,8 +238,7 @@ func (lg *LocalGrounder) Ground(ctx context.Context, q LocalQuery) (*LocalResult
 	tpi.AppendRowsFrom(lg.base, seedRows)
 	ix := newFactIndex(tpi)
 
-	res := &Result{BaseFacts: tpi.NumRows()}
-	res.LoadTime = time.Since(loadStart)
+	res := &Result{LoadTime: time.Since(loadStart)}
 
 	opts := lg.opts
 	opts.Ctx = ctx
@@ -250,7 +249,7 @@ func (lg *LocalGrounder) Ground(ctx context.Context, q LocalQuery) (*LocalResult
 	opts.Observer = nil
 	opts.Journal = nil
 	g := &BatchGrounder{parts: parts, opts: opts}
-	out, err := g.groundFrom(singleNode{workers: opts.Workers}, tpi, ix, -1, res)
+	out, err := g.groundFrom(g, tpi, ix, -1, res)
 	if err != nil {
 		return nil, err
 	}

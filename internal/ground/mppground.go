@@ -133,7 +133,6 @@ func (g *MPPGrounder) appendDelta() error {
 // Ground runs the distributed Algorithm 1: the batch grounder's closure
 // and factor loop, with every plan lowered onto the cluster.
 func (g *MPPGrounder) Ground() (*Result, error) {
-	res := &Result{}
 	loadStart := time.Now()
 	_, loadSpan := obs.StartSpan(g.batch.opts.ctxOf(), "ground.load")
 	loadSpan.SetAttr("segments", g.cluster.NumSegments())
@@ -143,9 +142,7 @@ func (g *MPPGrounder) Ground() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ground: mpp load: %w", err)
 	}
-	res.LoadTime = time.Since(loadStart)
-	res.BaseFacts = g.tpi.NumRows()
-	return g.batch.groundFrom(g, g.tpi, g.ix, -1, res)
+	return g.batch.groundFrom(g, g.tpi, g.ix, -1, &Result{LoadTime: time.Since(loadStart)})
 }
 
 // run lowers a grounding plan onto the cluster, runs it and gathers the
@@ -190,8 +187,19 @@ func (g *MPPGrounder) factsChanged(st IterStats, feeds bool) error {
 	return nil
 }
 
-// indexed is false: the cluster runs the hash-join plans as lowered.
-func (g *MPPGrounder) indexed() bool { return false }
+// atomsQueries states the semi-naive legs as hash joins, which the
+// cluster runs as lowered.
+func (g *MPPGrounder) atomsQueries(tpi, delta *engine.Table, _ *factIndex) []partPlan {
+	return g.batch.atomsQueries(tpi, delta, nil)
+}
+
+func (g *MPPGrounder) factorsQueries(tpi *engine.Table) []partPlan {
+	return g.batch.factorsQueries(tpi)
+}
+
+// keepsFactors is false: Extend continues on the single-node backend,
+// whose Query 2 emits its rows in another order.
+func (g *MPPGrounder) keepsFactors() bool { return false }
 
 // lower places a grounding plan on the cluster: views on, TΠ probes scan
 // the view keyed like the join (no motion); views off, the planner

@@ -111,14 +111,14 @@ func TestPlanMetricsMatchCapturedPlans(t *testing.T) {
 // plan tree only when the grounder has a journal to give it to.
 func TestBackendCapturesOnlyWhenAsked(t *testing.T) {
 	k := randomKB(rand.New(rand.NewSource(3)))
-	g, err := NewBatch(k, Options{})
+	g, err := NewBatch(k, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := g.parts.NonEmpty()[0]
 	tpi := k.FactsTable()
 	for _, capture := range []bool{false, true} {
-		_, prof, err := singleNode{workers: 1}.run("factors", g.factorsPlan(p, tpi), capture)
+		_, prof, err := g.run("factors", g.factorsPlan(p, tpi), capture)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,30 +8,43 @@ import (
 	"probkb/internal/kb"
 	"probkb/internal/mln"
 	"probkb/internal/obs"
+	"probkb/internal/obs/journal"
 )
 
 // TuffyGrounder re-implements the Tuffy-T baseline of Section 6.1: one
 // table per relation, one join query per rule, one insertion per rule.
 // Its output is semantically identical to the batch grounder's; the
 // difference is purely the query plan — O(n) queries per iteration for n
-// rules instead of O(k) for k partitions.
+// rules instead of O(k) for k partitions. It is a backend of the batch
+// grounder's closure loop, supplying its own plans and tables.
 type TuffyGrounder struct {
-	kb   *kb.KB
-	opts Options
+	// batch runs the closure loop, naive whatever the options say: Tuffy-T
+	// re-joins every rule against all of TΠ each iteration. It states no
+	// plans of its own, so it holds no MLN partitions.
+	batch *BatchGrounder
+	// part is each rule's partition, which labels its queries.
+	part []int
 
 	tpi       *engine.Table
 	ix        *factIndex
 	relTables map[int32]*engine.Table
+	// scattered is how many master rows the relation tables already
+	// hold; rows beyond it are copied in incrementally.
+	scattered int
 }
 
 // NewTuffy prepares a Tuffy-T grounder for the KB.
 func NewTuffy(k *kb.KB, opts Options) (*TuffyGrounder, error) {
+	part := make([]int, len(k.Rules))
 	for i, c := range k.Rules {
-		if _, err := c.Partition(); err != nil {
+		p, err := c.Partition()
+		if err != nil {
 			return nil, fmt.Errorf("ground: rule %d: %w", i, err)
 		}
+		part[i] = p
 	}
-	return &TuffyGrounder{kb: k, opts: opts}, nil
+	opts.SemiNaive = false
+	return &TuffyGrounder{batch: &BatchGrounder{kb: k, opts: opts}, part: part}, nil
 }
 
 // load bulkloads the facts tpi: the master table plus one predicate table
@@ -39,20 +52,21 @@ func NewTuffy(k *kb.KB, opts Options) (*TuffyGrounder, error) {
 // bulkload two to three orders of magnitude slower on KBs with many
 // relations (Table 3, "Load" row).
 func (g *TuffyGrounder) load(tpi *engine.Table) {
+	k := g.batch.kb
 	g.tpi = tpi
 	g.ix = newFactIndex(g.tpi)
-	g.relTables = make(map[int32]*engine.Table, g.kb.RelDict.Len())
+	g.relTables = make(map[int32]*engine.Table, k.RelDict.Len())
 	// Every relation gets its own (initially empty) table, mirroring
 	// Tuffy's per-predicate schema creation.
-	for id := int32(0); id < int32(g.kb.RelDict.Len()); id++ {
-		g.relTables[id] = engine.NewTable("pred_"+g.kb.RelDict.Name(id), kb.FactsSchema())
+	for id := int32(0); id < int32(k.RelDict.Len()); id++ {
+		g.relTables[id] = engine.NewTable("pred_"+k.RelDict.Name(id), kb.FactsSchema())
 	}
-	g.scatterFacts(0)
+	g.scatter(0)
 }
 
-// scatterFacts copies rows [from, NumRows) of the master table into the
+// scatter copies rows [from, NumRows) of the master table into the
 // per-relation tables.
-func (g *TuffyGrounder) scatterFacts(from int) {
+func (g *TuffyGrounder) scatter(from int) {
 	rels := g.tpi.Int32Col(kb.TPiR)
 	perRel := make(map[int32][]int32)
 	for r := from; r < g.tpi.NumRows(); r++ {
@@ -61,131 +75,78 @@ func (g *TuffyGrounder) scatterFacts(from int) {
 	for rel, rows := range perRel {
 		g.relTables[rel].AppendRowsFrom(g.tpi, rows)
 	}
+	g.scattered = g.tpi.NumRows()
 }
 
-// rebuildRelTables reloads every predicate table from the master table
-// (needed after constraint deletions).
-func (g *TuffyGrounder) rebuildRelTables() {
-	for _, t := range g.relTables {
-		t.Truncate()
-	}
-	g.scatterFacts(0)
-}
-
-// Ground runs the per-rule grounding loop.
+// Ground loads TΠ and its relation tables, then runs the closure loop and
+// factor phase with one query per rule.
 func (g *TuffyGrounder) Ground() (*Result, error) {
-	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
-	defer span.End()
-	span.SetAttr("grounder", "tuffy")
-	res := &Result{}
-
 	loadStart := time.Now()
-	g.load(g.kb.FactsTable())
-	res.LoadTime = time.Since(loadStart)
-	res.BaseFacts = g.tpi.NumRows()
-	res.FirstDerived = g.ix.next
+	_, loadSpan := obs.StartSpan(g.batch.opts.ctxOf(), "ground.load")
+	g.load(g.batch.kb.FactsTable())
+	loadSpan.SetAttr("relations", len(g.relTables))
+	loadSpan.End()
+	return g.batch.groundFrom(g, g.tpi, g.ix, -1, &Result{LoadTime: time.Since(loadStart)})
+}
 
-	atomStart := time.Now()
-	atomsCtx, atomsSpan := obs.StartSpan(ctx, "ground.atoms")
-	maxIters := g.opts.MaxIterations
-	for iter := 1; maxIters == 0 || iter <= maxIters; iter++ {
-		iterStart := time.Now()
-		_, iterSpan := obs.StartSpan(atomsCtx, "iteration")
-		st := IterStats{Iteration: iter}
+// atomsQueries is one inference query per rule over all of TΠ; Tuffy-T
+// has no Δ.
+func (g *TuffyGrounder) atomsQueries(_, _ *engine.Table, _ *factIndex) []partPlan {
+	return g.rulePlans(g.ruleAtomsPlan)
+}
 
-		// One query per rule against this iteration's snapshot; results
-		// collected and merged per rule, as Tuffy inserts per rule.
-		snapshotLen := g.tpi.NumRows()
-		nextMin := g.ix.next
-		type ruleOut struct{ out *engine.Table }
-		outs := make([]ruleOut, 0, len(g.kb.Rules))
-		for i := range g.kb.Rules {
-			plan := g.ruleAtomsPlan(&g.kb.Rules[i])
-			out, err := plan.Run()
-			if err != nil {
-				iterSpan.End()
-				atomsSpan.End()
-				return nil, fmt.Errorf("ground: tuffy rule %d: %w", i, err)
-			}
-			engine.ObservePlan("tuffy-atoms", plan)
-			st.Queries++
-			outs = append(outs, ruleOut{out: out})
-		}
-		candRows := 0
-		for _, ro := range outs {
-			candRows += ro.out.NumRows()
-			st.NewFacts += g.ix.merge(ro.out)
-		}
-		g.scatterFacts(snapshotLen)
-		if g.opts.ConstraintHook != nil {
-			st.Deleted = g.opts.ConstraintHook(g.tpi)
-			if st.Deleted > 0 {
-				g.ix.rebuild()
-				g.rebuildRelTables()
-			}
-		}
+// factorsQueries is one factor query per rule, in rule order.
+func (g *TuffyGrounder) factorsQueries(*engine.Table) []partPlan {
+	return g.rulePlans(g.ruleFactorsPlan)
+}
 
-		st.Elapsed = time.Since(iterStart)
-		res.PerIteration = append(res.PerIteration, st)
-		res.Iterations = iter
-		res.AtomQueries += st.Queries
-		observeIteration(st, candRows-st.NewFacts)
-		iterSpan.SetAttr("iter", iter)
-		iterSpan.SetAttr("new_facts", st.NewFacts)
-		iterSpan.SetAttr("queries", st.Queries)
-		iterSpan.End()
-		// The Tuffy baseline journals iteration stats only; per-rule plan
-		// profiles (O(#rules) per iteration) would blow the journal bound.
-		emitIteration(g.opts.Journal, st)
-		if g.opts.OnIteration != nil {
-			g.opts.OnIteration(st)
-		}
-		// Same fixpoint rule as groundFrom: nothing appended survived.
-		if !grewSince(g.tpi, nextMin) {
-			res.Converged = true
-			break
-		}
+// rulePlans builds one plan per rule, tagged with the rule's partition.
+func (g *TuffyGrounder) rulePlans(build func(*mln.Clause) engine.Node) []partPlan {
+	rules := g.batch.kb.Rules
+	qs := make([]partPlan, len(rules))
+	for i := range rules {
+		qs[i] = partPlan{g.part[i], build(&rules[i])}
 	}
-	res.AtomTime = time.Since(atomStart)
-	res.Facts = g.tpi
-	atomsSpan.SetAttr("iterations", res.Iterations)
-	atomsSpan.End()
+	return qs
+}
 
-	if g.opts.SkipFactors {
-		return res, nil
-	}
-
-	factorStart := time.Now()
-	_, factorsSpan := obs.StartSpan(ctx, "ground.factors")
-	defer factorsSpan.End()
-	factors, err := g.groundFactors(res)
+// run executes a per-rule plan as built. Its profile is the zero one, so
+// the journal records no per-rule plans: O(#rules) profiles per iteration
+// would overflow the journal bound.
+func (g *TuffyGrounder) run(phase string, plan engine.Node, _ bool) (*engine.Table, journal.QueryProfile, error) {
+	engine.Configure(plan, engine.Opts{Workers: g.batch.opts.Workers})
+	out, err := plan.Run()
 	if err != nil {
-		return nil, err
+		return nil, journal.QueryProfile{}, err
 	}
-	res.Factors = factors
-	res.FactorTime = time.Since(factorStart)
-	factorsSpan.SetAttr("factors", res.Factors.NumRows())
-	return res, nil
+	query := "tuffy-atoms"
+	if phase == "factors" {
+		query = "tuffy-factors"
+	}
+	engine.ObservePlan(query, plan)
+	return out, journal.QueryProfile{}, nil
 }
 
-// groundFactors returns TΦ over the loaded facts: one factor query per
-// rule, then the unit clauses, counted in res.FactorQueries.
-func (g *TuffyGrounder) groundFactors(res *Result) (*engine.Table, error) {
-	var factors factorCols
-	for i := range g.kb.Rules {
-		plan := g.ruleFactorsPlan(&g.kb.Rules[i])
-		out, err := plan.Run()
-		if err != nil {
-			return nil, fmt.Errorf("ground: tuffy rule %d factors: %w", i, err)
+// factsChanged keeps the relation tables in step with the master: the
+// rows the merge appended are copied in (Tuffy's insertion per rule); a
+// constraint pass's deletions reload every table. When nothing will read
+// them again the upkeep is skipped.
+func (g *TuffyGrounder) factsChanged(st IterStats, feeds bool) error {
+	switch {
+	case !feeds:
+	case st.Deleted > 0:
+		for _, t := range g.relTables {
+			t.Truncate()
 		}
-		engine.ObservePlan("tuffy-factors", plan)
-		res.FactorQueries++
-		factors.appendTable(out)
+		g.scatter(0)
+	case st.NewFacts > 0:
+		g.scatter(g.scattered)
 	}
-	factors.appendUnits(g.tpi)
-	res.FactorQueries++
-	return factors.table(), nil
+	return nil
 }
+
+// keepsFactors is false: Tuffy-T's factor queries emit TΦ in rule order.
+func (g *TuffyGrounder) keepsFactors() bool { return false }
 
 // classFilter returns a scan of the relation table for atom a, filtered
 // to the clause's class constraints — Tuffy-T's typed predicate access.

@@ -33,15 +33,11 @@ func (d Diagnostics) Converged(threshold float64) bool {
 }
 
 // MarginalsWithDiagnostics runs `chains` independent Gibbs chains with
-// different seeds and computes pooled marginals plus split-chain R̂ per
-// variable. A variable outside the components the chain sweeps is not
-// sampled — every run computes the same exact marginal — so its R̂ is 1
-// by definition and MaxRHat ranges over the swept variables only; with
-// none, one run suffices and MaxRHat stays 0.
-//
-// R̂ for binary-variable marginals uses the chain means: B/n is the
-// between-chain variance of the per-chain marginal estimates, W the
-// average within-chain variance of the indicator draws.
+// different seeds and computes pooled marginals plus R̂ (gelmanRubin)
+// per variable. A variable outside the components the chain sweeps is
+// not sampled — every run computes the same exact marginal — so its R̂
+// is 1 by definition and MaxRHat ranges over the swept variables only;
+// with none, one run suffices and MaxRHat stays 0.
 func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnostics {
 	if chains < 2 {
 		chains = 2
@@ -65,6 +61,7 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 
 	m := float64(chains)
 	samples := float64(opts.Samples)
+	means := make([]float64, chains)
 	d.Marginals = make([]float64, n)
 	d.RHat = make([]float64, n)
 	for v := range d.RHat {
@@ -72,43 +69,21 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 		d.RHat[v] = 1
 	}
 	for _, v := range swept {
-		// Pooled mean.
-		var mean float64
-		for c := 0; c < chains; c++ {
-			mean += est[c][v]
-		}
-		mean /= m
-		d.Marginals[v] = mean
-
-		// Between-chain variance of means (times n).
-		var b float64
-		for c := 0; c < chains; c++ {
-			diff := est[c][v] - mean
-			b += diff * diff
-		}
-		b = b * samples / (m - 1)
-
-		// Within-chain variance: for a Bernoulli stream with mean p̂ the
-		// sample variance is p̂(1-p̂)·n/(n-1).
-		var w float64
+		// Pooled mean, and the within-chain variance: for a Bernoulli
+		// stream with mean p̂ the sample variance is p̂(1-p̂)·n/(n-1).
+		var mean, w float64
 		for c := 0; c < chains; c++ {
 			p := est[c][v]
+			means[c] = p
+			mean += p
 			w += p * (1 - p) * samples / math.Max(samples-1, 1)
 		}
-		w /= m
-
-		if w <= 1e-12 {
-			// Degenerate variable (pinned to 0 or 1 in every chain):
-			// converged by definition if the means agree.
-			if b <= 1e-12 {
-				d.RHat[v] = 1
-			} else {
-				d.RHat[v] = math.Inf(1)
-			}
-		} else {
-			varPlus := (samples-1)/samples*w + b/samples
-			d.RHat[v] = math.Sqrt(varPlus / w)
+		d.Marginals[v] = mean / m
+		r, ok := gelmanRubin(means, samples, w/m)
+		if !ok {
+			r = math.Inf(1)
 		}
+		d.RHat[v] = r
 		if d.RHat[v] > d.MaxRHat {
 			d.MaxRHat = d.RHat[v]
 		}
@@ -118,4 +93,30 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 	// has actually mixed.
 	obs.Default.Gauge("probkb_infer_rhat_max").Set(d.MaxRHat)
 	return d
+}
+
+// gelmanRubin is the potential scale reduction factor R̂ of m ≥ 2
+// chains of n binary draws each, from the chain means p and W, the
+// average within-chain variance of the draws; B/n is the variance of the
+// means between chains. Chains pinned (W = 0) at one value have R̂ 1;
+// pinned at different values, R̂ is infinite and ok is false. Each
+// caller sums W itself, in the floating-point order its recorded values
+// have always been computed in.
+func gelmanRubin(p []float64, n, w float64) (rhat float64, ok bool) {
+	m := float64(len(p))
+	var mean float64
+	for _, x := range p {
+		mean += x
+	}
+	mean /= m
+	var b float64
+	for _, x := range p {
+		d := x - mean
+		b += d * d
+	}
+	b = b * n / (m - 1)
+	if w <= 1e-12 {
+		return 1, b <= 1e-12
+	}
+	return math.Sqrt(((n-1)/n*w + b/n) / w), true
 }

@@ -109,16 +109,10 @@ type Options struct {
 	// goroutine; keep it cheap.
 	OnIteration func(SweepStats)
 	// OnCheckpoint, when non-nil, receives a Checkpoint every
-	// CheckpointEvery sweeps and on the final sweep, carrying the
-	// convergence timeline (split-half R-hat / ESS over TrackVars
+	// checkpointEvery sweeps and on the final sweep, carrying the
+	// convergence timeline (split-half R-hat / ESS over up to trackVars
 	// variables). It runs on the sampling goroutine.
 	OnCheckpoint func(Checkpoint)
-	// CheckpointEvery is the sweep interval between checkpoints; 0 means
-	// DefaultCheckpointEvery (only relevant with OnCheckpoint set).
-	CheckpointEvery int
-	// TrackVars caps how many variables the timeline tracks for
-	// per-atom diagnostics; 0 means a default of 32.
-	TrackVars int
 	// Chain labels this run's metrics series (MarginalsWithDiagnostics
 	// runs several chains and numbers them); single runs leave it 0.
 	Chain int
@@ -133,9 +127,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.NumCPU()
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = DefaultCheckpointEvery
 	}
 	return o
 }
@@ -313,7 +304,7 @@ func newSweepObserver(sampled []int32, assign []bool, opts Options, feed *chainF
 		o.prev[k] = assign[v]
 	}
 	if opts.OnCheckpoint != nil {
-		o.tracker = newTracker(sampled, opts.TrackVars)
+		o.tracker = newTracker(sampled, trackVars)
 	}
 	return o
 }
@@ -356,7 +347,7 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 			o.tracker.record(assign)
 		}
 		last := sweep == o.opts.Burnin+o.opts.Samples
-		if sweep%o.opts.CheckpointEvery == 0 || last {
+		if sweep%checkpointEvery == 0 || last {
 			cp := Checkpoint{
 				Sweep:         sweep,
 				Burnin:        burnin,

@@ -1,9 +1,6 @@
 package infer
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Convergence timeline for a single sampling run: periodic checkpoints
 // carrying split-half R-hat and effective sample size over a tracked
@@ -49,14 +46,13 @@ type Checkpoint struct {
 	Tracked []VarDiag
 }
 
-// DefaultCheckpointEvery is the sweep interval between checkpoints when
-// a checkpoint observer is installed without an explicit interval.
-const DefaultCheckpointEvery = 25
+// checkpointEvery is the sweep interval between checkpoints.
+const checkpointEvery = 25
 
-// defaultTrackVars caps how many variables the timeline samples for
-// per-atom diagnostics; tracking everything would make each checkpoint
+// trackVars caps how many variables the timeline samples for per-atom
+// diagnostics; tracking everything would make each checkpoint
 // O(vars · samples).
-const defaultTrackVars = 32
+const trackVars = 32
 
 // minDiagSamples is the minimum post-burn-in history length before
 // split-half R-hat and ESS are reported; halves shorter than 4 samples
@@ -74,9 +70,6 @@ type tracker struct {
 // stride so hubs and leaves both get tracked. Variables outside the
 // sampled list have closed-form marginals and nothing to converge.
 func newTracker(sampled []int32, cap int) *tracker {
-	if cap <= 0 {
-		cap = defaultTrackVars
-	}
 	n := len(sampled)
 	if cap > n {
 		cap = n
@@ -133,11 +126,9 @@ func meanU8(h []uint8) float64 {
 	return s / float64(len(h))
 }
 
-// splitRHat is the Gelman–Rubin potential scale reduction factor with
-// the single chain split into halves (m = 2) — the same formula
-// MarginalsWithDiagnostics applies across independent chains, which
-// catches slow drift within one chain: a chain still trending has
-// halves with different means and an R-hat above 1.
+// splitRHat is gelmanRubin with the single chain split into halves
+// (m = 2), which catches slow drift within one chain: a chain still
+// trending has halves with different means and an R-hat above 1.
 func splitRHat(h []uint8) float64 {
 	half := len(h) / 2
 	if half < 2 {
@@ -146,26 +137,16 @@ func splitRHat(h []uint8) float64 {
 	// Drop a leftover odd sample from the front (the older half).
 	a, b := h[len(h)-2*half:len(h)-half], h[len(h)-half:]
 	pa, pb := meanU8(a), meanU8(b)
-	mean := (pa + pb) / 2
 	n := float64(half)
-
-	// Between-half variance of the means (times n).
-	da, db := pa-mean, pb-mean
-	B := (da*da + db*db) * n // m-1 = 1
-
 	// Within-half variance of Bernoulli draws: p(1-p)·n/(n-1).
-	W := (pa*(1-pa) + pb*(1-pb)) / 2 * n / (n - 1)
-
-	if W <= 1e-12 {
-		if B <= 1e-12 {
-			return 1 // pinned in both halves and agreeing: converged
-		}
+	w := (pa*(1-pa) + pb*(1-pb)) / 2 * n / (n - 1)
+	r, ok := gelmanRubin([]float64{pa, pb}, n, w)
+	if !ok {
 		// Pinned halves that disagree: divergent. A finite sentinel
 		// instead of +Inf keeps the value JSON-encodable downstream.
 		return degenerateRHat
 	}
-	varPlus := (n-1)/n*W + B/n
-	return math.Sqrt(varPlus / W)
+	return r
 }
 
 // degenerateRHat stands in for an infinite R-hat (two pinned,

@@ -139,11 +139,10 @@ func TestCheckpointObserver(t *testing.T) {
 	g := randomGraph(t, rand.New(rand.NewSource(5)), 20)
 	var cps []Checkpoint
 	opts := Options{
-		Burnin:          50,
-		Samples:         200,
-		Seed:            3,
-		CheckpointEvery: 25,
-		OnCheckpoint:    func(cp Checkpoint) { cps = append(cps, cp) },
+		Burnin:       50,
+		Samples:      200,
+		Seed:         3,
+		OnCheckpoint: func(cp Checkpoint) { cps = append(cps, cp) },
 	}
 	if probs := chainMarginals(g, opts); len(probs) != 20 {
 		t.Fatalf("marginals = %d vars, want 20", len(probs))

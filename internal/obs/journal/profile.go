@@ -34,9 +34,10 @@ func Capture[N engine.PlanLike[N]](root N) PlanNode {
 
 // EmitProfile records one executed query's plan tree and, for each
 // motion operator in it, a standalone motion event carrying its shipped
-// volume.
+// volume. A profile naming no query is not recorded: it stands for a
+// query whose runner journals no plans.
 func (w *Writer) EmitProfile(p QueryProfile) {
-	if w == nil {
+	if w == nil || p.Query == "" {
 		return
 	}
 	w.Emit(TypeQueryProfile, p)

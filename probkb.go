@@ -107,11 +107,12 @@ type Config struct {
 	Segments int
 
 	// EngineWorkers sizes the morsel-parallel worker pool relational
-	// query plans run with. On SingleNode, 0 means runtime.NumCPU() and
-	// 1 forces serial execution; on MPP it is the per-segment budget,
-	// where 0 (and 1) keep the historical serial-per-segment behavior.
-	// Results — and canonical journals — are identical for every
-	// setting, which is why Hash excludes it (like Faults and retries).
+	// query plans run with. On SingleNode and Baseline, 0 means
+	// runtime.NumCPU() and 1 forces serial execution; on MPP it is the
+	// per-segment budget, where 0 (and 1) keep the historical
+	// serial-per-segment behavior. Results — and canonical journals —
+	// are identical for every setting, which is why Hash excludes it
+	// (like Faults and retries).
 	EngineWorkers int
 
 	// MaxIterations caps the grounding fixpoint loop; 0 runs to
@@ -170,13 +171,13 @@ type Config struct {
 	// to be sampled. It runs on the sampling goroutine; keep it cheap.
 	OnGibbsSweep func(GibbsSweep)
 
-	// Persist, when non-nil, makes the run durable: each completed
-	// grounding iteration's delta (new facts and constraint-repair
-	// deletes) is appended to the store's WAL before the next iteration
-	// starts, and inferred marginals are appended after inference. A
-	// crash at any point recovers to the last completed iteration via
-	// OpenStore. Persistence never changes results, so the field is
-	// excluded from Hash() like the callbacks.
+	// Persist, when non-nil, makes the run durable: on every engine, each
+	// completed grounding iteration's delta (new facts and
+	// constraint-repair deletes) is appended to the store's WAL before the
+	// next iteration starts, and inferred marginals are appended after
+	// inference. A crash at any point recovers to the last completed
+	// iteration via OpenStore. Persistence never changes results, so the
+	// field is excluded from Hash() like the callbacks.
 	Persist *Store
 
 	// Faults, when non-nil, deterministically injects failures, worker
@@ -601,9 +602,8 @@ func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Op
 		exp.emitRunEnd()
 		return nil, &PartialError{Phase: "ground", Partial: exp, Err: err}
 	}
-	// The observer already made each iteration durable; this final sync
-	// catches engines that do not invoke it and surfaces any append
-	// error latched inside the observer.
+	// The observer already made each iteration durable, on every engine;
+	// this final sync surfaces any append error latched inside it.
 	if err := persistFinal(p, r.work, res.Facts, r.from); err != nil {
 		return nil, err
 	}
@@ -647,8 +647,9 @@ func journaledHook(jr *journal.Writer, checker *quality.Checker) func(*engine.Ta
 
 // groundOptions builds the grounding options every round starts from:
 // the tracing context, the progress-callback bridge, and semi-naive
-// evaluation — the one order this package grounds in, on every engine.
-// The constraint hook deletes only what it will delete again
+// evaluation — the one order this package grounds in, on every engine
+// but the Tuffy-T baseline, which is naive by definition. The
+// constraint hook deletes only what it will delete again
 // (quality.Checker), which is what keeps a Δ-only iteration sound under
 // it (DESIGN.md §5).
 func groundOptions(ctx context.Context, cfg Config) ground.Options {

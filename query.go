@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,22 +184,20 @@ func newExpansion(k *kb.KB, res *ground.Result, cfg Config, jr *journal.Writer, 
 func (e *Expansion) Generation() uint64 { return e.gen }
 
 // localGrounder lazily builds the query-local grounder over this
-// expansion's evidence: the rows whose fact ID predates inference
-// (selected by ID, not row position — constraint deletions shift rows).
-// Derived facts of *prior* rounds count as evidence here exactly as
-// ExtendWith treats them.
+// expansion's evidence: the facts grounding did not derive. Derived facts
+// of *prior* rounds count as evidence here exactly as ExtendWith treats
+// them. Fact IDs ascend with the row index and the derived ones are
+// those from FirstDerived on, so the evidence is a prefix of TΠ, which
+// the grounder reads in place: a published expansion's TΠ is never
+// written again, and the view's capacity stops at the prefix.
 func (e *Expansion) localGrounder() *ground.LocalGrounder {
 	e.localOnce.Do(func() {
 		t := e.res.Facts
 		ids := t.Int32Col(kb.TPiI)
-		rows := make([]int32, 0, e.res.BaseFacts)
-		for r, id := range ids {
-			if !e.derived(id) {
-				rows = append(rows, int32(r))
-			}
-		}
-		base := engine.NewTable("T_base", kb.FactsSchema())
-		base.AppendRowsFrom(t, rows)
+		n, _ := slices.BinarySearch(ids, e.res.FirstDerived)
+		i32 := func(c int) []int32 { return t.Int32Col(c)[:n:n] }
+		base := engine.TableFromColumns("T_base", kb.FactsSchema(), i32(kb.TPiI), i32(kb.TPiR),
+			i32(kb.TPiX), i32(kb.TPiC1), i32(kb.TPiY), i32(kb.TPiC2), t.Float64Col(kb.TPiW)[:n:n])
 		e.local = ground.NewLocal(e.kb.Rules, base, ground.Options{
 			Workers:   e.cfg.EngineWorkers,
 			SemiNaive: true,
