@@ -211,7 +211,8 @@ query-smoke:
 # snapshot-isolation property test (randomized interleavings over the
 # epoch manager + COW fork, shrink on failure), the API-level
 # differential oracle (pinned-generation answers byte-identical to a
-# serial replay while ExtendWith races), and the server's
+# serial replay while ExtendWith races), concurrent lineage readers
+# sharing one generation's lazily built factor graph, and the server's
 # read-while-write surface (POST /facts publish, batch point queries,
 # admission control, cancelled rebuilds and extends answering 499 and
 # never publishing) — all under
@@ -230,7 +231,8 @@ mvcc-smoke:
 # oracle, marginals included), the chaos leg (cancelled absorb
 # publishes nothing, WAL recovery + idempotent re-streaming converges),
 # every round's PartialError under cancellation, a streamed fact staying
-# observed after a constraint pass left holes in the fact IDs,
+# observed after a constraint pass left holes in the fact IDs, ExtendWith
+# refusing the facts the ingest validator refuses,
 # the server's streaming POST /facts contract — including the property
 # cases over HTTP (TestFactsStreamSplitInvariance: same acks and closure
 # as the library leg) and every kind of writer racing on the one writer
@@ -240,7 +242,7 @@ mvcc-smoke:
 ingest-smoke:
 	$(GO) test -race -count=1 ./internal/ingest
 	$(GO) test -race -count=1 -run 'TestIngestSplitInvariance|TestReplayIngestDeterministic|TestShrinkIngestReduces' ./internal/proptest
-	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles' .
+	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles|TestExtendWithRejectsInvalidFacts' .
 	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission|TestWritersRaceOneLock' ./internal/server
 	$(GO) test -race -count=1 ./cmd/probkb ./cmd/probkb-server
 	@echo "ingest-smoke: ok"

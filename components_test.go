@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"probkb/internal/factor"
 	"probkb/internal/infer"
 	"probkb/internal/kb"
 )
@@ -16,6 +17,16 @@ import (
 // component": on a constrained corpus every component is enumerated, so
 // no output depends on the seed, the worker count, or which path — the
 // global pass, a refresh, a cold point query — computed it.
+
+// graphOf is e's factor graph, built on first reference.
+func graphOf(t *testing.T, e *Expansion) *factor.Graph {
+	t.Helper()
+	g, err := e.factorGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 func factKey(f Fact) string { return fmt.Sprintf("%s(%s,%s)", f.Rel, f.X, f.Y) }
 
@@ -44,7 +55,7 @@ func TestMarginalsIndependentOfSeedAndWorkers(t *testing.T) {
 	sweeps := 0
 	a, b := constrainedExpansion(t, 1, &sweeps), constrainedExpansion(t, 2, &sweeps)
 	if sweeps != 0 {
-		t.Fatalf("%d Gibbs sweeps on a corpus whose largest component has %d variables", sweeps, infer.PlanOf(a.graph).MaxComponent)
+		t.Fatalf("%d Gibbs sweeps on a corpus whose largest component has %d variables", sweeps, infer.PlanOf(graphOf(t, a)).MaxComponent)
 	}
 	fa, fb := a.Facts(), b.Facts()
 	if len(fa) != len(fb) || len(a.InferredFacts()) < 1000 {
@@ -56,13 +67,14 @@ func TestMarginalsIndependentOfSeedAndWorkers(t *testing.T) {
 		}
 	}
 	ids, ws := a.res.Facts.Int32Col(kb.TPiI), a.res.Facts.Float64Col(kb.TPiW)
+	g := graphOf(t, a)
 	for _, workers := range []int{1, 2, 8} {
-		probs, collected, err := infer.MarginalsContext(context.Background(), a.graph, infer.Options{Seed: 99, Workers: workers, Samples: 7})
+		probs, collected, err := infer.MarginalsContext(context.Background(), g, infer.Options{Seed: 99, Workers: workers, Samples: 7})
 		if err != nil || collected != 7 {
 			t.Fatalf("workers=%d: collected %d, err %v", workers, collected, err)
 		}
 		for r := a.res.BaseFacts; r < len(ids); r++ {
-			if v, _ := a.graph.VarOf(ids[r]); probs[v] != ws[r] {
+			if v, _ := g.VarOf(ids[r]); probs[v] != ws[r] {
 				t.Fatalf("workers=%d fact %d: %v, expansion wrote %v", workers, ids[r], probs[v], ws[r])
 			}
 		}
@@ -117,7 +129,7 @@ func TestQueryLocalEqualsGlobalOnEnumeratedComponents(t *testing.T) {
 // expansions mean "the same component, untouched".
 func componentSignatures(t *testing.T, e *Expansion) map[int32]string {
 	t.Helper()
-	g := e.graph
+	g := graphOf(t, e)
 	off, vars := g.Components()
 	out := map[int32]string{}
 	id := func(v int32) int32 {
@@ -218,7 +230,7 @@ func TestRefreshCarriesUntouchedComponentsForward(t *testing.T) {
 	r2 := refresh(g2)
 	w2 := weights(r2)
 	sig1, sig2 := componentSignatures(t, r1), componentSignatures(t, r2)
-	before, after := infer.PlanOf(r1.graph), infer.PlanOf(r2.graph)
+	before, after := infer.PlanOf(graphOf(t, r1)), infer.PlanOf(graphOf(t, r2))
 	untouched, touched := 0, 0
 	for id := range stale {
 		switch {

@@ -12,6 +12,7 @@ import (
 	"probkb/internal/factor"
 	"probkb/internal/ground"
 	"probkb/internal/infer"
+	"probkb/internal/ingest"
 	"probkb/internal/kb"
 	"probkb/internal/obs"
 	"probkb/internal/obs/journal"
@@ -63,7 +64,6 @@ type Expansion struct {
 	cfg Config
 	jr  *journal.Writer
 
-	graph         *factor.Graph
 	inferenceTime time.Duration
 
 	// checker is the constraint checker this expansion's grounding ran
@@ -72,17 +72,19 @@ type Expansion struct {
 	// from a copy.
 	checker *quality.Checker
 
-	// Point-query state (query.go): the generation the marginal cache
-	// is keyed by, the cache itself, the in-flight coalescing table
-	// (concurrent identical lookups share one grounding run), and the
-	// lazily built local grounder. The cache dies with the expansion,
-	// which is what makes ExtendWith an invalidation.
-	gen       uint64
-	qmu       sync.RWMutex
-	qcache    map[queryKey]Marginal
-	qflight   map[queryKey]*queryCall
-	localOnce sync.Once
-	local     *ground.LocalGrounder
+	// Built on first reference and shared by every later reader
+	// (newExpansion, DESIGN.md §12): the factor graph over TΠ's fact IDs
+	// and TΦ, and the point-query grounder.
+	factorGraph   func() (*factor.Graph, error)
+	localGrounder func() *ground.LocalGrounder
+
+	// Point answers (query.go): the generation they carry, one cell per
+	// (atom, bounds, sampling shape), and how many cells are finished.
+	// The table dies with the expansion: ExtendWith invalidates it.
+	gen      uint64
+	qmu      sync.RWMutex
+	answers  map[queryKey]answer
+	finished int
 }
 
 // KB returns the knowledge base this expansion was grounded from — the
@@ -118,14 +120,14 @@ func (e *Expansion) emitRunEnd() {
 	})
 }
 
-// runInference builds the factor graph and fills inferred facts'
+// runInference builds a factor graph and fills inferred facts'
 // probabilities with their marginals: exact for every connected
 // component small enough to enumerate, Gibbs estimates for the rest. On
 // context cancellation it applies what a partial run returned — the
 // exact marginals plus the estimates from the sweeps collected so far,
 // or nothing when the enumeration or the first collected sweep had not
 // finished — and returns the context error; the round wraps that into a
-// PartialError.
+// PartialError. It keeps no graph: readers build their own (factorGraph).
 func (e *Expansion) runInference(ctx context.Context) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "infer")
@@ -137,7 +139,6 @@ func (e *Expansion) runInference(ctx context.Context) error {
 		fgSpan.End()
 		return err
 	}
-	e.graph = g
 	fgSpan.SetAttr("vars", g.NumVars())
 	fgSpan.End()
 
@@ -302,7 +303,8 @@ func (e *Expansion) matchRows(rel, x, y string, visit func(r int) bool) {
 // graph variable is its TΠ row (factor.FromTables), so the tree's nodes
 // render straight from the table.
 func (e *Expansion) Explain(rel, x, y string, depth int) (string, error) {
-	if err := e.ensureGraph(); err != nil {
+	g, err := e.factorGraph()
+	if err != nil {
 		return "", err
 	}
 	target := -1
@@ -315,29 +317,17 @@ func (e *Expansion) Explain(rel, x, y string, depth int) (string, error) {
 	}
 	t := e.res.Facts
 	name := func(v int32) string { return e.kb.FactString(kb.FactAtRow(t, int(v))) }
-	return e.graph.Explain(int32(target), depth, name), nil
+	return g.Explain(int32(target), depth, name), nil
 }
 
 // FactorGraphStats exposes the ground factor graph's shape.
 func (e *Expansion) FactorGraphStats() (vars, factors, singletons int, err error) {
-	if err := e.ensureGraph(); err != nil {
+	g, err := e.factorGraph()
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	st := e.graph.Stats()
+	st := g.Stats()
 	return st.Vars, st.Factors, st.Singletons, nil
-}
-
-// ensureGraph lazily builds the factor graph.
-func (e *Expansion) ensureGraph() error {
-	if e.graph != nil {
-		return nil
-	}
-	g, err := factor.FromResult(e.res)
-	if err != nil {
-		return err
-	}
-	e.graph = g
-	return nil
 }
 
 // MAPWorld runs MAP inference (MaxWalkSAT) over the ground factor graph
@@ -346,13 +336,14 @@ func (e *Expansion) ensureGraph() error {
 // "alternative inference type" of Section 2.2: a single consistent world
 // instead of per-fact marginals.
 func (e *Expansion) MAPWorld(seed int64) ([]Fact, float64, error) {
-	if err := e.ensureGraph(); err != nil {
+	g, err := e.factorGraph()
+	if err != nil {
 		return nil, 0, err
 	}
-	res := infer.MAP(e.graph, infer.MAPOptions{Seed: seed})
+	res := infer.MAP(g, infer.MAPOptions{Seed: seed})
 	var out []Fact
 	for r, id := range e.res.Facts.Int32Col(kb.TPiI) {
-		if v, ok := e.graph.VarOf(id); ok && res.Assignment[v] {
+		if v, ok := g.VarOf(id); ok && res.Assignment[v] {
 			out = append(out, e.fact(r))
 		}
 	}
@@ -363,10 +354,11 @@ func (e *Expansion) MAPWorld(seed int64) ([]Fact, float64, error) {
 // chains and reports the worst split-chain R̂ (values near 1 mean the
 // marginals have converged; < 1.1 is the conventional threshold).
 func (e *Expansion) ConvergenceDiagnostics(chains int) (maxRHat float64, converged bool, err error) {
-	if err := e.ensureGraph(); err != nil {
+	g, err := e.factorGraph()
+	if err != nil {
 		return 0, false, err
 	}
-	d := infer.MarginalsWithDiagnostics(e.graph, inferOptions(e.cfg), chains)
+	d := infer.MarginalsWithDiagnostics(g, inferOptions(e.cfg), chains)
 	return d.MaxRHat, d.Converged(1.1), nil
 }
 
@@ -448,8 +440,15 @@ func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
 // extendWith is the extend round under the span of that name: it forks
 // the receiver's KB with newFacts interned and grounds them with
 // ground.Extend, under a clone of the receiver's checker. deferred skips
-// the factor phase; infer runs marginal inference.
+// the factor phase; infer runs marginal inference. A fact that CLI and
+// HTTP ingest refuse (ingest.CheckFact) fails the round before any fork.
 func (e *Expansion) extendWith(ctx context.Context, span string, newFacts []Fact, deferred, infer bool) (*Expansion, error) {
+	for i, f := range newFacts {
+		wf := ingest.Fact{Rel: f.Rel, X: f.X, XClass: f.XClass, Y: f.Y, YClass: f.YClass, Probability: f.Probability}
+		if err := ingest.CheckFact(i, wf); err != nil {
+			return nil, err
+		}
+	}
 	if !e.res.Converged {
 		return nil, fmt.Errorf("probkb: %s: the prior expansion has not converged", span)
 	}

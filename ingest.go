@@ -123,11 +123,12 @@ func (in *Ingester) Refresh(ctx context.Context) (uint64, error) {
 }
 
 // Extend is Absorb's full-inference counterpart (ExtendWithContext):
-// the batch passes the same ingest.Validate, and its closure publishes
-// with fresh marginals, at the cost of a factor + Gibbs pass per call.
+// the batch passes ingest.Validate's checks (an empty batch is refused
+// here, an invalid fact by ExtendWith), and its closure publishes with
+// fresh marginals, at the cost of a factor + Gibbs pass per call.
 func (in *Ingester) Extend(ctx context.Context, facts []ingest.Fact) (*Expansion, uint64, error) {
-	if err := ingest.Validate(facts); err != nil {
-		return nil, 0, err
+	if len(facts) == 0 {
+		return nil, 0, ingest.Validate(facts)
 	}
 	return in.Update(func(cur *Expansion) (*Expansion, error) {
 		obs.QueryFrom(ctx).SetPhase("ground")

@@ -509,3 +509,51 @@ func TestIngestChaosCancelResume(t *testing.T) {
 		t.Fatalf("store error latched during resume: %v", re.Err())
 	}
 }
+
+// TestExtendWithRejectsInvalidFacts: every ExtendWith entry point
+// refuses the facts CLI and HTTP ingest refuse — a fact with no relation,
+// a NaN probability (the closure's "marginal pending" marker) and one
+// outside [0, 1] — naming the offending fact as ingest.Validate does,
+// and the receiver generation is left exactly as it was.
+func TestExtendWithRejectsInvalidFacts(t *testing.T) {
+	exp, err := paperKB(t).Expand(Config{Engine: SingleNode, RunInference: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closure, dicts, gen := canonicalClosure(exp), dictFingerprint(exp), exp.Generation()
+	good := Fact{Rel: "born_in", X: "Freud", XClass: "Writer", Y: "Vienna", YClass: "Place", Probability: 0.9}
+	entries := map[string]func([]Fact) (*Expansion, error){
+		"ExtendWith": exp.ExtendWith,
+		"ExtendWithContext": func(fs []Fact) (*Expansion, error) {
+			return exp.ExtendWithContext(context.Background(), fs)
+		},
+		"ExtendWithDeferred": func(fs []Fact) (*Expansion, error) {
+			return exp.ExtendWithDeferred(context.Background(), fs)
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		bad  Fact
+		want string
+	}{
+		{"no rel", Fact{X: "Nobody", XClass: "Writer", Y: "Vienna", YClass: "Place", Probability: 0.5},
+			"facts[1]: rel, x, xClass, y, yClass are all required"},
+		{"NaN", Fact{Rel: "born_in", X: "Nobody", XClass: "Writer", Y: "Vienna", YClass: "Place", Probability: math.NaN()},
+			"facts[1]: probability NaN outside [0, 1]"},
+		{"7", Fact{Rel: "born_in", X: "Nobody", XClass: "Writer", Y: "Vienna", YClass: "Place", Probability: 7},
+			"facts[1]: probability 7 outside [0, 1]"},
+	} {
+		for name, extend := range entries {
+			next, err := extend([]Fact{good, tc.bad})
+			if err == nil || err.Error() != tc.want || next != nil {
+				t.Fatalf("%s with the %q fact: (%v, %v), want the error %q", name, tc.name, next, err, tc.want)
+			}
+			if got := exp.Find(tc.bad.Rel, tc.bad.X, ""); len(got) != 0 {
+				t.Fatalf("%s with the %q fact: the receiver finds %v", name, tc.name, got)
+			}
+			if canonicalClosure(exp) != closure || dictFingerprint(exp) != dicts || exp.Generation() != gen {
+				t.Fatalf("%s with the %q fact changed the receiver", name, tc.name)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"probkb/internal/factor"
-	"probkb/internal/obs"
 )
 
 // Convergence diagnostics for the Gibbs samplers: the split-chain
@@ -88,10 +87,6 @@ func MarginalsWithDiagnostics(g *factor.Graph, opts Options, chains int) Diagnos
 			d.MaxRHat = d.RHat[v]
 		}
 	}
-	// Record the convergence trajectory: each diagnostics run leaves its
-	// worst R̂ in the registry so a live server shows whether inference
-	// has actually mixed.
-	obs.Default.Gauge("probkb_infer_rhat_max").Set(d.MaxRHat)
 	return d
 }
 

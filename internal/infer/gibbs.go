@@ -46,6 +46,7 @@ type chainFeed struct {
 	sweeps *obs.Counter
 	flips  *obs.Counter
 	sps    *obs.Gauge
+	rhat   *obs.Gauge
 }
 
 func newChainFeed(chain int) *chainFeed {
@@ -54,6 +55,7 @@ func newChainFeed(chain int) *chainFeed {
 		sweeps: obs.Default.Counter("probkb_infer_sweeps_total", label),
 		flips:  obs.Default.Counter("probkb_infer_flips_total", label),
 		sps:    obs.Default.Gauge("probkb_infer_samples_per_second"),
+		rhat:   obs.Default.Gauge("probkb_infer_rhat_max"),
 	}
 }
 
@@ -65,7 +67,7 @@ func init() {
 	obs.Default.Help("probkb_infer_sweeps_total", "Gibbs sweeps executed, by chain.")
 	obs.Default.Help("probkb_infer_flips_total", "Variable value flips across Gibbs sweeps, by chain.")
 	obs.Default.Help("probkb_infer_samples_per_second", "Live variable-resample throughput of the running Gibbs chain.")
-	obs.Default.Help("probkb_infer_rhat_max", "Worst split-chain Gelman-Rubin R-hat of the latest diagnostics run.")
+	obs.Default.Help("probkb_infer_rhat_max", "Worst split-chain Gelman-Rubin R-hat over the tracked variables at the running chain's latest checkpoint.")
 	chain0 = newChainFeed(0)
 }
 
@@ -360,6 +362,7 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 			cp.RHatMax, cp.ESSMin = summarize(cp.Tracked)
 			if o.feed != nil {
 				obs.Gibbs.ObserveRHat(cp.RHatMax)
+				o.feed.rhat.Set(cp.RHatMax)
 			}
 			o.opts.OnCheckpoint(cp)
 		}

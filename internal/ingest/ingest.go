@@ -67,12 +67,21 @@ func Validate(facts []Fact) error {
 		return errors.New(`no facts: body must be {"facts": [{"rel": ..., "x": ..., "xClass": ..., "y": ..., "yClass": ..., "probability": ...}]}`)
 	}
 	for i, f := range facts {
-		if f.Rel == "" || f.X == "" || f.XClass == "" || f.Y == "" || f.YClass == "" {
-			return fmt.Errorf("facts[%d]: rel, x, xClass, y, yClass are all required", i)
+		if err := CheckFact(i, f); err != nil {
+			return err
 		}
-		if !(f.Probability >= 0 && f.Probability <= 1) {
-			return fmt.Errorf("facts[%d]: probability %v outside [0, 1]", i, f.Probability)
-		}
+	}
+	return nil
+}
+
+// CheckFact is Validate's test of the batch's i-th fact, f. The
+// library's ExtendWith applies it too; there an empty batch is allowed.
+func CheckFact(i int, f Fact) error {
+	if f.Rel == "" || f.X == "" || f.XClass == "" || f.Y == "" || f.YClass == "" {
+		return fmt.Errorf("facts[%d]: rel, x, xClass, y, yClass are all required", i)
+	}
+	if !(f.Probability >= 0 && f.Probability <= 1) {
+		return fmt.Errorf("facts[%d]: probability %v outside [0, 1]", i, f.Probability)
 	}
 	return nil
 }

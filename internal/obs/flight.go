@@ -40,18 +40,13 @@ type FlightRecorder struct {
 	now     func() time.Time // injectable for deterministic tests
 
 	mu   sync.Mutex
-	ring []FlightEvent
-	next int
-	n    int // events written since last Reset, saturating at len(ring)
+	ring ring[FlightEvent]
 }
 
 // NewFlightRecorder returns an enabled recorder retaining the last
 // size events.
 func NewFlightRecorder(size int) *FlightRecorder {
-	if size < 1 {
-		size = 1
-	}
-	f := &FlightRecorder{ring: make([]FlightEvent, size), now: time.Now}
+	f := &FlightRecorder{ring: newRing[FlightEvent](size), now: time.Now}
 	f.enabled.Store(true)
 	return f
 }
@@ -82,11 +77,7 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 		ev.Time = f.now()
 	}
 	f.mu.Lock()
-	f.ring[f.next] = ev
-	f.next = (f.next + 1) % len(f.ring)
-	if f.n < len(f.ring) {
-		f.n++
-	}
+	f.ring.push(ev)
 	f.mu.Unlock()
 }
 
@@ -103,12 +94,7 @@ func (f *FlightRecorder) Events() []FlightEvent {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, f.n)
-	start := (f.next - f.n + 2*len(f.ring)) % len(f.ring)
-	for i := 0; i < f.n; i++ {
-		out = append(out, f.ring[(start+i)%len(f.ring)])
-	}
-	return out
+	return f.ring.oldestFirst()
 }
 
 // Slice returns the most recent n events, oldest-first (all retained
@@ -127,7 +113,7 @@ func (f *FlightRecorder) Reset() {
 		return
 	}
 	f.mu.Lock()
-	f.next, f.n = 0, 0
+	f.ring.reset()
 	f.mu.Unlock()
 }
 

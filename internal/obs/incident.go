@@ -80,8 +80,7 @@ type IncidentStore struct {
 
 	mu      sync.Mutex
 	seq     int
-	ring    []*Incident // newest last, bounded at max
-	max     int
+	ring    ring[*Incident]
 	journal Emitter
 	planner func(kind, text string) string
 	now     func() time.Time
@@ -89,12 +88,9 @@ type IncidentStore struct {
 
 // NewIncidentStore returns a store retaining the last max incidents.
 func NewIncidentStore(max int) *IncidentStore {
-	if max < 1 {
-		max = 1
-	}
 	return &IncidentStore{
 		Flight: DefaultFlight, Queries: Queries, Registry: Default,
-		FlightTail: 256, max: max, now: time.Now,
+		FlightTail: 256, ring: newRing[*Incident](max), now: time.Now,
 	}
 }
 
@@ -162,10 +158,7 @@ func (s *IncidentStore) Open(f Finding) *Incident {
 	}
 
 	s.mu.Lock()
-	s.ring = append(s.ring, inc)
-	if len(s.ring) > s.max {
-		s.ring = s.ring[len(s.ring)-s.max:]
-	}
+	s.ring.push(inc)
 	s.mu.Unlock()
 
 	Default.Counter("probkb_incidents_total", L("detector", f.Detector)).Inc()
@@ -185,11 +178,7 @@ func (s *IncidentStore) List() []*Incident {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Incident, len(s.ring))
-	for i, inc := range s.ring {
-		out[len(s.ring)-1-i] = inc
-	}
-	return out
+	return s.ring.newestFirst()
 }
 
 // Get returns the incident with the given ID, or nil.
@@ -199,7 +188,7 @@ func (s *IncidentStore) Get(id string) *Incident {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, inc := range s.ring {
+	for _, inc := range s.ring.buf {
 		if inc.ID == id {
 			return inc
 		}
@@ -213,7 +202,8 @@ func (s *IncidentStore) Reset() {
 		return
 	}
 	s.mu.Lock()
-	s.ring, s.seq = nil, 0
+	s.ring.reset()
+	s.seq = 0
 	s.mu.Unlock()
 }
 

@@ -28,9 +28,7 @@ type SlowQuery struct {
 type SlowLog struct {
 	mu        sync.Mutex
 	threshold time.Duration
-	ring      []SlowQuery
-	next      int
-	size      int
+	ring      ring[SlowQuery]
 }
 
 // DefaultSlowLog is the process-wide slow-query log (threshold off
@@ -39,10 +37,7 @@ var DefaultSlowLog = NewSlowLog(128)
 
 // NewSlowLog returns a log retaining at most size records.
 func NewSlowLog(size int) *SlowLog {
-	if size < 1 {
-		size = 1
-	}
-	return &SlowLog{ring: make([]SlowQuery, size)}
+	return &SlowLog{ring: newRing[SlowQuery](size)}
 }
 
 // SetThreshold sets the slow threshold; 0 disables the log.
@@ -81,11 +76,7 @@ func (l *SlowLog) Note(ctx context.Context, q SlowQuery) bool {
 	if q.Time.IsZero() {
 		q.Time = time.Now()
 	}
-	l.ring[l.next] = q
-	l.next = (l.next + 1) % len(l.ring)
-	if l.size < len(l.ring) {
-		l.size++
-	}
+	l.ring.push(q)
 	l.mu.Unlock()
 	Default.Counter("probkb_slow_queries_total").Inc()
 	Log(ctx).Warn("slow query",
@@ -101,11 +92,5 @@ func (l *SlowLog) List() []SlowQuery {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]SlowQuery, 0, l.size)
-	for i := 0; i < l.size; i++ {
-		// Walk backwards from the most recently written slot.
-		idx := (l.next - 1 - i + 2*len(l.ring)) % len(l.ring)
-		out = append(out, l.ring[idx])
-	}
-	return out
+	return l.ring.newestFirst()
 }

@@ -173,17 +173,12 @@ type spanKey struct{}
 // Tracer keeps a bounded ring of recently finished root spans.
 type Tracer struct {
 	mu   sync.Mutex
-	ring []*Span
-	next int
-	size int
+	ring ring[*Span]
 }
 
 // NewTracer returns a tracer retaining the last size root spans.
 func NewTracer(size int) *Tracer {
-	if size < 1 {
-		size = 1
-	}
-	return &Tracer{ring: make([]*Span, 0, size), size: size}
+	return &Tracer{ring: newRing[*Span](size)}
 }
 
 // DefaultTracer receives every root span started through StartSpan with
@@ -192,26 +187,15 @@ var DefaultTracer = NewTracer(64)
 
 func (t *Tracer) push(s *Span) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ring) < t.size {
-		t.ring = append(t.ring, s)
-		t.next = len(t.ring) % t.size
-		return
-	}
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % t.size
+	t.ring.push(s)
+	t.mu.Unlock()
 }
 
 // Traces returns the retained root spans, most recent first.
 func (t *Tracer) Traces() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*Span, 0, len(t.ring))
-	for i := 0; i < len(t.ring); i++ {
-		idx := (t.next - 1 - i + len(t.ring)*2) % len(t.ring)
-		out = append(out, t.ring[idx])
-	}
-	return out
+	return t.ring.newestFirst()
 }
 
 // Last returns the most recently finished root span, or nil.

@@ -164,3 +164,53 @@ func TestMVCCFailedExtendLeavesGenerationIntact(t *testing.T) {
 		t.Fatalf("failed ExtendWith mutated the receiver generation:\n got %s\nwant %s", got, before)
 	}
 }
+
+// TestMVCCConcurrentLineageReaders: the lineage readers of one
+// generation — Explain and FactorGraphStats, as concurrent GET /explain
+// requests call them — share the factor graph the generation builds on
+// first reference, whether inference ran or not, and every reader gets
+// the answer a fresh expansion gives.
+func TestMVCCConcurrentLineageReaders(t *testing.T) {
+	for _, inference := range []bool{true, false} {
+		t.Run(fmt.Sprintf("inference=%v", inference), func(t *testing.T) {
+			cfg := Config{Engine: SingleNode, RunInference: inference, Seed: 5}
+			expand := func() *Expansion {
+				exp, err := paperKB(t).Expand(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return exp
+			}
+			oracle := expand()
+			wantText, err := oracle.Explain("located_in", "Brooklyn", "New_York_City", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantV, wantF, wantS, err := oracle.FactorGraphStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			exp := expand()
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for range 8 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					text, err := exp.Explain("located_in", "Brooklyn", "New_York_City", 3)
+					if err != nil || text != wantText {
+						t.Errorf("Explain = %q, %v; want %q", text, err, wantText)
+					}
+					v, f, s, err := exp.FactorGraphStats()
+					if err != nil || v != wantV || f != wantF || s != wantS {
+						t.Errorf("FactorGraphStats = %d/%d/%d, %v; want %d/%d/%d", v, f, s, err, wantV, wantF, wantS)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		})
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"probkb/internal/kb"
+	"probkb/internal/obs"
 )
 
 // paperKB builds the Table 1 running example through the public API.
@@ -577,6 +578,21 @@ func TestMAPWorldAndDiagnostics(t *testing.T) {
 	}
 	if !converged || maxRHat > 1.1 {
 		t.Fatalf("well-behaved expansion unconverged: R̂ = %v", maxRHat)
+	}
+}
+
+// TestRHatGaugeFollowsTheChain: probkb_infer_rhat_max is written where
+// the running chain checkpoints, so an expansion whose inference samples
+// (giantKB's 32-variable component) leaves its worst R-hat on /metrics
+// without anyone asking for ConvergenceDiagnostics.
+func TestRHatGaugeFollowsTheChain(t *testing.T) {
+	gauge := obs.Default.Gauge("probkb_infer_rhat_max")
+	gauge.Set(0)
+	if _, err := giantKB(t).Expand(Config{Engine: SingleNode, RunInference: true, GibbsBurnin: 10, GibbsSamples: 200, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if v := gauge.Value(); !(v > 0) {
+		t.Fatalf("probkb_infer_rhat_max = %v after a sampled expansion, want the chain's last checkpointed R-hat", v)
 	}
 }
 

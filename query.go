@@ -7,6 +7,7 @@
 package probkb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -136,9 +137,9 @@ type Marginal struct {
 	Elapsed time.Duration
 }
 
-// queryKey keys the marginal cache: the interned atom plus every knob
+// queryKey keys the answer table: the interned atom plus every knob
 // that changes the answer. The expansion generation is implicit — each
-// Expansion owns its cache, so a new generation starts empty.
+// Expansion owns its table, so a new generation starts empty.
 type queryKey struct {
 	rel, x, y       int32
 	depth, radius   int
@@ -146,18 +147,18 @@ type queryKey struct {
 	burnin, samples int
 }
 
-// queryCacheLimit bounds the per-expansion marginal cache; past it an
-// arbitrary entry is evicted (the workload is point lookups with heavy
-// repetition, so any victim works).
+// queryCacheLimit bounds the finished answers an expansion keeps; past
+// it an arbitrary finished one is evicted (the workload is point lookups
+// with heavy repetition, so any victim works).
 const queryCacheLimit = 4096
 
-// queryCall is one in-flight cache-miss computation; concurrent
-// identical queries wait on done and share m/err instead of grounding
-// the same neighborhood again.
-type queryCall struct {
-	done chan struct{}
+// answer is one cell of the answer table. While the lookup that
+// inserted it (the leader) computes it, done is open; the leader then
+// stores the finished answer m with a nil done, or removes the cell when
+// it failed, and closes the channel.
+type answer struct {
 	m    Marginal
-	err  error
+	done chan struct{}
 }
 
 // expansionGen numbers expansions process-wide so cached marginals are
@@ -165,17 +166,21 @@ type queryCall struct {
 var expansionGen atomic.Uint64
 
 // newExpansion is the one constructor every expansion path uses: it
-// assigns the generation the point-query cache is keyed by.
+// assigns the generation point answers carry and sets up the cells of
+// what the generation derives on first reference.
 func newExpansion(k *kb.KB, res *ground.Result, cfg Config, jr *journal.Writer, checker *quality.Checker) *Expansion {
-	return &Expansion{
+	e := &Expansion{
 		kb:      k,
 		res:     res,
 		cfg:     cfg,
 		jr:      jr,
 		checker: checker,
 		gen:     expansionGen.Add(1),
-		qcache:  make(map[queryKey]Marginal),
+		answers: make(map[queryKey]answer),
 	}
+	e.factorGraph = sync.OnceValues(func() (*factor.Graph, error) { return factor.FromResult(res) })
+	e.localGrounder = sync.OnceValue(e.newLocalGrounder)
+	return e
 }
 
 // Generation identifies this expansion for cache-freshness checks: a
@@ -183,27 +188,24 @@ func newExpansion(k *kb.KB, res *ground.Result, cfg Config, jr *journal.Writer, 
 // generation, so a Marginal whose Generation differs is stale.
 func (e *Expansion) Generation() uint64 { return e.gen }
 
-// localGrounder lazily builds the query-local grounder over this
+// newLocalGrounder builds the query-local grounder over this
 // expansion's evidence: the facts grounding did not derive. Derived facts
 // of *prior* rounds count as evidence here exactly as ExtendWith treats
 // them. Fact IDs ascend with the row index and the derived ones are
 // those from FirstDerived on, so the evidence is a prefix of TΠ, which
 // the grounder reads in place: a published expansion's TΠ is never
 // written again, and the view's capacity stops at the prefix.
-func (e *Expansion) localGrounder() *ground.LocalGrounder {
-	e.localOnce.Do(func() {
-		t := e.res.Facts
-		ids := t.Int32Col(kb.TPiI)
-		n, _ := slices.BinarySearch(ids, e.res.FirstDerived)
-		i32 := func(c int) []int32 { return t.Int32Col(c)[:n:n] }
-		base := engine.TableFromColumns("T_base", kb.FactsSchema(), i32(kb.TPiI), i32(kb.TPiR),
-			i32(kb.TPiX), i32(kb.TPiC1), i32(kb.TPiY), i32(kb.TPiC2), t.Float64Col(kb.TPiW)[:n:n])
-		e.local = ground.NewLocal(e.kb.Rules, base, ground.Options{
-			Workers:   e.cfg.EngineWorkers,
-			SemiNaive: true,
-		})
+func (e *Expansion) newLocalGrounder() *ground.LocalGrounder {
+	t := e.res.Facts
+	ids := t.Int32Col(kb.TPiI)
+	n, _ := slices.BinarySearch(ids, e.res.FirstDerived)
+	i32 := func(c int) []int32 { return t.Int32Col(c)[:n:n] }
+	base := engine.TableFromColumns("T_base", kb.FactsSchema(), i32(kb.TPiI), i32(kb.TPiR),
+		i32(kb.TPiX), i32(kb.TPiC1), i32(kb.TPiY), i32(kb.TPiC2), t.Float64Col(kb.TPiW)[:n:n])
+	return ground.NewLocal(e.kb.Rules, base, ground.Options{
+		Workers:   e.cfg.EngineWorkers,
+		SemiNaive: true,
 	})
-	return e.local
 }
 
 // QueryLocal answers a point query against this expansion's evidence:
@@ -222,30 +224,13 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 	start := time.Now()
 	m := Marginal{Rel: q.Rel, X: q.X, Y: q.Y, Generation: e.gen, Probability: math.NaN()}
 
-	depth := q.Depth
-	if depth <= 0 {
-		depth = ground.DefaultLocalDepth
-	}
-	radius := q.Radius
-	if radius <= 0 {
-		radius = depth + 1
-	}
+	// A knob left zero (or, except Samples, negative) takes the next
+	// default in line.
+	depth := cmp.Or(max(q.Depth, 0), ground.DefaultLocalDepth)
+	radius := cmp.Or(max(q.Radius, 0), depth+1)
 	m.Depth, m.Radius = depth, radius
-
-	burnin := q.Burnin
-	if burnin <= 0 {
-		burnin = e.cfg.GibbsBurnin
-	}
-	if burnin <= 0 {
-		burnin = 100
-	}
-	samples := q.Samples
-	if samples == 0 {
-		samples = e.cfg.GibbsSamples
-	}
-	if samples == 0 {
-		samples = 500
-	}
+	burnin := cmp.Or(max(q.Burnin, 0), max(e.cfg.GibbsBurnin, 0), 100)
+	samples := cmp.Or(q.Samples, e.cfg.GibbsSamples, 500)
 
 	// Resolve the atom read-only: Intern would race with concurrent
 	// queries, and an unknown symbol cannot name a derivable fact.
@@ -261,77 +246,81 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 	key := queryKey{rel: rel, x: x, y: y, depth: depth, radius: radius,
 		markov: q.MarkovRadius, burnin: burnin, samples: samples}
 	if q.NoCache {
-		return e.queryLocalMiss(ctx, q, m, depth, radius, burnin, samples, start)
+		return e.queryLocalMiss(ctx, q, key, m, start)
 	}
+	coalesced := false
 	for {
-		e.qmu.Lock()
-		if hit, ok := e.qcache[key]; ok {
-			e.qmu.Unlock()
-			hit.Cached = true
+		e.qmu.RLock()
+		c, ok := e.answers[key]
+		e.qmu.RUnlock()
+		if ok && c.done == nil {
+			hit := c.m
+			hit.Cached, hit.Coalesced = true, coalesced
 			hit.Elapsed = time.Since(start)
-			queryLocalHits().Inc()
+			if coalesced {
+				queryLocalCoalesced().Inc()
+			} else {
+				queryLocalHits().Inc()
+			}
 			return hit, nil
 		}
-		c, inflight := e.qflight[key]
-		if !inflight {
-			// Become the leader: compute, publish to cache and waiters.
-			c = &queryCall{done: make(chan struct{})}
-			if e.qflight == nil {
-				e.qflight = make(map[queryKey]*queryCall)
+		if ok {
+			// Wait for the leader under our own context: a cancelled
+			// waiter must not hang on a slow leader. Then look again: the
+			// answer is there, or the leader failed (possibly its own
+			// cancellation, which says nothing about our query) and we
+			// find another leader, or none.
+			select {
+			case <-ctx.Done():
+				return m, &PartialError{Phase: "query-local", Err: ctx.Err()}
+			case <-c.done:
 			}
-			e.qflight[key] = c
-			e.qmu.Unlock()
-			out, err := e.queryLocalMiss(ctx, q, m, depth, radius, burnin, samples, start)
-			e.qmu.Lock()
-			delete(e.qflight, key)
-			if err == nil {
-				if e.qcache == nil {
-					e.qcache = make(map[queryKey]Marginal)
-				}
-				if len(e.qcache) >= queryCacheLimit {
-					for k := range e.qcache {
-						delete(e.qcache, k)
-						break
-					}
-				}
-				e.qcache[key] = out
-			}
-			e.qmu.Unlock()
-			c.m, c.err = out, err
-			close(c.done)
-			return out, err
-		}
-		e.qmu.Unlock()
-		// Coalesce onto the in-flight leader — but honor our own
-		// context: a cancelled waiter must not hang on a slow leader.
-		select {
-		case <-ctx.Done():
-			return m, &PartialError{Phase: "query-local", Err: ctx.Err()}
-		case <-c.done:
-		}
-		if c.err != nil {
-			// The leader failed (possibly its own cancellation, which
-			// says nothing about our query); retry — we will find the
-			// cache filled, a new leader to wait on, or lead ourselves.
+			coalesced = true
 			continue
 		}
-		hit := c.m
-		hit.Cached, hit.Coalesced = true, true
-		hit.Elapsed = time.Since(start)
-		queryLocalCoalesced().Inc()
-		return hit, nil
+		e.qmu.Lock()
+		if _, ok := e.answers[key]; ok {
+			e.qmu.Unlock()
+			continue
+		}
+		done := make(chan struct{})
+		e.answers[key] = answer{done: done}
+		e.qmu.Unlock()
+		return e.fillAnswer(ctx, q, key, done, m, start)
 	}
 }
 
-// queryLocalMiss is the cache-miss path: local grounding, target
-// resolution, and neighborhood inference. m arrives pre-filled with the
-// atom, generation, and resolved bounds; the caller owns caching and
-// coalescing.
-func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal, depth, radius, burnin, samples int, start time.Time) (Marginal, error) {
-	rel, _ := e.kb.RelDict.Lookup(q.Rel)
-	x, _ := e.kb.Entities.Lookup(q.X)
-	y, _ := e.kb.Entities.Lookup(q.Y)
+// fillAnswer computes the cell the caller inserted and closes its done.
+// A failure removes the cell, so no error is kept; a success counts
+// against queryCacheLimit.
+func (e *Expansion) fillAnswer(ctx context.Context, q PointQuery, key queryKey, done chan struct{}, m Marginal, start time.Time) (Marginal, error) {
+	out, err := e.queryLocalMiss(ctx, q, key, m, start)
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	defer close(done)
+	if err != nil {
+		delete(e.answers, key)
+		return out, err
+	}
+	if e.finished >= queryCacheLimit {
+		for k, old := range e.answers {
+			if old.done == nil {
+				delete(e.answers, k)
+				e.finished--
+				break
+			}
+		}
+	}
+	e.answers[key] = answer{m: out}
+	e.finished++
+	return out, nil
+}
 
+// queryLocalMiss is the computing path: local grounding, target
+// resolution, and neighborhood inference. m arrives pre-filled with the
+// atom, generation, and resolved bounds, key with the interned atom and
+// knobs; the caller owns the answer table.
+func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, key queryKey, m Marginal, start time.Time) (Marginal, error) {
 	ctx, span := obs.StartSpan(ctx, "query-local")
 	defer span.End()
 	aq := obs.QueryFrom(ctx)
@@ -340,7 +329,7 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal
 	}
 
 	lres, err := e.localGrounder().Ground(ctx, ground.LocalQuery{
-		Rel: rel, X: x, Y: y, Depth: depth, Radius: radius,
+		Rel: key.rel, X: key.x, Y: key.y, Depth: key.depth, Radius: key.radius,
 	})
 	if err != nil {
 		if isCtxErr(err) {
@@ -394,9 +383,9 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal
 			return m, fmt.Errorf("probkb: query target fact %d has no local graph variable", id)
 		}
 		iopts := inferOptions(e.cfg)
-		iopts.Burnin, iopts.Samples = burnin, samples
+		iopts.Burnin, iopts.Samples = key.burnin, key.samples
 		iopts.OnIteration = nil
-		inres, ierr := infer.LocalMarginalContext(ctx, g, v, q.MarkovRadius, iopts)
+		inres, ierr := infer.LocalMarginalContext(ctx, g, v, key.markov, iopts)
 		m.LocalVars, m.LocalFactors, m.Collected = inres.Vars, inres.Factors, inres.Collected
 		if inres.Collected > 0 {
 			m.Probability = inres.Probability
@@ -418,7 +407,7 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, m Marginal
 	}
 	e.jr.Emit(journal.TypeQueryLocal, journal.QueryLocal{
 		Rel: q.Rel, X: q.X, Y: q.Y,
-		Depth: depth, Radius: radius,
+		Depth: key.depth, Radius: key.radius,
 		Found: m.Found, Observed: m.Observed,
 		SeedFacts: m.SeedFacts, LocalFacts: m.LocalFacts,
 		LocalVars: m.LocalVars, LocalFactors: m.LocalFactors,

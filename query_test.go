@@ -2,7 +2,9 @@ package probkb
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"probkb/internal/obs"
@@ -290,5 +292,81 @@ func TestQueryLocalLeavesChainHealthAlone(t *testing.T) {
 			t.Fatalf("after cold point query %v the chain feed reads active=%v sweep=%d rhat=%v, want the global chain's %v/%d/%v",
 				q, a, s, r, active, sweep, rhat)
 		}
+	}
+}
+
+// TestQueryLocalCoalesces pins the point-answer contract: eight
+// identical lookups of an uncached atom, released together, pay for one
+// grounding run — exactly one of them computes (the only answer not
+// Cached), the rest share its answer, whether they found it in flight
+// (Coalesced) or finished — and a lookup cancelled before it starts
+// leaves nothing behind for the next identical one to hit.
+func TestQueryLocalCoalesces(t *testing.T) {
+	exp, err := giantKB(t).Expand(Config{Engine: SingleNode, RunInference: false, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := obs.Default.Counter("probkb_query_local_total", obs.L("cache", "miss"))
+	q := PointQuery{Rel: "located_in", X: "Borough_1", Y: "Town_2", Burnin: 50, Samples: 200}
+
+	const n = 8
+	before := misses.Value()
+	start := make(chan struct{})
+	answers := make([]Marginal, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			answers[i], errs[i] = exp.QueryLocal(context.Background(), q)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if d := misses.Value() - before; d != 1 {
+		t.Fatalf("%d concurrent identical lookups counted %d misses, want 1", n, d)
+	}
+	computed := -1
+	for i, m := range answers {
+		if errs[i] != nil {
+			t.Fatalf("lookup %d: %v", i, errs[i])
+		}
+		if !m.Cached {
+			if computed >= 0 {
+				t.Fatalf("lookups %d and %d both computed the answer", computed, i)
+			}
+			computed = i
+		}
+	}
+	if computed < 0 {
+		t.Fatal("every lookup reported Cached; none computed the answer")
+	}
+	want := answers[computed]
+	if !want.Found || !(want.Probability > 0 && want.Probability < 1) {
+		t.Fatalf("computed answer %+v, want a derived atom's marginal", want)
+	}
+	for i, m := range answers {
+		m.Cached, m.Coalesced, m.Elapsed = want.Cached, want.Coalesced, want.Elapsed
+		if m != want {
+			t.Fatalf("lookup %d answered %+v, the computed answer is %+v", i, m, want)
+		}
+	}
+
+	q.Samples = 300
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var pe *PartialError
+	if _, err := exp.QueryLocal(ctx, q); !errors.As(err, &pe) {
+		t.Fatalf("cancelled lookup: err %v, want a *PartialError", err)
+	}
+	before = misses.Value()
+	m, err := exp.QueryLocal(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cached || misses.Value()-before != 1 {
+		t.Fatalf("lookup after a cancelled one: cached %v, %d misses counted; want a miss", m.Cached, misses.Value()-before)
 	}
 }
