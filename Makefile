@@ -28,7 +28,7 @@ check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Kernel tier (ROADMAP item 1b): the engine's hash and filter kernels,
+# ROADMAP item 1's kernel tier: the engine's hash and filter kernels,
 # ground's fact index, one semi-naive iteration's two-atom Δ legs
 # (BenchmarkDeltaLegs: Δ of 1, 64 and 4,096 rows, read through the entity
 # index vs. the hash-join form) and one factor phase (BenchmarkFactorsDelta:
@@ -53,10 +53,14 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals' -benchmem .
 
 # Every kernel benchmark compiles and executes once per PR, so none can
-# rot between the runs somebody reads.
+# rot between the runs somebody reads. TestPointSelectCostFlat is the
+# deterministic gate beside them: a point select's allocations and the
+# rows its plan produces beyond the answer may not grow from the scale
+# 0.05 corpus to the scale 0.25 one (an index read, not a scan of T).
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals' -benchtime 1x .
+	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat' .
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
 # snake_case with the right unit suffix and a Help() string (see
@@ -204,7 +208,7 @@ incident-smoke:
 # catalog built from scratch.
 query-smoke:
 	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests|TestSQLReadersShareImageUnderIngest|TestSQLDeleteRefused|TestNoSQLTrafficBuildsNoImage' ./internal/server
-	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom|TestSQLImage' .
+	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom|TestSQLImage|TestSQLPointSelects' .
 	@echo "query-smoke: ok"
 
 # MVCC serving-tier smoke: the epoch manager's unit battery, the

@@ -16,10 +16,12 @@ import (
 // An entry is either a table (Put) or a recipe for one (PutLazy) that
 // runs on the first Get, once, however many goroutines ask. Each entry
 // also holds the table's ANALYZE statistics, computed on the first Stats
-// call and kept for as long as the entry lives; Put replaces the entry,
-// which is how a caller that mutated a table in place drops its stale
-// statistics. A frozen catalog is the shared read-only kind: its set of
-// entries is final and SQL refuses to DELETE through it.
+// call, and its single-column entity indexes, each built on the first
+// Index call for its column; both are kept for as long as the entry
+// lives. Put replaces the entry, which is how a caller that mutated a
+// table in place drops its stale statistics and indexes. A frozen
+// catalog is the shared read-only kind: its set of entries is final and
+// SQL refuses to DELETE through it.
 type Catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*catalogEntry
@@ -35,6 +37,9 @@ type catalogEntry struct {
 
 	statsOnce sync.Once
 	stats     *TableStats
+
+	indexOnce sync.Once
+	index     []func() *EntityIndex // per column, built on first call
 }
 
 func (e *catalogEntry) resolve() (*Table, error) {
@@ -52,7 +57,9 @@ func NewCatalog() *Catalog {
 	return &Catalog{entries: make(map[string]*catalogEntry)}
 }
 
-// Put registers (or replaces) a table under its own name.
+// Put registers (or replaces) a table under its own name. The new entry
+// starts with no statistics and no indexes: a caller that mutates a
+// table in place must Put it again before the catalog plans over it.
 func (c *Catalog) Put(t *Table) {
 	c.put(t.Name(), &catalogEntry{table: t})
 }
@@ -134,6 +141,32 @@ func (c *Catalog) Stats(name string) (*TableStats, error) {
 	}
 	e.statsOnce.Do(func() { e.stats = Analyze(t) })
 	return e.stats, nil
+}
+
+// Index returns an EntityIndex of the named table on its Int32 column
+// col, building it on the first call for that column; every later call,
+// from any goroutine, returns the same index. Like the statistics, it
+// describes the table as it was then: re-Put a table mutated in place
+// to have it built again.
+func (c *Catalog) Index(name string, col int) (*EntityIndex, error) {
+	e, err := c.entry(name)
+	if err != nil {
+		return nil, err
+	}
+	t, err := e.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if col < 0 || col >= len(t.cols) || t.cols[col].typ != Int32 {
+		return nil, fmt.Errorf("engine: table %q has no INT column %d to index", name, col)
+	}
+	e.indexOnce.Do(func() {
+		e.index = make([]func() *EntityIndex, len(t.cols))
+		for i := range e.index {
+			e.index[i] = sync.OnceValue(func() *EntityIndex { return NewEntityIndex(t, i) })
+		}
+	})
+	return e.index[col](), nil
 }
 
 // Drop removes the named table; dropping a missing table is a no-op.

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Kernel benchmarks (ROADMAP item 1b): the hash kernels at the sizes
-// paper-scale grounding runs them at, on a synthetic table shaped like TΠ
+// Kernel benchmarks (ROADMAP item 1's kernel tier): the hash kernels at
+// the sizes paper-scale grounding runs them at, on a synthetic table shaped like TΠ
 // — (I, R, x, C1, y, C2, w), about four facts per entity, so the self-join
 // on (y, C2) = (x, C1) fans out ~4x like the benchmark's 317K x 317K ->
 // 1.18M rows. `make bench-kernels` runs them; `make check` executes each

@@ -31,6 +31,46 @@ func (n *ScanNode) Run() (*Table, error) {
 }
 
 // ---------------------------------------------------------------------------
+// Index Scan
+
+// IndexScanNode produces the rows of a base table whose indexed column
+// equals a literal, read through an EntityIndex on that one column: the
+// output of Filter(col = lit) over a Seq Scan, row order included, at a
+// cost that follows the matching rows rather than the table.
+type IndexScanNode struct {
+	base
+	ix   *EntityIndex
+	lit  int32
+	desc string
+}
+
+// NewIndexScan returns the rows of ix's table holding lit in the one
+// column ix indexes; desc is the condition Explain shows. The index must
+// cover the whole table, and lit must not be NullInt32 (a NULL cell
+// equals nothing, but the index lists NULL cells too).
+func NewIndexScan(ix *EntityIndex, lit int32, desc string) *IndexScanNode {
+	if len(ix.Cols()) != 1 || lit == NullInt32 {
+		panic(fmt.Sprintf("engine: NewIndexScan (%s): the index must have one column and the literal be non-NULL", desc))
+	}
+	return &IndexScanNode{base: base{schema: ix.Table().Schema()}, ix: ix, lit: lit, desc: desc}
+}
+
+func (n *IndexScanNode) Children() []Node { return nil }
+func (n *IndexScanNode) Label() string {
+	return "Index Scan on " + n.ix.Table().Name() + " (" + n.desc + ")"
+}
+func (n *IndexScanNode) OpKind() string { return "Index Scan" }
+
+// Run gathers the matching rows, ascending.
+func (n *IndexScanNode) Run() (*Table, error) {
+	return timeRun(&n.stats, n.exec, func() (*Table, error) {
+		out := NewTable("filter", n.schema)
+		out.AppendRowsFrom(n.ix.Table(), n.ix.Lookup(n.lit, nil))
+		return out, nil
+	})
+}
+
+// ---------------------------------------------------------------------------
 // Filter
 
 // FilterNode keeps the rows for which Pred returns true, or — built by

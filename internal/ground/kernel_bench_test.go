@@ -11,8 +11,8 @@ import (
 	"probkb/internal/mln"
 )
 
-// Kernel benchmarks for the fact index (ROADMAP item 1b), beside the
-// engine's own in internal/engine/kernel_bench_test.go: merge is what
+// Kernel benchmarks for the fact index (ROADMAP item 1's kernel tier),
+// beside the engine's own in internal/engine/kernel_bench_test.go: merge is what
 // every grounding iteration does with its candidate facts, rebuild what it
 // does after every constraint pass that deleted something. DeltaLegs is
 // one semi-naive iteration's two-atom legs, FactorsDelta one factor phase

@@ -12,7 +12,7 @@ import (
 	"probkb/internal/synth"
 )
 
-// Kernel benchmarks for inference (ROADMAP item 2's kernel tier) over the
+// Kernel benchmarks for inference (ROADMAP item 1's kernel tier) over the
 // ground factor graph of a synthetic corpus grounded under constraints
 // (pre-clean, then Query 3 after each iteration to the fixpoint; naive
 // order, which reaches the facts and factors KB.Expand's semi-naive order

@@ -162,7 +162,7 @@ func tupleSet(e *probkb.Expansion) []string {
 // appends them to TΠ only), under a Config without the store — so past
 // one, streamed facts are gone from the served closure and later
 // batches are not durable. That predates the one write path and waits
-// on a fact-provenance model (ROADMAP item 5b).
+// on a fact-provenance model (ROADMAP item 9).
 func TestWritersRaceOneLock(t *testing.T) {
 	t.Run("streams+expand+snapshot", func(t *testing.T) { writersRace(t, true) })
 	t.Run("streams+snapshot/durable", func(t *testing.T) { writersRace(t, false) })

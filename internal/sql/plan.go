@@ -10,21 +10,22 @@ import (
 )
 
 // DB executes SQL statements against an engine catalog. It holds
-// settings only — tables and their statistics belong to the catalog —
-// so any number of DBs, on any number of goroutines, may run SELECTs
-// over one catalog.
+// settings only — tables, their statistics and their indexes belong to
+// the catalog — so any number of DBs, on any number of goroutines, may
+// run SELECTs over one catalog.
 type DB struct {
 	cat      *engine.Catalog
 	optimize bool
 	workers  int
 }
 
-// NewDB wraps a catalog. The cost-based join-order optimizer is on by
-// default; SetOptimize(false) forces syntactic join order and never asks
-// the catalog for the table statistics the optimizer plans with.
+// NewDB wraps a catalog. The cost-based optimizer is on by default;
+// SetOptimize(false) forces syntactic join order and sequential scans,
+// and never asks the catalog for the table statistics or the indexes
+// the optimizer plans with.
 func NewDB(cat *engine.Catalog) *DB { return &DB{cat: cat, optimize: true} }
 
-// SetOptimize toggles the join-order optimizer (useful for plan
+// SetOptimize toggles the cost-based optimizer (useful for plan
 // comparisons and tests).
 func (db *DB) SetOptimize(on bool) { db.optimize = on }
 
@@ -254,13 +255,14 @@ func (db *DB) planSelect(s *SelectStmt) (engine.Node, error) {
 	// with it so EXPLAIN ANALYZE can show estimates next to actuals. The
 	// scan estimate is the raw table cardinality — filters are separate
 	// physical nodes here, so the honest per-node estimate applies their
-	// selectivity at the Filter, not the Scan.
+	// selectivity at the Filter, not the Scan. An Index Scan is a scan
+	// and its filter in one, so it carries the filtered estimate.
 	em := newEstimator(infos)
 
-	first := infos[order[0]]
-	var plan engine.Node = engine.NewScan(first.table)
-	sc := scopeOf(first.ref.Binding(), first.table)
-	est := stamp(plan, float64(first.table.NumRows()))
+	plan, sc, est, err := db.accessPath(infos, order[0], pool, used, em)
+	if err != nil {
+		return nil, err
+	}
 
 	applyFilters := func(plan engine.Node, sc *scope) (engine.Node, error) {
 		for i, c := range pool {
@@ -281,7 +283,6 @@ func (db *DB) planSelect(s *SelectStmt) (engine.Node, error) {
 		return plan, nil
 	}
 
-	var err error
 	// Join the remaining tables in the chosen order.
 	for _, oi := range order[1:] {
 		info := infos[oi]
@@ -460,6 +461,64 @@ func (db *DB) planSelect(s *SelectStmt) (engine.Node, error) {
 		stamp(plan, math.Min(float64(s.Limit), est))
 	}
 	return plan, nil
+}
+
+// accessPath plans the scan of the leading table, infos[lead]. The
+// cost-based planner reads a table of more than one morsel through an
+// entity index when a pooled conjunct is `<INT column> = <integer
+// literal>`: the Index Scan costs the matching rows, where the typed
+// filter costs a compare per row. At one morsel or less the filter is a
+// single sequential loop of at most DefaultMorselSize compares, and an
+// index would spend memory for nothing. Of several such conjuncts the
+// one the estimator expects fewest rows from wins, the first written on
+// a tie; it is marked used, and the rest stay filters over the scan.
+func (db *DB) accessPath(infos []refInfo, lead int, pool []Condition, used []bool, em *estimator) (engine.Node, *scope, float64, error) {
+	info := infos[lead]
+	t := info.table
+	sc := scopeOf(info.ref.Binding(), t)
+	rows := float64(t.NumRows())
+	best, bestSel := -1, 0.0
+	if db.optimize && t.NumRows() > engine.DefaultMorselSize {
+		for i, c := range pool {
+			if _, op, _, ok := int32Comparison(c, sc); !ok || op != engine.CmpEq || !unambiguous(c, infos) {
+				continue
+			}
+			if sel := em.condSelectivity(c, sc); best < 0 || sel < bestSel {
+				best, bestSel = i, sel
+			}
+		}
+	}
+	if best < 0 {
+		plan := engine.NewScan(t)
+		return plan, sc, stamp(plan, rows), nil
+	}
+	c := pool[best]
+	col, _, lit, _ := int32Comparison(c, sc)
+	ix, err := db.cat.Index(info.ref.Name, col)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	used[best] = true
+	plan := engine.NewIndexScan(ix, lit, c.String())
+	return plan, sc, stamp(plan, rows*bestSel), nil
+}
+
+// unambiguous reports whether the column condition c names resolves in
+// exactly one of the FROM tables: a reference that is ambiguous across
+// them is an error once the tables are joined, and a scan of one table
+// alone must not quietly resolve it.
+func unambiguous(c Condition, infos []refInfo) bool {
+	ref := c.Left.Col
+	if c.Left.isLiteral() {
+		ref = c.Right.Col
+	}
+	n := 0
+	for _, in := range infos {
+		if scopeOf(in.ref.Binding(), in.table).has(ref) {
+			n++
+		}
+	}
+	return n == 1
 }
 
 // aggColName is the internal column name an aggregate materializes as.

@@ -30,8 +30,9 @@ type QueryResult struct {
 // The paper's grounding queries run verbatim. The tables are built once
 // per KB state, on first reference, and kept until the KB is next
 // mutated, so a stream of queries over a served generation pays for
-// planning and execution only — for a point select on T, one scan of
-// its rows. Results render as strings. The relational image is
+// planning and execution only — for a point select on an INT column of
+// T, a read of the matching rows through an index on that column, built
+// on the first such select. Results render as strings. The relational image is
 // read-only: anything but a SELECT is an error.
 func (k *KB) QuerySQL(query string) (*QueryResult, error) {
 	return k.QuerySQLContext(context.Background(), query)

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"probkb/internal/engine"
@@ -22,6 +24,12 @@ import (
 // ANALYZEs what it plans over. Whatever the per-generation image
 // answers, this must answer the same.
 func freshSQLDB(t *testing.T, k *KB) *sql.DB {
+	t.Helper()
+	return sql.NewDB(freshCatalog(t, k))
+}
+
+// freshCatalog is freshSQLDB's catalog: mutable, unlike the image's.
+func freshCatalog(t *testing.T, k *KB) *engine.Catalog {
 	t.Helper()
 	parts, err := k.inner.MLNPartitions()
 	if err != nil {
@@ -42,7 +50,7 @@ func freshSQLDB(t *testing.T, k *KB) *sql.DB {
 		}
 		cat.Put(tab)
 	}
-	return sql.NewDB(cat)
+	return cat
 }
 
 // sqlBattery is the fixed set of statements checked after every step:
@@ -334,5 +342,229 @@ func TestSQLImageIsReadOnly(t *testing.T) {
 	}
 	if after := k.inner.Catalog().MustGet("T").String(); after != before {
 		t.Fatalf("T changed:\n%s\nwas\n%s", after, before)
+	}
+}
+
+// pointSelect is the benchmark's point select on any INT column of T.
+func pointSelect(col string, id int) string {
+	return fmt.Sprintf("SELECT T.I, T.R, T.x, T.y, T.w FROM T WHERE T.%s = %d", col, id)
+}
+
+// sortedRows renders a result as a sorted multiset of rows.
+func sortedRows(res *QueryResult) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = strings.Join(r, "|")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSQLPointSelects: on the scale 0.05 corpus (T is 18,990 rows,
+// five morsels) a point select on T.x, T.y, T.R or T.I reads the
+// image's entity index. Its answers agree with a fresh catalog planned
+// without it (Seq Scan + filter) row for row, and with the distributed
+// plan as multisets. The first selects on a fresh image, from eight
+// goroutines, share one index; a KB mutation and a DELETE on a mutable
+// catalog each leave the next select an index of what is there now.
+func TestSQLPointSelects(t *testing.T) {
+	k, _, err := Synthesize(0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := k.Stats()
+	cols := map[string]int{"x": st.Entities, "y": st.Entities, "R": st.Relations, "I": st.Facts}
+
+	t.Run("concurrent first selects", func(t *testing.T) {
+		const readers = 8
+		answers := make([][]*QueryResult, readers)
+		indexes := make([]*engine.EntityIndex, readers)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 16; i++ {
+					res, err := k.QuerySQL(pointSelect("x", i*st.Entities/16))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					answers[g] = append(answers[g], res)
+				}
+				indexes[g], _ = k.inner.Catalog().Index("T", kb.TPiX)
+			}()
+		}
+		wg.Wait()
+		for g := 1; g < readers; g++ {
+			if !reflect.DeepEqual(answers[g], answers[0]) {
+				t.Fatalf("reader %d answered differently from reader 0", g)
+			}
+			if indexes[g] != indexes[0] || indexes[g] == nil {
+				t.Fatalf("reader %d got index %p, reader 0 %p", g, indexes[g], indexes[0])
+			}
+		}
+	})
+
+	t.Run("agree with the scan and distributed plans", func(t *testing.T) {
+		seq := freshSQLDB(t, k)
+		seq.SetOptimize(false)
+		rng := rand.New(rand.NewSource(36))
+		for col, n := range cols {
+			if plan, err := k.ExplainSQL(pointSelect(col, 1)); err != nil || !strings.Contains(plan, "Index Scan on T (T."+col+" = 1)") {
+				t.Fatalf("T.%s = 1 plans no Index Scan: %v\n%s", col, err, plan)
+			}
+			hits := 0
+			for i := 0; i < 200; i++ {
+				id := rng.Intn(n+n/10+20) - 10 // absent IDs at both ends
+				q := pointSelect(col, id)
+				got, err := k.QuerySQL(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := seq.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := renderResult(out); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: image answers\n%v\nSeq Scan\n%v", q, got, want)
+				}
+				dist, err := k.QueryDistSQL(q, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, d := sortedRows(got), sortedRows(dist); !reflect.DeepEqual(g, d) {
+					t.Fatalf("%s: image answers %v, distributed plan %v", q, g, d)
+				}
+				if len(got.Rows) > 0 {
+					hits++
+				}
+			}
+			if hits == 0 || hits == 200 {
+				t.Fatalf("T.%s: %d of 200 IDs found rows; want some found and some absent", col, hits)
+			}
+		}
+	})
+
+	t.Run("a new fact is found", func(t *testing.T) {
+		before, err := k.QuerySQL(pointSelect("x", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := k.inner.Entities.Name(0)
+		k.AddFact("point_rel", x, "PointClass", "point_y", "PointClass", 0.5)
+		after, err := k.QuerySQL(pointSelect("x", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after.Rows) != len(before.Rows)+1 {
+			t.Fatalf("T.x = 0 answered %d rows after AddFact, %d before", len(after.Rows), len(before.Rows))
+		}
+		y, _ := k.inner.Entities.Lookup("point_y")
+		if res, err := k.QuerySQL(pointSelect("y", int(y))); err != nil || len(res.Rows) != 1 {
+			t.Fatalf("the new entity's fact: %v, %v", res, err)
+		}
+	})
+
+	t.Run("DELETE on a mutable catalog", func(t *testing.T) {
+		cat := freshCatalog(t, k)
+		db, seq := sql.NewDB(cat), sql.NewDB(cat)
+		seq.SetOptimize(false)
+		for i := 0; i < 20; i++ { // the index on T.x is built here
+			if _, err := db.Query(pointSelect("x", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Deleting the first quarter of the facts shifts every row
+		// after it, and leaves T over one morsel.
+		gone := st.Facts / 4
+		n, err := db.Exec(fmt.Sprintf("DELETE FROM T WHERE T.I < %d", gone))
+		if err != nil || n == 0 {
+			t.Fatalf("DELETE removed %d rows: %v", n, err)
+		}
+		if plan, err := db.Explain(pointSelect("x", 0)); err != nil || !strings.Contains(plan, "Index Scan on T") {
+			t.Fatalf("no Index Scan after the DELETE: %v\n%s", err, plan)
+		}
+		for i := 0; i < 200; i++ {
+			q := pointSelect("x", i)
+			got, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := seq.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s after DELETE:\n%s\nwant\n%s", q, got, want)
+			}
+			for _, id := range got.Int32Col(0) {
+				if int(id) < gone {
+					t.Fatalf("%s answered deleted fact %d", q, id)
+				}
+			}
+		}
+	})
+}
+
+// TestPointSelectCostFlat gates what a point select costs on how big T
+// is, in deterministic measures: allocations per select, and the rows
+// its plan's operators produce beyond the answer (every operator of an
+// index read produces exactly the answer's rows; a scan also produces
+// all of T). At scale 0.25 T has five times the rows it has at 0.05 and
+// its answers run longer; neither measure may notice the first. The
+// selects probe IDs present and absent in equal number.
+func TestPointSelectCostFlat(t *testing.T) {
+	type cost struct{ allocs, extraRows float64 }
+	measure := func(scale float64) cost {
+		k, _, err := Synthesize(scale, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, n := k.sqlDB(), k.Stats().Entities
+		queries := make([]string, 64)
+		for i := range queries {
+			id := i * 7919 % n
+			if i%2 == 1 {
+				id = -id - 1
+			}
+			queries[i] = fmt.Sprintf("SELECT T.R, T.y, T.w FROM T WHERE T.x = %d", id)
+		}
+		var c cost
+		for _, q := range queries {
+			out, plan, err := db.QueryAnalyzeContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var walk func(n engine.Node)
+			walk = func(n engine.Node) {
+				c.extraRows += float64(n.Stats().Rows - out.NumRows())
+				for _, k := range n.Children() {
+					walk(k)
+				}
+			}
+			walk(plan)
+		}
+		c.extraRows /= float64(len(queries))
+		i := 0
+		c.allocs = testing.AllocsPerRun(len(queries), func() {
+			if _, err := db.Query(queries[i%len(queries)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		return c
+	}
+	small, large := measure(0.05), measure(0.25)
+	t.Logf("per select: scale 0.05 %.1f allocs, %.1f rows beyond the answer; scale 0.25 %.1f allocs, %.1f rows",
+		small.allocs, small.extraRows, large.allocs, large.extraRows)
+	// The slack covers the larger corpus's longer answers: a few more
+	// append growths of the answer's columns.
+	const slackAllocs = 8
+	if large.allocs > small.allocs+slackAllocs {
+		t.Errorf("allocs per select grew with T: %.1f at scale 0.05, %.1f at 0.25", small.allocs, large.allocs)
+	}
+	if large.extraRows > small.extraRows {
+		t.Errorf("rows produced beyond the answer grew with T: %.1f per select at scale 0.05, %.1f at 0.25", small.extraRows, large.extraRows)
 	}
 }
