@@ -45,12 +45,14 @@ bench-build:
 # library-level SQL point select over the scale 0.25 corpus (relational
 # image hit vs. build) and the cache-bypassing point query over the same
 # corpus (BenchmarkQueryLocalCold: local grounding plus its metrics), and
-# ingest-serve's refresh in the library (BenchmarkRefreshMarginals: four
-# 64-fact deferred batches on the unconstrained scale 0.25 expansion).
+# ingest-serve's refresh and absorb in the library
+# (BenchmarkRefreshMarginals: four 64-fact deferred batches on the
+# unconstrained scale 0.25 expansion; BenchmarkExtendWithDeferred: one
+# 64-fact batch on an extend-produced generation at scales 0.05 and 0.25).
 # EXPERIMENTS.md records the numbers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground ./internal/factor ./internal/infer
-	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchmem .
 
 # Every kernel benchmark compiles and executes once per PR, so none can
 # rot between the runs somebody reads. TestPointSelectCostFlat is the
@@ -59,7 +61,7 @@ bench-kernels:
 # 0.05 corpus to the scale 0.25 one (an index read, not a scan of T).
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
-	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat' .
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
@@ -242,11 +244,16 @@ mvcc-smoke:
 # as the library leg) and every kind of writer racing on the one writer
 # lock — and the two binaries' own legs: `probkb ingest` transcripts,
 # one validator for CLI and HTTP, and probkb-server's shutdown
-# checkpoint mid-stream — all under -race.
+# checkpoint mid-stream; plus the fact index an extend round hands the
+# next: rounds forking it equal to rounds building their own (TestLineage),
+# and sibling extends, point queries and Explain sharing one
+# extend-produced generation's index (TestExtendedGeneration) — all
+# under -race.
 ingest-smoke:
 	$(GO) test -race -count=1 ./internal/ingest
 	$(GO) test -race -count=1 -run 'TestIngestSplitInvariance|TestReplayIngestDeterministic|TestShrinkIngestReduces' ./internal/proptest
-	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles|TestExtendWithRejectsInvalidFacts' .
+	$(GO) test -race -count=1 -run 'TestLineage' ./internal/ground
+	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles|TestExtendWithRejectsInvalidFacts|TestExtendedGeneration' .
 	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission|TestWritersRaceOneLock' ./internal/server
 	$(GO) test -race -count=1 ./cmd/probkb ./cmd/probkb-server
 	@echo "ingest-smoke: ok"

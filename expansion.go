@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"probkb/internal/engine"
 	"probkb/internal/factor"
 	"probkb/internal/ground"
 	"probkb/internal/infer"
@@ -549,5 +548,3 @@ type IterationStats struct {
 	Queries   int
 	Elapsed   time.Duration
 }
-
-var _ = engine.NullInt32 // engine types appear in exported docs

@@ -11,7 +11,9 @@ import "slices"
 // Extend, into a second segment over the appended rows only; a lookup
 // reads the first segment's rows and then the second's, which keeps them
 // ascending. Anything else that changes the table — a deletion shifts
-// rows — needs a new index.
+// rows — needs a new index. The first segment, the base, is never
+// written once built: Fork hands it to an index over a copy of the
+// table, which builds only its own tail.
 type EntityIndex struct {
 	t    *Table
 	cols []int
@@ -39,9 +41,49 @@ type entitySeg struct {
 // columns. t is captured by reference.
 func NewEntityIndex(t *Table, cols ...int) *EntityIndex {
 	ix := &EntityIndex{t: t, cols: cols}
-	ix.base = ix.build(0, t.NumRows())
-	ix.baseEnd, ix.rows = t.NumRows(), t.NumRows()
+	ix.Extend()
 	return ix
+}
+
+// forkTailFraction is where a fork stops sharing its parent's base (an
+// EntityIndex's or a RowSet's): when the rows past the base exceed
+// 1/forkTailFraction of it, the fork indexes all of its table as a new
+// base instead of building a tail. A fork pays for its tail, and a tail
+// is rebuilt whole by every Extend; a new base costs a build over every
+// row, once. Below the bound a tail costs at most 1/16 of a full build;
+// past it, the full build is paid once per base/16 rows appended since
+// the last one — for a stream of 64-fact batches over a 100K-row table,
+// once in dozens of rounds. A larger fraction makes the tails cheaper and
+// the new bases more frequent.
+const forkTailFraction = 16
+
+// Fork returns an index of the same columns over t, sharing ix's base:
+// the first BaseLen() rows of t must be those of ix's table. Forking
+// builds nothing. The fork's first Extend builds its tail, from the end
+// of the base — unless the rows past the base exceed 1/forkTailFraction
+// of it, when the fork has no base and that Extend indexes all of t as
+// its own. Forking writes nothing ix holds, so any number of goroutines
+// may fork one index, and look up in it, at once.
+func (ix *EntityIndex) Fork(t *Table) *EntityIndex {
+	if t.NumRows() < ix.baseEnd {
+		panic("engine: EntityIndex.Fork onto a table shorter than the base")
+	}
+	if t.NumRows()-ix.baseEnd > ix.baseEnd/forkTailFraction {
+		return &EntityIndex{t: t, cols: ix.cols}
+	}
+	return &EntityIndex{t: t, cols: ix.cols, base: ix.base, baseEnd: ix.baseEnd, rows: ix.baseEnd}
+}
+
+// BaseLen returns the number of rows the shared base covers, from row 0.
+func (ix *EntityIndex) BaseLen() int { return ix.baseEnd }
+
+// SharesBase reports whether ix and o hold one base, as an index and the
+// forks that did not outgrow it do.
+// It is a test hook, for tests of callers that fork (a lineage of
+// grounding rounds) to check what a fork shares: no production path asks
+// it, and none should come to depend on it.
+func (ix *EntityIndex) SharesBase(o *EntityIndex) bool {
+	return ix.baseEnd == o.baseEnd && (len(ix.base.rows) == 0 || &ix.base.rows[0] == &o.base.rows[0])
 }
 
 // Table returns the indexed table.
@@ -54,13 +96,19 @@ func (ix *EntityIndex) Cols() []int { return ix.cols }
 func (ix *EntityIndex) Len() int { return ix.rows }
 
 // Extend indexes the rows appended to the table since the index was
-// built. Its cost is the number of rows appended since then, not the
-// table's size.
+// built or forked. Its cost is the number of rows past the base — every
+// row, when there is no base yet — not the table's size.
 func (ix *EntityIndex) Extend() {
-	if n := ix.t.NumRows(); n != ix.rows {
+	n := ix.t.NumRows()
+	switch {
+	case n == ix.rows:
+	case ix.baseEnd == 0:
+		// No base yet: a new index, or a fork that outgrew its parent's.
+		ix.base, ix.baseEnd = ix.build(0, n), n
+	default:
 		ix.tail = ix.build(ix.baseEnd, n)
-		ix.rows = n
 	}
+	ix.rows = n
 }
 
 // Lookup appends the rows holding v in any indexed column to dst, in

@@ -186,3 +186,49 @@ func TestIndexJoinLabel(t *testing.T) {
 		t.Fatalf("OpKind %q", j.OpKind())
 	}
 }
+
+// TestEntityIndexFork grows a chain of forks, each over a copy of its
+// parent's table with rows appended, and checks that every fork looks up
+// what an index built from scratch does, shares its parent's base until
+// the rows past it exceed 1/forkTailFraction of it, then indexes its
+// whole table as a new base — and that forking changed nothing its
+// parent, or a sibling, looks up.
+func TestEntityIndexFork(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tbl := threeCol(rng, 320, 0, 60)
+	parent := NewEntityIndex(tbl, 0, 1)
+	compacted := 0
+	for gen := 0; gen < 12; gen++ {
+		sibling := parent.Fork(tbl.Clone())
+		next := tbl.Clone()
+		next.AppendTable(threeCol(rng, 7, 0, 60))
+		ix := parent.Fork(next)
+		ix.Extend()
+		past := next.NumRows() - parent.BaseLen()
+		if shares := ix.SharesBase(parent); shares != (past <= parent.BaseLen()/forkTailFraction) {
+			t.Fatalf("gen %d: %d rows past a %d-row base, shares = %v", gen, past, parent.BaseLen(), shares)
+		} else if !shares {
+			compacted++
+			if ix.BaseLen() != next.NumRows() {
+				t.Fatalf("gen %d: new base covers %d of %d rows", gen, ix.BaseLen(), next.NumRows())
+			}
+		}
+		if ix.Len() != next.NumRows() {
+			t.Fatalf("gen %d: Len %d, table has %d rows", gen, ix.Len(), next.NumRows())
+		}
+		checkIndex(t, next, ix, 0, 60)
+		sibling.Extend()
+		checkIndex(t, tbl, parent, 0, 60)
+		checkIndex(t, tbl, sibling, 0, 60)
+		tbl, parent = next, ix
+	}
+	if compacted == 0 {
+		t.Fatal("no fork outgrew its parent's base")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fork onto a table shorter than the base did not panic")
+		}
+	}()
+	parent.Fork(threeCol(rng, parent.BaseLen()-1, 0, 60))
+}

@@ -52,7 +52,9 @@ func (ix *rowIndex) rechain() {
 // bucket spreads h over the buckets by its multiplicative-hash top bits:
 // FNV's low bits mix poorly (bit 0 is the parity of the key bytes' low
 // bits), and on an MPP segment every row shares HashRow % segments.
-func (ix *rowIndex) bucket(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> ix.shift }
+func (ix *rowIndex) bucket(h uint64) uint64 { return bucketOf(h, ix.shift) }
+
+func bucketOf(h uint64, shift uint) uint64 { return (h * 0x9E3779B97F4A7C15) >> shift }
 
 // add indexes the next row, len(ix.next), under hash h.
 func (ix *rowIndex) add(h uint64) {
@@ -81,6 +83,30 @@ func (ix *rowIndex) seek(h uint64, r int32) int32 {
 	}
 	return r
 }
+
+// sealedIndex is a rowIndex that will never grow, with its hashes
+// dropped: a lookup walks the whole chain of a key's bucket and compares
+// keys, which at most one row per bucket on average makes about one
+// comparison. It is what a RowSet shares with the sets forked from it,
+// 8 bytes a row smaller than the rowIndex it was built as; re-chaining
+// it would mean hashing every row again.
+type sealedIndex struct {
+	heads, next []int32
+	shift       uint
+}
+
+// sealIndex indexes rows 0..len(hashes)-1 and lets go of hashes.
+func sealIndex(hashes []uint64) sealedIndex {
+	ix := newRowIndex(hashes)
+	return sealedIndex{heads: ix.heads, next: ix.next, shift: ix.shift}
+}
+
+// first returns the first row of h's bucket, -1 if it is empty; the
+// bucket's next row after r is next[r].
+func (ix *sealedIndex) first(h uint64) int32 { return ix.heads[bucketOf(h, ix.shift)] }
+
+// len returns the number of indexed rows.
+func (ix *sealedIndex) len() int { return len(ix.next) }
 
 // hashRange fills dst with HashRow(t, lo+i, cols), a column at a time: the
 // same values, without a row-at-a-time walk's dependent loads and with

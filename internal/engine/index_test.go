@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -291,5 +292,69 @@ func TestRowSetAgainstOracle(t *testing.T) {
 		add(50)
 		s.NoteAppended()
 		check("regrown", s)
+	})
+}
+
+// TestRowSetFork grows a chain of forks, each over a copy of its
+// parent's table with rows appended, and checks every fork against an
+// oracle map: it shares its parent's base while the rows past it stay
+// within 1/forkTailFraction of it, re-hashes them into a new base past
+// that, and forking leaves the parent's answers alone.
+func TestRowSetFork(t *testing.T) {
+	forIndexShapes(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		sch := NewSchema(C("a", Int32), C("b", Int32), C("c", Int32))
+		key := []int{0, 1, 2}
+		draw := func(t *Table, n int) {
+			for i := 0; i < n; i++ {
+				t.AppendRow(rng.Int31n(20), rng.Int31n(20), rng.Int31n(3))
+			}
+		}
+		probe := NewTable("P", sch)
+		draw(probe, 600)
+		check := func(step string, s *RowSet, tab *Table) {
+			t.Helper()
+			held := map[[3]int32]bool{}
+			for r := 0; r < tab.NumRows(); r++ {
+				held[[3]int32{tab.Int32Col(0)[r], tab.Int32Col(1)[r], tab.Int32Col(2)[r]}] = true
+			}
+			if s.Len() != tab.NumRows() {
+				t.Fatalf("%s: Len = %d, table has %d rows", step, s.Len(), tab.NumRows())
+			}
+			for r := 0; r < probe.NumRows(); r++ {
+				k := [3]int32{probe.Int32Col(0)[r], probe.Int32Col(1)[r], probe.Int32Col(2)[r]}
+				f := s.Find(probe, r, key)
+				if (f >= 0) != held[k] || (f >= 0 && !rowsEqualOn(tab, f, key, probe, r, key)) {
+					t.Fatalf("%s: Find(%v) = %d, oracle holds it: %v", step, k, f, held[k])
+				}
+				if s.ContainsKey(k[:]...) != held[k] {
+					t.Fatalf("%s: ContainsKey(%v) = %v, oracle %v", step, k, !held[k], held[k])
+				}
+			}
+		}
+		tab := NewTable("T", sch)
+		draw(tab, 200)
+		parent := NewRowSet(tab, key)
+		compacted := 0
+		for gen := 0; gen < 12; gen++ {
+			next := tab.Clone()
+			draw(next, 5)
+			past := next.NumRows() - parent.BaseLen()
+			s := parent.Fork(next)
+			check(fmt.Sprintf("gen %d forked", gen), s, next)
+			draw(next, 2)
+			s.NoteAppended()
+			if shares := s.SharesBase(parent); shares != (past <= parent.BaseLen()/forkTailFraction) {
+				t.Fatalf("gen %d: %d rows past a %d-row base, shares = %v", gen, past, parent.BaseLen(), shares)
+			} else if !shares {
+				compacted++
+			}
+			check(fmt.Sprintf("gen %d", gen), s, next)
+			check(fmt.Sprintf("gen %d parent", gen), parent, tab)
+			tab, parent = next, s
+		}
+		if compacted == 0 {
+			t.Fatal("no fork outgrew its parent's base")
+		}
 	})
 }

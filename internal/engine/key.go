@@ -54,15 +54,41 @@ func rowsEqualOn(a *Table, ra int, acols []int, b *Table, rb int, bcols []int) b
 // RowSet is a set of rows of one table keyed by a tuple of Int32 columns:
 // index row r is table row r. It backs set-union semantics (facts tables
 // dedup on (R,x,C1,y,C2)) and SQL's IN sub-selects.
+//
+// A set is two segments. The base covers the rows the set was built
+// over, [0, BaseLen()), and is never written afterwards, so the sets
+// forked from it (Fork) share it; it keeps no hashes. The tail indexes
+// the rows appended since (NoteAppended) and belongs to this set alone.
 type RowSet struct {
 	t    *Table
 	cols []int
-	ix   *rowIndex
+	base sealedIndex
+	// tail row i is table row base.len()+i.
+	tail *rowIndex
 }
 
 // NewRowSet builds a set over the existing rows of t keyed on cols.
 func NewRowSet(t *Table, cols []int) *RowSet {
-	return &RowSet{t: t, cols: cols, ix: newRowIndex(hashRows(t, cols, false, "", Opts{}, nil))}
+	return &RowSet{t: t, cols: cols, base: sealIndex(hashRows(t, cols, false, "", Opts{}, nil)), tail: newRowIndex(nil)}
+}
+
+// Fork returns a set over t keyed as s is, sharing s's base: the first
+// BaseLen() rows of t must be those of s's table. Its tail indexes t's
+// other rows, unless they pass 1/forkTailFraction of the base, when the
+// fork builds a base of its own over all of t (see forkTailFraction).
+// Forking writes nothing s holds, so any number of goroutines may fork
+// one set, and read it, at once.
+func (s *RowSet) Fork(t *Table) *RowSet {
+	n := s.base.len()
+	if t.NumRows() < n {
+		panic("engine: RowSet.Fork onto a table shorter than the base")
+	}
+	if t.NumRows()-n > n/forkTailFraction {
+		return NewRowSet(t, s.cols)
+	}
+	hs := make([]uint64, t.NumRows()-n)
+	hashRange(hs, t, s.cols, n)
+	return &RowSet{t: t, cols: s.cols, base: s.base, tail: newRowIndex(hs)}
 }
 
 // Contains reports whether a row with the same key as row r of table o
@@ -73,9 +99,15 @@ func (s *RowSet) Contains(o *Table, r int, ocols []int) bool { return s.Find(o, 
 // (keyed on ocols), or -1 when there is none.
 func (s *RowSet) Find(o *Table, r int, ocols []int) int {
 	h := HashRow(o, r, ocols)
-	for c := s.ix.first(h); c >= 0; c = s.ix.after(h, c) {
+	for c := s.base.first(h); c >= 0; c = s.base.next[c] {
 		if rowsEqualOn(s.t, int(c), s.cols, o, r, ocols) {
 			return int(c)
+		}
+	}
+	n := s.base.len()
+	for c := s.tail.first(h); c >= 0; c = s.tail.after(h, c) {
+		if rowsEqualOn(s.t, n+int(c), s.cols, o, r, ocols) {
+			return n + int(c)
 		}
 	}
 	return -1
@@ -85,16 +117,28 @@ func (s *RowSet) Find(o *Table, r int, ocols []int) int {
 // column, for callers whose key is not a row of any table.
 func (s *RowSet) ContainsKey(key ...int32) bool {
 	h := hashInt32s(key...)
-candidates:
-	for c := s.ix.first(h); c >= 0; c = s.ix.after(h, c) {
-		for i, col := range s.cols {
-			if s.t.cols[col].i32[c] != key[i] {
-				continue candidates
-			}
+	for c := s.base.first(h); c >= 0; c = s.base.next[c] {
+		if s.holdsKey(int(c), key) {
+			return true
 		}
-		return true
+	}
+	n := s.base.len()
+	for c := s.tail.first(h); c >= 0; c = s.tail.after(h, c) {
+		if s.holdsKey(n+int(c), key) {
+			return true
+		}
 	}
 	return false
+}
+
+// holdsKey reports whether table row r holds key in the key columns.
+func (s *RowSet) holdsKey(r int, key []int32) bool {
+	for i, col := range s.cols {
+		if s.t.cols[col].i32[r] != key[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // NoteAppended indexes the rows appended to the underlying table since
@@ -106,9 +150,21 @@ func (s *RowSet) NoteAppended() {
 		panic("engine: RowSet's table shrank; build a new set after deleting rows")
 	}
 	for r := s.Len(); r < s.t.NumRows(); r++ {
-		s.ix.add(HashRow(s.t, r, s.cols))
+		s.tail.add(HashRow(s.t, r, s.cols))
 	}
 }
 
 // Len returns the number of indexed rows.
-func (s *RowSet) Len() int { return len(s.ix.next) }
+func (s *RowSet) Len() int { return s.base.len() + len(s.tail.next) }
+
+// BaseLen returns the number of rows the shared base covers, from row 0.
+func (s *RowSet) BaseLen() int { return s.base.len() }
+
+// SharesBase reports whether s and o hold one base, as a set and the
+// forks that did not outgrow it do.
+// It is a test hook, for tests of callers that fork (a lineage of
+// grounding rounds) to check what a fork shares: no production path asks
+// it, and none should come to depend on it.
+func (s *RowSet) SharesBase(o *RowSet) bool {
+	return s.base.len() == o.base.len() && (s.base.len() == 0 || &s.base.next[0] == &o.base.next[0])
+}

@@ -654,6 +654,10 @@ func Ground(k *kb.KB, opts Options) (*Result, error) {
 // cost scales with the new data, not the whole KB. The rule set and
 // options must describe the same MLN the prior run used.
 //
+// The run starts from the fact index prev's run published, when prev is
+// itself an Extend's result, and publishes its own on the result it
+// returns: a lineage of rounds builds its index once (DESIGN.md §5).
+//
 // The factor phase, when enabled, maintains the last TΦ computed along
 // prev's lineage — prev's own, or the one a chain of SkipFactors extends
 // carried forward — from the facts added since, rather than recomputing
@@ -669,7 +673,12 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 
 	loadStart := time.Now()
 	tpi := prev.Facts.Clone()
-	ix := newFactIndex(tpi)
+	var ix *factIndex
+	if prev.index != nil {
+		ix = prev.index.fork(tpi)
+	} else {
+		ix = newFactIndex(tpi)
+	}
 	res.LoadTime = time.Since(loadStart)
 
 	// Append the genuinely new facts with fresh IDs, preserving their
@@ -682,5 +691,11 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 			ix.add(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
 		}
 	}
-	return g.groundFrom(g, tpi, ix, deltaMin, res)
+	res, err = g.groundFrom(g, tpi, ix, deltaMin, res)
+	if err == nil {
+		// Readers of the published index never extend it.
+		ix.on(kb.TPiX)
+		res.index = ix
+	}
+	return res, err
 }

@@ -26,7 +26,34 @@ func FactorWatermark(res *Result) (at, from int32) {
 	if res.tphi == nil {
 		return -1, -1
 	}
-	return res.tphi.watermark, res.tphi.continueAt(newFactIndex(res.Facts).next).watermark
+	return res.tphi.watermark, res.tphi.continueAt(nextFactID(res.Facts)).watermark
+}
+
+// WithoutIndex returns a copy of res that carries no fact index: an
+// Extend of it builds its own from scratch, as an Extend of an Expand
+// result does.
+func WithoutIndex(res *Result) *Result {
+	c := *res
+	c.index = nil
+	return &c
+}
+
+// SharesIndex reports whether next carries a fact index holding all
+// three sealed bases of the one prev carries: the identity set's and
+// both entity columns'.
+func SharesIndex(prev, next *Result) bool {
+	p, n := prev.index, next.index
+	return p != nil && n != nil && n.set.SharesBase(p.set) && n.byX.SharesBase(p.byX) && n.byY.SharesBase(p.byY)
+}
+
+// IndexBases returns how many rows of res.Facts the sealed bases of its
+// fact index cover — the identity set's and the entity columns' — and -1,
+// -1 when it carries none.
+func IndexBases(res *Result) (set, entity int) {
+	if res.index == nil {
+		return -1, -1
+	}
+	return res.index.set.BaseLen(), res.index.byX.BaseLen()
 }
 
 // RecomputeFactors is the oracle a maintained TΦ is held to: Query 2-p

@@ -154,6 +154,14 @@ type Result struct {
 	// the run continued from — which Extend maintains rather than
 	// recomputes (deltafactors.go).
 	tphi *factorState
+	// index is the fact index of an Extend's run over Facts, both entity
+	// columns extended to its last row, which an Extend of this result
+	// forks rather than rebuilds, and the local grounder over its evidence
+	// reads. It is published with the result and never written again.
+	// Ground's results carry none: an Expand result is usually a final
+	// product, and the index would hold ~10 MB at scale 1.0 that nobody
+	// reads (DESIGN.md §5).
+	index *factIndex
 }
 
 // InferredFacts returns how many facts grounding added.
@@ -236,12 +244,16 @@ func emitIteration(w *journal.Writer, st IterStats) {
 	})
 }
 
-// factIndex is a grounding run's index over its TΠ table: the distinct
-// facts by their identity key (R, x, C1, y, C2), the next fact ID to hand
-// out, and — on the single-node backend, whose semi-naive legs and
-// maintained factor legs read TΠ through it (DESIGN.md §5) — per entity,
-// the rows holding it in the subject column and in the object column.
-// The index lives as long as the run; nothing else holds it.
+// factIndex is the index over a TΠ table that grounding reads and
+// grows: the distinct facts by their identity key (R, x, C1, y, C2), the
+// next fact ID to hand out, and — on the single-node backend, whose
+// semi-naive legs and maintained factor legs read TΠ through it
+// (DESIGN.md §5) — per entity, the rows holding it in the subject column
+// and in the object column. An Extend publishes its run's index on its
+// Result, and a later Extend of that result forks it instead of building
+// its own: the fork shares the identity set's and the entity index's
+// sealed bases and indexes only the rows past them. A published index is
+// read, never written again.
 type factIndex struct {
 	set  *engine.RowSet
 	tpi  *engine.Table
@@ -259,14 +271,28 @@ type factIndex struct {
 var tpiKeyCols = []int{kb.TPiR, kb.TPiX, kb.TPiC1, kb.TPiY, kb.TPiC2}
 
 func newFactIndex(tpi *engine.Table) *factIndex {
+	return &factIndex{set: engine.NewRowSet(tpi, tpiKeyCols), tpi: tpi, next: nextFactID(tpi)}
+}
+
+// nextFactID returns one past the highest fact ID tpi holds: where a run
+// over tpi starts handing out IDs.
+func nextFactID(tpi *engine.Table) int32 {
 	next := int32(0)
-	ids := tpi.Int32Col(kb.TPiI)
-	for _, id := range ids {
+	for _, id := range tpi.Int32Col(kb.TPiI) {
 		if id >= next {
 			next = id + 1
 		}
 	}
-	return &factIndex{set: engine.NewRowSet(tpi, tpiKeyCols), tpi: tpi, next: next}
+	return next
+}
+
+// fork returns the index of tpi, a Clone of the table a published index
+// ix covers, as newFactIndex would build it — the same next fact ID, the
+// same lookups — sharing ix's bases. It writes nothing ix holds, so
+// sibling rounds may fork one published index at once.
+func (ix *factIndex) fork(tpi *engine.Table) *factIndex {
+	return &factIndex{set: ix.set.Fork(tpi), tpi: tpi, next: nextFactID(tpi),
+		byX: ix.byX.Fork(tpi), byY: ix.byY.Fork(tpi)}
 }
 
 // candidateKeyCols are the identity columns of a groundAtoms result, the

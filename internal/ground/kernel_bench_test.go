@@ -114,9 +114,10 @@ func deltaLegsFixture(b *testing.B, n int) (*BatchGrounder, *engine.Table) {
 // partition — its Δ⋈T and T⋈Δ legs, deduplicated as the single-node
 // backend runs them — with Δ the last 1, 64 or 4,096 rows of a 100K- or
 // 300K-row TΠ. legs=index reads TΠ through the run's entity index, built
-// once outside the loop as groundFrom builds it once per run; legs=hash
-// is the hash-join form the MPP backend lowers, which hashes or scans all
-// of TΠ. The index legs' time follows Δ; the hash legs' follows TΠ.
+// once outside the loop as a lineage of Extend rounds builds it once and
+// forks it onward; legs=hash is the hash-join form the MPP backend
+// lowers, which hashes or scans all of TΠ. The index legs' time follows
+// Δ; the hash legs' follows TΠ.
 func BenchmarkDeltaLegs(b *testing.B) {
 	for _, n := range []int{100_000, 300_000} {
 		g, tpi := deltaLegsFixture(b, n)

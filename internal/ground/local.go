@@ -63,16 +63,19 @@ type LocalResult struct {
 // concurrent Ground calls: every query grounds into its own tables.
 type LocalGrounder struct {
 	clauses []mln.Clause
-	// byRel maps a relation ID to the indices of every clause mentioning
-	// it (head or body) — the clause-incidence graph rule selection
-	// walks. It spans every relation ID the rules or the evidence use,
-	// so per-query relation sets are dense slices of its length.
-	byRel [][]int
-	// base holds the evidence rows (TΠ-shaped, weights included);
-	// byEntity lists, per entity, the base rows mentioning it as subject
-	// or object, ascending, each once.
-	base     *engine.Table
-	byEntity *engine.EntityIndex
+	// The clause-incidence graph rule selection walks, CSR-style: the
+	// indices of the clauses mentioning relation r (head or body) are
+	// relClauses[relStart[r]:relStart[r+1]], ascending. It spans every
+	// relation ID the rules or the evidence use, so per-query relation
+	// sets are dense slices of its length.
+	relStart, relClauses []int32
+	// The evidence is the first evidence rows of facts (TΠ-shaped,
+	// weights included). byX and byY list, per entity, the rows of facts
+	// holding it as subject and as object, ascending; they may cover rows
+	// past the evidence, which a lookup skips.
+	facts    *engine.Table
+	evidence int
+	byX, byY *engine.EntityIndex
 	opts     Options
 }
 
@@ -81,14 +84,40 @@ type LocalGrounder struct {
 // mutated afterwards. Options supply Workers and SemiNaive; per-call
 // knobs (context, iteration cap) come from the LocalQuery.
 func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGrounder {
+	return newLocal(rules, base, base.NumRows(),
+		engine.NewEntityIndex(base, kb.TPiX), engine.NewEntityIndex(base, kb.TPiY), opts)
+}
+
+// NewLocalFor is NewLocal over the evidence of a grounding result: the
+// facts it did not derive. Fact IDs ascend with the row index and the
+// derived ones are those from FirstDerived on, so the evidence is a
+// prefix of res.Facts, which the grounder reads in place; res.Facts
+// must not be mutated afterwards but for its weights. A result an Extend
+// published its fact index on lends the grounder that index's entity
+// columns; any other gets two built here over the prefix.
+func NewLocalFor(rules []mln.Clause, res *Result, opts Options) *LocalGrounder {
+	t := res.Facts
+	n, _ := slices.BinarySearch(t.Int32Col(kb.TPiI), res.FirstDerived)
+	if ix := res.index; ix != nil {
+		return newLocal(rules, t, n, ix.byX, ix.byY, opts)
+	}
+	i32 := func(c int) []int32 { return t.Int32Col(c)[:n:n] }
+	base := engine.TableFromColumns("T_base", kb.FactsSchema(), i32(kb.TPiI), i32(kb.TPiR),
+		i32(kb.TPiX), i32(kb.TPiC1), i32(kb.TPiY), i32(kb.TPiC2), t.Float64Col(kb.TPiW)[:n:n])
+	return NewLocal(rules, base, opts)
+}
+
+func newLocal(rules []mln.Clause, facts *engine.Table, evidence int, byX, byY *engine.EntityIndex, opts Options) *LocalGrounder {
 	lg := &LocalGrounder{
 		clauses:  rules,
-		base:     base,
-		byEntity: engine.NewEntityIndex(base, kb.TPiX, kb.TPiY),
+		facts:    facts,
+		evidence: evidence,
+		byX:      byX,
+		byY:      byY,
 		opts:     opts,
 	}
 	nrels := int32(0)
-	for _, r := range base.Int32Col(kb.TPiR) {
+	for _, r := range facts.Int32Col(kb.TPiR)[:evidence] {
 		nrels = max(nrels, r+1)
 	}
 	for _, c := range rules {
@@ -97,19 +126,43 @@ func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGround
 			nrels = max(nrels, b.Rel+1)
 		}
 	}
-	lg.byRel = make([][]int, nrels)
-	for i, c := range rules {
-		add := func(r int32) {
-			if l := lg.byRel[r]; len(l) == 0 || l[len(l)-1] != i {
-				lg.byRel[r] = append(l, i)
-			}
+	lg.relStart = make([]int32, nrels+1)
+	for _, c := range rules {
+		rs, n := clauseRels(c)
+		for _, r := range rs[:n] {
+			lg.relStart[r+1]++
 		}
-		add(c.Head.Rel)
-		for _, b := range c.Body {
-			add(b.Rel)
+	}
+	for r := range nrels {
+		lg.relStart[r+1] += lg.relStart[r]
+	}
+	lg.relClauses = make([]int32, lg.relStart[nrels])
+	fill := slices.Clone(lg.relStart[:nrels])
+	for i, c := range rules {
+		rs, n := clauseRels(c)
+		for _, r := range rs[:n] {
+			lg.relClauses[fill[r]] = int32(i)
+			fill[r]++
 		}
 	}
 	return lg
+}
+
+// clauseRels returns the distinct relations clause c mentions, the
+// head's first, as rs[:n].
+func clauseRels(c mln.Clause) (rs [3]int32, n int) {
+	rs[0], n = c.Head.Rel, 1
+next:
+	for _, b := range c.Body {
+		for _, r := range rs[:n] {
+			if r == b.Rel {
+				continue next
+			}
+		}
+		rs[n] = b.Rel
+		n++
+	}
+	return rs, n
 }
 
 // reachable selects the clauses within depth hops of rel in the
@@ -123,7 +176,8 @@ func NewLocal(rules []mln.Clause, base *engine.Table, opts Options) *LocalGround
 //
 // The relation set comes back dense, indexed by relation ID.
 func (lg *LocalGrounder) reachable(rel int32, depth int) ([]mln.Clause, []bool) {
-	rels := make([]bool, max(len(lg.byRel), int(rel)+1))
+	nrels := len(lg.relStart) - 1
+	rels := make([]bool, max(nrels, int(rel)+1))
 	rels[rel] = true
 	selected := make([]bool, len(lg.clauses))
 	nselected := 0
@@ -137,10 +191,10 @@ func (lg *LocalGrounder) reachable(rel int32, depth int) ([]mln.Clause, []bool) 
 			}
 		}
 		for _, r := range frontier {
-			if int(r) >= len(lg.byRel) {
+			if int(r) >= nrels {
 				continue // a relation no rule or fact mentions
 			}
-			for _, ci := range lg.byRel[r] {
+			for _, ci := range lg.relClauses[lg.relStart[r]:lg.relStart[r+1]] {
 				if selected[ci] {
 					continue
 				}
@@ -164,18 +218,19 @@ func (lg *LocalGrounder) reachable(rel int32, depth int) ([]mln.Clause, []bool) 
 	return out, rels
 }
 
-// entityBall collects the base rows reachable from the query entities
-// within radius hops of the fact graph, restricted to relations that
-// can appear in a local proof (rels, indexed by relation ID). Rows come
-// back sorted (deterministic seed tables).
+// entityBall collects the evidence rows reachable from the query
+// entities within radius hops of the fact graph, restricted to relations
+// that can appear in a local proof (rels, indexed by relation ID). Rows
+// come back sorted (deterministic seed tables).
 func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels []bool) []int32 {
-	relCol := lg.base.Int32Col(kb.TPiR)
-	xs := lg.base.Int32Col(kb.TPiX)
-	ys := lg.base.Int32Col(kb.TPiY)
+	relCol := lg.facts.Int32Col(kb.TPiR)
+	xs := lg.facts.Int32Col(kb.TPiX)
+	ys := lg.facts.Int32Col(kb.TPiY)
 
 	visited := map[int32]bool{x: true, y: true}
-	// A row is met once from each of its entities inside the ball; the
-	// duplicates go after sorting.
+	// A row is met once from each of its entities inside the ball, and
+	// twice from one it holds in both columns; the duplicates go after
+	// sorting.
 	var rows, partners []int32
 	frontier := []int32{x, y}
 	if y == x {
@@ -184,19 +239,24 @@ func (lg *LocalGrounder) entityBall(x, y int32, radius int, rels []bool) []int32
 	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
 		var next []int32
 		for _, e := range frontier {
-			partners = lg.byEntity.Lookup(e, partners[:0])
-			for _, r := range partners {
-				if !rels[relCol[r]] {
-					continue
-				}
-				rows = append(rows, r)
-				other := xs[r]
-				if other == e {
-					other = ys[r]
-				}
-				if !visited[other] {
-					visited[other] = true
-					next = append(next, other)
+			for _, ix := range [...]*engine.EntityIndex{lg.byX, lg.byY} {
+				partners = ix.Lookup(e, partners[:0])
+				for _, r := range partners {
+					if int(r) >= lg.evidence {
+						break // ascending: the rest are derived
+					}
+					if !rels[relCol[r]] {
+						continue
+					}
+					rows = append(rows, r)
+					other := xs[r]
+					if other == e {
+						other = ys[r]
+					}
+					if !visited[other] {
+						visited[other] = true
+						next = append(next, other)
+					}
 				}
 			}
 		}
@@ -235,7 +295,7 @@ func (lg *LocalGrounder) Ground(ctx context.Context, q LocalQuery) (*LocalResult
 	}
 	seedRows := lg.entityBall(q.X, q.Y, radius, rels)
 	tpi := engine.NewTable("T_local", kb.FactsSchema())
-	tpi.AppendRowsFrom(lg.base, seedRows)
+	tpi.AppendRowsFrom(lg.facts, seedRows)
 	ix := newFactIndex(tpi)
 
 	res := &Result{LoadTime: time.Since(loadStart)}

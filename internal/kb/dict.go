@@ -1,6 +1,9 @@
 package kb
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Dict is a bidirectional string ↔ int32 dictionary. ProbKB dictionary-
 // encodes every entity, class, and relation symbol so that the grounding
@@ -16,8 +19,9 @@ type Dict struct {
 	ids   map[string]int32
 	// shared marks the ids map (and the names backing array, via its
 	// capped capacity) as visible to another fork; the next Intern
-	// copies before writing.
-	shared bool
+	// copies before writing. Concurrent forks of one dictionary all set
+	// it, so it is atomic.
+	shared atomic.Bool
 }
 
 // NewDict returns an empty dictionary.
@@ -33,9 +37,11 @@ func NewDict() *Dict {
 // no writes any concurrent reader (Lookup, Name, Len, Names) could
 // observe, only the shared flag that read paths never consult.
 func (d *Dict) Fork() *Dict {
-	d.shared = true
+	d.shared.Store(true)
 	n := len(d.names)
-	return &Dict{names: d.names[:n:n], ids: d.ids, shared: true}
+	child := &Dict{names: d.names[:n:n], ids: d.ids}
+	child.shared.Store(true)
+	return child
 }
 
 // Intern returns the ID of name, assigning the next free ID on first use.
@@ -43,7 +49,7 @@ func (d *Dict) Intern(name string) int32 {
 	if id, ok := d.ids[name]; ok {
 		return id
 	}
-	if d.shared {
+	if d.shared.Load() {
 		// First mutation after a fork: copy both directions privately so
 		// neither side ever writes memory the other reads.
 		d.names = append([]string(nil), d.names...)
@@ -52,7 +58,7 @@ func (d *Dict) Intern(name string) int32 {
 			ids[k] = v
 		}
 		d.ids = ids
-		d.shared = false
+		d.shared.Store(false)
 	}
 	id := int32(len(d.names))
 	d.names = append(d.names, name)

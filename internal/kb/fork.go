@@ -25,10 +25,11 @@ import "probkb/internal/mln"
 // observe: the child gets capacity-capped copies of the slice HEADERS
 // (so its appends reallocate away from the shared backing arrays), the
 // maps are shared by reference, and the receiver itself only has its
-// shared flag set — a field no read path consults. That is what makes
+// shared flag set — a field no read path consults, set atomically so
+// that sibling forks of one generation may be taken at once. That is what makes
 // forking a *published, pinned* generation legal while readers scan it.
 func (k *KB) Fork() *KB {
-	k.shared = true
+	k.shared.Store(true)
 	child := &KB{
 		Entities: k.Entities.Fork(),
 		Classes:  k.Classes.Fork(),
@@ -44,9 +45,8 @@ func (k *KB) Fork() *KB {
 		memberSet: k.memberSet,
 		factIx:    k.factIx,
 		relSigs:   k.relSigs,
-
-		shared: true,
 	}
+	child.shared.Store(true)
 	// The child starts in the parent's state, so the parent's relational
 	// image (if it has one) describes the child too, until the child's
 	// first mutation drops it.
@@ -75,7 +75,7 @@ func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 // describes it.)
 func (k *KB) materialize() {
 	k.dropImage()
-	if !k.shared {
+	if !k.shared.Load() {
 		return
 	}
 	k.Facts = append([]Fact(nil), k.Facts...)
@@ -106,7 +106,7 @@ func (k *KB) materialize() {
 	}
 	k.relSigs = relSigs
 
-	k.shared = false
+	k.shared.Store(false)
 }
 
 // dropImage lets go of the relational image once it stops describing

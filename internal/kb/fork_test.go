@@ -220,7 +220,7 @@ func TestForkStaysSharedOnKnownSymbols(t *testing.T) {
 		}
 	}
 	sharing := func(k *KB) bool {
-		return k.shared && &k.Facts[0] == &parent.Facts[0] && &k.Members[0] == &parent.Members[0]
+		return k.shared.Load() && &k.Facts[0] == &parent.Facts[0] && &k.Members[0] == &parent.Members[0]
 	}
 	if !sharing(fork) {
 		t.Fatal("re-adding only known relations and members copied the fork")

@@ -94,7 +94,7 @@ type KB struct {
 
 	// shared marks this KB's slices and maps as visible to a Fork; the
 	// next mutation copies them privately first (see materialize).
-	shared bool
+	shared atomic.Bool
 
 	// img is the relational image (see Catalog) built for this KB, or
 	// inherited from the KB it was forked from, since its last mutation;
@@ -275,7 +275,7 @@ func (k *KB) ReplaceFacts(facts []Fact) {
 func (k *KB) KeepFacts(positions []int32) {
 	k.dropImage()
 	kept := k.Facts[:0]
-	if k.shared {
+	if k.shared.Load() {
 		kept = make([]Fact, 0, len(positions))
 	}
 	for _, p := range positions {

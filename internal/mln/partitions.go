@@ -82,12 +82,59 @@ func (p *Partitions) Add(c Clause) error {
 }
 
 // Build partitions a clause set; it fails on the first clause that does
-// not match one of the six shapes.
+// not match one of the six shapes. It classifies every clause first, then
+// fills each partition's columns, sized once, a clause at a time: the
+// tables Add builds, without boxing a value per row.
 func Build(clauses []Clause) (*Partitions, error) {
-	p := NewPartitions()
+	part := make([]int8, len(clauses))
+	var n [NumPartitions + 1]int
 	for i, c := range clauses {
-		if err := p.Add(c); err != nil {
+		p, err := c.Partition()
+		if err != nil {
 			return nil, fmt.Errorf("clause %d: %w", i, err)
+		}
+		part[i] = int8(p)
+		n[p]++
+	}
+	// rel[k] and class[k] are column k of the relation and class triples,
+	// the third of each unused by the length-2 partitions M1 and M2.
+	type columns struct {
+		rel, class [3][]int32
+		w          []float64
+	}
+	var cols [NumPartitions + 1]columns
+	p := &Partitions{total: len(clauses)}
+	for i := P1; i <= P6; i++ {
+		if n[i] == 0 {
+			continue
+		}
+		for k := range 3 {
+			cols[i].rel[k] = make([]int32, 0, n[i])
+			cols[i].class[k] = make([]int32, 0, n[i])
+		}
+		cols[i].w = make([]float64, 0, n[i])
+		p.clauses[i] = make([]Clause, 0, n[i])
+	}
+	for i, c := range clauses {
+		m := &cols[part[i]]
+		m.rel[0] = append(m.rel[0], c.Head.Rel)
+		for k, b := range c.Body {
+			m.rel[k+1] = append(m.rel[k+1], b.Rel)
+		}
+		for k := range len(c.Body) + 1 {
+			m.class[k] = append(m.class[k], c.Class[k])
+		}
+		m.w = append(m.w, c.Weight)
+		p.clauses[part[i]] = append(p.clauses[part[i]], c)
+	}
+	for i := P1; i <= P6; i++ {
+		m := &cols[i]
+		if i <= P2 {
+			p.m[i] = engine.TableFromColumns(TableName(i), Len2Schema(),
+				m.rel[0], m.rel[1], m.class[X], m.class[Y], m.w)
+		} else {
+			p.m[i] = engine.TableFromColumns(TableName(i), Len3Schema(),
+				m.rel[0], m.rel[1], m.rel[2], m.class[X], m.class[Y], m.class[Z], m.w)
 		}
 	}
 	return p, nil

@@ -11,13 +11,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"probkb/internal/engine"
 	"probkb/internal/factor"
 	"probkb/internal/ground"
 	"probkb/internal/infer"
@@ -104,7 +102,7 @@ type Marginal struct {
 	// Probability is P(atom): the stored weight for an observed fact,
 	// the neighborhood's marginal for a derived one (exact when the
 	// neighborhood is small enough to enumerate, a Gibbs estimate
-	// otherwise), NaN when the atom is unknown/undervable within the
+	// otherwise), NaN when the atom is unknown/underivable within the
 	// bounds or inference was skipped.
 	Probability float64
 	// Found reports that the atom is observed or derivable within the
@@ -191,18 +189,11 @@ func (e *Expansion) Generation() uint64 { return e.gen }
 // newLocalGrounder builds the query-local grounder over this
 // expansion's evidence: the facts grounding did not derive. Derived facts
 // of *prior* rounds count as evidence here exactly as ExtendWith treats
-// them. Fact IDs ascend with the row index and the derived ones are
-// those from FirstDerived on, so the evidence is a prefix of TΠ, which
-// the grounder reads in place: a published expansion's TΠ is never
-// written again, and the view's capacity stops at the prefix.
+// them. The evidence is a prefix of TΠ, which the grounder reads in
+// place: a published expansion's TΠ is never written again but for its
+// weights.
 func (e *Expansion) newLocalGrounder() *ground.LocalGrounder {
-	t := e.res.Facts
-	ids := t.Int32Col(kb.TPiI)
-	n, _ := slices.BinarySearch(ids, e.res.FirstDerived)
-	i32 := func(c int) []int32 { return t.Int32Col(c)[:n:n] }
-	base := engine.TableFromColumns("T_base", kb.FactsSchema(), i32(kb.TPiI), i32(kb.TPiR),
-		i32(kb.TPiX), i32(kb.TPiC1), i32(kb.TPiY), i32(kb.TPiC2), t.Float64Col(kb.TPiW)[:n:n])
-	return ground.NewLocal(e.kb.Rules, base, ground.Options{
+	return ground.NewLocalFor(e.kb.Rules, e.res, ground.Options{
 		Workers:   e.cfg.EngineWorkers,
 		SemiNaive: true,
 	})
