@@ -59,10 +59,14 @@ bench-kernels:
 # deterministic gate beside them: a point select's allocations and the
 # rows its plan produces beyond the answer may not grow from the scale
 # 0.05 corpus to the scale 0.25 one (an index read, not a scan of T).
+# TestTPhiRowOrderIsNotAnInput guards the factor graph build beside
+# BenchmarkFromResult: a random permutation of TΦ's rows moves no
+# marginal and no Explain text.
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat' .
+	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
 
 # Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
 # snake_case with the right unit suffix and a Help() string (see
@@ -207,9 +211,10 @@ incident-smoke:
 # beside a streamed ingest (every answer equal to the library's for the
 # generation it names), DELETE refused on both routes, no image built
 # without SQL traffic, and the invalidation differential against a
-# catalog built from scratch.
+# catalog built from scratch. GET /facts?limit=1 must allocate the same
+# at scale 0.05 and 0.25 (TestFactsPageCostFlat).
 query-smoke:
-	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests|TestSQLReadersShareImageUnderIngest|TestSQLDeleteRefused|TestNoSQLTrafficBuildsNoImage' ./internal/server
+	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests|TestSQLReadersShareImageUnderIngest|TestSQLDeleteRefused|TestNoSQLTrafficBuildsNoImage|TestFactsPageCostFlat' ./internal/server
 	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom|TestSQLImage|TestSQLPointSelects' .
 	@echo "query-smoke: ok"
 
@@ -247,12 +252,14 @@ mvcc-smoke:
 # checkpoint mid-stream; plus the fact index an extend round hands the
 # next: rounds forking it equal to rounds building their own (TestLineage),
 # and sibling extends, point queries and Explain sharing one
-# extend-produced generation's index (TestExtendedGeneration) — all
-# under -race.
+# extend-produced generation's index (TestExtendedGeneration); and the
+# TΦ each round maintains from its Δ, on lineages started on every
+# backend, equal to Query 2's as a multiset and in its marginals
+# (TestMaintained) — all under -race.
 ingest-smoke:
 	$(GO) test -race -count=1 ./internal/ingest
 	$(GO) test -race -count=1 -run 'TestIngestSplitInvariance|TestReplayIngestDeterministic|TestShrinkIngestReduces' ./internal/proptest
-	$(GO) test -race -count=1 -run 'TestLineage' ./internal/ground
+	$(GO) test -race -count=1 -run 'TestLineage|TestMaintained' ./internal/ground
 	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles|TestExtendWithRejectsInvalidFacts|TestExtendedGeneration' .
 	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission|TestWritersRaceOneLock' ./internal/server
 	$(GO) test -race -count=1 ./cmd/probkb ./cmd/probkb-server

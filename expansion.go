@@ -259,12 +259,31 @@ func (e *Expansion) derived(id int32) bool { return id >= e.res.FirstDerived }
 // Find returns the expanded facts matching the relation and entity names
 // (empty strings match anything).
 func (e *Expansion) Find(rel, x, y string) []Fact {
+	out, _ := e.FindLimit(rel, x, y, nil, -1)
+	return out
+}
+
+// FindLimit returns, in row order, the first limit facts Find would
+// return (all of them when limit is negative) that are also inferred or
+// not, as inferred says when it is non-nil, and how many facts match in
+// all. Only the facts it returns are rendered: the rest are counted from
+// TΠ's ID columns, so the cost of a small page does not grow with the
+// matches.
+func (e *Expansion) FindLimit(rel, x, y string, inferred *bool, limit int) ([]Fact, int) {
 	var out []Fact
+	total := 0
+	ids := e.res.Facts.Int32Col(kb.TPiI)
 	e.matchRows(rel, x, y, func(r int) bool {
-		out = append(out, e.fact(r))
+		if inferred != nil && e.derived(ids[r]) != *inferred {
+			return true
+		}
+		total++
+		if limit < 0 || len(out) < limit {
+			out = append(out, e.fact(r))
+		}
 		return true
 	})
-	return out
+	return out, total
 }
 
 // matchRows calls visit with each TΠ row matching the relation and
@@ -334,6 +353,11 @@ func (e *Expansion) FactorGraphStats() (vars, factors, singletons int, err error
 // with the world's unnormalized log score. This is the paper's
 // "alternative inference type" of Section 2.2: a single consistent world
 // instead of per-fact marginals.
+//
+// Unlike the marginals, the seeded search depends on TΦ's row order:
+// MaxWalkSAT picks its unsatisfied clauses by factor index, so two
+// expansions holding the same TΦ in another order may walk to different
+// worlds of (nearly) equal score.
 func (e *Expansion) MAPWorld(seed int64) ([]Fact, float64, error) {
 	g, err := e.factorGraph()
 	if err != nil {
@@ -427,7 +451,7 @@ func (e *Expansion) ExtendWithDeferred(ctx context.Context, newFacts []Fact) (*E
 // iteration; the factor phase maintains the last table computed along
 // the lineage, grounding only the clauses that name a fact the deferred
 // rounds added — the table a recomputation over the whole closure
-// builds, row for row — and a fresh inference pass refreshes every
+// builds, as a multiset — and a fresh inference pass refreshes every
 // marginal. Like ExtendWith it returns a new Expansion on a fork of the
 // receiver's KB and a clone of its fact table, persists the refreshed
 // marginals when a store is attached, and answers a cancellation with a

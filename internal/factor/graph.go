@@ -16,6 +16,7 @@
 package factor
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -58,7 +59,8 @@ func (f Factor) Satisfied(assign []bool) bool {
 // pointer-free columns. Variables are graph-local indices 0..NumVars-1
 // in TΠ row order; VarOf and FactID translate between them and the
 // (possibly sparse, after constraint deletions) fact IDs of TΠ. Factors
-// are indices 0..NumFactors-1 in TΦ row order.
+// are indices 0..NumFactors-1 in TΦ row order, but what inference reads
+// — FactorsOf, Bias — does not depend on that order (buildAdjacency).
 type Graph struct {
 	// ids[v] is variable v's fact ID. VarOf reads one of two indexes
 	// over them. When the IDs span at most twice as many values as there
@@ -229,6 +231,14 @@ func (g *Graph) clauseVars(f int32) ([3]int32, int) {
 // buildAdjacency turns the per-variable clause counts left in off[v+1]
 // into the CSR offsets, fills adj, and derives the sampled list and the
 // component labels.
+//
+// Each variable's clause list is ordered by content — (head, b2, b1, w),
+// Query 2's own key within a partition — not by factor index, so every
+// sum inference makes over it is the same whatever order TΦ's rows came
+// in: TΦ is a bag (DESIGN.md §5). Clauses equal on the key are equal, and
+// their order is invisible. Bias needs no such step: a grounded TΦ holds
+// one unit clause per observed fact, and a sum of at most two terms
+// (0 + w, then + w') does not depend on their order.
 func (g *Graph) buildAdjacency() {
 	n := len(g.ids)
 	for v := 0; v < n; v++ {
@@ -252,7 +262,18 @@ func (g *Graph) buildAdjacency() {
 	}
 	copy(g.off[1:], g.off[:n])
 	g.off[0] = 0
+	for v, lo := range g.off[:n] {
+		if hi := g.off[v+1]; hi-lo > 1 {
+			slices.SortFunc(g.adj[lo:hi], g.byContent)
+		}
+	}
 	g.labelComponents()
+}
+
+// byContent orders clause factors by (head, b2, b1, w).
+func (g *Graph) byContent(a, b int32) int {
+	return cmp.Or(cmp.Compare(g.head[a], g.head[b]), cmp.Compare(g.b2[a], g.b2[b]),
+		cmp.Compare(g.b1[a], g.b1[b]), cmp.Compare(g.w[a], g.w[b]))
 }
 
 // labelComponents fills comp and ncomp by union-find over the clause

@@ -63,10 +63,6 @@ type backend interface {
 	// rows and deleted st.Deleted; feeds reports whether any plan will
 	// read TΠ again.
 	factsChanged(st IterStats, feeds bool) error
-	// keepsFactors reports whether a later run may maintain this
-	// backend's TΦ (deltafactors.go): the maintained legs reproduce the
-	// row order of the batch plans' Query 2 on the single-node engine.
-	keepsFactors() bool
 }
 
 // partPlan is one grounding plan and the rule partition it grounds.
@@ -124,8 +120,6 @@ func (g *BatchGrounder) run(phase string, plan engine.Node, capture bool) (*engi
 }
 
 func (*BatchGrounder) factsChanged(IterStats, bool) error { return nil }
-
-func (*BatchGrounder) keepsFactors() bool { return true }
 
 // groundFrom runs the closure loop and factor phase over an existing
 // facts table — the run's base facts — with the plans be states and
@@ -269,39 +263,33 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 
 // factorPhase is Algorithm 1's groundFactors (lines 8-10): it sets
 // res.Factors to TΦ over tpi — the clauses of the backend's Query 2
-// plans in turn, then one unit clause per observed fact — and res.tphi
-// to what a later run continues from. A run continuing from a TΦ the
-// single-node backend computed (res.tphi on entry) maintains it from the
-// facts added since (deltafactors.go), reading TΠ through ix; a run with
-// none runs Query 2 over all of TΠ.
+// plans, then one unit clause per observed fact — and res.tphi to what a
+// later run continues from. A run continuing from a computed TΦ (res.tphi
+// on entry, whichever backend computed it) maintains it from the facts
+// added since (deltafactors.go), reading TΠ through ix; a run with none
+// runs Query 2 over all of TΠ.
 func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine.Table, ix *factIndex, res *Result) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "ground.factors")
 	defer span.End()
 	var (
 		cols factorCols
-		end  [mln.NumPartitions + 1]int
 		err  error
 	)
 	if prior := res.tphi; prior != nil {
-		err = g.maintainFactors(ctx, be, prior, tpi, ix, &cols, &end, res)
+		err = g.maintainFactors(ctx, be, prior, tpi, ix, &cols, res)
 	} else {
-		err = g.groundFactors(ctx, be, tpi, &cols, &end, res)
+		err = g.groundFactors(ctx, be, tpi, &cols, res)
 	}
 	if err != nil {
 		return err
 	}
-	for p := mln.P1; p <= mln.NumPartitions; p++ {
-		end[p] = max(end[p], end[p-1])
-	}
+	clauses := cols.len()
 	cols.appendUnits(tpi)
 	res.FactorQueries++
 	obs.Default.Counter("probkb_ground_queries_total", obs.L("phase", "factors")).Add(int64(res.FactorQueries))
 	res.Factors = cols.table()
-	res.tphi = nil
-	if be.keepsFactors() {
-		res.tphi = &factorState{tphi: res.Factors, end: end, watermark: ix.next, facts: tpi.NumRows()}
-	}
+	res.tphi = &factorState{tphi: res.Factors, clauses: clauses, watermark: ix.next, facts: tpi.NumRows()}
 	res.FactorTime = time.Since(start)
 	span.SetAttr("factors", res.Factors.NumRows())
 	span.SetAttr("queries", res.FactorQueries)
@@ -309,12 +297,9 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine
 }
 
 // groundFactors runs the backend's Query 2 plans over all of TΠ and
-// appends their clauses to cols (bag union, Proposition 1), recording
-// where each partition's clauses end (a backend that keepsFactors
-// states its plans in partition order). cols is sized once, for the
-// clauses and the unit clauses that follow them.
-func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, tpi *engine.Table,
-	cols *factorCols, end *[mln.NumPartitions + 1]int, res *Result) error {
+// appends their clauses to cols (bag union, Proposition 1). cols is
+// sized once, for the clauses and the unit clauses that follow them.
+func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, tpi *engine.Table, cols *factorCols, res *Result) error {
 	qs := be.factorsQueries(tpi)
 	outs := make([]*engine.Table, len(qs))
 	n := observed(tpi)
@@ -333,9 +318,8 @@ func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, tpi *engi
 		n += out.NumRows()
 	}
 	cols.grow(n)
-	for i, q := range qs {
-		cols.appendTable(outs[i])
-		end[q.p] = cols.len()
+	for _, out := range outs {
+		cols.appendRows(out, out.NumRows())
 	}
 	return nil
 }
@@ -585,7 +569,7 @@ func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
 }
 
 // factorCols accumulates TΦ column by column: the factor phase copies
-// plan outputs and merged rows in without boxing a value per row.
+// plan outputs and prior rows in without boxing a value per row.
 type factorCols struct {
 	i1, i2, i3 []int32
 	w          []float64
@@ -597,17 +581,12 @@ func (c *factorCols) add(i1, i2, i3 int32, w float64) {
 	c.i1, c.i2, c.i3, c.w = append(c.i1, i1), append(c.i2, i2), append(c.i3, i3), append(c.w, w)
 }
 
-// appendTable appends every row of t (schema FactorSchema).
-func (c *factorCols) appendTable(t *engine.Table) {
-	c.appendRange(t, 0, t.NumRows())
-}
-
-// appendRange appends rows [lo, hi) of t (schema FactorSchema).
-func (c *factorCols) appendRange(t *engine.Table, lo, hi int) {
-	c.i1 = append(c.i1, t.Int32Col(TPhiI1)[lo:hi]...)
-	c.i2 = append(c.i2, t.Int32Col(TPhiI2)[lo:hi]...)
-	c.i3 = append(c.i3, t.Int32Col(TPhiI3)[lo:hi]...)
-	c.w = append(c.w, t.Float64Col(TPhiW)[lo:hi]...)
+// appendRows appends the first n rows of t (schema FactorSchema).
+func (c *factorCols) appendRows(t *engine.Table, n int) {
+	c.i1 = append(c.i1, t.Int32Col(TPhiI1)[:n]...)
+	c.i2 = append(c.i2, t.Int32Col(TPhiI2)[:n]...)
+	c.i3 = append(c.i3, t.Int32Col(TPhiI3)[:n]...)
+	c.w = append(c.w, t.Float64Col(TPhiW)[:n]...)
 }
 
 // appendUnits emits one size-1 factor per observed (non-NULL weight)
@@ -660,10 +639,11 @@ func Ground(k *kb.KB, opts Options) (*Result, error) {
 //
 // The factor phase, when enabled, maintains the last TΦ computed along
 // prev's lineage — prev's own, or the one a chain of SkipFactors extends
-// carried forward — from the facts added since, rather than recomputing
-// Query 2 over the combined closure; the result is the same table, row
-// for row. A lineage with no computed TΦ (prev grounded with SkipFactors,
-// or on the MPP backend) grounds it over the whole closure.
+// carried forward, on whichever backend — from the facts added since,
+// rather than recomputing Query 2 over the combined closure; the result
+// is the same table as a multiset, the prior rows first and the new
+// clauses after them. A lineage with no computed TΦ (one that has
+// skipped factors throughout) grounds it over the whole closure.
 func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, error) {
 	g, err := NewBatch(k, opts)
 	if err != nil {

@@ -1,7 +1,6 @@
 package ground
 
 import (
-	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -16,16 +15,16 @@ import (
 // predate the prior TΦ's watermark is already in it, so only the clauses
 // naming a newer fact are grounded — by the closure's own semi-naive legs,
 // whose rows carry the body fact IDs and weight, and one factor-only leg
-// for heads — and merged into the prior rows in the order Query 2's hash
-// joins would have emitted them. TΦ comes out row for row what
-// factorsPlan computes over the final TΠ.
+// for heads — and appended to the prior rows that survive. TΦ is a bag:
+// it comes out, as a multiset, what factorsPlan computes over the final
+// TΠ, and the factor graph reads it in no order of its rows.
 
 // factorState is a computed TΦ as a later run continues from it.
 type factorState struct {
 	tphi *engine.Table
-	// end[p] is where partition p's clause rows end in tphi: they are
-	// rows [end[p-1], end[p]), and the unit clauses follow end[P6].
-	end [mln.NumPartitions + 1]int
+	// clauses is how many of tphi's rows are clause rows; the unit
+	// clauses follow them.
+	clauses int
 	// watermark W splits TΠ in two: a fact with an ID below W is one TΠ
 	// held when tphi was computed, and one at or above W may have arrived
 	// since. facts is how many rows TΠ held then.
@@ -49,46 +48,27 @@ func (s *factorState) continueAt(next int32) *factorState {
 	return &t
 }
 
-// clause is one TΦ row.
-type clause struct {
-	i1, i2, i3 int32
-	w          float64
-}
-
-// cmp orders clauses as Query 2-p emits them. Its hash joins are
-// probe-major with ascending build chains, and fact IDs ascend with the TΠ
-// row, so a two-atom partition's rows come out by (I1, I3, I2, Mi row)
-// and a one-atom partition's by (I1, I2, Mi row) — I3 is NULL throughout.
-// The Mi row is not in TΦ: clauses equal on the rest keep the order they
-// were emitted in.
-func (a clause) cmp(b clause) int {
-	if c := cmp.Compare(a.i1, b.i1); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.i3, b.i3); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.i2, b.i2)
-}
-
 // factorLeg is one plan grounding the clauses of a partition that name a
 // fact at or above the watermark. Its rows name one fact of the clause by
 // identity, (R, x, C1, y, C2), and carry the clause's other fact IDs and
 // its weight: with head set the named fact is the head and the rest are
 // I2[, I3]; otherwise it is the last body fact and the rest are I1[, I2].
 type factorLeg struct {
+	p    int
 	plan engine.Node
 	head bool
+	two  bool // a two-atom body
 	// old is how many leading body positions (I2, then I3) must lie below
 	// the watermark for a clause to be this leg's, so that no clause is
 	// emitted by two legs.
 	old int
 }
 
-// maintainFactors appends the clause rows of TΦ over tpi to cols,
-// partition by partition, from the prior TΦ. The new clauses are those
-// naming a fact with an ID at or above the prior watermark W — Δ, the
-// rows of tpi that arrived since — in one of three disjoint ways:
+// maintainFactors appends the clause rows of TΦ over tpi to cols: the
+// prior TΦ's clause rows that survive, then the new clauses. The new
+// clauses are those naming a fact with an ID at or above the prior
+// watermark W — Δ, the rows of tpi that arrived since — in one of three
+// disjoint ways:
 //
 //   - Δ⋈T_all: the first body fact is in Δ (the first Δ leg of
 //     atomsPlans);
@@ -101,63 +81,56 @@ type factorLeg struct {
 //
 // Every other clause has all of its facts below W and was in the prior
 // TΦ. A prior clause stays unless it names a fact TΠ has lost since, or
-// one at or above a W that continueAt lowered. The head's I1,
-// or the last body fact's ID in the third leg, is resolved through the
-// run's identity index ix, and a clause naming a fact TΠ does not hold is
-// dropped. No new clause ties with a prior one on Query 2's order, since
-// one of its facts is at or above W and none of theirs is, so merging
-// the sorted new clauses into the prior rows reproduces that order.
+// one at or above a W that continueAt lowered. The head's I1, or the
+// last body fact's ID in the third leg, is resolved through the run's
+// identity index ix, and a clause naming a fact TΠ does not hold is
+// dropped.
 func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, prior *factorState,
-	tpi *engine.Table, ix *factIndex, cols *factorCols, end *[mln.NumPartitions + 1]int, res *Result) error {
-	active := g.parts.NonEmpty()
+	tpi *engine.Table, ix *factIndex, cols *factorCols, res *Result) error {
 	w := prior.watermark
 	delta := deltaRows(tpi, w)
-	var fresh [mln.NumPartitions + 1][]clause
-	total := 0
+	var legs []factorLeg
 	if delta.NumRows() > 0 {
-		for _, p := range active {
-			// Cooperative cancellation: check between factor queries.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		for _, p := range g.parts.NonEmpty() {
 			_, body := mln.Shape(p)
-			var legs []factorLeg
+			two := len(body) == 2
 			for old, plan := range g.atomsPlans(p, tpi, delta, ix) {
-				legs = append(legs, factorLeg{plan: plan, head: true, old: old})
+				legs = append(legs, factorLeg{p: p, plan: plan, head: true, two: two, old: old})
 			}
-			legs = append(legs, factorLeg{plan: g.headLeg(p, delta, ix), old: 2})
-			for _, leg := range legs {
-				out, err := g.runFactors(be, p, leg.plan, res)
-				if err != nil {
-					return err
-				}
-				fresh[p] = leg.collect(fresh[p], out, ix, w, len(body) == 2)
-			}
-			// Each leg emits its clauses in Query 2's order up to the
-			// head's I1, and equal keys only within one leg: a stable sort
-			// on the key restores the rest.
-			slices.SortStableFunc(fresh[p], clause.cmp)
-			total += len(fresh[p])
+			legs = append(legs, factorLeg{p: p, plan: g.headLeg(p, delta, ix), two: two, old: 2})
 		}
 	}
-	live := liveBelow(tpi, w, prior.facts)
-	cols.grow(prior.end[mln.NumPartitions] + total + observed(tpi))
-	for _, p := range active {
-		cols.merge(prior.tphi, prior.end[p-1], prior.end[p], live, fresh[p])
-		end[p] = cols.len()
+	outs := make([]*engine.Table, len(legs))
+	fresh := 0
+	for i, leg := range legs {
+		// Cooperative cancellation: check between factor queries.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out, err := g.runFactors(be, leg.p, leg.plan, res)
+		if err != nil {
+			return err
+		}
+		outs[i] = out
+		fresh += out.NumRows()
+	}
+	cols.grow(prior.clauses + fresh + observed(tpi))
+	cols.appendLive(prior.tphi, prior.clauses, liveBelow(tpi, w, prior.facts))
+	for i, leg := range legs {
+		leg.collect(cols, outs[i], ix, w)
 	}
 	return nil
 }
 
-// collect appends the clauses of the leg's output rows to dst: it
+// collect appends to cols the clauses of the leg's output rows: it
 // resolves each row's named fact through TΠ's identity index, dropping
 // the row when TΠ does not hold it, and keeps the clauses that are the
 // leg's.
-func (l factorLeg) collect(dst []clause, out *engine.Table, ix *factIndex, w int32, two bool) []clause {
+func (l factorLeg) collect(cols *factorCols, out *engine.Table, ix *factIndex, w int32) {
 	ids := ix.tpi.Int32Col(kb.TPiI)
 	a := out.Int32Col(5)
 	var b []int32
-	if two {
+	if l.two {
 		b = out.Int32Col(6)
 	}
 	ws := out.Float64Col(out.Schema().NumCols() - 1)
@@ -167,23 +140,22 @@ func (l factorLeg) collect(dst []clause, out *engine.Table, ix *factIndex, w int
 			continue
 		}
 		id := ids[row]
-		var c clause
+		var i1, i2, i3 int32
 		switch {
-		case l.head && two:
-			c = clause{id, a[r], b[r], ws[r]}
+		case l.head && l.two:
+			i1, i2, i3 = id, a[r], b[r]
 		case l.head:
-			c = clause{id, a[r], engine.NullInt32, ws[r]}
-		case two:
-			c = clause{a[r], b[r], id, ws[r]}
+			i1, i2, i3 = id, a[r], engine.NullInt32
+		case l.two:
+			i1, i2, i3 = a[r], b[r], id
 		default:
-			c = clause{a[r], id, engine.NullInt32, ws[r]}
+			i1, i2, i3 = a[r], id, engine.NullInt32
 		}
-		if (l.old > 0 && c.i2 >= w) || (l.old > 1 && c.i3 >= w) {
+		if (l.old > 0 && i2 >= w) || (l.old > 1 && i3 >= w) {
 			continue
 		}
-		dst = append(dst, c)
+		cols.add(i1, i2, i3, ws[r])
 	}
-	return dst
 }
 
 // liveBelow tests whether TΠ still holds, under the same ID, a fact
@@ -209,36 +181,18 @@ func (c *factorCols) grow(n int) {
 	c.i1, c.i2, c.i3, c.w = slices.Grow(c.i1, n), slices.Grow(c.i2, n), slices.Grow(c.i3, n), slices.Grow(c.w, n)
 }
 
-// merge appends rows [lo, hi) of the prior TΦ prev that name no fact
-// live rejects (live nil rejects none), with the sorted new clauses
-// interleaved in Query 2's order.
-func (c *factorCols) merge(prev *engine.Table, lo, hi int, live func(int32) bool, fresh []clause) {
-	i1, i2, i3, ws := prev.Int32Col(TPhiI1), prev.Int32Col(TPhiI2), prev.Int32Col(TPhiI3), prev.Float64Col(TPhiW)
-	at := func(r int) clause { return clause{i1[r], i2[r], i3[r], ws[r]} }
+// appendLive appends the first n rows of the prior TΦ prev that name no
+// fact live rejects (live nil rejects none).
+func (c *factorCols) appendLive(prev *engine.Table, n int, live func(int32) bool) {
 	if live == nil {
-		// Copy the prior rows in runs between the new clauses' places.
-		for _, f := range fresh {
-			next := lo + sort.Search(hi-lo, func(k int) bool { return at(lo+k).cmp(f) > 0 })
-			c.appendRange(prev, lo, next)
-			c.add(f.i1, f.i2, f.i3, f.w)
-			lo = next
-		}
-		c.appendRange(prev, lo, hi)
+		c.appendRows(prev, n)
 		return
 	}
-	j := 0
-	for r := lo; r < hi; r++ {
-		if !live(i1[r]) || !live(i2[r]) || (i3[r] != engine.NullInt32 && !live(i3[r])) {
-			continue
+	i1, i2, i3, ws := prev.Int32Col(TPhiI1), prev.Int32Col(TPhiI2), prev.Int32Col(TPhiI3), prev.Float64Col(TPhiW)
+	for r := range n {
+		if live(i1[r]) && live(i2[r]) && (i3[r] == engine.NullInt32 || live(i3[r])) {
+			c.add(i1[r], i2[r], i3[r], ws[r])
 		}
-		row := at(r)
-		for ; j < len(fresh) && fresh[j].cmp(row) < 0; j++ {
-			c.add(fresh[j].i1, fresh[j].i2, fresh[j].i3, fresh[j].w)
-		}
-		c.add(row.i1, row.i2, row.i3, row.w)
-	}
-	for _, f := range fresh[j:] {
-		c.add(f.i1, f.i2, f.i3, f.w)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ground_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,20 +9,29 @@ import (
 	"testing"
 
 	"probkb/internal/engine"
+	"probkb/internal/factor"
 	"probkb/internal/ground"
+	"probkb/internal/infer"
 	"probkb/internal/kb"
+	"probkb/internal/mpp"
 	"probkb/internal/quality"
 	"probkb/internal/synth"
 )
 
 // The Δ-factor differential. A run that continues from a computed TΦ
-// maintains it from the facts added since (deltafactors.go), and what it
-// builds must be the table Query 2 states over the run's whole TΠ — row
-// for row, not merely as a multiset: the factor graph's adjacency, and
-// with it every floating-point sum inference makes, follows TΦ's order.
-// Query 2 shares its body joins with the maintained legs, so a fault in
-// them would show in both; TΦ is also held, as a multiset, to Tuffy-T's
-// per-rule factor queries, which share none of that code.
+// maintains it from the facts added since (deltafactors.go): it keeps the
+// prior clause rows that survive and appends the new clauses after them.
+// TΦ is a bag, so what it builds must be the table Query 2 states over
+// the run's whole TΠ as a multiset, and the factor graph built from it
+// must read the same marginals, bit for bit, as the one built from Query
+// 2's table: the graph orders each variable's clauses by content, not by
+// TΦ row. Query 2 shares its body joins with the maintained legs, so a
+// fault in them would show in both; TΦ is also held, as a multiset, to
+// Tuffy-T's per-rule factor queries, which share none of that code.
+// Every lineage starts from a grounding with factors on — on the
+// single-node engine, on a cluster with and without views, or on
+// Tuffy-T's plans — so every round, the first included, continues from a
+// computed TΦ.
 
 // factorStream continues one grounding through ground.Extend rounds the
 // way ExtendWith, ExtendWithDeferred and RefreshMarginals do — each round
@@ -29,9 +39,12 @@ import (
 // checker — and holds the TΦ of every round that grounds factors to
 // Query 2 recomputed over that round's TΠ, and to Tuffy-T's TΦ over it.
 type factorStream struct {
-	t       *testing.T
-	name    string
-	k       *kb.KB
+	t    *testing.T
+	name string
+	k    *kb.KB
+	// on is the backend the lineage starts on: "batch", "mpp" (views on),
+	// "mpp-pn" (views off) or "tuffy".
+	on      string
 	checker *quality.Checker // nil: no constraints
 	res     *ground.Result
 	// removed holds the facts the constraint passes deleted, for batches
@@ -40,8 +53,9 @@ type factorStream struct {
 	// checked counts the rounds compared; headSide the clauses of those
 	// rounds whose head arrived in the round while every body fact
 	// predates it; reused the rounds that hand out a fact ID the prior TΦ
-	// was computed above.
-	checked, headSide, reused int
+	// was computed above; exact and sampled the components the marginal
+	// checks enumerated and sampled.
+	checked, headSide, reused, exact, sampled int
 }
 
 // hook returns the next run's constraint hook: a copy of the last run's
@@ -68,11 +82,12 @@ func (s *factorStream) recording(del func(*engine.Table) int) func(*engine.Table
 	}
 }
 
-// start grounds s.k from scratch, semi-naively as KB.Expand does. With
-// forget set the run's hook deletes every derived fact with an even ID,
-// and nothing remembers it: TΠ lacks facts derivable from its own, which
-// a batch bringing one back grounds through the head-side leg, and a
-// deleted top ID is handed out again by the next run.
+// start grounds s.k from scratch on s.on, semi-naively (Tuffy-T: naively)
+// as KB.Expand does. With forget set the run's hook deletes every derived
+// fact with an even ID, and nothing remembers it: TΠ lacks facts
+// derivable from its own, which a batch bringing one back grounds through
+// the head-side leg, and a deleted top ID is handed out again by the next
+// run.
 func (s *factorStream) start(forget bool) {
 	s.t.Helper()
 	hook := s.hook()
@@ -83,7 +98,27 @@ func (s *factorStream) start(forget bool) {
 			return tpi.DeleteWhere(func(r int) bool { return ids[r] >= base && ids[r]%2 == 0 })
 		})
 	}
-	res, err := ground.Ground(s.k, ground.Options{SemiNaive: true, ConstraintHook: hook})
+	opts := ground.Options{SemiNaive: true, ConstraintHook: hook}
+	var (
+		res *ground.Result
+		err error
+	)
+	switch s.on {
+	case "batch":
+		res, err = ground.Ground(s.k, opts)
+	case "mpp", "mpp-pn":
+		var g *ground.MPPGrounder
+		if g, err = ground.NewMPP(s.k, opts, mpp.NewCluster(2), s.on == "mpp"); err == nil {
+			res, err = g.Ground()
+		}
+	case "tuffy":
+		var g *ground.TuffyGrounder
+		if g, err = ground.NewTuffy(s.k, opts); err == nil {
+			res, err = g.Ground()
+		}
+	default:
+		s.t.Fatalf("%s: no backend %q", s.name, s.on)
+	}
 	if err != nil {
 		s.t.Fatalf("%s: %v", s.name, err)
 	}
@@ -107,6 +142,9 @@ func (s *factorStream) refresh() {
 func (s *factorStream) round(batch []kb.Fact, opts ground.Options) {
 	s.t.Helper()
 	at, w := ground.FactorWatermark(s.res)
+	if at < 0 {
+		s.t.Fatalf("%s, after round %d: the lineage started on %s carries no TΦ to maintain", s.name, s.checked, s.on)
+	}
 	res, err := ground.Extend(s.k, s.res, batch, opts)
 	if err != nil {
 		s.t.Fatalf("%s: %v", s.name, err)
@@ -119,16 +157,19 @@ func (s *factorStream) round(batch []kb.Fact, opts ground.Options) {
 	if w < at {
 		s.reused++
 	}
+	where := fmt.Sprintf("%s, round %d", s.name, s.checked)
 	want := ground.RecomputeFactors(s.t, s.k, res.Facts)
-	if r := firstDiff(res.Factors, want); r >= 0 {
-		s.t.Fatalf("%s, round %d: maintained TΦ (%d rows) differs from Query 2 over its TΠ (%d rows) from row %d",
-			s.name, s.checked, res.Factors.NumRows(), want.NumRows(), r)
+	if n := multisetDiff(res.Factors, want); n > 0 {
+		s.t.Fatalf("%s: maintained TΦ (%d rows) and Query 2 over its TΠ (%d rows) differ in %d rows",
+			where, res.Factors.NumRows(), want.NumRows(), n)
 	}
+	plan := sameMarginals(s.t, where, res.Facts, res.Factors, want)
+	s.exact += plan.Exact
+	s.sampled += plan.Components - plan.Exact
 	// Query 2 and the maintained legs share their body joins; Tuffy-T's
 	// per-rule queries do not.
 	if n := multisetDiff(res.Factors, ground.TuffyFactors(s.t, s.k, res.Facts)); n > 0 {
-		s.t.Fatalf("%s, round %d: maintained TΦ and Tuffy-T's per-rule TΦ over its TΠ differ in %d rows",
-			s.name, s.checked, n)
+		s.t.Fatalf("%s: maintained TΦ and Tuffy-T's per-rule TΦ over its TΠ differ in %d rows", where, n)
 	}
 	i1s, i2s, i3s := res.Factors.Int32Col(ground.TPhiI1), res.Factors.Int32Col(ground.TPhiI2), res.Factors.Int32Col(ground.TPhiI3)
 	for r := range i1s {
@@ -136,6 +177,32 @@ func (s *factorStream) round(batch []kb.Fact, opts ground.Options) {
 			s.headSide++
 		}
 	}
+}
+
+// sameMarginals fails unless the factor graphs over tpi with TΦ got and
+// with TΦ want read the same marginals, bit for bit, under one seeded
+// chain, and returns how inference split got's graph.
+func sameMarginals(t *testing.T, where string, tpi, got, want *engine.Table) infer.Plan {
+	t.Helper()
+	marginals := func(tphi *engine.Table) (*factor.Graph, []float64) {
+		g, err := factor.FromTables(tpi, tphi)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		probs, _, err := infer.MarginalsContext(context.Background(), g, infer.Options{Burnin: 10, Samples: 40, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		return g, probs
+	}
+	g, a := marginals(got)
+	_, b := marginals(want)
+	for v := range a {
+		if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+			t.Fatalf("%s: fact %d's marginal is %v over the maintained TΦ, %v over Query 2's", where, g.FactID(int32(v)), a[v], b[v])
+		}
+	}
+	return infer.PlanOf(g)
 }
 
 // firstDiff returns the first row at which a and b differ in any column,
@@ -255,68 +322,77 @@ func streamed(rng *rand.Rand, tpi *engine.Table, n int) []kb.Fact {
 	return out
 }
 
+// backends are what a lineage may start on (factorStream.on).
+var backends = []string{"batch", "mpp", "mpp-pn", "tuffy"}
+
 // TestMaintainedFactorsMatchQuery2 runs the differential over random KBs:
 // unconstrained; started under a hook that forgets what it deleted (see
 // start); and with random functional constraints under the real checker,
-// PreClean first on half of those. Each KB gets a stream of rounds with
-// factors on and off at random, whose batches mix random facts, facts of
-// the unconstrained closure TΠ lacks, and facts that a hook or PreClean
-// removed, then a deferred round and a
-// refresh: a round that adds nothing and, as RefreshMarginals, runs no
-// constraint hook whatever the lineage ran under.
+// PreClean first on half of those — each started on every backend. Each
+// lineage gets a stream of rounds with factors on and off at random,
+// whose batches mix random facts, facts of the unconstrained closure TΠ
+// lacks, and facts that a hook or PreClean removed, then a deferred round
+// and a refresh: a round that adds nothing and, as RefreshMarginals, runs
+// no constraint hook whatever the lineage ran under.
 func TestMaintainedFactorsMatchQuery2(t *testing.T) {
-	var checked, headSide, reused, brought int
+	var checked, headSide, reused, brought, exact int
 	for seed := int64(0); seed < 96; seed++ {
-		rng := rand.New(rand.NewSource(seed + 11000))
-		s := &factorStream{t: t, name: fmt.Sprintf("seed %d", seed)}
-		var victims []kb.Fact
-		forget := false
-		switch seed % 4 {
-		case 0:
-			s.k = ground.RandomKB(rng)
-		case 1:
-			s.k, forget = ground.RandomKB(rng), true
-		default:
-			s.k = constrainedKB(2 * seed)
-			if seed%4 == 3 {
-				before := slices.Clone(s.k.Facts)
-				quality.PreClean(s.k)
-				victims = lost(before, keys(s.k.Facts))
+		for _, on := range backends {
+			rng := rand.New(rand.NewSource(seed + 11000))
+			s := &factorStream{t: t, name: fmt.Sprintf("seed %d on %s", seed, on), on: on}
+			var victims []kb.Fact
+			forget := false
+			switch seed % 4 {
+			case 0:
+				s.k = ground.RandomKB(rng)
+			case 1:
+				s.k, forget = ground.RandomKB(rng), true
+			default:
+				s.k = constrainedKB(2 * seed)
+				if seed%4 == 3 {
+					before := slices.Clone(s.k.Facts)
+					quality.PreClean(s.k)
+					victims = lost(before, keys(s.k.Facts))
+				}
+				s.checker = quality.NewChecker(s.k)
 			}
-			s.checker = quality.NewChecker(s.k)
+			closure, err := ground.Ground(s.k, ground.Options{SkipFactors: true})
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			derivable := rows(closure.Facts)
+			s.start(forget)
+			for round := 0; round < 6; round++ {
+				batch := randomFacts(rng, s.k, 1+rng.Intn(3))
+				batch = append(batch, pick(rng, lost(derivable, ground.FactSet(s.res.Facts)), 3)...)
+				back := append(pick(rng, s.removed, 2), pick(rng, victims, 2)...)
+				brought += len(back)
+				s.extend(append(batch, back...), rng.Intn(3) == 0)
+			}
+			s.extend(randomFacts(rng, s.k, 2), true)
+			s.refresh()
+			checked += s.checked
+			headSide += s.headSide
+			reused += s.reused
+			exact += s.exact
 		}
-		closure, err := ground.Ground(s.k, ground.Options{SkipFactors: true})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		derivable := rows(closure.Facts)
-		s.start(forget)
-		for round := 0; round < 6; round++ {
-			batch := randomFacts(rng, s.k, 1+rng.Intn(3))
-			batch = append(batch, pick(rng, lost(derivable, ground.FactSet(s.res.Facts)), 3)...)
-			back := append(pick(rng, s.removed, 2), pick(rng, victims, 2)...)
-			brought += len(back)
-			s.extend(append(batch, back...), rng.Intn(3) == 0)
-		}
-		s.extend(randomFacts(rng, s.k, 2), true)
-		s.refresh()
-		checked += s.checked
-		headSide += s.headSide
-		reused += s.reused
 	}
-	t.Logf("%d rounds checked (%d handing out an ID again), %d head-side clauses, %d removed facts brought back",
-		checked, reused, headSide, brought)
-	if headSide == 0 || reused == 0 || brought == 0 {
-		t.Fatalf("generator too tame: %d head-side clauses, %d rounds handing out an ID again, %d removed facts brought back",
-			headSide, reused, brought)
+	t.Logf("%d rounds checked (%d handing out an ID again), %d head-side clauses, %d removed facts brought back, %d components enumerated",
+		checked, reused, headSide, brought, exact)
+	if headSide == 0 || reused == 0 || brought == 0 || exact == 0 {
+		t.Fatalf("generator too tame: %d head-side clauses, %d rounds handing out an ID again, %d removed facts brought back, %d components enumerated",
+			headSide, reused, brought, exact)
 	}
 }
 
 // TestMaintainedFactorsOnCorpus runs the differential on the scale-0.05
-// corpus, unconstrained and under the checker after PreClean, grounded as
-// KB.Expand grounds it: rounds of 48 streamed facts plus facts that the
-// constraint passes and PreClean removed, factors on and off at random,
-// then a deferred round and a refresh.
+// corpus, unconstrained (whose graph has components the chain samples)
+// and under the checker after PreClean, started on every backend:
+// rounds of 48 streamed facts plus facts that the constraint passes and
+// PreClean removed, factors off on every third round (a cluster grounds
+// TΠ in an order that varies between processes, so the batches drawn
+// from it vary too; the rounds checked do not), then a deferred round
+// and a refresh.
 func TestMaintainedFactorsOnCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grounds the scale-0.05 corpus")
@@ -326,27 +402,33 @@ func TestMaintainedFactorsOnCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, constrained := range []bool{false, true} {
-		s := &factorStream{t: t, name: fmt.Sprintf("constrained=%v", constrained), k: c.KB.Clone()}
-		var victims []kb.Fact
-		if constrained {
-			before := slices.Clone(s.k.Facts)
-			quality.PreClean(s.k)
-			victims = lost(before, keys(s.k.Facts))
-			s.checker = quality.NewChecker(s.k)
+		for _, on := range backends {
+			s := &factorStream{t: t, name: fmt.Sprintf("constrained=%v on %s", constrained, on), k: c.KB.Clone(), on: on}
+			var victims []kb.Fact
+			if constrained {
+				before := slices.Clone(s.k.Facts)
+				quality.PreClean(s.k)
+				victims = lost(before, keys(s.k.Facts))
+				s.checker = quality.NewChecker(s.k)
+			}
+			s.start(false)
+			rng := rand.New(rand.NewSource(5))
+			for round := 0; round < 6; round++ {
+				batch := streamed(rng, s.res.Facts, 48)
+				batch = append(batch, pick(rng, s.removed, 8)...)
+				batch = append(batch, pick(rng, victims, 8)...)
+				s.extend(batch, round%3 == 2)
+			}
+			s.extend(streamed(rng, s.res.Facts, 48), true)
+			s.refresh()
+			if s.checked < 2 || (constrained && (len(s.removed) == 0 || len(victims) == 0)) {
+				t.Fatalf("%s: %d rounds checked, %d facts removed by passes, %d by PreClean", s.name, s.checked, len(s.removed), len(victims))
+			}
+			if s.exact == 0 || (!constrained && s.sampled == 0) {
+				t.Fatalf("%s: marginals compared over %d enumerated and %d sampled components", s.name, s.exact, s.sampled)
+			}
+			t.Logf("%s: %d rounds checked, TΦ %d rows, %d/%d components enumerated/sampled",
+				s.name, s.checked, s.res.Factors.NumRows(), s.exact, s.sampled)
 		}
-		s.start(false)
-		rng := rand.New(rand.NewSource(5))
-		for round := 0; round < 6; round++ {
-			batch := streamed(rng, s.res.Facts, 48)
-			batch = append(batch, pick(rng, s.removed, 8)...)
-			batch = append(batch, pick(rng, victims, 8)...)
-			s.extend(batch, rng.Intn(2) == 0)
-		}
-		s.extend(streamed(rng, s.res.Facts, 48), true)
-		s.refresh()
-		if s.checked < 2 || (constrained && (len(s.removed) == 0 || len(victims) == 0)) {
-			t.Fatalf("%s: %d rounds checked, %d facts removed by passes, %d by PreClean", s.name, s.checked, len(s.removed), len(victims))
-		}
-		t.Logf("%s: %d rounds checked, TΦ %d rows", s.name, s.checked, s.res.Factors.NumRows())
 	}
 }

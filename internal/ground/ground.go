@@ -149,10 +149,9 @@ type Result struct {
 	AtomTime   time.Duration
 	FactorTime time.Duration
 
-	// tphi is the last TΦ computed along this result's lineage on the
-	// single-node backend — Factors itself, or, after SkipFactors, the one
-	// the run continued from — which Extend maintains rather than
-	// recomputes (deltafactors.go).
+	// tphi is the last TΦ computed along this result's lineage — Factors
+	// itself, or, after SkipFactors, the one the run continued from —
+	// which Extend maintains rather than recomputes (deltafactors.go).
 	tphi *factorState
 	// index is the fact index of an Extend's run over Facts, both entity
 	// columns extended to its last row, which an Extend of this result

@@ -152,8 +152,8 @@ func BenchmarkDeltaLegs(b *testing.B) {
 // maintain the TΦ computed before the last 64 or 4,096 rows arrived
 // (deltafactors.go), reading TΠ through its entity index, built outside
 // the loop as groundFrom keeps it up across a run. The maintained phase's
-// joins follow Δ; what is left of TΠ's size is the merge's copy of the
-// prior rows.
+// joins follow Δ; what is left of TΠ's size is the copy of the prior
+// rows the new clauses are appended to.
 func BenchmarkFactorsDelta(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{100_000, 300_000} {

@@ -197,10 +197,6 @@ func (g *MPPGrounder) factorsQueries(tpi *engine.Table) []partPlan {
 	return g.batch.factorsQueries(tpi)
 }
 
-// keepsFactors is false: Extend continues on the single-node backend,
-// whose Query 2 emits its rows in another order.
-func (g *MPPGrounder) keepsFactors() bool { return false }
-
 // lower places a grounding plan on the cluster: views on, TΠ probes scan
 // the view keyed like the join (no motion); views off, the planner
 // inserts the motion.

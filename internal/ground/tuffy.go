@@ -145,9 +145,6 @@ func (g *TuffyGrounder) factsChanged(st IterStats, feeds bool) error {
 	return nil
 }
 
-// keepsFactors is false: Tuffy-T's factor queries emit TΦ in rule order.
-func (g *TuffyGrounder) keepsFactors() bool { return false }
-
 // classFilter returns a scan of the relation table for atom a, filtered
 // to the clause's class constraints — Tuffy-T's typed predicate access.
 func (g *TuffyGrounder) classFilter(c *mln.Clause, a mln.Atom) engine.Node {

@@ -114,7 +114,8 @@ func MAP(g *factor.Graph, opts MAPOptions) MAPResult {
 // pickUnsatisfied samples a "score-losing" factor uniformly (reservoir
 // sampling over one pass): an unsatisfied positive-weight factor, or a
 // satisfied negative-weight one (which is the same thing after negating
-// the clause).
+// the clause). It walks the factors by index, so the seeded search
+// follows TΦ's row order, as the marginals do not.
 func pickUnsatisfied(g *factor.Graph, assign []bool, rng *rand.Rand) (int, bool) {
 	chosen := -1
 	seen := 0

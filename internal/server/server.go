@@ -524,17 +524,10 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, snap *snaps
 		inferredFilter = &v
 	}
 
-	matches := snap.exp.Find(q.Get("rel"), q.Get("x"), q.Get("y"))
-	out := make([]factJSON, 0, limit)
-	total := 0
-	for _, f := range matches {
-		if inferredFilter != nil && f.Inferred != *inferredFilter {
-			continue
-		}
-		total++
-		if len(out) < limit {
-			out = append(out, toJSON(f))
-		}
+	page, total := snap.exp.FindLimit(q.Get("rel"), q.Get("x"), q.Get("y"), inferredFilter, limit)
+	out := make([]factJSON, len(page))
+	for i, f := range page {
+		out[i] = toJSON(f)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"total": total, "facts": out})
 }

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -493,5 +494,106 @@ func TestAdminSnapshot(t *testing.T) {
 	}
 	if out.Facts != exp.Stats().TotalFacts {
 		t.Fatalf("snapshot reports %d facts, expansion holds %d", out.Facts, exp.Stats().TotalFacts)
+	}
+}
+
+// TestFactsPageCostFlat: GET /facts renders only the page it answers,
+// counting the other matches from TΠ's ID columns, so the allocations of
+// a one-fact page do not grow with the KB from scale 0.05 to 0.25. Its
+// total and rows must be what filtering every fact gives, for each
+// filter and for limit=0.
+func TestFactsPageCostFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("expands the scale-0.25 corpus")
+	}
+	obs.NewTextLogger(io.Discard, slog.LevelError+4) // silence the request log
+	defer obs.SetLogger(slog.Default())
+	type page struct {
+		Total int `json:"total"`
+		Facts []struct {
+			Rel, X, Y string
+			Inferred  bool
+		} `json:"facts"`
+	}
+	type cost struct{ allocs, bytes float64 }
+	measure := func(scale float64) cost {
+		k, _, err := probkb.Synthesize(scale, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := k.Expand(probkb.Config{Engine: probkb.SingleNode, ApplyConstraints: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(k, exp)
+		get := func(query string) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/facts?"+query, nil))
+			if w.Code != http.StatusOK {
+				t.Fatalf("scale %v, /facts?%s: status %d", scale, query, w.Code)
+			}
+			return w
+		}
+
+		// The oracle filters every fact of the expansion.
+		all := exp.Facts()
+		f := all[len(all)/2]
+		for _, c := range []struct {
+			query     string
+			rel, x, y string
+			inferred  string
+			limit     int
+		}{
+			{query: "limit=1", limit: 1},
+			{query: "limit=0", limit: 0},
+			{query: "rel=" + f.Rel + "&limit=5", rel: f.Rel, limit: 5},
+			{query: "x=" + f.X, x: f.X, limit: 100},
+			{query: "y=" + f.Y + "&inferred=false&limit=3", y: f.Y, inferred: "false", limit: 3},
+			{query: "rel=" + f.Rel + "&inferred=true&limit=7", rel: f.Rel, inferred: "true", limit: 7},
+			{query: "inferred=true&limit=0", inferred: "true", limit: 0},
+		} {
+			var want page
+			for _, g := range all {
+				if (c.rel != "" && g.Rel != c.rel) || (c.x != "" && g.X != c.x) || (c.y != "" && g.Y != c.y) ||
+					(c.inferred != "" && fmt.Sprint(g.Inferred) != c.inferred) {
+					continue
+				}
+				want.Total++
+				if len(want.Facts) < c.limit {
+					want.Facts = append(want.Facts, struct {
+						Rel, X, Y string
+						Inferred  bool
+					}{g.Rel, g.X, g.Y, g.Inferred})
+				}
+			}
+			var got page
+			if err := json.NewDecoder(get(c.query).Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Total != want.Total || fmt.Sprint(got.Facts) != fmt.Sprint(want.Facts) {
+				t.Fatalf("scale %v, /facts?%s: total %d, %d facts %v; want %d, %d facts %v",
+					scale, c.query, got.Total, len(got.Facts), got.Facts, want.Total, len(want.Facts), want.Facts)
+			}
+		}
+		var c cost
+		c.allocs = testing.AllocsPerRun(20, func() { get("limit=1") })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			get("limit=1")
+		}
+		runtime.ReadMemStats(&after)
+		c.bytes = float64(after.TotalAlloc-before.TotalAlloc) / 20
+		return c
+	}
+	small, large := measure(0.05), measure(0.25)
+	t.Logf("per GET /facts?limit=1: scale 0.05 %.0f allocs, %.0f B; scale 0.25 %.0f allocs, %.0f B",
+		small.allocs, small.bytes, large.allocs, large.bytes)
+	// Rendering every match costs a few more append growths, and ~7 MB at
+	// scale 0.05 against ~38 MB at 0.25.
+	const slackAllocs, slackBytes = 8, 16 << 10
+	if large.allocs > small.allocs+slackAllocs || large.bytes > small.bytes+slackBytes {
+		t.Errorf("GET /facts?limit=1 grew with TΠ: %.0f allocs, %.0f B at scale 0.05; %.0f allocs, %.0f B at 0.25",
+			small.allocs, small.bytes, large.allocs, large.bytes)
 	}
 }
