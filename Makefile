@@ -40,7 +40,9 @@ bench-build:
 # labelling; BenchmarkExactComponents: the whole exact pass), the
 # enumeration bound's cost argument (BenchmarkExact16, and
 # BenchmarkExactVsChain: enumeration against 600 sweeps at 8, 12 and 16
-# variables), ingest-serve's refresh (BenchmarkUnconstrainedRefresh) and
+# variables), the whole-graph inference kernel on the unconstrained scale
+# 0.25 graph (BenchmarkUnconstrainedRefresh; a refresh infers only the
+# components holding a pending marginal, see BenchmarkRefreshMarginals) and
 # both samplers on a giant component (BenchmarkGiantComponent); plus the
 # library-level SQL point select over the scale 0.25 corpus (relational
 # image hit vs. build) and the cache-bypassing point query over the same
@@ -212,10 +214,13 @@ incident-smoke:
 # generation it names), DELETE refused on both routes, no image built
 # without SQL traffic, and the invalidation differential against a
 # catalog built from scratch. GET /facts?limit=1 must allocate the same
-# at scale 0.05 and 0.25 (TestFactsPageCostFlat).
+# at scale 0.05 and 0.25 (TestFactsPageCostFlat). GET /explain and
+# Explain answer any depth with text bounded by the target's component
+# on cyclic derivations (TestExplainDepthBounded,
+# TestExplainBoundedByLineage).
 query-smoke:
-	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests|TestSQLReadersShareImageUnderIngest|TestSQLDeleteRefused|TestNoSQLTrafficBuildsNoImage|TestFactsPageCostFlat' ./internal/server
-	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom|TestSQLImage|TestSQLPointSelects' .
+	$(GO) test -race -count=1 -run 'TestQuerySmoke|TestQueryConcurrentInvalidation|TestQueryMarginalNull|TestQueryObservedAtom|TestQueryBadRequests|TestSQLReadersShareImageUnderIngest|TestSQLDeleteRefused|TestNoSQLTrafficBuildsNoImage|TestFactsPageCostFlat|TestExplainDepthBounded' ./internal/server
+	$(GO) test -race -count=1 -run 'TestQueryLocal|TestKBPointQuery|TestParseAtom|TestSQLImage|TestSQLPointSelects|TestExplainBoundedByLineage' .
 	@echo "query-smoke: ok"
 
 # MVCC serving-tier smoke: the epoch manager's unit battery, the
@@ -255,12 +260,16 @@ mvcc-smoke:
 # extend-produced generation's index (TestExtendedGeneration); and the
 # TΦ each round maintains from its Δ, on lineages started on every
 # backend, equal to Query 2's as a multiset and in its marginals
-# (TestMaintained) — all under -race.
+# (TestMaintained); and each round's inference, built over the
+# components holding a pending marginal only, writing what a pass over
+# the whole graph writes, bit for bit, on Expand, ExtendWith, a deferred
+# stream's refresh and a refresh with nothing pending
+# (TestPendingPassMatchesWholeGraph) — all under -race.
 ingest-smoke:
 	$(GO) test -race -count=1 ./internal/ingest
 	$(GO) test -race -count=1 -run 'TestIngestSplitInvariance|TestReplayIngestDeterministic|TestShrinkIngestReduces' ./internal/proptest
 	$(GO) test -race -count=1 -run 'TestLineage|TestMaintained' ./internal/ground
-	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles|TestExtendWithRejectsInvalidFacts|TestExtendedGeneration' .
+	$(GO) test -race -count=1 -run 'TestIngest|TestExtendWithSplitDifferential|TestCancelledRoundsReturnPartialError|TestExtendWithAfterConstraintHoles|TestExtendWithRejectsInvalidFacts|TestExtendedGeneration|TestPendingPassMatchesWholeGraph' .
 	$(GO) test -race -count=1 -run 'TestFactsStream|TestFactsPostAdmission|TestWritersRaceOneLock' ./internal/server
 	$(GO) test -race -count=1 ./cmd/probkb ./cmd/probkb-server
 	@echo "ingest-smoke: ok"

@@ -119,29 +119,36 @@ func (e *Expansion) emitRunEnd() {
 	})
 }
 
-// runInference builds a factor graph and fills inferred facts'
-// probabilities with their marginals: exact for every connected
-// component small enough to enumerate, Gibbs estimates for the rest. On
-// context cancellation it applies what a partial run returned — the
-// exact marginals plus the estimates from the sweeps collected so far,
-// or nothing when the enumeration or the first collected sweep had not
-// finished — and returns the context error; the round wraps that into a
-// PartialError. It keeps no graph: readers build their own (factorGraph).
+// runInference fills every pending fact's probability — a fact whose
+// weight is NULL, the only cells infer.ApplyMarginals writes — with its
+// marginal. It builds the graph of the components that hold a pending
+// fact (infer.PendingGraph), not of all of TΠ, and infers those: exact
+// for every component small enough to enumerate, Gibbs estimates for the
+// rest, every value bit-identical to what a pass over the whole graph
+// writes. The partition that picks the components is one union-find
+// pass over TΦ. On context cancellation it applies what a partial run
+// returned — the exact marginals plus the estimates from the sweeps
+// collected so far, or nothing when the enumeration or the first
+// collected sweep had not finished — and returns the context error; the
+// round wraps that into a PartialError. It keeps no graph: readers build
+// the whole one (factorGraph).
 func (e *Expansion) runInference(ctx context.Context) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "infer")
 	defer span.End()
 
 	_, fgSpan := obs.StartSpan(ctx, "factor-graph")
-	g, err := factor.FromResult(e.res)
+	g, pending, err := infer.PendingGraph(e.res.Facts, e.res.Factors)
 	if err != nil {
 		fgSpan.End()
 		return err
 	}
 	fgSpan.SetAttr("vars", g.NumVars())
+	fgSpan.SetAttr("factors", g.NumFactors())
 	fgSpan.End()
+	span.SetAttr("pending", pending)
 
-	// How the pass will split the graph's components, on every sink: the
+	// How the pass will split its graph's components, on every sink: the
 	// span, the journal (probkb report) and /metrics (probkb top).
 	plan := journal.Inference(infer.PlanOf(g))
 	e.jr.Emit(journal.TypeInference, plan)
@@ -191,7 +198,6 @@ func (e *Expansion) runInference(ctx context.Context) error {
 		}
 	}
 	e.inferenceTime = time.Since(start)
-	span.SetAttr("vars", g.NumVars())
 	observeStage("infer", start)
 	return err
 }
@@ -439,7 +445,9 @@ func (e *Expansion) ExtendWithContext(ctx context.Context, newFacts []Fact) (*Ex
 // model lets a firehose of batches land at delta-grounding cost and
 // amortizes the factor and inference work over every K batches. The round
 // carries the last factor table its lineage computed forward, so the
-// refresh grounds factors only for what the deferred rounds added.
+// refresh grounds factors only for what the deferred rounds added, and
+// infers only the components that hold a fact whose probability is
+// still NaN.
 func (e *Expansion) ExtendWithDeferred(ctx context.Context, newFacts []Fact) (*Expansion, error) {
 	return e.extendWith(ctx, "extend", newFacts, true, false)
 }
@@ -451,11 +459,14 @@ func (e *Expansion) ExtendWithDeferred(ctx context.Context, newFacts []Fact) (*E
 // iteration; the factor phase maintains the last table computed along
 // the lineage, grounding only the clauses that name a fact the deferred
 // rounds added — the table a recomputation over the whole closure
-// builds, as a multiset — and a fresh inference pass refreshes every
-// marginal. Like ExtendWith it returns a new Expansion on a fork of the
-// receiver's KB and a clone of its fact table, persists the refreshed
-// marginals when a store is attached, and answers a cancellation with a
-// *PartialError.
+// builds, as a multiset — and an inference pass fills every pending
+// marginal. The pass builds the graph of the components that hold a
+// pending fact only (runInference); every other component is untouched
+// since its marginals were written, so they carry forward unchanged, and
+// a generation with nothing pending runs no chain. Like ExtendWith it
+// returns a new Expansion on a fork of the receiver's KB and a clone of
+// its fact table, persists the refreshed marginals when a store is
+// attached, and answers a cancellation with a *PartialError.
 func (e *Expansion) RefreshMarginals(ctx context.Context) (*Expansion, error) {
 	return e.extendWith(ctx, "refresh-marginals", nil, false, true)
 }

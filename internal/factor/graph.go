@@ -62,18 +62,9 @@ func (f Factor) Satisfied(assign []bool) bool {
 // are indices 0..NumFactors-1 in TΦ row order, but what inference reads
 // — FactorsOf, Bias — does not depend on that order (buildAdjacency).
 type Graph struct {
-	// ids[v] is variable v's fact ID. VarOf reads one of two indexes
-	// over them. When the IDs span at most twice as many values as there
-	// are variables — a whole TΠ, whose gaps are the facts constraint
-	// passes deleted — dense[id-base] is the variable with that ID, -1
-	// for none. Otherwise — a local graph over a few sparse global IDs —
-	// VarOf binary-searches: byID lists the variables in increasing
-	// fact-ID order, and stays nil when ids are already ascending (the
-	// grounder's append-only guarantee), ids being searched themselves.
-	ids   []int32
-	dense []int32
-	base  int32
-	byID  []int32
+	// idIndex maps the variables' fact IDs back to the variables
+	// (VarOf); ids[v] is variable v's fact ID.
+	idIndex
 	// bias[v] is the sum of v's unit-clause weights: its whole
 	// conditional log-odds when no clause touches it.
 	bias []float64
@@ -105,36 +96,60 @@ type Graph struct {
 // Fact IDs may be sparse (quality control deletes rows without
 // renumbering); every factor must reference a present fact.
 func FromTables(facts, factors *engine.Table) (*Graph, error) {
-	n, nf := facts.NumRows(), factors.NumRows()
-	g := newGraph(slices.Clone(facts.Int32Col(kb.TPiI)[:n]), nf)
+	g := newGraph(slices.Clone(facts.Int32Col(kb.TPiI)[:facts.NumRows()]), factors.NumRows())
 	if err := g.indexIDs(); err != nil {
 		return nil, err
 	}
+	if err := g.addRows(factors, &g.idIndex, nil); err != nil {
+		return nil, err
+	}
+	g.buildAdjacency()
+	return g, nil
+}
 
+// addRows adds TΦ's rows to g in row order. rows resolves a fact ID to
+// its TΠ row, and remap a TΠ row to g's variable: nil when g's variables
+// are TΠ's rows, -1 for a row g leaves out. A factor naming a row g
+// leaves out is skipped; the caller keeps or drops whole components, so
+// such a factor names no row g keeps.
+func (g *Graph) addRows(factors *engine.Table, rows *idIndex, remap []int32) error {
 	i1s := factors.Int32Col(ground.TPhiI1)
 	i2s := factors.Int32Col(ground.TPhiI2)
 	i3s := factors.Int32Col(ground.TPhiI3)
 	ws := factors.Float64Col(ground.TPhiW)
-	for r := 0; r < nf; r++ {
+	for r := range factors.NumRows() {
 		row := [3]int32{i1s[r], i2s[r], i3s[r]}
 		for i, id := range row {
 			if id == engine.NullInt32 {
 				row[i] = -1
 				continue
 			}
-			v, ok := g.VarOf(id)
-			if !ok {
-				return nil, fmt.Errorf("factor: factor row %d references unknown fact %d", r, id)
+			v := rows.lookup(id)
+			if v < 0 {
+				return unknownFact(r, id)
+			}
+			if remap != nil {
+				v = remap[v]
+			}
+			if v < 0 {
+				row[0] = -1
+				break
 			}
 			row[i] = v
+		}
+		if row[0] < 0 {
+			continue
 		}
 		if row[1] < 0 {
 			row[1], row[2] = row[2], -1
 		}
 		g.addFactor(row[0], row[1], row[2], ws[r])
 	}
-	g.buildAdjacency()
-	return g, nil
+	return nil
+}
+
+func unknownFact(row int, id int32) error {
+	return fmt.Errorf("factor: factor row %d references unknown fact %d", row, id)
 }
 
 // newGraph returns a graph over the given fact IDs with room for nf
@@ -142,13 +157,13 @@ func FromTables(facts, factors *engine.Table) (*Graph, error) {
 // buildAdjacency.
 func newGraph(ids []int32, nf int) *Graph {
 	return &Graph{
-		ids:  ids,
-		bias: make([]float64, len(ids)),
-		head: make([]int32, 0, nf),
-		b1:   make([]int32, 0, nf),
-		b2:   make([]int32, 0, nf),
-		w:    make([]float64, 0, nf),
-		off:  make([]int32, len(ids)+1),
+		idIndex: idIndex{ids: ids},
+		bias:    make([]float64, len(ids)),
+		head:    make([]int32, 0, nf),
+		b1:      make([]int32, 0, nf),
+		b2:      make([]int32, 0, nf),
+		w:       make([]float64, 0, nf),
+		off:     make([]int32, len(ids)+1),
 	}
 }
 
@@ -169,29 +184,45 @@ func (g *Graph) addFactor(head, b1, b2 int32, w float64) {
 	}
 }
 
-// indexIDs checks the fact IDs for duplicates and builds the index VarOf
-// reads (see Graph.ids).
-func (g *Graph) indexIDs() error {
-	if len(g.ids) == 0 {
+// idIndex maps fact IDs to their positions in ids: a graph's
+// variables, or TΠ's rows (Partition). lookup reads one of two indexes.
+// When the IDs span at most twice as many values as there are IDs — a
+// whole TΠ, whose gaps are the facts constraint passes deleted —
+// dense[id-base] is the position of that ID, -1 for none. Otherwise — a
+// graph over a few sparse IDs — lookup binary-searches: byID lists the
+// positions in increasing fact-ID order, and stays nil when ids are
+// already ascending (the grounder's append-only guarantee), ids being
+// searched themselves.
+type idIndex struct {
+	ids   []int32
+	dense []int32
+	base  int32
+	byID  []int32
+}
+
+// indexIDs checks the fact IDs for duplicates and builds the index
+// lookup reads.
+func (x *idIndex) indexIDs() error {
+	if len(x.ids) == 0 {
 		return nil
 	}
-	lo, hi := slices.Min(g.ids), slices.Max(g.ids)
-	if span := int64(hi) - int64(lo) + 1; span <= 2*int64(len(g.ids)) {
-		g.base, g.dense = lo, make([]int32, span)
-		for i := range g.dense {
-			g.dense[i] = -1
+	lo, hi := slices.Min(x.ids), slices.Max(x.ids)
+	if span := int64(hi) - int64(lo) + 1; span <= 2*int64(len(x.ids)) {
+		x.base, x.dense = lo, make([]int32, span)
+		for i := range x.dense {
+			x.dense[i] = -1
 		}
-		for v, id := range g.ids {
-			if g.dense[id-lo] >= 0 {
+		for v, id := range x.ids {
+			if x.dense[id-lo] >= 0 {
 				return fmt.Errorf("factor: duplicate fact ID %d", id)
 			}
-			g.dense[id-lo] = int32(v)
+			x.dense[id-lo] = int32(v)
 		}
 		return nil
 	}
 	ascending := true
-	for v := 1; v < len(g.ids); v++ {
-		if g.ids[v] <= g.ids[v-1] {
+	for v := 1; v < len(x.ids); v++ {
+		if x.ids[v] <= x.ids[v-1] {
 			ascending = false
 			break
 		}
@@ -199,17 +230,44 @@ func (g *Graph) indexIDs() error {
 	if ascending {
 		return nil
 	}
-	g.byID = make([]int32, len(g.ids))
-	for v := range g.byID {
-		g.byID[v] = int32(v)
+	x.byID = make([]int32, len(x.ids))
+	for v := range x.byID {
+		x.byID[v] = int32(v)
 	}
-	slices.SortFunc(g.byID, func(a, b int32) int { return int(g.ids[a]) - int(g.ids[b]) })
-	for i := 1; i < len(g.byID); i++ {
-		if id := g.ids[g.byID[i]]; id == g.ids[g.byID[i-1]] {
+	slices.SortFunc(x.byID, func(a, b int32) int { return int(x.ids[a]) - int(x.ids[b]) })
+	for i := 1; i < len(x.byID); i++ {
+		if id := x.ids[x.byID[i]]; id == x.ids[x.byID[i-1]] {
 			return fmt.Errorf("factor: duplicate fact ID %d", id)
 		}
 	}
 	return nil
+}
+
+// lookup returns the position of the given fact ID in ids, -1 for none.
+// An ID below base wraps to an index past the dense span: int32 IDs
+// cannot wrap back into it.
+func (x *idIndex) lookup(factID int32) int32 {
+	if i := int(uint32(factID - x.base)); i < len(x.dense) {
+		return x.dense[i]
+	}
+	return x.search(factID)
+}
+
+// search is lookup outside the dense index's span.
+func (x *idIndex) search(factID int32) int32 {
+	if x.dense != nil {
+		return -1
+	}
+	if x.byID == nil {
+		if v, ok := slices.BinarySearch(x.ids, factID); ok {
+			return int32(v)
+		}
+		return -1
+	}
+	if i, ok := slices.BinarySearchFunc(x.byID, factID, func(v, id int32) int { return int(x.ids[v]) - int(id) }); ok {
+		return x.byID[i]
+	}
+	return -1
 }
 
 // clauseVars returns the distinct variables of factor f (head first)
@@ -277,33 +335,18 @@ func (g *Graph) byContent(a, b int32) int {
 }
 
 // labelComponents fills comp and ncomp by union-find over the clause
-// columns. comp first holds the forest — a parent is always the smaller
-// index, so a tree's root is its smallest variable — and is then turned
-// into labels in place: ascending, every entry below v already holds its
-// final label while v's own still holds its parent.
+// columns, then turns the forest into labels in place: ascending, every
+// entry below v already holds its final label while v's own still holds
+// its parent, which is smaller (see forest).
 func (g *Graph) labelComponents() {
-	p := make([]int32, len(g.ids))
-	for v := range p {
-		p[v] = int32(v)
-	}
-	find := func(v int32) int32 {
-		for p[v] != v {
-			p[v] = p[p[v]] // path halving
-			v = p[v]
-		}
-		return v
-	}
+	p := newForest(len(g.ids))
 	for f, b := range g.b1 {
 		if b < 0 {
 			continue
 		}
 		vars, k := g.clauseVars(int32(f))
 		for _, v := range vars[1:k] {
-			if a, b := find(vars[0]), find(v); a < b {
-				p[b] = a
-			} else {
-				p[a] = b
-			}
+			p.union(vars[0], v)
 		}
 	}
 	g.ncomp = 0
@@ -321,24 +364,39 @@ func (g *Graph) labelComponents() {
 	g.comp = p
 }
 
+// forest is a union-find over 0..len-1 in which a parent is always the
+// smaller index, so a tree's root is its smallest member and one
+// ascending pass can resolve every entry from the entries before it.
+type forest []int32
+
+func newForest(n int) forest {
+	p := make(forest, n)
+	for v := range p {
+		p[v] = int32(v)
+	}
+	return p
+}
+
+func (p forest) find(v int32) int32 {
+	for p[v] != v {
+		p[v] = p[p[v]] // path halving
+		v = p[v]
+	}
+	return v
+}
+
+func (p forest) union(a, b int32) {
+	if a, b = p.find(a), p.find(b); a < b {
+		p[b] = a
+	} else {
+		p[a] = b
+	}
+}
+
 // VarOf translates a fact ID to its graph variable index.
 func (g *Graph) VarOf(factID int32) (int32, bool) {
-	if g.dense != nil {
-		i := int64(factID) - int64(g.base)
-		if i < 0 || i >= int64(len(g.dense)) || g.dense[i] < 0 {
-			return 0, false
-		}
-		return g.dense[i], true
-	}
-	if g.byID == nil {
-		v, ok := slices.BinarySearch(g.ids, factID)
-		return int32(v), ok
-	}
-	i, ok := slices.BinarySearchFunc(g.byID, factID, func(v, id int32) int { return int(g.ids[v]) - int(id) })
-	if !ok {
-		return 0, false
-	}
-	return g.byID[i], true
+	v := g.lookup(factID)
+	return v, v >= 0
 }
 
 // FactID translates a graph variable index back to its fact ID.
@@ -475,27 +533,43 @@ func (g *Graph) Lineage(v int32) []Factor {
 
 // Explain renders the proof tree of variable v down to the given depth,
 // naming facts through the provided renderer. Facts with no derivations
-// print as base extractions.
+// print as base extractions. Derivations are cyclic, so each fact's are
+// expanded at most once per call, at its first occurrence in depth-first
+// order: a later occurrence prints as a leaf marked "(see above)", one on
+// the path from the root to itself as a leaf marked "(cycle)". The text
+// is therefore bounded by the size of v's lineage whatever the depth.
 func (g *Graph) Explain(v int32, depth int, name func(int32) string) string {
 	var b strings.Builder
-	g.explain(&b, v, depth, 0, name)
+	g.explain(&b, v, depth, 0, name, map[int32]bool{})
 	return b.String()
 }
 
-func (g *Graph) explain(b *strings.Builder, v int32, depth, indent int, name func(int32) string) {
+// explain prints v's subtree. seen[u] is true while u's derivations are
+// being printed and false once they have been.
+func (g *Graph) explain(b *strings.Builder, v int32, depth, indent int, name func(int32) string, seen map[int32]bool) {
 	pad := strings.Repeat("  ", indent)
 	derivs := g.Lineage(v)
 	if len(derivs) == 0 || depth == 0 {
 		fmt.Fprintf(b, "%s%s\n", pad, name(v))
 		return
 	}
+	if onPath, ok := seen[v]; ok {
+		mark := "(see above)"
+		if onPath {
+			mark = "(cycle)"
+		}
+		fmt.Fprintf(b, "%s%s %s\n", pad, name(v), mark)
+		return
+	}
+	seen[v] = true
 	fmt.Fprintf(b, "%s%s, derived by %d rule application(s):\n", pad, name(v), len(derivs))
 	for _, f := range derivs {
 		fmt.Fprintf(b, "%s<- (w=%.2f)\n", pad+"  ", f.W)
 		for _, u := range f.Body {
-			g.explain(b, u, depth-1, indent+2, name)
+			g.explain(b, u, depth-1, indent+2, name, seen)
 		}
 	}
+	seen[v] = false
 }
 
 // Stats summarizes the graph for reports.

@@ -162,13 +162,16 @@ func BenchmarkExactVsChain(b *testing.B) {
 	}
 }
 
-// BenchmarkUnconstrainedRefresh is ingest-serve's inference step: the
+// BenchmarkUnconstrainedRefresh is the whole-graph inference kernel: the
 // scale-0.25 corpus grounded without constraints (components of 16, 17,
-// 18, 25 and 28 variables among 7,632) at the benchmark's 20 + 100 sweeps
-// per refresh — the whole pass as MarginalsContext runs it against the
-// chain over every sampled variable that it replaced. The 16-variable
-// component is the one the bound makes dearer than its share of the
-// chain.
+// 18, 25 and 28 variables among 7,632) at ingest-serve's 20 + 100 sweeps
+// — MarginalsContext over every component, against the chain over every
+// sampled variable that it replaced. The 16-variable component is the
+// one the bound makes dearer than its share of the chain. A refresh no
+// longer runs this: it infers only the components holding a pending
+// marginal (PendingGraph; the root package's BenchmarkRefreshMarginals
+// times it), so this is the cost of an Expand-shaped pass in which
+// everything is pending.
 func BenchmarkUnconstrainedRefresh(b *testing.B) {
 	g := corpusGraph(b, 0.25, false)
 	opts := Options{Burnin: 20, Samples: 100, Seed: 1}

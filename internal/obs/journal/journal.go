@@ -196,10 +196,13 @@ type VarDiagnostic struct {
 	ESS    float64 `json:"ess"`
 }
 
-// Inference is how one whole-graph inference pass split the ground
-// graph's connected components: Exact of them solved by enumeration, the
-// SampledVars variables of the rest swept by one Gibbs chain. Only a
-// pass with SampledVars > 0 is followed by gibbs_checkpoint events.
+// Inference is how one inference pass split the connected components of
+// the graph it built — those holding a fact whose marginal is pending,
+// plus every component above the enumeration bound when one of them
+// does: Exact of them solved by enumeration, the SampledVars variables
+// of the rest swept by one Gibbs chain. Only a pass with SampledVars > 0
+// is followed by gibbs_checkpoint events, whose tracked Var indices are
+// that graph's (FactID names the fact).
 type Inference struct {
 	Components   int `json:"components"`
 	Exact        int `json:"exact"`

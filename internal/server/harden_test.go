@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,4 +236,61 @@ func TestFactsStreamChunkLimits(t *testing.T) {
 			t.Fatalf("generation %d after the rejected chunk, want %d", got, gen)
 		}
 	})
+}
+
+// TestExplainDepthBounded: GET /explain on a KB whose derivations are
+// cyclic — every pair of five places linked by a symmetric and a
+// transitive rule — answers any depth, 1,000 included, with text bounded
+// by the graph's size: each fact's derivations are expanded once per
+// request, so the text has at most one line per derivation plus one per
+// body atom of it (and the root's), each indented by at most two levels
+// per fact. Re-expanding derivations wherever they recur multiplies the
+// text about elevenfold per level here, so the depths double from 1 and
+// a regression fails at the first one past the bound.
+func TestExplainDepthBounded(t *testing.T) {
+	k := probkb.New()
+	for i := range 5 {
+		k.AddFact("near", fmt.Sprintf("P%d", i), "Place", fmt.Sprintf("P%d", (i+1)%5), "Place", 0.8)
+	}
+	k.MustAddRule("0.9 near(x:Place, y:Place) :- near(y:Place, x:Place)")
+	k.MustAddRule("0.6 near(x:Place, z:Place) :- near(x:Place, y:Place), near(y:Place, z:Place)")
+	exp, err := k.Expand(probkb.Config{Engine: probkb.SingleNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars, factors, _, err := exp.FactorGraphStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vars < 20 || factors < 100 {
+		t.Fatalf("%d facts, %d factors: the rules no longer close the places into a cycle", vars, factors)
+	}
+	srv := httptest.NewServer(New(k, exp))
+	t.Cleanup(srv.Close)
+	maxLines, maxLine := 1+3*factors, 4*vars+100
+	for _, depth := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000} {
+		resp, err := http.Get(fmt.Sprintf("%s/explain?rel=near&x=P0&y=P2&depth=%d", srv.URL, depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("depth %d: status %d, err %v", depth, resp.StatusCode, err)
+		}
+		if lines := strings.Count(string(body), "\n"); lines > maxLines || len(body) > maxLines*maxLine {
+			t.Fatalf("depth %d: %d lines, %d bytes of derivation text for %d facts and %d factors (bounds %d lines, %d bytes)",
+				depth, lines, len(body), vars, factors, maxLines, maxLines*maxLine)
+		}
+		if depth == 1000 {
+			want, err := exp.Explain("near", "P0", "P2", depth)
+			if err != nil || string(body) != want {
+				t.Fatalf("depth 1000 over HTTP differs from the library's text (err %v)", err)
+			}
+			if !strings.Contains(want, "(cycle)") || !strings.Contains(want, "(see above)") {
+				t.Fatalf("depth 1000 marks no repeat or no cycle:\n%s", want)
+			}
+			t.Logf("%d bytes at depth 1000 for %d facts and %d factors", len(body), vars, factors)
+		}
+	}
 }

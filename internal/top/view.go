@@ -155,8 +155,9 @@ func Render(prev, cur *Scrape, queries []QueryRow, incidents []IncidentRow) stri
 	}
 	fmt.Fprintf(&b, "  gibbs %s samples/s   goroutines %d   heap %s\n",
 		gs, int(goroutines), fmtBytes(heap))
-	// The latest whole-graph inference pass: an idle gibbs gauge beside
-	// "0 sampled" means there was nothing to sample, not a stalled chain.
+	// The latest inference pass, over the components holding a pending
+	// marginal: an idle gibbs gauge beside "0 sampled" means there was
+	// nothing to sample, not a stalled chain.
 	if comps, ok := cur.Value("probkb_infer_components"); ok && comps > 0 {
 		exact, _ := cur.Value("probkb_infer_exact_components")
 		largest, _ := cur.Value("probkb_infer_max_component")

@@ -47,10 +47,10 @@ import (
 func init() {
 	obs.Default.Help("probkb_expand_total", "Knowledge-expansion runs completed, by engine.")
 	obs.Default.Help("probkb_expand_stage_seconds", "Per-stage wall time of expansion runs.")
-	obs.Default.Help("probkb_infer_components", "Connected components of the latest whole-graph inference pass.")
-	obs.Default.Help("probkb_infer_exact_components", "Components the latest whole-graph inference pass solved by enumeration.")
-	obs.Default.Help("probkb_infer_sampled_vars", "Variables the latest whole-graph inference pass left to the Gibbs chain.")
-	obs.Default.Help("probkb_infer_max_component", "Variables in the largest component of the latest whole-graph inference pass.")
+	obs.Default.Help("probkb_infer_components", "Connected components the latest inference pass built: those holding a pending marginal, plus the sampled ones when the chain runs.")
+	obs.Default.Help("probkb_infer_exact_components", "Components the latest inference pass solved by enumeration.")
+	obs.Default.Help("probkb_infer_sampled_vars", "Variables the latest inference pass left to the Gibbs chain.")
+	obs.Default.Help("probkb_infer_max_component", "Variables in the largest component the latest inference pass built.")
 }
 
 // Engine selects the execution substrate for grounding.
