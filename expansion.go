@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -559,27 +560,11 @@ func (e *Expansion) SaveFactorGraph(dir string) error {
 // PerIteration reports per-iteration grounding progress: new facts and
 // constraint deletions, in order.
 func (e *Expansion) PerIteration() []IterationStats {
-	out := make([]IterationStats, len(e.res.PerIteration))
-	for i, st := range e.res.PerIteration {
-		out[i] = IterationStats{
-			Iteration: st.Iteration,
-			NewFacts:  st.NewFacts,
-			Deleted:   st.Deleted,
-			Queries:   st.Queries,
-			Elapsed:   st.Elapsed,
-		}
-	}
-	return out
+	return slices.Clone(e.res.PerIteration)
 }
 
 // IterationStats is one grounding iteration's summary. NewFacts counts
 // the facts the iteration added before its constraint pass, Deleted the
 // facts the pass removed, old or new; a fact derived again after the
 // constraints removed it counts in both.
-type IterationStats struct {
-	Iteration int
-	NewFacts  int
-	Deleted   int
-	Queries   int
-	Elapsed   time.Duration
-}
+type IterationStats = ground.IterStats

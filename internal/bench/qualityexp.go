@@ -113,9 +113,9 @@ func runQCConfig(c *synth.Corpus, qc QCConfig) (Fig7aSeries, error) {
 	}
 	base := work.Stats().Facts
 	series := Fig7aSeries{Config: qc}
-	opts.Observer = func(iter int, tpi *engine.Table) {
+	opts.Observer = func(st ground.IterStats, tpi *engine.Table) {
 		correct, total := c.Oracle.EvalInferred(tpi, base)
-		p := Fig7aPoint{Iteration: iter, Correct: correct, Inferred: total}
+		p := Fig7aPoint{Iteration: st.Iteration, Correct: correct, Inferred: total}
 		if total > 0 {
 			p.Precision = float64(correct) / float64(total)
 		}
@@ -228,7 +228,7 @@ func Growth(cfg Config, w io.Writer) ([]GrowthRow, error) {
 			opts.ConstraintHook = quality.NewChecker(work).Hook()
 		}
 		var out []int
-		opts.Observer = func(_ int, tpi *engine.Table) {
+		opts.Observer = func(_ ground.IterStats, tpi *engine.Table) {
 			out = append(out, tpi.NumRows())
 		}
 		res, err := ground.Ground(work, opts)

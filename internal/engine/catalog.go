@@ -7,29 +7,23 @@ import (
 )
 
 // Catalog is a tiny name → table registry, playing the role of a database
-// schema for the CLI tools and the grounders. All methods are safe for
-// concurrent use — the engine itself spawns worker goroutines now, and
-// callers run plans over a shared catalog from multiple goroutines. The
-// registry is what's synchronized, not the tables: a *Table read out of
-// the catalog must not be mutated while other goroutines scan it.
+// schema for the SQL planner. It is complete when built: NewCatalog takes
+// every entry, and the set of entries never changes after that, so any
+// number of goroutines may read one catalog without a lock. The tables
+// are not the catalog's to guard: a *Table read out of a catalog must not
+// be mutated while the catalog is in use.
 //
-// An entry is either a table (Put) or a recipe for one (PutLazy) that
-// runs on the first Get, once, however many goroutines ask. Each entry
-// also holds the table's ANALYZE statistics, computed on the first Stats
-// call, and its single-column entity indexes, each built on the first
-// Index call for its column; both are kept for as long as the entry
-// lives. Put replaces the entry, which is how a caller that mutated a
-// table in place drops its stale statistics and indexes. A frozen
-// catalog is the shared read-only kind: its set of entries is final and
-// SQL refuses to DELETE through it.
+// An entry is either a table or a recipe for one that runs on the first
+// Get, once, however many goroutines ask. Each entry also holds the
+// table's ANALYZE statistics, computed on the first Stats call, and its
+// single-column entity indexes, each built on the first Index call for
+// its column; both are kept for as long as the catalog lives.
 type Catalog struct {
-	mu      sync.RWMutex
 	entries map[string]*catalogEntry
-	frozen  bool
 }
 
 type catalogEntry struct {
-	build func() (*Table, error) // nil for Put entries
+	build func() (*Table, error) // nil for a table given as one
 
 	once  sync.Once
 	table *Table
@@ -52,57 +46,31 @@ func (e *catalogEntry) resolve() (*Table, error) {
 	return e.table, e.err
 }
 
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{entries: make(map[string]*catalogEntry)}
-}
-
-// Put registers (or replaces) a table under its own name. The new entry
-// starts with no statistics and no indexes: a caller that mutates a
-// table in place must Put it again before the catalog plans over it.
-func (c *Catalog) Put(t *Table) {
-	c.put(t.Name(), &catalogEntry{table: t})
-}
-
-// PutLazy registers a table that build materializes on first reference
-// (Get, MustGet or Stats). The table must carry the given name. A build
-// error is remembered and returned by every reference.
-func (c *Catalog) PutLazy(name string, build func() (*Table, error)) {
-	c.put(name, &catalogEntry{build: build})
-}
-
-func (c *Catalog) put(name string, e *catalogEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mustBeOpen()
-	c.entries[name] = e
-}
-
-func (c *Catalog) mustBeOpen() {
-	if c.frozen {
-		panic("engine: catalog is frozen")
+// NewCatalog returns the catalog of tables, each registered under its
+// own name, and of lazy, each recipe registered under its key: it
+// materializes the table on first reference (Get, MustGet, Stats or
+// Index), and that table must carry the key as its name. A build error
+// is remembered and returned by every reference. A name may be given
+// once only.
+func NewCatalog(tables []*Table, lazy map[string]func() (*Table, error)) *Catalog {
+	c := &Catalog{entries: make(map[string]*catalogEntry, len(tables)+len(lazy))}
+	add := func(name string, e *catalogEntry) {
+		if _, dup := c.entries[name]; dup {
+			panic(fmt.Sprintf("engine: table %q given to the catalog twice", name))
+		}
+		c.entries[name] = e
 	}
-}
-
-// Freeze makes the set of entries final: Put, PutLazy and Drop panic
-// from here on. Lazy entries still materialize on first reference.
-func (c *Catalog) Freeze() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.frozen = true
-}
-
-// Frozen reports whether Freeze was called.
-func (c *Catalog) Frozen() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.frozen
+	for _, t := range tables {
+		add(t.Name(), &catalogEntry{table: t})
+	}
+	for name, build := range lazy {
+		add(name, &catalogEntry{build: build})
+	}
+	return c
 }
 
 func (c *Catalog) entry(name string) (*catalogEntry, error) {
-	c.mu.RLock()
 	e, ok := c.entries[name]
-	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %q in catalog", name)
 	}
@@ -128,8 +96,7 @@ func (c *Catalog) MustGet(name string) *Table {
 }
 
 // Stats returns the named table's ANALYZE statistics, computing them on
-// the first call. They describe the table as it was then: re-Put a
-// table mutated in place to have them gathered again.
+// the first call; every later call returns the same statistics.
 func (c *Catalog) Stats(name string) (*TableStats, error) {
 	e, err := c.entry(name)
 	if err != nil {
@@ -145,9 +112,7 @@ func (c *Catalog) Stats(name string) (*TableStats, error) {
 
 // Index returns an EntityIndex of the named table on its Int32 column
 // col, building it on the first call for that column; every later call,
-// from any goroutine, returns the same index. Like the statistics, it
-// describes the table as it was then: re-Put a table mutated in place
-// to have it built again.
+// from any goroutine, returns the same index.
 func (c *Catalog) Index(name string, col int) (*EntityIndex, error) {
 	e, err := c.entry(name)
 	if err != nil {
@@ -169,29 +134,15 @@ func (c *Catalog) Index(name string, col int) (*EntityIndex, error) {
 	return e.index[col](), nil
 }
 
-// Drop removes the named table; dropping a missing table is a no-op.
-func (c *Catalog) Drop(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mustBeOpen()
-	delete(c.entries, name)
-}
-
 // Names returns the registered table names in sorted order.
 func (c *Catalog) Names() []string {
-	c.mu.RLock()
 	out := make([]string, 0, len(c.entries))
 	for n := range c.entries {
 		out = append(out, n)
 	}
-	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // Len returns the number of registered tables.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
+func (c *Catalog) Len() int { return len(c.entries) }

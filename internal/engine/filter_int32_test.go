@@ -91,19 +91,19 @@ func TestFilterInt32RejectsBadArguments(t *testing.T) {
 
 // TestCatalogLazyEntries: a lazy entry builds on first reference, once,
 // however many goroutines ask; its statistics likewise; a failed build
-// stays failed; Put starts an entry over; a frozen catalog takes no more
-// entries.
+// stays failed.
 func TestCatalogLazyEntries(t *testing.T) {
 	var builds atomic.Int32
-	cat := NewCatalog()
-	cat.PutLazy("L", func() (*Table, error) {
-		builds.Add(1)
-		l := NewTable("L", NewSchema(C("a", Int32)))
-		l.AppendRow(int32(1))
-		l.AppendRow(int32(1))
-		return l, nil
+	cat := NewCatalog(nil, map[string]func() (*Table, error){
+		"L": func() (*Table, error) {
+			builds.Add(1)
+			l := NewTable("L", NewSchema(C("a", Int32)))
+			l.AppendRow(int32(1))
+			l.AppendRow(int32(1))
+			return l, nil
+		},
+		"bad": func() (*Table, error) { builds.Add(1); return nil, errors.New("no such relation") },
 	})
-	cat.PutLazy("bad", func() (*Table, error) { builds.Add(1); return nil, errors.New("no such relation") })
 	if got := cat.Names(); len(got) != 2 || cat.Len() != 2 || builds.Load() != 0 {
 		t.Fatalf("registering built something: names %v, %d builds", got, builds.Load())
 	}
@@ -141,34 +141,5 @@ func TestCatalogLazyEntries(t *testing.T) {
 	}
 	if _, err := cat.Stats("missing"); err == nil {
 		t.Fatal("Stats of a missing table succeeded")
-	}
-
-	// Put replaces the entry, statistics included.
-	tables[0].AppendRow(int32(2))
-	cat.Put(tables[0])
-	if st, _ := cat.Stats("L"); st == stats[0] || st.Rows != 3 || st.Cols[0].Distinct != 2 {
-		t.Fatalf("stats after re-Put = %+v", st)
-	}
-
-	cat.Freeze()
-	if !cat.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
-	}
-	for name, mutate := range map[string]func(){
-		"Put":     func() { cat.Put(tables[0]) },
-		"PutLazy": func() { cat.PutLazy("M", nil) },
-		"Drop":    func() { cat.Drop("L") },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a frozen catalog did not panic", name)
-				}
-			}()
-			mutate()
-		}()
-	}
-	if cat.MustGet("L") != tables[0] {
-		t.Fatal("frozen catalog lost a table")
 	}
 }

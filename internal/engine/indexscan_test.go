@@ -81,19 +81,17 @@ func TestIndexScanMatchesFilter(t *testing.T) {
 
 // TestCatalogIndexBuiltOncePerColumn: concurrent first requests share
 // one index per column, built over the entry's table; a column that is
-// missing or not INT is an error; a re-Put entry starts without one.
+// missing or not INT is an error.
 func TestCatalogIndexBuiltOncePerColumn(t *testing.T) {
 	var builds int
-	cat := NewCatalog()
-	cat.PutLazy("T", func() (*Table, error) {
+	cat := NewCatalog(nil, map[string]func() (*Table, error){"T": func() (*Table, error) {
 		builds++
 		tbl := NewTable("T", NewSchema(C("a", Int32), C("w", Float64)))
 		for i := 0; i < 100; i++ {
 			tbl.AppendRow(int32(i%10), float64(i))
 		}
 		return tbl, nil
-	})
-	cat.Freeze()
+	}})
 	got := make([][2]*EntityIndex, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -121,13 +119,5 @@ func TestCatalogIndexBuiltOncePerColumn(t *testing.T) {
 	}
 	if _, err := cat.Index("missing", 0); err == nil {
 		t.Error("a missing table indexed")
-	}
-
-	open := NewCatalog()
-	open.Put(ix.Table())
-	first, _ := open.Index("T", 0)
-	open.Put(ix.Table())
-	if again, _ := open.Index("T", 0); again == first {
-		t.Fatal("a re-Put entry kept its index")
 	}
 }

@@ -170,13 +170,18 @@ func TestRunMorselsPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestCatalogConcurrent is the -race regression test for Catalog locking:
-// goroutines mutate the catalog while others resolve tables and execute
-// parallel plans over them.
+// TestCatalogConcurrent is the -race regression test for a catalog
+// read without a lock: goroutines resolve tables, their statistics and
+// indexes, and execute parallel plans over them, all at once.
 func TestCatalogConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cat := NewCatalog()
-	cat.Put(buildABW(rng, "base", 256))
+	tables := []*Table{buildABW(rng, "base", 256)}
+	for g := 0; g < 8; g++ {
+		tab := NewTable(fmt.Sprintf("t%d", g), NewSchema(C("a", Int32), C("b", Int32), C("w", Float64)))
+		tab.AppendRow(int32(g), int32(g), 0.5)
+		tables = append(tables, tab)
+	}
+	cat := NewCatalog(tables, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -185,9 +190,6 @@ func TestCatalogConcurrent(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("t%d", g)
 			for i := 0; i < 50; i++ {
-				tab := NewTable(name, NewSchema(C("a", Int32), C("b", Int32), C("w", Float64)))
-				tab.AppendRow(int32(g), int32(i), 0.5)
-				cat.Put(tab)
 				base := cat.MustGet("base")
 				f := NewFilter(NewScan(base), "a>3", func(t *Table, r int) bool { return t.Int32Col(0)[r] > 3 })
 				Configure(f, Opts{Workers: 2, MorselSize: 32})
@@ -197,11 +199,14 @@ func TestCatalogConcurrent(t *testing.T) {
 				if _, err := cat.Get(name); err != nil {
 					panic(err)
 				}
+				if _, err := cat.Stats("base"); err != nil {
+					panic(err)
+				}
+				if _, err := cat.Index("base", i%2); err != nil {
+					panic(err)
+				}
 				cat.Names()
 				cat.Len()
-				if i%10 == 9 {
-					cat.Drop(name)
-				}
 			}
 		}(g)
 	}

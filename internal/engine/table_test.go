@@ -224,9 +224,8 @@ func TestNullSentinels(t *testing.T) {
 }
 
 func TestCatalog(t *testing.T) {
-	c := NewCatalog()
 	a := NewTable("TPi", factsSchema())
-	c.Put(a)
+	c := NewCatalog([]*Table{a, NewTable("M1", factsSchema())}, nil)
 	got, err := c.Get("TPi")
 	if err != nil || got != a {
 		t.Fatalf("Get(TPi) = %v, %v", got, err)
@@ -234,19 +233,22 @@ func TestCatalog(t *testing.T) {
 	if _, err := c.Get("nope"); err == nil {
 		t.Fatal("Get of missing table should error")
 	}
-	c.Put(NewTable("M1", factsSchema()))
 	names := c.Names()
-	if len(names) != 2 || names[0] != "M1" || names[1] != "TPi" {
-		t.Fatalf("Names = %v", names)
+	if len(names) != 2 || names[0] != "M1" || names[1] != "TPi" || c.Len() != 2 {
+		t.Fatalf("Names = %v, Len = %d", names, c.Len())
 	}
-	c.Drop("M1")
-	if c.Len() != 1 {
-		t.Fatalf("Len after Drop = %d, want 1", c.Len())
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a name given twice did not panic")
+			}
+		}()
+		NewCatalog([]*Table{a}, map[string]func() (*Table, error){"TPi": nil})
+	}()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MustGet on missing table did not panic")
 		}
 	}()
-	c.MustGet("M1")
+	c.MustGet("nope")
 }

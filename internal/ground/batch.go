@@ -230,14 +230,11 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		iterSpan.SetAttr("queries", st.Queries)
 		iterSpan.End()
 		emitIteration(g.opts.Journal, st)
-		if g.opts.OnIteration != nil {
-			g.opts.OnIteration(st)
-		}
 		if g.opts.Observer != nil {
 			// prevMin reaches back over the rows this iteration joined as its
 			// delta — on an Extend's first iteration, the facts it was given.
 			assertAppendOnly(tpi, prevMin)
-			g.opts.Observer(iter, tpi)
+			g.opts.Observer(st, tpi)
 		}
 		if fixpoint {
 			res.Converged = true

@@ -207,11 +207,9 @@ type Options struct {
 	// (runtime.NumCPU()), 1 forces serial execution. Results are
 	// identical for every setting.
 	Workers int
-	// OnIteration, when non-nil, observes each iteration's stats.
-	OnIteration func(IterStats)
-	// Observer, when non-nil, sees the facts table after each iteration's
-	// merge and constraint pass (read-only). The Figure 7(a) harness uses
-	// it to score precision per iteration.
+	// Observer, when non-nil, sees each iteration's stats and the facts
+	// table after its merge and constraint pass (read-only). The Figure
+	// 7(a) harness uses it to score precision per iteration.
 	//
 	// Every call of one run is handed the same table (for Extend, the
 	// Clone it made of prev.Facts), and between calls — and between that
@@ -223,7 +221,7 @@ type Options struct {
 	// unchanged ID at row n-1 proves rows [0, n) untouched. The durable
 	// store's O(delta) sync rests on this; groundFrom asserts the ID order
 	// of each iteration's rows before calling the observer.
-	Observer func(iter int, tpi *engine.Table)
+	Observer func(st IterStats, tpi *engine.Table)
 	// Journal, when non-nil, receives this run's structured events:
 	// per-iteration stats and per-partition query profiles with full
 	// operator trees (motions included on the MPP grounders). Writer

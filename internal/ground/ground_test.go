@@ -727,7 +727,7 @@ func TestConstraintHookRuns(t *testing.T) {
 func TestOnIterationCallback(t *testing.T) {
 	k := paperKB(t)
 	var iters []int
-	_, err := Ground(k, Options{OnIteration: func(st IterStats) {
+	_, err := Ground(k, Options{Observer: func(st IterStats, _ *engine.Table) {
 		iters = append(iters, st.Iteration)
 	}})
 	if err != nil {

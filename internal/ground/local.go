@@ -305,7 +305,6 @@ func (lg *LocalGrounder) Ground(ctx context.Context, q LocalQuery) (*LocalResult
 	opts.MaxIterations = depth
 	opts.ConstraintHook = nil
 	opts.SkipFactors = false
-	opts.OnIteration = nil
 	opts.Observer = nil
 	opts.Journal = nil
 	g := &BatchGrounder{parts: parts, opts: opts}

@@ -174,12 +174,13 @@ func (im *image) currentFor(k *KB) bool {
 	return im.entities == k.Entities.Len() && im.classes == k.Classes.Len() && im.relations == k.RelDict.Len()
 }
 
-// Catalog returns the KB's relational image as a frozen catalog: the
-// tables the paper's Queries 1-i/2-i/3 name, lazily materialized and
-// shared by every caller until the KB next changes. A Fork inherits it,
-// so a generation that differs from its parent only in what lives
-// outside the KB (marginals), or a batch that turned out to add
-// nothing, rebuilds nothing. Callers must not mutate the tables.
+// Catalog returns the KB's relational image, a catalog complete when
+// built and published through the KB's atomic image pointer: the tables
+// the paper's Queries 1-i/2-i/3 name, lazily materialized and shared by
+// every caller until the KB next changes. A Fork inherits it, so a
+// generation that differs from its parent only in what lives outside
+// the KB (marginals), or a batch that turned out to add nothing,
+// rebuilds nothing. Callers must not mutate the tables.
 //
 // Like every read, it is safe concurrently with other reads of this KB
 // and with mutations of its forks, not with mutations of this KB — and
@@ -207,12 +208,12 @@ func newImage(k *KB) *image {
 	view := &KB{Relations: k.Relations, Members: k.Members, Facts: k.Facts, Rules: k.Rules, Constraints: k.Constraints}
 	entities, classes, relations := k.Entities.Names(), k.Classes.Names(), k.RelDict.Names()
 
-	cat := engine.NewCatalog()
+	recipes := make(map[string]func() (*engine.Table, error), 13)
 	put := func(name string, build func() (*engine.Table, error)) {
-		cat.PutLazy(name, func() (*engine.Table, error) {
+		recipes[name] = func() (*engine.Table, error) {
 			obs.Default.Counter("probkb_kb_image_tables_built_total", obs.L("table", name)).Inc()
 			return build()
-		})
+		}
 	}
 	ok := func(build func() *engine.Table) func() (*engine.Table, error) {
 		return func() (*engine.Table, error) { return build(), nil }
@@ -234,7 +235,5 @@ func newImage(k *KB) *image {
 	put("DE", ok(func() *engine.Table { return dictTable("DE", entities) }))
 	put("DC", ok(func() *engine.Table { return dictTable("DC", classes) }))
 	put("DR", ok(func() *engine.Table { return dictTable("DR", relations) }))
-	cat.Freeze()
-
-	return &image{entities: len(entities), classes: len(classes), relations: len(relations), cat: cat}
+	return &image{entities: len(entities), classes: len(classes), relations: len(relations), cat: engine.NewCatalog(nil, recipes)}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,10 +14,9 @@ import (
 // reports (incident.go) and crash dumps embed a slice of this ring as
 // one correlated timeline.
 //
-// The recorder is deliberately lock-cheap: an atomic enabled check in
-// front of a single short mutex-guarded ring write, no allocation
-// inside the critical section. BenchmarkFlightRecord measures the
-// on-vs-off cost.
+// The recorder is deliberately lock-cheap: a single short mutex-guarded
+// ring write, no allocation inside the critical section.
+// BenchmarkFlightRecordOn measures it.
 
 // FlightEvent is one entry in the recorder's ring. Kind is the source
 // ("span", "log", "journal", "query"); TraceID and QueryID, when set,
@@ -36,41 +34,26 @@ type FlightEvent struct {
 // FlightRecorder is a fixed-size ring of FlightEvents. The zero value
 // is not usable; use NewFlightRecorder. A nil recorder is a no-op.
 type FlightRecorder struct {
-	enabled atomic.Bool
-	now     func() time.Time // injectable for deterministic tests
+	now func() time.Time // injectable for deterministic tests
 
 	mu   sync.Mutex
 	ring ring[FlightEvent]
 }
 
-// NewFlightRecorder returns an enabled recorder retaining the last
-// size events.
+// NewFlightRecorder returns a recorder retaining the last size events.
 func NewFlightRecorder(size int) *FlightRecorder {
-	f := &FlightRecorder{ring: newRing[FlightEvent](size), now: time.Now}
-	f.enabled.Store(true)
-	return f
+	return &FlightRecorder{ring: newRing[FlightEvent](size), now: time.Now}
 }
 
 // DefaultFlight is the process-wide recorder every obs hook writes to.
 var DefaultFlight = NewFlightRecorder(2048)
 
-// SetEnabled turns recording on or off (the ring keeps its contents).
-func (f *FlightRecorder) SetEnabled(on bool) {
-	if f != nil {
-		f.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether Record currently stores events.
-func (f *FlightRecorder) Enabled() bool { return f != nil && f.enabled.Load() }
-
 // setClock replaces the recorder's time source (tests only).
 func (f *FlightRecorder) setClock(now func() time.Time) { f.now = now }
 
-// Record appends ev to the ring, stamping ev.Time if unset. Cheap when
-// disabled: one atomic load, no lock.
+// Record appends ev to the ring, stamping ev.Time if unset.
 func (f *FlightRecorder) Record(ev FlightEvent) {
-	if f == nil || !f.enabled.Load() {
+	if f == nil {
 		return
 	}
 	if ev.Time.IsZero() {

@@ -30,23 +30,21 @@ type flightHandler struct {
 }
 
 func (h flightHandler) Handle(ctx context.Context, r slog.Record) error {
-	if DefaultFlight.Enabled() {
-		ev := FlightEvent{
-			Time: r.Time, Kind: "log", Name: r.Level.String(), Detail: r.Message,
-			TraceID: h.traceID, QueryID: h.queryID,
-		}
-		if ev.TraceID == 0 {
-			if s := SpanFrom(ctx); s != nil {
-				ev.TraceID = s.TraceID()
-			}
-		}
-		if ev.QueryID == "" {
-			if q := QueryFrom(ctx); q != nil {
-				ev.QueryID = q.ID()
-			}
-		}
-		DefaultFlight.Record(ev)
+	ev := FlightEvent{
+		Time: r.Time, Kind: "log", Name: r.Level.String(), Detail: r.Message,
+		TraceID: h.traceID, QueryID: h.queryID,
 	}
+	if ev.TraceID == 0 {
+		if s := SpanFrom(ctx); s != nil {
+			ev.TraceID = s.TraceID()
+		}
+	}
+	if ev.QueryID == "" {
+		if q := QueryFrom(ctx); q != nil {
+			ev.QueryID = q.ID()
+		}
+	}
+	DefaultFlight.Record(ev)
 	return h.Handler.Handle(ctx, r)
 }
 

@@ -151,55 +151,9 @@ type SelectStmt struct {
 	Limit int
 }
 
-// DeleteStmt is a parsed DELETE. Exactly one of In / Where is used.
-type DeleteStmt struct {
-	Table TableRef
-	// InCols/InSelect: DELETE FROM t WHERE (c1, c2) IN (SELECT ...).
-	InCols   []ColRef
-	InSelect *SelectStmt
-	// Where: plain conjunctive delete.
-	Where []Condition
-}
-
-// Statement is a parsed SQL statement.
-type Statement struct {
-	Select *SelectStmt
-	Delete *DeleteStmt
-}
-
 // String round-trips the statement to SQL text (normalized). Printing a
 // parsed statement and re-parsing it yields the same normalized text —
 // the fuzz targets in fuzz_test.go enforce this as a fixed point.
-func (s *Statement) String() string {
-	if s.Select != nil {
-		return s.Select.String()
-	}
-	return s.Delete.String()
-}
-
-// String round-trips the DELETE to SQL text (normalized). The tuple-IN
-// form always prints with parentheses around the column list, which the
-// parser also accepts for a single column.
-func (d *DeleteStmt) String() string {
-	var b strings.Builder
-	b.WriteString("DELETE FROM " + d.Table.Name)
-	if d.Table.Alias != "" {
-		b.WriteString(" " + d.Table.Alias)
-	}
-	b.WriteString(" WHERE ")
-	if d.InSelect != nil {
-		parts := make([]string, len(d.InCols))
-		for i, c := range d.InCols {
-			parts[i] = c.String()
-		}
-		b.WriteString("(" + strings.Join(parts, ", ") + ") IN (" + d.InSelect.String() + ")")
-		return b.String()
-	}
-	b.WriteString(condList(d.Where))
-	return b.String()
-}
-
-// String round-trips the statement to SQL text (normalized).
 func (s *SelectStmt) String() string {
 	var b strings.Builder
 	b.WriteString("SELECT ")

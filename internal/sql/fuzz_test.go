@@ -20,9 +20,9 @@ var fuzzSeeds = []string{
 	"SELECT cls, COUNT(*) AS n FROM facts GROUP BY cls HAVING COUNT(*) > 1",
 	"SELECT id FROM facts WHERE w IS NOT NULL ORDER BY id DESC, cls LIMIT 10",
 	"SELECT 'tag' AS t, 3.5, NULL FROM facts",
-	"DELETE FROM facts WHERE w < 0.1",
-	"DELETE FROM facts WHERE (id, cls) IN (SELECT id, cls FROM facts WHERE w < 0.1)",
-	"DELETE FROM facts WHERE id IN (SELECT id FROM facts WHERE w IS NULL)",
+	"SELECT id, cls FROM facts WHERE w < 0.1",
+	"SELECT id FROM facts WHERE w IS NULL",
+	"SELECT DISTINCT f.id, f.cls FROM facts f JOIN dims d ON f.cls = d.cls WHERE d.cls = 1 GROUP BY f.id, f.cls, d.cls HAVING COUNT(*) > MIN(f.w)",
 	"select f.id from FACTS f join dims d on f.cls = d.cls where f.w > -1e-3;",
 }
 
@@ -62,10 +62,7 @@ func fuzzCatalog() *engine.Catalog {
 	for i := 0; i < 4; i++ {
 		dims.AppendRow(int32(i), strings.Repeat("x", i+1))
 	}
-	cat := engine.NewCatalog()
-	cat.Put(facts)
-	cat.Put(dims)
-	return cat
+	return engine.NewCatalog([]*engine.Table{facts, dims}, nil)
 }
 
 // sortedRows canonicalizes a result table to sorted printed rows for

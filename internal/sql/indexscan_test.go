@@ -15,7 +15,6 @@ import (
 // sparse. Q (1,000 rows) is under one morsel, and E4096/E4097 sit on
 // either side of the threshold.
 func accessPathCatalog() *engine.Catalog {
-	cat := engine.NewCatalog()
 	p := engine.NewTable("P", engine.NewSchema(
 		engine.C("id", engine.Int32), engine.C("a", engine.Int32),
 		engine.C("b", engine.Int32), engine.C("w", engine.Float64)))
@@ -31,16 +30,15 @@ func accessPathCatalog() *engine.Catalog {
 	for i := 0; i < 1000; i++ {
 		q.AppendRow(int32(i%400)-300, int32(i))
 	}
-	cat.Put(p)
-	cat.Put(q)
+	tables := []*engine.Table{p, q}
 	for _, n := range []int{engine.DefaultMorselSize, engine.DefaultMorselSize + 1} {
 		e := engine.NewTable(fmt.Sprintf("E%d", n), engine.NewSchema(engine.C("v", engine.Int32)))
 		for i := 0; i < n; i++ {
 			e.AppendRow(int32(i % 100))
 		}
-		cat.Put(e)
+		tables = append(tables, e)
 	}
-	return cat
+	return engine.NewCatalog(tables, nil)
 }
 
 // accessPathLiterals spreads literals over a column: values present in
@@ -98,7 +96,7 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := "-> Index Scan on P (" + stmt.Select.Where[0].String() + ")  (rows="; !strings.Contains(plan, want) || strings.Contains(plan, "Seq Scan on P") {
+		if want := "-> Index Scan on P (" + stmt.Where[0].String() + ")  (rows="; !strings.Contains(plan, want) || strings.Contains(plan, "Seq Scan on P") {
 			t.Errorf("%s: want %q in\n%s", q, want, plan)
 		}
 	}
@@ -163,15 +161,13 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 }
 
 // TestIndexScanReadsTheCatalogIndex: the planner asks the catalog, so
-// one index per column serves every plan, and a DELETE — which re-Puts
-// the table — leaves the next plan a fresh one.
+// one index per column serves every plan.
 func TestIndexScanReadsTheCatalogIndex(t *testing.T) {
 	cat := accessPathCatalog()
 	db := NewDB(cat)
 	const q = "SELECT P.id FROM P WHERE P.a = 5"
-	before, err := db.Query(q)
-	if err != nil || before.NumRows() == 0 {
-		t.Fatalf("%v rows, %v", before.NumRows(), err)
+	if out, err := db.Query(q); err != nil || out.NumRows() == 0 {
+		t.Fatalf("%v, %v", out, err)
 	}
 	ix, err := cat.Index("P", 1)
 	if err != nil {
@@ -179,25 +175,5 @@ func TestIndexScanReadsTheCatalogIndex(t *testing.T) {
 	}
 	if again, _ := cat.Index("P", 1); again != ix {
 		t.Fatal("the catalog built a second index on P.a")
-	}
-	if n, err := db.Exec("DELETE FROM P WHERE P.id < 5000"); err != nil || n != 5000 {
-		t.Fatalf("delete: %d, %v", n, err)
-	}
-	after, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < after.NumRows(); r++ {
-		if id := after.Int32Col(0)[r]; id < 5000 {
-			t.Fatalf("deleted row %d answered", id)
-		}
-	}
-	seq := NewDB(cat)
-	seq.SetOptimize(false)
-	if want, _ := seq.Query(q); after.String() != want.String() || after.NumRows() == 0 || after.NumRows() >= before.NumRows() {
-		t.Fatalf("after DELETE:\n%s\nwant\n%s", after, want)
-	}
-	if fresh, _ := cat.Index("P", 1); fresh == ix {
-		t.Fatal("the re-Put table kept its old index")
 	}
 }

@@ -1,18 +1,20 @@
 // Package sql implements the SQL dialect ProbKB's grounding and
-// quality-control queries are written in. The paper expresses its whole
-// inference algorithm as SQL over the facts and MLN tables (Figures 3
-// and Query 3); this package makes those queries *executable text* —
-// the test suite runs the paper's queries verbatim against the engine.
+// quality-control queries are written in, as the read view of the
+// relational model of Section 4.2 (T, TC, TR, FC, M1..M6 and the
+// dictionaries DE/DC/DR). The paper expresses its whole inference
+// algorithm as SQL over the facts and MLN tables (Figure 3 and Query 3);
+// this package makes those queries *executable text* — the test suite
+// runs Queries 1-i and 2-i and Query 3's violator subquery verbatim
+// against the engine. Query 3's DELETE itself is the system's to run,
+// and quality.Checker runs it as an engine plan; the dialect reads only.
 //
-// The dialect is the fragment those queries need:
+// The dialect is the SELECT fragment those queries need:
 //
 //	SELECT [DISTINCT] expr [AS name], ... FROM t [alias]
 //	       [JOIN t [alias] ON cond [AND cond]...]...
 //	       [WHERE cond [AND cond]...]
 //	       [GROUP BY col, ...] [HAVING cond [AND cond]...]
-//
-//	DELETE FROM t WHERE (col, ...) IN ( select )
-//	DELETE FROM t WHERE cond [AND cond]...
+//	       [ORDER BY col [ASC|DESC], ...] [LIMIT n]
 //
 // with aggregates COUNT(*), COUNT(DISTINCT col), MIN, MAX, SUM;
 // comparisons =, <>, <, <=, >, >=; NULL literals; and qualified column
@@ -51,7 +53,7 @@ type token struct {
 var keywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "FROM": true, "JOIN": true,
 	"ON": true, "WHERE": true, "GROUP": true, "BY": true, "HAVING": true,
-	"AND": true, "AS": true, "IN": true, "DELETE": true, "NULL": true,
+	"AND": true, "AS": true, "NULL": true,
 	"COUNT": true, "MIN": true, "MAX": true, "SUM": true,
 	"IS": true, "NOT": true,
 	"ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,

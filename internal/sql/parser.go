@@ -5,40 +5,26 @@ import (
 	"strconv"
 )
 
-// Parse parses one SQL statement of the supported dialect.
-func Parse(input string) (*Statement, error) {
+// Parse parses one SELECT of the supported dialect.
+func Parse(input string) (*SelectStmt, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: input}
-	var stmt Statement
-	switch {
-	case p.peekIs("SELECT"):
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Select = sel
-	case p.peekIs("DELETE"):
-		del, err := p.parseDelete()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Delete = del
-	default:
-		return nil, p.errf("expected SELECT or DELETE")
+	p := &parser{toks: toks}
+	sel, err := p.parseSelect()
+	if err != nil {
+		return nil, err
 	}
 	if !p.atEOF() {
 		return nil, p.errf("unexpected trailing input")
 	}
-	return &stmt, nil
+	return sel, nil
 }
 
 type parser struct {
 	toks []token
 	pos  int
-	src  string
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -339,77 +325,4 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		s.Limit = n
 	}
 	return s, nil
-}
-
-func (p *parser) parseDelete() (*DeleteStmt, error) {
-	if err := p.expect("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("FROM"); err != nil {
-		return nil, err
-	}
-	ref, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
-	}
-	d := &DeleteStmt{Table: ref}
-	if err := p.expect("WHERE"); err != nil {
-		return nil, err
-	}
-
-	// Tuple-IN form: WHERE (c1, c2, ...) IN ( SELECT ... )  — and the
-	// paper's Query 3 writes it without parentheses around a single
-	// column too, so also allow: WHERE c1, c2 IN (SELECT ...). Detect by
-	// looking ahead for IN after a column list.
-	save := p.pos
-	cols, ok := p.tryParseColList()
-	if ok && p.accept("IN") {
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		sub, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		if len(sub.Items) != len(cols) {
-			return nil, fmt.Errorf("sql: IN column count %d does not match subquery width %d", len(cols), len(sub.Items))
-		}
-		d.InCols = cols
-		d.InSelect = sub
-		return d, nil
-	}
-	p.pos = save
-
-	w, err := p.parseConjunction()
-	if err != nil {
-		return nil, err
-	}
-	d.Where = w
-	return d, nil
-}
-
-// tryParseColList parses "(c1, c2)" or "c1, c2" without committing.
-func (p *parser) tryParseColList() ([]ColRef, bool) {
-	save := p.pos
-	paren := p.acceptSymbol("(")
-	var cols []ColRef
-	for {
-		col, err := p.parseColRef()
-		if err != nil {
-			p.pos = save
-			return nil, false
-		}
-		cols = append(cols, col)
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if paren && !p.acceptSymbol(")") {
-		p.pos = save
-		return nil, false
-	}
-	return cols, true
 }

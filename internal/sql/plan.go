@@ -49,10 +49,7 @@ func (db *DB) Plan(text string) (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Select == nil {
-		return nil, fmt.Errorf("sql: Plan requires a SELECT")
-	}
-	plan, err := db.planSelect(stmt.Select)
+	plan, err := db.planSelect(stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -123,27 +120,6 @@ func (db *DB) execOpts(ctx context.Context) engine.Opts {
 		o.OnRows = aq.AddRows
 	}
 	return o
-}
-
-// Exec runs a DELETE and reports how many rows it removed. A frozen
-// catalog is shared with readers who were promised immutable tables, so
-// Exec refuses it.
-func (db *DB) Exec(text string) (int, error) {
-	if db.cat.Frozen() {
-		return 0, fmt.Errorf("sql: the catalog is read-only")
-	}
-	stmt, err := Parse(text)
-	if err != nil {
-		return 0, err
-	}
-	if stmt.Delete == nil {
-		return 0, fmt.Errorf("sql: Exec requires a DELETE")
-	}
-	t, n, err := db.execDelete(stmt.Delete)
-	if n > 0 {
-		db.cat.Put(t) // a fresh entry: the statistics described the rows just deleted
-	}
-	return n, err
 }
 
 // ---------------------------------------------------------------------------
@@ -811,64 +787,4 @@ func compileString(e Expr, sc *scope) (func(t *engine.Table, row int) string, er
 		return nil, fmt.Errorf("sql: column %s is not text", e.Col)
 	}
 	return func(t *engine.Table, row int) string { return t.StringCol(idx)[row] }, nil
-}
-
-// ---------------------------------------------------------------------------
-// DELETE
-
-func (db *DB) execDelete(d *DeleteStmt) (*engine.Table, int, error) {
-	t, err := db.cat.Get(d.Table.Name)
-	if err != nil {
-		return nil, 0, err
-	}
-	sc := scopeOf(d.Table.Binding(), t)
-
-	if d.InSelect != nil {
-		sub, err := db.planSelect(d.InSelect)
-		if err != nil {
-			return nil, 0, err
-		}
-		result, err := engine.Run(sub, "in_subquery")
-		if err != nil {
-			return nil, 0, err
-		}
-		// Match columns must all be Int32 on both sides.
-		outerCols := make([]int, len(d.InCols))
-		subCols := make([]int, len(d.InCols))
-		for i, ref := range d.InCols {
-			idx, err := sc.resolve(ref)
-			if err != nil {
-				return nil, 0, err
-			}
-			if sc.cols[idx].typ != engine.Int32 {
-				return nil, 0, fmt.Errorf("sql: IN requires integer columns (%s)", ref)
-			}
-			outerCols[i] = idx
-			if result.Schema().Cols[i].Type != engine.Int32 {
-				return nil, 0, fmt.Errorf("sql: IN subquery column %d is not integer", i)
-			}
-			subCols[i] = i
-		}
-		set := engine.NewRowSet(result, subCols)
-		return t, t.DeleteWhere(func(row int) bool {
-			return set.Contains(t, row, outerCols)
-		}), nil
-	}
-
-	preds := make([]func(*engine.Table, int) bool, 0, len(d.Where))
-	for _, c := range d.Where {
-		p, err := compileCondition(c, sc)
-		if err != nil {
-			return nil, 0, err
-		}
-		preds = append(preds, p)
-	}
-	return t, t.DeleteWhere(func(row int) bool {
-		for _, p := range preds {
-			if !p(t, row) {
-				return false
-			}
-		}
-		return true
-	}), nil
 }

@@ -8,12 +8,22 @@ import (
 	"probkb/internal/ground"
 	"probkb/internal/kb"
 	"probkb/internal/mln"
+	"probkb/internal/quality"
+	"probkb/internal/synth"
 )
 
 // paperCatalog loads the Table 1 example KB into a catalog under the
 // names the paper's queries use: T (facts), M1/M3 (MLN partitions), FC
 // (functional constraints).
 func paperCatalog(t *testing.T) (*engine.Catalog, *kb.KB) {
+	t.Helper()
+	k := paperKB(t)
+	return factsCatalog(t, k, k.FactsTable()), k
+}
+
+// paperKB is the Table 1 example KB with its four rules and a Type I
+// constraint on born_in.
+func paperKB(t *testing.T) *kb.KB {
 	t.Helper()
 	k := kb.New()
 	k.InternFact("born_in", "Ruth_Gruber", "Writer", "New_York_City", "City", 0.96)
@@ -36,18 +46,22 @@ func paperCatalog(t *testing.T) (*engine.Catalog, *kb.KB) {
 	if err := k.AddConstraint(kb.Constraint{Rel: bornIn, Type: kb.TypeI, Degree: 1}); err != nil {
 		t.Fatal(err)
 	}
+	return k
+}
 
+// factsCatalog is the catalog of facts, as T, beside k's MLN partitions
+// and FC.
+func factsCatalog(t *testing.T, k *kb.KB, facts *engine.Table) *engine.Catalog {
+	t.Helper()
 	parts, err := k.MLNPartitions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := engine.NewCatalog()
-	cat.Put(k.FactsTable())
+	tables := []*engine.Table{facts, k.ConstraintsTable()}
 	for i := mln.P1; i <= mln.P6; i++ {
-		cat.Put(parts.Table(i))
+		tables = append(tables, parts.Table(i))
 	}
-	cat.Put(k.ConstraintsTable())
-	return cat, k
+	return engine.NewCatalog(tables, nil)
 }
 
 func TestLexer(t *testing.T) {
@@ -86,13 +100,13 @@ func TestParseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		text := stmt.Select.String()
+		text := stmt.String()
 		again, err := Parse(text)
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", text, err)
 		}
-		if again.Select.String() != text {
-			t.Fatalf("round trip unstable: %q vs %q", text, again.Select.String())
+		if again.String() != text {
+			t.Fatalf("round trip unstable: %q vs %q", text, again.String())
 		}
 	}
 }
@@ -107,9 +121,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM t WHERE",   // missing condition
 		"SELECT x FROM t GROUP x", // missing BY
 		"SELECT x FROM t trailing junk (",
-		"SELECT COUNT(x) FROM t", // COUNT needs * or DISTINCT
-		"DELETE FROM t",          // missing WHERE
-		"DELETE FROM t WHERE (a, b) IN (SELECT x FROM u)", // arity mismatch
+		"SELECT COUNT(x) FROM t",      // COUNT needs * or DISTINCT
+		"DELETE FROM t WHERE t.x = 1", // the dialect is SELECT only
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
@@ -206,16 +219,15 @@ func TestPaperQuery23(t *testing.T) {
 // then checks the SQL factor query produces exactly the grounder's M3
 // factors — the SQL text and the hand-built plan are the same program.
 func TestPaperQuery23AfterClosure(t *testing.T) {
-	cat, k := paperCatalog(t)
+	k := paperKB(t)
 	res, err := ground.Ground(k, ground.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	closure := res.Facts.Clone()
-	closure.SetName("T")
-	cat.Put(closure) // replace the base facts with the closed set
+	closure.SetName("T") // the closed set stands in for the base facts
 
-	db := NewDB(cat)
+	db := NewDB(factsCatalog(t, k, closure))
 	out, err := db.Query(`
 		SELECT T1.I AS I1, T2.I AS I2, T3.I AS I3, M3.w AS w
 		FROM M3 JOIN T T1 ON M3.R1 = T1.R AND M3.C1 = T1.C1 AND M3.C2 = T1.C2
@@ -255,39 +267,73 @@ func TestPaperQuery23AfterClosure(t *testing.T) {
 	}
 }
 
-// TestPaperQuery3 runs the applyConstraints DELETE verbatim against a
-// violating KB.
+// TestPaperQuery3 is the differential between the paper's text of
+// applyConstraints and the engine plan quality.Checker runs for it: on
+// the synthetic corpus's relational image, Query 3's violator subquery
+// and its Type II mirror name exactly the (type, entity, class) triples
+// of the checker's violations.
 func TestPaperQuery3(t *testing.T) {
-	k := kb.New()
-	k.InternFact("born_in", "Mandel", "Person", "Berlin", "City", 0.9)
-	k.InternFact("born_in", "Mandel", "Person", "Chicago", "City", 0.9)
-	k.InternFact("born_in", "Freud", "Person", "Vienna", "City", 0.9)
-	bornIn, _ := k.RelDict.Lookup("born_in")
-	if err := k.AddConstraint(kb.Constraint{Rel: bornIn, Type: kb.TypeI, Degree: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cat := engine.NewCatalog()
-	facts := k.FactsTable()
-	cat.Put(facts)
-	cat.Put(k.ConstraintsTable())
-	db := NewDB(cat)
-
-	deleted, err := db.Exec(`
-		DELETE FROM T WHERE (T.x, T.C1) IN (
+	// The violator subquery verbatim (Type I: a subject with more
+	// partners than the constraint's degree allows) and its Type II
+	// mirror over the object, keyed by FC.arg.
+	violators := map[int]string{
+		kb.TypeI: `
 			SELECT DISTINCT T.x, T.C1
 			FROM T JOIN FC ON T.R = FC.R
 			WHERE FC.arg = 1
 			GROUP BY T.R, T.x, T.C1, T.C2
-			HAVING COUNT(*) > MIN(FC.deg)
-		)`)
-	if err != nil {
-		t.Fatal(err)
+			HAVING COUNT(*) > MIN(FC.deg)`,
+		kb.TypeII: `
+			SELECT DISTINCT T.y, T.C2
+			FROM T JOIN FC ON T.R = FC.R
+			WHERE FC.arg = 2
+			GROUP BY T.R, T.y, T.C1, T.C2
+			HAVING COUNT(*) > MIN(FC.deg)`,
 	}
-	if deleted != 2 {
-		t.Fatalf("Query 3 deleted %d rows, want the 2 Mandel facts", deleted)
+	type violator struct {
+		typ      int
+		ent, cls int32
 	}
-	if facts.NumRows() != 1 {
-		t.Fatalf("facts left = %d, want 1", facts.NumRows())
+	for _, scale := range []float64{0.05, 0.25} {
+		c, err := synth.ReVerbSherlock(scale, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := c.KB
+		want := map[violator]bool{}
+		for _, v := range quality.NewChecker(k).Violations(k.FactsTable()) {
+			want[violator{v.Type, v.Entity, v.Class}] = true
+		}
+		got := map[violator]bool{}
+		db := NewDB(k.Catalog())
+		for typ, q := range violators {
+			out, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < out.NumRows(); r++ {
+				got[violator{typ, out.Int32Col(0)[r], out.Int32Col(1)[r]}] = true
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("scale %g: no violators to compare", scale)
+		}
+		var missing, extra []violator
+		for v := range want {
+			if !got[v] {
+				missing = append(missing, v)
+			}
+		}
+		for v := range got {
+			if !want[v] {
+				extra = append(extra, v)
+			}
+		}
+		if len(missing) > 0 || len(extra) > 0 {
+			t.Errorf("scale %g: of the checker's %d violators Query 3 misses %d (%v) and adds %d (%v)",
+				scale, len(want), len(missing), missing[:min(3, len(missing))], len(extra), extra[:min(3, len(extra))])
+		}
+		t.Logf("scale %g: %d violators", scale, len(want))
 	}
 }
 
@@ -367,12 +413,10 @@ func TestSelectLiteralsAndNullProjection(t *testing.T) {
 }
 
 func TestStringComparison(t *testing.T) {
-	cat := engine.NewCatalog()
 	tab := engine.NewTable("D", engine.NewSchema(engine.C("id", engine.Int32), engine.C("name", engine.String)))
 	tab.AppendRow(1, "kale")
 	tab.AppendRow(2, "calcium")
-	cat.Put(tab)
-	db := NewDB(cat)
+	db := NewDB(engine.NewCatalog([]*engine.Table{tab}, nil))
 	out, err := db.Query("SELECT D.id FROM D WHERE D.name = 'kale'")
 	if err != nil {
 		t.Fatal(err)
@@ -386,16 +430,13 @@ func TestStringComparison(t *testing.T) {
 }
 
 func TestCrossJoin(t *testing.T) {
-	cat := engine.NewCatalog()
 	a := engine.NewTable("A", engine.NewSchema(engine.C("x", engine.Int32)))
 	a.AppendRow(1)
 	a.AppendRow(2)
 	b := engine.NewTable("B", engine.NewSchema(engine.C("y", engine.Int32)))
 	b.AppendRow(10)
 	b.AppendRow(20)
-	cat.Put(a)
-	cat.Put(b)
-	db := NewDB(cat)
+	db := NewDB(engine.NewCatalog([]*engine.Table{a, b}, nil))
 	// No usable key equality: the planner falls back to a cross product
 	// with the ON condition as a post-filter.
 	out, err := db.Query("SELECT A.x, B.y FROM A JOIN B ON A.x < B.y")
@@ -424,26 +465,8 @@ func TestPlannerErrors(t *testing.T) {
 			t.Errorf("Query(%q) succeeded, want error", q)
 		}
 	}
-	if _, err := db.Exec("SELECT T.I FROM T"); err == nil {
-		t.Error("Exec of SELECT accepted")
-	}
 	if _, err := db.Query("DELETE FROM T WHERE T.I = 1"); err == nil {
 		t.Error("Query of DELETE accepted")
-	}
-}
-
-func TestDeleteWhere(t *testing.T) {
-	cat, _ := paperCatalog(t)
-	db := NewDB(cat)
-	n, err := db.Exec("DELETE FROM T WHERE T.w < 0.95")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("deleted %d, want 1", n)
-	}
-	if cat.MustGet("T").NumRows() != 1 {
-		t.Fatal("wrong rows left")
 	}
 }
 
@@ -526,7 +549,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stmt.Select.String(); !strings.Contains(got, "ORDER BY id DESC LIMIT 3") {
+	if got := stmt.String(); !strings.Contains(got, "ORDER BY id DESC LIMIT 3") {
 		t.Fatalf("round trip: %q", got)
 	}
 }
@@ -556,7 +579,7 @@ func TestInt32ComparisonRecognition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		return stmt.Select.Where[0]
+		return stmt.Where[0]
 	}
 	typed := []struct {
 		where string
@@ -606,9 +629,7 @@ func TestTypedAndGeneralFiltersAgree(t *testing.T) {
 		tab.AppendRow(int32(i), float64(i)/2)
 	}
 	tab.AppendRow(engine.NullInt32, 0.0)
-	cat := engine.NewCatalog()
-	cat.Put(tab)
-	db := NewDB(cat)
+	db := NewDB(engine.NewCatalog([]*engine.Table{tab}, nil))
 	for _, pair := range [][2]string{
 		{"N.v > 3", "N.v > 3.5"}, // over integers, the same rows
 		{"N.v <= 3", "N.v < 3.5"},

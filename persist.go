@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"probkb/internal/engine"
-	"probkb/internal/ground"
 	"probkb/internal/kb"
 	"probkb/internal/store"
 )
@@ -264,19 +263,6 @@ func (s *Store) fullDiff(src *kb.KB, tpi *engine.Table) (dels, adds, margs []sto
 		}
 	}
 	return dels, adds, margs
-}
-
-// attachPersist wires a store into grounding options: each completed
-// iteration's delta becomes durable before the next one starts. from is
-// the table the run's facts table is cloned from (nil for a run that
-// builds its own); a failure is latched for the caller to surface,
-// since ground.Options.Observer cannot return one.
-func attachPersist(opts *ground.Options, p *Store, src *kb.KB, from *engine.Table) {
-	opts.Observer = func(_ int, tpi *engine.Table) {
-		if p.err == nil {
-			p.err = p.sync(src, tpi, from)
-		}
-	}
 }
 
 // persistFinal runs the end-of-phase sync (grounding result or

@@ -246,19 +246,11 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// GibbsSweep is one Gibbs sweep's progress report (see Config.OnGibbsSweep).
-type GibbsSweep struct {
-	// Sweep is 1-based and counts burn-in sweeps.
-	Sweep int
-	// Burnin reports whether the sweep was discarded.
-	Burnin bool
-	// Vars is the number of variables resampled per sweep.
-	Vars int
-	// Flips is how many variables changed value in this sweep.
-	Flips int
-	// Elapsed is wall time since inference started.
-	Elapsed time.Duration
-}
+// GibbsSweep is one Gibbs sweep's progress report (see Config.OnGibbsSweep):
+// the sweep (1-based, burn-in counted), whether it was burn-in, the
+// variables resampled per sweep, how many of them flipped, and the wall
+// time since inference started.
+type GibbsSweep = infer.SweepStats
 
 // DefaultConstrainedIterations bounds grounding when semantic constraints
 // are active and no explicit MaxIterations is set (the paper grounds its
@@ -563,12 +555,14 @@ type round struct {
 	infer bool
 }
 
-// run emits the round's run_start header, wires the journal, the store
-// and the constraint hook into opts, grounds through grnd, and builds
-// the round's expansion — running inference when asked — persisting
-// after each phase and closing the journal with run_end. A grounding or
-// inference phase cut short by its context returns a *PartialError
-// carrying the work completed.
+// run emits the round's run_start header; wires the journal, the
+// constraint hook and one iteration observer into opts (it calls
+// Config.OnIteration, then makes the iteration's delta durable in the
+// store before the next iteration starts); grounds through grnd; and
+// builds the round's expansion — running inference when asked —
+// persisting after each phase and closing the journal with run_end. A
+// grounding or inference phase cut short by its context returns a
+// *PartialError carrying the work completed.
 func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Options) (*ground.Result, error)) (*Expansion, error) {
 	r.jr.Emit(journal.TypeRunStart, journal.Header{
 		Engine:     r.cfg.Engine.String(),
@@ -578,11 +572,22 @@ func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Op
 		Start:      time.Now().UTC().Format(time.RFC3339),
 	})
 	opts.Journal = r.jr
-	p := r.cfg.Persist
+	cb, p := r.cfg.OnIteration, r.cfg.Persist
 	if p != nil {
 		p.inner.SetJournal(r.jr)
 		defer p.inner.SetJournal(nil)
-		attachPersist(&opts, p, r.work, r.from)
+	}
+	if cb != nil || p != nil {
+		opts.Observer = func(st ground.IterStats, tpi *engine.Table) {
+			if cb != nil {
+				cb(st)
+			}
+			// The observer cannot return an error: latch it for the final
+			// sync to surface.
+			if p != nil && p.err == nil {
+				p.err = p.sync(r.work, tpi, r.from)
+			}
+		}
 	}
 	if r.checker != nil {
 		opts.ConstraintHook = journaledHook(r.jr, r.checker)
@@ -646,50 +651,23 @@ func journaledHook(jr *journal.Writer, checker *quality.Checker) func(*engine.Ta
 }
 
 // groundOptions builds the grounding options every round starts from:
-// the tracing context, the progress-callback bridge, and semi-naive
-// evaluation — the one order this package grounds in, on every engine
-// but the Tuffy-T baseline, which is naive by definition. The
-// constraint hook deletes only what it will delete again
-// (quality.Checker), which is what keeps a Δ-only iteration sound under
-// it (DESIGN.md §5).
+// the tracing context and semi-naive evaluation — the one order this
+// package grounds in, on every engine but the Tuffy-T baseline, which is
+// naive by definition. The constraint hook deletes only what it will
+// delete again (quality.Checker), which is what keeps a Δ-only iteration
+// sound under it (DESIGN.md §5).
 func groundOptions(ctx context.Context, cfg Config) ground.Options {
-	opts := ground.Options{MaxIterations: cfg.MaxIterations, Ctx: ctx, Workers: cfg.EngineWorkers, SemiNaive: true}
-	if cfg.OnIteration != nil {
-		cb := cfg.OnIteration
-		opts.OnIteration = func(st ground.IterStats) {
-			cb(IterationStats{
-				Iteration: st.Iteration,
-				NewFacts:  st.NewFacts,
-				Deleted:   st.Deleted,
-				Queries:   st.Queries,
-				Elapsed:   st.Elapsed,
-			})
-		}
-	}
-	return opts
+	return ground.Options{MaxIterations: cfg.MaxIterations, Ctx: ctx, Workers: cfg.EngineWorkers, SemiNaive: true}
 }
 
-// inferOptions builds the sampling options for cfg, bridging the
-// OnGibbsSweep callback.
+// inferOptions builds the sampling options for cfg.
 func inferOptions(cfg Config) infer.Options {
-	opts := infer.Options{
-		Burnin:  cfg.GibbsBurnin,
-		Samples: cfg.GibbsSamples,
-		Seed:    cfg.Seed,
+	return infer.Options{
+		Burnin:      cfg.GibbsBurnin,
+		Samples:     cfg.GibbsSamples,
+		Seed:        cfg.Seed,
+		OnIteration: cfg.OnGibbsSweep,
 	}
-	if cfg.OnGibbsSweep != nil {
-		cb := cfg.OnGibbsSweep
-		opts.OnIteration = func(st infer.SweepStats) {
-			cb(GibbsSweep{
-				Sweep:   st.Sweep,
-				Burnin:  st.Burnin,
-				Vars:    st.Vars,
-				Flips:   st.Flips,
-				Elapsed: st.Elapsed,
-			})
-		}
-	}
-	return opts
 }
 
 // observeStage records one expansion stage's wall time.
