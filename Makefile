@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench paper-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store lint-metrics loc fmt
+.PHONY: build vet test race check bench-build bench-kernels kernels-smoke bench paper-smoke report-smoke converge-smoke chaos-smoke incident-smoke query-smoke mvcc-smoke ingest-smoke proptest fuzz-smoke crash-smoke crashtest cover-store loc fmt
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,11 @@ race:
 # The standard verify loop: what CI (and every PR) should run. The race
 # leg runs every package's tests once; crash-smoke, incident-smoke,
 # query-smoke, mvcc-smoke and ingest-smoke below are subsets of it, kept
-# as focused re-runs and left out of check.
-check: build vet bench-build kernels-smoke lint-metrics race proptest fuzz-smoke paper-smoke report-smoke converge-smoke chaos-smoke
+# as focused re-runs and left out of check. Metric naming needs no leg of
+# its own: every metric is declared once, and the declaration checks the
+# rules at package init, so each test binary that links a metric enforces
+# them (the rules' own tests: TestDeclarationRules in internal/obs).
+check: build vet bench-build kernels-smoke race proptest fuzz-smoke paper-smoke report-smoke converge-smoke chaos-smoke
 
 # benchmark/ is a nested module (its own go.mod, `replace probkb => ../`)
 # that imports internal/{ground,mpp,engine,...} by path, so `go build
@@ -69,12 +72,6 @@ kernels-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat' .
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
-
-# Metric hygiene: every Counter/Gauge/Histogram name is probkb_-prefixed
-# snake_case with the right unit suffix and a Help() string (see
-# cmd/lint-metrics for the exact rules and the gauge exemption).
-lint-metrics:
-	$(GO) run ./cmd/lint-metrics .
 
 # Long-mode differential harness: thousands of random plans, each run
 # serial, morsel-parallel, and on 1/2/8-segment clusters, results

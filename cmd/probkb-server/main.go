@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"probkb"
+	"probkb/internal/mpp"
 	"probkb/internal/obs"
 	"probkb/internal/server"
 )
@@ -196,7 +197,7 @@ func main() {
 			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
 		watchdog.Add(&obs.GibbsStallDetector{Health: obs.Gibbs},
 			obs.Hysteresis{FireAfter: 2, ClearAfter: 2})
-		watchdog.Add(&obs.RetryStormDetector{Registry: obs.Default, MaxPerTick: maxRetriesPerTick},
+		watchdog.Add(&obs.RetryStormDetector{Retries: mpp.SegmentRetries, MaxPerTick: maxRetriesPerTick},
 			obs.Hysteresis{FireAfter: 1, ClearAfter: 2})
 		watchdog.Start()
 		defer watchdog.Stop()

@@ -158,10 +158,10 @@ func (e *Expansion) runInference(ctx context.Context) error {
 		n    int
 		g    *obs.Gauge
 	}{
-		{"components", plan.Components, obs.Default.Gauge("probkb_infer_components")},
-		{"exact", plan.Exact, obs.Default.Gauge("probkb_infer_exact_components")},
-		{"sampled_vars", plan.SampledVars, obs.Default.Gauge("probkb_infer_sampled_vars")},
-		{"max_component", plan.MaxComponent, obs.Default.Gauge("probkb_infer_max_component")},
+		{"components", plan.Components, inferComponents},
+		{"exact", plan.Exact, inferExact},
+		{"sampled_vars", plan.SampledVars, inferSampledVars},
+		{"max_component", plan.MaxComponent, inferMaxComponent},
 	} {
 		span.SetAttr(a.attr, a.n)
 		a.g.Set(float64(a.n))

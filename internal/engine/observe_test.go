@@ -39,11 +39,10 @@ func TestOpKindMatchesLabel(t *testing.T) {
 	}
 }
 
-// TestObservedHandlesAreTheByNameSeries runs the parity plan morsel-
-// parallel and checks that each per-kind handle is the series a by-name
-// lookup returns, and that ObservePlan moves each op kind's series by
-// what its nodes report.
-func TestObservedHandlesAreTheByNameSeries(t *testing.T) {
+// TestObservePlanMovesEachKind runs the parity plan morsel-parallel and
+// checks that every region records its morsels, and that ObservePlan
+// moves each op kind's series by what its nodes report.
+func TestObservePlanMovesEachKind(t *testing.T) {
 	root, nodes := parityPlan()
 	Configure(root, Opts{Workers: 2, MorselSize: 8})
 	before := obs.Default.Snapshot()
@@ -58,12 +57,6 @@ func TestObservedHandlesAreTheByNameSeries(t *testing.T) {
 		if after[key] == before[key] {
 			t.Errorf("region %s recorded no morsels", op)
 		}
-		if morselMetrics.get(op) != obs.Default.Counter("probkb_engine_morsels_total", obs.L("op", op)) {
-			t.Errorf("region %s: morsel handle is not the by-name series", op)
-		}
-		if utilizationMetrics.get(op) != obs.Default.Histogram("probkb_engine_worker_utilization_ratio", nil, obs.L("op", op)) {
-			t.Errorf("region %s: utilization handle is not the by-name series", op)
-		}
 	}
 
 	rows, count := map[string]float64{}, map[string]float64{}
@@ -71,11 +64,6 @@ func TestObservedHandlesAreTheByNameSeries(t *testing.T) {
 		kind := opKind(n.Label())
 		rows[kind] += float64(n.Stats().Rows)
 		count[kind]++
-		h := opMetrics.get(kind)
-		if h.rows != obs.Default.Counter("probkb_engine_operator_rows_total", obs.L("op", kind)) ||
-			h.seconds != obs.Default.Histogram("probkb_engine_operator_seconds", nil, obs.L("op", kind)) {
-			t.Errorf("%s: operator handles are not the by-name series", kind)
-		}
 	}
 	for kind := range count {
 		rk := `probkb_engine_operator_rows_total{op="` + kind + `"}`

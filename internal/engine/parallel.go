@@ -116,7 +116,7 @@ func runMorsels(op string, rows int, o Opts, st *NodeStats, f func(m, lo, hi int
 		}
 		st.Morsels += nm
 	}
-	observeMorsels(op, nm)
+	morsels.With(op).Add(int64(nm))
 	if w <= 1 {
 		for m := 0; m < nm; m++ {
 			f(m, m*sz, min((m+1)*sz, rows))
@@ -154,7 +154,7 @@ func runMorsels(op string, rows int, o Opts, st *NodeStats, f func(m, lo, hi int
 		panic(panicVal)
 	}
 	if el := time.Since(start); el > 0 {
-		observeUtilization(op, float64(busy.Load())/(float64(el)*float64(w)))
+		utilization.With(op).Observe(float64(busy.Load()) / (float64(el) * float64(w)))
 	}
 }
 

@@ -284,7 +284,7 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine
 	clauses := cols.len()
 	cols.appendUnits(tpi)
 	res.FactorQueries++
-	obs.Default.Counter("probkb_ground_queries_total", obs.L("phase", "factors")).Add(int64(res.FactorQueries))
+	queriesTotal.With("factors").Add(int64(res.FactorQueries))
 	res.Factors = cols.table()
 	res.tphi = &factorState{tphi: res.Factors, clauses: clauses, watermark: ix.next, facts: tpi.NumRows()}
 	res.FactorTime = time.Since(start)

@@ -40,14 +40,17 @@ import (
 
 // Grounding metrics, accumulated across runs by every grounder
 // (batch, MPP, and the Tuffy baseline).
-func init() {
-	obs.Default.Help("probkb_ground_iterations_total", "Grounding closure iterations executed.")
-	obs.Default.Help("probkb_ground_facts_total", "New facts produced by grounding iterations.")
-	obs.Default.Help("probkb_ground_facts_deduped_total", "Candidate facts dropped as duplicates during merge.")
-	obs.Default.Help("probkb_ground_facts_deleted_total", "Facts removed by the constraint hook during grounding.")
-	obs.Default.Help("probkb_ground_queries_total", "Join queries issued, by grounding phase.")
-	obs.Default.Help("probkb_ground_partition_seconds", "Per-rule-partition batch query time, by phase.")
-}
+var (
+	iterationsTotal = obs.NewCounter("probkb_ground_iterations_total", "Grounding closure iterations executed.")
+	factsTotal      = obs.NewCounter("probkb_ground_facts_total", "New facts produced by grounding iterations.")
+	factsDeduped    = obs.NewCounter("probkb_ground_facts_deduped_total",
+		"Candidate facts dropped as duplicates during merge.")
+	factsDeleted = obs.NewCounter("probkb_ground_facts_deleted_total",
+		"Facts removed by the constraint hook during grounding.")
+	queriesTotal     = obs.NewCounterVec("probkb_ground_queries_total", "Join queries issued, by grounding phase.", "phase")
+	partitionSeconds = obs.NewHistogramVec("probkb_ground_partition_seconds",
+		"Per-rule-partition batch query time, by phase.", nil, "phase", "partition")
+)
 
 // ctxOf returns the options' tracing context, defaulting to background.
 func (o Options) ctxOf() context.Context {
@@ -59,11 +62,11 @@ func (o Options) ctxOf() context.Context {
 
 // observeIteration accumulates one closure iteration's counters.
 func observeIteration(st IterStats, deduped int) {
-	obs.Default.Counter("probkb_ground_iterations_total").Inc()
-	obs.Default.Counter("probkb_ground_facts_total").Add(int64(st.NewFacts))
-	obs.Default.Counter("probkb_ground_facts_deduped_total").Add(int64(deduped))
-	obs.Default.Counter("probkb_ground_facts_deleted_total").Add(int64(st.Deleted))
-	obs.Default.Counter("probkb_ground_queries_total", obs.L("phase", "atoms")).Add(int64(st.Queries))
+	iterationsTotal.Inc()
+	factsTotal.Add(int64(st.NewFacts))
+	factsDeduped.Add(int64(deduped))
+	factsDeleted.Add(int64(st.Deleted))
+	queriesTotal.With("atoms").Add(int64(st.Queries))
 }
 
 // partitionLabels are the partition label values P0..P<NumPartitions>,
@@ -77,9 +80,7 @@ var partitionLabels = func() (ls [mln.NumPartitions + 1]string) {
 
 // observePartition records one partition batch query's wall time.
 func observePartition(phase string, partition int, elapsed time.Duration) {
-	obs.Default.Histogram("probkb_ground_partition_seconds", nil,
-		obs.L("phase", phase), obs.L("partition", partitionLabels[partition])).
-		Observe(elapsed.Seconds())
+	partitionSeconds.With(phase, partitionLabels[partition]).Observe(elapsed.Seconds())
 }
 
 // Factor-table column indices (Definition 7): a row (I1, I2, I3, w) is a

@@ -163,7 +163,7 @@ func (g *MPPGrounder) run(phase string, plan engine.Node, capture bool) (*engine
 	if phase == "factors" {
 		query = "mpp-factors"
 	}
-	mpp.ObservePlan(query, dplan)
+	engine.ObservePlan(query, dplan)
 	prof := journal.QueryProfile{Query: query}
 	if capture {
 		prof.Plan = journal.Capture[mpp.Node](dplan)

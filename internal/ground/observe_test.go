@@ -27,7 +27,7 @@ func labelKind(label string) string {
 // TestPlanMetricsMatchCapturedPlans grounds one KB single-node and on
 // a two-segment cluster (with and without views) under a journal, then
 // checks that the operator and partition metrics moved exactly as the
-// by-name path recorded them: per op kind (derived from each captured
+// plans report them: per op kind (derived from each captured
 // node's label) the rows and the number of observed nodes, per
 // phase/partition the number of batch queries.
 func TestPlanMetricsMatchCapturedPlans(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"probkb/internal/obs"
 )
 
 // TestMarginalsContextCancel cancels the sampler mid-run (from the
@@ -80,7 +78,7 @@ func TestMarginalsContextCancelledBeforeStart(t *testing.T) {
 // does not keep its last in-flight value after the chain ends — neither
 // on completion nor on cancellation.
 func TestSamplesPerSecondGaugeResets(t *testing.T) {
-	gauge := obs.Default.Gauge("probkb_infer_samples_per_second")
+	gauge := samplesPerSecond
 	g := ringGraph(t, exactMaxVars+1, 0.5)
 	Marginals(g, Options{Burnin: 10, Samples: 200, Seed: 1})
 	if v := gauge.Value(); v != 0 {

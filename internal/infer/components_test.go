@@ -287,7 +287,7 @@ func TestExactPassCancelledMidway(t *testing.T) {
 // and divergence watchdogs to judge.
 func TestNothingToSampleIsHealthy(t *testing.T) {
 	g := ringGraph(t, exactMaxVars, 1.0, [4]any{exactMaxVars, exactMaxVars + 1, null, 1.0})
-	sweeps := obs.Default.Counter("probkb_infer_sweeps_total", obs.L("chain", "0"))
+	sweeps := sweepsTotal.With("0")
 	before := sweeps.Value()
 	stall := &obs.GibbsStallDetector{Health: obs.Gibbs}
 	stall.Check(time.Now())

@@ -30,7 +30,7 @@ func chainMarginalsContext(ctx context.Context, g *factor.Graph, opts Options) (
 			probs[v] = sigmoid(g.Bias(int32(v)))
 		}
 	}
-	collected, err := sample(ctx, g, g.Sampled(), probs, opts.withDefaults(), chain0)
+	collected, err := sample(ctx, g, g.Sampled(), probs, opts.withDefaults(), true)
 	if collected == 0 {
 		return nil, 0, err
 	}

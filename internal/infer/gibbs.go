@@ -36,39 +36,28 @@ import (
 	"probkb/internal/obs"
 )
 
-// chainFeed is the process-wide view of a whole-graph chain: its
-// cumulative sweep and flip counters and the live throughput gauge.
-// Together with obs.Gibbs (the watchdogs' chain-health singleton) it is
-// what MarginalsContext installs and query-time local sampling does not:
-// a point query's few-variable chain is neither "the chain" an operator
-// watches nor worth a mutex round-trip per sweep.
-type chainFeed struct {
-	sweeps *obs.Counter
-	flips  *obs.Counter
-	sps    *obs.Gauge
-	rhat   *obs.Gauge
-}
+// The chain feed: the process-wide view of a whole-graph chain, its
+// cumulative sweep and flip counters and the live throughput and R-hat
+// gauges. Together with obs.Gibbs (the watchdogs' chain-health
+// singleton) it is what MarginalsContext feeds and query-time local
+// sampling does not: a point query's few-variable chain is neither "the
+// chain" an operator watches nor worth a mutex round-trip per sweep.
+var (
+	sweepsTotal      = obs.NewCounterVec("probkb_infer_sweeps_total", "Gibbs sweeps executed, by chain.", "chain")
+	flipsTotal       = obs.NewCounterVec("probkb_infer_flips_total", "Variable value flips across Gibbs sweeps, by chain.", "chain")
+	samplesPerSecond = obs.NewGauge("probkb_infer_samples_per_second",
+		"Live variable-resample throughput of the running Gibbs chain.")
+	rhatMax = obs.NewGauge("probkb_infer_rhat_max",
+		"Worst split-chain Gelman-Rubin R-hat over the tracked variables at the running chain's latest checkpoint.")
+)
 
-func newChainFeed(chain int) *chainFeed {
-	label := obs.L("chain", strconv.Itoa(chain))
-	return &chainFeed{
-		sweeps: obs.Default.Counter("probkb_infer_sweeps_total", label),
-		flips:  obs.Default.Counter("probkb_infer_flips_total", label),
-		sps:    obs.Default.Gauge("probkb_infer_samples_per_second"),
-		rhat:   obs.Default.Gauge("probkb_infer_rhat_max"),
-	}
-}
-
-// chain0 is the feed of every single-chain run, resolved once;
-// MarginalsWithDiagnostics' numbered chains resolve theirs per run.
-var chain0 *chainFeed
-
+// The single-chain feed shows from process start, a chain 0 at rest:
+// probkb top prints its throughput as 0 before any chain has run.
 func init() {
-	obs.Default.Help("probkb_infer_sweeps_total", "Gibbs sweeps executed, by chain.")
-	obs.Default.Help("probkb_infer_flips_total", "Variable value flips across Gibbs sweeps, by chain.")
-	obs.Default.Help("probkb_infer_samples_per_second", "Live variable-resample throughput of the running Gibbs chain.")
-	obs.Default.Help("probkb_infer_rhat_max", "Worst split-chain Gelman-Rubin R-hat over the tracked variables at the running chain's latest checkpoint.")
-	chain0 = newChainFeed(0)
+	sweepsTotal.With("0")
+	flipsTotal.With("0")
+	samplesPerSecond.Set(0)
+	rhatMax.Set(0)
 }
 
 // SweepStats reports one Gibbs sweep's progress — the live view of a
@@ -150,21 +139,17 @@ func Marginals(g *factor.Graph, opts Options) []float64 {
 // or any sweep was collected, it returns nil and 0; after that, the
 // sampled marginals normalized over the sweeps actually collected.
 func MarginalsContext(ctx context.Context, g *factor.Graph, opts Options) ([]float64, int, error) {
-	feed := chain0
-	if opts.Chain != 0 {
-		feed = newChainFeed(opts.Chain)
-	}
-	return marginals(ctx, g, opts.withDefaults(), feed)
+	return marginals(ctx, g, opts.withDefaults(), true)
 }
 
 // marginals is the one inference routine, applied to a whole ground
 // graph by MarginalsContext and to one neighborhood by
-// LocalMarginalContext (feed nil): closed form, enumeration, then one
-// chain over whatever components exceed exactMaxVars. The enumeration
-// runs before the chain exists, so the watchdogs never see an active
-// chain whose sweep does not advance, and a run with nothing to sample
-// never touches the feed.
-func marginals(ctx context.Context, g *factor.Graph, opts Options, feed *chainFeed) ([]float64, int, error) {
+// LocalMarginalContext (without the chain feed): closed form,
+// enumeration, then one chain over whatever components exceed
+// exactMaxVars. The enumeration runs before the chain exists, so the
+// watchdogs never see an active chain whose sweep does not advance, and
+// a run with nothing to sample never touches the feed.
+func marginals(ctx context.Context, g *factor.Graph, opts Options, feed bool) ([]float64, int, error) {
 	if g.NumVars() == 0 {
 		return nil, 0, ctx.Err()
 	}
@@ -185,7 +170,7 @@ func marginals(ctx context.Context, g *factor.Graph, opts Options, feed *chainFe
 // sample runs one chain over sampled — whole components of g, ascending
 // — and overwrites their entries of probs with the estimates from the
 // sweeps it collected, whose number it returns.
-func sample(ctx context.Context, g *factor.Graph, sampled []int32, probs []float64, opts Options, feed *chainFeed) (int, error) {
+func sample(ctx context.Context, g *factor.Graph, sampled []int32, probs []float64, opts Options, feed bool) (int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	assign := make([]bool, g.NumVars())
 	for _, v := range sampled {
@@ -278,21 +263,22 @@ func sigmoid(x float64) float64 {
 
 // sweepObserver tracks per-sweep progress: flip counts (by diffing the
 // previous sweep's values of the sampled variables), the caller's
-// OnIteration callback, the process-wide chain feed when one is
-// installed, and — when OnCheckpoint is set — the convergence timeline
-// tracker. A run with none of the three has a nil observer and pays
-// nothing per sweep.
+// OnIteration callback, the chain feed under opts.Chain's label when the
+// run feeds it, and — when OnCheckpoint is set — the convergence
+// timeline tracker. A run with none of the three has a nil observer and
+// pays nothing per sweep.
 type sweepObserver struct {
 	sampled []int32
 	prev    []bool // prev[k] is sampled[k]'s value after the previous sweep
 	start   time.Time
 	opts    Options
-	feed    *chainFeed
 	tracker *tracker
+	// The chain's feed series; nil when the run does not feed it.
+	sweeps, flips *obs.Counter
 }
 
-func newSweepObserver(sampled []int32, assign []bool, opts Options, feed *chainFeed) *sweepObserver {
-	if feed == nil && opts.OnIteration == nil && opts.OnCheckpoint == nil {
+func newSweepObserver(sampled []int32, assign []bool, opts Options, feed bool) *sweepObserver {
+	if !feed && opts.OnIteration == nil && opts.OnCheckpoint == nil {
 		return nil
 	}
 	o := &sweepObserver{
@@ -300,7 +286,10 @@ func newSweepObserver(sampled []int32, assign []bool, opts Options, feed *chainF
 		prev:    make([]bool, len(sampled)),
 		start:   time.Now(),
 		opts:    opts,
-		feed:    feed,
+	}
+	if feed {
+		chain := strconv.Itoa(opts.Chain)
+		o.sweeps, o.flips = sweepsTotal.With(chain), flipsTotal.With(chain)
 	}
 	for k, v := range sampled {
 		o.prev[k] = assign[v]
@@ -328,10 +317,10 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		sps = float64(sweep*len(o.sampled)) / secs
 	}
-	if o.feed != nil {
-		o.feed.sweeps.Inc()
-		o.feed.flips.Add(int64(flips))
-		o.feed.sps.Set(sps)
+	if o.sweeps != nil {
+		o.sweeps.Inc()
+		o.flips.Add(int64(flips))
+		samplesPerSecond.Set(sps)
 		obs.Gibbs.ObserveSweep(sweep)
 	}
 	burnin := sweep <= o.opts.Burnin
@@ -360,9 +349,9 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 				Tracked:       o.tracker.diagnostics(),
 			}
 			cp.RHatMax, cp.ESSMin = summarize(cp.Tracked)
-			if o.feed != nil {
+			if o.sweeps != nil {
 				obs.Gibbs.ObserveRHat(cp.RHatMax)
-				o.feed.rhat.Set(cp.RHatMax)
+				rhatMax.Set(cp.RHatMax)
 			}
 			o.opts.OnCheckpoint(cp)
 		}
@@ -373,10 +362,10 @@ func (o *sweepObserver) observe(sweep int, assign []bool) {
 // or cancellation). It zeroes the samples-per-second gauge so a
 // finished run does not advertise its last in-flight rate forever.
 func (o *sweepObserver) finish() {
-	if o == nil || o.feed == nil {
+	if o == nil || o.sweeps == nil {
 		return
 	}
-	o.feed.sps.Set(0)
+	samplesPerSecond.Set(0)
 	obs.Gibbs.Done()
 }
 

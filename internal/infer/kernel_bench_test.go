@@ -154,7 +154,7 @@ func BenchmarkExactVsChain(b *testing.B) {
 		b.Run("n="+strconv.Itoa(n)+"/600sweeps", func(b *testing.B) {
 			probs := make([]float64, g.NumVars())
 			for i := 0; i < b.N; i++ {
-				if collected, _ := sample(context.Background(), g, g.Sampled(), probs, Options{Seed: 1}.withDefaults(), nil); collected != 500 {
+				if collected, _ := sample(context.Background(), g, g.Sampled(), probs, Options{Seed: 1}.withDefaults(), false); collected != 500 {
 					b.Fatalf("collected %d sweeps", collected)
 				}
 			}

@@ -46,7 +46,7 @@ func LocalMarginalContext(ctx context.Context, g *factor.Graph, target int32, ra
 	}
 	// No chain feed: a point query's chain must not pose as the
 	// process-wide one the watchdogs and the throughput gauge follow.
-	probs, collected, err := marginals(ctx, sub, opts.withDefaults(), nil)
+	probs, collected, err := marginals(ctx, sub, opts.withDefaults(), false)
 	res.Collected = collected
 	if collected > 0 {
 		res.Probability = probs[v]

@@ -37,14 +37,16 @@ import (
 	"probkb/internal/obs/journal"
 )
 
-func init() {
-	obs.Default.Help("probkb_ingest_facts_total", "Facts absorbed by the streaming-ingest pipeline.")
-	obs.Default.Help("probkb_ingest_batches_total", "Fact batches absorbed by the streaming-ingest pipeline.")
-	obs.Default.Help("probkb_ingest_refreshes_total", "Marginal refresh passes run by the streaming-ingest pipeline.")
-	obs.Default.Help("probkb_ingest_queue_depth", "Facts waiting in the ingest firehose queue.")
-	obs.Default.Help("probkb_ingest_staleness_batches", "Batches absorbed since the last marginal refresh.")
-	obs.Default.Help("probkb_ingest_absorb_seconds", "Wall time absorbing one ingest batch (delta grounding + publication).")
-}
+var (
+	factsTotal     = obs.NewCounter("probkb_ingest_facts_total", "Facts absorbed by the streaming-ingest pipeline.")
+	batchesTotal   = obs.NewCounter("probkb_ingest_batches_total", "Fact batches absorbed by the streaming-ingest pipeline.")
+	refreshesTotal = obs.NewCounter("probkb_ingest_refreshes_total",
+		"Marginal refresh passes run by the streaming-ingest pipeline.")
+	queueDepth     = obs.NewGauge("probkb_ingest_queue_depth", "Facts waiting in the ingest firehose queue.")
+	stalenessGauge = obs.NewGauge("probkb_ingest_staleness_batches", "Batches absorbed since the last marginal refresh.")
+	absorbSeconds  = obs.NewHistogram("probkb_ingest_absorb_seconds",
+		"Wall time absorbing one ingest batch (delta grounding + publication).", nil)
+)
 
 // Fact is one symbolic observed fact in the ingest stream, in its one
 // wire shape: a JSONL line of `probkb ingest` and an element of a POST
@@ -234,10 +236,10 @@ func (l *Lander) Land(ctx context.Context, batch []Fact, every int) (Ack, error)
 	ack.Batch = int(l.batches.Add(1))
 	ack.Facts = len(batch)
 	ack.StaleBatches = int(l.stale.Add(1))
-	obs.Default.Counter("probkb_ingest_facts_total").Add(int64(len(batch)))
-	obs.Default.Counter("probkb_ingest_batches_total").Inc()
-	obs.Default.Histogram("probkb_ingest_absorb_seconds", nil).Observe(elapsed.Seconds())
-	obs.Default.Gauge("probkb_ingest_staleness_batches").Set(float64(ack.StaleBatches))
+	factsTotal.Add(int64(len(batch)))
+	batchesTotal.Inc()
+	absorbSeconds.Observe(elapsed.Seconds())
+	stalenessGauge.Set(float64(ack.StaleBatches))
 	span.SetAttr("facts", len(batch))
 	span.SetAttr("added", ack.Added)
 	span.SetAttr("derived", ack.Derived)
@@ -288,8 +290,8 @@ func (l *Lander) refresh(ctx context.Context, afterBatch int) (uint64, error) {
 	}
 	l.refreshes.Add(1)
 	l.stale.Store(0)
-	obs.Default.Counter("probkb_ingest_refreshes_total").Inc()
-	obs.Default.Gauge("probkb_ingest_staleness_batches").Set(0)
+	refreshesTotal.Inc()
+	stalenessGauge.Set(0)
 	span.SetAttr("generation", int(gen))
 	l.jr.Emit(journal.TypeIngestRefresh, journal.IngestRefresh{
 		Batch:   afterBatch,
@@ -315,19 +317,16 @@ type Pipeline struct {
 	mu     sync.Mutex
 	closed bool
 	err    error
-
-	qdepth *obs.Gauge
 }
 
 // New builds a pipeline over the absorber; Start launches its writer.
 func New(a Absorber, cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	return &Pipeline{
-		cfg:    cfg,
-		land:   NewLander(a, cfg.Journal),
-		ch:     make(chan Fact, cfg.QueueDepth),
-		done:   make(chan struct{}),
-		qdepth: obs.Default.Gauge("probkb_ingest_queue_depth"),
+		cfg:  cfg,
+		land: NewLander(a, cfg.Journal),
+		ch:   make(chan Fact, cfg.QueueDepth),
+		done: make(chan struct{}),
 	}
 }
 
@@ -364,7 +363,7 @@ func (p *Pipeline) send(ctx context.Context, f Fact) error {
 	}
 	select {
 	case p.ch <- f:
-		p.qdepth.Set(float64(len(p.ch)))
+		queueDepth.Set(float64(len(p.ch)))
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -462,7 +461,7 @@ func (p *Pipeline) run(ctx context.Context) {
 			}
 		}
 		deadline.Stop()
-		p.qdepth.Set(float64(len(p.ch)))
+		queueDepth.Set(float64(len(p.ch)))
 
 		if !p.absorb(ctx, batch) {
 			return

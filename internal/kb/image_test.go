@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"probkb/internal/engine"
-	"probkb/internal/obs"
 )
 
 func tablesBuilt(name string) int64 {
-	return obs.Default.Counter("probkb_kb_image_tables_built_total", obs.L("table", name)).Value()
+	return imageTablesBuilt.With(name).Value()
 }
 
 // sameRows compares two tables by their full rendering.

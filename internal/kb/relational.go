@@ -8,9 +8,8 @@ import (
 	"probkb/internal/obs"
 )
 
-func init() {
-	obs.Default.Help("probkb_kb_image_tables_built_total", "Tables of a KB generation's relational image materialized on first SQL reference, by table.")
-}
+var imageTablesBuilt = obs.NewCounterVec("probkb_kb_image_tables_built_total",
+	"Tables of a KB generation's relational image materialized on first SQL reference, by table.", "table")
 
 // Column indices of the facts table TΠ (Definition 4 and Figure 3(a)).
 // Every module that touches TΠ uses these constants, so the layout is
@@ -211,7 +210,7 @@ func newImage(k *KB) *image {
 	recipes := make(map[string]func() (*engine.Table, error), 13)
 	put := func(name string, build func() (*engine.Table, error)) {
 		recipes[name] = func() (*engine.Table, error) {
-			obs.Default.Counter("probkb_kb_image_tables_built_total", obs.L("table", name)).Inc()
+			imageTablesBuilt.With(name).Inc()
 			return build()
 		}
 	}

@@ -13,10 +13,16 @@ import (
 // land in the run journal (segment_fault / segment_retry events) so
 // `probkb report` can show them; Canonicalize drops both types because
 // their interleaving with other events is scheduling-dependent.
-func init() {
-	obs.Default.Help("probkb_mpp_faults_injected_total", "Segment task faults injected by the active FaultPlan, by kind.")
-	obs.Default.Help("probkb_mpp_segment_retries_total", "Segment task retries after a failed attempt.")
-}
+var (
+	faultsInjected = obs.NewCounterVec("probkb_mpp_faults_injected_total",
+		"Segment task faults injected by the active FaultPlan, by kind.", "kind")
+	segmentRetries = obs.NewCounter("probkb_mpp_segment_retries_total",
+		"Segment task retries after a failed attempt.")
+)
+
+// SegmentRetries returns the segment task retries run in this process;
+// the server's retry-storm watchdog reads it.
+func SegmentRetries() int64 { return segmentRetries.Value() }
 
 // FaultPlan deterministically injects faults into segment task execution:
 // plain failures, worker panics (exercising the last-resort recover in
@@ -102,7 +108,7 @@ func (p *FaultPlan) draw(task int64, seg, attempt int) faultKind {
 
 // noteFault records one injected fault in the registry and the journal.
 func (c *Cluster) noteFault(task int64, seg, attempt int, kind faultKind) {
-	obs.Default.Counter("probkb_mpp_faults_injected_total", obs.L("kind", kind.String())).Inc()
+	faultsInjected.With(kind.String()).Inc()
 	c.jr.Emit(journal.TypeSegmentFault, journal.SegmentFault{
 		Task: task, Segment: seg, Attempt: attempt, Kind: kind.String(),
 	})
@@ -110,7 +116,7 @@ func (c *Cluster) noteFault(task int64, seg, attempt int, kind faultKind) {
 
 // noteRetry records one segment task re-execution.
 func (c *Cluster) noteRetry(task int64, seg, attempt int, cause error) {
-	obs.Default.Counter("probkb_mpp_segment_retries_total").Inc()
+	segmentRetries.Inc()
 	msg := ""
 	if cause != nil {
 		msg = cause.Error()

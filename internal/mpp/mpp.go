@@ -41,21 +41,16 @@ import (
 
 // Cluster metrics: per-segment task wall times (the skew view Figure 6
 // cares about) and motion volumes; see nodes.go for the motion side.
-func init() {
-	obs.Default.Help("probkb_mpp_segment_seconds", "Per-segment task wall time across distributed operators.")
-	obs.Default.Help("probkb_mpp_motion_rows_total", "Rows shipped across segments, by motion kind.")
-	obs.Default.Help("probkb_mpp_motion_bytes_total", "Bytes shipped across segments, by motion kind.")
-	obs.Default.Help("probkb_mpp_motion_bytes", "Per-motion shipped byte volume distribution.")
-}
-
-// ObservePlan records a just-run distributed plan into the default
-// registry under the given query site label; the distributed analogue of
-// engine.ObservePlan.
-func ObservePlan(query string, root Node) {
-	obs.Default.Histogram("probkb_engine_plan_seconds", nil, obs.L("query", query)).
-		Observe(engine.TotalTimeOf[Node](root).Seconds())
-	engine.ObserveTree[Node](root)
-}
+var (
+	segmentSeconds = obs.NewHistogramVec("probkb_mpp_segment_seconds",
+		"Per-segment task wall time across distributed operators.", nil, "segment")
+	motionRows = obs.NewCounterVec("probkb_mpp_motion_rows_total",
+		"Rows shipped across segments, by motion kind.", "motion")
+	motionBytesTotal = obs.NewCounterVec("probkb_mpp_motion_bytes_total",
+		"Bytes shipped across segments, by motion kind.", "motion")
+	motionBytes = obs.NewHistogramVec("probkb_mpp_motion_bytes",
+		"Per-motion shipped byte volume distribution.", obs.SizeBuckets, "motion")
+)
 
 // Cluster models a shared-nothing MPP database with a fixed segment count.
 //
@@ -416,8 +411,7 @@ func (c *Cluster) forEachSegment(f func(i int) error) ([]float64, int, error) {
 			errs[i] = err
 			retries.Add(int64(r))
 			secs[i] = time.Since(start).Seconds()
-			obs.Default.Histogram("probkb_mpp_segment_seconds", nil,
-				obs.L("segment", strconv.Itoa(i))).Observe(secs[i])
+			segmentSeconds.With(strconv.Itoa(i)).Observe(secs[i])
 		}(i)
 	}
 	wg.Wait()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"probkb/internal/engine"
-	"probkb/internal/obs"
 )
 
 // Node is one operator of a distributed query plan. As in the single-node
@@ -273,10 +272,9 @@ func (n *RedistributeNode) Run() (*DistTable, error) {
 // observeMotion accumulates one motion's shipped volume into the
 // registry (rows/bytes counters plus a byte-volume histogram).
 func observeMotion(kind string, rows int, bytes int64) {
-	obs.Default.Counter("probkb_mpp_motion_rows_total", obs.L("motion", kind)).Add(int64(rows))
-	obs.Default.Counter("probkb_mpp_motion_bytes_total", obs.L("motion", kind)).Add(bytes)
-	obs.Default.Histogram("probkb_mpp_motion_bytes", obs.SizeBuckets, obs.L("motion", kind)).
-		Observe(float64(bytes))
+	motionRows.With(kind).Add(int64(rows))
+	motionBytesTotal.With(kind).Add(bytes)
+	motionBytes.With(kind).Observe(float64(bytes))
 }
 
 // BroadcastNode replicates its input onto every segment. All rows ship to

@@ -2,10 +2,13 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -94,13 +97,20 @@ func NewIncidentStore(max int) *IncidentStore {
 	}
 }
 
+// incidentCapacity is how many incidents DefaultIncidents retains.
+const incidentCapacity = 32
+
+// crashDumpsKept bounds the crash-*.json files WriteCrashDump leaves in
+// its directory. It is the incident store's own capacity: a server
+// keeps as many crashes on disk as it keeps incidents in memory.
+const crashDumpsKept = incidentCapacity
+
 // DefaultIncidents is the process-wide store the server serves and the
 // watchdog runner opens incidents in.
-var DefaultIncidents = NewIncidentStore(32)
+var DefaultIncidents = NewIncidentStore(incidentCapacity)
 
-func init() {
-	Default.Help("probkb_incidents_total", "Incidents opened by watchdog detectors, by detector.")
-}
+var incidentsOpened = NewCounterVec("probkb_incidents_total",
+	"Incidents opened by watchdog detectors, by detector.", "detector")
 
 // SetJournal attaches the run journal incidents are emitted into
 // (typically the live expansion's *journal.Writer); nil detaches.
@@ -161,7 +171,7 @@ func (s *IncidentStore) Open(f Finding) *Incident {
 	s.ring.push(inc)
 	s.mu.Unlock()
 
-	Default.Counter("probkb_incidents_total", L("detector", f.Detector)).Inc()
+	incidentsOpened.With(f.Detector).Inc()
 	if jr != nil {
 		jr.Emit("incident", incidentEvent{
 			ID: inc.ID, Detector: inc.Detector, Summary: inc.Summary,
@@ -222,7 +232,8 @@ func goroutineDump() string {
 // timeline, active queries, metrics, goroutine dump — plus every
 // retained incident, and writes it as one JSON file under dir. Called
 // on panic and SIGQUIT so post-mortems survive the process; the path
-// written is returned.
+// written is returned. The file never replaces an earlier dump, and
+// only the newest crashDumpsKept crash-*.json files stay in dir.
 func (s *IncidentStore) WriteCrashDump(dir, reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -255,15 +266,50 @@ func (s *IncidentStore) WriteCrashDump(dir, reason string) (string, error) {
 		Incidents: s.List(),
 		Goroutine: goroutineDump(),
 	}
-	path := filepath.Join(dir, fmt.Sprintf("crash-%s-%s.json", ts.Format("20060102-150405"), sanitizeReason(reason)))
 	data, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
+	// Names sort oldest first: the second, then a sequence number that
+	// tells apart the dumps of one second (a server crash-looping under
+	// a supervisor writes several).
+	var path string
+	for seq := 0; ; seq++ {
+		path = filepath.Join(dir, fmt.Sprintf("crash-%s-%03d-%s.json",
+			ts.Format("20060102-150405"), seq, sanitizeReason(reason)))
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		_, err = f.Write(data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return "", err
+		}
+		break
 	}
-	return path, nil
+	return path, pruneCrashDumps(dir)
+}
+
+// pruneCrashDumps deletes all but the newest crashDumpsKept crash dumps
+// in dir.
+func pruneCrashDumps(dir string) error {
+	old, err := filepath.Glob(filepath.Join(dir, "crash-*.json"))
+	if err != nil || len(old) <= crashDumpsKept {
+		return err
+	}
+	sort.Strings(old)
+	for _, p := range old[:len(old)-crashDumpsKept] {
+		if err := os.Remove(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func sanitizeReason(r string) string {

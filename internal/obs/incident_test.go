@@ -46,7 +46,7 @@ func TestIncidentOpenCapturesContext(t *testing.T) {
 	flight.Note("journal", "iteration", "")
 	_, q := queries.Begin(context.Background(), "sql", "SELECT T.R FROM T")
 	defer queries.Finish(q)
-	s.Registry.Counter("probkb_test_total").Inc()
+	only[Counter](s.Registry.declare(kindCounter, "probkb_test_total", "test", nil, nil)).Inc()
 
 	inc := s.Open(Finding{
 		Detector: "stuck_query", Summary: "query q1 stuck",
@@ -156,6 +156,54 @@ func TestWriteCrashDump(t *testing.T) {
 	}
 	if !strings.Contains(dump.Goroutine, "goroutine") {
 		t.Error("dump goroutine stack missing")
+	}
+}
+
+// TestCrashDumpsNeverOverwrite: two crashes with one reason in one
+// second leave two dumps.
+func TestCrashDumpsNeverOverwrite(t *testing.T) {
+	s, _, _ := testIncidentStore(4)
+	s.setClock(func() time.Time { return t0 })
+	dir := t.TempDir()
+	a, errA := s.WriteCrashDump(dir, "panic")
+	b, errB := s.WriteCrashDump(dir, "panic")
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if a == b {
+		t.Fatalf("both dumps written to %s", a)
+	}
+	for _, p := range []string{a, b} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrashDumpsKeepNewest: 40 crashes leave the newest 32 dumps.
+func TestCrashDumpsKeepNewest(t *testing.T) {
+	s, _, _ := testIncidentStore(4)
+	dir := t.TempDir()
+	var paths []string
+	for i := 0; i < 40; i++ {
+		p, err := s.WriteCrashDump(dir, "SIGQUIT")
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "crash-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 32 {
+		t.Fatalf("%d dumps left, want 32", len(left))
+	}
+	for i, p := range paths {
+		_, err := os.Stat(p)
+		if kept := err == nil; kept != (i >= 8) {
+			t.Errorf("dump %d (%s): kept=%v", i, filepath.Base(p), kept)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Capture snapshots a just-run plan tree — single-node or distributed —
-// into the journal's PlanNode form. Like engine.ObserveTree it is
+// into the journal's PlanNode form. Like engine.ObservePlan it is
 // generic over the plan shape, so this package never imports mpp.
 func Capture[N engine.PlanLike[N]](root N) PlanNode {
 	st := root.Stats()

@@ -15,7 +15,8 @@
 //
 // Conventions: metric names are probkb_<area>_<what>[_total]; durations
 // are histograms in seconds over DurationBuckets; byte volumes use
-// SizeBuckets.
+// SizeBuckets. A metric's declaration checks the naming rules
+// (registry.go).
 package obs
 
 import "time"

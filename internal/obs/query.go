@@ -103,10 +103,8 @@ type QueryRegistry struct {
 // Queries is the process-wide registry the server uses.
 var Queries = &QueryRegistry{}
 
-func init() {
-	Default.Help("probkb_queries_in_flight", "Queries currently registered as in-flight (SQL, explain, expand).")
-	Default.Help("probkb_slow_queries_total", "Queries that crossed the slow-query threshold.")
-}
+var queriesInFlight = NewGauge("probkb_queries_in_flight",
+	"Queries currently registered as in-flight (SQL, explain, expand).")
 
 type queryCtxKey struct{}
 
@@ -127,9 +125,10 @@ func (r *QueryRegistry) Begin(ctx context.Context, kind, text string) (context.C
 		r.active = make(map[string]*ActiveQuery)
 	}
 	r.active[q.id] = q
-	n := len(r.active)
+	// Set under the lock: a Set after Unlock could land after a later
+	// call's and leave a stale count.
+	queriesInFlight.Set(float64(len(r.active)))
 	r.mu.Unlock()
-	Default.Gauge("probkb_queries_in_flight").Set(float64(n))
 	DefaultFlight.Record(FlightEvent{Kind: "query", Name: "begin " + kind, Detail: text, QueryID: q.id})
 	if sp := SpanFrom(ctx); sp != nil {
 		sp.SetAttr("query_id", q.id)
@@ -144,10 +143,9 @@ func (r *QueryRegistry) Finish(q *ActiveQuery) {
 	}
 	r.mu.Lock()
 	delete(r.active, q.id)
-	n := len(r.active)
+	queriesInFlight.Set(float64(len(r.active)))
 	r.mu.Unlock()
 	q.cancel()
-	Default.Gauge("probkb_queries_in_flight").Set(float64(n))
 	DefaultFlight.Record(FlightEvent{
 		Kind: "query", Name: "finish " + q.kind, QueryID: q.id, Dur: time.Since(q.start),
 	})

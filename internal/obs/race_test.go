@@ -12,6 +12,9 @@ import (
 // exists to fail under -race if any path loses its synchronization.
 func TestConcurrentRegistryAndSpans(t *testing.T) {
 	r := NewRegistry()
+	ops := &Vec[Counter]{r.declare(kindCounter, "probkb_race_ops_total", "ops", nil, []string{"worker"})}
+	depth := only[Gauge](r.declare(kindGauge, "probkb_race_depth", "depth", nil, nil))
+	latency := only[Histogram](r.declare(kindHistogram, "probkb_race_seconds", "latency", nil, nil))
 	tr := NewTracer(16)
 	const workers, iters = 8, 500
 
@@ -22,9 +25,9 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 			defer wg.Done()
 			ctx, root := StartSpanIn(context.Background(), tr, "worker")
 			for i := 0; i < iters; i++ {
-				r.Counter("race_ops_total", L("worker", "w")).Inc()
-				r.Gauge("race_depth").Add(1)
-				r.Histogram("race_seconds", nil).Observe(float64(i) * 1e-6)
+				ops.With("w").Inc()
+				depth.Add(1)
+				latency.Observe(float64(i) * 1e-6)
 				_, child := StartSpanIn(ctx, tr, "op")
 				child.SetAttr("i", i)
 				child.End()
@@ -45,10 +48,10 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := r.Counter("race_ops_total", L("worker", "w")).Value(); got != workers*iters {
+	if got := ops.With("w").Value(); got != workers*iters {
 		t.Fatalf("lost increments: %d, want %d", got, workers*iters)
 	}
-	if got := r.Histogram("race_seconds", nil).Count(); got != workers*iters {
+	if got := latency.Count(); got != workers*iters {
 		t.Fatalf("lost observations: %d, want %d", got, workers*iters)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -11,21 +12,34 @@ import (
 )
 
 // Metric families. A family owns every time series sharing one metric
-// name; series within a family differ only by label sets. Counters and
-// histograms are monotone; gauges move both ways. All operations are
-// safe for concurrent use — counters and gauges are single atomics,
-// histograms one atomic per bucket — so hot paths (per-operator timings,
-// per-sweep sampler stats) can record without contending on the
-// registry lock, which is taken only on first lookup.
+// name; series within a family differ only by label values. Each family
+// is declared once, at package level, by NewCounter, NewGauge or
+// NewHistogram (one series) or their Vec forms (one series per tuple of
+// label values). The declaration fixes the name, help text, label keys
+// and bucket bounds, and panics on a name already declared or one that
+// breaks the naming rules:
+//
+//   - names are probkb_-prefixed snake_case;
+//   - counters end in _total;
+//   - histograms end in a unit suffix: _seconds, _bytes or _ratio.
+//     Gauges are exempt: they carry a unit (probkb_go_heap_bytes), a
+//     plain count (probkb_queries_in_flight) or a dimensionless value
+//     (probkb_infer_rhat_max), and a suffix rule would only force worse
+//     names;
+//   - help text is non-empty;
+//   - label keys are snake_case starting with a letter.
+//
+// Declarations run at package init, so every binary that links a
+// metric checks it. A series appears in the exposition once something
+// has recorded into it (an unlabeled one) or asked for it (a label
+// tuple). All operations are safe for concurrent use — counters and
+// gauges are single atomics, histograms one atomic per bucket — and a
+// Vec's lookup of an existing tuple takes no lock.
 
-// Label is one key/value dimension of a time series.
-type Label struct {
-	Key   string
-	Value string
-}
-
-// L is shorthand for Label{k, v}.
-func L(k, v string) Label { return Label{Key: k, Value: v} }
+var (
+	nameRE  = regexp.MustCompile(`^probkb_[a-z0-9]+(_[a-z0-9]+)*$`)
+	labelRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+)
 
 type metricKind int
 
@@ -46,17 +60,29 @@ func (k metricKind) String() string {
 	}
 }
 
+// presence marks a series as recorded into; the exposition skips a
+// declared unlabeled series until then.
+type presence struct{ live atomic.Bool }
+
+func (p *presence) touch() {
+	if !p.live.Load() {
+		p.live.Store(true)
+	}
+}
+
 // Counter is a monotonically increasing count.
 type Counter struct {
+	presence
 	n atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add increases the counter by d; negative deltas are ignored (counters
 // are monotone by contract).
 func (c *Counter) Add(d int64) {
+	c.touch()
 	if d > 0 {
 		c.n.Add(d)
 	}
@@ -67,14 +93,19 @@ func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Gauge is a value that can move in both directions.
 type Gauge struct {
+	presence
 	bits atomic.Uint64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	g.touch()
+	g.bits.Store(math.Float64bits(v))
+}
 
 // Add adjusts the gauge by d.
 func (g *Gauge) Add(d float64) {
+	g.touch()
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + d)
@@ -91,6 +122,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // (upper bounds, ascending); observations above the last bound land in
 // the implicit +Inf bucket.
 type Histogram struct {
+	presence
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is +Inf
 	sumBits atomic.Uint64
@@ -99,6 +131,7 @@ type Histogram struct {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
+	h.touch()
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -131,27 +164,33 @@ var SizeBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
 }
 
-// family is every series of one metric name. mu guards help, bounds
-// and series; kind is settled by the first registrations but may race
-// with concurrent lookups otherwise. settled holds kind+1 once the
-// family has a series, after which the kind can no longer change: a
-// lookup whose kind matches it skips the lock-taking check.
+// family is every series of one metric name. Everything but series is
+// fixed at declaration.
 type family struct {
-	name string
+	name   string
+	help   string
+	kind   metricKind
+	keys   []string  // as declared: the order With takes values in
+	order  []int     // indexes into keys, in key order
+	bounds []float64 // histograms only
 
-	mu      sync.RWMutex
-	help    string
-	kind    metricKind
-	settled atomic.Int32
-	bounds  []float64 // histograms only
-	series  map[string]*series
+	// series maps a tuple's key — its one value, or its values in
+	// declared order joined by 0xff — to its series. The map is copied
+	// on write under mu, so a lookup takes no lock: a family holds a
+	// handful of series, and a new tuple is rare.
+	mu     sync.Mutex
+	series atomic.Pointer[map[string]*series]
 }
 
+// series is one series: its signature (k=v pairs in key order, joined
+// by commas: the exposition's sort key), its label pairs as the
+// exposition renders them, its Counter, Gauge or Histogram, and whether
+// it is shown.
 type series struct {
-	labels []Label
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	sig    string
+	labels string
+	metric any
+	live   *atomic.Bool
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -166,155 +205,168 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Default is the process-wide registry every instrumented package
-// records into.
+// Default is the process-wide registry every declaration registers in.
 var Default = NewRegistry()
 
-// Help sets the HELP string emitted for a metric name. It may be called
-// before or after the first series of that name exists.
-func (r *Registry) Help(name, help string) {
-	f := r.family(name, kindCounter, nil, false)
-	f.mu.Lock()
-	f.help = help
-	f.mu.Unlock()
-}
+// declare registers a family, panicking on a rule violation or a name
+// already declared in r.
+func (r *Registry) declare(kind metricKind, name, help string, bounds []float64, keys []string) *family {
+	fail := func(format string, args ...any) {
+		panic(fmt.Sprintf("obs: metric %q: ", name) + fmt.Sprintf(format, args...))
+	}
+	switch {
+	case !nameRE.MatchString(name):
+		fail("not probkb_-prefixed snake_case")
+	case kind == kindCounter && !strings.HasSuffix(name, "_total"):
+		fail("a counter's name must end in _total")
+	case kind == kindHistogram && !strings.HasSuffix(name, "_seconds") &&
+		!strings.HasSuffix(name, "_bytes") && !strings.HasSuffix(name, "_ratio"):
+		fail("a histogram's name must end in _seconds, _bytes or _ratio")
+	case help == "":
+		fail("no help text")
+	}
+	for _, k := range keys {
+		if !labelRE.MatchString(k) {
+			fail("label key %q is not snake_case starting with a letter", k)
+		}
+	}
+	if kind == kindHistogram && bounds == nil {
+		bounds = DurationBuckets
+	}
+	f := &family{name: name, help: help, kind: kind, bounds: bounds, keys: keys, order: make([]int, len(keys))}
+	f.series.Store(&map[string]*series{})
+	for i := range f.order {
+		f.order[i] = i
+	}
+	sort.Slice(f.order, func(a, b int) bool { return keys[f.order[a]] < keys[f.order[b]] })
 
-// family returns the family for name, creating it if absent. With create
-// set the call is a real registration: it fixes the family's kind (and,
-// first-come, histogram bounds); a name reused with a different kind
-// panics — that is a programming error, and silently coercing would
-// corrupt the exposition. Without create (Help on a not-yet-registered
-// metric) an empty placeholder is made whose kind the first real
-// registration settles.
-func (r *Registry) family(name string, kind metricKind, bounds []float64, create bool) *family {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		r.mu.Lock()
-		f = r.families[name]
-		if f == nil {
-			f = &family{name: name, kind: kind, bounds: bounds, series: make(map[string]*series)}
-			r.families[name] = f
-		}
-		r.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.families[name] != nil {
+		fail("declared twice")
 	}
-	if create && f.settled.Load() != int32(kind)+1 {
-		f.mu.Lock()
-		if len(f.series) > 0 && f.kind != kind {
-			k := f.kind
-			f.mu.Unlock()
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, k, kind))
-		}
-		f.kind = kind
-		if bounds != nil && f.bounds == nil {
-			f.bounds = bounds
-		}
-		f.mu.Unlock()
-	}
+	r.families[name] = f
 	return f
 }
 
-// maxFastLabels bounds the label sets a lookup can sign on the stack;
-// larger ones (none in this repository) take the allocating path.
-const maxFastLabels = 8
-
-// appendSignature appends the canonical key of a label set — pairs in
-// key order, k=v joined by commas — to dst, without reordering or
-// copying labels. It reports false for sets too large to order on the
-// stack.
-func appendSignature(dst []byte, labels []Label) ([]byte, bool) {
-	if len(labels) > maxFastLabels {
-		return dst, false
+// with returns the series for values, creating it on first use. A hit
+// is a map read keyed by the value itself, or by the values joined in a
+// stack buffer: it takes no lock and allocates nothing.
+func (f *family) with(values []string) *series {
+	if len(values) != len(f.keys) {
+		panic(fmt.Sprintf("obs: metric %q takes %d label values, got %d", f.name, len(f.keys), len(values)))
 	}
-	var order [maxFastLabels]uint8
-	for i := range labels {
-		j := i
-		for ; j > 0 && labels[order[j-1]].Key > labels[i].Key; j-- {
-			order[j] = order[j-1]
-		}
-		order[j] = uint8(i)
-	}
-	for i, o := range order[:len(labels)] {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, labels[o].Key...)
-		dst = append(dst, '=')
-		dst = append(dst, labels[o].Value...)
-	}
-	return dst, true
-}
-
-// signature renders a label set as a canonical key, sorting labels in
-// place; only get's miss path calls it, on its own copy.
-func signature(labels []Label) string {
-	sort.SliceStable(labels, func(a, b int) bool { return labels[a].Key < labels[b].Key })
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
-
-// get returns the series for labels. A hit signs the label set into a
-// stack buffer and looks it up under the read lock, allocating nothing;
-// only a miss copies and sorts the labels and inserts the series.
-func (f *family) get(labels []Label) *series {
-	var buf [128]byte
-	if sig, ok := appendSignature(buf[:0], labels); ok {
-		f.mu.RLock()
-		s := f.series[string(sig)]
-		f.mu.RUnlock()
-		if s != nil {
+	if len(values) == 1 {
+		if s := (*f.series.Load())[values[0]]; s != nil {
 			return s
 		}
+		return f.add(values[0], values)
 	}
-	owned := append([]Label(nil), labels...)
-	sig := signature(owned)
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0xff)
+		}
+		key = append(key, v...)
+	}
+	if s := (*f.series.Load())[string(key)]; s != nil {
+		return s
+	}
+	return f.add(string(key), values)
+}
+
+// add creates the series for values under key, unless a racing call
+// already has, and publishes it in a copy of the series map.
+func (f *family) add(key string, values []string) *series {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.series[sig]
-	if s == nil {
-		s = &series{labels: owned}
-		switch f.kind {
-		case kindCounter:
-			s.c = &Counter{}
-		case kindGauge:
-			s.g = &Gauge{}
-		case kindHistogram:
-			if f.bounds == nil {
-				f.bounds = DurationBuckets
-			}
-			s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
+	old := *f.series.Load()
+	if s := old[key]; s != nil {
+		return s
+	}
+	s := f.newSeries(values)
+	s.live.Store(true)
+	m := make(map[string]*series, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	m[key] = s
+	f.series.Store(&m)
+	return s
+}
+
+func (f *family) newSeries(values []string) *series {
+	var sig, labels strings.Builder
+	for i, o := range f.order {
+		if i > 0 {
+			sig.WriteByte(',')
+			labels.WriteByte(',')
 		}
-		f.series[sig] = s
-		f.settled.Store(int32(f.kind) + 1)
+		fmt.Fprintf(&sig, "%s=%s", f.keys[o], values[o])
+		fmt.Fprintf(&labels, `%s="%s"`, f.keys[o], escapeLabel(values[o]))
+	}
+	s := &series{sig: sig.String(), labels: labels.String()}
+	switch f.kind {
+	case kindCounter:
+		c := &Counter{}
+		s.metric, s.live = c, &c.live
+	case kindGauge:
+		g := &Gauge{}
+		s.metric, s.live = g, &g.live
+	case kindHistogram:
+		h := &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
+		s.metric, s.live = h, &h.live
 	}
 	return s
 }
 
-// Counter returns (creating if needed) the counter for name and labels.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	return r.family(name, kindCounter, nil, true).get(labels).c
+// Vec is a labeled family: With hands out one series per tuple of label
+// values, created on first use and cached in the family.
+type Vec[M Counter | Gauge | Histogram] struct{ f *family }
+
+// With returns the series for values, given in the order the label keys
+// were declared; a wrong number of values panics.
+func (v *Vec[M]) With(values ...string) *M { return v.f.with(values).metric.(*M) }
+
+// only creates an unlabeled family's one series, hidden until something
+// records into it, and returns it.
+func only[M Counter | Gauge | Histogram](f *family) *M {
+	s := f.newSeries(nil)
+	f.series.Store(&map[string]*series{"": s})
+	return s.metric.(*M)
 }
 
-// Gauge returns (creating if needed) the gauge for name and labels.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return r.family(name, kindGauge, nil, true).get(labels).g
+// NewCounter declares an unlabeled counter in Default.
+func NewCounter(name, help string) *Counter {
+	return only[Counter](Default.declare(kindCounter, name, help, nil, nil))
 }
 
-// Histogram returns (creating if needed) the histogram for name and
-// labels. buckets fixes the bounds on first creation; nil means
-// DurationBuckets. All series of one name share the bounds declared
-// first.
-func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	return r.family(name, kindHistogram, buckets, true).get(labels).h
+// NewGauge declares an unlabeled gauge in Default.
+func NewGauge(name, help string) *Gauge {
+	return only[Gauge](Default.declare(kindGauge, name, help, nil, nil))
+}
+
+// NewHistogram declares an unlabeled histogram in Default; nil bounds
+// mean DurationBuckets.
+func NewHistogram(name, help string, bounds []float64) *Histogram {
+	return only[Histogram](Default.declare(kindHistogram, name, help, bounds, nil))
+}
+
+// NewCounterVec declares a counter family labeled by keys in Default.
+func NewCounterVec(name, help string, keys ...string) *Vec[Counter] {
+	return &Vec[Counter]{Default.declare(kindCounter, name, help, nil, keys)}
+}
+
+// NewGaugeVec declares a gauge family labeled by keys in Default.
+func NewGaugeVec(name, help string, keys ...string) *Vec[Gauge] {
+	return &Vec[Gauge]{Default.declare(kindGauge, name, help, nil, keys)}
+}
+
+// NewHistogramVec declares a histogram family labeled by keys in
+// Default; nil bounds mean DurationBuckets.
+func NewHistogramVec(name, help string, bounds []float64, keys ...string) *Vec[Histogram] {
+	return &Vec[Histogram]{Default.declare(kindHistogram, name, help, bounds, keys)}
 }
 
 // escapeLabel escapes a label value for the exposition format.
@@ -324,28 +376,16 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// formatLabels renders {k="v",...}; extra (e.g. the le bound) is
-// appended last. Empty input renders as "".
-func formatLabels(labels []Label, extra string) string {
-	if len(labels) == 0 && extra == "" {
+// formatLabels renders {labels}; extra (e.g. the le bound) is appended
+// last. Empty input renders as "".
+func formatLabels(labels, extra string) string {
+	if labels != "" && extra != "" {
+		labels += ","
+	}
+	if labels += extra; labels == "" {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s="%s"`, l.Key, escapeLabel(l.Value))
-	}
-	if extra != "" {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + labels + "}"
 }
 
 func formatFloat(v float64) string {
@@ -355,55 +395,50 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// shown returns f's series that are shown, in signature order.
+func (f *family) shown() []*series {
+	var all []*series
+	for _, s := range *f.series.Load() {
+		if s.live.Load() {
+			all = append(all, s)
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].sig < all[b].sig })
+	return all
+}
+
+// sortedFamilies returns r's families in name order.
+func (r *Registry) sortedFamilies() []*family {
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
+	return fams
+}
+
 // WritePrometheus renders every family in the text exposition format,
 // families and series in deterministic (sorted) order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.RUnlock()
-
-	for _, f := range fams {
-		f.mu.Lock()
-		help, kind := f.help, f.kind
-		sigs := make([]string, 0, len(f.series))
-		for s := range f.series {
-			sigs = append(sigs, s)
-		}
-		sort.Strings(sigs)
-		all := make([]*series, 0, len(sigs))
-		for _, s := range sigs {
-			all = append(all, f.series[s])
-		}
-		f.mu.Unlock()
+	for _, f := range r.sortedFamilies() {
+		all := f.shown()
 		if len(all) == 0 {
 			continue
 		}
-
-		if help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, kind); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
 		for _, s := range all {
 			var err error
-			switch kind {
-			case kindCounter:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, formatLabels(s.labels, ""), s.c.Value())
-			case kindGauge:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, formatLabels(s.labels, ""), formatFloat(s.g.Value()))
-			case kindHistogram:
-				err = writeHistogram(w, f.name, s)
+			switch m := s.metric.(type) {
+			case *Counter:
+				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, formatLabels(s.labels, ""), m.Value())
+			case *Gauge:
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, formatLabels(s.labels, ""), formatFloat(m.Value()))
+			case *Histogram:
+				err = writeHistogram(w, f.name, s.labels, m)
 			}
 			if err != nil {
 				return err
@@ -413,77 +448,44 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeHistogram(w io.Writer, name string, s *series) error {
+func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	var cum int64
-	for i, bound := range s.h.bounds {
-		cum += s.h.counts[i].Load()
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
 		le := fmt.Sprintf(`le="%s"`, formatFloat(bound))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, formatLabels(s.labels, le), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, formatLabels(labels, le), cum); err != nil {
 			return err
 		}
 	}
-	cum += s.h.counts[len(s.h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, formatLabels(s.labels, `le="+Inf"`), cum); err != nil {
+	cum += h.counts[len(h.bounds)].Load()
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, formatLabels(labels, `le="+Inf"`), cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, formatLabels(s.labels, ""), s.h.Sum()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, formatLabels(labels, ""), h.Sum()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, formatLabels(s.labels, ""), s.h.Count())
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, formatLabels(labels, ""), h.Count())
 	return err
-}
-
-// Sum returns the total over every series of one counter or gauge
-// family (0 when the name is unknown). Watchdog detectors use it to
-// read label-split counters as one number.
-func (r *Registry) Sum(name string) float64 {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		return 0
-	}
-	var total float64
-	f.mu.Lock()
-	for _, s := range f.series {
-		switch f.kind {
-		case kindCounter:
-			total += float64(s.c.Value())
-		case kindGauge:
-			total += s.g.Value()
-		}
-	}
-	f.mu.Unlock()
-	return total
 }
 
 // Snapshot returns every scalar value keyed by name{labels}. Counters
 // and gauges appear under their name; histograms contribute name_sum and
-// name_count. Tests assert against this instead of parsing exposition
-// text.
+// name_count. Tests and incident captures read values through it.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		for _, s := range f.series {
-			key := f.name + formatLabels(s.labels, "")
-			switch f.kind {
-			case kindCounter:
-				out[key] = float64(s.c.Value())
-			case kindGauge:
-				out[key] = s.g.Value()
-			case kindHistogram:
-				out[f.name+"_sum"+formatLabels(s.labels, "")] = s.h.Sum()
-				out[f.name+"_count"+formatLabels(s.labels, "")] = float64(s.h.Count())
+	for _, f := range r.sortedFamilies() {
+		for _, s := range f.shown() {
+			labels := formatLabels(s.labels, "")
+			switch m := s.metric.(type) {
+			case *Counter:
+				out[f.name+labels] = float64(m.Value())
+			case *Gauge:
+				out[f.name+labels] = m.Value()
+			case *Histogram:
+				out[f.name+"_sum"+labels] = m.Sum()
+				out[f.name+"_count"+labels] = float64(m.Count())
 			}
 		}
-		f.mu.Unlock()
 	}
 	return out
 }

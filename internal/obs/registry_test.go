@@ -8,11 +8,11 @@ import (
 
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Help("test_requests_total", "requests served")
-	r.Counter("test_requests_total", L("path", "/facts")).Add(3)
-	r.Counter("test_requests_total", L("path", "/stats")).Inc()
-	r.Gauge("test_in_flight").Set(2)
-	r.Gauge("test_temperature").Set(36.6)
+	requests := &Vec[Counter]{r.declare(kindCounter, "probkb_test_requests_total", "requests served", nil, []string{"path"})}
+	requests.With("/facts").Add(3)
+	requests.With("/stats").Inc()
+	only[Gauge](r.declare(kindGauge, "probkb_test_in_flight", "in flight", nil, nil)).Set(2)
+	only[Gauge](r.declare(kindGauge, "probkb_test_temperature", "temperature", nil, nil)).Set(36.6)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -20,13 +20,13 @@ func TestCounterGaugeExposition(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP test_requests_total requests served\n",
-		"# TYPE test_requests_total counter\n",
-		`test_requests_total{path="/facts"} 3` + "\n",
-		`test_requests_total{path="/stats"} 1` + "\n",
-		"# TYPE test_in_flight gauge\n",
-		"test_in_flight 2\n",
-		"test_temperature 36.6\n",
+		"# HELP probkb_test_requests_total requests served\n",
+		"# TYPE probkb_test_requests_total counter\n",
+		`probkb_test_requests_total{path="/facts"} 3` + "\n",
+		`probkb_test_requests_total{path="/stats"} 1` + "\n",
+		"# TYPE probkb_test_in_flight gauge\n",
+		"probkb_test_in_flight 2\n",
+		"probkb_test_temperature 36.6\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -36,7 +36,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", []float64{0.1, 1, 10})
+	h := only[Histogram](r.declare(kindHistogram, "probkb_test_latency_seconds", "latency", []float64{0.1, 1, 10}, nil))
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -46,13 +46,13 @@ func TestHistogramExposition(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE test_latency_seconds histogram\n",
-		`test_latency_seconds_bucket{le="0.1"} 1` + "\n",
-		`test_latency_seconds_bucket{le="1"} 3` + "\n",
-		`test_latency_seconds_bucket{le="10"} 4` + "\n",
-		`test_latency_seconds_bucket{le="+Inf"} 5` + "\n",
-		"test_latency_seconds_sum 56.05\n",
-		"test_latency_seconds_count 5\n",
+		"# TYPE probkb_test_latency_seconds histogram\n",
+		`probkb_test_latency_seconds_bucket{le="0.1"} 1` + "\n",
+		`probkb_test_latency_seconds_bucket{le="1"} 3` + "\n",
+		`probkb_test_latency_seconds_bucket{le="10"} 4` + "\n",
+		`probkb_test_latency_seconds_bucket{le="+Inf"} 5` + "\n",
+		"probkb_test_latency_seconds_sum 56.05\n",
+		"probkb_test_latency_seconds_count 5\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -62,12 +62,12 @@ func TestHistogramExposition(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_esc_total", L("q", "a\"b\\c\nd")).Inc()
+	(&Vec[Counter]{r.declare(kindCounter, "probkb_test_esc_total", "escapes", nil, []string{"q"})}).With("a\"b\\c\nd").Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `test_esc_total{q="a\"b\\c\nd"} 1`
+	want := `probkb_test_esc_total{q="a\"b\\c\nd"} 1`
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("escaping: missing %q in:\n%s", want, b.String())
 	}
@@ -75,40 +75,64 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_c_total").Add(7)
-	r.Gauge("test_g", L("k", "v")).Set(1.5)
-	r.Histogram("test_h", []float64{1}).Observe(0.5)
+	only[Counter](r.declare(kindCounter, "probkb_test_c_total", "c", nil, nil)).Add(7)
+	(&Vec[Gauge]{r.declare(kindGauge, "probkb_test_g", "g", nil, []string{"k"})}).With("v").Set(1.5)
+	only[Histogram](r.declare(kindHistogram, "probkb_test_h_seconds", "h", []float64{1}, nil)).Observe(0.5)
 
 	snap := r.Snapshot()
-	if snap["test_c_total"] != 7 {
-		t.Errorf("counter snapshot = %v, want 7", snap["test_c_total"])
+	if snap["probkb_test_c_total"] != 7 {
+		t.Errorf("counter snapshot = %v, want 7", snap["probkb_test_c_total"])
 	}
-	if snap[`test_g{k="v"}`] != 1.5 {
-		t.Errorf("gauge snapshot = %v, want 1.5", snap[`test_g{k="v"}`])
+	if snap[`probkb_test_g{k="v"}`] != 1.5 {
+		t.Errorf("gauge snapshot = %v, want 1.5", snap[`probkb_test_g{k="v"}`])
 	}
-	if snap["test_h_count"] != 1 || snap["test_h_sum"] != 0.5 {
+	if snap["probkb_test_h_seconds_count"] != 1 || snap["probkb_test_h_seconds_sum"] != 0.5 {
 		t.Errorf("histogram snapshot = count %v sum %v, want 1 / 0.5",
-			snap["test_h_count"], snap["test_h_sum"])
+			snap["probkb_test_h_seconds_count"], snap["probkb_test_h_seconds_sum"])
+	}
+}
+
+// TestSeriesAppearOnFirstUse: an unlabeled series is hidden until
+// something records into it, even a zero; a label tuple shows once
+// asked for.
+func TestSeriesAppearOnFirstUse(t *testing.T) {
+	r := NewRegistry()
+	c := only[Counter](r.declare(kindCounter, "probkb_test_lazy_total", "lazy", nil, nil))
+	v := &Vec[Histogram]{r.declare(kindHistogram, "probkb_test_lazy_seconds", "lazy", nil, []string{"op"})}
+	if snap := r.Snapshot(); len(snap) != 0 {
+		t.Fatalf("declared families show before any use: %v", snap)
+	}
+	c.Add(0)
+	v.With("scan")
+	snap := r.Snapshot()
+	if _, ok := snap["probkb_test_lazy_total"]; !ok || len(snap) != 3 {
+		t.Fatalf("snapshot after first use = %v, want the counter and one histogram series", snap)
+	}
+	if _, ok := snap[`probkb_test_lazy_seconds_count{op="scan"}`]; !ok {
+		t.Fatalf("label tuple asked for does not show: %v", snap)
 	}
 }
 
 func TestSameSeriesIsSameInstance(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("test_same_total", L("x", "1"), L("y", "2"))
-	b := r.Counter("test_same_total", L("y", "2"), L("x", "1")) // label order is irrelevant
+	v := &Vec[Counter]{r.declare(kindCounter, "probkb_test_same_total", "same", nil, []string{"x", "y"})}
+	a, b := v.With("1", "2"), v.With("1", "2")
 	a.Inc()
 	b.Inc()
 	if a != b {
-		t.Fatal("same name+labels produced distinct counters")
+		t.Fatal("same label values produced distinct counters")
 	}
 	if a.Value() != 2 {
 		t.Fatalf("value = %d, want 2", a.Value())
+	}
+	if v.With("2", "1") == a {
+		t.Fatal("swapped label values share a series")
 	}
 }
 
 func TestCounterIgnoresNegative(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_mono_total")
+	c := only[Counter](r.declare(kindCounter, "probkb_test_mono_total", "mono", nil, nil))
 	c.Add(5)
 	c.Add(-3)
 	if c.Value() != 5 {
@@ -116,100 +140,113 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	}
 }
 
-// TestLookupOfExistingSeriesAllocatesNothing: once a series exists, a
-// by-name lookup with 0, 1 or 2 labels is a signature on the stack and
-// a map read — no label copy, no sort, no string built.
+// TestLookupOfExistingSeriesAllocatesNothing: once a tuple's series
+// exists, With is a signature on the stack and a map read.
 func TestLookupOfExistingSeriesAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_alloc_total")
-	r.Histogram("test_alloc_seconds", nil, L("op", "scan"))
-	r.Gauge("test_alloc_gauge", L("phase", "atoms"), L("partition", "P3"))
-	for name, lookup := range map[string]func(){
-		"0 labels": func() { r.Counter("test_alloc_total").Inc() },
-		"1 label":  func() { r.Histogram("test_alloc_seconds", nil, L("op", "scan")).Observe(1e-3) },
-		"2 labels": func() { r.Gauge("test_alloc_gauge", L("partition", "P3"), L("phase", "atoms")).Set(1) },
+	c := only[Counter](r.declare(kindCounter, "probkb_test_alloc_total", "alloc", nil, nil))
+	h := &Vec[Histogram]{r.declare(kindHistogram, "probkb_test_alloc_seconds", "alloc", nil, []string{"op"})}
+	g := &Vec[Gauge]{r.declare(kindGauge, "probkb_test_alloc_gauge", "alloc", nil, []string{"phase", "partition"})}
+	h.With("scan")
+	g.With("atoms", "P3")
+	for name, record := range map[string]func(){
+		"0 labels": func() { c.Inc() },
+		"1 label":  func() { h.With("scan").Observe(1e-3) },
+		"2 labels": func() { g.With("atoms", "P3").Set(1) },
 	} {
-		if n := testing.AllocsPerRun(100, lookup); n != 0 {
-			t.Errorf("%s: %v allocs per lookup, want 0", name, n)
+		if n := testing.AllocsPerRun(100, record); n != 0 {
+			t.Errorf("%s: %v allocs per record, want 0", name, n)
 		}
 	}
 }
 
-// TestUnsortedLabelsShareTheSortedSeries: the stack-signed lookup and
-// the sorting miss path key a label set identically, whatever the order
-// the caller passes it in.
+// TestUnsortedLabelsShareTheSortedSeries: With takes values in declared
+// key order; the series renders its pairs in key order.
 func TestUnsortedLabelsShareTheSortedSeries(t *testing.T) {
 	r := NewRegistry()
-	sorted := r.Histogram("test_order_seconds", nil, L("a", "1"), L("b", "2"), L("c", "3"))
-	for _, labels := range [][]Label{
-		{L("c", "3"), L("b", "2"), L("a", "1")},
-		{L("b", "2"), L("a", "1"), L("c", "3")},
-		{L("a", "1"), L("c", "3"), L("b", "2")},
-	} {
-		if got := r.Histogram("test_order_seconds", nil, labels...); got != sorted {
-			t.Errorf("labels %v: distinct series from the sorted set", labels)
-		}
-	}
-	// The caller's slice is not reordered.
-	labels := []Label{L("z", "1"), L("a", "2")}
-	r.Counter("test_order_total", labels...)
-	r.Counter("test_order_total", labels...)
-	if labels[0].Key != "z" {
-		t.Errorf("lookup reordered the caller's labels: %v", labels)
-	}
-	if n := len(r.Snapshot()); n != 3 { // the histogram's _sum and _count, the counter
-		t.Errorf("snapshot has %d keys, want 3: %v", n, r.Snapshot())
+	v := &Vec[Counter]{r.declare(kindCounter, "probkb_test_order_total", "order", nil, []string{"path", "code"})}
+	v.With("/facts", "200").Inc()
+	if got := r.Snapshot()[`probkb_test_order_total{code="200",path="/facts"}`]; got != 1 {
+		t.Fatalf("snapshot = %v, want the pairs in key order", r.Snapshot())
 	}
 }
 
-// TestKindMismatchPanicsAfterFastPath: a family whose kind is settled
-// still refuses a lookup as another kind.
-func TestKindMismatchPanicsAfterFastPath(t *testing.T) {
+// TestWithWrongArityPanics: a recording site passing the wrong number
+// of label values is a programming error.
+func TestWithWrongArityPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_kind_total", L("op", "x")).Inc()
-	r.Counter("test_kind_total", L("op", "x")).Inc() // settled: fast path
-	for kind, lookup := range map[string]func(){
-		"gauge":     func() { r.Gauge("test_kind_total", L("op", "x")) },
-		"histogram": func() { r.Histogram("test_kind_total", nil, L("op", "y")) },
+	v := &Vec[Counter]{r.declare(kindCounter, "probkb_test_arity_total", "arity", nil, []string{"a", "b"})}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("With of one value for two keys did not panic")
+		}
+	}()
+	v.With("x")
+}
+
+// TestDeclarationRules: each naming rule is checked when a family is
+// declared. Every case breaks exactly one rule, so removing a check
+// fails its case.
+func TestDeclarationRules(t *testing.T) {
+	for _, tc := range []struct {
+		rule    string
+		declare func()
+	}{
+		{"name is probkb_ snake_case", func() { NewCounter("probkb_Rules_total", "h") }},
+		{"name has the probkb_ prefix", func() { NewGauge("rules_queue_depth", "h") }},
+		{"counter ends in _total", func() { NewCounter("probkb_rules_requests", "h") }},
+		{"histogram ends in a unit suffix", func() { NewHistogram("probkb_rules_latency_ms", "h", nil) }},
+		{"labeled histogram ends in a unit suffix", func() { NewHistogramVec("probkb_rules_size", "h", nil, "op") }},
+		{"help is non-empty", func() { NewCounter("probkb_rules_helpless_total", "") }},
+		{"label keys are snake_case", func() { NewCounterVec("probkb_rules_keys_total", "h", "Path") }},
+		{"label keys start with a letter", func() { NewGaugeVec("probkb_rules_keys", "h", "9lives") }},
+		{"a name is declared once", func() {
+			NewCounter("probkb_rules_twice_total", "h")
+			NewCounter("probkb_rules_twice_total", "h")
+		}},
 	} {
-		func() {
+		t.Run(tc.rule, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("counter looked up as %s did not panic", kind)
+					t.Fatal("declaration did not panic")
 				}
 			}()
-			lookup()
-		}()
+			tc.declare()
+		})
 	}
+	// Gauges are exempt from the unit-suffix rule.
+	NewGauge("probkb_rules_queue_depth", "h")
 }
 
-// TestConcurrentLookupsOfOneFamily: lookups racing the first creation
-// of a family's series, and each other, land on one series per label
-// set and lose no update (run under -race).
+// TestConcurrentLookupsOfOneFamily: With racing the first creation of a
+// tuple's series, and each other, lands on one series per tuple and
+// loses no update (run under -race).
 func TestConcurrentLookupsOfOneFamily(t *testing.T) {
 	r := NewRegistry()
+	c := &Vec[Counter]{r.declare(kindCounter, "probkb_test_conc_total", "conc", nil, []string{"op"})}
+	h := &Vec[Histogram]{r.declare(kindHistogram, "probkb_test_conc_seconds", "conc", nil, []string{"op", "worker"})}
 	const workers, iters = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				op := L("op", []string{"scan", "join", "filter"}[i%3])
-				r.Counter("test_conc_total", op).Inc()
-				r.Histogram("test_conc_seconds", nil, op, L("worker", "w")).Observe(1e-4)
+				op := []string{"scan", "join", "filter"}[i%3]
+				c.With(op).Inc()
+				h.With(op, "w").Observe(1e-4)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	var total int64
 	for _, op := range []string{"scan", "join", "filter"} {
-		total += r.Counter("test_conc_total", L("op", op)).Value()
+		total += c.With(op).Value()
 	}
 	if total != workers*iters {
 		t.Errorf("counter total %d, want %d", total, workers*iters)
 	}
-	if got := r.Histogram("test_conc_seconds", nil, L("worker", "w"), L("op", "join")).Count(); got == 0 {
+	if got := h.With("join", "w").Count(); got == 0 {
 		t.Error("histogram series lost its observations")
 	}
 }

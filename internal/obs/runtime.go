@@ -14,6 +14,16 @@ import (
 var runtimeMu sync.Mutex
 var lastNumGC uint32
 
+var (
+	goroutines = NewGauge("probkb_go_goroutines", "Number of live goroutines.")
+	heapBytes  = NewGauge("probkb_go_heap_bytes",
+		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).")
+	// Keyless, so that each scrape asks for its one series and it shows
+	// from the first scrape on, before any pause is observed.
+	gcPauses  = NewHistogramVec("probkb_go_gc_pause_seconds", "Stop-the-world GC pause durations.", DurationBuckets)
+	buildInfo = NewGaugeVec("probkb_build_info", "Build metadata; the value is always 1.", "goversion", "version")
+)
+
 // UpdateRuntimeMetrics refreshes the runtime gauges in the default
 // registry and feeds GC pauses observed since the previous call into
 // the pause histogram.
@@ -21,18 +31,15 @@ func UpdateRuntimeMetrics() {
 	runtimeMu.Lock()
 	defer runtimeMu.Unlock()
 
-	Default.Help("probkb_go_goroutines", "Number of live goroutines.")
-	Default.Gauge("probkb_go_goroutines").Set(float64(runtime.NumGoroutine()))
+	goroutines.Set(float64(runtime.NumGoroutine()))
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	Default.Help("probkb_go_heap_bytes", "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).")
-	Default.Gauge("probkb_go_heap_bytes").Set(float64(ms.HeapAlloc))
+	heapBytes.Set(float64(ms.HeapAlloc))
 
 	// MemStats keeps the last 256 pause durations in a ring indexed by
 	// NumGC; replay the ones that happened since the previous scrape.
-	Default.Help("probkb_go_gc_pause_seconds", "Stop-the-world GC pause durations.")
-	h := Default.Histogram("probkb_go_gc_pause_seconds", DurationBuckets)
+	h := gcPauses.With()
 	n := ms.NumGC
 	missed := n - lastNumGC
 	if missed > uint32(len(ms.PauseNs)) {
@@ -43,8 +50,7 @@ func UpdateRuntimeMetrics() {
 	}
 	lastNumGC = n
 
-	Default.Help("probkb_build_info", "Build metadata; the value is always 1.")
-	Default.Gauge("probkb_build_info", L("goversion", runtime.Version()), L("version", buildVersion())).Set(1)
+	buildInfo.With(runtime.Version(), buildVersion()).Set(1)
 }
 
 // buildVersion extracts the main module version from the embedded build

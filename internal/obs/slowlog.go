@@ -31,6 +31,8 @@ type SlowLog struct {
 	ring      ring[SlowQuery]
 }
 
+var slowQueries = NewCounter("probkb_slow_queries_total", "Queries that crossed the slow-query threshold.")
+
 // DefaultSlowLog is the process-wide slow-query log (threshold off
 // until SetThreshold; the server's -slow flag sets it).
 var DefaultSlowLog = NewSlowLog(128)
@@ -78,7 +80,7 @@ func (l *SlowLog) Note(ctx context.Context, q SlowQuery) bool {
 	}
 	l.ring.push(q)
 	l.mu.Unlock()
-	Default.Counter("probkb_slow_queries_total").Inc()
+	slowQueries.Inc()
 	Log(ctx).Warn("slow query",
 		"query_id", q.ID, "kind", q.Kind, "elapsed", q.Elapsed.String(),
 		"query", q.Text, "plan", q.Plan)

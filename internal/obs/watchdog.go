@@ -91,10 +91,11 @@ func NewRunner(interval time.Duration) *Runner {
 	return &Runner{interval: interval, now: time.Now}
 }
 
-func init() {
-	Default.Help("probkb_watchdog_ticks_total", "Watchdog evaluation rounds run.")
-	Default.Help("probkb_watchdog_findings_total", "Watchdog detector firings, by detector.")
-}
+var (
+	watchdogTicks    = NewCounter("probkb_watchdog_ticks_total", "Watchdog evaluation rounds run.")
+	watchdogFindings = NewCounterVec("probkb_watchdog_findings_total",
+		"Watchdog detector firings, by detector.", "detector")
+)
 
 // Add registers a detector under the given hysteresis.
 func (r *Runner) Add(d Detector, h Hysteresis) *Runner {
@@ -108,7 +109,7 @@ func (r *Runner) Add(d Detector, h Hysteresis) *Runner {
 // the runner goroutine calls it each interval; tests call it directly
 // with synthetic times.
 func (r *Runner) Tick(now time.Time) {
-	Default.Counter("probkb_watchdog_ticks_total").Inc()
+	watchdogTicks.Inc()
 	r.mu.Lock()
 	ds := append([]*armed(nil), r.detectors...)
 	r.mu.Unlock()
@@ -119,7 +120,7 @@ func (r *Runner) Tick(now time.Time) {
 			a.good = 0
 			if !a.firing && a.bad >= a.h.FireAfter {
 				a.firing = true
-				Default.Counter("probkb_watchdog_findings_total", L("detector", a.d.Name())).Inc()
+				watchdogFindings.With(a.d.Name()).Inc()
 				Logger().Warn("watchdog fired", "detector", a.d.Name(), "summary", f.Summary)
 				if r.OnFire != nil {
 					r.OnFire(f)
@@ -399,29 +400,29 @@ func (d *WALGrowthDetector) Check(time.Time) (Finding, bool) {
 }
 
 // RetryStormDetector flags MPP segment retries arriving faster than
-// MaxPerTick per runner tick, summing the (label-split) retry counter
-// from Registry. A burst that stops does not keep it firing: only the
-// delta since the previous tick counts.
+// MaxPerTick per runner tick; Retries reads the cumulative retry count.
+// A burst that stops does not keep it firing: only the delta since the
+// previous tick counts.
 type RetryStormDetector struct {
-	Registry   *Registry
+	Retries    func() int64
 	MaxPerTick int64
 
-	last   float64
+	last   int64
 	primed bool
 }
 
 func (d *RetryStormDetector) Name() string { return "retry_storm" }
 
 func (d *RetryStormDetector) Check(time.Time) (Finding, bool) {
-	cur := d.Registry.Sum("probkb_mpp_segment_retries_total")
+	cur := d.Retries()
 	delta := cur - d.last
 	first := !d.primed
 	d.last, d.primed = cur, true
-	if first || delta <= float64(d.MaxPerTick) {
+	if first || delta <= d.MaxPerTick {
 		return Finding{}, false
 	}
 	return Finding{
 		Detector: d.Name(),
-		Summary:  fmt.Sprintf("%d segment retries since last tick, limit %d", int64(delta), d.MaxPerTick),
+		Summary:  fmt.Sprintf("%d segment retries since last tick, limit %d", delta, d.MaxPerTick),
 	}, true
 }

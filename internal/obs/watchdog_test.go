@@ -245,32 +245,31 @@ func TestWALGrowthDetector(t *testing.T) {
 }
 
 func TestRetryStormDetector(t *testing.T) {
-	reg := NewRegistry()
-	ctr := reg.Counter("probkb_mpp_segment_retries_total")
+	var retries int64
 	r, fired := collectRunner()
-	r.Add(&RetryStormDetector{Registry: reg, MaxPerTick: 10}, Hysteresis{})
+	r.Add(&RetryStormDetector{Retries: func() int64 { return retries }, MaxPerTick: 10}, Hysteresis{})
 
 	// Priming tick: a pre-existing total is not a storm.
-	ctr.Add(500)
+	retries += 500
 	r.Tick(t0)
 	if len(*fired) != 0 {
 		t.Fatal("fired on the priming tick")
 	}
 	// Slow drip: below the per-tick limit.
-	ctr.Add(5)
+	retries += 5
 	r.Tick(t0.Add(time.Second))
 	if len(*fired) != 0 {
 		t.Fatal("fired on a slow retry drip")
 	}
 	// Burst: 50 retries in one tick.
-	ctr.Add(50)
+	retries += 50
 	r.Tick(t0.Add(2 * time.Second))
 	if len(*fired) != 1 || (*fired)[0].Detector != "retry_storm" {
 		t.Fatalf("fired = %v", *fired)
 	}
 	// Storm over: delta back to zero, detector clears and re-arms.
 	r.Tick(t0.Add(3 * time.Second))
-	ctr.Add(50)
+	retries += 50
 	r.Tick(t0.Add(4 * time.Second))
 	if len(*fired) != 2 {
 		t.Fatal("did not re-fire on a second burst")

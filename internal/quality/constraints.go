@@ -13,10 +13,12 @@ import (
 	"probkb/internal/obs"
 )
 
-func init() {
-	obs.Default.Help("probkb_quality_violations_total", "Functional-constraint violations found by Query 3 runs.")
-	obs.Default.Help("probkb_quality_facts_deleted_total", "Facts deleted to repair constraint violations.")
-}
+var (
+	violationsTotal = obs.NewCounter("probkb_quality_violations_total",
+		"Functional-constraint violations found by Query 3 runs.")
+	factsDeletedTotal = obs.NewCounter("probkb_quality_facts_deleted_total",
+		"Facts deleted to repair constraint violations.")
+)
 
 // Violation is one entity flagged by a functional constraint: Entity (in
 // class Class) participates in relation Rel with more distinct partners
@@ -307,8 +309,8 @@ func (c *Checker) apply(tpi *engine.Table) (deleted, violations int) {
 		c.lastID = tpi.Int32Col(kb.TPiI)[c.rows-1]
 	}
 	if len(viol) > 0 || deleted > 0 {
-		obs.Default.Counter("probkb_quality_violations_total").Add(int64(len(viol)))
-		obs.Default.Counter("probkb_quality_facts_deleted_total").Add(int64(deleted))
+		violationsTotal.Add(int64(len(viol)))
+		factsDeletedTotal.Add(int64(deleted))
 	}
 	return deleted, len(viol)
 }

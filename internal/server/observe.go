@@ -12,17 +12,24 @@ import (
 	"probkb/internal/obs/journal"
 )
 
-func init() {
-	obs.Default.Help("probkb_http_requests_total", "HTTP requests served, by endpoint and status code.")
-	obs.Default.Help("probkb_http_request_seconds", "HTTP request latency, by endpoint.")
-	obs.Default.Help("probkb_http_in_flight", "HTTP requests currently being served.")
-	obs.Default.Help("probkb_http_panics_total", "Handler panics recovered by the server middleware.")
-	obs.Default.Help("probkb_http_rejected_total", "Data-plane requests shed by admission control (429), by endpoint.")
-	obs.Default.Help("probkb_epoch_generation", "Current published serving-tier generation number.")
-	obs.Default.Help("probkb_epoch_generations_live", "Generations published but not yet reclaimed (current + still-pinned).")
-	obs.Default.Help("probkb_epoch_pins", "Outstanding reader pins across all generations.")
-	obs.Default.Help("probkb_epoch_generations_reclaimed", "Generations reclaimed since startup (monotonic).")
-}
+var (
+	httpRequests = obs.NewCounterVec("probkb_http_requests_total",
+		"HTTP requests served, by endpoint and status code.", "path", "code")
+	httpLatency = obs.NewHistogramVec("probkb_http_request_seconds",
+		"HTTP request latency, by endpoint.", obs.DurationBuckets, "path")
+	httpInFlight = obs.NewGauge("probkb_http_in_flight", "HTTP requests currently being served.")
+	httpPanics   = obs.NewCounterVec("probkb_http_panics_total",
+		"Handler panics recovered by the server middleware.", "path")
+	httpRejected = obs.NewCounterVec("probkb_http_rejected_total",
+		"Data-plane requests shed by admission control (429), by endpoint.", "path")
+	epochGeneration = obs.NewGauge("probkb_epoch_generation",
+		"Current published serving-tier generation number.")
+	epochLive = obs.NewGauge("probkb_epoch_generations_live",
+		"Generations published but not yet reclaimed (current + still-pinned).")
+	epochPins      = obs.NewGauge("probkb_epoch_pins", "Outstanding reader pins across all generations.")
+	epochReclaimed = obs.NewGauge("probkb_epoch_generations_reclaimed",
+		"Generations reclaimed since startup (monotonic).")
+)
 
 // statusRecorder captures the status code a handler writes so the
 // middleware can label its metrics and decide whether a recovered panic
@@ -71,12 +78,11 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter {
 // path label is passed statically (not taken from the URL) so metric
 // cardinality stays bounded.
 func instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	inFlight := obs.Default.Gauge("probkb_http_in_flight")
-	latency := obs.Default.Histogram("probkb_http_request_seconds", obs.DurationBuckets, obs.L("path", path))
+	latency := httpLatency.With(path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		inFlight.Add(1)
-		defer inFlight.Add(-1)
+		httpInFlight.Add(1)
+		defer httpInFlight.Add(-1)
 
 		ctx, span := obs.StartSpan(r.Context(), "http "+path)
 		defer span.End()
@@ -84,7 +90,7 @@ func instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 
 		defer func() {
 			if p := recover(); p != nil {
-				obs.Default.Counter("probkb_http_panics_total", obs.L("path", path)).Inc()
+				httpPanics.With(path).Inc()
 				obs.Log(ctx).Error("handler panic",
 					"path", path, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 				if !rec.written {
@@ -95,8 +101,7 @@ func instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			elapsed := time.Since(start)
 			latency.Observe(elapsed.Seconds())
-			obs.Default.Counter("probkb_http_requests_total",
-				obs.L("path", path), obs.L("code", strconv.Itoa(rec.code))).Inc()
+			httpRequests.With(path, strconv.Itoa(rec.code)).Inc()
 			span.SetAttr("code", rec.code)
 			obs.Log(ctx).Info("request",
 				"method", r.Method, "path", path, "query", r.URL.RawQuery,
@@ -113,10 +118,10 @@ func instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.UpdateRuntimeMetrics()
 	// Epoch state refreshes at scrape time, like the runtime gauges.
-	obs.Default.Gauge("probkb_epoch_generation").Set(float64(s.snaps.Current()))
-	obs.Default.Gauge("probkb_epoch_generations_live").Set(float64(s.snaps.Live()))
-	obs.Default.Gauge("probkb_epoch_pins").Set(float64(s.snaps.Pins()))
-	obs.Default.Gauge("probkb_epoch_generations_reclaimed").Set(float64(s.snaps.Reclaimed()))
+	epochGeneration.Set(float64(s.snaps.Current()))
+	epochLive.Set(float64(s.snaps.Live()))
+	epochPins.Set(float64(s.snaps.Pins()))
+	epochReclaimed.Set(float64(s.snaps.Reclaimed()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.Default.WritePrometheus(w)
 }

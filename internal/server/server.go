@@ -336,7 +336,7 @@ func (s *Server) withSnap(h snapHandler) http.HandlerFunc {
 // 429 + Retry-After rather than queued, keeping latency bounded for
 // admitted requests under overload.
 func (s *Server) admit(path string, h http.HandlerFunc) http.HandlerFunc {
-	rejected := obs.Default.Counter("probkb_http_rejected_total", obs.L("path", path))
+	rejected := httpRejected.With(path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if max := s.maxInFlight.Load(); max > 0 {
 			if s.admitted.Add(1) > max {

@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"reflect"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,7 +27,16 @@ type sqlAnswer struct {
 	Error      string     `json:"error"`
 }
 
-func imageTablesBuilt() float64 { return obs.Default.Sum("probkb_kb_image_tables_built_total") }
+// imageTablesBuilt sums probkb_kb_image_tables_built_total over tables.
+func imageTablesBuilt() float64 {
+	var n float64
+	for k, v := range obs.Default.Snapshot() {
+		if strings.HasPrefix(k, "probkb_kb_image_tables_built_total{") {
+			n += v
+		}
+	}
+	return n
+}
 
 // generationKB pins the current generation and returns its number and KB.
 func generationKB(s *Server) (uint64, *probkb.KB) {

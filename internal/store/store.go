@@ -11,11 +11,13 @@ import (
 	"probkb/internal/obs/journal"
 )
 
-func init() {
-	obs.Default.Help("probkb_store_snapshot_bytes", "Size of the last columnar KB snapshot written, in bytes.")
-	obs.Default.Help("probkb_store_wal_records_total", "WAL records appended by the storage engine.")
-	obs.Default.Help("probkb_store_recovery_seconds", "Duration of the last snapshot-load + WAL-replay recovery.")
-}
+var (
+	snapshotBytes = obs.NewGauge("probkb_store_snapshot_bytes",
+		"Size of the last columnar KB snapshot written, in bytes.")
+	walRecordsTotal = obs.NewCounter("probkb_store_wal_records_total", "WAL records appended by the storage engine.")
+	recoverySeconds = obs.NewGauge("probkb_store_recovery_seconds",
+		"Duration of the last snapshot-load + WAL-replay recovery.")
+)
 
 // Store is a durable KB: a columnar snapshot plus an append-only WAL
 // for everything after it. It owns a live in-memory mirror that every
@@ -147,7 +149,7 @@ func OpenContext(ctx context.Context, fs FS, dir string, jr *journal.Writer) (*S
 	elapsed := obs.Since(start)
 	span.SetAttr("gen", int(gen))
 	span.SetAttr("records", int(s.nrec.Load()))
-	obs.Default.Gauge("probkb_store_recovery_seconds").Set(elapsed)
+	recoverySeconds.Set(elapsed)
 	jr.Emit(journal.TypeWALReplayed, journal.WALReplayed{
 		Gen: gen, Records: s.nrec.Load(), TruncatedBytes: truncated,
 		Facts: len(s.k.Facts), Seconds: elapsed,
@@ -190,7 +192,7 @@ func (s *Store) append(rec Record) error {
 		return err
 	}
 	s.nrec.Add(1)
-	obs.Default.Counter("probkb_store_wal_records_total").Inc()
+	walRecordsTotal.Inc()
 	return nil
 }
 
@@ -239,7 +241,7 @@ func (s *Store) writeSnapshotAndRotate(oldWAL File) error {
 	if err != nil {
 		return err
 	}
-	obs.Default.Gauge("probkb_store_snapshot_bytes").Set(float64(n))
+	snapshotBytes.Set(float64(n))
 	s.snapBytes.Store(n)
 
 	// The new snapshot is durable and names wal.<newGen>; create it

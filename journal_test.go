@@ -64,7 +64,7 @@ func TestJournalFileMatchesInMemory(t *testing.T) {
 		"probkb_infer_components": 2, "probkb_infer_exact_components": 1,
 		"probkb_infer_sampled_vars": 32, "probkb_infer_max_component": 32,
 	} {
-		if got := obs.Default.Gauge(name).Value(); got != want {
+		if got := obs.Default.Snapshot()[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}

@@ -44,14 +44,19 @@ import (
 	"probkb/internal/store"
 )
 
-func init() {
-	obs.Default.Help("probkb_expand_total", "Knowledge-expansion runs completed, by engine.")
-	obs.Default.Help("probkb_expand_stage_seconds", "Per-stage wall time of expansion runs.")
-	obs.Default.Help("probkb_infer_components", "Connected components the latest inference pass built: those holding a pending marginal, plus the sampled ones when the chain runs.")
-	obs.Default.Help("probkb_infer_exact_components", "Components the latest inference pass solved by enumeration.")
-	obs.Default.Help("probkb_infer_sampled_vars", "Variables the latest inference pass left to the Gibbs chain.")
-	obs.Default.Help("probkb_infer_max_component", "Variables in the largest component the latest inference pass built.")
-}
+var (
+	expandTotal  = obs.NewCounterVec("probkb_expand_total", "Knowledge-expansion runs completed, by engine.", "engine")
+	stageSeconds = obs.NewHistogramVec("probkb_expand_stage_seconds", "Per-stage wall time of expansion runs.", nil, "stage")
+	// The split of the latest inference pass's graph (expansion.go).
+	inferComponents = obs.NewGauge("probkb_infer_components",
+		"Connected components the latest inference pass built: those holding a pending marginal, plus the sampled ones when the chain runs.")
+	inferExact = obs.NewGauge("probkb_infer_exact_components",
+		"Components the latest inference pass solved by enumeration.")
+	inferSampledVars = obs.NewGauge("probkb_infer_sampled_vars",
+		"Variables the latest inference pass left to the Gibbs chain.")
+	inferMaxComponent = obs.NewGauge("probkb_infer_max_component",
+		"Variables in the largest component the latest inference pass built.")
+)
 
 // Engine selects the execution substrate for grounding.
 type Engine int
@@ -530,7 +535,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		return nil, err
 	}
 	root.SetAttr("facts", exp.res.Facts.NumRows())
-	obs.Default.Counter("probkb_expand_total", obs.L("engine", cfg.Engine.String())).Inc()
+	expandTotal.With(cfg.Engine.String()).Inc()
 	return exp, nil
 }
 
@@ -672,8 +677,7 @@ func inferOptions(cfg Config) infer.Options {
 
 // observeStage records one expansion stage's wall time.
 func observeStage(stage string, start time.Time) {
-	obs.Default.Histogram("probkb_expand_stage_seconds", nil, obs.L("stage", stage)).
-		Observe(time.Since(start).Seconds())
+	stageSeconds.With(stage).Observe(time.Since(start).Seconds())
 }
 
 // probability converts a stored weight to the exported probability:

@@ -11,6 +11,7 @@ import (
 
 	"probkb/internal/kb"
 	"probkb/internal/obs"
+	"probkb/internal/obs/journal"
 )
 
 // paperKB builds the Table 1 running example through the public API.
@@ -586,13 +587,17 @@ func TestMAPWorldAndDiagnostics(t *testing.T) {
 // (giantKB's 32-variable component) leaves its worst R-hat on /metrics
 // without anyone asking for ConvergenceDiagnostics.
 func TestRHatGaugeFollowsTheChain(t *testing.T) {
-	gauge := obs.Default.Gauge("probkb_infer_rhat_max")
-	gauge.Set(0)
-	if _, err := giantKB(t).Expand(Config{Engine: SingleNode, RunInference: true, GibbsBurnin: 10, GibbsSamples: 200, Seed: 5}); err != nil {
+	exp, err := giantKB(t).Expand(Config{Engine: SingleNode, RunInference: true, GibbsBurnin: 10, GibbsSamples: 200, Seed: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v := gauge.Value(); !(v > 0) {
-		t.Fatalf("probkb_infer_rhat_max = %v after a sampled expansion, want the chain's last checkpointed R-hat", v)
+	run, err := journal.FromEvents(exp.Journal().Events())
+	if err != nil || len(run.Checkpoints) == 0 {
+		t.Fatalf("journal of a sampled expansion: %d checkpoints, err %v", len(run.Checkpoints), err)
+	}
+	want := run.Checkpoints[len(run.Checkpoints)-1].RHatMax
+	if v := obs.Default.Snapshot()["probkb_infer_rhat_max"]; !(v > 0) || v != want {
+		t.Fatalf("probkb_infer_rhat_max = %v after a sampled expansion, want the chain's last checkpointed R-hat %v", v, want)
 	}
 }
 

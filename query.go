@@ -25,29 +25,11 @@ import (
 	"probkb/internal/quality"
 )
 
-func init() {
-	obs.Default.Help("probkb_query_local_total",
-		"Point queries answered by the local grounding path, by cache outcome.")
-	obs.Default.Help("probkb_query_local_seconds",
-		"Wall time of cache-miss local point queries (grounding + neighborhood inference).")
-}
-
-// The probkb_query_local_* series, each resolved on its first use, so a
-// point query makes no by-name registry lookup and a process that never
-// answers one exposes none.
 var (
-	queryLocalMisses = sync.OnceValue(func() *obs.Counter {
-		return obs.Default.Counter("probkb_query_local_total", obs.L("cache", "miss"))
-	})
-	queryLocalHits = sync.OnceValue(func() *obs.Counter {
-		return obs.Default.Counter("probkb_query_local_total", obs.L("cache", "hit"))
-	})
-	queryLocalCoalesced = sync.OnceValue(func() *obs.Counter {
-		return obs.Default.Counter("probkb_query_local_total", obs.L("cache", "coalesced"))
-	})
-	queryLocalSeconds = sync.OnceValue(func() *obs.Histogram {
-		return obs.Default.Histogram("probkb_query_local_seconds", nil)
-	})
+	queryLocalTotal = obs.NewCounterVec("probkb_query_local_total",
+		"Point queries answered by the local grounding path, by cache outcome.", "cache")
+	queryLocalSeconds = obs.NewHistogram("probkb_query_local_seconds",
+		"Wall time of cache-miss local point queries (grounding + neighborhood inference).", nil)
 )
 
 // ParseAtom parses a query atom of the form "Rel(x, y)".
@@ -230,7 +212,7 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 	y, okY := e.kb.Entities.Lookup(q.Y)
 	if !okR || !okX || !okY {
 		m.Elapsed = time.Since(start)
-		queryLocalMisses().Inc()
+		queryLocalTotal.With("miss").Inc()
 		return m, nil
 	}
 
@@ -249,9 +231,9 @@ func (e *Expansion) QueryLocal(ctx context.Context, q PointQuery) (Marginal, err
 			hit.Cached, hit.Coalesced = true, coalesced
 			hit.Elapsed = time.Since(start)
 			if coalesced {
-				queryLocalCoalesced().Inc()
+				queryLocalTotal.With("coalesced").Inc()
 			} else {
-				queryLocalHits().Inc()
+				queryLocalTotal.With("hit").Inc()
 			}
 			return hit, nil
 		}
@@ -390,8 +372,8 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, key queryK
 	}
 
 	m.Elapsed = time.Since(start)
-	queryLocalMisses().Inc()
-	queryLocalSeconds().Observe(m.Elapsed.Seconds())
+	queryLocalTotal.With("miss").Inc()
+	queryLocalSeconds.Observe(m.Elapsed.Seconds())
 	var p *float64
 	if !math.IsNaN(m.Probability) {
 		p = &m.Probability

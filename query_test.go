@@ -306,7 +306,7 @@ func TestQueryLocalCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := obs.Default.Counter("probkb_query_local_total", obs.L("cache", "miss"))
+	misses := queryLocalTotal.With("miss")
 	q := PointQuery{Rel: "located_in", X: "Borough_1", Y: "Town_2", Burnin: 50, Samples: 200}
 
 	const n = 8

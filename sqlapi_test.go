@@ -238,7 +238,16 @@ func TestSQLImageMatchesFreshCatalog(t *testing.T) {
 	}
 }
 
-func imageTablesBuilt() float64 { return obs.Default.Sum("probkb_kb_image_tables_built_total") }
+// imageTablesBuilt sums probkb_kb_image_tables_built_total over tables.
+func imageTablesBuilt() float64 {
+	var n float64
+	for k, v := range obs.Default.Snapshot() {
+		if strings.HasPrefix(k, "probkb_kb_image_tables_built_total{") {
+			n += v
+		}
+	}
+	return n
+}
 
 // TestSQLImageSharedAcrossGenerations: the generations a serving tier
 // publishes without changing the KB — a marginal refresh, a streamed
