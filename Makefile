@@ -50,10 +50,12 @@ bench-build:
 # library-level SQL point select over the scale 0.25 corpus (relational
 # image hit vs. build) and the cache-bypassing point query over the same
 # corpus (BenchmarkQueryLocalCold: local grounding plus its metrics), and
-# ingest-serve's refresh and absorb in the library
-# (BenchmarkRefreshMarginals: four 64-fact deferred batches on the
+# ingest-serve's refresh and absorb in the library, each op continuing
+# the lineage the op before extended (BenchmarkRefreshMarginals: four
+# 64-fact deferred batches outside the timer, then a refresh, on the
 # unconstrained scale 0.25 expansion; BenchmarkExtendWithDeferred: one
-# 64-fact batch on an extend-produced generation at scales 0.05 and 0.25).
+# 64-fact batch per op at scales 0.05 and 0.25; record both at a fixed
+# count, -benchtime 100x, since the lineage grows with b.N).
 # EXPERIMENTS.md records the numbers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine ./internal/ground ./internal/factor ./internal/infer
@@ -66,11 +68,15 @@ bench-kernels:
 # 0.05 corpus to the scale 0.25 one (an index read, not a scan of T).
 # TestTPhiRowOrderIsNotAnInput guards the factor graph build beside
 # BenchmarkFromResult: a random permutation of TΦ's rows moves no
-# marginal and no Explain text.
+# marginal and no Explain text. TestDeferredExtendBytesFlat is the gate
+# beside BenchmarkExtendWithDeferred: the bytes one deferred extend of a
+# 64-fact batch allocates on a lineage may grow at most 2.5× from the
+# scale 0.05 corpus to the scale 0.25 one (1.92–1.94× measured; copying TΠ
+# every round, as before TΠ grew in place, is ~3.7×).
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
-	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat' .
+	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat' .
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
 
 # Long-mode differential harness: thousands of random plans, each run
@@ -229,7 +235,10 @@ query-smoke:
 # epoch manager + COW fork, shrink on failure), the API-level
 # differential oracle (pinned-generation answers byte-identical to a
 # serial replay while ExtendWith races), concurrent lineage readers
-# sharing one generation's lazily built factor graph, and the server's
+# sharing one generation's lazily built factor graph, every published
+# generation's TΠ and TΦ bit-identical after later rounds of every kind
+# grew the columns it shares (TestMVCCPublishedGenerationsNeverChange),
+# and the server's
 # read-while-write surface (POST /facts publish, batch point queries,
 # admission control, cancelled rebuilds and extends answering 499 and
 # never publishing) — all under
@@ -255,8 +264,10 @@ mvcc-smoke:
 # as the library leg) and every kind of writer racing on the one writer
 # lock — and the two binaries' own legs: `probkb ingest` transcripts,
 # one validator for CLI and HTTP, and probkb-server's shutdown
-# checkpoint mid-stream; plus the fact index an extend round hands the
-# next: rounds forking it equal to rounds building their own (TestLineage),
+# checkpoint mid-stream; plus the fact index and the MLN partitions an
+# extend round hands the next: rounds forking the index equal to rounds
+# building their own, and the partitions built once per lineage
+# (TestLineage),
 # and sibling extends, point queries and Explain sharing one
 # extend-produced generation's index (TestExtendedGeneration); and the
 # TΦ each round maintains from its Δ, on lineages started on every

@@ -131,9 +131,10 @@ func (e *Expansion) emitRunEnd() {
 // returned — the exact marginals plus the estimates from the sweeps
 // collected so far, or nothing when the enumeration or the first
 // collected sweep had not finished — and returns the context error; the
-// round wraps that into a PartialError. It keeps no graph: readers build
-// the whole one (factorGraph).
-func (e *Expansion) runInference(ctx context.Context) error {
+// round wraps that into a PartialError. It returns the rows whose weights
+// it wrote, the pending ones, for the store to log (Store.sync). It keeps
+// no graph: readers build the whole one (factorGraph).
+func (e *Expansion) runInference(ctx context.Context) ([]int32, error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "infer")
 	defer span.End()
@@ -142,12 +143,12 @@ func (e *Expansion) runInference(ctx context.Context) error {
 	g, pending, err := infer.PendingGraph(e.res.Facts, e.res.Factors)
 	if err != nil {
 		fgSpan.End()
-		return err
+		return nil, err
 	}
 	fgSpan.SetAttr("vars", g.NumVars())
 	fgSpan.SetAttr("factors", g.NumFactors())
 	fgSpan.End()
-	span.SetAttr("pending", pending)
+	span.SetAttr("pending", len(pending))
 
 	// How the pass will split its graph's components, on every sink: the
 	// span, the journal (probkb report) and /metrics (probkb top).
@@ -193,14 +194,14 @@ func (e *Expansion) runInference(ctx context.Context) error {
 		}
 	}
 	probs, collected, err := infer.MarginalsContext(ctx, g, iopts)
-	if collected > 0 {
-		if aerr := infer.ApplyMarginals(g, e.res.Facts, probs); aerr != nil {
-			return aerr
-		}
+	if collected == 0 {
+		pending = nil
+	} else if aerr := infer.ApplyMarginals(g, e.res.Facts, probs); aerr != nil {
+		return nil, aerr
 	}
 	e.inferenceTime = time.Since(start)
 	observeStage("infer", start)
-	return err
+	return pending, err
 }
 
 // Stats returns the expansion summary.
@@ -509,7 +510,7 @@ func (e *Expansion) extendWith(ctx context.Context, span string, newFacts []Fact
 
 	// Each incremental round keeps its own in-memory journal (no file
 	// sink: the original JournalPath belongs to the prior run's record).
-	// ground.Extend grows a Clone of e.res.Facts: saying so lets a store
+	// ground.Extend grows a Fork of e.res.Facts: saying so lets a store
 	// still in step with this generation log the batch, not a full diff.
 	r := round{cfg: e.cfg, jr: journal.New(), work: work, from: e.res.Facts, infer: infer}
 	if e.checker != nil {

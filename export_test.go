@@ -18,5 +18,5 @@ func (s *Store) SyncTable(src *kb.KB, tpi *engine.Table, forget bool) error {
 	if forget {
 		s.step = inStep{}
 	}
-	return s.sync(src, tpi, nil)
+	return s.sync(src, tpi, nil, nil)
 }

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // column is the physical storage for one column. Exactly one of the three
@@ -14,6 +16,11 @@ type column struct {
 	i32 []int32
 	f64 []float64
 	str []string
+}
+
+// copyOut gives the column an array of its own holding its rows.
+func (c *column) copyOut() {
+	c.i32, c.f64, c.str = slices.Clone(c.i32), slices.Clone(c.f64), slices.Clone(c.str)
 }
 
 func newColumn(t ColType) *column {
@@ -47,11 +54,23 @@ func (c *column) grow(capacity int) {
 //
 // Tables are not safe for concurrent mutation; the MPP layer gives each
 // segment its own Table and parallelizes across segments, never within one.
+// A table may be forked (Fork) while others read it: the fork may then
+// write and append while they go on reading.
 type Table struct {
 	name   string
 	schema Schema
 	cols   []*column
 	nrows  int
+	// forked is set by the Fork that took the columns' spare capacity:
+	// the rows that fork appends lie past this table's, in the same
+	// arrays, and it reads this table's rows as its own. Before this
+	// table writes or appends, it copies its columns away.
+	forked atomic.Bool
+	// shared counts the leading rows this table, a Fork, may still share
+	// with the table it was forked from: they are read here and never
+	// written, so a write below it copies the column first. (An int32
+	// keeps Table in its allocation size class.)
+	shared int32
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -151,7 +170,8 @@ func (t *Table) setLen(n int) {
 }
 
 // Int32Col returns the backing slice of an Int32 column. The caller must
-// not resize it; reading and element assignment are fine.
+// not resize it; reading is fine, and so is element assignment on a table
+// that neither was forked nor is a fork (Fork).
 func (t *Table) Int32Col(i int) []int32 {
 	c := t.cols[i]
 	if c.typ != Int32 {
@@ -160,7 +180,8 @@ func (t *Table) Int32Col(i int) []int32 {
 	return c.i32
 }
 
-// Float64Col returns the backing slice of a Float64 column.
+// Float64Col returns the backing slice of a Float64 column, on the terms
+// of Int32Col; MutableFloat64Col is the one for writing a forked table.
 func (t *Table) Float64Col(i int) []float64 {
 	c := t.cols[i]
 	if c.typ != Float64 {
@@ -178,6 +199,87 @@ func (t *Table) StringCol(i int) []string {
 	return c.str
 }
 
+// Fork returns a table holding t's rows that the caller may append to
+// and write while others keep reading t. The first Fork of t takes t's
+// tail: the fork aliases t's columns and appends into their spare
+// capacity, past every row t holds, so t's readers never see its rows;
+// it copies a column before its first write below t's row count
+// (MutableFloat64Col, DeleteWhere). Every later Fork of t copies all of
+// t, as Clone does. The claim is atomic, so concurrent Forks of one
+// table are safe, and at most one of them shares its arrays.
+func (t *Table) Fork() *Table {
+	if !t.forked.CompareAndSwap(false, true) {
+		return t.Clone()
+	}
+	f := &Table{name: t.name, schema: t.schema, cols: make([]*column, len(t.cols)), nrows: t.nrows, shared: int32(t.nrows)}
+	for i, c := range t.cols {
+		f.cols[i] = &column{typ: c.typ, i32: c.i32, f64: c.f64, str: c.str}
+	}
+	return f
+}
+
+// sharesFrom reports whether t's rows at row and above are not t's
+// alone to write: a fork reads them, or they belong to the table t was
+// forked from.
+func (t *Table) sharesFrom(row int) bool {
+	return t.forked.Load() || row < int(t.shared)
+}
+
+// own gives t's columns arrays of their own, copying its rows: the
+// barrier before a write below its shared rows, and before an append
+// once a fork has taken its tail.
+func (t *Table) own() {
+	for _, c := range t.cols {
+		c.copyOut()
+	}
+	t.forked.Store(false)
+	t.shared = 0
+}
+
+// detach is the barrier before t appends.
+func (t *Table) detach() {
+	if t.forked.Load() {
+		t.own()
+	}
+}
+
+// MutableFloat64Col is Float64Col for a caller that assigns elements at
+// row from and above: it first copies the column when those rows are
+// shared with the table t was forked from, or with a fork of t.
+func (t *Table) MutableFloat64Col(i, from int) []float64 {
+	c := t.cols[i]
+	if c.typ != Float64 {
+		panic(fmt.Sprintf("engine: column %d of %s is %s, not float", i, t.name, c.typ))
+	}
+	if t.sharesFrom(from) {
+		c.copyOut()
+	}
+	return c.f64
+}
+
+// AppendRowOf appends one row of a table with no String column: the
+// Int32 columns' values in schema order in ints, the Float64 columns'
+// in floats. It is AppendRow without boxing a value per cell.
+func (t *Table) AppendRowOf(ints []int32, floats []float64) {
+	t.detach()
+	for _, c := range t.cols {
+		switch c.typ {
+		case Int32:
+			c.i32 = append(c.i32, ints[0])
+			ints = ints[1:]
+		case Float64:
+			c.f64 = append(c.f64, floats[0])
+			floats = floats[1:]
+		default:
+			panic(fmt.Sprintf("engine: AppendRowOf to %s: a %s column", t.name, c.typ))
+		}
+	}
+	if len(ints) != 0 || len(floats) != 0 {
+		panic(fmt.Sprintf("engine: AppendRowOf to %s: %d values left over", t.name, len(ints)+len(floats)))
+	}
+	t.nrows++
+}
+
 // AppendRow appends one row. vals must match the schema: int32 for Int32
 // columns, float64 for Float64 columns, string for String columns. Plain
 // int is accepted for Int32 columns as a convenience for literals.
@@ -185,6 +287,7 @@ func (t *Table) AppendRow(vals ...any) {
 	if len(vals) != t.schema.NumCols() {
 		panic(fmt.Sprintf("engine: AppendRow to %s: got %d values, want %d", t.name, len(vals), t.schema.NumCols()))
 	}
+	t.detach()
 	for i, v := range vals {
 		c := t.cols[i]
 		switch c.typ {
@@ -221,6 +324,7 @@ func (t *Table) AppendRowsFrom(o *Table, rows []int32) {
 	if len(t.cols) != len(o.cols) {
 		panic(fmt.Sprintf("engine: AppendRowsFrom %s += %s: column count mismatch", t.name, o.name))
 	}
+	t.detach()
 	for i, c := range t.cols {
 		oc := o.cols[i]
 		switch c.typ {
@@ -246,6 +350,7 @@ func (t *Table) AppendTable(o *Table) {
 	if len(t.cols) != len(o.cols) {
 		panic(fmt.Sprintf("engine: AppendTable %s += %s: column count mismatch", t.name, o.name))
 	}
+	t.detach()
 	for i, c := range t.cols {
 		oc := o.cols[i]
 		if c.typ != oc.typ {
@@ -272,6 +377,9 @@ func (t *Table) Clone() *Table {
 
 // Truncate removes all rows but keeps the schema and allocated capacity.
 func (t *Table) Truncate() {
+	if t.sharesFrom(0) {
+		t.own()
+	}
 	for _, c := range t.cols {
 		c.i32 = c.i32[:0]
 		c.f64 = c.f64[:0]
@@ -316,7 +424,8 @@ func (t *Table) KeepRows(keep []int32) {
 // The survivors close up in place, in order, from the first deleted row
 // on: rows before it are not touched, nothing is allocated when nothing
 // is deleted, and the columns keep their capacity — a deletion costs what
-// it moves, not a copy of the table.
+// it moves, not a copy of the table. The exception is a deletion among
+// rows t shares (Fork): each column is copied first.
 func (t *Table) DeleteWhere(pred func(row int) bool) int {
 	first := -1
 	var keep []int32 // survivors after row first
@@ -334,6 +443,9 @@ func (t *Table) DeleteWhere(pred func(row int) bool) int {
 		return 0
 	}
 	n := first + len(keep)
+	if t.sharesFrom(first) {
+		t.own()
+	}
 	for _, c := range t.cols {
 		switch c.typ {
 		case Int32:

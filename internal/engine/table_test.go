@@ -252,3 +252,61 @@ func TestCatalog(t *testing.T) {
 	}()
 	c.MustGet("nope")
 }
+
+// TestForkSharesOnlyWithTheFirstFork: the first Fork of a table appends
+// into its columns' spare capacity, a later one copies, and no write of
+// either fork — appends, weight writes, deletions — nor an append to the
+// forked table itself changes what the others hold.
+func TestForkSharesOnlyWithTheFirstFork(t *testing.T) {
+	parent := NewTable("T", factsSchema())
+	parent.Reserve(16)
+	for i := 0; i < 4; i++ {
+		parent.AppendRow(int32(i), int32(10+i), int32(20+i), float64(i))
+	}
+	want := parent.String()
+
+	first, second := parent.Fork(), parent.Fork()
+	if &first.Int32Col(0)[0] != &parent.Int32Col(0)[0] {
+		t.Fatal("the first fork copied its parent's columns")
+	}
+	if &second.Int32Col(0)[0] == &parent.Int32Col(0)[0] {
+		t.Fatal("a second fork shares its parent's columns")
+	}
+	first.AppendRowOf([]int32{4, 14, 24}, []float64{4})
+	second.AppendRowOf([]int32{5, 15, 25}, []float64{5})
+	if &first.Int32Col(0)[0] != &parent.Int32Col(0)[0] {
+		t.Fatal("an append within capacity moved the first fork off its parent's columns")
+	}
+	firstWant := first.String()
+
+	// The forked table's own append must not land on the fork's row.
+	parent.AppendRow(int32(6), int32(16), int32(26), 6.0)
+	if got := first.String(); got != firstWant {
+		t.Fatalf("an append to the forked table changed its fork:\n%s", got)
+	}
+	parent.DeleteWhere(func(r int) bool { return r == 4 })
+	if got := parent.String(); got != want {
+		t.Fatalf("parent after its own append and delete = \n%s\nwant\n%s", got, want)
+	}
+
+	// Writes below the shared rows copy first; writes past them do not.
+	grand := first.Fork()
+	ws := grand.MutableFloat64Col(3, 5)
+	if &ws[0] != &first.Float64Col(3)[0] {
+		t.Fatal("a write past the shared rows copied the column")
+	}
+	grand.AppendRowOf([]int32{7, 17, 27}, []float64{7})
+	grand.MutableFloat64Col(3, 0)[0] = -1
+	grand.DeleteWhere(func(r int) bool { return r == 1 })
+	if got := first.String(); got != firstWant {
+		t.Fatalf("writes to a fork's shared rows changed its parent:\n%s", got)
+	}
+	if grand.NumRows() != 5 || grand.Float64Col(3)[0] != -1 || grand.Int32Col(0)[4] != 7 {
+		t.Fatalf("fork after its writes:\n%s", grand.String())
+	}
+	second.Truncate()
+	second.AppendRowOf([]int32{8, 18, 28}, []float64{8})
+	if got := first.String(); got != firstWant {
+		t.Fatalf("a second fork's writes changed the first:\n%s", got)
+	}
+}

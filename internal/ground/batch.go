@@ -24,9 +24,17 @@ type BatchGrounder struct {
 
 // NewBatch prepares a batch grounder for the KB.
 func NewBatch(k *kb.KB, opts Options) (*BatchGrounder, error) {
-	parts, err := k.MLNPartitions()
-	if err != nil {
-		return nil, fmt.Errorf("ground: partitioning rules: %w", err)
+	return newBatch(k, nil, opts)
+}
+
+// newBatch is NewBatch grounding with parts, the KB's MLN partitions
+// when they are already built; nil builds them.
+func newBatch(k *kb.KB, parts *mln.Partitions, opts Options) (*BatchGrounder, error) {
+	if parts == nil {
+		var err error
+		if parts, err = k.MLNPartitions(); err != nil {
+			return nil, fmt.Errorf("ground: partitioning rules: %w", err)
+		}
 	}
 	return &BatchGrounder{kb: k, parts: parts, opts: opts}, nil
 }
@@ -630,9 +638,13 @@ func Ground(k *kb.KB, opts Options) (*Result, error) {
 // cost scales with the new data, not the whole KB. The rule set and
 // options must describe the same MLN the prior run used.
 //
-// The run starts from the fact index prev's run published, when prev is
-// itself an Extend's result, and publishes its own on the result it
-// returns: a lineage of rounds builds its index once (DESIGN.md §5).
+// TΠ grows in place: the run appends to a Fork of prev.Facts, which
+// shares prev's columns when this is the first run to extend prev and
+// copies them otherwise (a sibling, or the retry of a cancelled run);
+// prev's readers see none of it. The run starts from the fact index and
+// the MLN partitions prev's run published, when prev is itself an
+// Extend's result, and publishes its own on the result it returns: a
+// lineage of rounds builds each once (DESIGN.md §5).
 //
 // The factor phase, when enabled, maintains the last TΦ computed along
 // prev's lineage — prev's own, or the one a chain of SkipFactors extends
@@ -642,14 +654,14 @@ func Ground(k *kb.KB, opts Options) (*Result, error) {
 // clauses after them. A lineage with no computed TΦ (one that has
 // skipped factors throughout) grounds it over the whole closure.
 func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, error) {
-	g, err := NewBatch(k, opts)
+	g, err := newBatch(k, prev.parts, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 
 	loadStart := time.Now()
-	tpi := prev.Facts.Clone()
+	tpi := prev.Facts.Fork()
 	var ix *factIndex
 	if prev.index != nil {
 		ix = prev.index.fork(tpi)
@@ -672,7 +684,7 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 	if err == nil {
 		// Readers of the published index never extend it.
 		ix.on(kb.TPiX)
-		res.index = ix
+		res.index, res.parts = ix, g.parts
 	}
 	return res, err
 }

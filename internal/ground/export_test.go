@@ -6,6 +6,7 @@ import (
 
 	"probkb/internal/engine"
 	"probkb/internal/kb"
+	"probkb/internal/mln"
 )
 
 // Test helpers of this package, for the external test package: the
@@ -29,14 +30,18 @@ func FactorWatermark(res *Result) (at, from int32) {
 	return res.tphi.watermark, res.tphi.continueAt(nextFactID(res.Facts)).watermark
 }
 
-// WithoutIndex returns a copy of res that carries no fact index: an
-// Extend of it builds its own from scratch, as an Extend of an Expand
-// result does.
+// WithoutIndex returns a copy of res that carries no fact index and no
+// MLN partitions: an Extend of it builds its own from scratch, as an
+// Extend of an Expand result does.
 func WithoutIndex(res *Result) *Result {
 	c := *res
-	c.index = nil
+	c.index, c.parts = nil, nil
 	return &c
 }
+
+// Partitions returns the MLN partitions res carries for an Extend of it,
+// nil when it carries none.
+func Partitions(res *Result) *mln.Partitions { return res.parts }
 
 // SharesIndex reports whether next carries a fact index holding all
 // three sealed bases of the one prev carries: the identity set's and

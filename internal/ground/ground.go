@@ -162,6 +162,11 @@ type Result struct {
 	// product, and the index would hold ~10 MB at scale 1.0 that nobody
 	// reads (DESIGN.md §5).
 	index *factIndex
+	// parts are the MLN partitions an Extend's run grounded with, which
+	// an Extend of this result grounds with too: the rules do not change
+	// along a lineage. Ground's results carry none, for the index's
+	// reason.
+	parts *mln.Partitions
 }
 
 // InferredFacts returns how many facts grounding added.
@@ -213,8 +218,8 @@ type Options struct {
 	// 7(a) harness uses it to score precision per iteration.
 	//
 	// Every call of one run is handed the same table (for Extend, the
-	// Clone it made of prev.Facts), and between calls — and between that
-	// Clone and the first call — the table changes in two ways only: rows
+	// Fork it made of prev.Facts), and between calls — and between that
+	// Fork and the first call — the table changes in two ways only: rows
 	// are appended, each with a fact ID above every ID the table ever
 	// held, and the constraint hook deletes rows in place, keeping the
 	// survivors' order. No surviving row's identity columns or weight are
@@ -284,7 +289,7 @@ func nextFactID(tpi *engine.Table) int32 {
 	return next
 }
 
-// fork returns the index of tpi, a Clone of the table a published index
+// fork returns the index of tpi, a Fork of the table a published index
 // ix covers, as newFactIndex would build it — the same next fact ID, the
 // same lookups — sharing ix's bases. It writes nothing ix holds, so
 // sibling rounds may fork one published index at once.
@@ -319,7 +324,7 @@ func (ix *factIndex) merge(candidates *engine.Table) int {
 
 // add appends a fact TΠ does not hold under the next fact ID.
 func (ix *factIndex) add(r, x, c1, y, c2 int32, w float64) {
-	ix.tpi.AppendRow(ix.next, r, x, c1, y, c2, w)
+	ix.tpi.AppendRowOf([]int32{ix.next, r, x, c1, y, c2}, []float64{w})
 	ix.next++
 	ix.set.NoteAppended()
 }

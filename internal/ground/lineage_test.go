@@ -10,6 +10,7 @@ import (
 	"probkb/internal/engine"
 	"probkb/internal/ground"
 	"probkb/internal/kb"
+	"probkb/internal/mln"
 	"probkb/internal/quality"
 	"probkb/internal/synth"
 )
@@ -280,5 +281,39 @@ func TestLineageRandomKBs(t *testing.T) {
 			l.res = l.extend(l.res, randomFacts(rng, l.k, 1+rng.Intn(3)), rng.Intn(2) == 0, victims)
 		}
 		l.res = l.extend(l.res, nil, false, nil)
+	}
+}
+
+// TestLineagePartitionsBuiltOnce: the rules do not change along a
+// lineage, so its rounds partition them once. An Extend of a Ground
+// result builds the MLN partitions and publishes them; an Extend of an
+// Extend result grounds with the very partitions its receiver's run
+// built, deferred rounds and factor rounds alike.
+func TestLineagePartitionsBuiltOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	k := ground.RandomKB(rng)
+	res, err := ground.Ground(k, ground.Options{SemiNaive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ground.Partitions(res) != nil {
+		t.Fatal("a Ground result carries MLN partitions")
+	}
+	var built *mln.Partitions
+	for round := 0; round < 4; round++ {
+		next, err := ground.Extend(k, res, randomFacts(rng, k, 2), ground.Options{SemiNaive: true, SkipFactors: round%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ground.Partitions(next)
+		switch {
+		case got == nil:
+			t.Fatalf("round %d: an Extend result carries no MLN partitions", round)
+		case round == 0:
+			built = got
+		case got != built:
+			t.Fatalf("round %d: an Extend of an Extend result built its own MLN partitions", round)
+		}
+		res = next
 	}
 }

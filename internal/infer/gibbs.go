@@ -501,16 +501,24 @@ func parallelFor(n, workers int, f func(i int)) {
 // ApplyMarginals writes the estimated probabilities into the NULL weight
 // cells of a TΠ table, completing the knowledge-expansion pipeline: after
 // this call every inferred fact carries its marginal probability.
-// Observed facts keep their extraction weights. The graph provides the
+// Observed facts keep their extraction weights, so the rows it writes are
+// exactly those PendingGraph reports pending. The graph provides the
 // fact-ID → variable mapping (fact IDs may be sparse after quality
-// control).
+// control). On a fork (engine.Table.Fork) whose shared rows hold a NULL
+// weight — a deferred round's, which readers of that generation may
+// still see — the weight column is copied before it is written.
 func ApplyMarginals(g *factor.Graph, facts *engine.Table, probs []float64) error {
 	if g.NumVars() != len(probs) {
 		return fmt.Errorf("infer: %d marginals for %d variables", len(probs), g.NumVars())
 	}
 	ws := facts.Float64Col(kb.TPiW)
 	ids := facts.Int32Col(kb.TPiI)
-	for r := 0; r < facts.NumRows(); r++ {
+	first := slices.IndexFunc(ws, engine.IsNullFloat64)
+	if first < 0 {
+		return nil
+	}
+	ws = facts.MutableFloat64Col(kb.TPiW, first)
+	for r := first; r < facts.NumRows(); r++ {
 		if !engine.IsNullFloat64(ws[r]) {
 			continue
 		}

@@ -7,8 +7,9 @@ import (
 )
 
 // PendingGraph returns the factor graph an inference pass over TΠ needs,
-// and how many pending facts — facts whose weight is NULL, the only
-// cells ApplyMarginals writes — it holds. The graph holds:
+// and the rows of TΠ's pending facts — facts whose weight is NULL, the
+// only cells ApplyMarginals writes — ascending: what a pass that applies
+// its marginals rewrites. The graph holds:
 //
 //   - every component that holds a pending fact, a pending fact no
 //     clause touches being one of its own (its marginal is σ(bias));
@@ -21,20 +22,21 @@ import (
 // component is enumerated, and the chain drawn, exactly as on the whole
 // graph: every marginal written is bit-identical to the one a pass over
 // factor.FromTables writes (DESIGN.md §5).
-func PendingGraph(facts, factors *engine.Table) (*factor.Graph, int, error) {
+func PendingGraph(facts, factors *engine.Table) (*factor.Graph, []int32, error) {
 	p, err := factor.NewPartition(facts, factors)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	n := facts.NumRows()
 	keep := make([]bool, n)
-	pending, swept := 0, false
+	var pending []int32
+	swept := false
 	for r, w := range facts.Float64Col(kb.TPiW)[:n] {
 		if engine.IsNullFloat64(w) {
 			root := p.Root(r)
 			keep[root] = true
 			swept = swept || p.Size(root) > exactMaxVars
-			pending++
+			pending = append(pending, int32(r))
 		}
 	}
 	if swept {

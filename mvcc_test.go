@@ -2,9 +2,16 @@ package probkb
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"testing"
+
+	"probkb/internal/engine"
+	"probkb/internal/kb"
 )
 
 // This file is the MVCC differential battery at the API level: answers
@@ -212,5 +219,132 @@ func TestMVCCConcurrentLineageReaders(t *testing.T) {
 			close(start)
 			wg.Wait()
 		})
+	}
+}
+
+// tablePrint hashes every cell of t into h, bit for bit, column by
+// column, after its row count.
+func tablePrint(h hash.Hash, t *engine.Table) {
+	if t == nil {
+		h.Write([]byte("no table"))
+		return
+	}
+	binary.Write(h, binary.LittleEndian, int64(t.NumRows()))
+	for c, col := range t.Schema().Cols {
+		if col.Type == engine.Int32 {
+			binary.Write(h, binary.LittleEndian, t.Int32Col(c))
+		} else {
+			binary.Write(h, binary.LittleEndian, t.Float64Col(c))
+		}
+	}
+}
+
+// generationPrint is a bit-exact fingerprint of one generation's TΠ,
+// all seven columns, and TΦ.
+func generationPrint(e *Expansion) string {
+	h := sha256.New()
+	tablePrint(h, e.res.Facts)
+	tablePrint(h, e.res.Factors)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestMVCCPublishedGenerationsNeverChange: TΠ grows in place along a
+// lineage (engine.Table.Fork), so every round after the first shares its
+// columns with the generations before it. None of them may see a round's
+// writes: every published generation's TΠ and TΦ stay bit-identical
+// through later rounds of every kind — deferred extends, a refresh that
+// fills the weights they left NULL, a non-deferred ExtendWith, a
+// constrained extend whose hook deletes rows inside the shared prefix,
+// two concurrent sibling extends of one generation, and a cancelled
+// round followed by its retry.
+func TestMVCCPublishedGenerationsNeverChange(t *testing.T) {
+	k := ingestBaseKB(t)
+	if err := k.AddConstraint("born_in", TypeI, 1); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Engine: SingleNode, ApplyConstraints: true, RunInference: true, GibbsBurnin: 10, GibbsSamples: 30, Seed: 3}
+	born := func(x, y string) []Fact {
+		return []Fact{{Rel: "born_in", X: x, XClass: "Writer", Y: y, YClass: "City", Probability: 0.8}}
+	}
+	ctx := context.Background()
+	var gens []*Expansion
+	var prints []string
+	publish := func(e *Expansion, err error) *Expansion {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens, prints = append(gens, e), append(prints, generationPrint(e))
+		return e
+	}
+	pending := func(e *Expansion) int {
+		n := 0
+		for _, w := range e.res.Facts.Float64Col(kb.TPiW) {
+			if engine.IsNullFloat64(w) {
+				n++
+			}
+		}
+		return n
+	}
+
+	e := publish(k.Expand(cfg))
+	e = publish(e.ExtendWithDeferred(ctx, append(born("Freud", "Vienna"), born("Kafka", "Prague")...)))
+	deferred := publish(e.ExtendWithDeferred(ctx, born("Zweig", "Vienna")))
+	if pending(deferred) == 0 {
+		t.Fatal("fixture drifted: the deferred rounds left no NULL weight")
+	}
+	e = publish(deferred.RefreshMarginals(ctx))
+	if pending(e) != 0 {
+		t.Fatalf("the refresh left %d NULL weights", pending(e))
+	}
+	e = publish(e.ExtendWith(born("Mahler", "Berlin")))
+
+	// Freud born in a second city breaks born_in's functional
+	// constraint: the hook deletes Freud's born_in and live_in facts,
+	// which an earlier round put in the prefix this round shares.
+	before := e
+	e = publish(e.ExtendWith(born("Freud", "Berlin")))
+	if len(before.Find("live_in", "Freud", "Vienna")) == 0 {
+		t.Fatal("fixture drifted: the prior generation holds no live_in(Freud, Vienna)")
+	}
+	if len(e.Find("live_in", "Freud", "Vienna")) != 0 {
+		t.Fatal("fixture drifted: the constrained extend deleted nothing inside the shared prefix")
+	}
+
+	// Three siblings of one generation, the last two racing: only the
+	// first shares its receiver's columns.
+	parent := e
+	publish(parent.ExtendWithDeferred(ctx, born("Rilke", "Trieste")))
+	var siblings [2]*Expansion
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, b := range [][]Fact{born("Svevo", "Trieste"), born("Roth", "Vienna")} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			siblings[i], errs[i] = parent.ExtendWithDeferred(ctx, b)
+		}()
+	}
+	wg.Wait()
+	publish(siblings[0], errs[0])
+	e = publish(siblings[1], errs[1])
+
+	// A cancelled round spends the claim on its receiver's tail, and what
+	// it completed stays readable in its PartialError; its retry copies.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	_, err := e.ExtendWithContext(cancelled, born("Musil", "Vienna"))
+	var pe *PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("a cancelled round returned %v, want a PartialError", err)
+	}
+	publish(pe.Partial, nil)
+	e = publish(e.ExtendWith(born("Broch", "Prague")))
+	publish(e.ExtendWithDeferred(ctx, born("Musil", "Vienna")))
+
+	for i, g := range gens {
+		if got := generationPrint(g); got != prints[i] {
+			t.Errorf("generation %d of %d changed after it was published", i, len(gens))
+		}
 	}
 }

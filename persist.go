@@ -129,33 +129,29 @@ func (s *Store) Err() error { return s.err }
 // mirror. The zero value means "out of step": the next sync diffs in
 // full.
 type inStep struct {
-	// tpi is the synced table; the mirror held exactly its rows when
-	// sync returned.
+	// tpi is the synced table; the mirror held exactly its first n rows
+	// when sync returned.
 	tpi *engine.Table
-	// lastID is the fact ID of tpi's last row at that moment. Fact IDs
+	n   int
+	// lastID is the fact ID of tpi's row n-1 at that moment. Fact IDs
 	// grow strictly with the row index, and rows only ever leave a facts
 	// table by order-preserving deletion, so a later table (tpi itself,
-	// or a Clone of it that was then appended to) whose row len(w)-1
-	// still carries lastID has lost and reordered nothing below it.
+	// or a Fork of it that was then appended to) whose row n-1 still
+	// carries lastID has lost and reordered nothing below it.
 	lastID int32
-	// w is the weight column as logged, row for row: the mirror's
-	// weights, kept so re-weighted rows are found without the mirror.
-	// It costs 8 bytes a fact; its length is the synced row count.
-	w []float64
 }
 
 // covers reports whether tpi — the synced table itself, or a table
-// grown from a Clone of it when from names the synced table — still
+// grown from a Fork of it when from names the synced table — still
 // holds the synced rows as its prefix.
 func (st *inStep) covers(tpi, from *engine.Table) bool {
 	if st.tpi == nil || (tpi != st.tpi && from != st.tpi) {
 		return false
 	}
-	n := len(st.w)
-	if tpi.NumRows() < n {
+	if tpi.NumRows() < st.n {
 		return false
 	}
-	return n == 0 || tpi.Int32Col(kb.TPiI)[n-1] == st.lastID
+	return st.n == 0 || tpi.Int32Col(kb.TPiI)[st.n-1] == st.lastID
 }
 
 // sync makes the store hold exactly the facts of tpi, rendered through
@@ -167,22 +163,24 @@ func (st *inStep) covers(tpi, from *engine.Table) bool {
 // per-iteration observer plus the final post-inference sync safe to
 // combine.
 //
-// from, when non-nil, declares that tpi began as a Clone of that table
-// (ground.Extend's first step). When the store is in step with tpi or
-// with from and the synced prefix is provably untouched, the difference
-// is read off the table alone — the appended rows and the prefix rows
-// whose weight bits moved — at a cost proportional to the batch.
-// Anything else (a run's first table, a resumed store, an iteration
-// whose hook deleted synced rows) takes the full diff, which yields the
-// same records in the same order.
-func (s *Store) sync(src *kb.KB, tpi, from *engine.Table) error {
+// from, when non-nil, declares that tpi began as a Fork of that table
+// (ground.Extend's first step); wrote lists, ascending, the rows whose
+// weights the caller wrote since the last sync (inference's pending
+// rows; grounding writes no weight of a row it did not append). When
+// the store is in step with tpi or with from and the synced prefix is
+// provably untouched, the difference is read off those alone — inserts
+// for the rows past the prefix, marginal updates for the written prefix
+// rows whose weight bits differ from the mirror's — at a cost
+// proportional to the batch. Anything else (a run's first table, a
+// resumed store, an iteration whose hook deleted synced rows) takes the
+// full diff, which yields the same records in the same order.
+func (s *Store) sync(src *kb.KB, tpi, from *engine.Table, wrote []int32) error {
 	if s.err != nil {
 		return s.err
 	}
 	var dels, adds, margs []store.FactRec
-	delta := s.step.covers(tpi, from)
-	if delta {
-		adds, margs = s.step.diff(src, tpi)
+	if s.step.covers(tpi, from) {
+		adds, margs = s.diff(src, tpi, wrote)
 		s.deltaSyncs++
 	} else {
 		dels, adds, margs = s.fullDiff(src, tpi)
@@ -190,7 +188,6 @@ func (s *Store) sync(src *kb.KB, tpi, from *engine.Table) error {
 	}
 	// A failed append leaves the mirror between two tables; only a
 	// completed sync puts the store back in step.
-	step := s.step
 	s.step = inStep{}
 	if err := s.inner.AppendDeletes(dels); err != nil {
 		return err
@@ -201,36 +198,36 @@ func (s *Store) sync(src *kb.KB, tpi, from *engine.Table) error {
 	if err := s.inner.AppendMarginals(margs); err != nil {
 		return err
 	}
-	ws := tpi.Float64Col(kb.TPiW)
-	if delta {
-		// diff already folded the re-weighted rows into the shadow.
-		step.w = append(step.w, ws[len(step.w):]...)
-	} else {
-		step.w = append(step.w[:0], ws...)
+	s.step = inStep{tpi: tpi, n: tpi.NumRows()}
+	if s.step.n > 0 {
+		s.step.lastID = tpi.Int32Col(kb.TPiI)[s.step.n-1]
 	}
-	step.tpi = tpi
-	if n := tpi.NumRows(); n > 0 {
-		step.lastID = tpi.Int32Col(kb.TPiI)[n-1]
-	}
-	s.step = step
 	return nil
 }
 
 // diff is the in-step difference between tpi and the synced prefix it
 // extends: inserts for the rows past the prefix, marginal updates for
-// the prefix rows whose weight bits differ from the logged ones (which
-// it brings up to date as it goes).
-func (st *inStep) diff(src *kb.KB, tpi *engine.Table) (adds, margs []store.FactRec) {
-	// The one pass over the table the delta path makes: a sequential
-	// compare of two float columns, about a nanosecond a row.
-	ws := tpi.Float64Col(kb.TPiW)[:len(st.w)]
-	for r, w := range st.w {
-		if math.Float64bits(w) != math.Float64bits(ws[r]) {
-			margs = append(margs, store.FactRecOf(src, kb.FactAtRow(tpi, r)))
-			st.w[r] = ws[r]
+// the rows of wrote inside it whose weight bits differ from the
+// mirror's.
+func (s *Store) diff(src *kb.KB, tpi *engine.Table, wrote []int32) (adds, margs []store.FactRec) {
+	mirror := s.inner.KB()
+	n := s.step.n
+	for _, r := range wrote {
+		if int(r) >= n {
+			break
+		}
+		f := kb.FactAtRow(tpi, int(r))
+		rec := store.FactRecOf(src, f)
+		key, known := store.KeyOf(mirror, rec)
+		i, ok := mirror.FactIndex(key)
+		if !known || !ok {
+			panic(fmt.Sprintf("probkb: row %d of a table the store is in step with is not in its mirror", r))
+		}
+		if math.Float64bits(mirror.Facts[i].W) != math.Float64bits(f.W) {
+			margs = append(margs, rec)
 		}
 	}
-	for r := len(st.w); r < tpi.NumRows(); r++ {
+	for r := n; r < tpi.NumRows(); r++ {
 		adds = append(adds, store.FactRecOf(src, kb.FactAtRow(tpi, r)))
 	}
 	return adds, margs
@@ -266,12 +263,13 @@ func (s *Store) fullDiff(src *kb.KB, tpi *engine.Table) (dels, adds, margs []sto
 }
 
 // persistFinal runs the end-of-phase sync (grounding result or
-// inference marginals) and reports the first error the run hit.
-func persistFinal(p *Store, src *kb.KB, tpi, from *engine.Table) error {
+// inference marginals, with the rows inference wrote) and reports the
+// first error the run hit.
+func persistFinal(p *Store, src *kb.KB, tpi, from *engine.Table, wrote []int32) error {
 	if p == nil {
 		return nil
 	}
-	if err := p.sync(src, tpi, from); err != nil {
+	if err := p.sync(src, tpi, from, wrote); err != nil {
 		return fmt.Errorf("probkb: persisting expansion: %w", err)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,6 +56,10 @@ func TestSyncDeltaMatchesFullDiff(t *testing.T) {
 
 			tpi := src.FactsTable()
 			var from *engine.Table
+			// wroteIDs lists the facts whose weights the mutations since
+			// the last sync wrote; each sync is handed their rows, as
+			// inference reports its pending rows.
+			var wroteIDs []int32
 			next := int32(tpi.NumRows())
 			have := map[kb.Key]bool{}
 			for r := 0; r < tpi.NumRows(); r++ {
@@ -68,13 +73,22 @@ func TestSyncDeltaMatchesFullDiff(t *testing.T) {
 			}
 			check := func(step string) {
 				t.Helper()
-				if err := a.sync(src, tpi, from); err != nil {
+				var wrote []int32
+				for _, id := range wroteIDs {
+					if r, ok := slices.BinarySearch(tpi.Int32Col(kb.TPiI), id); ok {
+						wrote = append(wrote, int32(r))
+					}
+				}
+				slices.Sort(wrote)
+				wrote = slices.Compact(wrote)
+				if err := a.sync(src, tpi, from, wrote); err != nil {
 					t.Fatal(err)
 				}
 				b.step = inStep{}
-				if err := b.sync(src, tpi, from); err != nil {
+				if err := b.sync(src, tpi, from, wrote); err != nil {
 					t.Fatal(err)
 				}
+				wroteIDs = wroteIDs[:0]
 				if !bytes.Equal(walBytes(t, a), walBytes(t, b)) {
 					t.Fatalf("after %s: delta-path WAL differs from the full diff's", step)
 				}
@@ -104,10 +118,14 @@ func TestSyncDeltaMatchesFullDiff(t *testing.T) {
 						next++
 					}
 					return "append"
-				case 3: // inference: rewrite some weights in place
-					ws := tpi.Float64Col(kb.TPiW)
-					for i := 0; i < 3 && len(ws) > 0; i++ {
-						ws[rng.Intn(len(ws))] = weight()
+				case 3: // inference: rewrite some weights in place, declaring the rows
+					if n := tpi.NumRows(); n > 0 {
+						ws := tpi.MutableFloat64Col(kb.TPiW, 0)
+						for i := 0; i < 3; i++ {
+							r := rng.Intn(n)
+							ws[r] = weight()
+							wroteIDs = append(wroteIDs, tpi.Int32Col(kb.TPiI)[r])
+						}
 					}
 					return "reweight"
 				case 4: // constraint repair: order-preserving deletion anywhere
@@ -119,9 +137,9 @@ func TestSyncDeltaMatchesFullDiff(t *testing.T) {
 						return true
 					})
 					return "delete"
-				case 5: // ground.Extend: the next generation grows a declared Clone
-					from, tpi = tpi, tpi.Clone()
-					return "declared clone"
+				case 5: // ground.Extend: the next generation grows a declared Fork
+					from, tpi = tpi, tpi.Fork()
+					return "declared successor"
 				case 6: // a fresh table nobody vouches for
 					from, tpi = nil, tpi.Clone()
 					return "undeclared clone"
@@ -170,11 +188,11 @@ func TestSyncDeltaMatchesFullDiff(t *testing.T) {
 			// The last sync left both tables and mirrors equal: syncing
 			// again is a no-op on either path.
 			before := a.WALRecords()
-			if err := a.sync(src, tpi, from); err != nil {
+			if err := a.sync(src, tpi, from, nil); err != nil {
 				t.Fatal(err)
 			}
 			a.step = inStep{}
-			if err := a.sync(src, tpi, from); err != nil {
+			if err := a.sync(src, tpi, from, nil); err != nil {
 				t.Fatal(err)
 			}
 			if a.WALRecords() != before {

@@ -551,8 +551,9 @@ type round struct {
 	segs int
 	// work is the KB the round grounds and renders its facts through.
 	work *kb.KB
-	// from is the table the round's TΠ starts as a Clone of, nil when
-	// grounding builds its own: the store then logs only what changed.
+	// from is the table the round's TΠ starts as a Fork of (ground.Extend),
+	// nil when grounding builds its own. A store in step with from logs
+	// only the rows the round appended and the weights it wrote.
 	from *engine.Table
 	// checker, when non-nil, runs as the constraint hook.
 	checker *quality.Checker
@@ -590,7 +591,7 @@ func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Op
 			// The observer cannot return an error: latch it for the final
 			// sync to surface.
 			if p != nil && p.err == nil {
-				p.err = p.sync(r.work, tpi, r.from)
+				p.err = p.sync(r.work, tpi, r.from, nil)
 			}
 		}
 	}
@@ -614,11 +615,12 @@ func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Op
 	}
 	// The observer already made each iteration durable, on every engine;
 	// this final sync surfaces any append error latched inside it.
-	if err := persistFinal(p, r.work, res.Facts, r.from); err != nil {
+	if err := persistFinal(p, r.work, res.Facts, r.from, nil); err != nil {
 		return nil, err
 	}
 	if r.infer {
-		if err := exp.runInference(ctx); err != nil {
+		filled, err := exp.runInference(ctx)
+		if err != nil {
 			if isCtxErr(err) {
 				// The run as a whole did not complete: a partial
 				// expansion never reports Converged, even though the
@@ -629,9 +631,9 @@ func (r round) run(ctx context.Context, opts ground.Options, grnd func(ground.Op
 			}
 			return nil, err
 		}
-		// Inference rewrote inferred facts' weights in place; persist
-		// the marginals so recovery carries the probabilities too.
-		if err := persistFinal(p, r.work, res.Facts, r.from); err != nil {
+		// Inference wrote the pending facts' weights; persist the
+		// marginals so recovery carries the probabilities too.
+		if err := persistFinal(p, r.work, res.Facts, r.from, filled); err != nil {
 			return nil, err
 		}
 	}
