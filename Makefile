@@ -37,7 +37,9 @@ bench-build:
 # index vs. the hash-join form) and one factor phase (BenchmarkFactorsDelta:
 # maintained from a Δ of 64 or 4,096 rows vs. Query 2 over all of TΠ) at
 # 100K and 300K synthetic TΠ rows, with
-# allocations; building the factor graph of the scale 0.25 constrained
+# allocations; one constraint pass over a Δ that makes a new violator,
+# and the fact index following its deletion, over TΠ of the constrained
+# scale 0.05 and 0.25 groundings (BenchmarkConstraintPass); building the factor graph of the scale 0.25 constrained
 # grounding and one Gibbs sweep of each sampler over it; inference by
 # connected component on the scale 0.5 graph (BenchmarkComponents: the
 # labelling; BenchmarkExactComponents: the whole exact pass), the
@@ -72,11 +74,19 @@ bench-kernels:
 # beside BenchmarkExtendWithDeferred: the bytes one deferred extend of a
 # 64-fact batch allocates on a lineage may grow at most 2.5× from the
 # scale 0.05 corpus to the scale 0.25 one (1.92–1.94× measured; copying TΠ
-# every round, as before TΠ grew in place, is ~3.7×).
+# every round, as before TΠ grew in place, is ~3.7×). Beside
+# BenchmarkConstraintPass (in the ./internal/ground run above), two gates:
+# TestConstrainedExpandFollowsDeletions, a constrained grounding of the
+# scale 0.05 corpus that deletes in several iterations and never rebuilds
+# its fact index from scratch; and TestConstraintPassBytesFlat, the bytes
+# one deleting pass and the index's upkeep allocate may grow at most 2.5×
+# from the scale 0.05 grounding to the scale 0.25 one (1.7× measured; a
+# compaction that lists every row past the first deleted one is ~5.3×).
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat' .
+	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestConstraintPassBytesFlat' ./internal/ground
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
 
 # Long-mode differential harness: thousands of random plans, each run

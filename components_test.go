@@ -157,7 +157,7 @@ func componentSignatures(t *testing.T, e *Expansion) map[int32]string {
 	return out
 }
 
-// TestRefreshCarriesUntouchedComponentsForward is ROADMAP item 5's
+// TestRefreshCarriesUntouchedComponentsForward is ROADMAP item 7's
 // carry-forward rule, proven instead of implemented: inference is
 // deterministic per component, so a refresh recomputes an untouched
 // enumerated component to the bit-identical marginals — twice in a row,

@@ -10,10 +10,9 @@ import "slices"
 // Rows appended to the table after the index is built are indexed by
 // Extend, into a second segment over the appended rows only; a lookup
 // reads the first segment's rows and then the second's, which keeps them
-// ascending. Anything else that changes the table — a deletion shifts
-// rows — needs a new index. The first segment, the base, is never
-// written once built: Fork hands it to an index over a copy of the
-// table, which builds only its own tail.
+// ascending. An order-preserving deletion is followed (FollowDeletion).
+// The first segment, the base, gains no row once built: Fork hands it to
+// an index over a copy of the table, which builds only its own tail.
 type EntityIndex struct {
 	t    *Table
 	cols []int
@@ -21,6 +20,9 @@ type EntityIndex struct {
 	base, tail entitySeg
 	baseEnd    int
 	rows       int
+	// sharedBase is set on a fork that reads its parent's base: it copies
+	// the base before it writes it.
+	sharedBase bool
 }
 
 // entitySeg is one CSR segment: a value's slot s lists its rows as
@@ -71,7 +73,7 @@ func (ix *EntityIndex) Fork(t *Table) *EntityIndex {
 	if t.NumRows()-ix.baseEnd > ix.baseEnd/forkTailFraction {
 		return &EntityIndex{t: t, cols: ix.cols}
 	}
-	return &EntityIndex{t: t, cols: ix.cols, base: ix.base, baseEnd: ix.baseEnd, rows: ix.baseEnd}
+	return &EntityIndex{t: t, cols: ix.cols, base: ix.base, baseEnd: ix.baseEnd, rows: ix.baseEnd, sharedBase: true}
 }
 
 // BaseLen returns the number of rows the shared base covers, from row 0.
@@ -109,6 +111,58 @@ func (ix *EntityIndex) Extend() {
 		ix.tail = ix.build(ix.baseEnd, n)
 	}
 	ix.rows = n
+}
+
+// FollowDeletion brings the index up to its table's latest deletion,
+// given by its renumbering m (Table.LastDeletion, Deletion.Renumbering):
+// the base drops the deleted rows and renumbers the rest, in one pass
+// over its entries with every list kept ascending, and the tail, which
+// every Extend rebuilds whole, is left to the next one. Rows past those
+// the index covered are not its to drop. The base is renumbered in
+// place, or first copied when it is a parent's (Fork); an index that has
+// been forked must not follow a deletion, since its forks read its base.
+func (ix *EntityIndex) FollowDeletion(m *Renumbering) {
+	if ix.rows == 0 {
+		return
+	}
+	if inBase, _ := slices.BinarySearch(m.rows, int32(ix.baseEnd)); inBase > 0 {
+		ix.base = ix.base.follow(m, !ix.sharedBase)
+		ix.sharedBase = false
+		ix.baseEnd -= inBase
+	}
+	ix.tail, ix.rows = entitySeg{}, ix.baseEnd
+}
+
+// follow is FollowDeletion on one segment: m's rows leave their lists,
+// the others take their new numbers. It renumbers the entries in one
+// flat pass, noting where the deleted rows' entries sit; each offset
+// then moves down by the noted entries before it, and the entries close
+// up over them. inPlace writes s's own arrays; otherwise the result is
+// new and s is left as it was. keys are only read, so a copy shares them.
+func (s entitySeg) follow(m *Renumbering, inPlace bool) entitySeg {
+	out := s
+	if !inPlace {
+		out.off, out.rows = make([]int32, len(s.off)), make([]int32, len(s.rows))
+	}
+	var dropped []int32 // positions in rows, ascending
+	for k, r := range s.rows {
+		to, ok := m.renumber(r)
+		if !ok {
+			dropped = append(dropped, int32(k))
+		}
+		out.rows[k] = to
+	}
+	j := int32(0)
+	for slot, o := range s.off {
+		for int(j) < len(dropped) && dropped[j] < o {
+			j++
+		}
+		out.off[slot] = o - j
+	}
+	if len(dropped) > 0 {
+		out.rows = closeUp(out.rows, dropped)
+	}
+	return out
 }
 
 // Lookup appends the rows holding v in any indexed column to dst, in

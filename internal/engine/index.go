@@ -108,6 +108,60 @@ func (ix *sealedIndex) first(h uint64) int32 { return ix.heads[bucketOf(h, ix.sh
 // len returns the number of indexed rows.
 func (ix *sealedIndex) len() int { return len(ix.next) }
 
+// follow drops the rows an order-preserving deletion removed (m) from
+// the index and renumbers the rest, keeping every chain ascending and
+// every row in its bucket: nothing is hashed again. A chain skips each
+// run of deleted rows in it at the survivor before the run, so the work
+// is one pass over the buckets and the rows. inPlace writes ix's own
+// arrays, for an index nothing else reads; otherwise the result is new
+// and ix is left as it was.
+func (ix sealedIndex) follow(m *Renumbering, inPlace bool) sealedIndex {
+	n := int32(len(ix.next))
+	kept := n - m.below(n)
+	out := sealedIndex{heads: ix.heads, next: ix.next[:kept], shift: ix.shift}
+	if !inPlace {
+		out.heads, out.next = make([]int32, len(ix.heads)), make([]int32, kept)
+	}
+	// survivor returns r's new number, or that of the first survivor
+	// after it along its chain; -1 past the chain's end, r included.
+	// Chains ascend, so the rows it reads lie past every row written so
+	// far. The common cases, an empty bucket and a surviving row, take
+	// no branch on the data.
+	survivor := func(r int32) int32 {
+		end := r >> 31 // -1 past the chain's end, else 0
+		to, ok := m.renumber(r &^ end)
+		if ok || end != 0 {
+			return to | end
+		}
+		for r = ix.next[r]; r >= 0; r = ix.next[r] {
+			if to, ok := m.renumber(r); ok {
+				return to
+			}
+		}
+		return -1
+	}
+	for b, h := range ix.heads {
+		out.heads[b] = survivor(h)
+	}
+	for r := int32(0); r < n; r++ {
+		if to, ok := m.renumber(r); ok {
+			out.next[to] = survivor(ix.next[r])
+		}
+	}
+	return out
+}
+
+// drop removes the rows at the ascending positions rows from the index
+// and re-chains the rest from their stored hashes.
+func (ix *rowIndex) drop(rows []int32) {
+	if len(rows) == 0 {
+		return
+	}
+	ix.hash = closeUp(ix.hash, rows)
+	ix.next = ix.next[:len(ix.hash)]
+	ix.rechain()
+}
+
 // hashRange fills dst with HashRow(t, lo+i, cols), a column at a time: the
 // same values, without a row-at-a-time walk's dependent loads and with
 // the rows' FNV multiply chains overlapped.

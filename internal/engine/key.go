@@ -5,6 +5,11 @@ package engine
 // We hash into uint64 and verify real equality on probe, so hash collisions
 // cost time but never correctness.
 
+import (
+	"fmt"
+	"slices"
+)
+
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -56,13 +61,17 @@ func rowsEqualOn(a *Table, ra int, acols []int, b *Table, rb int, bcols []int) b
 // dedup on (R,x,C1,y,C2)) and SQL's IN sub-selects.
 //
 // A set is two segments. The base covers the rows the set was built
-// over, [0, BaseLen()), and is never written afterwards, so the sets
-// forked from it (Fork) share it; it keeps no hashes. The tail indexes
-// the rows appended since (NoteAppended) and belongs to this set alone.
+// over, [0, BaseLen()), and gains no row afterwards, so the sets forked
+// from it (Fork) share it; it keeps no hashes. The tail indexes the rows
+// appended since (NoteAppended) and belongs to this set alone. A
+// deletion from the table is followed (FollowDeletion), not rebuilt.
 type RowSet struct {
 	t    *Table
 	cols []int
 	base sealedIndex
+	// sharedBase is set on a fork that reads its parent's base: it copies
+	// the base before it writes it.
+	sharedBase bool
 	// tail row i is table row base.len()+i.
 	tail *rowIndex
 }
@@ -88,7 +97,7 @@ func (s *RowSet) Fork(t *Table) *RowSet {
 	}
 	hs := make([]uint64, t.NumRows()-n)
 	hashRange(hs, t, s.cols, n)
-	return &RowSet{t: t, cols: s.cols, base: s.base, tail: newRowIndex(hs)}
+	return &RowSet{t: t, cols: s.cols, base: s.base, sharedBase: true, tail: newRowIndex(hs)}
 }
 
 // Contains reports whether a row with the same key as row r of table o
@@ -144,14 +153,40 @@ func (s *RowSet) holdsKey(r int, key []int32) bool {
 // NoteAppended indexes the rows appended to the underlying table since
 // the set last saw it, [Len(), t.NumRows()). The set counts what it has
 // indexed, so no caller can hand it a stale range; a table that shrank
-// under it (DeleteWhere) needs a new set, and panics here.
+// under it needs FollowDeletion first, and panics here.
 func (s *RowSet) NoteAppended() {
 	if s.t.NumRows() < s.Len() {
-		panic("engine: RowSet's table shrank; build a new set after deleting rows")
+		panic("engine: RowSet's table shrank; follow the deletion first")
 	}
 	for r := s.Len(); r < s.t.NumRows(); r++ {
 		s.tail.add(HashRow(s.t, r, s.cols))
 	}
+}
+
+// FollowDeletion brings the set up to its table's latest deletion,
+// given by its renumbering m (Table.LastDeletion, Deletion.Renumbering):
+// it drops the deleted rows and renumbers the rest, in O(indexed rows)
+// with nothing hashed again. The set must have indexed every row the
+// table held before the deletion, and nothing may have been appended
+// since. The base is renumbered in place, or first copied when it is a
+// parent's (Fork); a set that has been forked must not follow a
+// deletion, since its forks read its base.
+func (s *RowSet) FollowDeletion(m *Renumbering) {
+	if s.Len() != s.t.NumRows()+len(m.rows) {
+		panic(fmt.Sprintf("engine: RowSet.FollowDeletion of %d rows: the set holds %d, its table %d", len(m.rows), s.Len(), s.t.NumRows()))
+	}
+	n := int32(s.base.len())
+	inBase, _ := slices.BinarySearch(m.rows, n)
+	if inBase > 0 {
+		s.base = s.base.follow(m, !s.sharedBase)
+		s.sharedBase = false
+	}
+	tail := m.rows[inBase:]
+	local := make([]int32, len(tail))
+	for i, r := range tail {
+		local[i] = r - n
+	}
+	s.tail.drop(local)
 }
 
 // Len returns the number of indexed rows.

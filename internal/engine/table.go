@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -68,9 +69,11 @@ type Table struct {
 	forked atomic.Bool
 	// shared counts the leading rows this table, a Fork, may still share
 	// with the table it was forked from: they are read here and never
-	// written, so a write below it copies the column first. (An int32
-	// keeps Table in its allocation size class.)
+	// written, so a write below it copies the column first.
 	shared int32
+	// deletion is the record of t's latest DeleteRows, nil before its
+	// first: what an index over t follows (LastDeletion).
+	deletion *Deletion
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -204,7 +207,7 @@ func (t *Table) StringCol(i int) []string {
 // tail: the fork aliases t's columns and appends into their spare
 // capacity, past every row t holds, so t's readers never see its rows;
 // it copies a column before its first write below t's row count
-// (MutableFloat64Col, DeleteWhere). Every later Fork of t copies all of
+// (MutableFloat64Col, DeleteRows). Every later Fork of t copies all of
 // t, as Clone does. The claim is atomic, so concurrent Forks of one
 // table are safe, and at most one of them shares its arrays.
 func (t *Table) Fork() *Table {
@@ -418,57 +421,138 @@ func (t *Table) KeepRows(keep []int32) {
 }
 
 // DeleteWhere removes rows for which pred returns true and reports how
-// many were deleted. This is the engine primitive behind Query 3
-// (applyConstraints) in the paper.
-//
-// The survivors close up in place, in order, from the first deleted row
-// on: rows before it are not touched, nothing is allocated when nothing
-// is deleted, and the columns keep their capacity — a deletion costs what
-// it moves, not a copy of the table. The exception is a deletion among
-// rows t shares (Fork): each column is copied first.
+// many were deleted: DeleteRows over the rows pred picks.
 func (t *Table) DeleteWhere(pred func(row int) bool) int {
-	first := -1
-	var keep []int32 // survivors after row first
+	var rows []int32
 	for r := 0; r < t.nrows; r++ {
-		switch {
-		case pred(r):
-			if first < 0 {
-				first = r
-			}
-		case first >= 0:
-			keep = append(keep, int32(r))
+		if pred(r) {
+			rows = append(rows, int32(r))
 		}
 	}
-	if first < 0 {
+	return t.DeleteRows(rows)
+}
+
+// DeleteRows removes the given rows, which must be ascending and
+// distinct, and reports how many it removed. This is the engine
+// primitive behind Query 3 (applyConstraints) in the paper.
+//
+// The survivors close up in place, in order, from the first deleted row
+// on, one copy per run between two deleted rows: rows before the first
+// are not touched, nothing is allocated but the deletion's record, and
+// the columns keep their capacity — a deletion costs what it moves, not
+// a copy of the table. The exception is a deletion among rows t shares
+// (Fork): each column is copied first. t keeps rows as the record of its
+// latest deletion (LastDeletion); the caller must not write it
+// afterwards.
+func (t *Table) DeleteRows(rows []int32) int {
+	if len(rows) == 0 {
 		return 0
 	}
-	n := first + len(keep)
-	if t.sharesFrom(first) {
+	for i, r := range rows {
+		if r < 0 || int(r) >= t.nrows || (i > 0 && r <= rows[i-1]) {
+			panic(fmt.Sprintf("engine: DeleteRows from %s: row %d out of order or range (%d rows)", t.name, r, t.nrows))
+		}
+	}
+	if t.sharesFrom(int(rows[0])) {
 		t.own()
 	}
 	for _, c := range t.cols {
 		switch c.typ {
 		case Int32:
-			for i, r := range keep {
-				c.i32[first+i] = c.i32[r]
-			}
-			c.i32 = c.i32[:n]
+			c.i32 = closeUp(c.i32, rows)
 		case Float64:
-			for i, r := range keep {
-				c.f64[first+i] = c.f64[r]
-			}
-			c.f64 = c.f64[:n]
+			c.f64 = closeUp(c.f64, rows)
 		case String:
-			for i, r := range keep {
-				c.str[first+i] = c.str[r]
-			}
-			clear(c.str[n:]) // let the dropped strings go
-			c.str = c.str[:n]
+			c.str = closeUp(c.str, rows)
 		}
 	}
-	deleted := t.nrows - n
-	t.nrows = n
-	return deleted
+	t.deletion = &Deletion{Rows: rows, seq: t.Deletions() + 1, before: t.nrows}
+	t.nrows -= len(rows)
+	return len(rows)
+}
+
+// closeUp removes the ascending positions rows from s, moving each run of
+// survivors down with one copy, and zeroes the vacated tail (it lets the
+// dropped strings go).
+func closeUp[T any](s []T, rows []int32) []T {
+	w := int(rows[0])
+	for i, r := range rows {
+		end := len(s)
+		if i+1 < len(rows) {
+			end = int(rows[i+1])
+		}
+		w += copy(s[w:], s[r+1:end])
+	}
+	clear(s[w:])
+	return s[:w]
+}
+
+// Deletion is what a table's latest deletion removed: Rows, ascending
+// and numbered as they were before it. An index over the table that saw
+// every deletion before this one, and every row before it, follows it
+// by dropping Rows and renumbering the rest (Renumbering,
+// RowSet.FollowDeletion, EntityIndex.FollowDeletion).
+type Deletion struct {
+	Rows []int32
+	// seq is the table's Deletions() with this one; before, its row
+	// count before it.
+	seq, before int
+}
+
+// Renumbering returns the map from the rows d's table held before the
+// deletion to their numbers after it, which every structure following
+// the deletion reads.
+func (d *Deletion) Renumbering() *Renumbering { return newRenumbering(d.Rows, d.before) }
+
+// LastDeletion returns the record of t's latest deletion; nil before its
+// first. A Fork or Clone starts with none.
+func (t *Table) LastDeletion() *Deletion { return t.deletion }
+
+// Deletions returns how many deletions t has seen.
+func (t *Table) Deletions() int {
+	if t.deletion == nil {
+		return 0
+	}
+	return t.deletion.seq
+}
+
+// Renumbering maps the rows of a table before an order-preserving
+// deletion to their numbers after it: a surviving row moves down by the
+// number of deleted rows before it. A lookup is O(1) and all but
+// branch-free — the followers call it once per entry of an index — from
+// a bitmap of the deleted rows and a running count per 64-row word, both
+// over every row the table held.
+type Renumbering struct {
+	rows   []int32  // the deleted rows, ascending
+	gone   []uint64 // bit r%64 of word r/64: row r was deleted
+	before []int32  // per word: deleted rows below its first row
+}
+
+// newRenumbering maps the n rows a table held before deleting rows.
+func newRenumbering(rows []int32, n int) *Renumbering {
+	m := &Renumbering{rows: rows, gone: make([]uint64, n>>6+1)}
+	for _, r := range rows {
+		m.gone[r>>6] |= 1 << (r & 63)
+	}
+	m.before = make([]int32, len(m.gone))
+	c := int32(0)
+	for w, g := range m.gone {
+		m.before[w] = c
+		c += int32(bits.OnesCount64(g))
+	}
+	return m
+}
+
+// renumber returns row r's number after the deletion, and false when r
+// was deleted.
+func (m *Renumbering) renumber(r int32) (int32, bool) {
+	return r - m.below(r), m.gone[r>>6]&(1<<(r&63)) == 0
+}
+
+// below returns how many of the deleted rows lie below row n, for n up
+// to the table's row count before the deletion.
+func (m *Renumbering) below(n int32) int32 {
+	return m.before[n>>6] + int32(bits.OnesCount64(m.gone[n>>6]&(1<<(n&63)-1)))
 }
 
 // SortBy orders the rows by the given keys (stable). NULLs sort last

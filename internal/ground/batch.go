@@ -206,11 +206,15 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 			candRows += c.NumRows()
 			st.NewFacts += ix.merge(c)
 		}
+		// The constraint pass, then the index's upkeep after what it
+		// deleted, each timed for the iteration's span.
+		var passTime, upkeepTime time.Duration
 		if g.opts.ConstraintHook != nil {
+			passStart := time.Now()
 			st.Deleted = g.opts.ConstraintHook(tpi)
-			if st.Deleted > 0 {
-				ix.rebuild()
-			}
+			upkeepStart := time.Now()
+			ix.followDeletion(g.opts.Workers)
+			passTime, upkeepTime = upkeepStart.Sub(passStart), time.Since(upkeepStart)
 		}
 		// Removals don't invalidate the watermark: a deleted fact's ID
 		// vanishes from the table (and thus from the next delta), and any
@@ -236,6 +240,10 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		iterSpan.SetAttr("new_facts", st.NewFacts)
 		iterSpan.SetAttr("deleted", st.Deleted)
 		iterSpan.SetAttr("queries", st.Queries)
+		if g.opts.ConstraintHook != nil {
+			iterSpan.SetAttr("constraint_time", passTime.Round(time.Microsecond))
+			iterSpan.SetAttr("index_time", upkeepTime.Round(time.Microsecond))
+		}
 		iterSpan.End()
 		emitIteration(g.opts.Journal, st)
 		if g.opts.Observer != nil {

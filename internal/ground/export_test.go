@@ -2,6 +2,7 @@ package ground
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"probkb/internal/engine"
@@ -103,4 +104,130 @@ func TuffyFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
 		t.Fatal(err)
 	}
 	return res.Factors
+}
+
+// IndexRebuilds returns how many times the run that produced res
+// rebuilt its fact index from scratch (factIndex.rebuild); -1 when res
+// carries no index.
+func IndexRebuilds(res *Result) int {
+	if res.index == nil {
+		return -1
+	}
+	return res.index.rebuilds
+}
+
+// GroundWithIndex is Ground, except that the result carries the run's
+// fact index, as an Extend's result does, for tests that hold it to a
+// fresh one.
+func GroundWithIndex(k *kb.KB, opts Options) (*Result, error) {
+	g, err := NewBatch(k, opts)
+	if err != nil {
+		return nil, err
+	}
+	tpi := k.FactsTable()
+	ix := newFactIndex(tpi)
+	res, err := g.groundFrom(g, tpi, ix, -1, &Result{})
+	if err == nil {
+		ix.on(kb.TPiX)
+		res.index = ix
+	}
+	return res, err
+}
+
+// IndexMatchesFresh returns nil when the fact index res carries answers
+// every lookup as newFactIndex over res.Facts, with both entity columns
+// built, does: every row's key, and every entity's rows in x and in y.
+func IndexMatchesFresh(res *Result) error {
+	if res.index == nil {
+		return fmt.Errorf("the result carries no fact index")
+	}
+	return indexDiff(res.index)
+}
+
+func indexDiff(ix *factIndex) error {
+	tpi := ix.tpi
+	fresh := newFactIndex(tpi)
+	if ix.next < fresh.next {
+		// A run's next ID passes those of the rows it deleted; a fresh
+		// index starts past the last row's.
+		return fmt.Errorf("next fact ID %d, below a fresh index's %d", ix.next, fresh.next)
+	}
+	if ix.set.Len() != tpi.NumRows() {
+		return fmt.Errorf("the identity set holds %d rows of %d", ix.set.Len(), tpi.NumRows())
+	}
+	for r := 0; r < tpi.NumRows(); r++ {
+		if got := ix.set.Find(tpi, r, tpiKeyCols); got != r {
+			return fmt.Errorf("the identity set finds row %d's key at row %d", r, got)
+		}
+	}
+	ix.on(kb.TPiX)
+	top := int32(0)
+	for _, col := range []int{kb.TPiX, kb.TPiY} {
+		for _, v := range tpi.Int32Col(col) {
+			top = max(top, v)
+		}
+	}
+	for _, col := range []int{kb.TPiX, kb.TPiY} {
+		got, want := ix.on(col), engine.NewEntityIndex(tpi, col)
+		for v := int32(0); v <= top+1; v++ {
+			if g, w := got.Lookup(v, nil), want.Lookup(v, nil); fmt.Sprint(g) != fmt.Sprint(w) {
+				return fmt.Errorf("column %d, entity %d: rows %v, a fresh index's %v", col, v, g, w)
+			}
+		}
+	}
+	return nil
+}
+
+// IndexedFacts is a TΠ with a run's fact index over it, both entity
+// columns built, as an iteration of the closure loop holds them.
+type IndexedFacts struct{ ix *factIndex }
+
+// IndexFacts indexes tpi as a run over it does.
+func IndexFacts(tpi *engine.Table) *IndexedFacts {
+	ix := newFactIndex(tpi)
+	ix.on(kb.TPiX)
+	return &IndexedFacts{ix}
+}
+
+// Add appends f under the next fact ID unless TΠ holds it, as the merge
+// does, and reports whether it did.
+func (f *IndexedFacts) Add(x kb.Fact) bool {
+	if f.ix.set.ContainsKey(x.Rel, x.X, x.XClass, x.Y, x.YClass) {
+		return false
+	}
+	f.ix.add(x.Rel, x.X, x.XClass, x.Y, x.YClass, x.W)
+	return true
+}
+
+// Pass runs hook as the closure loop runs a constraint pass — on TΠ,
+// then the index follows what it deleted — and returns what hook does.
+func (f *IndexedFacts) Pass(hook func(*engine.Table) int) int {
+	n := hook(f.ix.tpi)
+	f.ix.followDeletion(0)
+	return n
+}
+
+// MatchesFresh is IndexMatchesFresh for f's index.
+func (f *IndexedFacts) MatchesFresh() error { return indexDiff(f.ix) }
+
+// NextFactIDByScan is the scan nextFactID replaced, the oracle its
+// answer is held to: one past the highest ID tpi holds.
+func NextFactIDByScan(tpi *engine.Table) int32 {
+	next := int32(0)
+	for _, id := range tpi.Int32Col(kb.TPiI) {
+		next = max(next, id+1)
+	}
+	return next
+}
+
+// NextFactIDs returns what the three tables a run starts from say its
+// first new fact ID is, by nextFactID: the KB's facts table, a Fork of
+// res.Facts (an Extend's), and the local grounder's seed table for the
+// atom (rel, x, y) over res.
+func NextFactIDs(k *kb.KB, res *Result, rel, x, y int32) (load, fork, local int32, seeds *engine.Table) {
+	lg := NewLocalFor(k.Rules, res, Options{})
+	_, rels := lg.reachable(rel, DefaultLocalDepth)
+	seed := engine.NewTable("T_local", kb.FactsSchema())
+	seed.AppendRowsFrom(lg.facts, lg.entityBall(x, y, DefaultLocalDepth+1, rels))
+	return nextFactID(k.FactsTable()), nextFactID(res.Facts.Fork()), nextFactID(seed), seed
 }

@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"probkb/internal/engine"
@@ -265,28 +266,33 @@ type factIndex struct {
 	// nil until then: MPP and Tuffy-T never read it. TΠ changes in two
 	// ways (see Options.Observer), and the index follows both: a read
 	// extends it over the rows appended since the last one — the merge's
-	// and Extend's — and a deletion (rebuild) drops it for the next read
-	// to build again.
+	// and Extend's — and a constraint pass's deletion is followed
+	// (followDeletion).
 	byX, byY *engine.EntityIndex
+	// deletions is how many of tpi's deletions the index has followed
+	// (engine.Table.Deletions); rebuilds, how many times it was built
+	// again from scratch instead.
+	deletions, rebuilds int
 }
 
 // tpiKeyCols are the identity columns of TΠ.
 var tpiKeyCols = []int{kb.TPiR, kb.TPiX, kb.TPiC1, kb.TPiY, kb.TPiC2}
 
 func newFactIndex(tpi *engine.Table) *factIndex {
-	return &factIndex{set: engine.NewRowSet(tpi, tpiKeyCols), tpi: tpi, next: nextFactID(tpi)}
+	return &factIndex{set: engine.NewRowSet(tpi, tpiKeyCols), tpi: tpi, next: nextFactID(tpi),
+		deletions: tpi.Deletions()}
 }
 
 // nextFactID returns one past the highest fact ID tpi holds: where a run
-// over tpi starts handing out IDs.
+// over tpi starts handing out IDs. IDs grow with the row index on every
+// table a run starts from — a KB's, a published result's, a local seed
+// table drawn in row order — so the last row holds the highest.
 func nextFactID(tpi *engine.Table) int32 {
-	next := int32(0)
-	for _, id := range tpi.Int32Col(kb.TPiI) {
-		if id >= next {
-			next = id + 1
-		}
+	ids := tpi.Int32Col(kb.TPiI)
+	if len(ids) == 0 {
+		return 0
 	}
-	return next
+	return ids[len(ids)-1] + 1
 }
 
 // fork returns the index of tpi, a Fork of the table a published index
@@ -295,7 +301,7 @@ func nextFactID(tpi *engine.Table) int32 {
 // sibling rounds may fork one published index at once.
 func (ix *factIndex) fork(tpi *engine.Table) *factIndex {
 	return &factIndex{set: ix.set.Fork(tpi), tpi: tpi, next: nextFactID(tpi),
-		byX: ix.byX.Fork(tpi), byY: ix.byY.Fork(tpi)}
+		byX: ix.byX.Fork(tpi), byY: ix.byY.Fork(tpi), deletions: tpi.Deletions()}
 }
 
 // candidateKeyCols are the identity columns of a groundAtoms result, the
@@ -329,10 +335,48 @@ func (ix *factIndex) add(r, x, c1, y, c2 int32, w float64) {
 	ix.set.NoteAppended()
 }
 
-// rebuild re-indexes TΠ after in-place deletions.
+// followDeletion brings the index up to what a constraint pass did to
+// TΠ: nothing, or one order-preserving deletion, which the identity set
+// and the entity columns follow — they drop the removed rows and
+// renumber the rest, hashing and sorting nothing again. The three
+// follow at once unless workers is 1 (Options.Workers). A change the
+// index cannot follow (more than one deletion, or rows appended past
+// the index) rebuilds it.
+func (ix *factIndex) followDeletion(workers int) {
+	d := ix.tpi.LastDeletion()
+	switch n := ix.tpi.Deletions(); {
+	case n == ix.deletions:
+	case n == ix.deletions+1 && ix.set.Len() == ix.tpi.NumRows()+len(d.Rows):
+		m := d.Renumbering()
+		var wg sync.WaitGroup
+		for _, e := range []*engine.EntityIndex{ix.byX, ix.byY} {
+			switch {
+			case e == nil:
+			case workers == 1:
+				e.FollowDeletion(m)
+			default:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					e.FollowDeletion(m)
+				}()
+			}
+		}
+		ix.set.FollowDeletion(m)
+		wg.Wait()
+		ix.deletions = n
+	default:
+		ix.rebuild()
+	}
+}
+
+// rebuild re-indexes TΠ from scratch: the identity set at once, the
+// entity columns at the next read.
 func (ix *factIndex) rebuild() {
+	ix.rebuilds++
 	ix.set = engine.NewRowSet(ix.tpi, tpiKeyCols)
 	ix.byX, ix.byY = nil, nil
+	ix.deletions = ix.tpi.Deletions()
 }
 
 // on returns the entity index over TΠ value column col (kb.TPiX or

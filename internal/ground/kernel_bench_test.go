@@ -13,9 +13,10 @@ import (
 
 // Kernel benchmarks for the fact index (ROADMAP item 1's kernel tier),
 // beside the engine's own in internal/engine/kernel_bench_test.go: merge is what
-// every grounding iteration does with its candidate facts, rebuild what it
-// does after every constraint pass that deleted something. DeltaLegs is
-// one semi-naive iteration's two-atom legs, FactorsDelta one factor phase
+// every grounding iteration does with its candidate facts, rebuild what a
+// change to TΠ the index cannot follow costs (a constraint pass's
+// deletion it follows: BenchmarkConstraintPass). DeltaLegs is one
+// semi-naive iteration's two-atom legs, FactorsDelta one factor phase
 // maintained from the Δ beside Query 2 over all of TΠ.
 
 // syntheticCandidates builds n (R, x, C1, y, C2) rows over n/4 entities;

@@ -47,7 +47,10 @@ type Violation struct {
 // was appended since instead of the whole table. One checker follows one
 // facts table, or the tables cloned and grown from it (ground.Extend).
 type Checker struct {
-	fc *engine.Table
+	// fc is TΩ split by functionality type: fc[typ-1] holds the
+	// constraints of kb.TypeI or kb.TypeII, as Query 3's WHERE FC.arg
+	// selects them.
+	fc [2]*engine.Table
 
 	// tomb is TΩ⁻, tombSet its index on all three columns. tombEnts has
 	// bit e set when entity e is in TΩ⁻ under any class and position:
@@ -55,7 +58,7 @@ type Checker struct {
 	// turns away nearly every row of a scan.
 	tomb     *engine.Table
 	tombSet  *engine.RowSet
-	tombEnts []uint64
+	tombEnts bitmap
 
 	// What the last pass left: the table's row count and its last row's
 	// fact ID (rows < 0 before the first pass). Fact IDs grow strictly
@@ -77,12 +80,31 @@ func NewChecker(k *kb.KB) *Checker {
 		engine.C("C", engine.Int32),
 		engine.C("arg", engine.Int32), // the violated position: kb.TypeI (subject) or kb.TypeII (object)
 	))
-	return &Checker{
-		fc:      k.ConstraintsTable(),
-		tomb:    tomb,
-		tombSet: engine.NewRowSet(tomb, tombKeyCols),
-		rows:    -1,
+	c := &Checker{tomb: tomb, tombSet: engine.NewRowSet(tomb, tombKeyCols), rows: -1}
+	fc := k.ConstraintsTable()
+	var byType [2][]int32
+	for r, typ := range fc.Int32Col(kb.TOmegaType) {
+		byType[typ-1] = append(byType[typ-1], int32(r))
 	}
+	for i, rows := range byType {
+		c.fc[i] = engine.NewTable(fc.Name(), fc.Schema())
+		c.fc[i].Reserve(len(rows))
+		c.fc[i].AppendRowsFrom(fc, rows)
+	}
+	return c
+}
+
+// NewCheckerAfterPreClean is NewChecker for a KB that PreClean has just
+// cleaned, to check the tables a grounding run grows from the KB's facts
+// (kb.KB.FactsTable): its first pass takes those facts, rows [0, n) with
+// IDs 0..n-1, as already checked and counts only the groups the rows
+// appended past them touch. PreClean leaves no group violating — a
+// deletion only lowers counts — so that pass finds what Query 3 in full
+// would. Like any checker's, its TΩ⁻ starts empty.
+func NewCheckerAfterPreClean(k *kb.KB) *Checker {
+	c := NewChecker(k)
+	c.rows, c.lastID = len(k.Facts), int32(len(k.Facts)-1)
+	return c
 }
 
 // Clone returns a checker with a copy of c's memory, for a run that
@@ -97,33 +119,72 @@ func (c *Checker) Clone() *Checker {
 }
 
 // NumConstraints returns the number of constraints loaded.
-func (c *Checker) NumConstraints() int { return c.fc.NumRows() }
+func (c *Checker) NumConstraints() int { return c.fc[0].NumRows() + c.fc[1].NumRows() }
 
 // Violations computes, without deleting anything, every entity that
 // violates a functional constraint in tpi.
 func (c *Checker) Violations(tpi *engine.Table) []Violation {
-	return c.violations(tpi, nil)
+	return c.violations(tpi, 0, nil, nil)
 }
 
 // violations runs Query 3 for both functionality types on the
-// single-node engine: over all of tpi, or, given the rows appended to it
-// since the last pass, over the groups those rows landed in.
-func (c *Checker) violations(tpi, delta *engine.Table) []Violation {
+// single-node engine over the rows of tpi not in gone (ascending, at or
+// above from, the appended rows a pass has already removed): over all of
+// them when from is 0, and otherwise over the groups the rows appended
+// since from landed in. marks is the pass's scratch bitmap, which it
+// leaves empty.
+func (c *Checker) violations(tpi *engine.Table, from int, gone []int32, marks *bitmap) []Violation {
+	live := func(int) bool { return true }
+	if len(gone) > 0 {
+		live = func(r int) bool {
+			_, found := slices.BinarySearch(gone, int32(r))
+			return r < int(gone[0]) || !found
+		}
+	}
+	var delta *engine.Table
+	if from > 0 {
+		delta = engine.NewTable("T_delta", tpi.Schema())
+		delta.AppendRowsFrom(tpi, survivors(from, tpi.NumRows(), gone))
+	}
 	var out []Violation
 	for _, typ := range []int{kb.TypeI, kb.TypeII} {
-		var rows engine.Node
-		if delta == nil {
-			rows = c.constrainedRows(tpi, typ)
-		} else {
+		switch {
+		case delta == nil && len(gone) == 0:
+			out = append(out, violationsIn(c.constrainedRows(engine.NewScan(tpi), typ), typ)...)
+		case delta == nil:
+			out = append(out, violationsIn(c.constrainedRows(engine.NewFilter(engine.NewScan(tpi), "not removed",
+				func(_ *engine.Table, r int) bool { return live(r) }), typ), typ)...)
+		default:
 			touched := run(c.touchedGroups(delta, typ))
 			if touched.NumRows() == 0 {
 				continue
 			}
-			rows = groupRows(touched, tpi, typ)
+			heads := touched.Int32Col(1)
+			marks.set(heads)
+			out = append(out, violationsIn(groupRows(touched, tpi, typ, *marks, live), typ)...)
+			marks.unset(heads)
 		}
-		out = append(out, violationsOf(run(having(rows)), typ)...)
 	}
 	return out
+}
+
+// violationsIn closes Query 3 over constrainedRows-shaped rows of type
+// typ and returns its violations.
+func violationsIn(rows engine.Node, typ int) []Violation {
+	return violationsOf(run(having(rows)), typ)
+}
+
+// survivors returns rows [from, to) without those in gone (ascending).
+func survivors(from, to int, gone []int32) []int32 {
+	rows := make([]int32, 0, to-from-len(gone))
+	for r := from; r < to; r++ {
+		if len(gone) > 0 && gone[0] == int32(r) {
+			gone = gone[1:]
+			continue
+		}
+		rows = append(rows, int32(r))
+	}
+	return rows
 }
 
 // run executes a constraint plan. The plans are static program data;
@@ -144,7 +205,7 @@ func run(plan engine.Node) *engine.Table {
 // Type I groups by (R, x, C1, C2) and counts distinct y; Type II groups
 // by (R, y, C2, C1) and counts distinct x.
 func (c *Checker) Plan(tpi *engine.Table, typ int) engine.Node {
-	return having(c.constrainedRows(tpi, typ))
+	return having(c.constrainedRows(engine.NewScan(tpi), typ))
 }
 
 // argCols returns the TΠ columns holding, for functionality type typ,
@@ -158,15 +219,10 @@ func argCols(typ int) (ent, entCls, other, otherCls int) {
 
 // constrainedRows is Query 3's join, T ⋈ FC on T.R = FC.R for the
 // constraints of one type: a row (R, ent, entCls, otherCls, other, deg)
-// per row of t a constraint covers.
-func (c *Checker) constrainedRows(t *engine.Table, typ int) engine.Node {
-	fcFiltered := engine.NewFilter(engine.NewScan(c.fc),
-		fmt.Sprintf("FC.arg = %d", typ),
-		func(t *engine.Table, r int) bool {
-			return t.Int32Col(kb.TOmegaType)[r] == int32(typ)
-		})
+// per row of t (a TΠ-shaped input) a constraint covers.
+func (c *Checker) constrainedRows(t engine.Node, typ int) engine.Node {
 	ent, entCls, other, otherCls := argCols(typ)
-	return engine.NewHashJoin(fcFiltered, engine.NewScan(t),
+	return engine.NewHashJoin(engine.NewScan(c.fc[typ-1]), t,
 		[]int{kb.TOmegaR}, []int{kb.TPiR},
 		[]engine.JoinOut{
 			engine.ProbeCol("R", kb.TPiR),
@@ -194,17 +250,36 @@ func having(rows engine.Node) engine.Node {
 
 // touchedGroups is the (R, ent, entCls, otherCls, deg) groups of one
 // type that the rows of delta fall in — the only groups whose distinct
-// count can have grown since those rows were appended.
+// count can have grown since those rows were appended. The join builds
+// on delta and probes with the type's constraints, so what it allocates
+// follows the delta, not TΩ.
 func (c *Checker) touchedGroups(delta *engine.Table, typ int) engine.Node {
-	return engine.NewGroupBy(c.constrainedRows(delta, typ), []int{0, 1, 2, 3},
-		[]engine.AggSpec{{Kind: engine.AggMinF64, Col: 5, Name: "deg"}})
+	ent, entCls, _, otherCls := argCols(typ)
+	rows := engine.NewHashJoin(engine.NewScan(delta), engine.NewScan(c.fc[typ-1]),
+		[]int{kb.TPiR}, []int{kb.TOmegaR},
+		[]engine.JoinOut{
+			engine.BuildCol("R", kb.TPiR),
+			engine.BuildCol("ent", ent),
+			engine.BuildCol("entCls", entCls),
+			engine.BuildCol("otherCls", otherCls),
+			engine.ProbeCol("deg", kb.TOmegaDeg),
+		},
+		"T.R = FC.R")
+	return engine.NewGroupBy(rows, []int{0, 1, 2, 3},
+		[]engine.AggSpec{{Kind: engine.AggMinF64, Col: 4, Name: "deg"}})
 }
 
 // groupRows is constrainedRows restricted to the touched groups: every
-// row of tpi in one of them, old or new, since a group is judged whole.
-func groupRows(touched, tpi *engine.Table, typ int) engine.Node {
+// live row of tpi in one of them, old or new, since a group is judged
+// whole. Only rows whose constrained entity heads a touched group — has
+// its bit set in heads — reach the probe: one load turns the rest away,
+// so the join hashes what the groups hold, not all of TΠ.
+func groupRows(touched, tpi *engine.Table, typ int, heads bitmap, live func(row int) bool) engine.Node {
 	ent, entCls, other, otherCls := argCols(typ)
-	return engine.NewHashJoin(engine.NewScan(touched), engine.NewScan(tpi),
+	entCol := tpi.Int32Col(ent)
+	inGroup := engine.NewFilter(engine.NewScan(tpi), "entity in a touched group",
+		func(_ *engine.Table, r int) bool { return heads.has(entCol[r]) && live(r) })
+	return engine.NewHashJoin(engine.NewScan(touched), inGroup,
 		[]int{0, 1, 2, 3}, []int{kb.TPiR, ent, entCls, otherCls},
 		[]engine.JoinOut{
 			engine.BuildCol("R", 0),
@@ -248,11 +323,13 @@ type Repair struct {
 // Matching the paper's Query 3, deletion is by the *violated position*:
 // a Type I violator (x, C1) loses the facts where it appears as the
 // subject with that class; a Type II violator (y, C2) those where it is
-// the object. The pass (i) deletes the rows appended since the last pass
-// that match TΩ⁻, before counting anything; (ii) runs Query 3 over the
-// groups the surviving appended rows landed in — a group's distinct
-// count grows no other way — and adds what it finds to TΩ⁻; (iii) scans
-// the older rows only if TΩ⁻ grew. The first pass over a table finds
+// the object. The pass (i) takes the rows appended since the last pass
+// that match TΩ⁻ as removed, before counting anything; (ii) runs Query 3
+// over the groups the other appended rows landed in — a group's distinct
+// count grows no other way — and adds what it finds to TΩ⁻; (iii) if
+// TΩ⁻ grew, tests the older rows against the new violators only (no
+// older row matched TΩ⁻ as it was), and then deletes every row it took,
+// in one order-preserving deletion. The first pass over a table finds
 // every row new, which makes it Query 3 in full. Every row a checker
 // deletes matches TΩ⁻, so a derivation repeated later is deleted again:
 // naive and semi-naive evaluation reach the same table.
@@ -264,49 +341,32 @@ func (c *Checker) Apply(tpi *engine.Table) int {
 // apply is Apply, additionally reporting how many new violations drove
 // the deletion.
 func (c *Checker) apply(tpi *engine.Table) (deleted, violations int) {
-	if c.fc.NumRows() == 0 {
+	if c.NumConstraints() == 0 {
 		return 0, 0
 	}
-	ids := tpi.Int32Col(kb.TPiI)
+	n, ids := tpi.NumRows(), tpi.Int32Col(kb.TPiI)
 	from := c.rows
-	if from < 0 || from > len(ids) || (from > 0 && ids[from-1] != c.lastID) {
+	if from < 0 || from > n || (from > 0 && ids[from-1] != c.lastID) {
 		from = 0 // not the table the last pass left: every row is new
 	}
-	if from > 0 && from == len(ids) {
+	if from > 0 && from == n {
 		return 0, 0 // nothing appended since the last pass
 	}
-	if c.tomb.NumRows() > 0 {
-		deleted = c.deleteTombstoned(tpi, from)
+	// marks holds one set of entities at a time: the heads of the groups
+	// the delta touched, then the new violators.
+	var marks bitmap
+	gone := c.victims(nil, tpi, from, n, c.tombEnts)
+	viol := c.violations(tpi, from, gone, &marks)
+	victims := gone
+	if grown := c.remember(viol); len(grown) > 0 {
+		marks.set(grown)
+		victims = c.victims(nil, tpi, 0, from, marks)
+		victims = c.victims(victims, tpi, from, n, c.tombEnts)
 	}
-	var viol []Violation
-	switch {
-	case from == 0:
-		viol = c.violations(tpi, nil)
-	case from < tpi.NumRows():
-		delta := engine.NewTable("T_delta", tpi.Schema())
-		rows := make([]int32, tpi.NumRows()-from)
-		for i := range rows {
-			rows[i] = int32(from + i)
-		}
-		delta.AppendRowsFrom(tpi, rows)
-		viol = c.violations(tpi, delta)
-	}
-	for _, v := range viol {
-		if !c.tombstoned(v.Entity, v.Class, int32(v.Type)) {
-			c.tomb.AppendRow(v.Entity, v.Class, int32(v.Type))
-			c.tombSet.NoteAppended()
-			if w := int(v.Entity >> 6); w >= len(c.tombEnts) {
-				c.tombEnts = append(c.tombEnts, make([]uint64, w+1-len(c.tombEnts))...)
-			}
-			c.tombEnts[v.Entity>>6] |= 1 << (v.Entity & 63)
-		}
-	}
-	if len(viol) > 0 {
-		deleted += c.deleteTombstoned(tpi, 0)
-	}
+	deleted = tpi.DeleteRows(victims)
 	c.rows, c.lastID = tpi.NumRows(), -1
 	if c.rows > 0 {
-		c.lastID = tpi.Int32Col(kb.TPiI)[c.rows-1]
+		c.lastID = ids[c.rows-1]
 	}
 	if len(viol) > 0 || deleted > 0 {
 		violationsTotal.Add(int64(len(viol)))
@@ -315,21 +375,69 @@ func (c *Checker) apply(tpi *engine.Table) (deleted, violations int) {
 	return deleted, len(viol)
 }
 
-// tombstoned reports whether (ent, cls, arg) is in TΩ⁻.
-func (c *Checker) tombstoned(ent, cls, arg int32) bool {
-	w := int(ent >> 6)
-	return w < len(c.tombEnts) && c.tombEnts[w]&(1<<(ent&63)) != 0 &&
-		c.tombSet.ContainsKey(ent, cls, arg)
+// remember adds the violators TΩ⁻ does not hold yet to it and returns
+// their entities.
+func (c *Checker) remember(viol []Violation) []int32 {
+	var grown []int32
+	for _, v := range viol {
+		if !c.tombstoned(v.Entity, v.Class, int32(v.Type)) {
+			c.tomb.AppendRow(v.Entity, v.Class, int32(v.Type))
+			c.tombSet.NoteAppended()
+			grown = append(grown, v.Entity)
+			c.tombEnts.set(grown[len(grown)-1:])
+		}
+	}
+	return grown
 }
 
-// deleteTombstoned deletes the rows of tpi from row from on that put a
-// tombstoned entity in its violated position.
-func (c *Checker) deleteTombstoned(tpi *engine.Table, from int) int {
+// tombstoned reports whether (ent, cls, arg) is in TΩ⁻.
+func (c *Checker) tombstoned(ent, cls, arg int32) bool {
+	return c.tombEnts.has(ent) && c.tombSet.ContainsKey(ent, cls, arg)
+}
+
+// victims appends to dst, ascending, the rows in [lo, hi) of tpi that
+// put an entity of TΩ⁻ in its violated position, testing only the
+// entities ents has.
+func (c *Checker) victims(dst []int32, tpi *engine.Table, lo, hi int, ents bitmap) []int32 {
+	if len(ents) == 0 {
+		return dst
+	}
 	xs, c1s := tpi.Int32Col(kb.TPiX), tpi.Int32Col(kb.TPiC1)
 	ys, c2s := tpi.Int32Col(kb.TPiY), tpi.Int32Col(kb.TPiC2)
-	return tpi.DeleteWhere(func(r int) bool {
-		return r >= from && (c.tombstoned(xs[r], c1s[r], kb.TypeI) || c.tombstoned(ys[r], c2s[r], kb.TypeII))
-	})
+	for r := lo; r < hi; r++ {
+		if (ents.has(xs[r]) && c.tombSet.ContainsKey(xs[r], c1s[r], kb.TypeI)) ||
+			(ents.has(ys[r]) && c.tombSet.ContainsKey(ys[r], c2s[r], kb.TypeII)) {
+			dst = append(dst, int32(r))
+		}
+	}
+	return dst
+}
+
+// bitmap is a set of entity IDs, bit e for entity e: IDs are
+// dictionary-dense, so a test is one load.
+type bitmap []uint64
+
+func (b bitmap) has(e int32) bool {
+	w := int(e >> 6)
+	return w < len(b) && b[w]&(1<<(e&63)) != 0
+}
+
+// set adds es, growing b to reach the highest.
+func (b *bitmap) set(es []int32) {
+	for _, e := range es {
+		if w := int(e >> 6); w >= len(*b) {
+			*b = append(*b, make(bitmap, w+1-len(*b))...)
+		}
+		(*b)[e>>6] |= 1 << (e & 63)
+	}
+}
+
+// unset zeroes the words holding es' bits: it empties a bitmap that
+// held es and nothing else.
+func (b bitmap) unset(es []int32) {
+	for _, e := range es {
+		b[e>>6] = 0
+	}
 }
 
 // Hook adapts the checker to ground.Options.ConstraintHook.

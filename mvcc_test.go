@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"strings"
 	"sync"
 	"testing"
 
@@ -248,6 +249,21 @@ func generationPrint(e *Expansion) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// pointAnswers renders e's uncached point query of every fact it holds:
+// each reads e's evidence through the fact index e's round published.
+func pointAnswers(t *testing.T, e *Expansion) string {
+	t.Helper()
+	var b strings.Builder
+	for _, f := range e.Facts() {
+		m, err := e.QueryLocal(context.Background(), PointQuery{Rel: f.Rel, X: f.X, Y: f.Y, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s(%s, %s) found=%v observed=%v p=%v\n", f.Rel, f.X, f.Y, m.Found, m.Observed, m.Probability)
+	}
+	return b.String()
+}
+
 // TestMVCCPublishedGenerationsNeverChange: TΠ grows in place along a
 // lineage (engine.Table.Fork), so every round after the first shares its
 // columns with the generations before it. None of them may see a round's
@@ -255,8 +271,10 @@ func generationPrint(e *Expansion) string {
 // through later rounds of every kind — deferred extends, a refresh that
 // fills the weights they left NULL, a non-deferred ExtendWith, a
 // constrained extend whose hook deletes rows inside the shared prefix,
-// two concurrent sibling extends of one generation, and a cancelled
-// round followed by its retry.
+// two concurrent sibling extends of one generation, a cancelled round
+// followed by its retry, and a constrained round that deletes inside the
+// fact-index bases it forked from its parent generation, after which
+// the parent's point queries and a sibling's merge answer as before.
 func TestMVCCPublishedGenerationsNeverChange(t *testing.T) {
 	k := ingestBaseKB(t)
 	if err := k.AddConstraint("born_in", TypeI, 1); err != nil {
@@ -341,6 +359,38 @@ func TestMVCCPublishedGenerationsNeverChange(t *testing.T) {
 	publish(pe.Partial, nil)
 	e = publish(e.ExtendWith(born("Broch", "Prague")))
 	publish(e.ExtendWithDeferred(ctx, born("Musil", "Vienna")))
+
+	// A generation large enough that the next round shares its fact
+	// index's sealed bases, which a constrained round then deletes
+	// inside: the round renumbers copies, so the generation's point
+	// queries — read through its index — and a later sibling's merge —
+	// deduplicated against it — answer as they did before the round.
+	big := ingestBaseKB(t)
+	for i := 0; i < 300; i++ {
+		big.AddFact("born_in", fmt.Sprintf("W%d", i), "Writer", fmt.Sprintf("C%d", i), "City", 0.9)
+	}
+	big.AddFact("born_in", "Freud", "Writer", "Vienna", "City", 0.8)
+	if err := big.AddConstraint("born_in", TypeI, 1); err != nil {
+		t.Fatal(err)
+	}
+	forked := publish(publish(big.Expand(cfg)).ExtendWith(born("Kafka", "Prague")))
+	asked := pointAnswers(t, forked)
+	// The sibling's batch repeats a fact derived past Freud's rows: its
+	// merge finds it in the forked identity set, at a row the deletion
+	// renumbers.
+	siblingBatch := append(born("Rilke", "Trieste"),
+		Fact{Rel: "live_in", X: "W7", XClass: "Writer", Y: "C7", YClass: "City", Probability: 0.7})
+	sibling := publish(forked.ExtendWith(siblingBatch))
+	child := publish(forked.ExtendWith(born("Freud", "Berlin")))
+	if len(forked.Find("born_in", "Freud", "Vienna")) == 0 || len(child.Find("born_in", "Freud", "Vienna")) != 0 {
+		t.Fatal("fixture drifted: the constrained round deleted nothing inside the forked bases")
+	}
+	if got := pointAnswers(t, forked); got != asked {
+		t.Errorf("a child round's deletion changed the point queries of its parent generation:\n%s\nwas\n%s", got, asked)
+	}
+	if again := publish(forked.ExtendWith(siblingBatch)); canonicalClosure(again) != canonicalClosure(sibling) {
+		t.Error("a child round's deletion changed what a later sibling's merge deduplicates against")
+	}
 
 	for i, g := range gens {
 		if got := generationPrint(g); got != prints[i] {

@@ -491,7 +491,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		// again after every grounding iteration (Algorithm 1).
 		precleaned := quality.PreClean(r.work)
 		qualitySpan.SetAttr("precleaned", precleaned)
-		r.checker = quality.NewChecker(r.work)
+		r.checker = quality.NewCheckerAfterPreClean(r.work)
 		if opts.MaxIterations == 0 {
 			opts.MaxIterations = DefaultConstrainedIterations
 		}
