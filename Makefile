@@ -82,11 +82,17 @@ bench-kernels:
 # one deleting pass and the index's upkeep allocate may grow at most 2.5×
 # from the scale 0.05 grounding to the scale 0.25 one (1.7× measured; a
 # compaction that lists every row past the first deleted one is ~5.3×).
+# TestExpandLoadBytesFlat gates loading Π, which is a table: FactsTable
+# of an unforked KB allocates no more at scale 0.25 than at 0.05 (×1.5
+# bound, ×1.00 measured; a copy of Π is ×4.7), and PreClean keeps the
+# KB's identity set and allocates at most 1.2× the bytes of its own
+# Query 3 (×1.08–1.09 measured; a rebuilt set is ×1.24–1.31).
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat' .
 	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestConstraintPassBytesFlat' ./internal/ground
+	$(GO) test -short -count=1 -run 'TestExpandLoadBytesFlat' ./internal/kb
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
 
 # Long-mode differential harness: thousands of random plans, each run

@@ -156,7 +156,7 @@ func BenchmarkTable3_Query2_ProbKB(b *testing.B) {
 
 func benchFig4(b *testing.B, useViews bool) {
 	c := benchCorpus(b)
-	k, err := synth.S2(c, len(c.KB.Facts)+20000, benchSeed)
+	k, err := synth.S2(c, c.KB.NumFacts()+20000, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}

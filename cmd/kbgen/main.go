@@ -62,7 +62,7 @@ func main() {
 		die(err)
 	}
 	fmt.Printf("KB written to %s (%d facts, %d rules, %d constraints)\n",
-		*out, len(k.Facts), len(k.Rules), len(k.Constraints))
+		*out, k.NumFacts(), len(k.Rules), len(k.Constraints))
 }
 
 func die(err error) {

@@ -397,14 +397,7 @@ func (e *Expansion) ConvergenceDiagnostics(chains int) (maxRHat float64, converg
 // are the expanded set (inferred probabilities as weights), suitable for
 // Save or further expansion rounds.
 func (e *Expansion) ToKB() *KB {
-	out := e.kb.Fork()
-	t := e.res.Facts
-	facts := make([]kb.Fact, 0, t.NumRows())
-	for r := 0; r < t.NumRows(); r++ {
-		facts = append(facts, kb.FactAtRow(t, r))
-	}
-	out.ReplaceFacts(facts)
-	return &KB{inner: out}
+	return &KB{inner: e.kb.WithFacts(e.res.Facts)}
 }
 
 // ExtendWith incrementally expands the KB with newly observed facts —

@@ -179,7 +179,7 @@ func factSweep(cfg Config, w io.Writer, title string, systems []System, withFact
 	fmt.Fprintf(w, " %12s\n", "#inferred")
 
 	var points []SweepPoint
-	base := len(c.KB.Facts)
+	base := c.KB.NumFacts()
 	for _, f := range fractions {
 		n := int(f * 1e6 * cfg.Scale)
 		if n <= base {
@@ -237,8 +237,8 @@ func Workers(cfg Config, w io.Writer) ([]WorkersRow, error) {
 		return nil, err
 	}
 	n := int(10e6 * cfg.Scale)
-	if n <= len(c.KB.Facts) {
-		n = len(c.KB.Facts) + 1000
+	if n <= c.KB.NumFacts() {
+		n = c.KB.NumFacts() + 1000
 	}
 	k, err := synth.S2(c, n, cfg.Seed)
 	if err != nil {
@@ -286,8 +286,8 @@ func Fig4(cfg Config, w io.Writer) error {
 	// The paper's sample run joins M3 against a synthetic TΠ with 10M
 	// records; scale that down.
 	n := int(10e6 * cfg.Scale)
-	if n <= len(c.KB.Facts) {
-		n = len(c.KB.Facts) + 1000
+	if n <= c.KB.NumFacts() {
+		n = c.KB.NumFacts() + 1000
 	}
 	k, err := synth.S2(c, n, cfg.Seed)
 	if err != nil {

@@ -358,3 +358,51 @@ func TestRowSetFork(t *testing.T) {
 		}
 	})
 }
+
+// TestRowSetParentFollowsDeletionUnderAFork: a set whose base a fork
+// reads may still follow a deletion from its own table. It renumbers a
+// copy of the base, and the fork answers as it did before.
+func TestRowSetParentFollowsDeletionUnderAFork(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	key := []int{0, 1}
+	tab := threeCol(rng, 400, 0, 30)
+	tab.DeleteRows(dupRows(tab, key)) // one row per key
+	parent := NewRowSet(tab, key)
+	forkTab := tab.Fork()
+	fork := parent.Fork(forkTab)
+	want := make([]int, forkTab.NumRows())
+	for r := range want {
+		want[r] = fork.Find(forkTab, r, key)
+	}
+
+	var rows []int32
+	for r := 0; r < tab.NumRows(); r += 3 {
+		rows = append(rows, int32(r))
+	}
+	tab.DeleteRows(rows)
+	parent.FollowDeletion(tab.LastDeletion().Renumbering())
+	for r := 0; r < tab.NumRows(); r++ {
+		if got := parent.Find(tab, r, key); got != r {
+			t.Fatalf("parent: row %d found at %d", r, got)
+		}
+	}
+	for r := 0; r < forkTab.NumRows(); r++ {
+		if got := fork.Find(forkTab, r, key); got != want[r] {
+			t.Fatalf("fork: row %d found at %d, before the parent's deletion at %d", r, got, want[r])
+		}
+	}
+}
+
+// dupRows lists, ascending, the rows of t whose key an earlier row holds.
+func dupRows(t *Table, key []int) []int32 {
+	seen := map[[2]int32]bool{}
+	var dups []int32
+	for r := 0; r < t.NumRows(); r++ {
+		k := [2]int32{t.Int32Col(key[0])[r], t.Int32Col(key[1])[r]}
+		if seen[k] {
+			dups = append(dups, int32(r))
+		}
+		seen[k] = true
+	}
+	return dups
+}

@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 const (
@@ -69,9 +70,11 @@ type RowSet struct {
 	t    *Table
 	cols []int
 	base sealedIndex
-	// sharedBase is set on a fork that reads its parent's base: it copies
-	// the base before it writes it.
+	// sharedBase is set on a fork that reads its parent's base, and
+	// forked on a set whose base a fork reads: either copies the base
+	// before it writes it.
 	sharedBase bool
+	forked     atomic.Bool
 	// tail row i is table row base.len()+i.
 	tail *rowIndex
 }
@@ -85,8 +88,8 @@ func NewRowSet(t *Table, cols []int) *RowSet {
 // BaseLen() rows of t must be those of s's table. Its tail indexes t's
 // other rows, unless they pass 1/forkTailFraction of the base, when the
 // fork builds a base of its own over all of t (see forkTailFraction).
-// Forking writes nothing s holds, so any number of goroutines may fork
-// one set, and read it, at once.
+// Forking writes nothing a reader of s consults, so any number of
+// goroutines may fork one set, and read it, at once.
 func (s *RowSet) Fork(t *Table) *RowSet {
 	n := s.base.len()
 	if t.NumRows() < n {
@@ -95,6 +98,7 @@ func (s *RowSet) Fork(t *Table) *RowSet {
 	if t.NumRows()-n > n/forkTailFraction {
 		return NewRowSet(t, s.cols)
 	}
+	s.forked.Store(true)
 	hs := make([]uint64, t.NumRows()-n)
 	hashRange(hs, t, s.cols, n)
 	return &RowSet{t: t, cols: s.cols, base: s.base, sharedBase: true, tail: newRowIndex(hs)}
@@ -124,20 +128,23 @@ func (s *RowSet) Find(o *Table, r int, ocols []int) int {
 
 // ContainsKey is Contains for a key given by value, one value per key
 // column, for callers whose key is not a row of any table.
-func (s *RowSet) ContainsKey(key ...int32) bool {
+func (s *RowSet) ContainsKey(key ...int32) bool { return s.FindKey(key...) >= 0 }
+
+// FindKey is Find for a key given by value, as ContainsKey takes it.
+func (s *RowSet) FindKey(key ...int32) int {
 	h := hashInt32s(key...)
 	for c := s.base.first(h); c >= 0; c = s.base.next[c] {
 		if s.holdsKey(int(c), key) {
-			return true
+			return int(c)
 		}
 	}
 	n := s.base.len()
 	for c := s.tail.first(h); c >= 0; c = s.tail.after(h, c) {
 		if s.holdsKey(n+int(c), key) {
-			return true
+			return n + int(c)
 		}
 	}
-	return false
+	return -1
 }
 
 // holdsKey reports whether table row r holds key in the key columns.
@@ -168,9 +175,8 @@ func (s *RowSet) NoteAppended() {
 // it drops the deleted rows and renumbers the rest, in O(indexed rows)
 // with nothing hashed again. The set must have indexed every row the
 // table held before the deletion, and nothing may have been appended
-// since. The base is renumbered in place, or first copied when it is a
-// parent's (Fork); a set that has been forked must not follow a
-// deletion, since its forks read its base.
+// since. The base is renumbered in place, or into a copy when a fork
+// shares it, on either side of the Fork.
 func (s *RowSet) FollowDeletion(m *Renumbering) {
 	if s.Len() != s.t.NumRows()+len(m.rows) {
 		panic(fmt.Sprintf("engine: RowSet.FollowDeletion of %d rows: the set holds %d, its table %d", len(m.rows), s.Len(), s.t.NumRows()))
@@ -178,8 +184,9 @@ func (s *RowSet) FollowDeletion(m *Renumbering) {
 	n := int32(s.base.len())
 	inBase, _ := slices.BinarySearch(m.rows, n)
 	if inBase > 0 {
-		s.base = s.base.follow(m, !s.sharedBase)
+		s.base = s.base.follow(m, !s.sharedBase && !s.forked.Load())
 		s.sharedBase = false
+		s.forked.Store(false)
 	}
 	tail := m.rows[inBase:]
 	local := make([]int32, len(tail))

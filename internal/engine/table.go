@@ -71,6 +71,9 @@ type Table struct {
 	// with the table it was forked from: they are read here and never
 	// written, so a write below it copies the column first.
 	shared int32
+	// capped is set on a Fork that did not take its table's tail: its
+	// columns end at the shared rows, so its first append copies them.
+	capped bool
 	// deletion is the record of t's latest DeleteRows, nil before its
 	// first: what an index over t follows (LastDeletion).
 	deletion *Deletion
@@ -173,8 +176,8 @@ func (t *Table) setLen(n int) {
 }
 
 // Int32Col returns the backing slice of an Int32 column. The caller must
-// not resize it; reading is fine, and so is element assignment on a table
-// that neither was forked nor is a fork (Fork).
+// not resize it; reading is fine, and so is element assignment at rows
+// Writable made t's alone.
 func (t *Table) Int32Col(i int) []int32 {
 	c := t.cols[i]
 	if c.typ != Int32 {
@@ -203,20 +206,26 @@ func (t *Table) StringCol(i int) []string {
 }
 
 // Fork returns a table holding t's rows that the caller may append to
-// and write while others keep reading t. The first Fork of t takes t's
-// tail: the fork aliases t's columns and appends into their spare
-// capacity, past every row t holds, so t's readers never see its rows;
-// it copies a column before its first write below t's row count
-// (MutableFloat64Col, DeleteRows). Every later Fork of t copies all of
-// t, as Clone does. The claim is atomic, so concurrent Forks of one
-// table are safe, and at most one of them shares its arrays.
+// and write while others keep reading t, without copying them. The
+// first Fork of t takes t's tail: the fork aliases t's columns and
+// appends into their spare capacity, past every row t holds, so t's
+// readers never see its rows. Every later Fork of t aliases t's rows
+// with no spare capacity, so its first append copies them. Either kind
+// copies its columns before its first write below t's row count
+// (Writable, MutableFloat64Col, DeleteRows), and t copies its own
+// before it next writes or appends. The claim is atomic, so concurrent
+// Forks of one table are safe, and at most one of them takes the tail.
 func (t *Table) Fork() *Table {
-	if !t.forked.CompareAndSwap(false, true) {
-		return t.Clone()
-	}
-	f := &Table{name: t.name, schema: t.schema, cols: make([]*column, len(t.cols)), nrows: t.nrows, shared: int32(t.nrows)}
+	first := t.forked.CompareAndSwap(false, true)
+	n := t.nrows
+	f := &Table{name: t.name, schema: t.schema, cols: make([]*column, len(t.cols)), nrows: n, shared: int32(n), capped: !first}
+	cols := make([]column, len(t.cols)) // one allocation for all of them
 	for i, c := range t.cols {
-		f.cols[i] = &column{typ: c.typ, i32: c.i32, f64: c.f64, str: c.str}
+		cols[i] = column{typ: c.typ, i32: c.i32, f64: c.f64, str: c.str}
+		if !first {
+			cols[i].i32, cols[i].f64, cols[i].str = slices.Clip(c.i32), slices.Clip(c.f64), slices.Clip(c.str)
+		}
+		f.cols[i] = &cols[i]
 	}
 	return f
 }
@@ -230,18 +239,33 @@ func (t *Table) sharesFrom(row int) bool {
 
 // own gives t's columns arrays of their own, copying its rows: the
 // barrier before a write below its shared rows, and before an append
-// once a fork has taken its tail.
+// once a fork has taken its tail or when t is a capped Fork.
 func (t *Table) own() {
 	for _, c := range t.cols {
 		c.copyOut()
 	}
+	t.owned()
+}
+
+// owned records that t's columns are arrays of its own.
+func (t *Table) owned() {
 	t.forked.Store(false)
 	t.shared = 0
+	t.capped = false
 }
 
 // detach is the barrier before t appends.
 func (t *Table) detach() {
-	if t.forked.Load() {
+	if t.forked.Load() || t.capped {
+		t.own()
+	}
+}
+
+// Writable makes t's rows at from and above t's alone to assign in
+// place (Int32Col, Float64Col): when a Fork shares them, it first copies
+// t's columns. After it, such writes are free until t is forked again.
+func (t *Table) Writable(from int) {
+	if t.sharesFrom(from) {
 		t.own()
 	}
 }
@@ -441,9 +465,9 @@ func (t *Table) DeleteWhere(pred func(row int) bool) int {
 // are not touched, nothing is allocated but the deletion's record, and
 // the columns keep their capacity — a deletion costs what it moves, not
 // a copy of the table. The exception is a deletion among rows t shares
-// (Fork): each column is copied first. t keeps rows as the record of its
-// latest deletion (LastDeletion); the caller must not write it
-// afterwards.
+// (Fork): each column's survivors are copied into an array of their
+// own, of their length. t keeps rows as the record of its latest
+// deletion (LastDeletion); the caller must not write it afterwards.
 func (t *Table) DeleteRows(rows []int32) int {
 	if len(rows) == 0 {
 		return 0
@@ -453,22 +477,38 @@ func (t *Table) DeleteRows(rows []int32) int {
 			panic(fmt.Sprintf("engine: DeleteRows from %s: row %d out of order or range (%d rows)", t.name, r, t.nrows))
 		}
 	}
-	if t.sharesFrom(int(rows[0])) {
-		t.own()
-	}
+	shared := t.sharesFrom(int(rows[0]))
 	for _, c := range t.cols {
 		switch c.typ {
 		case Int32:
-			c.i32 = closeUp(c.i32, rows)
+			c.i32 = cut(c.i32, rows, shared)
 		case Float64:
-			c.f64 = closeUp(c.f64, rows)
+			c.f64 = cut(c.f64, rows, shared)
 		case String:
-			c.str = closeUp(c.str, rows)
+			c.str = cut(c.str, rows, shared)
 		}
+	}
+	if shared {
+		t.owned()
 	}
 	t.deletion = &Deletion{Rows: rows, seq: t.Deletions() + 1, before: t.nrows}
 	t.nrows -= len(rows)
 	return len(rows)
+}
+
+// cut removes the ascending positions rows from s: in place (closeUp),
+// or, when s is shared, into a new array holding the survivors.
+func cut[T any](s []T, rows []int32, shared bool) []T {
+	if !shared {
+		return closeUp(s, rows)
+	}
+	out := make([]T, 0, len(s)-len(rows))
+	from := 0
+	for _, r := range rows {
+		out = append(out, s[from:r]...)
+		from = int(r) + 1
+	}
+	return append(out, s[from:]...)
 }
 
 // closeUp removes the ascending positions rows from s, moving each run of

@@ -253,11 +253,12 @@ func TestCatalog(t *testing.T) {
 	c.MustGet("nope")
 }
 
-// TestForkSharesOnlyWithTheFirstFork: the first Fork of a table appends
-// into its columns' spare capacity, a later one copies, and no write of
-// either fork — appends, weight writes, deletions — nor an append to the
-// forked table itself changes what the others hold.
-func TestForkSharesOnlyWithTheFirstFork(t *testing.T) {
+// TestForkAppendsInPlaceOnlyOnTheFirstFork: every Fork of a table
+// shares its columns, the first appends into their spare capacity, a
+// later one copies on its first append, and no write of either fork —
+// appends, weight writes, deletions — nor an append to the forked table
+// itself changes what the others hold.
+func TestForkAppendsInPlaceOnlyOnTheFirstFork(t *testing.T) {
 	parent := NewTable("T", factsSchema())
 	parent.Reserve(16)
 	for i := 0; i < 4; i++ {
@@ -269,13 +270,22 @@ func TestForkSharesOnlyWithTheFirstFork(t *testing.T) {
 	if &first.Int32Col(0)[0] != &parent.Int32Col(0)[0] {
 		t.Fatal("the first fork copied its parent's columns")
 	}
-	if &second.Int32Col(0)[0] == &parent.Int32Col(0)[0] {
-		t.Fatal("a second fork shares its parent's columns")
+	if &second.Int32Col(0)[0] != &parent.Int32Col(0)[0] {
+		t.Fatal("a second fork copied its parent's columns")
 	}
 	first.AppendRowOf([]int32{4, 14, 24}, []float64{4})
 	second.AppendRowOf([]int32{5, 15, 25}, []float64{5})
 	if &first.Int32Col(0)[0] != &parent.Int32Col(0)[0] {
 		t.Fatal("an append within capacity moved the first fork off its parent's columns")
+	}
+	if &second.Int32Col(0)[0] == &parent.Int32Col(0)[0] {
+		t.Fatal("a second fork appended into its parent's columns")
+	}
+	// Once its append copied them, the second fork's rows are its own.
+	cols := &second.Float64Col(3)[0]
+	second.Writable(0)
+	if &second.Float64Col(3)[0] != cols {
+		t.Fatal("a write after the copying append copied again")
 	}
 	firstWant := first.String()
 

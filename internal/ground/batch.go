@@ -42,8 +42,7 @@ func newBatch(k *kb.KB, parts *mln.Partitions, opts Options) (*BatchGrounder, er
 // Ground runs Algorithm 1 and returns the grounding result.
 func (g *BatchGrounder) Ground() (*Result, error) {
 	loadStart := time.Now()
-	tpi := g.kb.FactsTable()
-	ix := newFactIndex(tpi)
+	tpi, ix := loadFacts(g.kb)
 	return g.groundFrom(g, tpi, ix, -1, &Result{LoadTime: time.Since(loadStart)})
 }
 
@@ -647,9 +646,9 @@ func Ground(k *kb.KB, opts Options) (*Result, error) {
 // options must describe the same MLN the prior run used.
 //
 // TΠ grows in place: the run appends to a Fork of prev.Facts, which
-// shares prev's columns when this is the first run to extend prev and
-// copies them otherwise (a sibling, or the retry of a cancelled run);
-// prev's readers see none of it. The run starts from the fact index and
+// appends into prev's columns when this is the first run to extend prev
+// and copies them at its first append otherwise (a sibling, or the
+// retry of a cancelled run); prev's readers see none of it. The run starts from the fact index and
 // the MLN partitions prev's run published, when prev is itself an
 // Extend's result, and publishes its own on the result it returns: a
 // lineage of rounds builds each once (DESIGN.md §5).

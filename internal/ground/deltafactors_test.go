@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"probkb/internal/engine"
@@ -92,7 +91,7 @@ func (s *factorStream) start(forget bool) {
 	s.t.Helper()
 	hook := s.hook()
 	if forget {
-		base := int32(len(s.k.Facts))
+		base := int32(s.k.NumFacts())
 		hook = s.recording(func(tpi *engine.Table) int {
 			ids := tpi.Int32Col(kb.TPiI)
 			return tpi.DeleteWhere(func(r int) bool { return ids[r] >= base && ids[r]%2 == 0 })
@@ -264,6 +263,15 @@ func rows(t *engine.Table) []kb.Fact {
 }
 
 // keys is the set of the facts' identity keys.
+// factsOf lists Π of k in order.
+func factsOf(k *kb.KB) []kb.Fact {
+	out := make([]kb.Fact, k.NumFacts())
+	for i := range out {
+		out[i] = k.FactAt(i)
+	}
+	return out
+}
+
 func keys(facts []kb.Fact) map[kb.Key]bool {
 	out := make(map[kb.Key]bool, len(facts))
 	for _, f := range facts {
@@ -350,9 +358,9 @@ func TestMaintainedFactorsMatchQuery2(t *testing.T) {
 			default:
 				s.k = constrainedKB(2 * seed)
 				if seed%4 == 3 {
-					before := slices.Clone(s.k.Facts)
+					before := factsOf(s.k)
 					quality.PreClean(s.k)
-					victims = lost(before, keys(s.k.Facts))
+					victims = lost(before, keys(factsOf(s.k)))
 				}
 				s.checker = quality.NewChecker(s.k)
 			}
@@ -406,9 +414,9 @@ func TestMaintainedFactorsOnCorpus(t *testing.T) {
 			s := &factorStream{t: t, name: fmt.Sprintf("constrained=%v on %s", constrained, on), k: c.KB.Clone(), on: on}
 			var victims []kb.Fact
 			if constrained {
-				before := slices.Clone(s.k.Facts)
+				before := factsOf(s.k)
 				quality.PreClean(s.k)
-				victims = lost(before, keys(s.k.Facts))
+				victims = lost(before, keys(factsOf(s.k)))
 				s.checker = quality.NewChecker(s.k)
 			}
 			s.start(false)

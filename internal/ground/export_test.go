@@ -98,7 +98,7 @@ func TuffyFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.load(tpi)
+	g.load(tpi, newFactIndex(tpi))
 	res := &Result{}
 	if err := g.batch.factorPhase(context.Background(), g, tpi, g.ix, res); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func indexDiff(ix *factIndex) error {
 		return fmt.Errorf("the identity set holds %d rows of %d", ix.set.Len(), tpi.NumRows())
 	}
 	for r := 0; r < tpi.NumRows(); r++ {
-		if got := ix.set.Find(tpi, r, tpiKeyCols); got != r {
+		if got := ix.set.Find(tpi, r, kb.FactKeyCols); got != r {
 			return fmt.Errorf("the identity set finds row %d's key at row %d", r, got)
 		}
 	}

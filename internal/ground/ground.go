@@ -275,12 +275,17 @@ type factIndex struct {
 	deletions, rebuilds int
 }
 
-// tpiKeyCols are the identity columns of TΠ.
-var tpiKeyCols = []int{kb.TPiR, kb.TPiX, kb.TPiC1, kb.TPiY, kb.TPiC2}
-
 func newFactIndex(tpi *engine.Table) *factIndex {
-	return &factIndex{set: engine.NewRowSet(tpi, tpiKeyCols), tpi: tpi, next: nextFactID(tpi),
+	return &factIndex{set: engine.NewRowSet(tpi, kb.FactKeyCols), tpi: tpi, next: nextFactID(tpi),
 		deletions: tpi.Deletions()}
+}
+
+// loadFacts returns TΠ for a run over the KB's facts to grow, a Fork of
+// the KB's table, with its index: the identity set forks the KB's,
+// sharing its sealed base, instead of hashing Π again.
+func loadFacts(k *kb.KB) (*engine.Table, *factIndex) {
+	tpi := k.FactsTable()
+	return tpi, &factIndex{set: k.FactSet(tpi), tpi: tpi, next: nextFactID(tpi), deletions: tpi.Deletions()}
 }
 
 // nextFactID returns one past the highest fact ID tpi holds: where a run
@@ -374,7 +379,7 @@ func (ix *factIndex) followDeletion(workers int) {
 // entity columns at the next read.
 func (ix *factIndex) rebuild() {
 	ix.rebuilds++
-	ix.set = engine.NewRowSet(ix.tpi, tpiKeyCols)
+	ix.set = engine.NewRowSet(ix.tpi, kb.FactKeyCols)
 	ix.byX, ix.byY = nil, nil
 	ix.deletions = ix.tpi.Deletions()
 }

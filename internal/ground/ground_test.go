@@ -106,7 +106,8 @@ func factorsEqual(a, b map[factorKey]int) bool {
 // application — the oracle the relational grounders must match.
 func bruteForceClosure(k *kb.KB) map[kb.Key]bool {
 	facts := make(map[kb.Key]bool)
-	for _, f := range k.Facts {
+	for i := range k.NumFacts() {
+		f := k.FactAt(i)
 		facts[f.Key()] = true
 	}
 	matches := func(key kb.Key, a mln.Atom, c *mln.Clause) bool {

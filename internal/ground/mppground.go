@@ -58,8 +58,7 @@ func (g *MPPGrounder) load() error {
 	if err := g.cluster.Err(); err != nil {
 		return err
 	}
-	g.tpi = g.batch.kb.FactsTable()
-	g.ix = newFactIndex(g.tpi)
+	g.tpi, g.ix = loadFacts(g.batch.kb)
 	if err := g.redistribute(); err != nil {
 		return err
 	}

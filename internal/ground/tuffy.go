@@ -47,14 +47,13 @@ func NewTuffy(k *kb.KB, opts Options) (*TuffyGrounder, error) {
 	return &TuffyGrounder{batch: &BatchGrounder{kb: k, opts: opts}, part: part}, nil
 }
 
-// load bulkloads the facts tpi: the master table plus one predicate table
-// per relation name. The per-relation copies are what make Tuffy's
-// bulkload two to three orders of magnitude slower on KBs with many
-// relations (Table 3, "Load" row).
-func (g *TuffyGrounder) load(tpi *engine.Table) {
+// load bulkloads the facts tpi, indexed by ix: the master table plus one
+// predicate table per relation name. The per-relation copies are what
+// make Tuffy's bulkload two to three orders of magnitude slower on KBs
+// with many relations (Table 3, "Load" row).
+func (g *TuffyGrounder) load(tpi *engine.Table, ix *factIndex) {
 	k := g.batch.kb
-	g.tpi = tpi
-	g.ix = newFactIndex(g.tpi)
+	g.tpi, g.ix = tpi, ix
 	g.relTables = make(map[int32]*engine.Table, k.RelDict.Len())
 	// Every relation gets its own (initially empty) table, mirroring
 	// Tuffy's per-predicate schema creation.
@@ -83,7 +82,7 @@ func (g *TuffyGrounder) scatter(from int) {
 func (g *TuffyGrounder) Ground() (*Result, error) {
 	loadStart := time.Now()
 	_, loadSpan := obs.StartSpan(g.batch.opts.ctxOf(), "ground.load")
-	g.load(g.batch.kb.FactsTable())
+	g.load(loadFacts(g.batch.kb))
 	loadSpan.SetAttr("relations", len(g.relTables))
 	loadSpan.End()
 	return g.batch.groundFrom(g, g.tpi, g.ix, -1, &Result{LoadTime: time.Since(loadStart)})

@@ -44,8 +44,9 @@ func (k *KB) Dump() []byte {
 		i32(m.Class)
 		i32(m.Entity)
 	}
-	count(len(k.Facts))
-	for _, f := range k.Facts {
+	count(k.NumFacts())
+	for i := range k.NumFacts() {
+		f := k.FactAt(i)
 		i32(f.Rel)
 		i32(f.X)
 		i32(f.XClass)

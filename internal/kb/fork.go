@@ -1,12 +1,17 @@
 package kb
 
-import "probkb/internal/mln"
+import (
+	"probkb/internal/engine"
+	"probkb/internal/mln"
+)
 
 // Fork returns a copy-on-write snapshot of the KB — the mutation
-// barrier the MVCC serving tier builds generations on. The fork is O(1):
-// both sides share every slice backing array and index map until one of
-// them mutates, at which point the mutating side copies privately
-// (materialize) and the other side keeps the frozen state untouched.
+// barrier the MVCC serving tier builds generations on. Forking copies
+// nothing: both sides share every slice backing array, index map and
+// column of TΠ until one of them mutates, at which point the mutating
+// side copies privately (materialize; TΠ and its identity set have
+// barriers of their own, engine.Table.Fork and engine.RowSet.Fork) and
+// the other side keeps the frozen state untouched.
 //
 // Concurrency contract: reads on either side are safe concurrently with
 // reads and with the *other* side's mutations (a mutator never writes
@@ -16,19 +21,25 @@ import "probkb/internal/mln"
 // ExtendWith, quality repair, or a re-expansion builds generation N+1
 // on a fork.
 //
-// Clone remains the eager deep copy for callers that want to bypass the
-// COW machinery and scribble on exported fields directly (the quality
-// experiments do); Fork is for the serving path, where forks are
-// frequent and mutations are sparse.
+// Clone is a Fork that has already passed materialize, for callers that
+// scribble on the exported slices directly (the quality experiments
+// rewrite Rules); Fork is for the serving path, where forks are frequent
+// and mutations are sparse.
 //
 // Fork writes nothing a concurrent reader of the receiver could
 // observe: the child gets capacity-capped copies of the slice HEADERS
 // (so its appends reallocate away from the shared backing arrays), the
 // maps are shared by reference, and the receiver itself only has its
-// shared flag set — a field no read path consults, set atomically so
+// shared flags set — fields no read path consults, set atomically so
 // that sibling forks of one generation may be taken at once. That is what makes
 // forking a *published, pinned* generation legal while readers scan it.
 func (k *KB) Fork() *KB {
+	facts := k.facts.Fork()
+	return k.forkWith(facts, k.factSet.Fork(facts))
+}
+
+// forkWith is Fork with Π given: facts, indexed by factSet.
+func (k *KB) forkWith(facts *engine.Table, factSet *engine.RowSet) *KB {
 	k.shared.Store(true)
 	child := &KB{
 		Entities: k.Entities.Fork(),
@@ -37,14 +48,15 @@ func (k *KB) Fork() *KB {
 
 		Relations:   capped(k.Relations),
 		Members:     capped(k.Members),
-		Facts:       capped(k.Facts),
 		Rules:       capped(k.Rules),
 		Constraints: capped(k.Constraints),
 
 		superOf:   k.superOf,
 		memberSet: k.memberSet,
-		factIx:    k.factIx,
 		relSigs:   k.relSigs,
+
+		facts:   facts,
+		factSet: factSet,
 	}
 	child.shared.Store(true)
 	// The child starts in the parent's state, so the parent's relational
@@ -59,26 +71,24 @@ func (k *KB) Fork() *KB {
 // backing array.
 func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 
-// materialize is the write barrier every mutating method passes
-// through: when this KB's state is shared with a fork, copy the slices
-// and maps privately first. In-place element writes (SetWeight's
-// Facts[i].W, AddFact's max-merge) and slice rewrites (ReplaceFacts,
-// DeleteFacts) would otherwise corrupt the frozen generation readers
-// are pinned to. After the copy the KB is private again and further
-// mutations are direct.
+// materialize is the write barrier every mutating method but the fact
+// writers passes through: when this KB's state is shared with a fork,
+// copy the slices and maps privately first. Element writes and appends
+// would otherwise corrupt the frozen generation readers are pinned to.
+// After the copy the KB is private again and further mutations are
+// direct. The facts need no copy here: TΠ and its identity set copy
+// what they share when they are written.
 //
-// Being the place every mutation but KeepFacts passes (which copies
-// less and drops the image itself), it is also where what was
+// Being the place those mutations pass, it is also where what was
 // derived from the previous state — the relational image — stops
 // describing this KB, shared or not, and is let go. (Only this KB's
 // pointer: the other side of a fork keeps the image, which still
-// describes it.)
+// describes it.) The fact writers drop it themselves.
 func (k *KB) materialize() {
 	k.dropImage()
 	if !k.shared.Load() {
 		return
 	}
-	k.Facts = append([]Fact(nil), k.Facts...)
 	k.Relations = append([]Relation(nil), k.Relations...)
 	k.Members = append([]ClassMember(nil), k.Members...)
 	k.Rules = append([]mln.Clause(nil), k.Rules...)
@@ -97,8 +107,6 @@ func (k *KB) materialize() {
 		memberSet[m] = struct{}{}
 	}
 	k.memberSet = memberSet
-
-	k.factIx = append(factIndex(nil), k.factIx...)
 
 	relSigs := make(map[Relation]struct{}, len(k.relSigs))
 	for s := range k.relSigs {

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"probkb/internal/engine"
 )
 
 func forkFixture(t *testing.T) *KB {
@@ -38,7 +40,7 @@ type kbSnapshot struct {
 func snapshotOf(k *KB) kbSnapshot {
 	return kbSnapshot{
 		stats:    k.Stats(),
-		facts:    append([]Fact(nil), k.Facts...),
+		facts:    factsOf(k),
 		members:  append([]ClassMember(nil), k.Members...),
 		entities: append([]string(nil), k.Entities.Names()...),
 		classes:  append([]string(nil), k.Classes.Names()...),
@@ -57,10 +59,10 @@ func TestForkIsolation(t *testing.T) {
 	fork := parent.Fork()
 	// Mutate the fork through every write path.
 	fork.InternFact("died_in", "kafka", "Writer", "vienna", "Place", 0.7)
-	if !fork.SetWeight(fork.Facts[0].Key(), 0.123) {
+	if !fork.SetWeight(fork.FactAt(0).Key(), 0.123) {
 		t.Fatal("SetWeight missed an existing fact")
 	}
-	fork.DeleteFacts(map[Key]bool{fork.Facts[1].Key(): true})
+	fork.DeleteFacts(map[Key]bool{fork.FactAt(1).Key(): true})
 	if err := fork.DeclareSubclass(fork.Classes.Intern("Novelist"), fork.Classes.Intern("Writer")); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestForkIsolation(t *testing.T) {
 	// The reverse direction: mutate the parent, the fork must not move.
 	forkBefore := snapshotOf(fork)
 	parent.InternFact("wrote", "kafka", "Writer", "the_trial", "Book", 0.95)
-	parent.SetWeight(parent.Facts[0].Key(), 0.5)
+	parent.SetWeight(parent.FactAt(0).Key(), 0.5)
 	if got := snapshotOf(fork); !reflect.DeepEqual(got, forkBefore) {
 		t.Fatalf("parent mutations leaked into the fork:\nbefore: %+v\nafter:  %+v", forkBefore, got)
 	}
@@ -146,7 +148,8 @@ func TestForkConcurrentReadsDuringWrite(t *testing.T) {
 					return
 				}
 				n := 0
-				for _, f := range parent.Facts {
+				for i := range parent.NumFacts() {
+					f := parent.FactAt(i)
 					if f.W < 0 || f.W > 1 {
 						t.Errorf("frozen parent fact weight torn: %v", f.W)
 						return
@@ -162,9 +165,9 @@ func TestForkConcurrentReadsDuringWrite(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		fork.InternFact("rel", "e", "C", "e2", "C", float64(i%100)/100)
-		fork.SetWeight(fork.Facts[0].Key(), float64(i%100)/100)
+		fork.SetWeight(fork.FactAt(0).Key(), float64(i%100)/100)
 		if i%50 == 0 {
-			fork.DeleteFacts(map[Key]bool{fork.Facts[len(fork.Facts)-1].Key(): true})
+			fork.DeleteFacts(map[Key]bool{fork.FactAt(fork.NumFacts() - 1).Key(): true})
 		}
 	}
 	close(stop)
@@ -196,7 +199,8 @@ func TestForkStaysSharedOnKnownSymbols(t *testing.T) {
 					return
 				default:
 				}
-				for _, f := range parent.Facts {
+				for i := range parent.NumFacts() {
+					f := parent.FactAt(i)
 					if !parent.HasFact(f.Key()) {
 						t.Error("frozen parent lost a fact mid-write")
 						return
@@ -220,7 +224,8 @@ func TestForkStaysSharedOnKnownSymbols(t *testing.T) {
 		}
 	}
 	sharing := func(k *KB) bool {
-		return k.shared.Load() && &k.Facts[0] == &parent.Facts[0] && &k.Members[0] == &parent.Members[0]
+		return k.shared.Load() && &k.facts.Int32Col(TPiR)[0] == &parent.facts.Int32Col(TPiR)[0] &&
+			&k.Members[0] == &parent.Members[0]
 	}
 	if !sharing(fork) {
 		t.Fatal("re-adding only known relations and members copied the fork")
@@ -252,43 +257,56 @@ func TestForkStaysSharedOnKnownSymbols(t *testing.T) {
 	}
 }
 
-// TestKeepFactsOnFork: the pre-clean's narrowing write on a shared fork
+// TestDeleteFactsWithOnFork: the pre-clean's deletion on a shared fork
 // moves neither side's facts under the other, on the first write to the
-// fork and after later ones, and leaves the index answering for exactly
-// the survivors. On a private KB it filters the slice it has.
-func TestKeepFactsOnFork(t *testing.T) {
+// fork and after later ones, and leaves the identity set answering for
+// exactly the survivors. On a private KB it deletes in place.
+func TestDeleteFactsWithOnFork(t *testing.T) {
+	deleteRows := func(rows ...int32) func(*engine.Table) int {
+		return func(tpi *engine.Table) int { return tpi.DeleteRows(rows) }
+	}
 	parent := forkFixture(t)
 	parent.InternFact("died_in", "kafka", "Writer", "vienna", "Place", 0.7)
 	before := snapshotOf(parent)
-	gone := parent.Facts[1].Key()
+	gone := parent.FactAt(1).Key()
 
 	fork := parent.Fork()
-	fork.KeepFacts([]int32{0, 2})
-	if got := snapshotOf(parent); !reflect.DeepEqual(got, before) {
-		t.Fatalf("KeepFacts on the fork leaked into the parent:\nbefore: %+v\nafter:  %+v", before, got)
+	if n := fork.DeleteFactsWith(deleteRows(1)); n != 1 {
+		t.Fatalf("DeleteFactsWith deleted %d, want 1", n)
 	}
-	if len(fork.Facts) != 2 || fork.Facts[0] != before.facts[0] || fork.Facts[1] != before.facts[2] {
-		t.Fatalf("fork facts = %+v, want positions 0 and 2 of %+v", fork.Facts, before.facts)
+	if got := snapshotOf(parent); !reflect.DeepEqual(got, before) {
+		t.Fatalf("DeleteFactsWith on the fork leaked into the parent:\nbefore: %+v\nafter:  %+v", before, got)
+	}
+	if got := factsOf(fork); len(got) != 2 || got[0] != before.facts[0] || got[1] != before.facts[2] {
+		t.Fatalf("fork facts = %+v, want positions 0 and 2 of %+v", got, before.facts)
 	}
 	if fork.HasFact(gone) || !fork.HasFact(before.facts[2].Key()) || !parent.HasFact(gone) {
-		t.Fatal("fact index out of step with the kept facts")
+		t.Fatal("identity set out of step with the kept facts")
 	}
+	checkIndex(t, "fork", fork, []Key{gone})
 	// The fork is still a fork: later writes on either side stay apart.
 	forkBefore := snapshotOf(fork)
-	parent.KeepFacts([]int32{1})
+	parent.DeleteFactsWith(deleteRows(0, 2))
 	parent.SetWeight(gone, 0.25)
 	if got := snapshotOf(fork); !reflect.DeepEqual(got, forkBefore) {
 		t.Fatalf("parent writes leaked into the fork:\nbefore: %+v\nafter:  %+v", forkBefore, got)
 	}
 	fork.InternFact("wrote", "kafka", "Writer", "the_trial", "Book", 0.95)
-	if len(parent.Facts) != 1 || parent.Facts[0].Key() != gone || parent.Facts[0].W != 0.25 {
-		t.Fatalf("parent facts = %+v, want the one fact it kept", parent.Facts)
+	if got := factsOf(parent); len(got) != 1 || got[0].Key() != gone || got[0].W != 0.25 {
+		t.Fatalf("parent facts = %+v, want the one fact it kept", got)
+	}
+	checkIndex(t, "parent", parent, []Key{before.facts[0].Key(), before.facts[2].Key()})
+
+	// A hook that deletes nothing changes nothing.
+	if n := fork.DeleteFactsWith(deleteRows()); n != 0 {
+		t.Fatalf("an empty deletion removed %d", n)
 	}
 
 	private := forkFixture(t)
-	arr := &private.Facts[0]
-	private.KeepFacts([]int32{1})
-	if len(private.Facts) != 1 || &private.Facts[0] != arr || private.Facts[0].Key() != before.facts[1].Key() {
-		t.Fatalf("private KeepFacts should filter in place; facts = %+v", private.Facts)
+	arr := &private.facts.Int32Col(TPiR)[0]
+	private.DeleteFactsWith(deleteRows(0))
+	if got := factsOf(private); len(got) != 1 || &private.facts.Int32Col(TPiR)[0] != arr || got[0].Key() != before.facts[1].Key() {
+		t.Fatalf("private DeleteFactsWith should delete in place; facts = %+v", got)
 	}
+	checkIndex(t, "private", private, []Key{before.facts[0].Key()})
 }

@@ -39,7 +39,7 @@ func TestCatalogBuildsOnlyWhatIsReferenced(t *testing.T) {
 		t.Fatalf("image T:\n%s\nFactsTable:\n%s", T, k.FactsTable())
 	}
 	st, err := cat.Stats("T")
-	if err != nil || st.Rows != len(k.Facts) {
+	if err != nil || st.Rows != k.NumFacts() {
 		t.Fatalf("Stats(T) = %+v, %v", st, err)
 	}
 	if again, _ := cat.Stats("T"); again != st {
@@ -82,9 +82,11 @@ func TestCatalogValidity(t *testing.T) {
 			k.AddFact(Fact{Rel: bornIn, X: kafka, XClass: writer, Y: prague, YClass: place, W: 0.99})
 		}},
 		{"new fact", true, func(k *KB) { k.AddFact(Fact{Rel: bornIn, X: prague, XClass: writer, Y: kafka, YClass: place, W: 0.5}) }},
-		{"SetWeight", true, func(k *KB) { k.SetWeight(k.Facts[0].Key(), 0.5) }},
-		{"DeleteFacts", true, func(k *KB) { k.DeleteFacts(map[Key]bool{k.Facts[0].Key(): true}) }},
-		{"ReplaceFacts", true, func(k *KB) { k.ReplaceFacts(append([]Fact(nil), k.Facts[:1]...)) }},
+		{"SetWeight", true, func(k *KB) { k.SetWeight(k.FactAt(0).Key(), 0.5) }},
+		{"DeleteFacts", true, func(k *KB) { k.DeleteFacts(map[Key]bool{k.FactAt(0).Key(): true}) }},
+		{"DeleteFactsWith", true, func(k *KB) {
+			k.DeleteFactsWith(func(tpi *engine.Table) int { return tpi.DeleteRows([]int32{0}) })
+		}},
 		{"AddRule", true, func(k *KB) {
 			c, err := k.ParseRule("0.7 died_in(x:Writer, y:Place) :- born_in(x:Writer, y:Place)")
 			if err != nil {
@@ -145,7 +147,7 @@ func TestCatalogBuildsTheStateItWasCreatedFor(t *testing.T) {
 	want := parent.FactsTable()
 	child := parent.Fork()
 
-	parent.SetWeight(parent.Facts[0].Key(), 0.001) // in place, after the write barrier copied
+	parent.SetWeight(parent.FactAt(0).Key(), 0.001) // in place, after the write barrier copied
 	parent.InternFact("died_in", "kafka", "Writer", "vienna", "Place", 0.7)
 	parent.Entities.Intern("brod")
 

@@ -56,6 +56,7 @@ func LoadDir(dir string) (*KB, error) {
 	if err := k.readFacts(filepath.Join(dir, "facts.tsv")); err != nil {
 		return nil, err
 	}
+	k.SealFacts()
 	for _, f := range []struct {
 		name string
 		read func(string) error
@@ -139,7 +140,8 @@ func (k *KB) readRelations(path string) error {
 
 func (k *KB) writeFacts(path string) error {
 	return writeLines(path, func(w *bufio.Writer) error {
-		for _, f := range k.Facts {
+		for i := range k.NumFacts() {
+			f := k.FactAt(i)
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\n",
 				k.RelDict.Name(f.Rel),
 				k.Entities.Name(f.X), k.Classes.Name(f.XClass),

@@ -100,10 +100,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("stats changed: %+v vs %+v", loaded.Stats(), k.Stats())
 	}
 	// Every original fact must exist in the loaded KB under its names.
-	for _, f := range k.Facts {
+	for i := range k.NumFacts() {
+		f := k.FactAt(i)
 		name := k.FactString(f)
 		found := false
-		for _, lf := range loaded.Facts {
+		for i := range loaded.NumFacts() {
+			lf := loaded.FactAt(i)
 			if loaded.FactString(lf) == name {
 				found = true
 				break

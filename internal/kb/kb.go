@@ -12,10 +12,12 @@ package kb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"probkb/internal/engine"
 	"probkb/internal/mln"
 )
 
@@ -76,9 +78,6 @@ type KB struct {
 	Relations []Relation
 	// Members lists the (class, entity) typing pairs that make up TC.
 	Members []ClassMember
-	// Facts is Π. The slice index of a base fact is its initial fact ID
-	// in TΠ.
-	Facts []Fact
 	// Rules is H, the deductive MLN.
 	Rules []mln.Clause
 	// Constraints is Ω.
@@ -89,8 +88,14 @@ type KB struct {
 	superOf map[int32][]int32
 
 	memberSet map[ClassMember]struct{}
-	factIx    factIndex // Key → position in Facts
 	relSigs   map[Relation]struct{}
+
+	// facts is Π as the facts table TΠ (FactsSchema): row r holds base
+	// fact r, whose ID I is r. factSet is its identity set on FactKeyCols,
+	// which deduplicates it. Both protect what a Fork shares with their
+	// own barriers (engine.Table.Fork, engine.RowSet.Fork).
+	facts   *engine.Table
+	factSet *engine.RowSet
 
 	// shared marks this KB's slices and maps as visible to a Fork; the
 	// next mutation copies them privately first (see materialize).
@@ -110,6 +115,7 @@ type ClassMember struct {
 
 // New returns an empty knowledge base.
 func New() *KB {
+	facts := engine.NewTable("T", FactsSchema())
 	return &KB{
 		Entities:  NewDict(),
 		Classes:   NewDict(),
@@ -117,6 +123,8 @@ func New() *KB {
 		superOf:   make(map[int32][]int32),
 		memberSet: make(map[ClassMember]struct{}),
 		relSigs:   make(map[Relation]struct{}),
+		facts:     facts,
+		factSet:   engine.NewRowSet(facts, FactKeyCols),
 	}
 }
 
@@ -233,67 +241,44 @@ func (k *KB) MembersOf(c int32) []int32 {
 // keeps the maximum weight seen (extractions repeat with varying
 // confidence).
 func (k *KB) AddFact(f Fact) (int, bool) {
-	k.materialize()
-	key := f.Key()
-	if i, ok := k.factIx.find(k.Facts, key); ok {
-		if f.W > k.Facts[i].W {
-			k.Facts[i].W = f.W
+	k.dropImage()
+	if i := k.factSet.FindKey(f.Rel, f.X, f.XClass, f.Y, f.YClass); i >= 0 {
+		if f.W > k.facts.Float64Col(TPiW)[i] {
+			k.facts.Writable(i)
+			k.facts.Float64Col(TPiW)[i] = f.W
 		}
 		return i, false
 	}
-	i := len(k.Facts)
-	k.Facts = append(k.Facts, f)
-	if 2*len(k.Facts) > len(k.factIx) {
-		k.factIx = newFactIndex(k.Facts, factIndexSlots(len(k.Facts)))
-	} else {
-		k.factIx.insert(key, i)
-	}
+	i := k.facts.NumRows()
+	k.facts.AppendRowOf([]int32{int32(i), f.Rel, f.X, f.XClass, f.Y, f.YClass}, []float64{f.W})
+	k.factSet.NoteAppended()
 	k.AddMember(f.XClass, f.X)
 	k.AddMember(f.YClass, f.Y)
 	return i, true
 }
 
-// ReplaceFacts swaps the fact set Π for a new one, rebuilding the
-// deduplication index. Quality control uses it after constraint-driven
-// deletions.
-func (k *KB) ReplaceFacts(facts []Fact) {
-	k.materialize()
-	k.Facts = k.Facts[:0]
-	k.factIx = make(factIndex, factIndexSlots(len(facts)))
-	for _, f := range facts {
-		k.AddFact(f)
-	}
-}
+// SealFacts indexes Π afresh as one sealed base, which keeps no hashes:
+// the facts AddFact appended since the last seal cost 8 bytes each more
+// than a sealed fact. A loader that adds its facts one at a time calls
+// it once it is done.
+func (k *KB) SealFacts() { k.factSet = engine.NewRowSet(k.facts, FactKeyCols) }
 
-// KeepFacts narrows Π to the facts at the given positions of Facts, in
-// ascending order, and rebuilds the deduplication index once. It is the
-// quality pre-clean's write: nothing but Facts and their index changes,
-// so on a shared fork only those two leave the parent — the survivors go
-// to a fresh array, the parent's stays as its readers see it — and the
-// other slices and maps stay shared until a mutation that needs them
-// passes the write barrier. Private facts are filtered in place.
-func (k *KB) KeepFacts(positions []int32) {
-	k.dropImage()
-	kept := k.Facts[:0]
-	if k.shared.Load() {
-		kept = make([]Fact, 0, len(positions))
-	}
-	for _, p := range positions {
-		kept = append(kept, k.Facts[p])
-	}
-	k.Facts = kept
-	k.factIx = newFactIndex(kept, factIndexSlots(len(kept)))
-}
+// NumFacts returns |Π|.
+func (k *KB) NumFacts() int { return k.facts.NumRows() }
+
+// FactAt returns fact i of Π, the one TΠ holds at row i.
+func (k *KB) FactAt(i int) Fact { return FactAtRow(k.facts, i) }
 
 // HasFact reports whether the key is present.
 func (k *KB) HasFact(key Key) bool {
-	_, ok := k.factIx.find(k.Facts, key)
+	_, ok := k.FactIndex(key)
 	return ok
 }
 
-// FactIndex returns the position in Facts of the fact with the given key.
+// FactIndex returns the position in Π of the fact with the given key.
 func (k *KB) FactIndex(key Key) (int, bool) {
-	return k.factIx.find(k.Facts, key)
+	i := k.factSet.FindKey(key.Rel, key.X, key.XClass, key.Y, key.YClass)
+	return i, i >= 0
 }
 
 // SetWeight assigns the weight of the fact with the given key and
@@ -301,12 +286,13 @@ func (k *KB) FactIndex(key Key) (int, bool) {
 // idempotent — the storage engine replays marginal updates through it,
 // and a duplicated WAL tail must not change the outcome.
 func (k *KB) SetWeight(key Key, w float64) bool {
-	k.materialize()
-	i, ok := k.factIx.find(k.Facts, key)
+	i, ok := k.FactIndex(key)
 	if !ok {
 		return false
 	}
-	k.Facts[i].W = w
+	k.dropImage()
+	k.facts.Writable(i)
+	k.facts.Float64Col(TPiW)[i] = w
 	return true
 }
 
@@ -316,22 +302,35 @@ func (k *KB) SetWeight(key Key, w float64) bool {
 // not typings). Deleting absent keys is a no-op, which makes WAL
 // replay of deletions idempotent.
 func (k *KB) DeleteFacts(keys map[Key]bool) int {
-	k.materialize()
-	if len(keys) == 0 {
-		return 0
-	}
-	kept := make([]Fact, 0, len(k.Facts))
-	for _, f := range k.Facts {
-		if !keys[f.Key()] {
-			kept = append(kept, f)
+	var rows []int32
+	for key, del := range keys {
+		if i, ok := k.FactIndex(key); ok && del {
+			rows = append(rows, int32(i))
 		}
 	}
-	deleted := len(k.Facts) - len(kept)
-	if deleted > 0 {
-		k.Facts = kept
-		k.factIx = newFactIndex(kept, factIndexSlots(len(kept)))
+	slices.Sort(rows)
+	return k.DeleteFactsWith(func(tpi *engine.Table) int { return tpi.DeleteRows(rows) })
+}
+
+// DeleteFactsWith is the one way facts leave Π: del deletes rows of TΠ
+// in place with one DeleteRows, as a ground.Options.ConstraintHook does,
+// and returns how many it removed. The identity set follows the deletion
+// and the survivors' IDs are renumbered to their rows; nothing is hashed
+// or copied again, unless a Fork shares what the deletion writes. del
+// must not keep the table.
+func (k *KB) DeleteFactsWith(del func(tpi *engine.Table) int) int {
+	k.dropImage()
+	n := del(k.facts)
+	if n == 0 {
+		return 0
 	}
-	return deleted
+	d := k.facts.LastDeletion()
+	k.factSet.FollowDeletion(d.Renumbering())
+	ids := k.facts.Int32Col(TPiI) // DeleteRows made the rows past d.Rows[0] private
+	for r := int(d.Rows[0]); r < len(ids); r++ {
+		ids[r] = int32(r)
+	}
+	return n
 }
 
 // AddRule appends a deductive Horn clause to H. Hard rules (infinite
@@ -392,7 +391,7 @@ func (k *KB) Stats() Stats {
 		Relations:   k.RelDict.Len(),
 		Rules:       len(k.Rules),
 		Entities:    k.Entities.Len(),
-		Facts:       len(k.Facts),
+		Facts:       k.NumFacts(),
 		Classes:     k.Classes.Len(),
 		Constraints: len(k.Constraints),
 	}
@@ -419,32 +418,13 @@ func (k *KB) FactString(f Fact) string {
 		k.Entities.Name(f.Y), k.Classes.Name(f.YClass))
 }
 
-// Clone returns a deep copy of the KB. Quality-control experiments mutate
-// fact and rule sets; cloning lets each configuration start from the same
-// base.
+// Clone returns a copy of the KB whose exported slices and maps are its
+// own: a Fork that has passed its write barrier. Quality-control
+// experiments rewrite Rules and Constraints by hand; cloning lets each
+// configuration start from the same base. Π stays behind the table's
+// barriers, as on any Fork.
 func (k *KB) Clone() *KB {
-	n := New()
-	for _, name := range k.Entities.Names() {
-		n.Entities.Intern(name)
-	}
-	for _, name := range k.Classes.Names() {
-		n.Classes.Intern(name)
-	}
-	for _, r := range k.Relations {
-		n.AddRelation(r.Name, r.Domain, r.Range)
-	}
-	for _, e := range k.SubclassEdges() {
-		if err := n.DeclareSubclass(e.Sub, e.Super); err != nil {
-			panic(err) // the source hierarchy was acyclic; a copy must be too
-		}
-	}
-	for _, m := range k.Members {
-		n.AddMember(m.Class, m.Entity)
-	}
-	for _, f := range k.Facts {
-		n.AddFact(f)
-	}
-	n.Rules = append(n.Rules, k.Rules...)
-	n.Constraints = append(n.Constraints, k.Constraints...)
+	n := k.Fork()
+	n.materialize()
 	return n
 }

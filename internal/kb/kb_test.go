@@ -73,13 +73,13 @@ func TestAddFactDedup(t *testing.T) {
 	if i1 != i2 {
 		t.Fatal("duplicate fact got a new index")
 	}
-	if k.Facts[i1].W != 0.9 {
-		t.Fatalf("duplicate should keep max weight, got %v", k.Facts[i1].W)
+	if k.FactAt(i1).W != 0.9 {
+		t.Fatalf("duplicate should keep max weight, got %v", k.FactAt(i1).W)
 	}
-	if len(k.Facts) != 1 {
-		t.Fatalf("fact count = %d, want 1", len(k.Facts))
+	if k.NumFacts() != 1 {
+		t.Fatalf("fact count = %d, want 1", k.NumFacts())
 	}
-	if !k.HasFact(k.Facts[0].Key()) {
+	if !k.HasFact(k.FactAt(0).Key()) {
 		t.Fatal("HasFact lost the fact")
 	}
 }
@@ -146,7 +146,7 @@ func TestStatsAndStrings(t *testing.T) {
 	if !strings.Contains(s.String(), "# rules") {
 		t.Fatal("Stats.String malformed")
 	}
-	fs := k.FactString(k.Facts[0])
+	fs := k.FactString(k.FactAt(0))
 	if !strings.Contains(fs, "born_in(Ruth_Gruber:Writer, New_York_City:City)") {
 		t.Fatalf("FactString = %q", fs)
 	}
@@ -169,8 +169,8 @@ func TestFactsTableLayout(t *testing.T) {
 		t.Fatal("fact IDs should be row indices")
 	}
 	f := FactAtRow(tab, 0)
-	if f != k.Facts[0] {
-		t.Fatalf("FactAtRow = %+v, want %+v", f, k.Facts[0])
+	if f != k.FactAt(0) {
+		t.Fatalf("FactAtRow = %+v, want %+v", f, k.FactAt(0))
 	}
 }
 
@@ -214,7 +214,7 @@ func TestClone(t *testing.T) {
 	c := k.Clone()
 	c.InternFact("r_new", "e1", "C1", "e2", "C2", 0.1)
 	c.Rules = c.Rules[:1]
-	if len(k.Facts) != 2 || len(k.Rules) != 4 {
+	if k.NumFacts() != 2 || len(k.Rules) != 4 {
 		t.Fatal("mutating the clone changed the original")
 	}
 	if c.Stats().Facts != 3 || c.Stats().Rules != 1 {

@@ -37,26 +37,50 @@ func FactsSchema() engine.Schema {
 	)
 }
 
-// FactsTable materializes TΠ from the KB's fact list; fact i gets ID i.
-func (k *KB) FactsTable() *engine.Table {
-	n := len(k.Facts)
-	ids := make([]int32, n)
-	rels := make([]int32, n)
-	xs := make([]int32, n)
-	c1s := make([]int32, n)
-	ys := make([]int32, n)
-	c2s := make([]int32, n)
-	ws := make([]float64, n)
-	for i, f := range k.Facts {
-		ids[i] = int32(i)
-		rels[i] = f.Rel
-		xs[i] = f.X
-		c1s[i] = f.XClass
-		ys[i] = f.Y
-		c2s[i] = f.YClass
-		ws[i] = f.W
+// FactKeyCols are the identity columns of TΠ, (R, x, C1, y, C2): a
+// facts table holds one row per key.
+var FactKeyCols = []int{TPiR, TPiX, TPiC1, TPiY, TPiC2}
+
+// FactsTable returns TΠ, fact i at row i with ID i, as a Fork of the
+// KB's own table: nothing is copied, and the caller may append to it and
+// write it while the KB and its readers go on (engine.Table.Fork).
+// FactSet indexes it.
+func (k *KB) FactsTable() *engine.Table { return k.facts.Fork() }
+
+// FactSet returns the KB's identity set on FactKeyCols forked onto tpi,
+// a FactsTable of this KB that has grown at most by appends: it shares
+// the KB's sealed base and indexes only the rows past it, so a
+// grounding run over the KB's facts does not hash them again.
+func (k *KB) FactSet(tpi *engine.Table) *engine.RowSet { return k.factSet.Fork(tpi) }
+
+// FactsView returns TΠ for reading only, valid until the KB next
+// mutates: a table over the KB's own columns that, unlike FactsTable,
+// is no Fork, so the KB's next write pays no barrier for it.
+func (k *KB) FactsView() *engine.Table {
+	t, n := k.facts, k.facts.NumRows()
+	i32 := func(c int) []int32 { return t.Int32Col(c)[:n:n] }
+	return engine.TableFromColumns("T", FactsSchema(),
+		i32(TPiI), i32(TPiR), i32(TPiX), i32(TPiC1), i32(TPiY), i32(TPiC2), t.Float64Col(TPiW)[:n:n])
+}
+
+// WithFacts returns a Fork of the KB whose Π is a copy of tpi, a
+// TΠ-shaped table with one row per key (a grounding result's facts):
+// fact r is row r, its ID renumbered to r, and the facts' entities join
+// their classes.
+func (k *KB) WithFacts(tpi *engine.Table) *KB {
+	facts := tpi.Clone()
+	ids := facts.Int32Col(TPiI)
+	for r := range ids {
+		ids[r] = int32(r)
 	}
-	return engine.TableFromColumns("T", FactsSchema(), ids, rels, xs, c1s, ys, c2s, ws)
+	out := k.forkWith(facts, engine.NewRowSet(facts, FactKeyCols))
+	out.dropImage()
+	xs, c1s, ys, c2s := facts.Int32Col(TPiX), facts.Int32Col(TPiC1), facts.Int32Col(TPiY), facts.Int32Col(TPiC2)
+	for r := range xs {
+		out.AddMember(c1s[r], xs[r])
+		out.AddMember(c2s[r], ys[r])
+	}
+	return out
 }
 
 // FactAtRow reconstructs a Fact value from row r of a TΠ-shaped table.
@@ -153,13 +177,13 @@ func (k *KB) MLNPartitions() (*mln.Partitions, error) {
 // It is created empty and each table materializes on first reference,
 // once: a point select on T never builds DE or the MLN partitions, and
 // a generation nobody sends SQL to builds nothing. The recipes read a
-// frozen view captured at creation — slice headers, never the KB — so a
-// fork that still holds the image after its parent moved on builds the
-// state the image was created for, not the parent's current one. The
-// captured arrays stay untouched for as long as a KB the image is
-// current for exists: such a KB either never mutated since (then nobody
-// wrote) or is one side of a Fork, and the other side's first write
-// copies away from them (materialize).
+// frozen view captured at creation — slice headers and a FactsView,
+// never the KB — so a fork that still holds the image after its parent
+// moved on builds the state the image was created for, not the parent's
+// current one. The captured arrays stay untouched for as long as a KB
+// the image is current for exists: such a KB either never mutated since
+// (then nobody wrote) or is one side of a Fork, and the other side's
+// first write copies away from them (materialize, engine.Table.Fork).
 type image struct {
 	// The dictionary lengths the image was created at. Everything else
 	// that changes a KB passes the write barrier, which drops the image;
@@ -202,9 +226,10 @@ func (k *KB) Catalog() *engine.Catalog {
 
 func newImage(k *KB) *image {
 	// The frozen view. Dictionary names are only ever appended past the
-	// captured length; the other slices are covered by the argument on
-	// the type.
-	view := &KB{Relations: k.Relations, Members: k.Members, Facts: k.Facts, Rules: k.Rules, Constraints: k.Constraints}
+	// captured length; the other slices and TΠ's columns are covered by
+	// the argument on the type.
+	view := &KB{Relations: k.Relations, Members: k.Members, Rules: k.Rules, Constraints: k.Constraints}
+	facts := k.FactsView()
 	entities, classes, relations := k.Entities.Names(), k.Classes.Names(), k.RelDict.Names()
 
 	recipes := make(map[string]func() (*engine.Table, error), 13)
@@ -217,7 +242,7 @@ func newImage(k *KB) *image {
 	ok := func(build func() *engine.Table) func() (*engine.Table, error) {
 		return func() (*engine.Table, error) { return build(), nil }
 	}
-	put("T", ok(view.FactsTable))
+	put("T", ok(func() *engine.Table { return facts }))
 	put("TC", ok(view.ClassTable))
 	put("TR", ok(view.RelationTable))
 	put("FC", ok(view.ConstraintsTable))

@@ -56,7 +56,7 @@ func TestBinaryNaNWeightSurvives(t *testing.T) {
 	k.InternFact("r", "a", "A", "b", "B", 0.5)
 	k.InternFact("r", "b", "A", "a", "B", math.NaN())
 	loaded := roundTrip(t, k)
-	if len(loaded.Facts) != 2 || !math.IsNaN(loaded.Facts[1].W) {
-		t.Fatalf("NaN weight lost: %+v", loaded.Facts)
+	if loaded.NumFacts() != 2 || !math.IsNaN(loaded.FactAt(1).W) {
+		t.Fatalf("NaN weight lost: %+v", loaded.FactAt(1))
 	}
 }

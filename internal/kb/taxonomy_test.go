@@ -147,9 +147,9 @@ func TestValidateCatchesProblems(t *testing.T) {
 	k.InternFact("r", "a", "A", "b", "B", 0.9)
 
 	// Unregistered signature: inject a fact bypassing InternFact.
-	k.Facts = append(k.Facts, Fact{Rel: 0, X: 0, XClass: 1, Y: 1, YClass: 0, W: 0.5})
+	appendUnchecked(k, Fact{Rel: 0, X: 0, XClass: 1, Y: 1, YClass: 0, W: 0.5})
 	// NULL-weight base fact.
-	k.Facts = append(k.Facts, Fact{Rel: 0, X: 0, XClass: 0, Y: 1, YClass: 1, W: nan()})
+	appendUnchecked(k, Fact{Rel: 0, X: 0, XClass: 0, Y: 1, YClass: 1, W: nan()})
 	// Bad constraint injected directly.
 	k.Constraints = append(k.Constraints, Constraint{Rel: 99, Type: 7, Degree: 0})
 
@@ -162,4 +162,11 @@ func TestValidateCatchesProblems(t *testing.T) {
 func nan() float64 {
 	var z float64
 	return z / z
+}
+
+// appendUnchecked appends f to Π with none of AddFact's deduplication
+// or typing: the corruption Validate exists to catch.
+func appendUnchecked(k *KB, f Fact) {
+	k.facts.AppendRowOf([]int32{int32(k.NumFacts()), f.Rel, f.X, f.XClass, f.Y, f.YClass}, []float64{f.W})
+	k.factSet.NoteAppended()
 }

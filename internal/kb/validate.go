@@ -23,7 +23,8 @@ func (k *KB) Validate() []error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	for i, f := range k.Facts {
+	for i := range k.NumFacts() {
+		f := k.FactAt(i)
 		sig := Relation{ID: f.Rel, Name: k.RelDict.Name(f.Rel), Domain: f.XClass, Range: f.YClass}
 		if _, ok := k.relSigs[sig]; !ok {
 			report("fact %d (%s): signature %s(%s, %s) not registered in R",

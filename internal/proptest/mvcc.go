@@ -99,13 +99,13 @@ func applyRound(k *kb.KB, r MVCCRound, round int) {
 	for _, f := range r.Adds {
 		k.InternFact(f.Rel, f.X, "C", f.Y, "C", f.W)
 	}
-	for i := 0; i < r.Reweight && i < len(k.Facts); i++ {
-		k.SetWeight(k.Facts[i].Key(), float64((round*31+i)%100)/100)
+	for i := 0; i < r.Reweight && i < k.NumFacts(); i++ {
+		k.SetWeight(k.FactAt(i).Key(), float64((round*31+i)%100)/100)
 	}
-	if r.Delete > 0 && len(k.Facts) > 0 {
+	if r.Delete > 0 && k.NumFacts() > 0 {
 		drop := map[kb.Key]bool{}
-		for i := 0; i < r.Delete && i < len(k.Facts); i++ {
-			drop[k.Facts[len(k.Facts)-1-i].Key()] = true
+		for i := 0; i < r.Delete && i < k.NumFacts(); i++ {
+			drop[k.FactAt(k.NumFacts()-1-i).Key()] = true
 		}
 		k.DeleteFacts(drop)
 	}
@@ -116,8 +116,9 @@ func applyRound(k *kb.KB, r MVCCRound, round int) {
 // into one canonical value. Two KBs fingerprint equal iff a reader
 // could not tell them apart.
 func fingerprint(k *kb.KB) uint64 {
-	lines := make([]string, 0, len(k.Facts)+len(k.Members))
-	for _, f := range k.Facts {
+	lines := make([]string, 0, k.NumFacts()+len(k.Members))
+	for i := range k.NumFacts() {
+		f := k.FactAt(i)
 		lines = append(lines, fmt.Sprintf("f|%s|%s|%s|%s|%s|%.6f",
 			k.RelDict.Name(f.Rel), k.Entities.Name(f.X), k.Classes.Name(f.XClass),
 			k.Entities.Name(f.Y), k.Classes.Name(f.YClass), f.W))
@@ -127,7 +128,7 @@ func fingerprint(k *kb.KB) uint64 {
 	}
 	lines = append(lines, "e|"+strings.Join(k.Entities.Names(), ","))
 	lines = append(lines, "r|"+strings.Join(k.RelDict.Names(), ","))
-	sort.Strings(lines[:len(k.Facts)+len(k.Members)])
+	sort.Strings(lines[:k.NumFacts()+len(k.Members)])
 	h := fnv.New64a()
 	for _, l := range lines {
 		h.Write([]byte(l))

@@ -103,7 +103,7 @@ func NewChecker(k *kb.KB) *Checker {
 // would. Like any checker's, its TΩ⁻ starts empty.
 func NewCheckerAfterPreClean(k *kb.KB) *Checker {
 	c := NewChecker(k)
-	c.rows, c.lastID = len(k.Facts), int32(len(k.Facts)-1)
+	c.rows, c.lastID = k.NumFacts(), int32(k.NumFacts()-1)
 	return c
 }
 
@@ -366,7 +366,8 @@ func (c *Checker) apply(tpi *engine.Table) (deleted, violations int) {
 	deleted = tpi.DeleteRows(victims)
 	c.rows, c.lastID = tpi.NumRows(), -1
 	if c.rows > 0 {
-		c.lastID = ids[c.rows-1]
+		// Read again: a deletion among rows a Fork shares moves the columns.
+		c.lastID = tpi.Int32Col(kb.TPiI)[c.rows-1]
 	}
 	if len(viol) > 0 || deleted > 0 {
 		violationsTotal.Add(int64(len(viol)))
@@ -460,16 +461,10 @@ func (c *Checker) HookWithObserver(onRepair func(Repair)) func(*engine.Table) in
 
 // PreClean runs Query 3 once over a KB's own fact set — the "run once
 // before inference starts" step of Section 6.1.1 — removing violating
-// entities' facts in place and returning how many facts were dropped.
-// Its violators are not remembered: a later checker over the cleaned KB
-// starts with an empty TΩ⁻ and finds again those that the rules bring
-// back.
+// entities' facts from the KB's TΠ in place (kb.KB.DeleteFactsWith) and
+// returning how many facts were dropped. Its violators are not
+// remembered: a later checker over the cleaned KB starts with an empty
+// TΩ⁻ and finds again those that the rules bring back.
 func PreClean(k *kb.KB) int {
-	tpi := k.FactsTable()
-	n := NewChecker(k).Apply(tpi)
-	if n > 0 {
-		// Fact i got ID i, so the surviving IDs are the surviving positions.
-		k.KeepFacts(tpi.Int32Col(kb.TPiI))
-	}
-	return n
+	return k.DeleteFactsWith(NewChecker(k).Apply)
 }

@@ -247,15 +247,16 @@ func TestPreCleanKeepsSurvivorsInPlace(t *testing.T) {
 	if n := PreClean(fork); n != 3 {
 		t.Fatalf("PreClean removed %d, want 3", n)
 	}
-	if len(k.Facts) != 5 || len(fork.Facts) != 2 {
-		t.Fatalf("parent has %d facts, fork %d; want 5 and 2", len(k.Facts), len(fork.Facts))
+	if k.NumFacts() != 5 || fork.NumFacts() != 2 {
+		t.Fatalf("parent has %d facts, fork %d; want 5 and 2", k.NumFacts(), fork.NumFacts())
 	}
-	for i, f := range fork.Facts {
+	for i := range fork.NumFacts() {
+		f := fork.FactAt(i)
 		if j, ok := fork.FactIndex(f.Key()); !ok || j != i {
 			t.Fatalf("fork's fact index lost fact %d", i)
 		}
 	}
-	if fork.HasFact(k.Facts[0].Key()) || !k.HasFact(k.Facts[0].Key()) {
+	if fork.HasFact(k.FactAt(0).Key()) || !k.HasFact(k.FactAt(0).Key()) {
 		t.Fatal("the removed fact should be gone from the fork only")
 	}
 	if viol := NewChecker(fork).Violations(fork.FactsTable()); len(viol) != 0 {
@@ -296,16 +297,10 @@ func TestCheckerAsGroundingHook(t *testing.T) {
 	// 6.1.1), then re-applies it each iteration: pre-cleaning removes the
 	// ambiguous entity before any rule can join through it.
 	checker := NewChecker(k)
-	pre := k.Clone()
-	tpi := pre.FactsTable()
-	if deleted := checker.Apply(tpi); deleted != 2 {
+	pre := k.Fork()
+	if deleted := pre.DeleteFactsWith(checker.Apply); deleted != 2 {
 		t.Fatalf("pre-clean deleted %d facts, want the 2 Mandel facts", deleted)
 	}
-	kept := make([]kb.Fact, 0, tpi.NumRows())
-	for r := 0; r < tpi.NumRows(); r++ {
-		kept = append(kept, kb.FactAtRow(tpi, r))
-	}
-	pre.ReplaceFacts(kept)
 	res, err := ground.Ground(pre, ground.Options{ConstraintHook: checker.Hook(), MaxIterations: 10})
 	if err != nil {
 		t.Fatal(err)

@@ -31,9 +31,12 @@ func ScoreRules(k *kb.KB) []RuleScore {
 	type sig struct{ rel, c1, c2 int32 }
 	type pair struct{ x, y int32 }
 	bySig := make(map[sig][]pair)
-	for _, f := range k.Facts {
-		s := sig{f.Rel, f.XClass, f.YClass}
-		bySig[s] = append(bySig[s], pair{f.X, f.Y})
+	tpi := k.FactsView()
+	rels, xs, c1s := tpi.Int32Col(kb.TPiR), tpi.Int32Col(kb.TPiX), tpi.Int32Col(kb.TPiC1)
+	ys, c2s := tpi.Int32Col(kb.TPiY), tpi.Int32Col(kb.TPiC2)
+	for r, rel := range rels {
+		s := sig{rel, c1s[r], c2s[r]}
+		bySig[s] = append(bySig[s], pair{xs[r], ys[r]})
 	}
 
 	scores := make([]RuleScore, len(k.Rules))

@@ -98,14 +98,14 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("applying decoded record: %v", err)
 			}
 		}
-		n := len(k.Facts)
+		n := k.NumFacts()
 		for _, r := range recs {
 			if err := ApplyRecord(k, r); err != nil {
 				t.Fatalf("re-applying decoded record: %v", err)
 			}
 		}
-		if len(k.Facts) != n {
-			t.Fatalf("replay not idempotent: %d facts, then %d", n, len(k.Facts))
+		if k.NumFacts() != n {
+			t.Fatalf("replay not idempotent: %d facts, then %d", n, k.NumFacts())
 		}
 	})
 }

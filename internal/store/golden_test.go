@@ -122,7 +122,7 @@ func TestSnapshotGoldenLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 3 || len(k2.Facts) != 2 {
-		t.Fatalf("fixture round trip: gen=%d facts=%d", gen, len(k2.Facts))
+	if gen != 3 || k2.NumFacts() != 2 {
+		t.Fatalf("fixture round trip: gen=%d facts=%d", gen, k2.NumFacts())
 	}
 }

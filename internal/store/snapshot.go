@@ -71,11 +71,12 @@ func KBTables(k *kb.KB, walGen uint32) ([]*engine.Table, error) {
 	for _, m := range k.Members {
 		members.AppendRow(m.Class, m.Entity)
 	}
-	facts := engine.NewTable("facts", factSchema)
-	facts.Reserve(len(k.Facts))
-	for _, f := range k.Facts {
-		facts.AppendRow(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)
-	}
+	// The facts table reads TΠ's columns, the ID column left out: fact
+	// IDs are row positions.
+	tpi := k.FactsView()
+	facts := engine.TableFromColumns("facts", factSchema,
+		tpi.Int32Col(kb.TPiR), tpi.Int32Col(kb.TPiX), tpi.Int32Col(kb.TPiC1),
+		tpi.Int32Col(kb.TPiY), tpi.Int32Col(kb.TPiC2), tpi.Float64Col(kb.TPiW))
 	rules := engine.NewTable("rules", ruleSchema)
 	rules.Reserve(len(k.Rules))
 	for _, c := range k.Rules {
@@ -231,6 +232,7 @@ func KBFromTables(tables []*engine.Table) (*kb.KB, uint32, error) {
 			return nil, 0, fmt.Errorf("store: fact row %d duplicates an earlier key", r)
 		}
 	}
+	k.SealFacts()
 	for r := 0; r < rules.NumRows(); r++ {
 		head, b0, b1 := rules.Int32Col(1)[r], rules.Int32Col(2)[r], rules.Int32Col(3)[r]
 		c1, c2, c3 := rules.Int32Col(4)[r], rules.Int32Col(5)[r], rules.Int32Col(6)[r]

@@ -49,13 +49,13 @@ type Store struct {
 }
 
 // Create initializes dir (created if missing) with a snapshot of k at
-// generation 1 and an empty WAL. The store clones k: later mutations
-// of the caller's KB do not leak into the mirror.
+// generation 1 and an empty WAL. The store's mirror is a Fork of k:
+// later mutations of either side do not reach the other.
 func Create(fs FS, dir string, k *kb.KB) (*Store, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	s := &Store{fs: fs, dir: dir, k: k.Clone()}
+	s := &Store{fs: fs, dir: dir, k: k.Fork()}
 	s.gen.Store(1)
 	if err := s.writeSnapshotAndRotate(nil); err != nil {
 		return nil, err
@@ -152,7 +152,7 @@ func OpenContext(ctx context.Context, fs FS, dir string, jr *journal.Writer) (*S
 	recoverySeconds.Set(elapsed)
 	jr.Emit(journal.TypeWALReplayed, journal.WALReplayed{
 		Gen: gen, Records: s.nrec.Load(), TruncatedBytes: truncated,
-		Facts: len(s.k.Facts), Seconds: elapsed,
+		Facts: s.k.NumFacts(), Seconds: elapsed,
 	})
 	return s, nil
 }
@@ -221,9 +221,9 @@ func (s *Store) CheckpointContext(ctx context.Context) error {
 
 	elapsed := obs.Since(start)
 	span.SetAttr("gen", int(gen))
-	span.SetAttr("facts", len(s.k.Facts))
+	span.SetAttr("facts", s.k.NumFacts())
 	s.jr.Emit(journal.TypeSnapshotWritten, journal.SnapshotWritten{
-		Gen: gen, Bytes: s.snapBytes.Load(), Facts: len(s.k.Facts), Seconds: elapsed,
+		Gen: gen, Bytes: s.snapBytes.Load(), Facts: s.k.NumFacts(), Seconds: elapsed,
 	})
 	return nil
 }

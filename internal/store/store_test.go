@@ -283,7 +283,7 @@ func TestStoreAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := FactRecOf(s.KB(), s.KB().Facts[len(s.KB().Facts)-1])
+	rec := FactRecOf(s.KB(), s.KB().FactAt(s.KB().NumFacts()-1))
 	if rec.Rel != "born_in" || rec.X != "eve" || rec.YClass != "Place" || rec.W != 0.5 {
 		t.Fatalf("FactRecOf = %+v", rec)
 	}

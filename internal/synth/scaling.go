@@ -69,8 +69,8 @@ func S1(c *Corpus, nRules int, seed int64) (*kb.KB, error) {
 func S2(c *Corpus, nFacts int, seed int64) (*kb.KB, error) {
 	base := c.KB
 	out := base.Clone()
-	if nFacts <= len(base.Facts) {
-		return nil, fmt.Errorf("synth: S2 target %d below base fact count %d", nFacts, len(base.Facts))
+	if nFacts <= base.NumFacts() {
+		return nil, fmt.Errorf("synth: S2 target %d below base fact count %d", nFacts, base.NumFacts())
 	}
 	rng := rand.New(rand.NewSource(seed))
 
@@ -81,7 +81,7 @@ func S2(c *Corpus, nFacts int, seed int64) (*kb.KB, error) {
 	}
 	sigs := base.Relations
 
-	need := nFacts - len(base.Facts)
+	need := nFacts - base.NumFacts()
 	attempts := 0
 	for added := 0; added < need; {
 		attempts++
@@ -103,5 +103,6 @@ func S2(c *Corpus, nFacts int, seed int64) (*kb.KB, error) {
 			added++
 		}
 	}
+	out.SealFacts()
 	return out, nil
 }

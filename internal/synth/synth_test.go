@@ -81,7 +81,8 @@ func TestGenerateValidation(t *testing.T) {
 func TestOracleJudgesObservedFacts(t *testing.T) {
 	c := testCorpus(t)
 	correct, planted := 0, 0
-	for _, f := range c.KB.Facts {
+	for i := range c.KB.NumFacts() {
+		f := c.KB.FactAt(i)
 		if c.Oracle.Judge(f.Key()) {
 			correct++
 		} else {
@@ -221,15 +222,15 @@ func TestS1GrowsRules(t *testing.T) {
 
 func TestS2GrowsFacts(t *testing.T) {
 	c := testCorpus(t)
-	target := len(c.KB.Facts) * 2
+	target := c.KB.NumFacts() * 2
 	grown, err := S2(c, target, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grown.Facts) != target {
-		t.Fatalf("S2 facts = %d, want %d", len(grown.Facts), target)
+	if grown.NumFacts() != target {
+		t.Fatalf("S2 facts = %d, want %d", grown.NumFacts(), target)
 	}
-	if len(c.KB.Facts) == target {
+	if c.KB.NumFacts() == target {
 		t.Fatal("S2 mutated the base corpus")
 	}
 	if _, err := S2(c, 1, 5); err == nil {
@@ -241,7 +242,8 @@ func TestS2GrowsFacts(t *testing.T) {
 	for _, r := range grown.Relations {
 		sigs[[3]int32{r.ID, r.Domain, r.Range}] = true
 	}
-	for _, f := range grown.Facts {
+	for i := range grown.NumFacts() {
+		f := grown.FactAt(i)
 		if !sigs[[3]int32{f.Rel, f.XClass, f.YClass}] {
 			t.Fatalf("fact %+v has unregistered signature", f)
 		}
@@ -251,7 +253,7 @@ func TestS2GrowsFacts(t *testing.T) {
 func TestGroundingScalesWithS2(t *testing.T) {
 	// Smoke test: the grounders handle a grown S2 KB.
 	c := testCorpus(t)
-	grown, err := S2(c, len(c.KB.Facts)+500, 9)
+	grown, err := S2(c, c.KB.NumFacts()+500, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,8 @@ func TestWorldContainsObservedTrueFacts(t *testing.T) {
 	c := testCorpus(t)
 	// Facts sampled from the world (not planted false) must be judged
 	// true by construction.
-	for _, f := range c.KB.Facts {
+	for i := range c.KB.NumFacts() {
+		f := c.KB.FactAt(i)
 		key := f.Key()
 		if c.Oracle.plantedFalse[key] {
 			continue

@@ -297,6 +297,7 @@ func (g *generator) emit() (*Corpus, error) {
 	}
 
 	corpus.TrueWorldSize = len(g.world)
+	obs.SealFacts()
 	// Sanity: weights must be finite (hard rules live in constraints).
 	for _, c := range obs.Rules {
 		if math.IsInf(c.Weight, 0) {

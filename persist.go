@@ -92,8 +92,9 @@ func OpenStore(dir string) (*Store, error) {
 }
 
 // KB returns a copy of the durable KB — the recovered state after
-// OpenStore, or the live mirror of everything appended so far.
-func (s *Store) KB() *KB { return &KB{inner: s.inner.KB().Clone()} }
+// OpenStore, or the live mirror of everything appended so far — as a
+// Fork of the mirror: neither side's later writes reach the other.
+func (s *Store) KB() *KB { return &KB{inner: s.inner.KB().Fork()} }
 
 // Checkpoint folds the WAL into a fresh snapshot: the next recovery
 // loads one file instead of replaying the log. Crash-safe at every
@@ -113,7 +114,7 @@ func (s *Store) SnapshotBytes() int64 { return s.inner.SnapshotBytes() }
 func (s *Store) Dir() string { return s.inner.Dir() }
 
 // Facts returns how many facts the durable KB currently holds.
-func (s *Store) Facts() int { return len(s.inner.KB().Facts) }
+func (s *Store) Facts() int { return s.inner.KB().NumFacts() }
 
 // Close releases the WAL handle. The directory stays recoverable.
 func (s *Store) Close() error { return s.inner.Close() }
@@ -223,7 +224,7 @@ func (s *Store) diff(src *kb.KB, tpi *engine.Table, wrote []int32) (adds, margs 
 		if !known || !ok {
 			panic(fmt.Sprintf("probkb: row %d of a table the store is in step with is not in its mirror", r))
 		}
-		if math.Float64bits(mirror.Facts[i].W) != math.Float64bits(f.W) {
+		if math.Float64bits(mirror.FactAt(i).W) != math.Float64bits(f.W) {
 			margs = append(margs, rec)
 		}
 	}
@@ -239,7 +240,7 @@ func (s *Store) diff(src *kb.KB, tpi *engine.Table, wrote []int32) (adds, margs 
 // through symbols, not raw keys.
 func (s *Store) fullDiff(src *kb.KB, tpi *engine.Table) (dels, adds, margs []store.FactRec) {
 	mirror := s.inner.KB()
-	seen := make([]bool, len(mirror.Facts))
+	seen := make([]bool, mirror.NumFacts())
 	for r := 0; r < tpi.NumRows(); r++ {
 		f := kb.FactAtRow(tpi, r)
 		rec := store.FactRecOf(src, f)
@@ -250,13 +251,13 @@ func (s *Store) fullDiff(src *kb.KB, tpi *engine.Table) (dels, adds, margs []sto
 			continue
 		}
 		seen[i] = true
-		if math.Float64bits(mirror.Facts[i].W) != math.Float64bits(f.W) {
+		if math.Float64bits(mirror.FactAt(i).W) != math.Float64bits(f.W) {
 			margs = append(margs, rec)
 		}
 	}
-	for i, f := range mirror.Facts {
-		if !seen[i] {
-			dels = append(dels, store.FactRecOf(mirror, f))
+	for i, kept := range seen {
+		if !kept {
+			dels = append(dels, store.FactRecOf(mirror, mirror.FactAt(i)))
 		}
 	}
 	return dels, adds, margs

@@ -66,9 +66,9 @@ func TestPersistedExpandRecovers(t *testing.T) {
 	// recovered weights, not just in the expansion object.
 	recovered := re.KB()
 	for _, f := range exp.InferredFacts() {
-		found := recovered.inner.Facts
 		ok := false
-		for _, rf := range found {
+		for i := range recovered.inner.NumFacts() {
+			rf := recovered.inner.FactAt(i)
 			if recovered.inner.RelDict.Name(rf.Rel) == f.Rel &&
 				recovered.inner.Entities.Name(rf.X) == f.X &&
 				recovered.inner.Entities.Name(rf.Y) == f.Y &&
@@ -268,7 +268,8 @@ func TestCancelledMPPExpandLeavesResumableStore(t *testing.T) {
 		defer re.Close()
 		k := re.KB().inner
 		var facts []string
-		for _, f := range k.Facts {
+		for i := range k.NumFacts() {
+			f := k.FactAt(i)
 			facts = append(facts, k.FactString(f))
 		}
 		sort.Strings(facts)
@@ -276,7 +277,7 @@ func TestCancelledMPPExpandLeavesResumableStore(t *testing.T) {
 	}
 
 	want := recovered(SingleNode)
-	if base := len(paperKB(t).inner.Facts); len(want) <= base {
+	if base := paperKB(t).inner.NumFacts(); len(want) <= base {
 		t.Fatalf("single-node store holds %d facts, no more than the %d base facts: %v", len(want), base, want)
 	}
 	// Iteration 1 is naive on every engine, Tuffy-T's included, so the

@@ -400,8 +400,8 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, key queryK
 func (k *KB) PointQuery(ctx context.Context, q PointQuery, cfg Config) (Marginal, error) {
 	res := &ground.Result{
 		Facts:        k.inner.FactsTable(),
-		BaseFacts:    len(k.inner.Facts),
-		FirstDerived: int32(len(k.inner.Facts)),
+		BaseFacts:    k.inner.NumFacts(),
+		FirstDerived: int32(k.inner.NumFacts()),
 		Converged:    true,
 	}
 	return newExpansion(k.inner, res, cfg, journal.New(), nil).QueryLocal(ctx, q)

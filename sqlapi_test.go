@@ -146,7 +146,7 @@ func TestSQLImageMatchesFreshCatalog(t *testing.T) {
 				k.AddFact(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.Probability)
 			case 1:
 				what = "AddFact raising a duplicate's weight"
-				f := k.inner.Facts[rng.Intn(len(k.inner.Facts))]
+				f := k.inner.FactAt(rng.Intn(k.inner.NumFacts()))
 				f.W = 0.999
 				k.inner.AddFact(f)
 			case 2:
@@ -187,7 +187,7 @@ func TestSQLImageMatchesFreshCatalog(t *testing.T) {
 			case 8:
 				what = "Fork, then the parent mutates"
 				child := &KB{inner: k.inner.Fork()}
-				k.inner.SetWeight(k.inner.Facts[0].Key(), rng.Float64())
+				k.inner.SetWeight(k.inner.FactAt(0).Key(), rng.Float64())
 				live = append(live, child)
 			case 9:
 				what = "Expand"
