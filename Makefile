@@ -35,7 +35,7 @@ bench-build:
 # ground's fact index, one semi-naive iteration's two-atom Δ legs
 # (BenchmarkDeltaLegs: Δ of 1, 64 and 4,096 rows, read through the entity
 # index vs. the hash-join form) and one factor phase (BenchmarkFactorsDelta:
-# maintained from a Δ of 64 or 4,096 rows vs. Query 2 over all of TΠ) at
+# maintained from a Δ of 64 or 4,096 rows vs. from the empty TΦ, as a fresh run does) at
 # 100K and 300K synthetic TΠ rows, with
 # allocations; one constraint pass over a Δ that makes a new violator,
 # and the fact index following its deletion, over TΠ of the constrained
@@ -81,18 +81,29 @@ bench-kernels:
 # its fact index from scratch; and TestConstraintPassBytesFlat, the bytes
 # one deleting pass and the index's upkeep allocate may grow at most 2.5×
 # from the scale 0.05 grounding to the scale 0.25 one (1.7× measured; a
-# compaction that lists every row past the first deleted one is ~5.3×).
+# compaction that lists every row past the first deleted one is ~4–5×),
+# the fewest of 16 runs, each after a pass over a twin of its state, so
+# that refilling the joins' scratch pool (which a GC, or the race
+# detector, empties) does not count. Beside them, the two proofs that
+# every grounding run is a Δ round: TestFreshFactorsMatchQuery2, the TΦ
+# of every fresh single-node, MPP and local run is Query 2 over its TΠ
+# as a multiset, and TestFactIDsNeverRepeatAlongALineage, no fact ID
+# names two facts along a lineage whose hook frees the top IDs.
 # TestExpandLoadBytesFlat gates loading Π, which is a table: FactsTable
 # of an unforked KB allocates no more at scale 0.25 than at 0.05 (×1.5
 # bound, ×1.00 measured; a copy of Π is ×4.7), and PreClean keeps the
 # KB's identity set and allocates at most 1.2× the bytes of its own
-# Query 3 (×1.08–1.09 measured; a rebuilt set is ×1.24–1.31).
+# Query 3 (×1.08–1.09 measured, ×1.05–1.13 under -race; a rebuilt set
+# is ×1.32–1.34), each the median of 5 runs that start with the joins'
+# scratch pools empty.
+# TestForkAllocs pins KB.Fork of the scale 0.05 KB at 8 allocations: an
+# identity set builds its tail at the first row appended past its base.
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat' .
-	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestConstraintPassBytesFlat' ./internal/ground
-	$(GO) test -short -count=1 -run 'TestExpandLoadBytesFlat' ./internal/kb
+	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestConstraintPassBytesFlat|TestFreshFactorsMatchQuery2|TestFactIDsNeverRepeatAlongALineage' ./internal/ground
+	$(GO) test -short -count=1 -run 'TestExpandLoadBytesFlat|TestForkAllocs' ./internal/kb
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
 
 # Long-mode differential harness: thousands of random plans, each run

@@ -75,13 +75,14 @@ type RowSet struct {
 	// before it writes it.
 	sharedBase bool
 	forked     atomic.Bool
-	// tail row i is table row base.len()+i.
+	// tail row i is table row base.len()+i; nil until the set indexes a
+	// row past the base.
 	tail *rowIndex
 }
 
 // NewRowSet builds a set over the existing rows of t keyed on cols.
 func NewRowSet(t *Table, cols []int) *RowSet {
-	return &RowSet{t: t, cols: cols, base: sealIndex(hashRows(t, cols, false, "", Opts{}, nil)), tail: newRowIndex(nil)}
+	return &RowSet{t: t, cols: cols, base: sealIndex(hashRows(t, cols, false, "", Opts{}, nil))}
 }
 
 // Fork returns a set over t keyed as s is, sharing s's base: the first
@@ -99,9 +100,13 @@ func (s *RowSet) Fork(t *Table) *RowSet {
 		return NewRowSet(t, s.cols)
 	}
 	s.forked.Store(true)
-	hs := make([]uint64, t.NumRows()-n)
-	hashRange(hs, t, s.cols, n)
-	return &RowSet{t: t, cols: s.cols, base: s.base, sharedBase: true, tail: newRowIndex(hs)}
+	f := &RowSet{t: t, cols: s.cols, base: s.base, sharedBase: true}
+	if t.NumRows() > n {
+		hs := make([]uint64, t.NumRows()-n)
+		hashRange(hs, t, s.cols, n)
+		f.tail = newRowIndex(hs)
+	}
+	return f
 }
 
 // Contains reports whether a row with the same key as row r of table o
@@ -116,6 +121,9 @@ func (s *RowSet) Find(o *Table, r int, ocols []int) int {
 		if rowsEqualOn(s.t, int(c), s.cols, o, r, ocols) {
 			return int(c)
 		}
+	}
+	if s.tail == nil {
+		return -1
 	}
 	n := s.base.len()
 	for c := s.tail.first(h); c >= 0; c = s.tail.after(h, c) {
@@ -137,6 +145,9 @@ func (s *RowSet) FindKey(key ...int32) int {
 		if s.holdsKey(int(c), key) {
 			return int(c)
 		}
+	}
+	if s.tail == nil {
+		return -1
 	}
 	n := s.base.len()
 	for c := s.tail.first(h); c >= 0; c = s.tail.after(h, c) {
@@ -165,6 +176,9 @@ func (s *RowSet) NoteAppended() {
 	if s.t.NumRows() < s.Len() {
 		panic("engine: RowSet's table shrank; follow the deletion first")
 	}
+	if s.tail == nil && s.t.NumRows() > s.Len() {
+		s.tail = newRowIndex(nil)
+	}
 	for r := s.Len(); r < s.t.NumRows(); r++ {
 		s.tail.add(HashRow(s.t, r, s.cols))
 	}
@@ -189,6 +203,9 @@ func (s *RowSet) FollowDeletion(m *Renumbering) {
 		s.forked.Store(false)
 	}
 	tail := m.rows[inBase:]
+	if len(tail) == 0 {
+		return
+	}
 	local := make([]int32, len(tail))
 	for i, r := range tail {
 		local[i] = r - n
@@ -197,7 +214,12 @@ func (s *RowSet) FollowDeletion(m *Renumbering) {
 }
 
 // Len returns the number of indexed rows.
-func (s *RowSet) Len() int { return s.base.len() + len(s.tail.next) }
+func (s *RowSet) Len() int {
+	if s.tail == nil {
+		return s.base.len()
+	}
+	return s.base.len() + len(s.tail.next)
+}
 
 // BaseLen returns the number of rows the shared base covers, from row 0.
 func (s *RowSet) BaseLen() int { return s.base.len() }

@@ -43,7 +43,7 @@ func newBatch(k *kb.KB, parts *mln.Partitions, opts Options) (*BatchGrounder, er
 func (g *BatchGrounder) Ground() (*Result, error) {
 	loadStart := time.Now()
 	tpi, ix := loadFacts(g.kb)
-	return g.groundFrom(g, tpi, ix, -1, &Result{LoadTime: time.Since(loadStart)})
+	return g.groundFrom(g, tpi, ix, 0, &Result{LoadTime: time.Since(loadStart)})
 }
 
 // backend is what groundFrom's one closure loop and factor phase run
@@ -51,15 +51,13 @@ func (g *BatchGrounder) Ground() (*Result, error) {
 // its own backend on the single-node engine; MPPGrounder lowers the
 // batch plans onto a cluster holding distributed copies of TΠ and the
 // MLN tables; TuffyGrounder states one plan per rule over its
-// per-relation tables.
+// per-relation tables, and its own Query 2 (factorPhase).
 type backend interface {
-	// atomsQueries returns one closure iteration's Query 1 plans: over all
-	// of tpi, or, given the semi-naive delta, over the derivations using
-	// a fact of delta. ix is the run's index over tpi.
+	// atomsQueries returns Query 1's plans over the derivations using a
+	// fact of delta, the rows of tpi past a fact-ID watermark: delta is
+	// tpi itself when no fact predates it. ix is the run's index over
+	// tpi.
 	atomsQueries(tpi, delta *engine.Table, ix *factIndex) []partPlan
-	// factorsQueries returns Query 2's plans over tpi, in the order TΦ
-	// concatenates their rows.
-	factorsQueries(tpi *engine.Table) []partPlan
 	// run executes one grounding plan against the backend's copy of the
 	// tables and returns its rows on the master, with the journal profile
 	// of what actually ran: its query name and, when capture is set, its
@@ -72,10 +70,11 @@ type backend interface {
 	factsChanged(st IterStats, feeds bool) error
 }
 
-// partPlan is one grounding plan and the rule partition it grounds.
+// partPlan is one grounding plan and the rule partition it grounds;
+// leg is its place among atomsPlans' legs for the partition.
 type partPlan struct {
-	p    int
-	plan engine.Node
+	p, leg int
+	plan   engine.Node
 }
 
 // atomsQueries returns Query 1-p for every non-empty partition in turn:
@@ -85,20 +84,9 @@ func (g *BatchGrounder) atomsQueries(tpi, delta *engine.Table, tix *factIndex) [
 	active := g.parts.NonEmpty()
 	qs := make([]partPlan, 0, 2*len(active))
 	for _, p := range active {
-		for _, plan := range g.atomsPlans(p, tpi, delta, tix) {
-			qs = append(qs, partPlan{p, plan})
+		for leg, plan := range g.atomsPlans(p, tpi, delta, tix) {
+			qs = append(qs, partPlan{p: p, leg: leg, plan: plan})
 		}
-	}
-	return qs
-}
-
-// factorsQueries returns Query 2-p over tpi for every non-empty
-// partition in turn.
-func (g *BatchGrounder) factorsQueries(tpi *engine.Table) []partPlan {
-	active := g.parts.NonEmpty()
-	qs := make([]partPlan, len(active))
-	for i, p := range active {
-		qs[i] = partPlan{p, g.factorsPlan(p, tpi)}
 	}
 	return qs
 }
@@ -129,19 +117,18 @@ func (g *BatchGrounder) run(phase string, plan engine.Node, capture bool) (*engi
 func (*BatchGrounder) factsChanged(IterStats, bool) error { return nil }
 
 // groundFrom runs the closure loop and factor phase over an existing
-// facts table — the run's base facts — with the plans be states and
-// executes. deltaMin >= 0 seeds the first iteration's semi-naive delta at
-// that fact-ID watermark (the incremental-expansion path); -1 starts
-// naive.
+// facts table with the plans be states and executes. Every run is a Δ
+// round: its first iteration's Δ is the rows it was handed, those with a
+// fact ID at or above deltaMin — all of TΠ for a fresh run (0), the new
+// facts for an Extend. Each later iteration's Δ is what the one before
+// appended under semi-naive evaluation, and all of TΠ under naive.
 //
 // The delta is tracked by fact ID, not row offset: IDs are assigned
-// monotonically by the fact index and never reused within a run, so
+// monotonically by the fact index and never reused along a lineage, so
 // constraint-hook deletions — which shift rows but leave surviving IDs
-// intact — cannot corrupt the watermark. (Across runs they can be: an
-// Extend hands out again the top IDs a constraint pass freed, see
-// factorState.continueAt.) A deleted fact simply drops out of the next
-// delta, and a re-derived one re-enters it under a fresh ID. The same
-// ordering gives the fixpoint test: the loop ends with the first
+// intact — cannot corrupt the watermark. A deleted fact simply drops out
+// of the next delta, and a re-derived one re-enters it under a fresh ID.
+// The same ordering gives the fixpoint test: the loop ends with the first
 // iteration after which TΠ's last row predates the iteration.
 func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex, deltaMin int32, res *Result) (*Result, error) {
 	ctx, span := obs.StartSpan(g.opts.ctxOf(), "ground")
@@ -152,9 +139,8 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 	atomStart := time.Now()
 	atomsCtx, atomsSpan := obs.StartSpan(ctx, "ground.atoms")
 	maxIters := g.opts.MaxIterations
-	// Semi-naive bookkeeping: deltaMin is the fact-ID watermark below
-	// which every derivation has already been attempted; -1 forces a
-	// full (naive) join.
+	// deltaMin is the fact-ID watermark below which every derivation has
+	// already been attempted.
 	for iter := 1; maxIters == 0 || iter <= maxIters; iter++ {
 		iterStart := time.Now()
 		_, iterSpan := obs.StartSpan(atomsCtx, "iteration")
@@ -164,18 +150,19 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		abort := func(err error) (*Result, error) {
 			iterSpan.End()
 			atomsSpan.End()
-			res.Facts = tpi
+			res.Facts, res.next = tpi, ix.next
 			res.AtomTime = time.Since(atomStart)
 			return res, err
 		}
 		st := IterStats{Iteration: iter}
 
-		var delta *engine.Table
-		if deltaMin >= 0 && (g.opts.SemiNaive || iter == 1) {
-			// Semi-naive delta; an explicit seed (incremental expansion)
-			// applies on the first iteration even under naive evaluation.
-			delta = deltaRows(tpi, deltaMin)
+		// The rows the run was handed are the first iteration's Δ under
+		// either order; after it, naive evaluation's Δ is all of TΠ.
+		from := deltaMin
+		if !g.opts.SemiNaive && iter > 1 {
+			from = 0
 		}
+		delta := deltaRows(tpi, from)
 		// IDs handed out from here on belong to this iteration's merge:
 		// they form the next iteration's delta.
 		nextMin := ix.next
@@ -257,7 +244,7 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 		}
 	}
 	res.AtomTime = time.Since(atomStart)
-	res.Facts = tpi
+	res.Facts, res.next = tpi, ix.next
 	atomsSpan.SetAttr("iterations", res.Iterations)
 	atomsSpan.SetAttr("facts", tpi.NumRows())
 	atomsSpan.SetAttr("queries", res.AtomQueries)
@@ -274,12 +261,13 @@ func (g *BatchGrounder) groundFrom(be backend, tpi *engine.Table, ix *factIndex,
 }
 
 // factorPhase is Algorithm 1's groundFactors (lines 8-10): it sets
-// res.Factors to TΦ over tpi — the clauses of the backend's Query 2
-// plans, then one unit clause per observed fact — and res.tphi to what a
-// later run continues from. A run continuing from a computed TΦ (res.tphi
-// on entry, whichever backend computed it) maintains it from the facts
-// added since (deltafactors.go), reading TΠ through ix; a run with none
-// runs Query 2 over all of TΠ.
+// res.Factors to TΦ over tpi — the clauses of Query 2, then one unit
+// clause per observed fact — and res.tphi to what a later run continues
+// from. A ProbKB backend maintains the TΦ the run continued from
+// (res.tphi on entry, whichever backend computed it; none on a fresh run
+// or a lineage that has skipped factors throughout) from the facts added
+// since, reading TΠ through ix (deltafactors.go). Tuffy-T, the paper's
+// baseline, runs its per-rule Query 2 over all of TΠ.
 func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine.Table, ix *factIndex, res *Result) error {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "ground.factors")
@@ -288,10 +276,10 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine
 		cols factorCols
 		err  error
 	)
-	if prior := res.tphi; prior != nil {
-		err = g.maintainFactors(ctx, be, prior, tpi, ix, &cols, res)
+	if tg, ok := be.(*TuffyGrounder); ok {
+		err = tg.groundFactors(ctx, &cols, res)
 	} else {
-		err = g.groundFactors(ctx, be, tpi, &cols, res)
+		err = g.maintainFactors(ctx, be, res.tphi, tpi, ix, &cols, res)
 	}
 	if err != nil {
 		return err
@@ -305,34 +293,6 @@ func (g *BatchGrounder) factorPhase(ctx context.Context, be backend, tpi *engine
 	res.FactorTime = time.Since(start)
 	span.SetAttr("factors", res.Factors.NumRows())
 	span.SetAttr("queries", res.FactorQueries)
-	return nil
-}
-
-// groundFactors runs the backend's Query 2 plans over all of TΠ and
-// appends their clauses to cols (bag union, Proposition 1). cols is
-// sized once, for the clauses and the unit clauses that follow them.
-func (g *BatchGrounder) groundFactors(ctx context.Context, be backend, tpi *engine.Table, cols *factorCols, res *Result) error {
-	qs := be.factorsQueries(tpi)
-	outs := make([]*engine.Table, len(qs))
-	n := observed(tpi)
-	for i, q := range qs {
-		// Cooperative cancellation: check between factor queries. The
-		// grounded facts survive in the partial result; only the factor
-		// table is incomplete.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		out, err := g.runFactors(be, q.p, q.plan, res)
-		if err != nil {
-			return err
-		}
-		outs[i] = out
-		n += out.NumRows()
-	}
-	cols.grow(n)
-	for _, out := range outs {
-		cols.appendRows(out, out.NumRows())
-	}
 	return nil
 }
 
@@ -351,13 +311,12 @@ func (g *BatchGrounder) runFactors(be backend, p int, plan engine.Node, res *Res
 	return out, nil
 }
 
-// assertAppendOnly checks, over the rows with fact IDs at or above minID
-// (all of them when it is negative), the half of Options.Observer's
-// guarantee that is this package's to break: IDs grow strictly with the
-// row index. It walks back from the last row only as far as minID
-// reaches — the delta, or the whole table once on a naive run's first
-// iteration. A violation is a grounder bug, and an observer trusting the
-// guarantee would silently lose facts.
+// assertAppendOnly checks, over the rows with fact IDs at or above
+// minID, the half of Options.Observer's guarantee that is this package's
+// to break: IDs grow strictly with the row index. It walks back from the
+// last row only as far as minID reaches — the delta, the whole table on
+// a fresh run's first iteration. A violation is a grounder bug, and an
+// observer trusting the guarantee would silently lose facts.
 func assertAppendOnly(tpi *engine.Table, minID int32) {
 	ids := tpi.Int32Col(kb.TPiI)
 	for r := len(ids) - 1; r > 0 && ids[r] >= minID; r-- {
@@ -374,14 +333,18 @@ func grewSince(tpi *engine.Table, minID int32) bool {
 	return len(ids) > 0 && ids[len(ids)-1] >= minID
 }
 
-// deltaRows copies the rows of t whose fact ID is >= minID into a fresh
-// table (the Δ input of semi-naive evaluation). Selecting by ID rather
-// than row position keeps the delta exact across constraint deletions.
-// IDs grow with the row index, so those rows are a suffix of t.
+// deltaRows returns the rows of t whose fact ID is >= minID (the Δ
+// input of a round): t itself when that is all of them, else a copy in a
+// fresh table. Selecting by ID rather than row position keeps the delta
+// exact across constraint deletions. IDs grow with the row index, so
+// those rows are a suffix of t.
 func deltaRows(t *engine.Table, minID int32) *engine.Table {
-	out := engine.NewTable(t.Name()+"_delta", t.Schema())
 	ids := t.Int32Col(kb.TPiI)
 	lo, _ := slices.BinarySearch(ids, minID)
+	if lo == 0 {
+		return t
+	}
+	out := engine.NewTable(t.Name()+"_delta", t.Schema())
 	rows := make([]int32, len(ids)-lo)
 	for i := range rows {
 		rows[i] = int32(lo + i)
@@ -390,12 +353,14 @@ func deltaRows(t *engine.Table, minID int32) *engine.Table {
 	return out
 }
 
-// atomsPlans returns the query plans for partition p this iteration:
-// one full join under naive evaluation; under semi-naive, the Δ-joins
-// (Δ for one-atom bodies; Δ⋈T and T⋈Δ for two-atom bodies, whose union
-// covers every derivation using at least one new fact — Δ⋈Δ pairs appear
-// in both and dedup in the merge). The maintained factor phase runs the
-// same Δ legs as its body legs (deltafactors.go).
+// atomsPlans returns the query plans for partition p over the
+// derivations using a fact of delta: when no fact of tpi predates delta
+// (a run's first iteration, a naive one), the one full join, Query 1-p;
+// otherwise the Δ-joins (Δ for one-atom bodies; Δ⋈T and T⋈Δ for two-atom
+// bodies, whose union covers every derivation using at least one new
+// fact — Δ⋈Δ pairs appear in both and dedup in the merge). The
+// maintained factor phase runs the same legs as its body legs
+// (deltafactors.go).
 //
 // The two-atom legs have two physical forms. As hash joins (atomsPlan)
 // each hashes or scans all of TΠ, which is what the MPP backend lowers.
@@ -405,7 +370,7 @@ func deltaRows(t *engine.Table, minID int32) *engine.Table {
 // the same fact IDs either way.
 func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table, tix *factIndex) []engine.Node {
 	_, body := mln.Shape(p)
-	if delta == nil {
+	if delta == tpi {
 		return []engine.Node{g.atomsPlan(p, tpi, tpi)}
 	}
 	if len(body) == 1 {
@@ -425,7 +390,7 @@ func (g *BatchGrounder) atomsPlans(p int, tpi, delta *engine.Table, tix *factInd
 
 // atomsPlan builds Query 1-p: the body join of partition p, with the
 // first body atom probing t2src and the second t3src (both the full table
-// under naive evaluation), emitting (R, x, C1, y, C2, I2[, I3], w) per
+// when no fact predates Δ), emitting (R, x, C1, y, C2, I2[, I3], w) per
 // grounding of a clause body. The result is a bag: candidates
 // deduplicate in the backend or the merge.
 func (g *BatchGrounder) atomsPlan(p int, t2src, t3src *engine.Table) engine.Node {
@@ -555,31 +520,6 @@ func (g *BatchGrounder) deltaSecondPlan(p int, delta *engine.Table, tix *factInd
 		outs, m.Name()+".R2 = T2.R AND classes AND T2.z = T3.z")
 }
 
-// factorsPlan builds Query 2-p: Query 1-p's body join over all of TΠ,
-// joined to the head to resolve each clause's I1. The head join is keyed
-// in TΠ's order (R, C1, C2, x, y), the key of the MPP backend's head
-// view. It emits (I1, I2, I3, w), I3 NULL for a one-atom body.
-func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
-	_, body := mln.Shape(p)
-	outs := []engine.JoinOut{engine.ProbeCol("I1", kb.TPiI), engine.BuildCol("I2", 5)}
-	if len(body) == 2 {
-		outs = append(outs, engine.BuildCol("I3", 6))
-	}
-	outs = append(outs, engine.BuildCol("w", 5+len(body)))
-	head := engine.NewHashJoin(g.atomsPlan(p, tpi, tpi), engine.NewScan(tpi),
-		[]int{0, 2, 4, 1, 3}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX, kb.TPiY}, outs,
-		g.parts.Table(p).Name()+".R1 = T1.R AND head classes AND head args")
-	if len(body) == 2 {
-		return head
-	}
-	return engine.NewProject(head,
-		engine.ColExpr("I1", 0),
-		engine.ColExpr("I2", 1),
-		engine.ConstI32Expr("I3", engine.NullInt32),
-		engine.ColExpr("w", 2),
-	)
-}
-
 // factorCols accumulates TΦ column by column: the factor phase copies
 // plan outputs and prior rows in without boxing a value per row.
 type factorCols struct {
@@ -659,7 +599,8 @@ func Ground(k *kb.KB, opts Options) (*Result, error) {
 // rather than recomputing Query 2 over the combined closure; the result
 // is the same table as a multiset, the prior rows first and the new
 // clauses after them. A lineage with no computed TΦ (one that has
-// skipped factors throughout) grounds it over the whole closure.
+// skipped factors throughout) maintains the empty one, every fact of the
+// closure new to it, as a fresh run does.
 func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, error) {
 	g, err := newBatch(k, prev.parts, opts)
 	if err != nil {
@@ -675,13 +616,16 @@ func Extend(k *kb.KB, prev *Result, newFacts []kb.Fact, opts Options) (*Result, 
 	} else {
 		ix = newFactIndex(tpi)
 	}
+	// IDs continue from prev's run, past the ones its constraint passes
+	// freed, so no fact ID repeats along a lineage.
+	ix.next = max(ix.next, prev.next)
 	res.LoadTime = time.Since(loadStart)
 
 	// Append the genuinely new facts with fresh IDs, preserving their
 	// observation weights. The seed delta is everything at or above the
 	// pre-append ID watermark.
 	deltaMin := ix.next
-	res.tphi = prev.tphi.continueAt(deltaMin)
+	res.tphi = prev.tphi
 	for _, f := range newFacts {
 		if !ix.set.ContainsKey(f.Rel, f.X, f.XClass, f.Y, f.YClass) {
 			ix.add(f.Rel, f.X, f.XClass, f.Y, f.YClass, f.W)

@@ -110,13 +110,27 @@ func BenchmarkConstraintPass(b *testing.B) {
 }
 
 // passBytes returns the bytes one constraint pass and the index upkeep
-// after it allocate on the scale's case: the fewest of three runs, so a
-// runtime allocation landing in one of them does not count.
+// after it allocate on the scale's case: the fewest of passRuns runs.
+//
+// Nothing else allocates in the window, but what the pass allocates
+// depends on a pool: its joins take their probe scratch from
+// engine.probeScratches, and a pass that finds the pool empty allocates
+// the scratch anew, in proportion to its probe side (at scale 0.25,
+// 78 KB where a pass that finds it full allocates 37 KB). A GC empties
+// the pool, and building a run's state runs GCs, so each run first
+// passes over a twin of the state it measures, which leaves the pool as
+// a pass finds it in a grounding; nothing between the twin and the
+// measured pass allocates enough to run a GC. Under the race detector a
+// pool also drops a quarter of what it is handed back, so a pass of a
+// few joins refills it about half the time whatever came before; the
+// fewest of passRuns runs is a pass that did not.
 func passBytes(t *testing.T, scale float64) uint64 {
 	pc := constrainedPassCase(t, scale)
 	least := ^uint64(0)
-	for range 3 {
+	for range passRuns {
+		twin, twinHook := pc.start(t)
 		f, hook := pc.start(t)
+		twin.Pass(twinHook)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		deleted := f.Pass(hook)
@@ -131,6 +145,11 @@ func passBytes(t *testing.T, scale float64) uint64 {
 	}
 	return least
 }
+
+// passRuns is how many runs passBytes takes the fewest bytes of: enough
+// that, with half of them refilling the pool, all refill about once in
+// 65,000 measurements.
+const passRuns = 16
 
 // passBytesBound bounds what a deleting pass allocates on the scale-0.25
 // case over what it allocates on the scale-0.05 one, whose TΠ is ~5×

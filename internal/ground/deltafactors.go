@@ -10,42 +10,31 @@ import (
 	"probkb/internal/mln"
 )
 
-// Query 2 maintained from the delta (DESIGN.md §5). A run that continues
-// from a prior TΦ does not recompute it: a ground clause whose facts all
-// predate the prior TΦ's watermark is already in it, so only the clauses
-// naming a newer fact are grounded — by the closure's own semi-naive legs,
-// whose rows carry the body fact IDs and weight, and one factor-only leg
-// for heads — and appended to the prior rows that survive. TΦ is a bag:
-// it comes out, as a multiset, what factorsPlan computes over the final
-// TΠ, and the factor graph reads it in no order of its rows.
+// Query 2 maintained from the delta (DESIGN.md §5). Every ProbKB run
+// continues from a prior TΦ — a fresh run from the empty one — and does
+// not recompute it: a ground clause whose facts all predate the prior
+// TΦ's watermark is already in it, so only the clauses naming a newer
+// fact are grounded — by the closure's own Δ legs, whose rows carry the
+// body fact IDs and weight, and one factor-only leg for heads — and
+// appended to the prior rows that survive. On a fresh run every fact is
+// newer, and the legs are Query 1-p over all of TΠ with the head looked
+// up in the run's identity set: Query 2. TΦ is a bag: it comes out, as a
+// multiset, what Query 2 computes over the final TΠ, and the factor
+// graph reads it in no order of its rows.
 
-// factorState is a computed TΦ as a later run continues from it.
+// factorState is a computed TΦ as a later run continues from it; the
+// zero value is the empty TΦ a fresh run starts from.
 type factorState struct {
 	tphi *engine.Table
 	// clauses is how many of tphi's rows are clause rows; the unit
 	// clauses follow them.
 	clauses int
 	// watermark W splits TΠ in two: a fact with an ID below W is one TΠ
-	// held when tphi was computed, and one at or above W may have arrived
-	// since. facts is how many rows TΠ held then.
+	// held when tphi was computed, and one at or above W arrived since —
+	// fact IDs never repeat along a lineage (Result.next). facts is how
+	// many rows TΠ held then.
 	watermark int32
 	facts     int
-}
-
-// continueAt is s as a run continues from it that hands out fact IDs
-// from next on. IDs are never reused within a run, but a run starts
-// above the highest ID its input holds, not above every ID its lineage
-// has handed out: when a constraint pass has deleted the top IDs, the
-// run hands some of them out again, to other facts. Lowering W to next
-// keeps every fact with such an ID on the Δ side, and drops the prior
-// clauses naming the fact that held the ID before.
-func (s *factorState) continueAt(next int32) *factorState {
-	if s == nil || next >= s.watermark {
-		return s
-	}
-	t := *s
-	t.watermark = next
-	return &t
 }
 
 // factorLeg is one plan grounding the clauses of a partition that name a
@@ -65,10 +54,10 @@ type factorLeg struct {
 }
 
 // maintainFactors appends the clause rows of TΦ over tpi to cols: the
-// prior TΦ's clause rows that survive, then the new clauses. The new
-// clauses are those naming a fact with an ID at or above the prior
-// watermark W — Δ, the rows of tpi that arrived since — in one of three
-// disjoint ways:
+// prior TΦ's clause rows that survive, then the new clauses. The prior
+// TΦ is the empty one when prior is nil. The new clauses are those
+// naming a fact with an ID at or above the prior watermark W — Δ, the
+// rows of tpi that arrived since — in one of three disjoint ways:
 //
 //   - Δ⋈T_all: the first body fact is in Δ (the first Δ leg of
 //     atomsPlans);
@@ -79,25 +68,29 @@ type factorLeg struct {
 //     removed it, or the prior closure was cut short) arriving again
 //     (headLeg).
 //
-// Every other clause has all of its facts below W and was in the prior
-// TΦ. A prior clause stays unless it names a fact TΠ has lost since, or
-// one at or above a W that continueAt lowered. The head's I1, or the
-// last body fact's ID in the third leg, is resolved through the run's
-// identity index ix, and a clause naming a fact TΠ does not hold is
-// dropped.
+// When no fact predates Δ (a fresh run), the first is the only one: the
+// backend's one full body join per partition. Every other clause has all
+// of its facts below W and was in the prior TΦ. A prior clause stays
+// unless it names a fact TΠ has lost since. The head's I1, or the last
+// body fact's ID in the third leg, is resolved through the run's
+// identity index ix on the master, and a clause naming a fact TΠ does
+// not hold is dropped.
 func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, prior *factorState,
 	tpi *engine.Table, ix *factIndex, cols *factorCols, res *Result) error {
+	if prior == nil {
+		prior = &factorState{}
+	}
 	w := prior.watermark
 	delta := deltaRows(tpi, w)
 	var legs []factorLeg
 	if delta.NumRows() > 0 {
-		for _, p := range g.parts.NonEmpty() {
-			_, body := mln.Shape(p)
-			two := len(body) == 2
-			for old, plan := range g.atomsPlans(p, tpi, delta, ix) {
-				legs = append(legs, factorLeg{p: p, plan: plan, head: true, two: two, old: old})
+		for _, q := range be.atomsQueries(tpi, delta, ix) {
+			legs = append(legs, factorLeg{p: q.p, plan: q.plan, head: true, two: twoAtom(q.p), old: q.leg})
+		}
+		if delta != tpi {
+			for _, p := range g.parts.NonEmpty() {
+				legs = append(legs, factorLeg{p: p, plan: g.headLeg(p, delta, ix), two: twoAtom(p), old: 2})
 			}
-			legs = append(legs, factorLeg{p: p, plan: g.headLeg(p, delta, ix), two: two, old: 2})
 		}
 	}
 	outs := make([]*engine.Table, len(legs))
@@ -115,7 +108,9 @@ func (g *BatchGrounder) maintainFactors(ctx context.Context, be backend, prior *
 		fresh += out.NumRows()
 	}
 	cols.grow(prior.clauses + fresh + observed(tpi))
-	cols.appendLive(prior.tphi, prior.clauses, liveBelow(tpi, w, prior.facts))
+	if prior.clauses > 0 {
+		cols.appendLive(prior.tphi, prior.clauses, liveBelow(tpi, w, prior.facts))
+	}
 	for i, leg := range legs {
 		leg.collect(cols, outs[i], ix, w)
 	}
@@ -158,11 +153,17 @@ func (l factorLeg) collect(cols *factorCols, out *engine.Table, ix *factIndex, w
 	}
 }
 
-// liveBelow tests whether TΠ still holds, under the same ID, a fact
-// with an ID below w, given that it held had facts when the prior TΦ was
-// computed, all of them below the ID it was computed at. TΠ's rows below
-// w are some of those (see continueAt): nil, the answer being yes for
-// every fact a prior clause names, when they are all of them.
+// twoAtom reports whether partition p's clauses have two body atoms.
+func twoAtom(p int) bool {
+	_, body := mln.Shape(p)
+	return len(body) == 2
+}
+
+// liveBelow tests whether TΠ still holds a fact with an ID below w,
+// given that it held had facts, all of them below w, when the prior TΦ
+// was computed. TΠ's rows below w are some of those: nil, the answer
+// being yes for every fact a prior clause names, when they are all of
+// them.
 func liveBelow(tpi *engine.Table, w int32, had int) func(int32) bool {
 	ids := tpi.Int32Col(kb.TPiI)
 	n := sort.Search(len(ids), func(r int) bool { return ids[r] >= w })
@@ -173,7 +174,7 @@ func liveBelow(tpi *engine.Table, w int32, had int) func(int32) bool {
 	for _, id := range ids[:n] {
 		bits[id/64] |= 1 << (id % 64)
 	}
-	return func(id int32) bool { return id < w && bits[id/64]&(1<<(id%64)) != 0 }
+	return func(id int32) bool { return bits[id/64]&(1<<(id%64)) != 0 }
 }
 
 // grow makes room for n more rows.

@@ -51,10 +51,9 @@ type factorStream struct {
 	removed []kb.Fact
 	// checked counts the rounds compared; headSide the clauses of those
 	// rounds whose head arrived in the round while every body fact
-	// predates it; reused the rounds that hand out a fact ID the prior TΦ
-	// was computed above; exact and sampled the components the marginal
-	// checks enumerated and sampled.
-	checked, headSide, reused, exact, sampled int
+	// predates it; exact and sampled the components the marginal checks
+	// enumerated and sampled.
+	checked, headSide, exact, sampled int
 }
 
 // hook returns the next run's constraint hook: a copy of the last run's
@@ -85,8 +84,7 @@ func (s *factorStream) recording(del func(*engine.Table) int) func(*engine.Table
 // as KB.Expand does. With forget set the run's hook deletes every derived
 // fact with an even ID, and nothing remembers it: TΠ lacks facts
 // derivable from its own, which a batch bringing one back grounds through
-// the head-side leg, and a deleted top ID is handed out again by the next
-// run.
+// the head-side leg.
 func (s *factorStream) start(forget bool) {
 	s.t.Helper()
 	hook := s.hook()
@@ -140,8 +138,8 @@ func (s *factorStream) refresh() {
 
 func (s *factorStream) round(batch []kb.Fact, opts ground.Options) {
 	s.t.Helper()
-	at, w := ground.FactorWatermark(s.res)
-	if at < 0 {
+	w := ground.FactorWatermark(s.res)
+	if w < 0 {
 		s.t.Fatalf("%s, after round %d: the lineage started on %s carries no TΦ to maintain", s.name, s.checked, s.on)
 	}
 	res, err := ground.Extend(s.k, s.res, batch, opts)
@@ -153,9 +151,6 @@ func (s *factorStream) round(batch []kb.Fact, opts ground.Options) {
 		return
 	}
 	s.checked++
-	if w < at {
-		s.reused++
-	}
 	where := fmt.Sprintf("%s, round %d", s.name, s.checked)
 	want := ground.RecomputeFactors(s.t, s.k, res.Facts)
 	if n := multisetDiff(res.Factors, want); n > 0 {
@@ -343,7 +338,7 @@ var backends = []string{"batch", "mpp", "mpp-pn", "tuffy"}
 // and a refresh: a round that adds nothing and, as RefreshMarginals, runs
 // no constraint hook whatever the lineage ran under.
 func TestMaintainedFactorsMatchQuery2(t *testing.T) {
-	var checked, headSide, reused, brought, exact int
+	var checked, headSide, brought, exact int
 	for seed := int64(0); seed < 96; seed++ {
 		for _, on := range backends {
 			rng := rand.New(rand.NewSource(seed + 11000))
@@ -381,15 +376,14 @@ func TestMaintainedFactorsMatchQuery2(t *testing.T) {
 			s.refresh()
 			checked += s.checked
 			headSide += s.headSide
-			reused += s.reused
 			exact += s.exact
 		}
 	}
-	t.Logf("%d rounds checked (%d handing out an ID again), %d head-side clauses, %d removed facts brought back, %d components enumerated",
-		checked, reused, headSide, brought, exact)
-	if headSide == 0 || reused == 0 || brought == 0 || exact == 0 {
-		t.Fatalf("generator too tame: %d head-side clauses, %d rounds handing out an ID again, %d removed facts brought back, %d components enumerated",
-			headSide, reused, brought, exact)
+	t.Logf("%d rounds checked, %d head-side clauses, %d removed facts brought back, %d components enumerated",
+		checked, headSide, brought, exact)
+	if headSide == 0 || brought == 0 || exact == 0 {
+		t.Fatalf("generator too tame: %d head-side clauses, %d removed facts brought back, %d components enumerated",
+			headSide, brought, exact)
 	}
 }
 
@@ -438,5 +432,140 @@ func TestMaintainedFactorsOnCorpus(t *testing.T) {
 			t.Logf("%s: %d rounds checked, TΦ %d rows, %d/%d components enumerated/sampled",
 				s.name, s.checked, s.res.Factors.NumRows(), s.exact, s.sampled)
 		}
+	}
+}
+
+// TestFreshFactorsMatchQuery2: a fresh run is a Δ round whose Δ is all
+// of TΠ, and its factor phase maintains the empty TΦ. Over random KBs,
+// unconstrained and under the checker, the TΦ of every fresh ProbKB run
+// — Ground naive and semi-naive, MPP Ground with views on and off on one
+// to three segments, naive and semi-naive, and LocalGrounder.Ground of a
+// base fact's atom — is Query 2 over its TΠ and Tuffy-T's per-rule TΦ
+// over it, as multisets.
+func TestFreshFactorsMatchQuery2(t *testing.T) {
+	clauses, local := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed + 50000))
+		k := ground.RandomKB(rng)
+		constrained := seed%2 == 1
+		if constrained {
+			k = constrainedKB(seed)
+		}
+		opts := func(semi bool) ground.Options {
+			o := ground.Options{SemiNaive: semi}
+			if constrained {
+				o.ConstraintHook = quality.NewChecker(k).Apply
+			}
+			return o
+		}
+		check := func(name string, rules *kb.KB, res *ground.Result) int {
+			t.Helper()
+			where := fmt.Sprintf("seed %d (constrained=%v), %s", seed, constrained, name)
+			if n := multisetDiff(res.Factors, ground.RecomputeFactors(t, rules, res.Facts)); n > 0 {
+				t.Fatalf("%s: TΦ (%d rows) and Query 2 over its TΠ differ in %d rows", where, res.Factors.NumRows(), n)
+			}
+			if n := multisetDiff(res.Factors, ground.TuffyFactors(t, rules, res.Facts)); n > 0 {
+				t.Fatalf("%s: TΦ and Tuffy-T's per-rule TΦ over its TΠ differ in %d rows", where, n)
+			}
+			n := 0
+			for _, i2 := range res.Factors.Int32Col(ground.TPhiI2) {
+				if i2 != engine.NullInt32 {
+					n++
+				}
+			}
+			return n
+		}
+		for _, semi := range []bool{false, true} {
+			res, err := ground.Ground(k, opts(semi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clauses += check(fmt.Sprintf("Ground semi=%v", semi), k, res)
+			for _, views := range []bool{true, false} {
+				for segs := 1; segs <= 3; segs++ {
+					g, err := ground.NewMPP(k, opts(semi), mpp.NewCluster(segs), views)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := g.Ground()
+					if err != nil {
+						t.Fatal(err)
+					}
+					clauses += check(fmt.Sprintf("MPP semi=%v views=%v segments=%d", semi, views, segs), k, res)
+				}
+			}
+		}
+		f := k.FactAt(rng.Intn(k.NumFacts()))
+		q := ground.LocalQuery{Rel: f.Rel, X: f.X, Y: f.Y}
+		lg := ground.NewLocal(k.Rules, k.FactsTable(), ground.Options{SemiNaive: true})
+		lres, err := lg.Ground(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules := k.Clone()
+		rules.Rules = ground.LocalRules(lg, q)
+		local += check("local", rules, lres.Result)
+	}
+	t.Logf("%d clause rows checked, %d of them local", clauses, local)
+	if clauses == 0 || local == 0 {
+		t.Fatalf("generator too tame: %d clause rows, %d local", clauses, local)
+	}
+}
+
+// TestFactIDsNeverRepeatAlongALineage: an Extend hands out fact IDs from
+// where the run it extends stopped, so no ID names two facts along a
+// lineage, even when a constraint pass frees the top IDs. The hook here
+// runs the checker on constrained KBs and then deletes the derived fact
+// holding TΠ's highest ID, recording every ID TΠ holds at every pass.
+func TestFactIDsNeverRepeatAlongALineage(t *testing.T) {
+	freedTop := 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed + 51000))
+		k := ground.RandomKB(rng)
+		var checker *quality.Checker
+		if seed%2 == 1 {
+			k = constrainedKB(seed)
+			checker = quality.NewChecker(k)
+		}
+		base := int32(k.NumFacts())
+		named := map[int32]kb.Key{}
+		opts := func() ground.Options {
+			c := checker
+			if c != nil {
+				c = c.Clone()
+				checker = c
+			}
+			return ground.Options{SemiNaive: true, MaxIterations: 20, ConstraintHook: func(tpi *engine.Table) int {
+				ids := tpi.Int32Col(kb.TPiI)
+				for r, id := range ids {
+					key := kb.FactAtRow(tpi, r).Key()
+					if was, ok := named[id]; ok && was != key {
+						t.Fatalf("seed %d: fact ID %d names %+v, and named %+v before", seed, id, key, was)
+					}
+					named[id] = key
+				}
+				n := 0
+				if c != nil {
+					n = c.Apply(tpi)
+				}
+				if top := tpi.NumRows() - 1; top >= 0 && tpi.Int32Col(kb.TPiI)[top] >= base {
+					freedTop++
+					n += tpi.DeleteRows([]int32{int32(top)})
+				}
+				return n
+			}}
+		}
+		res, err := ground.Ground(k, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 5; round++ {
+			if res, err = ground.Extend(k, res, randomFacts(rng, k, 3), opts()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if freedTop == 0 {
+		t.Fatal("no pass freed a top ID")
 	}
 }

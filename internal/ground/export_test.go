@@ -21,14 +21,26 @@ var (
 )
 
 // FactorWatermark returns the fact-ID watermark at which the TΦ a run
-// continuing from res maintains was computed, and the one the run
-// maintains it from, lower when it hands out an ID again (see
-// continueAt); -1, -1 when there is none.
-func FactorWatermark(res *Result) (at, from int32) {
+// continuing from res maintains was computed; -1 when there is none.
+func FactorWatermark(res *Result) int32 {
 	if res.tphi == nil {
-		return -1, -1
+		return -1
 	}
-	return res.tphi.watermark, res.tphi.continueAt(nextFactID(res.Facts)).watermark
+	return res.tphi.watermark
+}
+
+// NextFactID returns the fact ID an Extend of res hands out first.
+func NextFactID(res *Result) int32 { return res.next }
+
+// LocalRules returns the clauses lg grounds the query with: those within
+// its depth bound of the query relation.
+func LocalRules(lg *LocalGrounder, q LocalQuery) []mln.Clause {
+	depth := q.Depth
+	if depth <= 0 {
+		depth = DefaultLocalDepth
+	}
+	rules, _ := lg.reachable(q.Rel, depth)
+	return rules
 }
 
 // WithoutIndex returns a copy of res that carries no fact index and no
@@ -63,8 +75,8 @@ func IndexBases(res *Result) (set, entity int) {
 }
 
 // RecomputeFactors is the oracle a maintained TΦ is held to: Query 2-p
-// over all of tpi for every non-empty partition in order, as Ground
-// states it, then the unit clauses appended a row at a time.
+// (factorsPlan) over all of tpi for every non-empty partition in order,
+// then the unit clauses appended a row at a time.
 func RecomputeFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
 	t.Helper()
 	g, err := NewBatch(k, Options{})
@@ -86,6 +98,31 @@ func RecomputeFactors(t testing.TB, k *kb.KB, tpi *engine.Table) *engine.Table {
 		}
 	}
 	return factors
+}
+
+// factorsPlan builds Query 2-p as the paper states it, the oracle of the
+// factor phase: Query 1-p's body join over all of TΠ, joined to the head
+// to resolve each clause's I1. It emits (I1, I2, I3, w), I3 NULL for a
+// one-atom body.
+func (g *BatchGrounder) factorsPlan(p int, tpi *engine.Table) engine.Node {
+	_, body := mln.Shape(p)
+	outs := []engine.JoinOut{engine.ProbeCol("I1", kb.TPiI), engine.BuildCol("I2", 5)}
+	if len(body) == 2 {
+		outs = append(outs, engine.BuildCol("I3", 6))
+	}
+	outs = append(outs, engine.BuildCol("w", 5+len(body)))
+	head := engine.NewHashJoin(g.atomsPlan(p, tpi, tpi), engine.NewScan(tpi),
+		[]int{0, 2, 4, 1, 3}, []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX, kb.TPiY}, outs,
+		g.parts.Table(p).Name()+".R1 = T1.R AND head classes AND head args")
+	if len(body) == 2 {
+		return head
+	}
+	return engine.NewProject(head,
+		engine.ColExpr("I1", 0),
+		engine.ColExpr("I2", 1),
+		engine.ConstI32Expr("I3", engine.NullInt32),
+		engine.ColExpr("w", 2),
+	)
 }
 
 // TuffyFactors is the oracle a maintained TΦ is held to that shares no
@@ -126,7 +163,7 @@ func GroundWithIndex(k *kb.KB, opts Options) (*Result, error) {
 	}
 	tpi := k.FactsTable()
 	ix := newFactIndex(tpi)
-	res, err := g.groundFrom(g, tpi, ix, -1, &Result{})
+	res, err := g.groundFrom(g, tpi, ix, 0, &Result{})
 	if err == nil {
 		ix.on(kb.TPiX)
 		res.index = ix

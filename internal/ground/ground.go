@@ -23,6 +23,9 @@
 // transitive closure of the facts under the rules, then groundFactors
 // replays the joins carrying fact IDs to emit the ground factor table TΦ
 // (Definition 7), including singleton factors for the observed facts.
+// Every run is a Δ round: a fresh run's Δ is all of the facts it loads,
+// an Extend's the facts it is given, and the factor phase maintains the
+// TΦ the run continued from — the empty one on a fresh run.
 package ground
 
 import (
@@ -152,9 +155,14 @@ type Result struct {
 	FactorTime time.Duration
 
 	// tphi is the last TΦ computed along this result's lineage — Factors
-	// itself, or, after SkipFactors, the one the run continued from —
-	// which Extend maintains rather than recomputes (deltafactors.go).
+	// itself, or, after SkipFactors, the one the run continued from, nil
+	// when there is none — which Extend maintains rather than recomputes
+	// (deltafactors.go).
 	tphi *factorState
+	// next is the fact ID the run would have handed out next: one past
+	// every ID the lineage has handed out, those its constraint passes
+	// freed included. An Extend of this result continues from it.
+	next int32
 	// index is the fact index of an Extend's run over Facts, both entity
 	// columns extended to its last row, which an Extend of this result
 	// forks rather than rebuilds, and the local grounder over its evidence
@@ -288,8 +296,9 @@ func loadFacts(k *kb.KB) (*engine.Table, *factIndex) {
 	return tpi, &factIndex{set: k.FactSet(tpi), tpi: tpi, next: nextFactID(tpi), deletions: tpi.Deletions()}
 }
 
-// nextFactID returns one past the highest fact ID tpi holds: where a run
-// over tpi starts handing out IDs. IDs grow with the row index on every
+// nextFactID returns one past the highest fact ID tpi holds: where a
+// fresh run over tpi starts handing out IDs (an Extend continues from
+// its prior result's, Result.next). IDs grow with the row index on every
 // table a run starts from — a KB's, a published result's, a local seed
 // table drawn in row order — so the last row holds the highest.
 func nextFactID(tpi *engine.Table) int32 {

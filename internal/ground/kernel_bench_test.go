@@ -148,8 +148,9 @@ func BenchmarkDeltaLegs(b *testing.B) {
 }
 
 // BenchmarkFactorsDelta is one factor phase of deltaLegsFixture's
-// partition over a 100K- or 300K-row TΠ. phase=full is Query 2 over all
-// of TΠ, what a run with no prior TΦ states. delta=64 and delta=4096
+// partition over a 100K- or 300K-row TΠ. phase=full is a fresh run's,
+// maintained from the empty TΦ: Query 1-p over all of TΠ, each head
+// looked up in the identity set. delta=64 and delta=4096
 // maintain the TΦ computed before the last 64 or 4,096 rows arrived
 // (deltafactors.go), reading TΠ through its entity index, built outside
 // the loop as groundFrom keeps it up across a run. The maintained phase's

@@ -142,13 +142,13 @@ func sameResult(t *testing.T, where string, got, want *ground.Result) {
 				where, got.Factors.NumRows(), want.Factors.NumRows(), r)
 		}
 	}
-	ga, gf := ground.FactorWatermark(got)
-	wa, wf := ground.FactorWatermark(want)
+	gw, gn := ground.FactorWatermark(got), ground.NextFactID(got)
+	ww, wn := ground.FactorWatermark(want), ground.NextFactID(want)
 	if got.FirstDerived != want.FirstDerived || got.BaseFacts != want.BaseFacts ||
-		got.Iterations != want.Iterations || got.Converged != want.Converged || ga != wa || gf != wf {
-		t.Fatalf("%s: first derived %d, base %d, %d iterations, converged %v, watermarks %d/%d; fresh index: %d, %d, %d, %v, %d/%d",
-			where, got.FirstDerived, got.BaseFacts, got.Iterations, got.Converged, ga, gf,
-			want.FirstDerived, want.BaseFacts, want.Iterations, want.Converged, wa, wf)
+		got.Iterations != want.Iterations || got.Converged != want.Converged || gw != ww || gn != wn {
+		t.Fatalf("%s: first derived %d, base %d, %d iterations, converged %v, watermark %d, next ID %d; fresh index: %d, %d, %d, %v, %d, %d",
+			where, got.FirstDerived, got.BaseFacts, got.Iterations, got.Converged, gw, gn,
+			want.FirstDerived, want.BaseFacts, want.Iterations, want.Converged, ww, wn)
 	}
 }
 

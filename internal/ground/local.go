@@ -308,7 +308,7 @@ func (lg *LocalGrounder) Ground(ctx context.Context, q LocalQuery) (*LocalResult
 	opts.Observer = nil
 	opts.Journal = nil
 	g := &BatchGrounder{parts: parts, opts: opts}
-	out, err := g.groundFrom(g, tpi, ix, -1, res)
+	out, err := g.groundFrom(g, tpi, ix, 0, res)
 	if err != nil {
 		return nil, err
 	}

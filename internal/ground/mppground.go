@@ -11,14 +11,15 @@ import (
 	"probkb/internal/obs/journal"
 )
 
-// The four distribution keys of Section 4.4: the paper materializes
-// redistributed views of TΠ under exactly these key tuples, which cover
-// every probe-side join the six grounding queries perform.
+// The distribution keys of Section 4.4's redistributed views of TΠ,
+// which cover every probe-side join of the body joins. The paper's
+// fourth view, on (R, C1, x, C2, y), serves Query 2's head join; the
+// factor phase looks heads up on the master instead, in the run's
+// identity set (deltafactors.go).
 var (
-	keyRCC   = []int{kb.TPiR, kb.TPiC1, kb.TPiC2}
-	keyRCxC  = []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX}
-	keyRCCy  = []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiY}
-	keyRCxCy = []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX, kb.TPiY}
+	keyRCC  = []int{kb.TPiR, kb.TPiC1, kb.TPiC2}
+	keyRCxC = []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiX}
+	keyRCCy = []int{kb.TPiR, kb.TPiC1, kb.TPiC2, kb.TPiY}
 )
 
 // MPPGrounder runs Algorithm 1 on the mpp cluster substrate: ProbKB-p
@@ -52,8 +53,8 @@ func NewMPP(k *kb.KB, opts Options, cluster *mpp.Cluster, useViews bool) (*MPPGr
 }
 
 // load distributes the facts table and replicates the MLN tables across
-// the cluster; with views enabled it also materializes the four
-// redistributed views.
+// the cluster; with views enabled it also materializes the redistributed
+// views.
 func (g *MPPGrounder) load() error {
 	if err := g.cluster.Err(); err != nil {
 		return err
@@ -72,9 +73,7 @@ func (g *MPPGrounder) load() error {
 
 // redistribute reloads the distributed facts table from the master copy
 // and rebuilds the views from scratch (initial load, and after
-// constraint deletions invalidate the copies). Only the three views the
-// groundAtoms queries probe are built here; the head-join view of the
-// factor phase is materialized lazily by ensureHeadView.
+// constraint deletions invalidate the copies).
 func (g *MPPGrounder) redistribute() error {
 	// The base table is distributed by fact ID — a fine key for storage
 	// balance, but never a join key; the views (or motions) supply join
@@ -91,21 +90,6 @@ func (g *MPPGrounder) redistribute() error {
 	g.views = mpp.NewViews(g.cluster)
 	for _, key := range [][]int{keyRCC, keyRCxC, keyRCCy} {
 		if v := g.views.Materialize(g.dT, key); v.Err() != nil {
-			return v.Err()
-		}
-	}
-	return nil
-}
-
-// ensureHeadView materializes the (R, C1, x, C2, y) view the factor
-// phase's head joins probe; grounding iterations never use it, so it is
-// built once, just in time.
-func (g *MPPGrounder) ensureHeadView() error {
-	if g.views == nil {
-		return nil
-	}
-	if _, ok := g.views.Lookup(g.dT.Name(), keyRCxCy); !ok {
-		if v := g.views.Materialize(g.dT, keyRCxCy); v.Err() != nil {
 			return v.Err()
 		}
 	}
@@ -130,7 +114,9 @@ func (g *MPPGrounder) appendDelta() error {
 }
 
 // Ground runs the distributed Algorithm 1: the batch grounder's closure
-// and factor loop, with every plan lowered onto the cluster.
+// and factor loop, with every plan lowered onto the cluster. The factor
+// phase's body joins run there too; the head lookup that turns their
+// rows into clauses runs on the master (deltafactors.go).
 func (g *MPPGrounder) Ground() (*Result, error) {
 	loadStart := time.Now()
 	_, loadSpan := obs.StartSpan(g.batch.opts.ctxOf(), "ground.load")
@@ -141,18 +127,13 @@ func (g *MPPGrounder) Ground() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ground: mpp load: %w", err)
 	}
-	return g.batch.groundFrom(g, g.tpi, g.ix, -1, &Result{LoadTime: time.Since(loadStart)})
+	return g.batch.groundFrom(g, g.tpi, g.ix, 0, &Result{LoadTime: time.Since(loadStart)})
 }
 
 // run lowers a grounding plan onto the cluster, runs it and gathers the
 // result. Candidate atoms are not deduplicated on the cluster — a
 // distributed DISTINCT would cost a motion — so the merge does it.
 func (g *MPPGrounder) run(phase string, plan engine.Node, capture bool) (*engine.Table, journal.QueryProfile, error) {
-	if phase == "factors" {
-		if err := g.ensureHeadView(); err != nil {
-			return nil, journal.QueryProfile{}, fmt.Errorf("mpp head view: %w", err)
-		}
-	}
 	dplan := g.lower(plan)
 	out, err := dplan.Run()
 	if err != nil {
@@ -186,14 +167,11 @@ func (g *MPPGrounder) factsChanged(st IterStats, feeds bool) error {
 	return nil
 }
 
-// atomsQueries states the semi-naive legs as hash joins, which the
-// cluster runs as lowered.
+// atomsQueries states the Δ legs as hash joins, which the cluster runs
+// as lowered. An MPP run is always fresh, so the factor phase plans no
+// head leg, the one leg with no hash-join form.
 func (g *MPPGrounder) atomsQueries(tpi, delta *engine.Table, _ *factIndex) []partPlan {
 	return g.batch.atomsQueries(tpi, delta, nil)
-}
-
-func (g *MPPGrounder) factorsQueries(tpi *engine.Table) []partPlan {
-	return g.batch.factorsQueries(tpi)
 }
 
 // lower places a grounding plan on the cluster: views on, TΠ probes scan

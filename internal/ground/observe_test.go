@@ -118,7 +118,7 @@ func TestBackendCapturesOnlyWhenAsked(t *testing.T) {
 	p := g.parts.NonEmpty()[0]
 	tpi := k.FactsTable()
 	for _, capture := range []bool{false, true} {
-		_, prof, err := g.run("factors", g.factorsPlan(p, tpi), capture)
+		_, prof, err := g.run("factors", g.atomsPlan(p, tpi, tpi), capture)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -85,7 +86,7 @@ func (g *TuffyGrounder) Ground() (*Result, error) {
 	g.load(loadFacts(g.batch.kb))
 	loadSpan.SetAttr("relations", len(g.relTables))
 	loadSpan.End()
-	return g.batch.groundFrom(g, g.tpi, g.ix, -1, &Result{LoadTime: time.Since(loadStart)})
+	return g.batch.groundFrom(g, g.tpi, g.ix, 0, &Result{LoadTime: time.Since(loadStart)})
 }
 
 // atomsQueries is one inference query per rule over all of TΠ; Tuffy-T
@@ -94,9 +95,33 @@ func (g *TuffyGrounder) atomsQueries(_, _ *engine.Table, _ *factIndex) []partPla
 	return g.rulePlans(g.ruleAtomsPlan)
 }
 
-// factorsQueries is one factor query per rule, in rule order.
-func (g *TuffyGrounder) factorsQueries(*engine.Table) []partPlan {
-	return g.rulePlans(g.ruleFactorsPlan)
+// groundFactors is Tuffy-T's Query 2: one factor query per rule over
+// all of TΠ, in rule order, whose clauses it appends to cols (bag union,
+// Proposition 1). cols is sized once, for the clauses and the unit
+// clauses that follow them.
+func (g *TuffyGrounder) groundFactors(ctx context.Context, cols *factorCols, res *Result) error {
+	qs := g.rulePlans(g.ruleFactorsPlan)
+	outs := make([]*engine.Table, len(qs))
+	n := observed(g.tpi)
+	for i, q := range qs {
+		// Cooperative cancellation: check between factor queries. The
+		// grounded facts survive in the partial result; only the factor
+		// table is incomplete.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out, err := g.batch.runFactors(g, q.p, q.plan, res)
+		if err != nil {
+			return err
+		}
+		outs[i] = out
+		n += out.NumRows()
+	}
+	cols.grow(n)
+	for _, out := range outs {
+		cols.appendRows(out, out.NumRows())
+	}
+	return nil
 }
 
 // rulePlans builds one plan per rule, tagged with the rule's partition.
@@ -104,7 +129,7 @@ func (g *TuffyGrounder) rulePlans(build func(*mln.Clause) engine.Node) []partPla
 	rules := g.batch.kb.Rules
 	qs := make([]partPlan, len(rules))
 	for i := range rules {
-		qs[i] = partPlan{g.part[i], build(&rules[i])}
+		qs[i] = partPlan{p: g.part[i], plan: build(&rules[i])}
 	}
 	return qs
 }

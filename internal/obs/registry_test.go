@@ -188,6 +188,11 @@ func TestWithWrongArityPanics(t *testing.T) {
 // declared. Every case breaks exactly one rule, so removing a check
 // fails its case.
 func TestDeclarationRules(t *testing.T) {
+	// Declare into a fresh Default, so that a second run of the test in
+	// one process (-count=2) declares no family the first one did.
+	saved := Default
+	Default = NewRegistry()
+	defer func() { Default = saved }()
 	for _, tc := range []struct {
 		rule    string
 		declare func()
