@@ -78,7 +78,10 @@ bench-kernels:
 # BenchmarkConstraintPass (in the ./internal/ground run above), two gates:
 # TestConstrainedExpandFollowsDeletions, a constrained grounding of the
 # scale 0.05 corpus that deletes in several iterations and never rebuilds
-# its fact index from scratch; and TestConstraintPassBytesFlat, the bytes
+# its fact index from scratch; TestMPPExpandDistributesOnce, the same
+# grounding on a 2-segment cluster with views, which deletes in 3 of its 7
+# iterations and distributes TΠ to the cluster once, at load (the copies
+# follow each deletion); and TestConstraintPassBytesFlat, the bytes
 # one deleting pass and the index's upkeep allocate may grow at most 2.5×
 # from the scale 0.05 grounding to the scale 0.25 one (1.7× measured; a
 # compaction that lists every row past the first deleted one is ~4–5×),
@@ -102,7 +105,7 @@ kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
 	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat' .
-	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestConstraintPassBytesFlat|TestFreshFactorsMatchQuery2|TestFactIDsNeverRepeatAlongALineage' ./internal/ground
+	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestMPPExpandDistributesOnce|TestConstraintPassBytesFlat|TestFreshFactorsMatchQuery2|TestFactIDsNeverRepeatAlongALineage' ./internal/ground
 	$(GO) test -short -count=1 -run 'TestExpandLoadBytesFlat|TestForkAllocs' ./internal/kb
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .
 

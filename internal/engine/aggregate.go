@@ -66,11 +66,13 @@ func (n *GroupByNode) Label() string {
 
 func (n *GroupByNode) OpKind() string { return "GroupAggregate" }
 
-// groupState accumulates one group's aggregates.
+// groupState accumulates one group's aggregates. A COUNT(DISTINCT)
+// keeps only its count here: the values seen are in the partial's
+// distinctSet, shared by all its groups.
 type groupState struct {
 	firstRow int
 	count    int32
-	distinct []map[int32]struct{} // one per AggCountDistinct
+	distinct []int32 // one per AggCountDistinct
 	minv     []float64
 	maxv     []float64
 	sumv     []float64
@@ -137,10 +139,7 @@ func countAggSlots(aggs []AggSpec) aggSlots {
 func newGroupState(r int, s aggSlots) *groupState {
 	g := &groupState{firstRow: r}
 	if s.nDistinct > 0 {
-		g.distinct = make([]map[int32]struct{}, s.nDistinct)
-		for i := range g.distinct {
-			g.distinct[i] = make(map[int32]struct{})
-		}
+		g.distinct = make([]int32, s.nDistinct)
 	}
 	if s.nMin > 0 {
 		g.minv = make([]float64, s.nMin)
@@ -160,14 +159,17 @@ func newGroupState(r int, s aggSlots) *groupState {
 	return g
 }
 
-// accumulateRow folds input row r into group g.
-func accumulateRow(g *groupState, in *Table, aggs []AggSpec, r int) {
+// accumulateRow folds input row r into the partial's group gi.
+func (p *aggPartial) accumulateRow(gi int32, in *Table, aggs []AggSpec, r int) {
+	g := p.order[gi]
 	g.count++
 	di, mi, xi, si := 0, 0, 0, 0
 	for _, a := range aggs {
 		switch a.Kind {
 		case AggCountDistinct:
-			g.distinct[di][in.cols[a.Col].i32[r]] = struct{}{}
+			if p.seen[di].insert(gi, in.cols[a.Col].i32[r]) {
+				g.distinct[di]++
+			}
 			di++
 		case AggMinF64:
 			v := in.cols[a.Col].f64[r]
@@ -190,14 +192,10 @@ func accumulateRow(g *groupState, in *Table, aggs []AggSpec, r int) {
 
 // mergeGroup folds one morsel's partial state for a group into the
 // global state. Merges happen in morsel-index order, which is what makes
-// float sums identical for every worker count.
+// float sums identical for every worker count. Distinct counts merge
+// with the partial's distinctSets (mergeDistinct).
 func mergeGroup(dst, src *groupState) {
 	dst.count += src.count
-	for i, set := range src.distinct {
-		for v := range set {
-			dst.distinct[i][v] = struct{}{}
-		}
-	}
 	for i, v := range src.minv {
 		if IsNullFloat64(v) {
 			continue
@@ -220,25 +218,65 @@ func mergeGroup(dst, src *groupState) {
 }
 
 // aggPartial is a partial aggregation — one morsel's, or the merge of
-// them all: index row i is group order[i], in first-occurrence order.
+// them all: index row i is group order[i], in first-occurrence order;
+// seen[d] holds the values the groups have seen of the d-th
+// COUNT(DISTINCT).
 type aggPartial struct {
 	ix    *rowIndex
 	order []*groupState
+	seen  []distinctSet
 }
 
-// find returns the group whose key is that of input row r (hash h), or nil.
-func (p *aggPartial) find(h uint64, in *Table, keys []int, r int) *groupState {
+func newAggPartial(s aggSlots) aggPartial {
+	p := aggPartial{ix: newRowIndex(nil), seen: make([]distinctSet, s.nDistinct)}
+	for d := range p.seen {
+		p.seen[d].ix = newRowIndex(nil)
+	}
+	return p
+}
+
+// find returns the number of the group whose key is that of input row r
+// (hash h), or -1.
+func (p *aggPartial) find(h uint64, in *Table, keys []int, r int) int32 {
 	for c := p.ix.first(h); c >= 0; c = p.ix.after(h, c) {
-		if g := p.order[c]; rowsEqualOn(in, g.firstRow, keys, in, r, keys) {
-			return g
+		if rowsEqualOn(in, p.order[c].firstRow, keys, in, r, keys) {
+			return c
 		}
 	}
-	return nil
+	return -1
 }
 
 func (p *aggPartial) add(h uint64, g *groupState) {
 	p.ix.add(h)
 	p.order = append(p.order, g)
+}
+
+// mergeDistinct folds src's distinct values into p, where src's group i
+// is p's group to[i], and counts each value new to its group.
+func (p *aggPartial) mergeDistinct(src *aggPartial, to []int32) {
+	for d := range src.seen {
+		for _, pair := range src.seen[d].ix.hash {
+			g := to[pair>>32]
+			if p.seen[d].insert(g, int32(uint32(pair))) {
+				p.order[g].distinct[d]++
+			}
+		}
+	}
+}
+
+// distinctSet is one COUNT(DISTINCT)'s values for all the groups of a
+// partial: a set of (group, value) pairs on one rowIndex, instead of a
+// map per group. A pair is its own hash, so an equal hash is a match.
+type distinctSet struct{ ix *rowIndex }
+
+// insert adds value v to group g's values and reports whether it was new.
+func (s *distinctSet) insert(g int32, v int32) bool {
+	pair := uint64(g)<<32 | uint64(uint32(v))
+	if s.ix.first(pair) >= 0 {
+		return false
+	}
+	s.ix.add(pair)
+	return true
 }
 
 // groupByTable is the aggregation kernel, shared with the MPP layer.
@@ -256,17 +294,17 @@ func groupByTable(in *Table, keys []int, aggs []AggSpec, schema Schema, o Opts, 
 
 	parts := make([]aggPartial, morselCount(in.NumRows(), o.morsel()))
 	runMorsels("groupby", in.NumRows(), o, st, func(m, lo, hi int) {
-		p := aggPartial{ix: newRowIndex(nil)}
+		p := newAggPartial(slots)
 		hs := make([]uint64, hi-lo)
 		hashRange(hs, in, keys, lo)
 		for i, h := range hs {
 			r := lo + i
-			g := p.find(h, in, keys, r)
-			if g == nil {
-				g = newGroupState(r, slots)
-				p.add(h, g)
+			gi := p.find(h, in, keys, r)
+			if gi < 0 {
+				gi = int32(len(p.order))
+				p.add(h, newGroupState(r, slots))
 			}
-			accumulateRow(g, in, aggs, r)
+			p.accumulateRow(gi, in, aggs, r)
 		}
 		parts[m] = p
 	})
@@ -275,16 +313,24 @@ func groupByTable(in *Table, keys []int, aggs []AggSpec, schema Schema, o Opts, 
 	if len(parts) == 1 {
 		all = parts[0]
 	} else {
-		all.ix = newRowIndex(nil)
-		for _, p := range parts {
+		all = newAggPartial(slots)
+		for pi := range parts {
+			p := &parts[pi]
+			to := make([]int32, len(p.order))
 			for i, src := range p.order {
 				h := p.ix.hash[i]
-				if g := all.find(h, in, keys, src.firstRow); g != nil {
-					mergeGroup(g, src)
+				if gi := all.find(h, in, keys, src.firstRow); gi >= 0 {
+					mergeGroup(all.order[gi], src)
+					to[i] = gi
 				} else {
+					// src becomes the global group; its distinct values
+					// are counted again as they merge.
+					clear(src.distinct)
+					to[i] = int32(len(all.order))
 					all.add(h, src)
 				}
 			}
+			all.mergeDistinct(p, to)
 		}
 	}
 
@@ -312,7 +358,7 @@ func groupByTable(in *Table, keys []int, aggs []AggSpec, schema Schema, o Opts, 
 			case AggCount:
 				oc.i32 = append(oc.i32, g.count)
 			case AggCountDistinct:
-				oc.i32 = append(oc.i32, int32(len(g.distinct[di])))
+				oc.i32 = append(oc.i32, g.distinct[di])
 				di++
 			case AggMinF64:
 				oc.f64 = append(oc.f64, g.minv[mi])

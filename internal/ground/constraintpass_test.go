@@ -10,6 +10,7 @@ import (
 	"probkb/internal/engine"
 	"probkb/internal/ground"
 	"probkb/internal/kb"
+	"probkb/internal/mpp"
 	"probkb/internal/quality"
 	"probkb/internal/synth"
 )
@@ -194,6 +195,90 @@ func TestConstrainedExpandFollowsDeletions(t *testing.T) {
 	}
 	if err := ground.IndexMatchesFresh(res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMPPExpandDistributesOnce: a constrained MPP grounding of the
+// scale-0.05 corpus deletes in several iterations, and its cluster copies
+// of TΠ follow every deletion: TΠ is distributed once, at load.
+func TestMPPExpandDistributesOnce(t *testing.T) {
+	c, err := synth.ReVerbSherlock(0.05, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := c.KB.Clone()
+	quality.PreClean(k)
+	g, err := ground.NewMPP(k, ground.Options{SemiNaive: true, ConstraintHook: quality.NewCheckerAfterPreClean(k).Apply},
+		mpp.NewCluster(2), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.Ground()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d iterations deleted rows", deleting(res), res.Iterations)
+	if deleting(res) < 3 {
+		t.Fatalf("fixture drifted: %d iterations deleted rows", deleting(res))
+	}
+	if n := ground.Distributions(g); n != 1 {
+		t.Fatalf("TΠ was distributed %d times", n)
+	}
+}
+
+// TestClusterCopiesFollowDeletions: an MPP run's cluster copies of TΠ
+// follow what each iteration changed. Over constrained random KBs, naive
+// and semi-naive, on 1–3 segments, with views and without, whose passes
+// delete in several iterations — the checker's victims, and on every
+// other pass a row of their own from the first half of TΠ, which the
+// cluster already holds — after every iteration's upkeep the base
+// table's segments hold, row for row, what distributing the master
+// afresh gives, and each view's segments what materializing it afresh
+// gives, as multisets. No run distributes TΠ again.
+func TestClusterCopiesFollowDeletions(t *testing.T) {
+	deletingRuns := 0
+	for seed := int64(0); seed < 24; seed++ {
+		k := constrainedKB(seed)
+		segs := 1 + int(seed%3)
+		for _, semi := range []bool{false, true} {
+			for _, views := range []bool{false, true} {
+				who := fmt.Sprintf("seed %d, %d segments, semi-naive %v, views %v", seed, segs, semi, views)
+				rng := rand.New(rand.NewSource(seed + 51000))
+				checker := quality.NewChecker(k)
+				calls := 0
+				hook := func(tpi *engine.Table) int {
+					if calls++; calls%2 == 0 || tpi.NumRows() < 2 {
+						return checker.Apply(tpi)
+					}
+					return tpi.DeleteRows([]int32{int32(rng.Intn(tpi.NumRows() / 2))})
+				}
+				var g *ground.MPPGrounder
+				observe := func(st ground.IterStats, _ *engine.Table) {
+					if err := ground.ClusterCopiesMatch(g); err != nil {
+						t.Fatalf("%s, iteration %d (%d deleted): %v", who, st.Iteration, st.Deleted, err)
+					}
+				}
+				opts := ground.Options{SemiNaive: semi, MaxIterations: 8, ConstraintHook: hook, Observer: observe}
+				g, err := ground.NewMPP(k, opts, mpp.NewCluster(segs), views)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := g.Ground()
+				if err != nil {
+					t.Fatalf("%s: %v", who, err)
+				}
+				if n := ground.Distributions(g); n != 1 {
+					t.Fatalf("%s: TΠ was distributed %d times", who, n)
+				}
+				if deleting(res) >= 2 {
+					deletingRuns++
+				}
+			}
+		}
+	}
+	t.Logf("%d of 96 runs deleted in two iterations or more", deletingRuns)
+	if deletingRuns < 48 {
+		t.Fatalf("generator too tame: %d of 96 runs deleted in two iterations", deletingRuns)
 	}
 }
 

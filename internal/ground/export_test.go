@@ -3,11 +3,13 @@ package ground
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"probkb/internal/engine"
 	"probkb/internal/kb"
 	"probkb/internal/mln"
+	"probkb/internal/mpp"
 )
 
 // Test helpers of this package, for the external test package: the
@@ -151,6 +153,57 @@ func IndexRebuilds(res *Result) int {
 		return -1
 	}
 	return res.index.rebuilds
+}
+
+// Distributions returns how many times g distributed all of TΠ to its
+// cluster (redistribute): once, at load, for a run that follows its
+// deletions.
+func Distributions(g *MPPGrounder) int { return g.distributions }
+
+// ClusterCopiesMatch returns nil when g's cluster copies of TΠ hold what
+// distributing its master copy afresh does: each segment of the base
+// table, row for row, what Distribute by I puts there, and each view
+// segment, as a multiset, what Materialize puts there (a view's rows
+// come in its load order, then its appends').
+func ClusterCopiesMatch(g *MPPGrounder) error {
+	fresh := g.cluster.Distribute(g.tpi, []int{kb.TPiI})
+	for s := 0; s < g.cluster.NumSegments(); s++ {
+		if got, want := rowStrings(g.dT.Segment(s)), rowStrings(fresh.Segment(s)); !slices.Equal(got, want) {
+			return fmt.Errorf("segment %d of TΠ holds %d rows, a fresh distribution %d, or in another order", s, len(got), len(want))
+		}
+	}
+	if !g.useViews {
+		if g.views != nil {
+			return fmt.Errorf("views kept on a run without them")
+		}
+		return nil
+	}
+	views := mpp.NewViews(g.cluster)
+	for _, key := range [][]int{keyRCC, keyRCxC, keyRCCy} {
+		got, ok := g.views.Lookup(g.dT.Name(), key)
+		if !ok {
+			return fmt.Errorf("no view by %v", key)
+		}
+		want := views.Materialize(fresh, key)
+		for s := 0; s < g.cluster.NumSegments(); s++ {
+			gr, wr := printedRows(got.Segment(s)), printedRows(want.Segment(s))
+			if !slices.Equal(gr, wr) {
+				return fmt.Errorf("segment %d of the view by %v holds %d rows, a fresh one %d, or others", s, key, len(gr), len(wr))
+			}
+		}
+	}
+	return nil
+}
+
+// rowStrings renders each row of t, in order.
+func rowStrings(t *engine.Table) []string {
+	rows := make([]string, t.NumRows())
+	for r := range rows {
+		for c := 0; c < t.Schema().NumCols(); c++ {
+			rows[r] += t.ValueString(r, c) + "|"
+		}
+	}
+	return rows
 }
 
 // GroundWithIndex is Ground, except that the result carries the run's

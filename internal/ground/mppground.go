@@ -2,6 +2,7 @@ package ground
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"probkb/internal/engine"
@@ -37,9 +38,13 @@ type MPPGrounder struct {
 	dT    *mpp.DistTable
 	views *mpp.Views
 	repM  map[*engine.Table]*mpp.DistTable // MLN partition table → replicated copy
-	// distributedLen is how many master rows the cluster copies already
-	// hold; rows beyond it are appended incrementally.
-	distributedLen int
+	// shipped is the fact-ID watermark of the cluster copies: they hold
+	// the master rows with an ID below it, and the rows at or above it
+	// are the next to ship. Unlike a row offset it survives a deletion.
+	shipped int32
+	// distributions counts the full distributions of TΠ; a run makes one,
+	// at load.
+	distributions int
 }
 
 // NewMPP prepares an MPP grounder. useViews selects ProbKB-p (true) or
@@ -71,18 +76,20 @@ func (g *MPPGrounder) load() error {
 	return nil
 }
 
-// redistribute reloads the distributed facts table from the master copy
-// and rebuilds the views from scratch (initial load, and after
-// constraint deletions invalidate the copies).
+// redistribute distributes the master copy of TΠ and builds the views
+// from it: the one full distribution of a run, at load. From then on the
+// copies follow the master — factsChanged drops what a constraint pass
+// deleted and appends what a merge added — and are never rebuilt.
 func (g *MPPGrounder) redistribute() error {
 	// The base table is distributed by fact ID — a fine key for storage
 	// balance, but never a join key; the views (or motions) supply join
 	// placement.
+	g.distributions++
 	g.dT = g.cluster.Distribute(g.tpi, []int{kb.TPiI})
 	if err := g.dT.Err(); err != nil {
 		return err
 	}
-	g.distributedLen = g.tpi.NumRows()
+	g.shipped = nextFactID(g.tpi)
 	if !g.useViews {
 		g.views = nil
 		return nil
@@ -96,11 +103,37 @@ func (g *MPPGrounder) redistribute() error {
 	return nil
 }
 
-// appendDelta incrementally ships the master rows added since the last
-// distribution to the cluster copies and views (Algorithm 1 line 7, the
-// common no-deletion case).
+// followDeletion drops from every cluster copy the shipped rows the
+// master no longer holds: one bitmap of the IDs below the watermark
+// that survive, then one order-preserving deletion per segment of the
+// base table and of each view. IDs never repeat along a run, so an ID
+// missing from the bitmap is a deleted fact's, and when the master holds
+// as many shipped rows as the copies do, the pass deleted none of them.
+func (g *MPPGrounder) followDeletion() error {
+	ids := g.tpi.Int32Col(kb.TPiI)
+	n, _ := slices.BinarySearch(ids, g.shipped)
+	if n == g.dT.NumRows() {
+		return nil
+	}
+	live := make([]uint64, (g.shipped+63)/64)
+	for _, id := range ids[:n] {
+		live[id>>6] |= 1 << (id & 63)
+	}
+	gone := func(id int32) bool { return live[id>>6]&(1<<(id&63)) == 0 }
+	if err := g.dT.DeleteWhere(kb.TPiI, gone); err != nil {
+		return err
+	}
+	if g.views != nil {
+		return g.views.DeleteWhere(g.dT.Name(), kb.TPiI, gone)
+	}
+	return nil
+}
+
+// appendDelta ships the master rows at or above the watermark to the
+// cluster copies and views (Algorithm 1 line 7). IDs grow with the row
+// index, so they are a suffix of TΠ.
 func (g *MPPGrounder) appendDelta() error {
-	from := g.distributedLen
+	from, _ := slices.BinarySearch(g.tpi.Int32Col(kb.TPiI), g.shipped)
 	if err := g.dT.AppendFrom(g.tpi, from); err != nil {
 		return err
 	}
@@ -109,7 +142,7 @@ func (g *MPPGrounder) appendDelta() error {
 			return err
 		}
 	}
-	g.distributedLen = g.tpi.NumRows()
+	g.shipped = nextFactID(g.tpi)
 	return nil
 }
 
@@ -151,20 +184,22 @@ func (g *MPPGrounder) run(phase string, plan engine.Node, capture bool) (*engine
 	return mpp.Gather(out), prof, nil
 }
 
-// factsChanged brings the cluster copies of TΠ up to the master: new
-// rows are appended incrementally (the common case); deletions
-// invalidate the copies, which are rebuilt. When nothing will read them
-// again the maintenance is skipped.
+// factsChanged brings the cluster copies of TΠ up to the master: the
+// rows a constraint pass deleted are dropped from them, and the rows the
+// merge added are appended. The copies are never rebuilt: a deletion
+// costs a scan of their ID columns and moving the rows after each
+// deleted one, not a hash and copy of all of TΠ per copy. When nothing
+// will read them again the maintenance is skipped.
 func (g *MPPGrounder) factsChanged(st IterStats, feeds bool) error {
-	switch {
-	case !feeds:
+	if !feeds {
 		return nil
-	case st.Deleted > 0:
-		return g.redistribute()
-	case st.NewFacts > 0:
-		return g.appendDelta()
 	}
-	return nil
+	if st.Deleted > 0 {
+		if err := g.followDeletion(); err != nil {
+			return err
+		}
+	}
+	return g.appendDelta()
 }
 
 // atomsQueries states the Δ legs as hash joins, which the cluster runs

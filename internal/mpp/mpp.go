@@ -293,7 +293,7 @@ func (c *Cluster) Distribute(t *engine.Table, key []int) *DistTable {
 	if d.err != nil {
 		return d
 	}
-	scatterInto(t, d.segs, key)
+	scatterInto(t, 0, d.segs, key)
 	return d
 }
 
@@ -308,13 +308,13 @@ func (c *Cluster) Replicate(t *engine.Table) *DistTable {
 	return d
 }
 
-// scatterInto hash-partitions t's rows into the given per-segment tables
-// and returns the per-segment row lists (useful to motions for
-// accounting).
-func scatterInto(t *engine.Table, segs []*engine.Table, key []int) [][]int32 {
+// scatterInto hash-partitions rows [from, t.NumRows()) of t into the
+// given per-segment tables and returns the per-segment row lists (useful
+// to motions for accounting).
+func scatterInto(t *engine.Table, from int, segs []*engine.Table, key []int) [][]int32 {
 	nseg := len(segs)
 	perSeg := make([][]int32, nseg)
-	for r := 0; r < t.NumRows(); r++ {
+	for r := from; r < t.NumRows(); r++ {
 		s := segmentOf(t, r, key, nseg)
 		perSeg[s] = append(perSeg[s], int32(r))
 	}
@@ -328,11 +328,12 @@ func scatterInto(t *engine.Table, segs []*engine.Table, key []int) [][]int32 {
 }
 
 // AppendFrom incrementally loads rows [from, t.NumRows()) of t into the
-// distributed table: hashed tables scatter the delta by their key,
-// replicated tables append it everywhere. This is the incremental
-// materialized-view maintenance path the grounder uses between
-// iterations (a full rebuild is only needed after deletions). Appending
-// into an errored or randomly distributed table is an error.
+// distributed table, straight from t: hashed tables scatter them by
+// their key, replicated tables append them everywhere. This is the
+// incremental materialized-view maintenance path the grounder uses
+// between iterations; DeleteWhere is the other half, for the rows a
+// constraint pass removed. Appending into an errored or randomly
+// distributed table is an error.
 func (d *DistTable) AppendFrom(t *engine.Table, from int) error {
 	if d.err != nil {
 		return d.err
@@ -341,15 +342,13 @@ func (d *DistTable) AppendFrom(t *engine.Table, from int) error {
 	if from >= n {
 		return nil
 	}
-	rows := make([]int32, 0, n-from)
-	for r := from; r < n; r++ {
-		rows = append(rows, int32(r))
-	}
-	delta := engine.NewTable("delta", d.schema)
-	delta.AppendRowsFrom(t, rows)
 	if d.Replicated() {
-		for i := range d.segs {
-			d.segs[i].AppendTable(delta)
+		rows := make([]int32, 0, n-from)
+		for r := from; r < n; r++ {
+			rows = append(rows, int32(r))
+		}
+		for _, s := range d.segs {
+			s.AppendRowsFrom(t, rows)
 		}
 		return nil
 	}
@@ -357,7 +356,29 @@ func (d *DistTable) AppendFrom(t *engine.Table, from int) error {
 	if key == nil {
 		return fmt.Errorf("mpp: AppendFrom into randomly distributed table %s", d.name)
 	}
-	scatterInto(delta, d.segs, key)
+	scatterInto(t, from, d.segs, key)
+	return nil
+}
+
+// DeleteWhere removes from every segment (every copy, for a replicated
+// table) the rows whose value in Int32 column col gone reports. Each
+// segment closes up in order (engine.Table.DeleteRows), so a hashed
+// table stays what distributing its surviving rows in their order
+// gives. Like AppendFrom it runs on the master, segment by segment; a
+// second call with the same gone removes nothing more.
+func (d *DistTable) DeleteWhere(col int, gone func(v int32) bool) error {
+	if d.err != nil {
+		return d.err
+	}
+	for _, s := range d.segs {
+		var rows []int32
+		for r, v := range s.Int32Col(col) {
+			if gone(v) {
+				rows = append(rows, int32(r))
+			}
+		}
+		s.DeleteRows(rows)
+	}
 	return nil
 }
 

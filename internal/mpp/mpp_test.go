@@ -2,6 +2,7 @@ package mpp
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -427,5 +428,43 @@ func TestViewsAppendFrom(t *testing.T) {
 	v, _ := views.Lookup("T", []int{1})
 	if v.NumRows() != 3 {
 		t.Fatalf("view rows after append = %d, want 3", v.NumRows())
+	}
+}
+
+// TestDistTableDeleteWhere: deleting from a distributed table leaves each
+// segment, row for row, what distributing the surviving rows gives; a
+// replicated table drops them from every copy; a second identical call
+// removes nothing; an errored table reports its error.
+func TestDistTableDeleteWhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	base := randomTable(rng, "T", 200, 40)
+	gone := func(v int32) bool { return v%3 == 0 }
+	survivors := base.Clone()
+	survivors.DeleteWhere(func(r int) bool { return gone(survivors.Int32Col(0)[r]) })
+
+	c := NewCluster(3)
+	d, rep := c.Distribute(base, []int{1}), c.Replicate(base)
+	want := c.Distribute(survivors, []int{1})
+	for pass := 1; pass <= 2; pass++ {
+		if err := d.DeleteWhere(0, gone); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 3; s++ {
+			got, w := d.Segment(s), want.Segment(s)
+			if !slices.Equal(got.Int32Col(0), w.Int32Col(0)) || !slices.Equal(got.Int32Col(1), w.Int32Col(1)) {
+				t.Fatalf("call %d: segment %d differs from a fresh distribution of the survivors", pass, s)
+			}
+		}
+	}
+	if err := rep.DeleteWhere(0, gone); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 3; s++ {
+		if !flatEqual(sortedFlat(rep.Segment(s)), sortedFlat(survivors)) {
+			t.Fatalf("replicated segment %d differs from the survivors", s)
+		}
+	}
+	if err := NewCluster(0).Distribute(base, []int{0}).DeleteWhere(0, gone); err == nil {
+		t.Fatal("DeleteWhere on an errored table returned no error")
 	}
 }

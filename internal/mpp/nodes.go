@@ -240,7 +240,7 @@ func (n *RedistributeNode) Run() (*DistTable, error) {
 		// from segment 0 (in a real system each segment would hash its
 		// slice; the result is the same placement).
 		if in.Replicated() {
-			perSeg := scatterInto(in.segs[0], out.segs, n.key)
+			perSeg := scatterInto(in.segs[0], 0, out.segs, n.key)
 			for dst, rows := range perSeg {
 				movedRows += len(rows)
 				recv[dst] = len(rows)
@@ -249,7 +249,7 @@ func (n *RedistributeNode) Run() (*DistTable, error) {
 		} else {
 			for src := 0; src < n.cluster.nseg; src++ {
 				seg := in.segs[src]
-				perSeg := scatterInto(seg, out.segs, n.key)
+				perSeg := scatterInto(seg, 0, out.segs, n.key)
 				for dst, rows := range perSeg {
 					if dst != src {
 						movedRows += len(rows)

@@ -66,6 +66,18 @@ func (v *Views) AppendFrom(baseName string, t *engine.Table, from int) error {
 	return nil
 }
 
+// DeleteWhere drops from every view of the named base table the rows
+// whose value in Int32 column col gone reports (DistTable.DeleteWhere),
+// returning the first maintenance error.
+func (v *Views) DeleteWhere(baseName string, col int, gone func(v int32) bool) error {
+	for _, view := range v.byBase[baseName] {
+		if err := view.DeleteWhere(col, gone); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Count returns the number of registered views.
 func (v *Views) Count() int {
 	n := 0
