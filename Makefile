@@ -95,10 +95,10 @@ bench-kernels:
 # TestExpandLoadBytesFlat gates loading Π, which is a table: FactsTable
 # of an unforked KB allocates no more at scale 0.25 than at 0.05 (×1.5
 # bound, ×1.00 measured; a copy of Π is ×4.7), and PreClean keeps the
-# KB's identity set and allocates at most 1.2× the bytes of its own
-# Query 3 (×1.08–1.09 measured, ×1.05–1.13 under -race; a rebuilt set
-# is ×1.32–1.34), each the median of 5 runs that start with the joins'
-# scratch pools empty.
+# KB's identity set and allocates at most 8 B a fact beside its own
+# Query 3 (3.7–5.9 B measured, with and without -race; a new identity
+# set is 18–21 B, a copy of Π 31–32 B), each the median of 5 runs that
+# start with the joins' scratch pools empty.
 # TestForkAllocs pins KB.Fork of the scale 0.05 KB at 8 allocations: an
 # identity set builds its tail at the first row appended past its base.
 kernels-smoke:

@@ -66,18 +66,6 @@ func (n *GroupByNode) Label() string {
 
 func (n *GroupByNode) OpKind() string { return "GroupAggregate" }
 
-// groupState accumulates one group's aggregates. A COUNT(DISTINCT)
-// keeps only its count here: the values seen are in the partial's
-// distinctSet, shared by all its groups.
-type groupState struct {
-	firstRow int
-	count    int32
-	distinct []int32 // one per AggCountDistinct
-	minv     []float64
-	maxv     []float64
-	sumv     []float64
-}
-
 // Run executes the aggregation.
 func (n *GroupByNode) Run() (*Table, error) {
 	ins, err := runChildren(n)
@@ -115,150 +103,140 @@ func GroupByTableOpts(in *Table, keys []int, aggs []AggSpec, o Opts, st *NodeSta
 	return groupByTable(in, keys, aggs, GroupBySchema(in.Schema(), keys, aggs), o, st)
 }
 
-// aggSlots counts per-kind aggregate slots so group states size their
-// slices once.
-type aggSlots struct{ nDistinct, nMin, nMax, nSum int }
-
-func countAggSlots(aggs []AggSpec) aggSlots {
-	var s aggSlots
-	for _, a := range aggs {
-		switch a.Kind {
-		case AggCountDistinct:
-			s.nDistinct++
-		case AggMinF64:
-			s.nMin++
-		case AggMaxF64:
-			s.nMax++
-		case AggSumF64:
-			s.nSum++
-		}
-	}
-	return s
-}
-
-func newGroupState(r int, s aggSlots) *groupState {
-	g := &groupState{firstRow: r}
-	if s.nDistinct > 0 {
-		g.distinct = make([]int32, s.nDistinct)
-	}
-	if s.nMin > 0 {
-		g.minv = make([]float64, s.nMin)
-		for i := range g.minv {
-			g.minv[i] = NullFloat64()
-		}
-	}
-	if s.nMax > 0 {
-		g.maxv = make([]float64, s.nMax)
-		for i := range g.maxv {
-			g.maxv[i] = NullFloat64()
-		}
-	}
-	if s.nSum > 0 {
-		g.sumv = make([]float64, s.nSum)
-	}
-	return g
-}
-
-// accumulateRow folds input row r into the partial's group gi.
-func (p *aggPartial) accumulateRow(gi int32, in *Table, aggs []AggSpec, r int) {
-	g := p.order[gi]
-	g.count++
-	di, mi, xi, si := 0, 0, 0, 0
-	for _, a := range aggs {
-		switch a.Kind {
-		case AggCountDistinct:
-			if p.seen[di].insert(gi, in.cols[a.Col].i32[r]) {
-				g.distinct[di]++
-			}
-			di++
-		case AggMinF64:
-			v := in.cols[a.Col].f64[r]
-			if IsNullFloat64(g.minv[mi]) || v < g.minv[mi] {
-				g.minv[mi] = v
-			}
-			mi++
-		case AggMaxF64:
-			v := in.cols[a.Col].f64[r]
-			if IsNullFloat64(g.maxv[xi]) || v > g.maxv[xi] {
-				g.maxv[xi] = v
-			}
-			xi++
-		case AggSumF64:
-			g.sumv[si] += in.cols[a.Col].f64[r]
-			si++
-		}
-	}
-}
-
-// mergeGroup folds one morsel's partial state for a group into the
-// global state. Merges happen in morsel-index order, which is what makes
-// float sums identical for every worker count. Distinct counts merge
-// with the partial's distinctSets (mergeDistinct).
-func mergeGroup(dst, src *groupState) {
-	dst.count += src.count
-	for i, v := range src.minv {
-		if IsNullFloat64(v) {
-			continue
-		}
-		if IsNullFloat64(dst.minv[i]) || v < dst.minv[i] {
-			dst.minv[i] = v
-		}
-	}
-	for i, v := range src.maxv {
-		if IsNullFloat64(v) {
-			continue
-		}
-		if IsNullFloat64(dst.maxv[i]) || v > dst.maxv[i] {
-			dst.maxv[i] = v
-		}
-	}
-	for i, v := range src.sumv {
-		dst.sumv[i] += v
-	}
-}
-
 // aggPartial is a partial aggregation — one morsel's, or the merge of
-// them all: index row i is group order[i], in first-occurrence order;
-// seen[d] holds the values the groups have seen of the d-th
-// COUNT(DISTINCT).
+// them all. Group g is index row g, in first-occurrence order, and every
+// per-group value is element g of a flat slice: firstRow (the group's
+// first input row), and per aggregate a (aggs[a]) the COUNT(*) or
+// COUNT(DISTINCT) in cnt[a] (the latter's values, for all groups, in
+// seen[a]), or the MIN, MAX or SUM in val[a]. An aggregate's other slots
+// stay empty; its slice is its output column.
 type aggPartial struct {
-	ix    *rowIndex
-	order []*groupState
-	seen  []distinctSet
+	ix       *rowIndex
+	firstRow []int32
+	cnt      [][]int32
+	val      [][]float64
+	seen     []distinctSet
 }
 
-func newAggPartial(s aggSlots) aggPartial {
-	p := aggPartial{ix: newRowIndex(nil), seen: make([]distinctSet, s.nDistinct)}
-	for d := range p.seen {
-		p.seen[d].ix = newRowIndex(nil)
+// newAggPartial returns an empty partial whose indexes hold groups groups
+// and, for each COUNT(DISTINCT) a, pairs(a) (group, value) pairs without
+// growing.
+func newAggPartial(aggs []AggSpec, groups int, pairs func(a int) int) aggPartial {
+	p := aggPartial{
+		ix:  newRowIndexFor(groups),
+		cnt: make([][]int32, len(aggs)), val: make([][]float64, len(aggs)), seen: make([]distinctSet, len(aggs)),
+	}
+	for a, s := range aggs {
+		if s.Kind == AggCountDistinct {
+			p.seen[a].ix = newRowIndexFor(pairs(a))
+		}
 	}
 	return p
+}
+
+// addGroup starts the next group, under hash h, whose first input row is
+// r: no rows, every aggregate empty.
+func (p *aggPartial) addGroup(h uint64, r int, aggs []AggSpec) int32 {
+	p.ix.add(h)
+	p.firstRow = append(p.firstRow, int32(r))
+	for a, s := range aggs {
+		switch s.Kind {
+		case AggCount, AggCountDistinct:
+			p.cnt[a] = append(p.cnt[a], 0)
+		case AggMinF64, AggMaxF64:
+			p.val[a] = append(p.val[a], NullFloat64())
+		case AggSumF64:
+			p.val[a] = append(p.val[a], 0)
+		}
+	}
+	return int32(len(p.firstRow) - 1)
 }
 
 // find returns the number of the group whose key is that of input row r
 // (hash h), or -1.
 func (p *aggPartial) find(h uint64, in *Table, keys []int, r int) int32 {
 	for c := p.ix.first(h); c >= 0; c = p.ix.after(h, c) {
-		if rowsEqualOn(in, p.order[c].firstRow, keys, in, r, keys) {
+		if rowsEqualOn(in, int(p.firstRow[c]), keys, in, r, keys) {
 			return c
 		}
 	}
 	return -1
 }
 
-func (p *aggPartial) add(h uint64, g *groupState) {
-	p.ix.add(h)
-	p.order = append(p.order, g)
+// accumulateRow folds input row r into the partial's group g.
+func (p *aggPartial) accumulateRow(g int32, in *Table, aggs []AggSpec, r int) {
+	for a, s := range aggs {
+		switch s.Kind {
+		case AggCount:
+			p.cnt[a][g]++
+		case AggCountDistinct:
+			if p.seen[a].insert(g, in.cols[s.Col].i32[r]) {
+				p.cnt[a][g]++
+			}
+		case AggMinF64:
+			if v := in.cols[s.Col].f64[r]; IsNullFloat64(p.val[a][g]) || v < p.val[a][g] {
+				p.val[a][g] = v
+			}
+		case AggMaxF64:
+			if v := in.cols[s.Col].f64[r]; IsNullFloat64(p.val[a][g]) || v > p.val[a][g] {
+				p.val[a][g] = v
+			}
+		case AggSumF64:
+			p.val[a][g] += in.cols[s.Col].f64[r]
+		}
+	}
+}
+
+// mergeGroup folds src's group i into p's group g. Merges happen in
+// morsel-index order, which is what makes float sums identical for every
+// worker count. Distinct counts merge with the partials' distinctSets
+// (mergeDistinct).
+func (p *aggPartial) mergeGroup(g int32, src *aggPartial, i int32, aggs []AggSpec) {
+	for a, s := range aggs {
+		switch s.Kind {
+		case AggCount:
+			p.cnt[a][g] += src.cnt[a][i]
+		case AggMinF64:
+			if v, dst := src.val[a][i], p.val[a]; !IsNullFloat64(v) && (IsNullFloat64(dst[g]) || v < dst[g]) {
+				dst[g] = v
+			}
+		case AggMaxF64:
+			if v, dst := src.val[a][i], p.val[a]; !IsNullFloat64(v) && (IsNullFloat64(dst[g]) || v > dst[g]) {
+				dst[g] = v
+			}
+		case AggSumF64:
+			p.val[a][g] += src.val[a][i]
+		}
+	}
+}
+
+// copyGroup starts p's next group, under hash h, as src's group i: its
+// counts and values, but its distinct counts at zero, for they are
+// counted again as src's values merge.
+func (p *aggPartial) copyGroup(h uint64, src *aggPartial, i int32, aggs []AggSpec) int32 {
+	g := p.addGroup(h, int(src.firstRow[i]), aggs)
+	for a, s := range aggs {
+		switch s.Kind {
+		case AggCount:
+			p.cnt[a][g] = src.cnt[a][i]
+		case AggMinF64, AggMaxF64, AggSumF64:
+			p.val[a][g] = src.val[a][i]
+		}
+	}
+	return g
 }
 
 // mergeDistinct folds src's distinct values into p, where src's group i
 // is p's group to[i], and counts each value new to its group.
 func (p *aggPartial) mergeDistinct(src *aggPartial, to []int32) {
-	for d := range src.seen {
-		for _, pair := range src.seen[d].ix.hash {
+	for a := range src.seen {
+		if src.seen[a].ix == nil {
+			continue
+		}
+		for _, pair := range src.seen[a].ix.hash {
 			g := to[pair>>32]
-			if p.seen[d].insert(g, int32(uint32(pair))) {
-				p.order[g].distinct[d]++
+			if p.seen[a].insert(g, int32(uint32(pair))) {
+				p.cnt[a][g]++
 			}
 		}
 	}
@@ -290,21 +268,18 @@ func (s *distinctSet) insert(g int32, v int32) bool {
 // input skips the merge and is bitwise-identical to the historical serial
 // kernel.
 func groupByTable(in *Table, keys []int, aggs []AggSpec, schema Schema, o Opts, st *NodeStats) (*Table, error) {
-	slots := countAggSlots(aggs)
-
 	parts := make([]aggPartial, morselCount(in.NumRows(), o.morsel()))
 	runMorsels("groupby", in.NumRows(), o, st, func(m, lo, hi int) {
-		p := newAggPartial(slots)
+		p := newAggPartial(aggs, hi-lo, func(int) int { return hi - lo })
 		hs := make([]uint64, hi-lo)
 		hashRange(hs, in, keys, lo)
 		for i, h := range hs {
 			r := lo + i
-			gi := p.find(h, in, keys, r)
-			if gi < 0 {
-				gi = int32(len(p.order))
-				p.add(h, newGroupState(r, slots))
+			g := p.find(h, in, keys, r)
+			if g < 0 {
+				g = p.addGroup(h, r, aggs)
 			}
-			p.accumulateRow(gi, in, aggs, r)
+			p.accumulateRow(g, in, aggs, r)
 		}
 		parts[m] = p
 	})
@@ -313,66 +288,69 @@ func groupByTable(in *Table, keys []int, aggs []AggSpec, schema Schema, o Opts, 
 	if len(parts) == 1 {
 		all = parts[0]
 	} else {
-		all = newAggPartial(slots)
+		// The partials' groups and (group, value) pairs bound the merged
+		// ones, so the merge's indexes never grow.
+		groups := 0
+		for pi := range parts {
+			groups += len(parts[pi].firstRow)
+		}
+		all = newAggPartial(aggs, groups, func(a int) int {
+			pairs := 0
+			for pi := range parts {
+				pairs += len(parts[pi].seen[a].ix.hash)
+			}
+			return pairs
+		})
 		for pi := range parts {
 			p := &parts[pi]
-			to := make([]int32, len(p.order))
-			for i, src := range p.order {
+			to := make([]int32, len(p.firstRow))
+			for i := range to {
+				i := int32(i)
 				h := p.ix.hash[i]
-				if gi := all.find(h, in, keys, src.firstRow); gi >= 0 {
-					mergeGroup(all.order[gi], src)
-					to[i] = gi
+				if g := all.find(h, in, keys, int(p.firstRow[i])); g >= 0 {
+					all.mergeGroup(g, p, i, aggs)
+					to[i] = g
 				} else {
-					// src becomes the global group; its distinct values
-					// are counted again as they merge.
-					clear(src.distinct)
-					to[i] = int32(len(all.order))
-					all.add(h, src)
+					to[i] = all.copyGroup(h, p, i, aggs)
 				}
 			}
 			all.mergeDistinct(p, to)
 		}
 	}
 
+	// The aggregates' slices are the output columns; the keys are
+	// gathered from each group's first row.
 	out := NewTable("groupby", schema)
-	out.Reserve(len(all.order))
-	for _, g := range all.order {
-		col := 0
-		for _, k := range keys {
-			oc := out.cols[col]
-			ic := in.cols[k]
-			switch ic.typ {
-			case Int32:
-				oc.i32 = append(oc.i32, ic.i32[g.firstRow])
-			case Float64:
-				oc.f64 = append(oc.f64, ic.f64[g.firstRow])
-			case String:
-				oc.str = append(oc.str, ic.str[g.firstRow])
+	n := len(all.firstRow)
+	for k, c := range keys {
+		oc, ic := out.cols[k], in.cols[c]
+		switch ic.typ {
+		case Int32:
+			oc.i32 = make([]int32, n)
+			for g, r := range all.firstRow {
+				oc.i32[g] = ic.i32[r]
 			}
-			col++
-		}
-		di, mi, xi, si := 0, 0, 0, 0
-		for _, a := range aggs {
-			oc := out.cols[col]
-			switch a.Kind {
-			case AggCount:
-				oc.i32 = append(oc.i32, g.count)
-			case AggCountDistinct:
-				oc.i32 = append(oc.i32, g.distinct[di])
-				di++
-			case AggMinF64:
-				oc.f64 = append(oc.f64, g.minv[mi])
-				mi++
-			case AggMaxF64:
-				oc.f64 = append(oc.f64, g.maxv[xi])
-				xi++
-			case AggSumF64:
-				oc.f64 = append(oc.f64, g.sumv[si])
-				si++
+		case Float64:
+			oc.f64 = make([]float64, n)
+			for g, r := range all.firstRow {
+				oc.f64[g] = ic.f64[r]
 			}
-			col++
+		case String:
+			oc.str = make([]string, n)
+			for g, r := range all.firstRow {
+				oc.str[g] = ic.str[r]
+			}
 		}
-		out.nrows++
 	}
+	for a, s := range aggs {
+		oc := out.cols[len(keys)+a]
+		switch s.Kind {
+		case AggCount, AggCountDistinct:
+			oc.i32 = all.cnt[a]
+		case AggMinF64, AggMaxF64, AggSumF64:
+			oc.f64 = all.val[a]
+		}
+	}
+	out.nrows = n
 	return out, nil
 }

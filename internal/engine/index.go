@@ -32,16 +32,30 @@ func newRowIndex(hashes []uint64) *rowIndex {
 	return ix
 }
 
-// rechain sizes the buckets for the current rows (at most one row per
-// bucket on average) and links every row from the stored hashes, last row
-// first, so each chain comes out in increasing row order.
-func (ix *rowIndex) rechain() {
-	n := min(1<<bits.Len(uint(max(len(ix.hash), indexMinBuckets)-1)), indexMaxBuckets)
+// newRowIndexFor returns an empty index that adds up to n rows without
+// growing.
+func newRowIndexFor(n int) *rowIndex {
+	ix := &rowIndex{hash: make([]uint64, 0, n), next: make([]int32, 0, n)}
+	ix.sizeHeads(n)
+	return ix
+}
+
+// sizeHeads makes the empty buckets for n rows: at most one row per
+// bucket on average.
+func (ix *rowIndex) sizeHeads(n int) {
+	n = min(1<<bits.Len(uint(max(n, indexMinBuckets)-1)), indexMaxBuckets)
 	ix.heads = make([]int32, n)
 	for b := range ix.heads {
 		ix.heads[b] = -1
 	}
 	ix.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// rechain sizes the buckets for the current rows and links every row from
+// the stored hashes, last row first, so each chain comes out in
+// increasing row order.
+func (ix *rowIndex) rechain() {
+	ix.sizeHeads(len(ix.hash))
 	for r := len(ix.hash) - 1; r >= 0; r-- {
 		b := ix.bucket(ix.hash[r])
 		ix.next[r] = ix.heads[b]

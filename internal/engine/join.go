@@ -127,16 +127,74 @@ func HashJoinTablesOpts(bt, pt *Table, buildKeys, probeKeys []int,
 // joinPair is one matched row pair, indexed by JoinOut.Side.
 type joinPair [2]int32
 
-// probeScratch is one probe morsel's working memory: the probe rows'
-// hashes and the pairs matched so far. Most grounding probes match
-// nothing, so the morsels recycle it and keep only an exact-size copy of
-// the pairs.
+// probeScratch is one probe morsel's working memory: the rows that
+// passed the probe filter (a filtered morsel), the probe rows' hashes,
+// and the pairs matched so far. Most grounding
+// probes match nothing, so the morsels recycle it and keep only an
+// exact-size copy of the pairs.
 type probeScratch struct {
 	hs    []uint64
+	sel   []int32
 	pairs []joinPair
 }
 
 var probeScratches = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// probeFilter is a bitmap over the value span [min, min+span) of the
+// build side's first key column. A probe row whose first key is not in
+// it cannot match any build row, so the probe neither hashes it nor
+// looks it up; a row that passes is only a candidate, and costs what
+// every row costs without the filter.
+type probeFilter struct {
+	min  int32
+	span uint32
+	bits []uint64
+}
+
+// newProbeFilter returns the filter for probing pt's probeKeys against
+// bt's buildKeys, or nil where the join probes every row.
+//
+// The cost argument: building the bitmap reads the build's first key
+// column once and allocates span bits; filtering reads the probe's
+// first key column once, instead of hashing every probe row's whole key
+// and seeking it in the index. The filter applies only where both costs
+// are bounded by the probe: the probe has more rows than the build, and
+// the span is at most the probe's row count, so the bitmap takes at most
+// one byte per eight probe rows. A small probe — an Extend's Mi ⋈ Δ, the
+// local grounder's joins — keeps the plain path, where a bitmap would
+// grow with the relation count rather than the batch. A cross join has
+// no key to filter on.
+func newProbeFilter(bt, pt *Table, buildKeys []int) *probeFilter {
+	if len(buildKeys) == 0 || bt.NumRows() == 0 || pt.NumRows() <= bt.NumRows() {
+		return nil
+	}
+	col := bt.cols[buildKeys[0]].i32
+	lo, hi := col[0], col[0]
+	for _, v := range col[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	span := uint64(uint32(hi)-uint32(lo)) + 1
+	if span > uint64(pt.NumRows()) {
+		return nil
+	}
+	f := &probeFilter{min: lo, span: uint32(span), bits: make([]uint64, (span+63)/64)}
+	for _, v := range col {
+		off := uint32(v) - uint32(lo)
+		f.bits[off>>6] |= 1 << (off & 63)
+	}
+	return f
+}
+
+// selectRows appends to sel the rows lo+i whose first key col[i] is in
+// the filter.
+func (f *probeFilter) selectRows(sel []int32, col []int32, lo int) []int32 {
+	for i, v := range col {
+		if off := uint32(v) - uint32(f.min); off < f.span && f.bits[off>>6]&(1<<(off&63)) != 0 {
+			sel = append(sel, int32(lo+i))
+		}
+	}
+	return sel
+}
 
 // gatherJoin fills rows [off, off+len(pairs)) of out, a column at a time,
 // from the matched pairs.
@@ -170,21 +228,40 @@ func gatherJoin(out *Table, off int, outs []JoinOut, bt, pt *Table, pairs []join
 // morsels, in morsel-index order, are the output rows, gathered into
 // columns allocated once at their final size. That order is the same
 // whether the morsels run in a plain loop (serial) or on the worker pool.
+// A probe filter (newProbeFilter) or an empty build only drops probe rows
+// that cannot match, so neither changes the output or the morsels.
 func hashJoinTables(bt, pt *Table, buildKeys, probeKeys []int,
 	residual func(b *Table, br int, p *Table, pr int) bool,
 	outs []JoinOut, schema Schema, o Opts, st *NodeStats) (*Table, error) {
 
 	parallel := o.workers() > 1
 	ix := newRowIndex(hashRows(bt, buildKeys, parallel, "join-build", o, st))
+	f := newProbeFilter(bt, pt, buildKeys)
 	chunks := make([][]joinPair, morselCount(pt.NumRows(), o.morsel()))
 	forMorsels(parallel, "join-probe", pt.NumRows(), o, st, func(m, lo, hi int) {
+		if bt.NumRows() == 0 {
+			return // nothing can match: no probe row is hashed
+		}
 		sc := probeScratches.Get().(*probeScratch)
 		defer probeScratches.Put(sc)
-		sc.hs = slices.Grow(sc.hs[:0], hi-lo)[:hi-lo]
-		hashRange(sc.hs, pt, probeKeys, lo)
+		// The rows to probe: those the filter selects, or all of the
+		// morsel's, the i-th hashing to sc.hs[i].
+		if f != nil {
+			sc.sel = f.selectRows(sc.sel[:0], pt.cols[probeKeys[0]].i32[lo:hi], lo)
+			sc.hs = slices.Grow(sc.hs[:0], len(sc.sel))[:len(sc.sel)]
+			for i, pr := range sc.sel {
+				sc.hs[i] = HashRow(pt, int(pr), probeKeys)
+			}
+		} else {
+			sc.hs = slices.Grow(sc.hs[:0], hi-lo)[:hi-lo]
+			hashRange(sc.hs, pt, probeKeys, lo)
+		}
 		pairs := sc.pairs[:0]
 		for i, h := range sc.hs {
 			pr := lo + i
+			if f != nil {
+				pr = int(sc.sel[i])
+			}
 			for c := ix.first(h); c >= 0; c = ix.after(h, c) {
 				br := int(c)
 				if !rowsEqualOn(bt, br, buildKeys, pt, pr, probeKeys) {

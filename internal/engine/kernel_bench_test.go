@@ -66,6 +66,42 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 		b.ReportMetric(float64(benchSink.NumRows()), "rows_out")
 	})
+	b.Run("J1/300K", func(b *testing.B) {
+		m, t := j1Shape(300_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := HashJoinTablesOpts(m, t, []int{0, 1, 2}, []int{kR, kC1, kC2}, nil, j1Outs, Opts{}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = out
+		}
+		b.ReportMetric(float64(benchSink.NumRows()), "rows_out")
+	})
+}
+
+// j1Relations is the relation count of the scale-1.0 corpus.
+const j1Relations = 76_369
+
+var j1Outs = []JoinOut{BuildCol("R1", 0), ProbeCol("xv", kX), ProbeCol("zv", kY), ProbeCol("I2", kI)}
+
+// j1Shape is a grounding J1, Mi ⋈ TΠ on (R, C1, C2): a 6.7K-row MLN
+// partition (R2, C1, C2) over 3,000 of j1Relations relation ids, and an
+// n-row synthetic TΠ whose facts spread over all of them, so a fact's
+// relation alone rules out about 96% of the probe.
+func j1Shape(n int) (m, t *Table) {
+	rng := rand.New(rand.NewSource(int64(n) + 1))
+	t = syntheticFacts(n)
+	for r := range t.cols[kR].i32 {
+		t.cols[kR].i32[r] = rng.Int31n(j1Relations)
+	}
+	rels := rng.Perm(j1Relations)[:3000]
+	m = NewTable("M1", NewSchema(C("R2", Int32), C("C1", Int32), C("C2", Int32)))
+	for i := 0; i < 6700; i++ {
+		m.AppendRow(int32(rels[rng.Intn(len(rels))]), rng.Int31n(12), rng.Int31n(12))
+	}
+	return m, t
 }
 
 func BenchmarkNewRowSet(b *testing.B) {

@@ -42,10 +42,11 @@ func medianOf(measure func() uint64) uint64 {
 const loadRuns = 5
 
 // loadBytes is what TestExpandLoadBytesFlat measures on the scale-s
-// corpus: the bytes of one FactsTable of the unforked KB, and the median
-// bytes of the Query 3 PreClean runs and of one PreClean of a fresh copy
-// of the corpus, with whether every PreClean kept its KB's identity set.
-func loadBytes(t *testing.T, s float64) (table, preclean, query uint64, keptSet bool) {
+// corpus: its facts, the bytes of one FactsTable of the unforked KB, and
+// the median bytes of the Query 3 PreClean runs and of one PreClean of a
+// fresh copy of the corpus, with whether every PreClean kept its KB's
+// identity set.
+func loadBytes(t *testing.T, s float64) (facts int, table, preclean, query uint64, keptSet bool) {
 	t.Helper()
 	corpus := func() *kb.KB {
 		c, err := synth.ReVerbSherlock(s, 42)
@@ -55,6 +56,7 @@ func loadBytes(t *testing.T, s float64) (table, preclean, query uint64, keptSet 
 		return c.KB
 	}
 	k := corpus()
+	facts = k.NumFacts()
 	var tpi *engine.Table
 	table = allocated(func() { tpi = k.FactsTable() })
 	query = medianOf(func() uint64 {
@@ -74,7 +76,7 @@ func loadBytes(t *testing.T, s float64) (table, preclean, query uint64, keptSet 
 		keptSet = keptSet && kb.FactSetOf(k) == set
 		return b
 	})
-	return table, preclean, query, keptSet
+	return facts, table, preclean, query, keptSet
 }
 
 // TestExpandLoadBytesFlat gates what an expansion pays to load Π, which
@@ -85,21 +87,24 @@ func loadBytes(t *testing.T, s float64) (table, preclean, query uint64, keptSet 
 //     as before Π was a table, is ×5).
 //   - PreClean builds no identity set from scratch: the KB keeps the
 //     set it had, which followed the deletion.
-//   - PreClean allocates at most maxPreCleanOverQuery times what its
-//     Query 3 does (measured ×1.08 at scale 0.05, ×1.09 at 0.25): a copy
-//     of Π (32 B a fact) or a new identity set (~20 B a fact) beside the
-//     query's ~50–65 B a fact passes it.
+//   - Beside its Query 3, PreClean allocates at most
+//     maxPreCleanExtraPerFact bytes a fact (measured 3.7–5.6 B at scale
+//     0.05, 5.5–5.9 B at 0.25: the victims and the deletion's record): a
+//     copy of Π (32 B a fact) or a new identity set (~20 B a fact) fails
+//     it. The allowance is per fact, not a multiple of the query's
+//     bytes: the query's cost follows the GROUP BY kernel's (25–38 B a
+//     fact), what PreClean adds to it does not.
 func TestExpandLoadBytesFlat(t *testing.T) {
 	var tables [2]uint64
 	for i, s := range []float64{0.05, 0.25} {
-		table, preclean, query, keptSet := loadBytes(t, s)
-		ratio := float64(preclean) / float64(query)
-		t.Logf("scale %.2f: FactsTable %d B; PreClean %d B, its Query 3 %d B (×%.2f)", s, table, preclean, query, ratio)
+		facts, table, preclean, query, keptSet := loadBytes(t, s)
+		extra := (float64(preclean) - float64(query)) / float64(facts)
+		t.Logf("scale %.2f: FactsTable %d B; PreClean %d B, its Query 3 %d B (%.1f B a fact more, %d facts)", s, table, preclean, query, extra, facts)
 		if !keptSet {
 			t.Errorf("scale %.2f: PreClean built the KB a new identity set", s)
 		}
-		if ratio > maxPreCleanOverQuery {
-			t.Errorf("scale %.2f: PreClean allocates ×%.2f its Query 3's bytes, bound ×%.2f", s, ratio, maxPreCleanOverQuery)
+		if extra > maxPreCleanExtraPerFact {
+			t.Errorf("scale %.2f: PreClean allocates %.1f B a fact beside its Query 3, bound %.0f B", s, extra, maxPreCleanExtraPerFact)
 		}
 		tables[i] = table
 	}
@@ -111,7 +116,7 @@ func TestExpandLoadBytesFlat(t *testing.T) {
 // TestExpandLoadBytesFlat's bounds.
 const (
 	maxFactsTableBytesRatio = 1.5
-	maxPreCleanOverQuery    = 1.2
+	maxPreCleanExtraPerFact = 8.0
 )
 
 // TestForkAllocs pins what forking a loaded KB allocates: the KB, its

@@ -284,16 +284,24 @@ func (c *Cluster) newDistTable(name string, schema engine.Schema, dist Distribut
 // An empty key is a placement error, recorded on the returned table
 // (use Replicate for replicated tables).
 func (c *Cluster) Distribute(t *engine.Table, key []int) *DistTable {
+	return c.distribute(t.Name(), t.Schema(), []*engine.Table{t}, key)
+}
+
+// distribute is Distribute of the rows of srcs, one table after the
+// other, without concatenating them first.
+func (c *Cluster) distribute(name string, schema engine.Schema, srcs []*engine.Table, key []int) *DistTable {
 	if len(key) == 0 {
-		d := c.newDistTable(t.Name(), t.Schema(), RandomDist())
-		d.err = fmt.Errorf("mpp: Distribute %s needs a non-empty key; use Replicate for replicated tables", t.Name())
+		d := c.newDistTable(name, schema, RandomDist())
+		d.err = fmt.Errorf("mpp: Distribute %s needs a non-empty key; use Replicate for replicated tables", name)
 		return d
 	}
-	d := c.newDistTable(t.Name(), t.Schema(), HashedBy(append([]int(nil), key...)...))
+	d := c.newDistTable(name, schema, HashedBy(append([]int(nil), key...)...))
 	if d.err != nil {
 		return d
 	}
-	scatterInto(t, 0, d.segs, key)
+	for _, t := range srcs {
+		scatterInto(t, 0, d.segs, key)
+	}
 	return d
 }
 
@@ -385,14 +393,20 @@ func (d *DistTable) DeleteWhere(col int, gone func(v int32) bool) error {
 // Gather collects a distributed table onto the master as one engine table.
 func Gather(d *DistTable) *engine.Table {
 	out := engine.NewTable(d.name, d.schema)
-	if d.Replicated() {
-		out.AppendTable(d.segs[0])
-		return out
-	}
-	for _, s := range d.segs {
+	for _, s := range d.parts() {
 		out.AppendTable(s)
 	}
 	return out
+}
+
+// parts returns the segment tables whose rows, in order, are d's rows
+// as Gather collects them: one copy of a replicated table, every segment
+// of another.
+func (d *DistTable) parts() []*engine.Table {
+	if d.Replicated() {
+		return d.segs[:1]
+	}
+	return d.segs
 }
 
 // forEachSegment runs f(i) for every segment index concurrently and

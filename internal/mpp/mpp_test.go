@@ -273,6 +273,45 @@ func TestMaterializeRefresh(t *testing.T) {
 	}
 }
 
+// TestMaterializeEqualsDistributeOfGather: a view scattered straight
+// from the base's segments holds, on every segment, the rows of
+// Distribute(Gather(base), key) in the same order — for a hashed base, a
+// replicated one, and one whose segments were appended to unevenly.
+func TestMaterializeEqualsDistributeOfGather(t *testing.T) {
+	for nseg := 1; nseg <= 3; nseg++ {
+		rng := rand.New(rand.NewSource(int64(nseg)))
+		c := NewCluster(nseg)
+		hashed := c.Distribute(randomTable(rng, "T", 500, 40), []int{0})
+		uneven := c.Distribute(randomTable(rng, "U", 300, 40), []int{1})
+		uneven.Segment(nseg - 1).AppendTable(randomTable(rng, "U", 50, 40))
+		replicated := c.Replicate(randomTable(rng, "M", 120, 40))
+		for _, base := range []*DistTable{hashed, uneven, replicated} {
+			for _, key := range [][]int{{1}, {0, 1}} {
+				view := NewViews(c).Materialize(base, key)
+				want := c.Distribute(Gather(base), key)
+				if view.Err() != nil || want.Err() != nil {
+					t.Fatalf("%d segments, %s by %v: %v / %v", nseg, base.Name(), key, view.Err(), want.Err())
+				}
+				for s := 0; s < nseg; s++ {
+					if got, w := view.Segment(s), want.Segment(s); !slices.Equal(rowsOf(got), rowsOf(w)) {
+						t.Fatalf("%d segments, %s by %v, segment %d: view %d rows, Distribute(Gather) %d, or their order differs",
+							nseg, base.Name(), key, s, got.NumRows(), w.NumRows())
+					}
+				}
+			}
+		}
+	}
+}
+
+// rowsOf renders a two-column Int32 table's rows, in order.
+func rowsOf(t *engine.Table) [][2]int32 {
+	out := make([][2]int32, t.NumRows())
+	for r := range out {
+		out[r] = [2]int32{t.Int32Col(0)[r], t.Int32Col(1)[r]}
+	}
+	return out
+}
+
 func TestExplainShowsMotions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	left := randomTable(rng, "L", 30, 4)

@@ -27,9 +27,12 @@ func NewViews(c *Cluster) *Views {
 // and registers it under base's name. Refreshing replaces the previous
 // copy for that key. A placement mistake (empty key, invalid cluster)
 // is deferred onto the returned view's Err.
+//
+// Each base segment scatters straight into the view's segments, in the
+// order Gather would collect them, so the view is Distribute(Gather(base),
+// key) row for row without the whole table copied onto the master first.
 func (v *Views) Materialize(base *DistTable, key []int) *DistTable {
-	full := Gather(base)
-	view := v.cluster.Distribute(full, key)
+	view := v.cluster.distribute(base.Name(), base.Schema(), base.parts(), key)
 	view.SetName(fmt.Sprintf("%s_by%s", base.Name(), keyString(key)))
 	list := v.byBase[base.Name()]
 	for i, old := range list {
