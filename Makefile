@@ -101,10 +101,16 @@ bench-kernels:
 # start with the joins' scratch pools empty.
 # TestForkAllocs pins KB.Fork of the scale 0.05 KB at 8 allocations: an
 # identity set builds its tail at the first row appended past its base.
+# TestGenerationKeepsTheKBItWasHanded holds Π to one copy per generation
+# and "derived" to one test: on the constrained scale 0.05 corpus, whose
+# up-front Query 3 deletes, Expand's and ExtendWith's KB() share the
+# handed KB's fact arrays, Stats(), run_end and the Inferred flags count
+# the facts past the fact-ID watermark and add up, and a test server's
+# SELECT COUNT(*) FROM T is the same before and after one streamed batch.
 kernels-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine ./internal/ground ./internal/factor ./internal/infer
 	$(GO) test -run '^$$' -bench 'BenchmarkPointSelect|BenchmarkQueryLocalCold|BenchmarkRefreshMarginals|BenchmarkExtendWithDeferred' -benchtime 1x .
-	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat' .
+	$(GO) test -short -count=1 -run 'TestPointSelectCostFlat|TestDeferredExtendBytesFlat|TestGenerationKeepsTheKBItWasHanded' .
 	$(GO) test -short -count=1 -run 'TestConstrainedExpandFollowsDeletions|TestMPPExpandDistributesOnce|TestConstraintPassBytesFlat|TestFreshFactorsMatchQuery2|TestFactIDsNeverRepeatAlongALineage' ./internal/ground
 	$(GO) test -short -count=1 -run 'TestExpandLoadBytesFlat|TestForkAllocs' ./internal/kb
 	$(GO) test -count=1 -run 'TestTPhiRowOrderIsNotAnInput' .

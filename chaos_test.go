@@ -136,18 +136,21 @@ func TestExactOracleUnderFaults(t *testing.T) {
 	ids := exp.res.Facts.Int32Col(kb.TPiI)
 	ws := exp.res.Facts.Float64Col(kb.TPiW)
 	checked := 0
-	// Only inferred facts (rows past BaseFacts) carry Gibbs marginals;
-	// observed facts keep their extraction confidence.
-	for r := exp.res.BaseFacts; r < exp.res.Facts.NumRows(); r++ {
-		v, ok := g.VarOf(ids[r])
+	// Only inferred facts (IDs from FirstDerived on) carry Gibbs
+	// marginals; observed facts keep their extraction confidence.
+	for r, id := range ids {
+		if id < exp.res.FirstDerived {
+			continue
+		}
+		v, ok := g.VarOf(id)
 		if !ok {
 			continue
 		}
 		if math.IsNaN(ws[r]) {
-			t.Fatalf("fact %d has NaN probability after inference", ids[r])
+			t.Fatalf("fact %d has NaN probability after inference", id)
 		}
 		if ws[r] != exact[v] {
-			t.Errorf("fact %d: marginal %v vs exact %v", ids[r], ws[r], exact[v])
+			t.Errorf("fact %d: marginal %v vs exact %v", id, ws[r], exact[v])
 		}
 		checked++
 	}

@@ -39,7 +39,10 @@ func (f Fact) String() string {
 	return fmt.Sprintf("%.2f %s(%s:%s, %s:%s)", f.Probability, f.Rel, f.X, f.XClass, f.Y, f.YClass)
 }
 
-// ExpandStats summarizes what an expansion did.
+// ExpandStats summarizes what an expansion did. Its fact counts describe
+// the final TΠ and add up: BaseFacts + InferredFacts = TotalFacts, where
+// InferredFacts counts the facts this round derived (Fact.Inferred) and
+// BaseFacts the ones it started from that its constraint passes kept.
 type ExpandStats struct {
 	BaseFacts     int
 	InferredFacts int
@@ -87,12 +90,15 @@ type Expansion struct {
 	finished int
 }
 
-// KB returns the knowledge base this expansion was grounded from — the
-// generation's frozen base. After ExtendWith it is the copy-on-write
-// fork carrying the round's new symbols and memberships; the MVCC
-// serving tier publishes it next to the expansion so SQL and dictionary
-// lookups resolve against the same generation the expansion answers
-// from. Callers must treat it as read-only while readers are pinned.
+// KB returns the knowledge base this expansion's lineage was handed —
+// the generation's frozen base: Expand's receiver (or rule cleaning's
+// copy of it), never the fork the up-front Query 3 cleaned. After
+// ExtendWith it is a copy-on-write fork of that KB carrying the rounds'
+// new symbols and memberships; the streamed facts are in TΠ only. The
+// MVCC serving tier publishes it next to the expansion so SQL and
+// dictionary lookups resolve against the same generation the expansion
+// answers from. Callers must treat it as read-only while readers are
+// pinned.
 func (e *Expansion) KB() *KB { return &KB{inner: e.kb} }
 
 // Journal returns the run's journal writer — the bounded in-memory
@@ -207,7 +213,6 @@ func (e *Expansion) runInference(ctx context.Context) ([]int32, error) {
 // Stats returns the expansion summary.
 func (e *Expansion) Stats() ExpandStats {
 	st := ExpandStats{
-		BaseFacts:     e.res.BaseFacts,
 		InferredFacts: e.res.InferredFacts(),
 		TotalFacts:    e.res.Facts.NumRows(),
 		Iterations:    e.res.Iterations,
@@ -219,6 +224,7 @@ func (e *Expansion) Stats() ExpandStats {
 		FactorTime:    e.res.FactorTime,
 		InferenceTime: e.inferenceTime,
 	}
+	st.BaseFacts = st.TotalFacts - st.InferredFacts
 	if e.res.Factors != nil {
 		st.Factors = e.res.Factors.NumRows()
 	}

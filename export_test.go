@@ -20,3 +20,7 @@ func (s *Store) SyncTable(src *kb.KB, tpi *engine.Table, forget bool) error {
 	}
 	return s.sync(src, tpi, nil, nil)
 }
+
+// FactIDs is the ID column of k's facts table, for tests that ask
+// whether two KBs share their fact arrays.
+func FactIDs(k *KB) []int32 { return k.inner.FactsTable().Int32Col(kb.TPiI) }

@@ -27,7 +27,6 @@ func TestGroupByCountAndDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.SortByInt32Cols(0)
 	wantN := map[int32][2]int32{1: {3, 2}, 2: {1, 1}, 3: {1, 1}}
 	if out.NumRows() != 3 {
 		t.Fatalf("groups = %d, want 3", out.NumRows())
@@ -52,7 +51,6 @@ func TestGroupByMinMaxSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.SortByInt32Cols(0)
 	type trio struct{ mn, mx, sm float64 }
 	want := map[int32]trio{1: {1, 3, 6}, 2: {-1, -1, -1}, 3: {0, 0, 0}}
 	for r := 0; r < out.NumRows(); r++ {

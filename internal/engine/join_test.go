@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,20 +17,15 @@ func buildTwoCol(name string, a, b []int32) *Table {
 }
 
 func sortedRows(t *Table) [][]int32 {
-	t = t.Clone()
-	cols := make([]int, t.Schema().NumCols())
-	for i := range cols {
-		cols[i] = i
-	}
-	t.SortByInt32Cols(cols...)
 	out := make([][]int32, t.NumRows())
-	for r := 0; r < t.NumRows(); r++ {
-		row := make([]int32, len(cols))
-		for c := range cols {
+	for r := range out {
+		row := make([]int32, t.Schema().NumCols())
+		for c := range row {
 			row[c] = t.Int32Col(c)[r]
 		}
 		out[r] = row
 	}
+	slices.SortFunc(out, slices.Compare)
 	return out
 }
 

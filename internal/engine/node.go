@@ -152,12 +152,9 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 	}
 }
 
-// TotalTime sums the self time of every node in the plan, recursing
-// through the entire tree.
-func TotalTime(root Node) time.Duration { return TotalTimeOf[Node](root) }
-
-// TotalTimeOf is TotalTime over any plan-shaped tree — single-node or
-// distributed (mpp) plans; the obs metrics bridge uses it for both.
+// TotalTimeOf sums the self time of every node of a plan-shaped tree —
+// single-node or distributed (mpp) plans — recursing through the entire
+// tree; the obs metrics bridge uses it for both.
 func TotalTimeOf[N PlanLike[N]](root N) time.Duration {
 	total := root.Stats().Elapsed
 	for _, k := range root.Children() {

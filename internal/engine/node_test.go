@@ -43,7 +43,7 @@ func TestTotalTimeFullTree(t *testing.T) {
 	root := newStub("root", 1*time.Millisecond, 6, mid1, mid2)
 
 	want := 63 * time.Millisecond // 1+2+4+8+16+32: every node exactly once
-	if got := TotalTime(root); got != want {
+	if got := TotalTimeOf[Node](root); got != want {
 		t.Fatalf("TotalTime = %v, want %v (grandchildren missing or double-counted)", got, want)
 	}
 
@@ -52,7 +52,7 @@ func TestTotalTimeFullTree(t *testing.T) {
 		newStub("b", time.Millisecond, 0,
 			newStub("c", time.Millisecond, 0,
 				newStub("d", time.Millisecond, 0))))
-	if got := TotalTime(chain); got != 4*time.Millisecond {
+	if got := TotalTimeOf[Node](chain); got != 4*time.Millisecond {
 		t.Fatalf("TotalTime(chain) = %v, want 4ms", got)
 	}
 }

@@ -119,7 +119,7 @@ func TestRunHelperAndTotalTime(t *testing.T) {
 	if out.Name() != "result" {
 		t.Fatalf("result name = %q", out.Name())
 	}
-	if TotalTime(f) < 0 {
+	if TotalTimeOf[Node](f) < 0 {
 		t.Fatal("TotalTime negative")
 	}
 }

@@ -416,8 +416,7 @@ func (t *Table) Truncate() {
 }
 
 // KeepRows replaces the table contents with the rows whose indices appear
-// in keep, in that order. keep may be any permutation or subset, so this
-// doubles as the row-reorder primitive behind SortByInt32Cols.
+// in keep, in that order. keep may be any permutation or subset.
 func (t *Table) KeepRows(keep []int32) {
 	for _, c := range t.cols {
 		switch c.typ {
@@ -657,30 +656,6 @@ func (t *Table) SortBy(keys []SortKey) {
 			}
 			if c != 0 {
 				return c < 0
-			}
-		}
-		return false
-	})
-	t.KeepRows(idx)
-}
-
-// SortByInt32Cols sorts the table rows lexicographically by the given
-// Int32 columns. Used by tests and pretty printing for deterministic
-// output; operators never rely on ordering.
-func (t *Table) SortByInt32Cols(cols ...int) {
-	idx := make([]int32, t.nrows)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	keyCols := make([][]int32, len(cols))
-	for i, c := range cols {
-		keyCols[i] = t.Int32Col(c)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := idx[a], idx[b]
-		for _, kc := range keyCols {
-			if kc[ra] != kc[rb] {
-				return kc[ra] < kc[rb]
 			}
 		}
 		return false

@@ -175,23 +175,6 @@ func TestDeleteWhere(t *testing.T) {
 	}
 }
 
-func TestSortByInt32Cols(t *testing.T) {
-	tab := NewTable("T", NewSchema(C("a", Int32), C("b", Int32)))
-	tab.AppendRow(2, 1)
-	tab.AppendRow(1, 2)
-	tab.AppendRow(2, 0)
-	tab.AppendRow(1, 1)
-	tab.SortByInt32Cols(0, 1)
-	wantA := []int32{1, 1, 2, 2}
-	wantB := []int32{1, 2, 0, 1}
-	for r := 0; r < 4; r++ {
-		if tab.Int32Col(0)[r] != wantA[r] || tab.Int32Col(1)[r] != wantB[r] {
-			t.Fatalf("row %d = (%d,%d), want (%d,%d)", r,
-				tab.Int32Col(0)[r], tab.Int32Col(1)[r], wantA[r], wantB[r])
-		}
-	}
-}
-
 func TestTableStringAndByteSize(t *testing.T) {
 	tab := NewTable("D", NewSchema(C("id", Int32), C("name", String)))
 	tab.AppendRow(1, "kale")

@@ -31,6 +31,7 @@ package ground
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -130,7 +131,10 @@ type Result struct {
 	Facts *engine.Table
 	// Factors is TΦ.
 	Factors *engine.Table
-	// BaseFacts is the number of facts present before inference.
+	// BaseFacts is the number of rows the run started from, before its
+	// first iteration. Constraint passes may remove some of them, so it
+	// says nothing of Facts' rows: the base facts Facts holds are those
+	// below FirstDerived (InferredFacts).
 	BaseFacts int
 	// FirstDerived is the ID grounding gave the first fact it derived:
 	// the facts the run started from hold lower IDs, the facts it derived
@@ -178,9 +182,12 @@ type Result struct {
 	parts *mln.Partitions
 }
 
-// InferredFacts returns how many facts grounding added.
+// InferredFacts returns how many of Facts' rows grounding derived: those
+// from FirstDerived on. Fact IDs ascend with the row index, so they are a
+// suffix of the table.
 func (r *Result) InferredFacts() int {
-	return r.Facts.NumRows() - r.BaseFacts
+	n, _ := slices.BinarySearch(r.Facts.Int32Col(kb.TPiI), r.FirstDerived)
+	return r.Facts.NumRows() - n
 }
 
 // Options configures a grounding run.

@@ -191,7 +191,7 @@ func TestClassRelationConstraintTables(t *testing.T) {
 	if fc.NumRows() != 1 || fc.Float64Col(TOmegaDeg)[0] != 1.0 {
 		t.Fatalf("TΩ wrong:\n%s", fc)
 	}
-	de := DictTable("DE", k.Entities)
+	de := dictTable("DE", k.Entities.Names())
 	if de.NumRows() != 3 || de.StringCol(1)[0] != "Ruth_Gruber" {
 		t.Fatalf("DE wrong:\n%s", de)
 	}

@@ -143,14 +143,10 @@ func (k *KB) ConstraintsTable() *engine.Table {
 	return t
 }
 
-// DictTable materializes a dictionary as an (id, name) table, e.g. the DE,
-// DC, DR tables of Section 4.2. The name column aliases the dictionary's
-// own storage (interned names are never rewritten, only appended past
-// this length), so the table is read-only.
-func DictTable(name string, d *Dict) *engine.Table {
-	return dictTable(name, d.Names())
-}
-
+// dictTable materializes a dictionary's names as an (id, name) table, e.g.
+// the DE, DC, DR tables of Section 4.2. The name column aliases the
+// dictionary's own storage (interned names are never rewritten, only
+// appended past this length), so the table is read-only.
 func dictTable(name string, names []string) *engine.Table {
 	ids := make([]int32, len(names))
 	for i := range ids {

@@ -40,11 +40,8 @@ func placed(t *testing.T, c *Cluster, tab *engine.Table, how string, on, off []i
 	case offKey:
 		return c.Distribute(tab, off)
 	}
-	g, err := NewGather(NewScan(c.Distribute(tab, on))).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetName(tab.Name())
+	g := c.newDistTable(tab.Name(), tab.Schema(), RandomDist())
+	g.segs[0] = Gather(c.Distribute(tab, on))
 	return g
 }
 

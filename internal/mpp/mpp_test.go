@@ -30,20 +30,15 @@ func randomTable(rng *rand.Rand, name string, n int, domain int32) *engine.Table
 
 // sortedFlat renders a table's rows as a sorted [][]int32 for comparison.
 func sortedFlat(t *engine.Table) [][]int32 {
-	t = t.Clone()
-	cols := make([]int, t.Schema().NumCols())
-	for i := range cols {
-		cols[i] = i
-	}
-	t.SortByInt32Cols(cols...)
 	out := make([][]int32, t.NumRows())
-	for r := 0; r < t.NumRows(); r++ {
-		row := make([]int32, len(cols))
-		for c := range cols {
+	for r := range out {
+		row := make([]int32, t.Schema().NumCols())
+		for c := range row {
 			row[c] = t.Int32Col(c)[r]
 		}
 		out[r] = row
 	}
+	slices.SortFunc(out, slices.Compare)
 	return out
 }
 
@@ -201,19 +196,6 @@ func TestBroadcastMotion(t *testing.T) {
 	}
 	if MotionBytes(bc2) != 0 {
 		t.Fatal("broadcast of replicated input should move 0 bytes")
-	}
-}
-
-func TestGatherNode(t *testing.T) {
-	base := twoColTable("T", []int32{1, 2, 3}, []int32{1, 2, 3})
-	c := NewCluster(2)
-	g := NewGather(NewScan(c.Distribute(base, []int{0})))
-	out, err := g.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Segment(0).NumRows() != 3 || out.Segment(1).NumRows() != 0 {
-		t.Fatal("gather should place all rows on segment 0")
 	}
 }
 
@@ -393,7 +375,7 @@ func TestLabelsAndSchema(t *testing.T) {
 		t.Fatal("DistTable schema wrong")
 	}
 	scan := NewScan(d)
-	for _, n := range []Node{scan, NewRedistribute(scan, []int{1}), NewBroadcast(scan), NewGather(scan)} {
+	for _, n := range []Node{scan, NewRedistribute(scan, []int{1}), NewBroadcast(scan)} {
 		if n.Label() == "" {
 			t.Fatalf("%T has empty label", n)
 		}
@@ -447,10 +429,7 @@ func TestDistTableAppendFrom(t *testing.T) {
 		t.Fatal("empty delta changed table")
 	}
 	// Appending into a random-dist table is an error.
-	g, err := NewGather(NewScan(d)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := c.newDistTable("gather", base.Schema(), RandomDist())
 	if err := g.AppendFrom(base, 0); err == nil {
 		t.Fatal("AppendFrom into random dist did not return an error")
 	}

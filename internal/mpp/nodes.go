@@ -340,42 +340,6 @@ func (n *BroadcastNode) Run() (*DistTable, error) {
 	})
 }
 
-// GatherNode collects all rows onto a single segment (the "master"),
-// modeled as segment 0 holding everything.
-type GatherNode struct {
-	dbase
-	child Node
-}
-
-// NewGather returns a gather motion.
-func NewGather(child Node) *GatherNode {
-	return &GatherNode{
-		dbase: childBase(child, child.OutSchema(), RandomDist()),
-		child: child,
-	}
-}
-
-func (n *GatherNode) Children() []Node { return []Node{n.child} }
-func (n *GatherNode) Label() string    { return "Gather Motion" }
-func (n *GatherNode) OpKind() string   { return n.Label() }
-
-// Run gathers the child output onto segment 0.
-func (n *GatherNode) Run() (*DistTable, error) {
-	if n.err != nil {
-		return nil, n.err
-	}
-	ins, err := runChildrenD(n)
-	if err != nil {
-		return nil, err
-	}
-	in := ins[0]
-	return timeRunD(&n.stats, func() (*DistTable, error) {
-		out := n.cluster.newDistTable("gather", n.schema, RandomDist())
-		out.segs[0] = Gather(in)
-		return out, nil
-	})
-}
-
 // clusterOf extracts the cluster a plan runs on, or nil when the plan
 // has a leaf that is not a scan (recorded as a deferred error by
 // childBase).

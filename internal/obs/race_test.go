@@ -23,12 +23,12 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ctx, root := StartSpanIn(context.Background(), tr, "worker")
+			ctx, root := startSpan(context.Background(), tr, "worker")
 			for i := 0; i < iters; i++ {
 				ops.With("w").Inc()
 				depth.Add(1)
 				latency.Observe(float64(i) * 1e-6)
-				_, child := StartSpanIn(ctx, tr, "op")
+				_, child := startSpan(ctx, tr, "op")
 				child.SetAttr("i", i)
 				child.End()
 			}

@@ -218,12 +218,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return startSpan(ctx, DefaultTracer, name)
 }
 
-// StartSpanIn is StartSpan recording roots into an explicit tracer
-// (tests use private tracers to stay isolated).
-func StartSpanIn(ctx context.Context, t *Tracer, name string) (context.Context, *Span) {
-	return startSpan(ctx, t, name)
-}
-
 func startSpan(ctx context.Context, t *Tracer, name string) (context.Context, *Span) {
 	if ctx == nil {
 		ctx = context.Background()

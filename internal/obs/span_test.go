@@ -9,16 +9,16 @@ import (
 
 func TestSpanNestingAndOrdering(t *testing.T) {
 	tr := NewTracer(8)
-	ctx, root := StartSpanIn(context.Background(), tr, "expand")
-	cctx, ground := StartSpanIn(ctx, tr, "ground")
-	_, iter1 := StartSpanIn(cctx, tr, "iteration")
+	ctx, root := startSpan(context.Background(), tr, "expand")
+	cctx, ground := startSpan(ctx, tr, "ground")
+	_, iter1 := startSpan(cctx, tr, "iteration")
 	iter1.SetAttr("iter", 1)
 	iter1.End()
-	_, iter2 := StartSpanIn(cctx, tr, "iteration")
+	_, iter2 := startSpan(cctx, tr, "iteration")
 	iter2.SetAttr("iter", 2)
 	iter2.End()
 	ground.End()
-	_, inf := StartSpanIn(ctx, tr, "infer")
+	_, inf := startSpan(ctx, tr, "infer")
 	inf.End()
 	root.End()
 
@@ -44,9 +44,9 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 
 func TestSpanRender(t *testing.T) {
 	tr := NewTracer(1)
-	ctx, root := StartSpanIn(context.Background(), tr, "expand")
+	ctx, root := startSpan(context.Background(), tr, "expand")
 	root.SetAttr("engine", "ProbKB")
-	_, child := StartSpanIn(ctx, tr, "ground")
+	_, child := startSpan(ctx, tr, "ground")
 	time.Sleep(time.Millisecond)
 	child.SetAttr("facts", 42)
 	child.End()
@@ -70,8 +70,8 @@ func TestSpanRender(t *testing.T) {
 
 func TestSelfTimeExcludesChildren(t *testing.T) {
 	tr := NewTracer(1)
-	ctx, root := StartSpanIn(context.Background(), tr, "root")
-	_, child := StartSpanIn(ctx, tr, "child")
+	ctx, root := startSpan(context.Background(), tr, "root")
+	_, child := startSpan(ctx, tr, "child")
 	time.Sleep(5 * time.Millisecond)
 	child.End()
 	root.End()
@@ -88,7 +88,7 @@ func TestTracerRingBounded(t *testing.T) {
 	tr := NewTracer(3)
 	var last *Span
 	for i := 0; i < 10; i++ {
-		_, s := StartSpanIn(context.Background(), tr, "run")
+		_, s := startSpan(context.Background(), tr, "run")
 		s.SetAttr("i", i)
 		s.End()
 		last = s
@@ -104,7 +104,7 @@ func TestTracerRingBounded(t *testing.T) {
 
 func TestEndTwiceKeepsFirst(t *testing.T) {
 	tr := NewTracer(2)
-	_, s := StartSpanIn(context.Background(), tr, "once")
+	_, s := startSpan(context.Background(), tr, "once")
 	s.End()
 	d := s.Duration()
 	time.Sleep(2 * time.Millisecond)
@@ -121,7 +121,7 @@ func TestSpanFromContext(t *testing.T) {
 	if SpanFrom(context.Background()) != nil {
 		t.Error("empty context has a span")
 	}
-	ctx, s := StartSpanIn(context.Background(), NewTracer(1), "x")
+	ctx, s := startSpan(context.Background(), NewTracer(1), "x")
 	if SpanFrom(ctx) != s {
 		t.Error("SpanFrom did not return the started span")
 	}

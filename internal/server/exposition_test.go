@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -74,7 +73,7 @@ func TestExpositionShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(k, exp, WithStore(st)))
+	srv := newHTTPServer(t, New(k, exp, WithStore(st)))
 	defer srv.Close()
 
 	before := parseExposition(t, scrape(t, srv.URL))

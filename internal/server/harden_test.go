@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -265,8 +264,7 @@ func TestExplainDepthBounded(t *testing.T) {
 	if vars < 20 || factors < 100 {
 		t.Fatalf("%d facts, %d factors: the rules no longer close the places into a cycle", vars, factors)
 	}
-	srv := httptest.NewServer(New(k, exp))
-	t.Cleanup(srv.Close)
+	srv := newHTTPServer(t, New(k, exp))
 	maxLines, maxLine := 1+3*factors, 4*vars+100
 	for _, depth := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000} {
 		resp, err := http.Get(fmt.Sprintf("%s/explain?rel=near&x=P0&y=P2&depth=%d", srv.URL, depth))

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -232,8 +231,7 @@ func TestDebugContentTypeAndRetryAfter(t *testing.T) {
 	}
 
 	// A pending server's readyz 503 tells clients when to retry.
-	psrv := httptest.NewServer(NewPending())
-	t.Cleanup(psrv.Close)
+	psrv := newHTTPServer(t, NewPending())
 	resp, err := http.Get(psrv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)

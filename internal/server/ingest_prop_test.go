@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -47,7 +46,7 @@ func streamIngestCase(t *testing.T, c *proptest.IngestCase) ([]ingest.Ack, uint6
 		return nil, 0, err
 	}
 	s := New(proptest.IngestBase(), exp)
-	srv := httptest.NewServer(s)
+	srv := newHTTPServer(t, s)
 	defer srv.Close()
 
 	stream := c.Stream()

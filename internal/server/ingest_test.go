@@ -120,8 +120,7 @@ func ingestTestServer(t *testing.T) (*httptest.Server, *Server) {
 		t.Fatal(err)
 	}
 	s := New(build(), exp, WithStore(st))
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	srv := newHTTPServer(t, s)
 	return srv, s
 }
 
@@ -281,6 +280,50 @@ func TestFactsStreamDisconnectNoTornGeneration(t *testing.T) {
 		t.Fatalf("post-disconnect generation %d not after %d", a2.Generation, a1.Generation)
 	}
 	c2.pw.Close()
+}
+
+// TestFactsStreamEarlyReturns drives each early return of a stream 200
+// times: a malformed chunk, a chunk over the fact limit, and a client
+// that keeps writing after the error line. Each answers one error line,
+// and newHTTPServer fails the test on a handler panic — a stream that
+// returns with its body unread must not leave net/http reading it
+// concurrently.
+func TestFactsStreamEarlyReturns(t *testing.T) {
+	srv := testServer(t)
+	writers := make([]string, maxChunkFacts+1)
+	for i := range writers {
+		writers[i] = "Freud"
+	}
+	for _, tc := range []struct {
+		name, chunk string
+		writesOn    bool
+	}{
+		{"malformed", `{"facts":[{"rel":}]}`, false},
+		{"oversized", chunk(writers...), false},
+		{"writes-on", `{"facts":3}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range 200 {
+				c := openStream(t, srv.URL+"/facts?stream=1")
+				c.send(tc.chunk)
+				c.waitResp()
+				var line struct {
+					Error string `json:"error"`
+				}
+				if err := c.dec.Decode(&line); err != nil || !strings.HasPrefix(line.Error, "batch 1: ") {
+					t.Fatalf("run %d: first line %+v, %v", i, line, err)
+				}
+				if tc.writesOn {
+					for range 8 {
+						if _, err := io.WriteString(c.pw, chunk("Kafka")); err != nil {
+							break
+						}
+					}
+				}
+				c.close()
+			}
+		})
+	}
 }
 
 // TestFactsPostAdmission: POST /facts sits behind admission control —

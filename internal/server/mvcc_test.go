@@ -30,8 +30,7 @@ func mvccServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	s := New(k, exp)
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	srv := newHTTPServer(t, s)
 	return s, srv
 }
 

@@ -25,9 +25,7 @@ func queryServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(k, exp))
-	t.Cleanup(srv.Close)
-	return srv
+	return newHTTPServer(t, New(k, exp))
 }
 
 func queryURL(srv *httptest.Server, atom string, extra string) string {

@@ -3,7 +3,6 @@ package server
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +16,7 @@ import (
 // 503) until an expansion attaches and SetReady flips.
 func TestReadyz(t *testing.T) {
 	s := NewPending()
-	srv := httptest.NewServer(s)
+	srv := newHTTPServer(t, s)
 	defer srv.Close()
 
 	var out map[string]string

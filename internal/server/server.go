@@ -234,9 +234,10 @@ func NewPending() *Server {
 }
 
 // Attach installs the KB and expansion a pending server will serve as
-// the first real generation — with kb exactly as handed in; every later
-// generation serves its expansion's own KB — builds the writer on top
-// of it, and points the incident store's journal
+// the first real generation — every later generation serves its
+// expansion's KB(), which holds the same facts when exp was expanded
+// from kb — builds the writer on top of it, and points the incident
+// store's journal
 // and plan-capture hooks at the serving tier: incidents opened from
 // here on are journaled into the *current* generation's run journal,
 // and a finding that names a SQL query gets its EXPLAIN plan captured
@@ -604,6 +605,14 @@ func (s *Server) handleFactsStream(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("streaming unsupported on this connection: %w", err))
 		return
 	}
+	// Full duplex also stops net/http from draining the body before the
+	// response, so a stream that ends early leaves it unread. Closed only
+	// after the handler returns, it would be drained there, and its end
+	// would start the connection's read-ahead for the next request while
+	// the server's own read is about to run: "invalid concurrent
+	// Body.Read call". Closing it here drains it while the handler still
+	// owns the connection, as a half-duplex response does.
+	defer r.Body.Close()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -943,8 +952,8 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	aq.SetPhase("queue")
 	exp, gen, err := s.ing.Update(func(*probkb.Expansion) (*probkb.Expansion, error) {
 		aq.SetPhase("ground")
-		// The served KB, pinned under the writer lock so the newest; for
-		// generation 1 the one Attach was handed, not the pre-cleaned fork.
+		// The served KB, pinned under the writer lock so the newest: the
+		// facts the served lineage was handed, never a pre-cleaned copy.
 		pin := s.snaps.Pin()
 		defer pin.Unpin()
 		return pin.Value().kb.ExpandContext(ctx, cfg)

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -44,9 +46,31 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(k, exp))
+	return newHTTPServer(t, New(k, exp))
+}
+
+// newHTTPServer is httptest.NewServer closed when t ends, with an error
+// log that fails t on a handler panic: net/http recovers one and only
+// logs "http: panic serving ...", which would otherwise pass unseen.
+func newHTTPServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ErrorLog = log.New(panicLog{t}, "", 0)
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// panicLog is newHTTPServer's error log.
+type panicLog struct{ t *testing.T }
+
+func (l panicLog) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("panic serving")) {
+		l.t.Errorf("test server: %s", p)
+	} else {
+		l.t.Logf("test server: %s", p)
+	}
+	return len(p), nil
 }
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -159,7 +183,7 @@ func TestFactsWithoutInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(k, exp))
+	srv := newHTTPServer(t, New(k, exp))
 	defer srv.Close()
 
 	var out struct {
@@ -342,7 +366,7 @@ func TestPanicRecovery(t *testing.T) {
 	mux.HandleFunc("GET /boom", instrument("/boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	}))
-	srv := httptest.NewServer(mux)
+	srv := newHTTPServer(t, mux)
 	defer srv.Close()
 
 	beforeSnap := obs.Default.Snapshot()
@@ -474,7 +498,7 @@ func TestAdminSnapshot(t *testing.T) {
 	if st.WALRecords() == 0 {
 		t.Fatal("persisted expansion appended no WAL records")
 	}
-	withStore := httptest.NewServer(New(k, exp, WithStore(st)))
+	withStore := newHTTPServer(t, New(k, exp, WithStore(st)))
 	defer withStore.Close()
 	resp, err = http.Post(withStore.URL+"/admin/snapshot", "application/json", nil)
 	if err != nil {

@@ -47,7 +47,8 @@ func TestJournalFileMatchesInMemory(t *testing.T) {
 	if h == nil || h.Seed != 7 || h.Segments != 2 || h.ConfigHash != cfg.Hash() {
 		t.Fatalf("header = %+v, want seed=7 segments=2 hash=%s", h, cfg.Hash())
 	}
-	if fromFile.End == nil || fromFile.End.InferredFacts != len(exp.InferredFacts()) {
+	if end := fromFile.End; end == nil || end.InferredFacts != len(exp.InferredFacts()) ||
+		end.BaseFacts+end.InferredFacts != end.TotalFacts {
 		t.Fatalf("run_end = %+v", fromFile.End)
 	}
 	if len(fromFile.Profiles) == 0 || len(fromFile.Checkpoints) == 0 {

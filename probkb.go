@@ -486,12 +486,17 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 		r.work = k.inner.Fork()
 	}
 	opts := groundOptions(ctx, cfg)
+	// The grounders read src. The generation keeps r.work, the KB it was
+	// handed: the up-front Query 3 cleans a fork of it that only the
+	// grounding reads.
+	src := r.work
 	if cfg.ApplyConstraints {
 		// Query 3 runs once before inference starts (Section 6.1.1), and
 		// again after every grounding iteration (Algorithm 1).
-		precleaned := quality.PreClean(r.work)
+		src = r.work.Fork()
+		precleaned := quality.PreClean(src)
 		qualitySpan.SetAttr("precleaned", precleaned)
-		r.checker = quality.NewCheckerAfterPreClean(r.work)
+		r.checker = quality.NewCheckerAfterPreClean(src)
 		if opts.MaxIterations == 0 {
 			opts.MaxIterations = DefaultConstrainedIterations
 		}
@@ -503,9 +508,9 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 	exp, err := r.run(ctx, opts, func(opts ground.Options) (*ground.Result, error) {
 		switch cfg.Engine {
 		case SingleNode:
-			return ground.Ground(r.work, opts)
+			return ground.Ground(src, opts)
 		case Baseline:
-			g, err := ground.NewTuffy(r.work, opts)
+			g, err := ground.NewTuffy(src, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -522,7 +527,7 @@ func (k *KB) ExpandContext(ctx context.Context, cfg Config) (*Expansion, error) 
 				})
 			}
 			cl.SetRetry(mpp.RetryPolicy{MaxRetries: cfg.SegmentRetries, Backoff: cfg.RetryBackoff})
-			g, err := ground.NewMPP(r.work, opts, cl, cfg.Engine == MPP)
+			g, err := ground.NewMPP(src, opts, cl, cfg.Engine == MPP)
 			if err != nil {
 				return nil, err
 			}

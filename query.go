@@ -318,11 +318,11 @@ func (e *Expansion) queryLocalMiss(ctx context.Context, q PointQuery, key queryK
 	span.SetAttr("local_facts", m.LocalFacts)
 
 	// Prefer an observed row among the matches: evidence needs no
-	// sampling, its weight is the answer. (Local grounding never runs
-	// the constraint hook, so seed rows stay at positions < BaseFacts.)
+	// sampling, its weight is the answer.
 	targetRow := -1
+	ids := lres.Facts.Int32Col(kb.TPiI)
 	for _, r := range lres.TargetRows {
-		if r < lres.BaseFacts {
+		if ids[r] < lres.FirstDerived {
 			targetRow, m.Observed = r, true
 			break
 		}
